@@ -10,15 +10,13 @@ cross-checks; ``exceptional`` queries or validates the embedded tables for
 the exceptional types; ``lemmas`` runs the exhaustive sequence-combinatorics
 property suite.
 
-Every machine format carries a schema_version field, and identical
-invocations produce byte-identical output: all enumeration orders are
-deterministic and no timestamps or environment data leak into the payload.
-Exit status is 0 on success, 1 when a verification-style subcommand finds a
-failing check, and 2 for usage errors (bad flags, malformed specs, unknown
-keys).  The WEYLSYMBOLS_WORKERS variable is accepted and echoed for forward
-compatibility; every row is a pure function of its inputs and the shipped
-pipeline evaluates them serially in a fixed order, which is already well
-inside the stated budgets at desk scale.
+Each subcommand handler only computes its data; one renderer turns that
+data into the requested format.  Every machine format carries a
+schema_version field, and identical invocations produce byte-identical
+output: all enumeration orders are deterministic and no timestamps or
+environment data leak into the payload.  Exit status is 0 on success, 1
+when a verification-style subcommand finds a failing check, and 2 for usage
+errors (bad flags, malformed specs, unknown keys).
 """
 
 from __future__ import annotations
@@ -27,15 +25,12 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from . import seqcomb as sc
-from .engine import RANK_FLOOR, VerificationReport, verify
-from .errors import DomainError, OracleError, ValidationError, WeylSymbolsError
+from .engine import ensure_floor, verify
+from .errors import DomainError, WeylSymbolsError
 from .exceptional import (
     GROUPS,
     OMEGA_ORDERS,
@@ -51,47 +46,42 @@ from .irreps import (
     b_invariant,
     canonicalize,
     is_special,
+    label_str,
     policy_m,
     special_reps,
 )
-from .jinduction import (
-    EMBED_A_SPLIT,
-    EMBED_B_SP_WQ,
-    EMBED_B_WR_SP_WQ,
-    EMBED_B_WR_WQ,
-    EMBED_C_WR_WDQ,
-    EMBED_D_SP_WDQ,
-    EMBED_D_TRIPLE,
-    Embedding,
-    j_induce,
-)
-from .oracle import (
-    b_oracle,
-    character_table,
-    induction_multiplicity,
-    j_oracle,
-    key_to_label,
-)
+from .jinduction import Embedding, j_induce
 from .springer import LABEL_FAMILY, class_invariants, enumerate_classes, tau_fiber
+from .suites import LemmaSuiteReport, OracleSuiteReport, lemma_suite, oracle_suite
 
-SCHEMA_VERSION = 1
-
-WORKERS_ENV = "WEYLSYMBOLS_WORKERS"
+SCHEMA_VERSION = 2
 
 _FAMILIES = ("A", "B", "C", "D")
 
 
 # ---------------------------------------------------------------------------
-# rendering helpers
+# rendering
 
 
-def _label_str(label: IrrLabel) -> str:
-    row = ",".join(str(v) for v in label.z)
-    if label.zp is None:
-        return f"[{row}]"
-    rowp = ",".join(str(v) for v in label.zp)
-    mark = f"^{label.kappa}" if label.z == label.zp else ""
-    return f"[{row};{rowp}]{mark}"
+@dataclass
+class _Output:
+    """The data one subcommand computed, in the terms of every format.
+
+    payload holds the JSON fields that follow schema_version and command.
+    headers and rows make the table, and also the CSV unless csv_headers and
+    csv_rows are given.  table replaces the rendered table when the library
+    formats its own.  notes is set for suite-style tables: the lines printed
+    before the result trailer.
+    """
+
+    payload: dict
+    headers: list[str] = field(default_factory=list)
+    rows: list[list[str]] = field(default_factory=list)
+    csv_headers: list[str] | None = None
+    csv_rows: list[list[object]] | None = None
+    table: str | None = None
+    notes: list[str] | None = None
+    failed: bool = False
 
 
 def _seq_str(seq: Sequence[int]) -> str:
@@ -110,405 +100,47 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _csv_text(headers: list[str], rows: list[list[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    for r in rows:
-        writer.writerow(r)
-    return buf.getvalue()
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
+def _render(args: argparse.Namespace, out: _Output) -> None:
+    """Write one subcommand's output in the requested format to stdout or
+    to --output."""
+    if args.format == "json":
+        payload = {"schema_version": SCHEMA_VERSION, "command": args.cmd,
+                   **out.payload}
+        text = json.dumps(payload, indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        headers = out.headers if out.csv_headers is None else out.csv_headers
+        writer.writerow(["schema_version", *headers])
+        for row in out.rows if out.csv_rows is None else out.csv_rows:
+            writer.writerow([SCHEMA_VERSION, *row])
+        text = buf.getvalue()
+    else:
+        text = out.table
+        if text is None:
+            text = _render_table(out.headers, out.rows)
+        if out.notes is not None:
+            text += "".join(f"{line}\n" for line in out.notes)
+            text += f"result: {'failed' if out.failed else 'ok'}\n"
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w") as fh:
+        with open(args.output, "w") as fh:
             fh.write(text)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise DomainError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    if workers < 1:
-        raise DomainError(f"{WORKERS_ENV} must be at least 1, got {workers}")
-    return workers
-
-
-def _ensure_floor(family: str, rank: int) -> None:
-    floor = RANK_FLOOR[family]
-    if rank < floor:
-        raise DomainError(f"family {family} needs rank >= {floor}, got {rank}")
-
-
 # ---------------------------------------------------------------------------
-# sequence-combinatorics property suite
+# subcommand handlers
 
 
-@dataclass(frozen=True)
-class LemmaCheck:
-    """One exhaustive property check with its case count and failures."""
-
-    name: str
-    cases: int
-    failures: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "cases": self.cases,
-            "failures": list(self.failures),
-        }
-
-
-@dataclass(frozen=True)
-class LemmaSuiteReport:
-    """Results of the exhaustive property suite up to the given bounds."""
-
-    max_m: int
-    max_weight: int
-    checks: tuple[LemmaCheck, ...]
-
-    def ok(self) -> bool:
-        return all(not c.failures for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "max_m": self.max_m,
-            "max_weight": self.max_weight,
-            "ok": self.ok(),
-            "checks": [c.to_json() for c in self.checks],
-        }
-
-
-def _spaces(kind: str, max_m: int, max_weight: int) -> dict[int, list[sc.Seq]]:
-    out: dict[int, list[sc.Seq]] = {}
-    for m in range(max_m + 1):
-        out[m] = [
-            seq
-            for n in range(max_weight + 1)
-            for seq in sc.enumerate_space(kind, m, n)
-        ]
-    return out
-
-
-def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
-    """Exhaustively recheck the sequence-statistics identities.
-
-    Covers signature parity, interval parity, the endpoint count, signature
-    subadditivity with its equality characterization, completeness and shape
-    of the plain and based split enumerations, the hat-decomposition round
-    trip, and the symmetric-witness criterion (nonempty exactly when every
-    interval has size one), over all sequences with length index at most
-    max_m and deviation weight at most max_weight.
-    """
-    if max_m < 0 or max_weight < 0:
-        raise DomainError("suite bounds must be nonnegative")
-    checks: list[LemmaCheck] = []
-    xs = _spaces("X", max_m, max_weight)
-    ys = _spaces("Y", max_m, max_weight)
-
-    cases = 0
-    fails: list[str] = []
-    for m, space in xs.items():
-        for x in space:
-            cases += 1
-            if len(sc.frakS(x)) % 2 != (m - 1) % 2:
-                fails.append(f"x={x}")
-    checks.append(LemmaCheck("signature_parity", cases, tuple(fails)))
-
-    par_cases = 0
-    par_fails: list[str] = []
-    cnt_fails: list[str] = []
-    for m, space in ys.items():
-        for y in space:
-            par_cases += 1
-            if len(sc.frakI_odd(y)) % 2 != (m - 1) % 2:
-                par_fails.append(f"y={y}")
-            if len(sc.R(y)) + len(sc.R0(y)) != 2 * len(sc.frakI(y)):
-                cnt_fails.append(f"y={y}")
-    checks.append(LemmaCheck("interval_parity", par_cases, tuple(par_fails)))
-    checks.append(LemmaCheck("endpoint_count", par_cases, tuple(cnt_fails)))
-
-    sub_cases = 0
-    sub_fails: list[str] = []
-    enum_cases = 0
-    enum_fails: list[str] = []
-    for m, yspace in ys.items():
-        xspace = xs[m]
-        for y in yspace:
-            rset, r0set = sc.R(y), sc.R0(y)
-            bound = 2 * len(sc.frakI(y))
-            no_odd = not sc.frakI_odd(y)
-            brute = set()
-            for x in xspace:
-                try:
-                    xp = sc.seq_sub(y, x)
-                    sc.ensure_xseq(xp)
-                except ValidationError:
-                    continue
-                sub_cases += 1
-                s1, s2 = sc.frakS(x), sc.frakS(xp)
-                attained = (s1 | s2 == rset) and (s1 & s2 == r0set)
-                if len(s1) + len(s2) > bound:
-                    sub_fails.append(f"y={y} x={x}: bound exceeded")
-                elif (len(s1) + len(s2) == bound) != attained:
-                    sub_fails.append(f"y={y} x={x}: equality vs attainment")
-                if sc.member_S(y, x, xp):
-                    brute.add((x, xp))
-            enum_cases += 1
-            members = sc.enumerate_S(y)
-            if not members:
-                enum_fails.append(f"y={y}: empty split set")
-                continue
-            if set(members) != brute:
-                enum_fails.append(f"y={y}: enumeration misses the direct filter")
-            if sc.construct_one_S(y) not in brute:
-                enum_fails.append(f"y={y}: constructed member not a member")
-            for x, xp in members:
-                s1, s2 = sc.frakS(x), sc.frakS(xp)
-                if s1 | s2 != rset or s1 & s2 != r0set:
-                    enum_fails.append(f"y={y} x={x}: endpoint cover broken")
-                if no_odd and s2:
-                    enum_fails.append(f"y={y} x={x}: spurious second signature")
-    checks.append(LemmaCheck("signature_subadditivity", sub_cases, tuple(sub_fails)))
-    checks.append(LemmaCheck("split_enumeration", enum_cases, tuple(enum_fails)))
-
-    cases = 0
-    fails = []
-    for m in range(2, max_m + 1, 2):
-        xspace = xs[m]
-        based = [
-            y
-            for n in range(max_weight + 1)
-            for y in sc.enumerate_space("YT", m, n)
-            if y[0] == 0 and y[1] == 1
-        ]
-        for y in based:
-            cases += 1
-            members = sc.enumerate_tilde_S(y)
-            if not members:
-                fails.append(f"y={y}: empty based split set")
-                continue
-            brute = set()
-            for x in xspace:
-                try:
-                    xp = sc.seq_sub(y, x)
-                    sc.ensure_xtseq(xp)
-                except ValidationError:
-                    continue
-                if sc.member_tilde_S(y, x, xp):
-                    brute.add((x, xp))
-            if set(members) != brute:
-                fails.append(f"y={y}: enumeration misses the direct filter")
-            ivs = sc.frakI(y)
-            single_initial = len(ivs) == 1 and ivs[0][0] == 0
-            offset_odd = any(lo != 0 for lo, _hi in sc.frakI_odd(y))
-            for x, xp in members:
-                s1, s2 = sc.frakS(x), sc.frakS(xp)
-                if single_initial and (s1 != {ivs[0][1]} or s2 != {0}):
-                    fails.append(f"y={y} x={x}: single-interval shape broken")
-                if offset_odd and len(s2) < 3:
-                    fails.append(f"y={y} x={x}: second signature below three")
-    checks.append(LemmaCheck("based_split_enumeration", cases, tuple(fails)))
-
-    cases = 0
-    fails = []
-    for m, space in xs.items():
-        for x in space:
-            cases += 1
-            hat, e = sc.hat_decompose(x)
-            try:
-                sc.ensure_xseq(hat)
-                sc.ensure_eseq(e)
-            except ValidationError:
-                fails.append(f"x={x}: decomposition leaves the spaces")
-                continue
-            if sc.seq_add(hat, e) != x or sc.frakS(hat) != sc.frakS(x):
-                fails.append(f"x={x}: recomposition broken")
-            hat2, e2 = sc.hat_decompose(hat)
-            if hat2 != hat or any(e2):
-                fails.append(f"x={x}: not idempotent")
-    checks.append(LemmaCheck("hat_roundtrip", cases, tuple(fails)))
-
-    cases = 0
-    fails = []
-    for m, space in ys.items():
-        for y in space:
-            cases += 1
-            witnesses = sc.symmetric_decompositions(y)
-            want = all(lo == hi for lo, hi in sc.frakI(y))
-            if bool(witnesses) != want:
-                fails.append(f"y={y}: witness presence vs interval sizes")
-            for x, e in witnesses:
-                mid = sc.seq_add(e, x)
-                if sc.seq_add(x, mid) != y or sc.frakS(mid) != sc.frakS(x):
-                    fails.append(f"y={y} x={x}: malformed witness")
-    checks.append(LemmaCheck("symmetric_witness_equivalence", cases, tuple(fails)))
-
-    return LemmaSuiteReport(max_m=max_m, max_weight=max_weight, checks=tuple(checks))
-
-
-# ---------------------------------------------------------------------------
-# oracle equivalence suite
-
-
-@dataclass(frozen=True)
-class OracleBlock:
-    """One oracle-vs-formula comparison block."""
-
-    name: str
-    cases: int
-    failures: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "cases": self.cases,
-            "failures": list(self.failures),
-        }
-
-
-@dataclass(frozen=True)
-class OracleSuiteReport:
-    """Results of the character-theoretic cross-checks."""
-
-    blocks: tuple[OracleBlock, ...]
-
-    def ok(self) -> bool:
-        return all(not b.failures for b in self.blocks)
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok(), "blocks": [b.to_json() for b in self.blocks]}
-
-
-_B_SCOPE = ((FAMILY_A, 6), (FAMILY_BC, 5), (FAMILY_D, 5))
-_J_SCOPE = ((FAMILY_A, 6), (FAMILY_BC, 4), (FAMILY_D, 4))
-
-
-def _all_labels(family: str, n: int) -> tuple[IrrLabel, ...]:
-    table = character_table(family, n)
-    return tuple(key_to_label(family, n, key) for key in table.irreps)
-
-
-def _j_embeddings(family: str, cap: int) -> list[Embedding]:
-    out: list[Embedding] = []
-    for n in range(cap + 1):
-        if family == FAMILY_A:
-            out += [Embedding(EMBED_A_SPLIT, r=r, q=n - r) for r in range(n + 1)]
-            continue
-        if family == FAMILY_BC:
-            out += [Embedding(EMBED_B_SP_WQ, p=p, q=n - p) for p in range(n + 1)]
-            out += [Embedding(EMBED_B_WR_WQ, r=r, q=n - r) for r in range(n + 1)]
-            out += [Embedding(EMBED_C_WR_WDQ, r=r, q=n - r) for r in range(n + 1)]
-            out += [
-                Embedding(EMBED_B_WR_SP_WQ, r=r, p=p, q=n - r - p)
-                for r in range(n + 1)
-                for p in range(n - r + 1)
-            ]
-            continue
-        out += [Embedding(EMBED_D_SP_WDQ, p=p, q=n - p) for p in range(n + 1)]
-        for r in range(n + 1):
-            for p in range(n - r + 1):
-                q = n - r - p
-                for lam in range(4):
-                    if lam == 1 and not (r == 0 and p >= 2):
-                        continue
-                    if lam == 2 and not (q == 0 and p >= 2):
-                        continue
-                    if lam == 3 and not (r == 0 and q == 0):
-                        continue
-                    out.append(Embedding(EMBED_D_TRIPLE, r=r, p=p, q=q, lam=lam))
-    return out
-
-
-def oracle_suite(family: str | None = None, max_rank: int | None = None) -> OracleSuiteReport:
-    """Replay the brute-force cross-checks against the closed formulas.
-
-    The b block compares the least symmetric-power degree from exact
-    character arithmetic with the label-side invariant over all of Irr; the
-    j block replays every supported embedding on every special factor tuple
-    and demands the same image (degenerate outputs up to the documented
-    gauge bit) with induction multiplicity exactly one.
-    """
-    blocks: list[OracleBlock] = []
-
-    for fam, cap in _B_SCOPE:
-        if family is not None and fam != family:
-            continue
-        if max_rank is not None:
-            cap = min(cap, max_rank)
-        cases = 0
-        fails: list[str] = []
-        for n in range(cap + 1):
-            for label in _all_labels(fam, n):
-                cases += 1
-                got, mult = b_oracle(label)
-                if got != b_invariant(label):
-                    fails.append(f"{_label_str(label)}: b {got} vs {b_invariant(label)}")
-                if is_special(label) and mult != 1:
-                    fails.append(f"{_label_str(label)}: multiplicity {mult} at its degree")
-        blocks.append(OracleBlock(f"b_{fam}", cases, tuple(fails)))
-
-    for fam, cap in _J_SCOPE:
-        if family is not None and fam != family:
-            continue
-        if max_rank is not None:
-            cap = min(cap, max_rank)
-        cases = 0
-        fails: list[str] = []
-        for emb in _j_embeddings(fam, cap):
-            pools = [
-                [rep.label for rep in special_reps(ffam, rank)]
-                for ffam, rank in emb.factor_signature()
-            ]
-            for combo in product(*pools):
-                cases += 1
-                want = j_induce(emb, combo)
-                try:
-                    got = j_oracle(emb, combo)
-                except OracleError as exc:
-                    fails.append(
-                        f"{emb.kind} {tuple(_label_str(c) for c in combo)}: {exc}"
-                    )
-                    continue
-                if (got.z, got.zp) != (want.z, want.zp) or (
-                    got.z != got.zp and got != want
-                ):
-                    fails.append(
-                        f"{emb.kind} {tuple(_label_str(c) for c in combo)}: "
-                        f"{_label_str(got)} vs {_label_str(want)}"
-                    )
-                elif induction_multiplicity(emb, combo, got) != 1:
-                    fails.append(
-                        f"{emb.kind} {tuple(_label_str(c) for c in combo)}: multiplicity != 1"
-                    )
-        blocks.append(OracleBlock(f"j_{fam}", cases, tuple(fails)))
-
-    return OracleSuiteReport(blocks=tuple(blocks))
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers: each returns (text, failed)
-
-
-def _cmd_special_reps(args: argparse.Namespace) -> tuple[str, bool]:
-    _ensure_floor(args.family, args.rank)
+def _cmd_special_reps(args: argparse.Namespace) -> _Output:
+    ensure_floor(args.family, args.rank)
     fam = LABEL_FAMILY[args.family]
     reps = special_reps(fam, args.rank)
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "special-reps",
+    headers = ["label", "x", "b", "f"]
+    rows = [[label_str(r.label), _seq_str(r.xseq), str(r.b), str(r.f)] for r in reps]
+    return _Output(
+        payload={
             "family": args.family,
             "rank": args.rank,
             "m": policy_m(fam, args.rank),
@@ -517,31 +149,35 @@ def _cmd_special_reps(args: argparse.Namespace) -> tuple[str, bool]:
                 {"label": r.label.to_json(), "x": list(r.xseq), "b": r.b, "f": r.f}
                 for r in reps
             ],
-        }
-        return _json_text(payload), False
-    rows = [[_label_str(r.label), _seq_str(r.xseq), str(r.b), str(r.f)] for r in reps]
-    if args.format == "csv":
-        return (
-            _csv_text(
-                ["schema_version", "family", "rank", "label", "x", "b", "f"],
-                [[SCHEMA_VERSION, args.family, args.rank, *row] for row in rows],
-            ),
-            False,
-        )
-    return _render_table(["label", "x", "b", "f"], rows), False
+        },
+        headers=headers,
+        rows=rows,
+        csv_headers=["family", "rank", *headers],
+        csv_rows=[[args.family, args.rank, *row] for row in rows],
+    )
 
 
-def _cmd_springer(args: argparse.Namespace) -> tuple[str, bool]:
-    _ensure_floor(args.family, args.rank)
+def _cmd_springer(args: argparse.Namespace) -> _Output:
+    ensure_floor(args.family, args.rank)
     entries = []
     for c in enumerate_classes(args.family, args.rank):
         inv = class_invariants(c)
         partners = [canonicalize(lab) for lab in tau_fiber(args.family, c.y, args.rank)]
         entries.append((c, inv, partners))
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "springer",
+    headers = ["y", "bbar", "z", "ztilde/z", "uz/z", "partners"]
+    rows = [
+        [
+            _seq_str(c.y),
+            str(inv.bbar),
+            str(inv.z),
+            str(inv.ztilde_over_z),
+            "-" if inv.uz_over_z is None else str(inv.uz_over_z),
+            "|".join(label_str(lab) for lab in partners),
+        ]
+        for c, inv, partners in entries
+    ]
+    return _Output(
+        payload={
             "family": args.family,
             "rank": args.rank,
             "count": len(entries),
@@ -556,29 +192,12 @@ def _cmd_springer(args: argparse.Namespace) -> tuple[str, bool]:
                 }
                 for c, inv, partners in entries
             ],
-        }
-        return _json_text(payload), False
-    rows = [
-        [
-            _seq_str(c.y),
-            str(inv.bbar),
-            str(inv.z),
-            str(inv.ztilde_over_z),
-            "-" if inv.uz_over_z is None else str(inv.uz_over_z),
-            "|".join(_label_str(lab) for lab in partners),
-        ]
-        for c, inv, partners in entries
-    ]
-    headers = ["y", "bbar", "z", "ztilde/z", "uz/z", "partners"]
-    if args.format == "csv":
-        return (
-            _csv_text(
-                ["schema_version", "family", "rank", *headers],
-                [[SCHEMA_VERSION, args.family, args.rank, *row] for row in rows],
-            ),
-            False,
-        )
-    return _render_table(headers, rows), False
+        },
+        headers=headers,
+        rows=rows,
+        csv_headers=["family", "rank", *headers],
+        csv_rows=[[args.family, args.rank, *row] for row in rows],
+    )
 
 
 def _label_from_json(blob: dict) -> IrrLabel:
@@ -594,7 +213,7 @@ def _label_from_json(blob: dict) -> IrrLabel:
         raise DomainError(f"malformed label object: {exc}")
 
 
-def _cmd_j(args: argparse.Namespace) -> tuple[str, bool]:
+def _cmd_j(args: argparse.Namespace) -> _Output:
     if args.spec is not None:
         raw = args.spec
     else:
@@ -615,45 +234,31 @@ def _cmd_j(args: argparse.Namespace) -> tuple[str, bool]:
     )
     factors = tuple(_label_from_json(b) for b in factor_blobs)
     image = j_induce(emb, factors)
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "j",
+    return _Output(
+        payload={
             "embedding": emb.to_json(),
             "factors": [lab.to_json() for lab in factors],
             "image": image.to_json(),
             "b": b_invariant(image),
             "special": is_special(image),
-        }
-        return _json_text(payload), False
-    row = [
-        emb.kind,
-        " ".join(_label_str(lab) for lab in factors),
-        _label_str(image),
-        str(b_invariant(image)),
-        str(is_special(image)).lower(),
-    ]
-    headers = ["embedding", "factors", "image", "b", "special"]
-    if args.format == "csv":
-        return _csv_text(["schema_version", *headers], [[SCHEMA_VERSION, *row]]), False
-    return _render_table(headers, [row]), False
+        },
+        headers=["embedding", "factors", "image", "b", "special"],
+        rows=[[
+            emb.kind,
+            " ".join(label_str(lab) for lab in factors),
+            label_str(image),
+            str(b_invariant(image)),
+            str(is_special(image)).lower(),
+        ]],
+    )
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[str, bool]:
-    _ensure_floor(args.family, args.rank)
+def _cmd_verify(args: argparse.Namespace) -> _Output:
     report = verify(args.family, args.rank)
-    failed = not report.ok()
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "verify",
-            "workers": _worker_count(),
-            "report": report.to_json(),
-        }
-        return _json_text(payload), failed
-    if args.format == "csv":
-        headers = [
-            "schema_version",
+    return _Output(
+        payload={"report": report.to_json()},
+        table=report.to_table(),
+        csv_headers=[
             "family",
             "rank",
             "label",
@@ -670,13 +275,12 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, bool]:
             "witnesses_ok",
             "image_in_stratum",
             "stratum_in_image",
-        ]
-        rows = [
+        ],
+        csv_rows=[
             [
-                SCHEMA_VERSION,
                 report.family,
                 report.n,
-                _label_str(r.label),
+                label_str(r.label),
                 _seq_str(r.y),
                 r.b_label,
                 r.b_class,
@@ -692,43 +296,35 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, bool]:
                 report.stratum_in_image,
             ]
             for r in report.rows
-        ]
-        return _csv_text(headers, rows), failed
-    return report.to_table(), failed
+        ],
+        failed=not report.ok(),
+    )
 
 
-def _cmd_oracle_check(args: argparse.Namespace) -> tuple[str, bool]:
+def _suite_output(report: LemmaSuiteReport | OracleSuiteReport, items: Sequence,
+                  name_header: str) -> _Output:
+    """Suite-style output: one row per named check with its case and failure
+    counts, each failure listed below the table."""
+    return _Output(
+        payload={"report": report.to_json()},
+        headers=[name_header, "cases", "failures"],
+        rows=[[it.name, str(it.cases), str(len(it.failures))] for it in items],
+        notes=[f"FAIL {it.name}: {f}" for it in items for f in it.failures],
+        failed=not report.ok(),
+    )
+
+
+def _cmd_oracle_check(args: argparse.Namespace) -> _Output:
     family = None
     if args.family is not None:
         family = {"A": FAMILY_A, "BC": FAMILY_BC, "D": FAMILY_D}[args.family]
     report = oracle_suite(family=family, max_rank=args.max_rank)
-    failed = not report.ok()
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "oracle-check",
-            "workers": _worker_count(),
-            "seed": args.seed,
-            "report": report.to_json(),
-        }
-        return _json_text(payload), failed
-    rows = [
-        [b.name, str(b.cases), str(len(b.failures))] for b in report.blocks
-    ]
-    if args.format == "csv":
-        return (
-            _csv_text(
-                ["schema_version", "block", "cases", "failures"],
-                [[SCHEMA_VERSION, *row] for row in rows],
-            ),
-            failed,
-        )
-    text = _render_table(["block", "cases", "failures"], rows)
-    for b in report.blocks:
-        for f in b.failures:
-            text += f"FAIL {b.name}: {f}\n"
-    text += f"result: {'ok' if not failed else 'failed'}\n"
-    return text, failed
+    return _suite_output(report, report.blocks, "block")
+
+
+def _cmd_lemmas(args: argparse.Namespace) -> _Output:
+    report = lemma_suite(max_m=args.max_m, max_weight=args.max_weight)
+    return _suite_output(report, report.checks, "check")
 
 
 def _exceptional_axap(group: str, a: int, a_prime: int) -> str:
@@ -738,35 +334,23 @@ def _exceptional_axap(group: str, a: int, a_prime: int) -> str:
     return f"{a}x{a_prime}"
 
 
-def _cmd_exceptional(args: argparse.Namespace) -> tuple[str, bool]:
+def _cmd_exceptional(args: argparse.Namespace) -> _Output:
     if args.validate:
         report = validate_tables()
-        failed = not report.ok()
-        if args.format == "json":
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "command": "exceptional",
-                "report": report.to_json(),
-            }
-            return _json_text(payload), failed
         counts = report.status_counts()
-        rows = [[status, str(counts[status])] for status in sorted(counts)]
-        if args.format == "csv":
-            return (
-                _csv_text(
-                    ["schema_version", "status", "rows"],
-                    [[SCHEMA_VERSION, *row] for row in rows],
-                ),
-                failed,
-            )
-        text = _render_table(["status", "rows"], rows)
-        for finding in report.schema_findings:
-            text += f"FINDING: {finding}\n"
-        for check in report.checks:
-            if check.status in ("FAIL", "AMBIGUOUS"):
-                text += f"{check.status} {check.group} {check.rho_name}: {check.detail}\n"
-        text += f"result: {'ok' if not failed else 'failed'}\n"
-        return text, failed
+        notes = [f"FINDING: {finding}" for finding in report.schema_findings]
+        notes += [
+            f"{check.status} {check.group} {check.rho_name}: {check.detail}"
+            for check in report.checks
+            if check.status in ("FAIL", "AMBIGUOUS")
+        ]
+        return _Output(
+            payload={"report": report.to_json()},
+            headers=["status", "rows"],
+            rows=[[status, str(counts[status])] for status in sorted(counts)],
+            notes=notes,
+            failed=not report.ok(),
+        )
 
     if args.group is None:
         raise DomainError("exceptional needs --group (or --validate)")
@@ -776,85 +360,46 @@ def _cmd_exceptional(args: argparse.Namespace) -> tuple[str, bool]:
         rows = [lookup(args.group, args.rho, args.bbar)]
     else:
         rows = list(load_tables()[args.group])
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "exceptional",
+    return _Output(
+        payload={
             "group": args.group,
             "count": len(rows),
             "rows": [r.to_json() for r in rows],
-        }
-        return _json_text(payload), False
-    cells = [
-        [
-            r.rho_name,
-            str(r.bbar),
-            _exceptional_axap(r.group, r.a, r.a_prime),
-            f"({r.witness_J},{r.witness_E1})",
-        ]
-        for r in rows
-    ]
-    if args.format == "csv":
-        return (
-            _csv_text(
-                [
-                    "schema_version",
-                    "group",
-                    "rho_name",
-                    "bbar",
-                    "a",
-                    "a_prime",
-                    "witness_J",
-                    "witness_E1",
-                    "flags",
-                ],
-                [
-                    [
-                        SCHEMA_VERSION,
-                        r.group,
-                        r.rho_name,
-                        r.bbar,
-                        r.a,
-                        r.a_prime,
-                        r.witness_J,
-                        r.witness_E1,
-                        "; ".join(r.transcription_flags),
-                    ]
-                    for r in rows
-                ],
-            ),
-            False,
-        )
-    return _render_table(["rho", "bbar", "a x a'", "(J,E1)"], cells), False
-
-
-def _cmd_lemmas(args: argparse.Namespace) -> tuple[str, bool]:
-    report = lemma_suite(max_m=args.max_m, max_weight=args.max_weight)
-    failed = not report.ok()
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "lemmas",
-            "workers": _worker_count(),
-            "seed": args.seed,
-            "report": report.to_json(),
-        }
-        return _json_text(payload), failed
-    rows = [[c.name, str(c.cases), str(len(c.failures))] for c in report.checks]
-    if args.format == "csv":
-        return (
-            _csv_text(
-                ["schema_version", "check", "cases", "failures"],
-                [[SCHEMA_VERSION, *row] for row in rows],
-            ),
-            failed,
-        )
-    text = _render_table(["check", "cases", "failures"], rows)
-    for c in report.checks:
-        for f in c.failures:
-            text += f"FAIL {c.name}: {f}\n"
-    text += f"result: {'ok' if not failed else 'failed'}\n"
-    return text, failed
+        },
+        headers=["rho", "bbar", "a x a'", "(J,E1)"],
+        rows=[
+            [
+                r.rho_name,
+                str(r.bbar),
+                _exceptional_axap(r.group, r.a, r.a_prime),
+                f"({r.witness_J},{r.witness_E1})",
+            ]
+            for r in rows
+        ],
+        csv_headers=[
+            "group",
+            "rho_name",
+            "bbar",
+            "a",
+            "a_prime",
+            "witness_J",
+            "witness_E1",
+            "flags",
+        ],
+        csv_rows=[
+            [
+                r.group,
+                r.rho_name,
+                r.bbar,
+                r.a,
+                r.a_prime,
+                r.witness_J,
+                r.witness_E1,
+                "; ".join(r.transcription_flags),
+            ]
+            for r in rows
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -873,11 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: table)",
     )
     common.add_argument("--output", default=None, help="write output to this path")
-    common.add_argument(
-        "--seed", type=int, default=None,
-        help="seed echoed into suite payloads; the shipped suites are "
-        "exhaustive, so it does not change any verdict",
-    )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     ranked = argparse.ArgumentParser(add_help=False)
@@ -925,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH: dict[str, Callable[[argparse.Namespace], tuple[str, bool]]] = {
+_DISPATCH: dict[str, Callable[[argparse.Namespace], _Output]] = {
     "special-reps": _cmd_special_reps,
     "springer": _cmd_springer,
     "j": _cmd_j,
@@ -940,16 +480,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _worker_count()
-        text, failed = _DISPATCH[args.cmd](args)
-        _emit(text, args.output)
-    except WeylSymbolsError as exc:
+        out = _DISPATCH[args.cmd](args)
+        _render(args, out)
+    except (WeylSymbolsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 1 if failed else 0
+    return 1 if out.failed else 0
 
 
 if __name__ == "__main__":

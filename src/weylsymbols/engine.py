@@ -35,6 +35,7 @@ from .irreps import (
     IrrLabel,
     b_invariant,
     canonicalize,
+    label_str,
     partition_to_z,
     special_reps,
     xi,
@@ -49,8 +50,10 @@ from .jinduction import (
     EMBED_C_WR_WDQ,
     EMBED_D_TRIPLE,
     Embedding,
+    d_placements,
     f_product,
     j_induce,
+    labels_match,
 )
 from .springer import (
     CLASS_A,
@@ -77,7 +80,8 @@ def _ensure_family(family: str) -> None:
         raise DomainError(f"unknown class family {family!r}")
 
 
-def _ensure_floor(family: str, n: int) -> None:
+def ensure_floor(family: str, n: int) -> None:
+    """Reject an unknown class family or a rank below its RANK_FLOOR."""
     _ensure_family(family)
     if n < RANK_FLOOR[family]:
         raise DomainError(
@@ -133,18 +137,12 @@ class ParahoricSpec:
             raise DomainError("family C shapes have no middle block")
         if self.family != CLASS_D and self.lam:
             raise DomainError(f"family {self.family} shapes carry no placement flag")
-        if self.family == CLASS_D:
-            ok = (
-                self.lam == 0
-                or (self.lam == 1 and self.r == 0 and self.p >= 2)
-                or (self.lam == 2 and self.q == 0 and self.p >= 2)
-                or (self.lam == 3 and self.r == 0 and self.q == 0)
+        if (self.family == CLASS_D
+                and self.lam not in d_placements(self.r, self.p, self.q)):
+            raise DomainError(
+                f"placement {self.lam} not defined for blocks "
+                f"({self.r}, {self.p}, {self.q})"
             )
-            if not ok:
-                raise DomainError(
-                    f"placement {self.lam} not defined for blocks "
-                    f"({self.r}, {self.p}, {self.q})"
-                )
 
     def diagram_size(self) -> int:
         """Number of affine diagram nodes the shape occupies."""
@@ -183,7 +181,7 @@ class OmegaDescriptor:
     n: int
 
     def __post_init__(self) -> None:
-        _ensure_floor(self.family, self.n)
+        ensure_floor(self.family, self.n)
 
     @property
     def order(self) -> int:
@@ -221,39 +219,11 @@ Member = tuple[ParahoricSpec, tuple[IrrLabel, ...]]
 # ---------------------------------------------------------------------------
 # summand enumeration
 
-def _pair_splits(y: Seq, based_second: bool) -> tuple[tuple[Seq, Seq], ...]:
-    """All (x, x~) in XSeq x XSeq with x + x~ = y, lexicographic in x.
-
-    With based_second the complement is pinned to a based XSeq by fixing
-    x[0] = y[0] and x[1] <= y[1] - 1.
-    """
-    m = len(y) - 1
-    out: list[tuple[Seq, Seq]] = []
-    xs: list[int] = []
-
-    def rec(i: int) -> None:
-        if i > m:
-            out.append((tuple(xs), tuple(v - u for u, v in zip(xs, y))))
-            return
-        lo, hi = 0, y[i]
-        if i >= 1:
-            lo = max(lo, xs[i - 1])
-            hi = min(hi, xs[i - 1] + y[i] - y[i - 1])
-        if i >= 2:
-            lo = max(lo, xs[i - 2] + 1)
-            hi = min(hi, xs[i - 2] + y[i] - y[i - 2] - 1)
-        if based_second:
-            if i == 0:
-                lo = max(lo, y[0])
-            elif i == 1:
-                hi = min(hi, y[1] - 1)
-        for v in range(lo, hi + 1):
-            xs.append(v)
-            rec(i + 1)
-            xs.pop()
-
-    rec(0)
-    return tuple(out)
+def _based_splits(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
+    """The splits of y whose complement is a based XSeq: x[0] = y[0] and
+    x[1] <= y[1] - 1."""
+    return sc.split_pairs(y, lower=(y[0],) + (0,) * (len(y) - 1),
+                          upper=(y[0], y[1] - 1) + y[2:])
 
 
 def _triple_splits(y: Seq) -> tuple[tuple[Seq, Seq, Seq], ...]:
@@ -329,10 +299,7 @@ def _replay(spec: ParahoricSpec, factors: tuple[IrrLabel, ...],
     emb = Embedding(EMBED_D_TRIPLE, r=spec.r, p=spec.p, q=spec.q, lam=spec.lam)
     if len(factors) == 2:
         factors = (factors[0], _D_FILLER, factors[1])
-    got = j_induce(emb, factors)
-    if got.z == got.zp:
-        return (got.z, got.zp) == (target.z, target.zp)
-    return got == target
+    return labels_match(j_induce(emb, factors), target)
 
 
 def enumerate_cz(label: IrrLabel, family: str, n: int,
@@ -356,7 +323,7 @@ def enumerate_cz(label: IrrLabel, family: str, n: int,
     y = tau(family, label).y
     out = []
     if family == CLASS_B:
-        for x, xt in _pair_splits(y, based_second=False):
+        for x, xt in sc.split_pairs(y):
             spec = ParahoricSpec(CLASS_B, n, r=sc.rho(x), q=sc.rho(xt))
             out.append((spec, (zeta_inverse(FAMILY_BC, x)[0],
                                zeta_inverse(FAMILY_BC, xt)[0])))
@@ -369,14 +336,14 @@ def enumerate_cz(label: IrrLabel, family: str, n: int,
                                    _a_label(e, p),
                                    zeta_inverse(FAMILY_BC, xt)[0])))
     elif family == CLASS_C:
-        for x, xt in _pair_splits(y, based_second=True):
+        for x, xt in _based_splits(y):
             spec = ParahoricSpec(CLASS_C, n, r=sc.rho(x), q=sc.tilde_rho(xt))
             if maximal_only and not spec.is_maximal():
                 continue
             for lab in zeta_tilde_inverse(xt):
                 out.append((spec, (zeta_inverse(FAMILY_BC, x)[0], lab)))
     else:
-        for x, xt in _pair_splits(y, based_second=False):
+        for x, xt in sc.split_pairs(y):
             spec = ParahoricSpec(CLASS_D, n, r=sc.rho(x), q=sc.rho(xt))
             if maximal_only and not spec.is_maximal():
                 continue
@@ -387,15 +354,8 @@ def enumerate_cz(label: IrrLabel, family: str, n: int,
             for x, e, xt in _triple_splits(y):
                 p = sum(e)
                 r, q = sc.rho(x), sc.rho(xt)
-                lams = [0]
-                if r == 0 and p >= 2:
-                    lams.append(1)
-                if q == 0 and p >= 2:
-                    lams.append(2)
-                if r == 0 and q == 0:
-                    lams.append(3)
                 mid = _a_label(e, p)
-                for lam in lams:
+                for lam in d_placements(r, p, q):
                     spec = ParahoricSpec(CLASS_D, n, r=r, p=p, q=q, lam=lam)
                     for dl, dr in itertools.product(
                             zeta_inverse(FAMILY_D, x),
@@ -456,7 +416,7 @@ def _fc_family_b(y: Seq, n: int, z_value: int) -> tuple[int, Member | None]:
 def _fc_family_c(y: Seq, n: int, fa_value: int) -> tuple[int, Member | None]:
     # the node flip fixes a member exactly when the based part keeps a
     # strict position beyond its base one; the f-product must be maximal
-    for x, xt in _pair_splits(y, based_second=True):
+    for x, xt in _based_splits(y):
         if len(sc.frakS(xt)) < 3:
             continue
         factors = (zeta_inverse(FAMILY_BC, x)[0], zeta_tilde_inverse(xt)[0])
@@ -479,7 +439,7 @@ def _fc_family_d(y: Seq, n: int, fa_value: int) -> tuple[int, Member | None]:
         return 2, _symmetric_member(CLASS_D, n, *sym[0])
     # half symmetry via a split whose parts both extend across the prong
     # swap, at maximal f-product
-    for x, xt in _pair_splits(y, based_second=False):
+    for x, xt in sc.split_pairs(y):
         if len(sc.frakS(x)) < 2 or len(sc.frakS(xt)) < 2:
             continue
         factors = (zeta_inverse(FAMILY_D, x)[0], zeta_inverse(FAMILY_D, xt)[0])
@@ -523,7 +483,7 @@ def fc(label: IrrLabel, family: str, n: int) -> int:
 def bar_S(family: str, n: int) -> frozenset[IrrLabel]:
     """Induction image over all maximal shapes, computed purely on the
     label side (no class sequences involved)."""
-    _ensure_floor(family, n)
+    ensure_floor(family, n)
     if family == CLASS_A:
         # the only maximal shape is the full group
         return frozenset(
@@ -652,19 +612,10 @@ class VerificationReport:
             wit = _member_str(r.witnesses[0]) if r.witnesses else "-"
             ystr = ",".join(str(v) for v in r.y)
             lines.append(
-                f"{_label_str(r.label):<30} {ystr:<26} {r.b_label:>4} "
+                f"{label_str(r.label):<30} {ystr:<26} {r.b_label:>4} "
                 f"{r.fa_value:>6} {r.fc_value:>6}  {wit}{mark}"
             )
         return "\n".join(lines) + "\n"
-
-
-def _label_str(label: IrrLabel) -> str:
-    row = ",".join(str(v) for v in label.z)
-    if label.zp is None:
-        return f"[{row}]"
-    rowp = ",".join(str(v) for v in label.zp)
-    mark = f"^{label.kappa}" if label.z == label.zp else ""
-    return f"[{row};{rowp}]{mark}"
 
 
 def _member_str(member: Member) -> str:
@@ -677,7 +628,7 @@ def _member_str(member: Member) -> str:
         shape = f"({spec.r},{spec.p},{spec.q})l{spec.lam}"
     else:
         shape = f"({spec.r},{spec.p},{spec.q})"
-    return shape + " " + "*".join(_label_str(lab) for lab in factors)
+    return shape + " " + "*".join(label_str(lab) for lab in factors)
 
 
 def _class_row(family: str, n: int, c: ClassLabel, label: IrrLabel) -> ClassRow:
@@ -721,7 +672,7 @@ def verify(family: str, n: int) -> VerificationReport:
     function of (family, n, class, label), so rows could be computed in
     any order; this driver runs them serially in class order.
     """
-    _ensure_floor(family, n)
+    ensure_floor(family, n)
     image = bar_S(family, n)
     rows: list[ClassRow] = []
     stratum: set[IrrLabel] = set()

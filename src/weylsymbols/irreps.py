@@ -114,6 +114,16 @@ class IrrLabel:
         return out
 
 
+def label_str(label: IrrLabel) -> str:
+    """Compact text form: [z] or [z;zp], degenerate labels marked ^kappa."""
+    row = ",".join(str(v) for v in label.z)
+    if label.zp is None:
+        return f"[{row}]"
+    rowp = ",".join(str(v) for v in label.zp)
+    mark = f"^{label.kappa}" if label.degenerate else ""
+    return f"[{row};{rowp}]{mark}"
+
+
 def make_d_label(n: int, z: Seq, zp: Seq, kappa: int = 0) -> IrrLabel:
     """Build a family-D label, sorting the rows into canonical order."""
     w, wp = sc.rho0(z), sc.rho0(zp)

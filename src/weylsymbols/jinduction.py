@@ -76,6 +76,20 @@ _KIND_PARTS = {
 DEGENERATE_CONVENTION = "kappa-sum-mod-2"
 
 
+def d_placements(r: int, p: int, q: int) -> tuple[int, ...]:
+    """Admissible sign twists lam of the middle block of W'_r x S_p x W'_q:
+    0 always, 1 when r = 0 and p >= 2, 2 when q = 0 and p >= 2, 3 when
+    r = q = 0."""
+    out = [0]
+    if r == 0 and p >= 2:
+        out.append(1)
+    if q == 0 and p >= 2:
+        out.append(2)
+    if r == 0 and q == 0:
+        out.append(3)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Embedding:
     """A product subgroup of a classical Weyl group, named by kind and the
@@ -101,14 +115,11 @@ class Embedding:
             if self.lam != 0:
                 raise ValidationError(f"{self.kind} admits lam = 0 only")
             return
-        if self.lam not in (0, 1, 2, 3):
-            raise ValidationError(f"lam must lie in [0,3], got {self.lam}")
-        if self.lam == 1 and not (self.r == 0 and self.p >= 2):
-            raise ValidationError("lam = 1 needs r = 0 and p >= 2")
-        if self.lam == 2 and not (self.q == 0 and self.p >= 2):
-            raise ValidationError("lam = 2 needs q = 0 and p >= 2")
-        if self.lam == 3 and not (self.r == 0 and self.q == 0):
-            raise ValidationError("lam = 3 needs r = 0 and q = 0")
+        if self.lam not in d_placements(self.r, self.p, self.q):
+            raise ValidationError(
+                f"lam = {self.lam} not admissible for blocks "
+                f"({self.r}, {self.p}, {self.q})"
+            )
 
     @property
     def n(self) -> int:
@@ -271,6 +282,15 @@ def j_induce(e: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> Ir
     return out
 
 
+def labels_match(a: IrrLabel, b: IrrLabel) -> bool:
+    """Label equality, except that two degenerate family-D labels match when
+    their rows do: their kappa bits follow DEGENERATE_CONVENTION and are a
+    representative choice, not a computed value."""
+    if a.degenerate and b.degenerate:
+        return (a.n, a.z, a.zp) == (b.n, b.z, b.zp)
+    return a == b
+
+
 def _d_triple(
     k: int, left: IrrLabel, mid: IrrLabel, right: IrrLabel, lam: int
 ) -> IrrLabel:
@@ -309,13 +329,6 @@ class ComposeReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _labels_match(a: IrrLabel, b: IrrLabel) -> bool:
-    # degenerate kappa is a convention, not a computed value: compare symbols
-    if a.family == FAMILY_D and a.degenerate and b.degenerate:
-        return a.family == b.family and a.n == b.n and a.z == b.z and a.zp == b.zp
-    return a == b
 
 
 def j_compose_check(
@@ -359,7 +372,7 @@ def j_compose_check(
         outer_factors = combo[:slot] + (mid,) + combo[slot + width :]
         composed = j_induce(outer, outer_factors)
         straight = j_induce(direct, _repack(flat_sig, combo, direct_sig))
-        if not _labels_match(composed, straight):
+        if not labels_match(composed, straight):
             failures.append(f"{combo!r}: {composed!r} != {straight!r}")
     return ComposeReport(inner, outer, slot, direct, checked, tuple(failures))
 

@@ -25,7 +25,7 @@ frozensets, and interval sets are tuples of (lo, hi) pairs sorted by lo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Literal
 
 from .errors import DomainError, InvariantError, ResourceError, ValidationError
 
@@ -268,11 +268,6 @@ def frakI_odd(y: Seq) -> tuple[Interval, ...]:
     return tuple(iv for iv in frakI(y) if (iv[1] - iv[0] + 1) % 2 == 1)
 
 
-def frakI_even(y: Seq) -> tuple[Interval, ...]:
-    """The even-size members of frakI(y)."""
-    return tuple(iv for iv in frakI(y) if (iv[1] - iv[0] + 1) % 2 == 0)
-
-
 def R(y: Seq) -> frozenset[int]:
     """Endpoints of the frakI(y) intervals."""
     out = set()
@@ -322,9 +317,6 @@ class IntervalDecomp:
 
     def arithmetic_intervals(self) -> tuple[Interval, ...]:
         return tuple((b.start, b.stop) for b in self.blocks if b.kind == KIND_ARITHMETIC)
-
-    def pair_blocks(self) -> tuple[Block, ...]:
-        return tuple(b for b in self.blocks if b.kind == KIND_SINGLE_PAIR)
 
 
 def interval_decomp(y: Seq) -> IntervalDecomp:
@@ -384,54 +376,45 @@ def member_S(y: Seq, x: Seq, xp: Seq) -> bool:
     return True
 
 
-def _split_pairs(y: Seq, first_lower: tuple[int, ...] | None = None,
-                 first_upper: tuple[int, ...] | None = None) -> Iterator[tuple[Seq, Seq]]:
-    """Yield all (x, xp) in XSeq x XSeq with x + xp = y, lexicographically in x.
+def split_pairs(y: Seq, lower: Seq | None = None,
+                upper: Seq | None = None) -> tuple[tuple[Seq, Seq], ...]:
+    """All (x, xp) in XSeq x XSeq with x + xp = y, lexicographically in x.
 
-    Optional entrywise bounds on x allow callers to freeze a prefix.
-    Backtracking keeps both partial sequences valid, which prunes hard.
+    Optional entrywise bounds lower[i] <= x[i] <= upper[i], within the
+    defaults 0 and y[i], let callers freeze a prefix or pin the shape of the
+    complement.  Backtracking keeps both partial sequences valid, which
+    prunes hard.
     """
     m = len(y) - 1
-    x: list[int] = []
+    lows = (0,) * (m + 1) if lower is None else lower
+    highs = y if upper is None else upper
+    out: list[tuple[Seq, Seq]] = []
+    xs: list[int] = []
 
-    def rec(i: int) -> Iterator[tuple[Seq, Seq]]:
+    def rec(i: int) -> None:
         if i > m:
-            yield tuple(x), tuple(y[t] - x[t] for t in range(m + 1))
+            out.append((tuple(xs), tuple(v - u for u, v in zip(xs, y))))
             return
-        lo = 0
-        hi = y[i]
+        lo, hi = lows[i], highs[i]
         if i >= 1:
-            lo = max(lo, x[i - 1])
-            hi = min(hi, x[i - 1] + y[i] - y[i - 1])
+            lo = max(lo, xs[i - 1])
+            hi = min(hi, xs[i - 1] + y[i] - y[i - 1])
         if i >= 2:
-            lo = max(lo, x[i - 2] + 1)
-            hi = min(hi, x[i - 2] + y[i] - y[i - 2] - 1)
-        if first_lower is not None:
-            lo = max(lo, first_lower[i])
-        if first_upper is not None:
-            hi = min(hi, first_upper[i])
-        for val in range(lo, hi + 1):
-            x.append(val)
-            yield from rec(i + 1)
-            x.pop()
+            lo = max(lo, xs[i - 2] + 1)
+            hi = min(hi, xs[i - 2] + y[i] - y[i - 2] - 1)
+        for v in range(lo, hi + 1):
+            xs.append(v)
+            rec(i + 1)
+            xs.pop()
 
-    yield from rec(0)
+    rec(0)
+    return tuple(out)
 
 
 def enumerate_S(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     """All matched splits of y, lexicographically ordered by first part."""
     ensure_yseq(y)
-    rset, r0set = R(y), R0(y)
-    no_odd = not frakI_odd(y)
-    out = []
-    for x, xp in _split_pairs(y):
-        sx, sxp = frakS(x), frakS(xp)
-        if sx | sxp != rset or sx & sxp != r0set:
-            continue
-        if no_odd and sxp:
-            continue
-        out.append((x, xp))
-    return tuple(out)
+    return tuple(pair for pair in split_pairs(y) if member_S(y, *pair))
 
 
 def construct_one_S(y: Seq) -> tuple[Seq, Seq]:
@@ -508,25 +491,9 @@ def _ensure_tilde_domain(y: Seq) -> None:
 def enumerate_tilde_S(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     """All based matched splits of y, lexicographically ordered by first part."""
     _ensure_tilde_domain(y)
-    m = len(y) - 1
     # xp[0] = 0 and xp[1] >= 1 force x[0] = x[1] = 0.
-    upper = tuple([0, 0] + [y[i] for i in range(2, m + 1)])
-    rset, r0set = R(y), R0(y)
-    odd = frakI_odd(y)
-    pin_first = len(odd) == 1 and odd[0][0] == 0
-    out = []
-    for x, xp in _split_pairs(y, first_upper=upper):
-        try:
-            ensure_xtseq(xp)
-        except ValidationError:
-            continue
-        sx, sxp = frakS(x), frakS(xp)
-        if sx | sxp != rset or sx & sxp != r0set:
-            continue
-        if pin_first and sxp != frozenset({0}):
-            continue
-        out.append((x, xp))
-    return tuple(out)
+    pairs = split_pairs(y, upper=(0, 0) + y[2:])
+    return tuple(pair for pair in pairs if member_tilde_S(y, *pair))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import math
 import time
 
 from weylsymbols import seqcomb as sc
-from weylsymbols.cli import lemma_suite, oracle_suite
 from weylsymbols.engine import fa, fc, verify
 from weylsymbols.exceptional import load_tables, lookup, validate_tables
 from weylsymbols.irreps import (
@@ -37,6 +36,7 @@ from weylsymbols.springer import (
     shift_class,
     tau,
 )
+from weylsymbols.suites import lemma_suite, oracle_suite
 
 
 def _partitions(total: int) -> list[tuple[int, ...]]:

@@ -10,9 +10,10 @@ import json
 import pytest
 
 from weylsymbols import cli
-from weylsymbols.cli import lemma_suite, main, oracle_suite
+from weylsymbols.cli import main
 from weylsymbols.engine import verify
 from weylsymbols.irreps import FAMILY_A
+from weylsymbols.suites import lemma_suite, oracle_suite
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -40,7 +41,7 @@ def test_special_reps_json_carries_schema_version():
     )
     assert code == 0
     blob = json.loads(out)
-    assert blob["schema_version"] == 1
+    assert blob["schema_version"] == 2
     assert blob["command"] == "special-reps"
     assert blob["count"] == len(blob["rows"])
     assert all(set(r) == {"label", "x", "b", "f"} for r in blob["rows"])
@@ -53,7 +54,7 @@ def test_csv_rows_carry_schema_version():
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("schema_version,")
-    assert all(line.startswith("1,B,3,") for line in lines[1:])
+    assert all(line.startswith("2,B,3,") for line in lines[1:])
 
 
 def test_springer_matches_the_divisor_law():
@@ -206,27 +207,8 @@ def test_oracle_suite_scales_down():
     assert all(b.cases > 0 for b in report.blocks)
 
 
-def test_workers_env_is_validated(monkeypatch):
-    monkeypatch.setenv("WEYLSYMBOLS_WORKERS", "2")
-    code, out, _ = _run(
-        ["lemmas", "--max-m", "2", "--max-weight", "2", "--format", "json"]
-    )
-    assert code == 0
-    assert json.loads(out)["workers"] == 2
-    monkeypatch.setenv("WEYLSYMBOLS_WORKERS", "0")
-    code, _, err = _run(["lemmas", "--max-m", "2", "--max-weight", "2"])
+def test_oracle_check_rejects_a_negative_rank_bound():
+    code, out, err = _run(["oracle-check", "--max-rank", "-1"])
     assert code == 2
-    assert "WEYLSYMBOLS_WORKERS" in err
-
-
-def test_seed_is_echoed_not_consumed(monkeypatch):
-    base = _run(["lemmas", "--max-m", "3", "--max-weight", "3", "--format", "json"])
-    seeded = _run(
-        [
-            "lemmas", "--max-m", "3", "--max-weight", "3",
-            "--format", "json", "--seed", "7",
-        ]
-    )
-    lhs, rhs = json.loads(base[1]), json.loads(seeded[1])
-    assert (lhs["seed"], rhs["seed"]) == (None, 7)
-    assert lhs["report"] == rhs["report"]
+    assert out == ""
+    assert "max_rank" in err

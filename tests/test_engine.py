@@ -3,6 +3,7 @@ member enumeration with replay, frozen small-rank reports, determinism."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -297,6 +298,24 @@ def test_every_maximal_member_respects_the_component_bound():
                 f_product(factors) <= row.z_value for _, factors in members
             )
             assert row.fa_value == row.z_value
+
+
+# family -> (rows, sha256 of the compact sorted-key JSON of verify(family, 6))
+_VERIFY_DIGESTS = {
+    "A": (11, "4604fc5c746ca3083e181a59d8096fdbe9f998add47fb771f144bf6ff1513aa4"),
+    "B": (35, "6423096470b23c99c378e8b55cb95cd5b898c0f5d8e12a59faaf66b3cc6062b7"),
+    "C": (40, "5aa869f6f00180a05c1d0b08a83f2e91e3b237a0dfc2ae2699ffe21ad07eac57"),
+    "D": (31, "b81442f7fa45fd44f9fead04f259137cf8ddc4c8b861a7ac4f53d9026f7f20b2"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_VERIFY_DIGESTS))
+def test_verify_reports_match_their_pinned_digests(family):
+    rows, digest = _VERIFY_DIGESTS[family]
+    report = verify(family, 6)
+    text = json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
+    assert len(report.rows) == rows
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_reports_are_deterministic_and_serializable():

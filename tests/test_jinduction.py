@@ -3,6 +3,7 @@ preservation for the nested embeddings, transitivity chains."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -32,10 +33,12 @@ from weylsymbols.jinduction import (
     EMBED_D_SP_WDQ,
     EMBED_D_TRIPLE,
     Embedding,
+    d_placements,
     double_dots,
     f_product,
     j_compose_check,
     j_induce,
+    labels_match,
 )
 
 
@@ -268,6 +271,51 @@ def test_degenerate_kappa_convention_reaches_both_values():
     assert outs[0].z == outs[0].zp == (1,)
     assert outs[0].degenerate and outs[3].degenerate
     assert {outs[0].kappa, outs[3].kappa} == {0, 1}
+
+
+def _unchecked(label: IrrLabel, **changes) -> IrrLabel:
+    """A copy of label with fields changed past IrrLabel's validation."""
+    out = object.__new__(IrrLabel)
+    for name, value in {**dataclasses.asdict(label), **changes}.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
+def test_labels_match_relaxes_kappa_only_on_degenerate_d():
+    deg = IrrLabel(FAMILY_D, 2, (0, 2), (0, 2), 0)
+    flipped = dataclasses.replace(deg, kappa=1)
+    assert deg != flipped
+    assert labels_match(deg, flipped) and labels_match(flipped, deg)
+    assert not labels_match(deg, IrrLabel(FAMILY_D, 4, (0, 3), (0, 3), 0))
+    # a non-degenerate D label compares in full, kappa included; IrrLabel
+    # itself refuses kappa there, so the twisted copy bypasses validation
+    plain = IrrLabel(FAMILY_D, 3, (0, 3), (0, 2))
+    with pytest.raises(ValidationError):
+        dataclasses.replace(plain, kappa=1)
+    assert labels_match(plain, IrrLabel(FAMILY_D, 3, (0, 3), (0, 2)))
+    assert not labels_match(plain, _unchecked(plain, kappa=1))
+    assert not labels_match(plain, deg)
+    # families A and BC: plain equality
+    a = IrrLabel(FAMILY_A, 2, (0, 3))
+    assert labels_match(a, IrrLabel(FAMILY_A, 2, (0, 3)))
+    assert not labels_match(a, IrrLabel(FAMILY_A, 2, (1, 2)))
+    bc = IrrLabel(FAMILY_BC, 2, (0, 1, 2, 4), (0, 1, 3))
+    assert labels_match(bc, IrrLabel(FAMILY_BC, 2, (0, 1, 2, 4), (0, 1, 3)))
+    assert not labels_match(bc, IrrLabel(FAMILY_BC, 2, (0, 1, 3, 4), (0, 1, 2)))
+
+
+def test_d_placements_are_the_admissible_twists():
+    assert d_placements(0, 2, 0) == (0, 1, 2, 3)
+    assert d_placements(1, 2, 0) == (0, 2)
+    assert d_placements(0, 1, 0) == (0, 3)
+    assert d_placements(2, 3, 1) == (0,)
+    for r, p, q in _splits(4, 3):
+        for lam in range(5):
+            if lam in d_placements(r, p, q):
+                Embedding(EMBED_D_TRIPLE, r=r, p=p, q=q, lam=lam)
+            else:
+                with pytest.raises(ValidationError):
+                    Embedding(EMBED_D_TRIPLE, r=r, p=p, q=q, lam=lam)
 
 
 def test_d_spwdq_matches_triple_with_empty_left():

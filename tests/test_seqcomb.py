@@ -228,6 +228,14 @@ def test_enumerate_S_matches_brute_force(m):
         assert fast == slow
         assert fast, f"matched splits empty for {y}"
         assert sc.construct_one_S(y) in fast
+        # the bounds that pin the complement to a based XSeq (type C)
+        plain = sc.split_pairs(y)
+        assert plain == tuple(_brute_splits(y))
+        based = sc.split_pairs(y, lower=(y[0],) + (0,) * m,
+                               upper=(y[0], y[1] - 1) + y[2:])
+        assert based == tuple(
+            (x, xp) for x, xp in plain if x[0] == y[0] and x[1] <= y[1] - 1
+        )
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
