@@ -15,8 +15,10 @@ data into the requested format.  Every machine format carries a
 schema_version field, and identical invocations produce byte-identical
 output: all enumeration orders are deterministic and no timestamps or
 environment data leak into the payload.  Exit status is 0 on success, 1
-when a verification-style subcommand finds a failing check, and 2 for usage
-errors (bad flags, malformed specs, unknown keys).
+when a verification-style subcommand finds a failing check or an internal
+identity fails, and 2 for usage errors (bad flags, malformed specs, unknown
+keys).  --output is written atomically: a failed run leaves any existing
+file untouched.
 """
 
 from __future__ import annotations
@@ -25,12 +27,14 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .engine import ensure_floor, verify
-from .errors import DomainError, WeylSymbolsError
+from .errors import DomainError, InvariantError, WeylSymbolsError
 from .exceptional import (
     GROUPS,
     OMEGA_ORDERS,
@@ -125,8 +129,25 @@ def _render(args: argparse.Namespace, out: _Output) -> None:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(args.output, "w") as fh:
+        _write_atomically(args.output, text)
+
+
+def _write_atomically(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it into
+    place; on error the temporary file goes and any old file stays."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +505,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         _render(args, out)
     except (WeylSymbolsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # a failed internal identity is a failed run, not a usage error
+        return 1 if isinstance(exc, InvariantError) else 2
     return 1 if out.failed else 0
 
 

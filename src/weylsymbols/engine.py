@@ -19,6 +19,10 @@ a middle symmetric-group block split y as x + e + x~ with e the deviation
 profile of the middle factor. Family A scales deviation partitions by a
 divisor instead. Enumeration order is lexicographic throughout, so every
 report is byte-stable across runs.
+
+Each report row is one pass: the class invariants, the maximal members and
+one f-product per member are computed once, and the class sequence and the
+maximal f-product feed the symmetry-order witness search directly.
 """
 
 from __future__ import annotations
@@ -273,6 +277,17 @@ def _a_label(e: Seq, p: int) -> IrrLabel:
 _D_FILLER = IrrLabel(FAMILY_A, 0, (0,))
 
 
+def _embedding(spec: ParahoricSpec) -> Embedding:
+    """Induction embedding of a family B, C or D shape."""
+    if spec.family == CLASS_B:
+        if spec.p == 0:
+            return Embedding(EMBED_B_WR_WQ, r=spec.r, q=spec.q)
+        return Embedding(EMBED_B_WR_SP_WQ, r=spec.r, p=spec.p, q=spec.q)
+    if spec.family == CLASS_C:
+        return Embedding(EMBED_C_WR_WDQ, r=spec.r, q=spec.q)
+    return Embedding(EMBED_D_TRIPLE, r=spec.r, p=spec.p, q=spec.q, lam=spec.lam)
+
+
 def _replay(spec: ParahoricSpec, factors: tuple[IrrLabel, ...],
             target: IrrLabel) -> bool:
     """Recompute the induction image of a member and compare to the target;
@@ -287,16 +302,9 @@ def _replay(spec: ParahoricSpec, factors: tuple[IrrLabel, ...],
             emb = Embedding(EMBED_A_SPLIT, r=h * step, q=step)
             acc = j_induce(emb, (acc, factors[h]))
         return acc == target
-    if spec.family == CLASS_B:
-        if spec.p == 0:
-            emb = Embedding(EMBED_B_WR_WQ, r=spec.r, q=spec.q)
-        else:
-            emb = Embedding(EMBED_B_WR_SP_WQ, r=spec.r, p=spec.p, q=spec.q)
+    emb = _embedding(spec)
+    if spec.family != CLASS_D:
         return j_induce(emb, factors) == target
-    if spec.family == CLASS_C:
-        emb = Embedding(EMBED_C_WR_WDQ, r=spec.r, q=spec.q)
-        return j_induce(emb, factors) == target
-    emb = Embedding(EMBED_D_TRIPLE, r=spec.r, p=spec.p, q=spec.q, lam=spec.lam)
     if len(factors) == 2:
         factors = (factors[0], _D_FILLER, factors[1])
     return labels_match(j_induce(emb, factors), target)
@@ -368,7 +376,8 @@ def enumerate_cz(label: IrrLabel, family: str, n: int,
 # maximal f-product and symmetry order
 
 def fa(label: IrrLabel, family: str, n: int) -> int:
-    """Largest factor f-product over the maximal members of the label."""
+    """Largest factor f-product over the maximal members of the label
+    (verify's row pass takes it from the members it already holds)."""
     members = enumerate_cz(label, family, n, maximal_only=True)
     return max(f_product(factors) for _, factors in members)
 
@@ -401,11 +410,11 @@ def _symmetric_member(family: str, n: int, x: Seq, e: Seq) -> Member:
     return (spec, (lab, _a_label(e, p), lab))
 
 
-def _fc_family_b(y: Seq, n: int, z_value: int) -> tuple[int, Member | None]:
+def _fc_family_b(y: Seq, n: int, fa_value: int) -> tuple[int, Member | None]:
     # a self-matched decomposition is automatically f-maximal
     for x, e in sc.symmetric_decompositions(y):
         member = _symmetric_member(CLASS_B, n, x, e)
-        if f_product(member[1]) != z_value:
+        if f_product(member[1]) != fa_value:
             raise InvariantError(
                 f"self-matched member misses the maximal f-product on {y!r}"
             )
@@ -450,24 +459,29 @@ def _fc_family_d(y: Seq, n: int, fa_value: int) -> tuple[int, Member | None]:
     return 1, None
 
 
-def _fc_with_witness(label: IrrLabel, family: str,
-                     n: int) -> tuple[int, Member | None]:
+def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
+                     fa_value: int) -> tuple[int, Member | None]:
+    """Symmetry order and witness of a canonical label, given y and fa."""
     if family == CLASS_A:
         return _fc_family_a(label, n)
-    y = tau(family, label).y
     if family == CLASS_B:
-        z_value = class_invariants(ClassLabel(family, n, y)).z
-        return _fc_family_b(y, n, z_value)
-    fa_value = fa(label, family, n)
+        return _fc_family_b(y, n, fa_value)
     if family == CLASS_C:
         return _fc_family_c(y, n, fa_value)
     return _fc_family_d(y, n, fa_value)
 
 
 def fc(label: IrrLabel, family: str, n: int) -> int:
-    """Largest shape-symmetry subgroup order fixing some f-maximal member."""
+    """Largest shape-symmetry subgroup order fixing some f-maximal member
+    (verify's row pass supplies the y and fa it holds; here they are
+    worked out, except for family A, which needs neither)."""
     omega = OmegaDescriptor(family, n)
-    value, witness = _fc_with_witness(canonicalize(label), family, n)
+    canon = canonicalize(label)
+    if family == CLASS_A:
+        y, fa_value = canon.z, 1
+    else:
+        y, fa_value = tau(family, canon).y, fa(canon, family, n)
+    value, witness = _fc_with_witness(canon, family, n, y, fa_value)
     if witness is not None and not _replay(witness[0], witness[1], label):
         raise InvariantError("symmetry witness does not replay")
     if omega.order % value:
@@ -491,17 +505,10 @@ def bar_S(family: str, n: int) -> frozenset[IrrLabel]:
         )
     out: set[IrrLabel] = set()
     for r in range(n + 1):
-        q = n - r
-        if family == CLASS_B:
-            emb = Embedding(EMBED_B_WR_WQ, r=r, q=q)
-        elif family == CLASS_C:
-            if q == 1:
-                continue
-            emb = Embedding(EMBED_C_WR_WDQ, r=r, q=q)
-        else:
-            if r == 1 or q == 1:
-                continue
-            emb = Embedding(EMBED_D_TRIPLE, r=r, p=0, q=q, lam=0)
+        spec = ParahoricSpec(family, n, r=r, q=n - r)
+        if not spec.is_maximal():
+            continue
+        emb = _embedding(spec)
         pools = [
             [rep.label for rep in special_reps(fam, rank)]
             for fam, rank in emb.factor_signature()
@@ -636,14 +643,13 @@ def _class_row(family: str, n: int, c: ClassLabel, label: IrrLabel) -> ClassRow:
     canon = canonicalize(label)
     b_label = b_invariant(canon)
     members = enumerate_cz(canon, family, n, maximal_only=True)
-    # the bound comes first: every maximal member stays at or below the
-    # class component count, then some member attains it
-    ineq_ok = all(f_product(factors) <= inv.z for _, factors in members)
-    fa_value = max(f_product(factors) for _, factors in members)
-    fc_value, fc_witness = _fc_with_witness(canon, family, n)
-    best = tuple(m for m in members if f_product(m[1]) == fa_value)
+    fs = [f_product(factors) for _, factors in members]
+    # a maximum equal to the class component count also bounds every member
+    fa_value = max(fs)
+    fc_value, fc_witness = _fc_with_witness(canon, family, n, c.y, fa_value)
+    best = tuple(m for m, f in zip(members, fs) if f == fa_value)
     witnesses = best if fc_witness is None else best + (fc_witness,)
-    witnesses_ok = bool(members) and all(
+    witnesses_ok = all(
         _replay(spec, factors, canon) for spec, factors in witnesses
     )
     return ClassRow(
@@ -657,7 +663,7 @@ def _class_row(family: str, n: int, c: ClassLabel, label: IrrLabel) -> ClassRow:
         ratio_value=inv.ztilde_over_z,
         witnesses=witnesses,
         holds_b1=inv.bbar == b_label,
-        holds_b2=ineq_ok and fa_value == inv.z,
+        holds_b2=fa_value == inv.z,
         holds_b3=fc_value == inv.ztilde_over_z,
         witnesses_ok=witnesses_ok,
     )

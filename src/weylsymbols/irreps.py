@@ -58,17 +58,14 @@ class IrrLabel:
                 raise ValidationError("family A labels carry a single row")
             if self.kappa != 0:
                 raise ValidationError("family A labels carry no kappa")
-            sc.ensure_zseq(self.z)
-            if sc.rho0(self.z) != self.n:
-                raise ValidationError(
-                    f"row statistic {sc.rho0(self.z)} != rank {self.n}"
-                )
+            w = sc.rho0(self.z)
+            if w != self.n:
+                raise ValidationError(f"row statistic {w} != rank {self.n}")
             return
         if self.zp is None:
             raise ValidationError(f"family {self.family} labels need two rows")
-        sc.ensure_zseq(self.z)
-        sc.ensure_zseq(self.zp)
-        total = sc.rho0(self.z) + sc.rho0(self.zp)
+        w, wp = sc.rho0(self.z), sc.rho0(self.zp)
+        total = w + wp
         if total != self.n:
             raise ValidationError(f"row statistics sum to {total} != rank {self.n}")
         if self.family == FAMILY_BC:
@@ -85,7 +82,6 @@ class IrrLabel:
             raise ValidationError(
                 f"D rows must have equal lengths, got {len(self.z)} and {len(self.zp)}"
             )
-        w, wp = sc.rho0(self.z), sc.rho0(self.zp)
         if w < wp:
             raise ValidationError("D rows must be ordered heavier row first")
         if w == wp and self.z != self.zp and self.z > self.zp:
@@ -195,9 +191,8 @@ def zeta(label: IrrLabel) -> Seq:
 def zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
     """All labels whose merged sequence is x (one, or two in the degenerate
     family-D case with rank >= 2)."""
-    sc.ensure_xseq(x)
-    m = len(x) - 1
     n = sc.rho(x)
+    m = len(x) - 1
     if family == FAMILY_BC:
         if m % 2 != 0:
             raise DomainError(f"BC merge needs odd length, got m={m}")
@@ -223,22 +218,14 @@ def zeta_tilde(label: IrrLabel) -> Seq:
     the plain merge shifted up by one."""
     if label.family != FAMILY_D:
         raise DomainError("based merge applies to family D only")
-    x = zeta(label)
-    xt = (0,) + tuple(v + 1 for v in x)
-    try:
-        sc.ensure_xtseq(xt)
-    except ValidationError as exc:  # pragma: no cover - zeta already validates
-        raise DomainError(f"label is not special: {exc}") from exc
-    return xt
+    # a valid merge shifted up behind a 0 is always a based XSeq
+    return (0,) + tuple(v + 1 for v in zeta(label))
 
 
 def zeta_tilde_inverse(xt: Seq) -> tuple[IrrLabel, ...]:
     """All family-D labels whose based merged sequence is xt."""
     sc.ensure_xtseq(xt)
-    if any(v < 1 for v in xt[1:]):
-        raise DomainError(f"based merge entries after 0 must be >= 1: {xt!r}")
-    x = tuple(v - 1 for v in xt[1:])
-    return zeta_inverse(FAMILY_D, x)
+    return zeta_inverse(FAMILY_D, tuple(v - 1 for v in xt[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +396,15 @@ def align_row(z: Seq, length: int) -> Seq:
     if length < len(z):
         raise DomainError(f"cannot shorten row of length {len(z)} to {length}")
     t = length - len(z)
-    out = list(z)
-    for _ in range(t):
-        out = [0] + [v + 1 for v in out]
-    return tuple(out)
+    return tuple(range(t)) + tuple(v + t for v in z)
+
+
+def aligned_rows(label: IrrLabel, k: int) -> tuple[Seq, Seq]:
+    """Rows of a BC label aligned to lengths (k+1, k), of a D label to (k, k)."""
+    lab = canonicalize(label)
+    assert lab.zp is not None
+    zp = align_row(lab.zp, k)
+    return align_row(lab.z, k + 1 if lab.family == FAMILY_BC else k), zp
 
 
 def shift(label: IrrLabel, t: int) -> IrrLabel:
@@ -427,15 +419,17 @@ def shift(label: IrrLabel, t: int) -> IrrLabel:
 
 
 def canonicalize(label: IrrLabel) -> IrrLabel:
-    """Minimal representative of a label under shifting."""
-    if label.family == FAMILY_A:
-        z = label.z
-        while len(z) > 1 and z[0] == 0:
-            z = tuple(v - 1 for v in z[1:])
+    """Minimal representative of a label under shifting: drop the longest
+    common prefix 0, 1, ..., t-1 of the rows, keeping one slot in the
+    shortest row."""
+    rows = (label.z,) if label.zp is None else (label.z, label.zp)
+    t = 0
+    while t < len(rows[-1]) - 1 and all(row[t] == t for row in rows):
+        t += 1
+    if t == 0:
+        return label
+    z = tuple(v - t for v in label.z[t:])
+    if label.zp is None:
         return IrrLabel(FAMILY_A, label.n, z)
-    assert label.zp is not None
-    z, zp = label.z, label.zp
-    while len(zp) > 1 and z[0] == 0 and zp[0] == 0:
-        z = tuple(v - 1 for v in z[1:])
-        zp = tuple(v - 1 for v in zp[1:])
+    zp = tuple(v - t for v in label.zp[t:])
     return IrrLabel(label.family, label.n, z, zp, label.kappa)

@@ -37,6 +37,7 @@ from .irreps import (
     FAMILY_D,
     IrrLabel,
     align_row,
+    aligned_rows,
     b_invariant,
     canonicalize,
     special_f,
@@ -165,13 +166,10 @@ def double_dots(u: Seq) -> tuple[Seq, Seq]:
     halves, re-indexed: first[i] = u[2i] - i, second[i] = u[2i+1] - i - 1.
     Both halves are strictly increasing and their deviation sums add up to
     the deviation sum of u."""
-    sc.ensure_zseq(u)
+    total = sc.rho0(u)
     first = tuple(u[2 * i] - i for i in range((len(u) + 1) // 2))
     second = tuple(u[2 * i + 1] - i - 1 for i in range(len(u) // 2))
-    sc.ensure_zseq(first)
-    if second:
-        sc.ensure_zseq(second)
-    if sc.rho0(first) + (sc.rho0(second) if second else 0) != sc.rho0(u):
+    if sc.rho0(first) + (sc.rho0(second) if second else 0) != total:
         raise InvariantError(f"split changed the deviation sum of {u!r}")
     return first, second
 
@@ -190,15 +188,6 @@ def f_product(factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> int:
 
 def _a_row(label: IrrLabel, length: int) -> Seq:
     return align_row(canonicalize(label).z, length)
-
-
-def _pair_rows(label: IrrLabel, k: int) -> tuple[Seq, Seq]:
-    """Rows of a BC label at lengths (k+1, k) or a D label at (k, k)."""
-    lab = canonicalize(label)
-    assert lab.zp is not None
-    zp = align_row(lab.zp, k)
-    z = align_row(lab.z, k + 1 if lab.family == FAMILY_BC else k)
-    return z, zp
 
 
 def _check_factors(e: Embedding, factors: tuple[IrrLabel, ...]) -> None:
@@ -240,20 +229,20 @@ def j_induce(e: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> Ir
         out = IrrLabel(FAMILY_A, n, _row_sum(1, n, za, zb))
     elif e.kind == EMBED_B_SP_WQ:
         first, second = double_dots(_a_row(factors[0], 2 * k + 1))
-        z, zp = _pair_rows(factors[1], k)
+        z, zp = aligned_rows(factors[1], k)
         out = IrrLabel(
             FAMILY_BC, n, _row_sum(1, k, z, first), _row_sum(1, k - 1, zp, second)
         )
     elif e.kind == EMBED_B_WR_WQ:
-        z, zp = _pair_rows(factors[0], k)
-        zt, ztp = _pair_rows(factors[1], k)
+        z, zp = aligned_rows(factors[0], k)
+        zt, ztp = aligned_rows(factors[1], k)
         out = IrrLabel(
             FAMILY_BC, n, _row_sum(1, k, z, zt), _row_sum(1, k - 1, zp, ztp)
         )
     elif e.kind == EMBED_B_WR_SP_WQ:
-        z, zp = _pair_rows(factors[0], k)
+        z, zp = aligned_rows(factors[0], k)
         first, second = double_dots(_a_row(factors[1], 2 * k + 1))
-        zt, ztp = _pair_rows(factors[2], k)
+        zt, ztp = aligned_rows(factors[2], k)
         out = IrrLabel(
             FAMILY_BC,
             n,
@@ -261,8 +250,8 @@ def j_induce(e: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> Ir
             _row_sum(2, k - 1, zp, ztp, second),
         )
     elif e.kind == EMBED_C_WR_WDQ:
-        z, zp = _pair_rows(factors[0], k)
-        zt, ztp = _pair_rows(factors[1], k)
+        z, zp = aligned_rows(factors[0], k)
+        zt, ztp = aligned_rows(factors[1], k)
         raised = (0,) + tuple(v + 1 for v in zt)
         out = IrrLabel(
             FAMILY_BC, n, _row_sum(1, k, z, raised), _row_sum(1, k - 1, zp, ztp)
@@ -296,8 +285,8 @@ def _d_triple(
 ) -> IrrLabel:
     """Shared row arithmetic for the two family-D embeddings.  The odd
     half of the symmetric-group row lands on the first output row."""
-    z, zp = _pair_rows(left, k)
-    zt, ztp = _pair_rows(right, k)
+    z, zp = aligned_rows(left, k)
+    zt, ztp = aligned_rows(right, k)
     even_half, odd_half = double_dots(_a_row(mid, 2 * k))
     w = _row_sum(2, k - 1, z, zt, odd_half)
     wp = _row_sum(2, k - 1, zp, ztp, even_half)

@@ -59,10 +59,7 @@ def ensure_zseq(seq: Seq) -> None:
 
 def ensure_xseq(seq: Seq) -> None:
     """Raise ValidationError unless seq is nondecreasing with seq[i] < seq[i+2]."""
-    _ensure_entries(seq)
-    for i in range(len(seq) - 1):
-        if not seq[i] <= seq[i + 1]:
-            raise ValidationError(f"not nondecreasing at {i}: {seq!r}")
+    ensure_eseq(seq)
     for i in range(len(seq) - 2):
         if not seq[i] < seq[i + 2]:
             raise ValidationError(f"three equal entries at {i}: {seq!r}")
@@ -70,10 +67,7 @@ def ensure_xseq(seq: Seq) -> None:
 
 def ensure_yseq(seq: Seq) -> None:
     """Raise ValidationError unless seq is nondecreasing with seq[i] <= seq[i+2]-2."""
-    _ensure_entries(seq)
-    for i in range(len(seq) - 1):
-        if not seq[i] <= seq[i + 1]:
-            raise ValidationError(f"not nondecreasing at {i}: {seq!r}")
+    ensure_eseq(seq)
     for i in range(len(seq) - 2):
         if not seq[i] <= seq[i + 2] - 2:
             raise ValidationError(f"two-step gap violated at {i}: {seq!r}")
@@ -508,9 +502,8 @@ def hat_decompose(x: Seq) -> tuple[Seq, Seq]:
     Returns (skeleton, remainder) with x = skeleton + remainder, the
     remainder nondecreasing and constant on every paired skeleton step.
     """
-    ensure_xseq(x)
-    m = len(x) - 1
     marks = sorted(frakS(x))
+    m = len(x) - 1
     if not marks:
         hat = base_x(m)
     else:
@@ -534,7 +527,6 @@ def hat_decompose(x: Seq) -> tuple[Seq, Seq]:
             out.extend((val, val))
             val += 1
         hat = tuple(out)
-    ensure_xseq(hat)
     if frakS(hat) != frakS(x):
         raise InvariantError(f"skeleton changed frakS for {x!r}")
     e = seq_sub(x, hat)

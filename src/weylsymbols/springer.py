@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import seqcomb as sc
 from .errors import DomainError, InvariantError, ValidationError
-from .irreps import FAMILY_A, FAMILY_BC, FAMILY_D, IrrLabel, align_row, canonicalize
+from .irreps import FAMILY_A, FAMILY_BC, FAMILY_D, IrrLabel, aligned_rows
 from .seqcomb import Seq
 
 CLASS_A = "A"
@@ -57,21 +57,15 @@ class ClassLabel:
             raise ValidationError(f"unknown class family {self.family!r}")
         m = len(self.y) - 1
         if self.family == CLASS_A:
-            sc.ensure_zseq(self.y)
             total = sc.rho0(self.y)
-        elif self.family == CLASS_B:
-            sc.ensure_yseq(self.y)
-            if m % 2 != 0:
-                raise ValidationError(f"family B needs even length index, got {m}")
-            total = sc.rho_prime(self.y)
         elif self.family == CLASS_C:
-            sc.ensure_ytseq(self.y)
             total = sc.tilde_rho_prime(self.y)
         else:
-            sc.ensure_yseq(self.y)
-            if m % 2 != 1:
-                raise ValidationError(f"family D needs odd length index, got {m}")
             total = sc.rho_prime(self.y)
+            if self.family == CLASS_B and m % 2 != 0:
+                raise ValidationError(f"family B needs even length index, got {m}")
+            if self.family == CLASS_D and m % 2 != 1:
+                raise ValidationError(f"family D needs odd length index, got {m}")
         if total != self.n:
             raise ValidationError(f"sequence statistic {total} != rank {self.n}")
 
@@ -126,11 +120,8 @@ def tau(family: str, label: IrrLabel) -> ClassLabel:
         )
     if family == CLASS_A:
         return ClassLabel(CLASS_A, label.n, label.z)
-    lab = canonicalize(label)
-    assert lab.zp is not None
     k = label.n + 1
-    zp = align_row(lab.zp, k)
-    z = align_row(lab.z, k + 1 if family in (CLASS_B, CLASS_C) else k)
+    z, zp = aligned_rows(label, k)
     merged: list[int] = []
     if family == CLASS_B:
         for i in range(k + 1):
@@ -157,25 +148,21 @@ def tau_fiber(family: str, y: Seq, n: int | None = None) -> tuple[IrrLabel, ...]
     """All labels mapping to the stratum y (two in the degenerate family-D
     case, one otherwise)."""
     if family == CLASS_A:
-        sc.ensure_zseq(y)
         rank = sc.rho0(y)
         if n is not None and n != rank:
             raise DomainError(f"rank {n} != sequence statistic {rank}")
         return (IrrLabel(FAMILY_A, rank, y),)
     if family == CLASS_B:
-        sc.ensure_yseq(y)
         rank = sc.rho_prime(y)
         z = tuple(v - i for i, v in enumerate(y[0::2]))
         zp = tuple(v - i for i, v in enumerate(y[1::2]))
         return (IrrLabel(FAMILY_BC, rank, z, zp),)
     if family == CLASS_C:
-        sc.ensure_ytseq(y)
         rank = sc.tilde_rho_prime(y)
         z = tuple(v - i for i, v in enumerate(y[0::2]))
         zp = tuple(v - i - 1 for i, v in enumerate(y[1::2]))
         return (IrrLabel(FAMILY_BC, rank, z, zp),)
     if family == CLASS_D:
-        sc.ensure_yseq(y)
         rank = sc.rho_prime(y)
         z = tuple(v - i for i, v in enumerate(y[1::2]))
         zp = tuple(v - i for i, v in enumerate(y[0::2]))
@@ -278,14 +265,10 @@ def shift_class(c: ClassLabel, t: int) -> ClassLabel:
     family A): the label-side shift conjugated through tau."""
     if t < 0:
         raise DomainError(f"shift amount must be nonnegative, got {t}")
-    y = c.y
-    for _ in range(t):
-        if c.family == CLASS_A:
-            y = (0,) + tuple(v + 1 for v in y)
-        elif c.family == CLASS_B:
-            y = (0, 0) + tuple(v + 2 for v in y)
-        elif c.family == CLASS_C:
-            y = (0, 1) + tuple(v + 2 for v in y)
-        else:
-            y = (0, 0) + tuple(v + 2 for v in y)
-    return ClassLabel(c.family, c.n, y)
+    if c.family == CLASS_A:
+        head, step = tuple(range(t)), t
+    elif c.family == CLASS_C:
+        head, step = tuple(range(2 * t)), 2 * t
+    else:
+        head, step = sc.base_y(2 * t - 1), 2 * t
+    return ClassLabel(c.family, c.n, head + tuple(v + step for v in c.y))

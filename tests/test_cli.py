@@ -6,12 +6,14 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 
 import pytest
 
-from weylsymbols import cli
+from weylsymbols import cli, engine
 from weylsymbols.cli import main
 from weylsymbols.engine import verify
+from weylsymbols.errors import InvariantError
 from weylsymbols.irreps import FAMILY_A
 from weylsymbols.suites import lemma_suite, oracle_suite
 
@@ -132,6 +134,17 @@ def test_verify_signals_failure_with_exit_one(monkeypatch):
     assert "FAIL" in out
 
 
+def test_a_failed_internal_identity_exits_one(monkeypatch):
+    def broken(c):
+        raise InvariantError("injected")
+
+    monkeypatch.setattr(engine, "class_invariants", broken)
+    code, out, err = _run(["verify", "--family", "B", "--rank", "3"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: injected\n"
+
+
 def test_usage_errors_exit_two():
     assert _run([])[0] == 2
     assert _run(["special-reps", "--family", "Z", "--rank", "3"])[0] == 2
@@ -153,6 +166,23 @@ def test_output_writes_the_payload_to_disk(tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["count"] == 5
+
+
+def test_a_failed_output_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "rows.json"
+    path.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("injected")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = _run(
+        ["springer", "--family", "A", "--rank", "4", "--output", str(path)]
+    )
+    assert code == 2
+    assert err == "error: injected\n"
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.json"]
 
 
 def test_exceptional_table_has_the_source_row_count():

@@ -10,7 +10,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylsymbols import seqcomb as sc
+from weylsymbols import engine, seqcomb as sc
 from weylsymbols.engine import (
     RANK_FLOOR,
     OmegaDescriptor,
@@ -300,22 +300,60 @@ def test_every_maximal_member_respects_the_component_bound():
             assert row.fa_value == row.z_value
 
 
-# family -> (rows, sha256 of the compact sorted-key JSON of verify(family, 6))
+# case -> (family, rank, rows, sha256 of the compact sorted-key JSON of
+# verify(family, rank)); a bare family name is rank 6
 _VERIFY_DIGESTS = {
-    "A": (11, "4604fc5c746ca3083e181a59d8096fdbe9f998add47fb771f144bf6ff1513aa4"),
-    "B": (35, "6423096470b23c99c378e8b55cb95cd5b898c0f5d8e12a59faaf66b3cc6062b7"),
-    "C": (40, "5aa869f6f00180a05c1d0b08a83f2e91e3b237a0dfc2ae2699ffe21ad07eac57"),
-    "D": (31, "b81442f7fa45fd44f9fead04f259137cf8ddc4c8b861a7ac4f53d9026f7f20b2"),
+    "A": ("A", 6, 11,
+          "4604fc5c746ca3083e181a59d8096fdbe9f998add47fb771f144bf6ff1513aa4"),
+    "B": ("B", 6, 35,
+          "6423096470b23c99c378e8b55cb95cd5b898c0f5d8e12a59faaf66b3cc6062b7"),
+    "C": ("C", 6, 40,
+          "5aa869f6f00180a05c1d0b08a83f2e91e3b237a0dfc2ae2699ffe21ad07eac57"),
+    "D": ("D", 6, 31,
+          "b81442f7fa45fd44f9fead04f259137cf8ddc4c8b861a7ac4f53d9026f7f20b2"),
+    "B8": ("B", 8, 86,
+           "0fec6e5da0b9d5b0926fec5290743371181af9670123d7babdbea9bdc3d8bbf7"),
+    "C8": ("C", 8, 100,
+           "7aff349a5e8335b538af80a18cb5043a4636ddbafa70887f0cebd3ce89f6045b"),
+    "D8": ("D", 8, 75,
+           "5e17ca132e719715271bffd4941f63b9f495ab09d588aac1fb5915d9c7492afe"),
 }
 
 
-@pytest.mark.parametrize("family", sorted(_VERIFY_DIGESTS))
-def test_verify_reports_match_their_pinned_digests(family):
-    rows, digest = _VERIFY_DIGESTS[family]
-    report = verify(family, 6)
+@pytest.mark.parametrize("case", sorted(_VERIFY_DIGESTS))
+def test_verify_reports_match_their_pinned_digests(case):
+    family, n, rows, digest = _VERIFY_DIGESTS[case]
+    report = verify(family, n)
     text = json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
     assert len(report.rows) == rows
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family, rows", [("C", 40), ("D", 31)])
+def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
+                                                         rows):
+    calls = {"enumerate_cz": 0, "class_invariants": 0}
+
+    def counted(name):
+        inner = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, counted(name))
+    assert len(verify(family, 6).rows) == rows
+    assert calls == {"enumerate_cz": rows, "class_invariants": rows}
+
+
+def test_fc_and_fa_reject_a_label_of_another_rank_alike():
+    lab = special_reps(FAMILY_BC, 3)[0].label
+    for f in (fa, fc):
+        with pytest.raises(DomainError, match="block sizes"):
+            f(lab, "B", 4)
 
 
 def test_reports_are_deterministic_and_serializable():
