@@ -22,13 +22,20 @@ report is byte-stable across runs.
 
 Each report row is one pass: the class invariants, the maximal members and
 one f-product per member are computed once, and the class sequence and the
-maximal f-product feed the symmetry-order witness search directly.
+maximal f-product feed the symmetry-order witness search directly.  One
+verify call builds one SpecialIndex: each (family, rank) pool of special
+labels is enumerated once, shared by bar_S and the rows, and the rows read
+their factors' f-invariants from it.  The index lives only as long as the
+call.  Split parts found by the enumerators below are valid by
+construction, so they go through the unvalidated kernels of seqcomb and
+irreps.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from . import seqcomb as sc
 from .errors import DomainError, InvariantError
@@ -37,6 +44,8 @@ from .irreps import (
     FAMILY_BC,
     FAMILY_D,
     IrrLabel,
+    _zeta_inverse,
+    _zeta_tilde_inverse,
     b_invariant,
     canonicalize,
     label_str,
@@ -44,8 +53,6 @@ from .irreps import (
     special_reps,
     xi,
     z_to_partition,
-    zeta_inverse,
-    zeta_tilde_inverse,
 )
 from .jinduction import (
     EMBED_A_SPLIT,
@@ -220,6 +227,39 @@ class OmegaDescriptor:
 Member = tuple[ParahoricSpec, tuple[IrrLabel, ...]]
 
 
+class SpecialIndex:
+    """Special labels of each (family, rank), enumerated on first use: the
+    canonical labels of the pool, and canonical label -> f-invariant."""
+
+    def __init__(self) -> None:
+        self._pools: dict[tuple[str, int], tuple[IrrLabel, ...]] = {}
+        self._f: dict[IrrLabel, int] = {}
+
+    def pool(self, family: str, rank: int) -> tuple[IrrLabel, ...]:
+        """Canonical special labels of the family at the rank."""
+        key = (family, rank)
+        if key not in self._pools:
+            reps = special_reps(family, rank)
+            labels = tuple(canonicalize(rep.label) for rep in reps)
+            self._f.update(zip(labels, (rep.f for rep in reps)))
+            self._pools[key] = labels
+        return self._pools[key]
+
+    def f_product(self, factors: tuple[IrrLabel, ...]) -> int:
+        """Product of the factors' f-invariants, as jinduction.f_product."""
+        out = 1
+        for label in factors:
+            canon = canonicalize(label)
+            if canon not in self._f:
+                self.pool(canon.family, canon.n)
+                if canon not in self._f:
+                    raise InvariantError(
+                        f"factor {label_str(label)} is not special"
+                    )
+            out *= self._f[canon]
+        return out
+
+
 # ---------------------------------------------------------------------------
 # summand enumeration
 
@@ -268,6 +308,14 @@ def _triple_splits(y: Seq) -> tuple[tuple[Seq, Seq, Seq], ...]:
 
     rec(0)
     return tuple(out)
+
+
+def _ensure_a_label(label: IrrLabel, n: int) -> None:
+    if label.family != FAMILY_A or label.n != n:
+        raise DomainError(
+            f"family A rows take a family A label of rank {n}, "
+            f"got family {label.family} rank {label.n}"
+        )
 
 
 def _a_label(e: Seq, p: int) -> IrrLabel:
@@ -321,6 +369,7 @@ def enumerate_cz(label: IrrLabel, family: str, n: int,
     """
     _ensure_family(family)
     if family == CLASS_A:
+        _ensure_a_label(label, n)
         out: list[Member] = [(ParahoricSpec(CLASS_A, n, d=1),
                               (canonicalize(label),))]
         if not maximal_only:
@@ -332,42 +381,42 @@ def enumerate_cz(label: IrrLabel, family: str, n: int,
     out = []
     if family == CLASS_B:
         for x, xt in sc.split_pairs(y):
-            spec = ParahoricSpec(CLASS_B, n, r=sc.rho(x), q=sc.rho(xt))
-            out.append((spec, (zeta_inverse(FAMILY_BC, x)[0],
-                               zeta_inverse(FAMILY_BC, xt)[0])))
+            spec = ParahoricSpec(CLASS_B, n, r=sc._rho(x), q=sc._rho(xt))
+            out.append((spec, (_zeta_inverse(FAMILY_BC, x)[0],
+                               _zeta_inverse(FAMILY_BC, xt)[0])))
         if not maximal_only:
             for x, e, xt in _triple_splits(y):
                 p = sum(e)
-                spec = ParahoricSpec(CLASS_B, n, r=sc.rho(x), p=p,
-                                     q=sc.rho(xt))
-                out.append((spec, (zeta_inverse(FAMILY_BC, x)[0],
+                spec = ParahoricSpec(CLASS_B, n, r=sc._rho(x), p=p,
+                                     q=sc._rho(xt))
+                out.append((spec, (_zeta_inverse(FAMILY_BC, x)[0],
                                    _a_label(e, p),
-                                   zeta_inverse(FAMILY_BC, xt)[0])))
+                                   _zeta_inverse(FAMILY_BC, xt)[0])))
     elif family == CLASS_C:
         for x, xt in _based_splits(y):
-            spec = ParahoricSpec(CLASS_C, n, r=sc.rho(x), q=sc.tilde_rho(xt))
+            spec = ParahoricSpec(CLASS_C, n, r=sc._rho(x), q=sc.tilde_rho(xt))
             if maximal_only and not spec.is_maximal():
                 continue
-            for lab in zeta_tilde_inverse(xt):
-                out.append((spec, (zeta_inverse(FAMILY_BC, x)[0], lab)))
+            for lab in _zeta_tilde_inverse(xt):
+                out.append((spec, (_zeta_inverse(FAMILY_BC, x)[0], lab)))
     else:
         for x, xt in sc.split_pairs(y):
-            spec = ParahoricSpec(CLASS_D, n, r=sc.rho(x), q=sc.rho(xt))
+            spec = ParahoricSpec(CLASS_D, n, r=sc._rho(x), q=sc._rho(xt))
             if maximal_only and not spec.is_maximal():
                 continue
-            for dl, dr in itertools.product(zeta_inverse(FAMILY_D, x),
-                                            zeta_inverse(FAMILY_D, xt)):
+            for dl, dr in itertools.product(_zeta_inverse(FAMILY_D, x),
+                                            _zeta_inverse(FAMILY_D, xt)):
                 out.append((spec, (dl, dr)))
         if not maximal_only:
             for x, e, xt in _triple_splits(y):
                 p = sum(e)
-                r, q = sc.rho(x), sc.rho(xt)
+                r, q = sc._rho(x), sc._rho(xt)
                 mid = _a_label(e, p)
                 for lam in d_placements(r, p, q):
                     spec = ParahoricSpec(CLASS_D, n, r=r, p=p, q=q, lam=lam)
                     for dl, dr in itertools.product(
-                            zeta_inverse(FAMILY_D, x),
-                            zeta_inverse(FAMILY_D, xt)):
+                            _zeta_inverse(FAMILY_D, x),
+                            _zeta_inverse(FAMILY_D, xt)):
                         out.append((spec, (dl, mid, dr)))
     return tuple(out)
 
@@ -403,18 +452,23 @@ def _fc_family_a(label: IrrLabel, n: int) -> tuple[int, Member | None]:
 def _symmetric_member(family: str, n: int, x: Seq, e: Seq) -> Member:
     """Member realizing a self-matched decomposition y = x + e + x."""
     p = sum(e)
-    lab = zeta_inverse(FAMILY_BC if family == CLASS_B else FAMILY_D, x)[0]
-    spec = ParahoricSpec(family, n, r=sc.rho(x), p=p, q=sc.rho(x))
+    lab = _zeta_inverse(FAMILY_BC if family == CLASS_B else FAMILY_D, x)[0]
+    r = sc._rho(x)
+    spec = ParahoricSpec(family, n, r=r, p=p, q=r)
     if p == 0:
         return (spec, (lab, lab))
     return (spec, (lab, _a_label(e, p), lab))
 
 
-def _fc_family_b(y: Seq, n: int, fa_value: int) -> tuple[int, Member | None]:
+FProduct = Callable[[tuple[IrrLabel, ...]], int]
+
+
+def _fc_family_b(y: Seq, n: int, fa_value: int,
+                 fprod: FProduct) -> tuple[int, Member | None]:
     # a self-matched decomposition is automatically f-maximal
     for x, e in sc.symmetric_decompositions(y):
         member = _symmetric_member(CLASS_B, n, x, e)
-        if f_product(member[1]) != fa_value:
+        if fprod(member[1]) != fa_value:
             raise InvariantError(
                 f"self-matched member misses the maximal f-product on {y!r}"
             )
@@ -422,25 +476,27 @@ def _fc_family_b(y: Seq, n: int, fa_value: int) -> tuple[int, Member | None]:
     return 1, None
 
 
-def _fc_family_c(y: Seq, n: int, fa_value: int) -> tuple[int, Member | None]:
+def _fc_family_c(y: Seq, n: int, fa_value: int,
+                 fprod: FProduct) -> tuple[int, Member | None]:
     # the node flip fixes a member exactly when the based part keeps a
     # strict position beyond its base one; the f-product must be maximal
     for x, xt in _based_splits(y):
-        if len(sc.frakS(xt)) < 3:
+        if len(sc._frakS(xt)) < 3:
             continue
-        factors = (zeta_inverse(FAMILY_BC, x)[0], zeta_tilde_inverse(xt)[0])
-        if f_product(factors) != fa_value:
+        factors = (_zeta_inverse(FAMILY_BC, x)[0], _zeta_tilde_inverse(xt)[0])
+        if fprod(factors) != fa_value:
             continue
-        spec = ParahoricSpec(CLASS_C, n, r=sc.rho(x), q=sc.tilde_rho(xt))
+        spec = ParahoricSpec(CLASS_C, n, r=sc._rho(x), q=sc.tilde_rho(xt))
         return 2, (spec, factors)
     return 1, None
 
 
-def _fc_family_d(y: Seq, n: int, fa_value: int) -> tuple[int, Member | None]:
+def _fc_family_d(y: Seq, n: int, fa_value: int,
+                 fprod: FProduct) -> tuple[int, Member | None]:
     # full symmetry: a self-matched decomposition with a strict position
     sym = sc.symmetric_decompositions(y)
     for x, e in sym:
-        if sc.frakS(x):
+        if sc._frakS(x):
             return 4, _symmetric_member(CLASS_D, n, x, e)
     # a self-matched decomposition without strict positions exists only on
     # interval-free sequences, where the end-to-end flip still fixes it
@@ -449,26 +505,28 @@ def _fc_family_d(y: Seq, n: int, fa_value: int) -> tuple[int, Member | None]:
     # half symmetry via a split whose parts both extend across the prong
     # swap, at maximal f-product
     for x, xt in sc.split_pairs(y):
-        if len(sc.frakS(x)) < 2 or len(sc.frakS(xt)) < 2:
+        if len(sc._frakS(x)) < 2 or len(sc._frakS(xt)) < 2:
             continue
-        factors = (zeta_inverse(FAMILY_D, x)[0], zeta_inverse(FAMILY_D, xt)[0])
-        if f_product(factors) != fa_value:
+        factors = (_zeta_inverse(FAMILY_D, x)[0], _zeta_inverse(FAMILY_D, xt)[0])
+        if fprod(factors) != fa_value:
             continue
-        spec = ParahoricSpec(CLASS_D, n, r=sc.rho(x), q=sc.rho(xt))
+        spec = ParahoricSpec(CLASS_D, n, r=sc._rho(x), q=sc._rho(xt))
         return 2, (spec, factors)
     return 1, None
 
 
 def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
-                     fa_value: int) -> tuple[int, Member | None]:
-    """Symmetry order and witness of a canonical label, given y and fa."""
+                     fa_value: int,
+                     fprod: FProduct) -> tuple[int, Member | None]:
+    """Symmetry order and witness of a canonical label, given y, fa and the
+    f-product of factor tuples."""
     if family == CLASS_A:
         return _fc_family_a(label, n)
     if family == CLASS_B:
-        return _fc_family_b(y, n, fa_value)
+        return _fc_family_b(y, n, fa_value, fprod)
     if family == CLASS_C:
-        return _fc_family_c(y, n, fa_value)
-    return _fc_family_d(y, n, fa_value)
+        return _fc_family_c(y, n, fa_value, fprod)
+    return _fc_family_d(y, n, fa_value, fprod)
 
 
 def fc(label: IrrLabel, family: str, n: int) -> int:
@@ -478,10 +536,11 @@ def fc(label: IrrLabel, family: str, n: int) -> int:
     omega = OmegaDescriptor(family, n)
     canon = canonicalize(label)
     if family == CLASS_A:
+        _ensure_a_label(canon, n)
         y, fa_value = canon.z, 1
     else:
         y, fa_value = tau(family, canon).y, fa(canon, family, n)
-    value, witness = _fc_with_witness(canon, family, n, y, fa_value)
+    value, witness = _fc_with_witness(canon, family, n, y, fa_value, f_product)
     if witness is not None and not _replay(witness[0], witness[1], label):
         raise InvariantError("symmetry witness does not replay")
     if omega.order % value:
@@ -494,25 +553,24 @@ def fc(label: IrrLabel, family: str, n: int) -> int:
 # ---------------------------------------------------------------------------
 # stratum membership and the full report
 
-def bar_S(family: str, n: int) -> frozenset[IrrLabel]:
+def bar_S(family: str, n: int,
+          index: SpecialIndex | None = None) -> frozenset[IrrLabel]:
     """Induction image over all maximal shapes, computed purely on the
-    label side (no class sequences involved)."""
+    label side (no class sequences involved).  The factor pools come from
+    the given index (verify shares its own), or from a fresh one."""
     ensure_floor(family, n)
+    if index is None:
+        index = SpecialIndex()
     if family == CLASS_A:
         # the only maximal shape is the full group
-        return frozenset(
-            canonicalize(rep.label) for rep in special_reps(FAMILY_A, n)
-        )
+        return frozenset(index.pool(FAMILY_A, n))
     out: set[IrrLabel] = set()
     for r in range(n + 1):
         spec = ParahoricSpec(family, n, r=r, q=n - r)
         if not spec.is_maximal():
             continue
         emb = _embedding(spec)
-        pools = [
-            [rep.label for rep in special_reps(fam, rank)]
-            for fam, rank in emb.factor_signature()
-        ]
+        pools = [index.pool(fam, rank) for fam, rank in emb.factor_signature()]
         for factors in itertools.product(*pools):
             out.add(j_induce(emb, factors))
     return frozenset(out)
@@ -638,15 +696,17 @@ def _member_str(member: Member) -> str:
     return shape + " " + "*".join(label_str(lab) for lab in factors)
 
 
-def _class_row(family: str, n: int, c: ClassLabel, label: IrrLabel) -> ClassRow:
+def _class_row(family: str, n: int, c: ClassLabel, label: IrrLabel,
+               index: SpecialIndex) -> ClassRow:
     inv = class_invariants(c)
     canon = canonicalize(label)
     b_label = b_invariant(canon)
     members = enumerate_cz(canon, family, n, maximal_only=True)
-    fs = [f_product(factors) for _, factors in members]
+    fs = [index.f_product(factors) for _, factors in members]
     # a maximum equal to the class component count also bounds every member
     fa_value = max(fs)
-    fc_value, fc_witness = _fc_with_witness(canon, family, n, c.y, fa_value)
+    fc_value, fc_witness = _fc_with_witness(canon, family, n, c.y, fa_value,
+                                            index.f_product)
     best = tuple(m for m, f in zip(members, fs) if f == fa_value)
     witnesses = best if fc_witness is None else best + (fc_witness,)
     witnesses_ok = all(
@@ -679,13 +739,14 @@ def verify(family: str, n: int) -> VerificationReport:
     any order; this driver runs them serially in class order.
     """
     ensure_floor(family, n)
-    image = bar_S(family, n)
+    index = SpecialIndex()
+    image = bar_S(family, n, index)
     rows: list[ClassRow] = []
     stratum: set[IrrLabel] = set()
     for c in enumerate_classes(family, n):
         for label in tau_fiber(family, c.y, n):
             stratum.add(canonicalize(label))
-            rows.append(_class_row(family, n, c, label))
+            rows.append(_class_row(family, n, c, label, index))
     return VerificationReport(
         family=family,
         n=n,

@@ -16,6 +16,15 @@ rows produces an XSeq, and the b- and f-invariants read off that sequence.
 The three interleaving maps (zeta for BC, zeta / zeta_tilde for D) and the
 deviation codec xi for symmetric-group factors are implemented here, along
 with degrees, shifts, and canonical forms.
+
+IrrLabel(...) is the validating constructor and the only one for labels
+that come from outside.  The module-private _trusted_label skips the checks
+and is called only on rows the library built and knows to be valid:
+canonical forms of validated labels (canonicalize, hence row alignment) and
+the split of a validated merged sequence (_zeta_inverse).  Likewise the
+public zeta_inverse, zeta_tilde_inverse and align_row validate their
+argument, while the _-prefixed kernels they call (_zeta_inverse,
+_zeta_tilde_inverse, _align) are for tuples the library built.
 """
 
 from __future__ import annotations
@@ -99,7 +108,7 @@ class IrrLabel:
         """True when the first row is strictly heavier or the rows are equal."""
         if self.family != FAMILY_D:
             return True
-        return self.z == self.zp or sc.rho0(self.z) > sc.rho0(self.zp)
+        return self.z == self.zp or sc._rho0(self.z) > sc._rho0(self.zp)
 
     def to_json(self) -> dict:
         out: dict = {"family": self.family, "n": self.n, "z": list(self.z)}
@@ -108,6 +117,21 @@ class IrrLabel:
         if self.family == FAMILY_D:
             out["kappa"] = self.kappa
         return out
+
+
+def _trusted_label(family: str, n: int, z: Seq, zp: Seq | None = None,
+                   kappa: int = 0) -> IrrLabel:
+    """An IrrLabel built without validation, for rows valid by construction."""
+    label = object.__new__(IrrLabel)
+    # field by field, as the dataclass __init__ does, so the instance keeps
+    # the compact attribute layout of a validated label
+    set_field = object.__setattr__
+    set_field(label, "family", family)
+    set_field(label, "n", n)
+    set_field(label, "z", z)
+    set_field(label, "zp", zp)
+    set_field(label, "kappa", kappa)
+    return label
 
 
 def label_str(label: IrrLabel) -> str:
@@ -145,9 +169,9 @@ def b_invariant(label: IrrLabel) -> int:
     """Least symmetric-power degree of the reflection representation
     containing the irreducible, computed from the rows."""
     if label.family == FAMILY_A:
-        return sc.beta0(label.z)
+        return sc._beta0(label.z)
     assert label.zp is not None
-    return 2 * sc.beta0(label.z) + 2 * sc.beta0(label.zp) + sc.rho0(label.zp)
+    return 2 * sc._beta0(label.z) + 2 * sc._beta0(label.zp) + sc._rho0(label.zp)
 
 
 def _f_from_strict_count(family: str, count: int) -> int:
@@ -191,25 +215,36 @@ def zeta(label: IrrLabel) -> Seq:
 def zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
     """All labels whose merged sequence is x (one, or two in the degenerate
     family-D case with rank >= 2)."""
-    n = sc.rho(x)
+    sc.ensure_xseq(x)
+    return _zeta_inverse(family, x)
+
+
+def _zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
+    # x is an XSeq, so every nonempty row below is strictly increasing; a D
+    # merge puts the heavier row second and makes the rows equal exactly
+    # when x has no strict position
+    n = sc._rho(x)
     m = len(x) - 1
     if family == FAMILY_BC:
         if m % 2 != 0:
             raise DomainError(f"BC merge needs odd length, got m={m}")
         z = x[0::2]
         zp = x[1::2]
-        return (IrrLabel(FAMILY_BC, n, z, zp),)
+        if not zp:
+            # a one-entry merge leaves the second row empty
+            sc.ensure_zseq(zp)
+        return (_trusted_label(FAMILY_BC, n, z, zp),)
     if family == FAMILY_D:
         if m % 2 != 1:
             raise DomainError(f"D merge needs even length, got m={m}")
         zp = x[0::2]
         z = x[1::2]
-        if not sc.frakS(x) and n >= 2:
+        if not sc._frakS(x) and n >= 2:
             return (
-                IrrLabel(FAMILY_D, n, z, zp, 0),
-                IrrLabel(FAMILY_D, n, z, zp, 1),
+                _trusted_label(FAMILY_D, n, z, zp, 0),
+                _trusted_label(FAMILY_D, n, z, zp, 1),
             )
-        return (IrrLabel(FAMILY_D, n, z, zp),)
+        return (_trusted_label(FAMILY_D, n, z, zp),)
     raise DomainError(f"no merged-sequence map for family {family!r}")
 
 
@@ -225,7 +260,12 @@ def zeta_tilde(label: IrrLabel) -> Seq:
 def zeta_tilde_inverse(xt: Seq) -> tuple[IrrLabel, ...]:
     """All family-D labels whose based merged sequence is xt."""
     sc.ensure_xtseq(xt)
-    return zeta_inverse(FAMILY_D, tuple(v - 1 for v in xt[1:]))
+    return _zeta_tilde_inverse(xt)
+
+
+def _zeta_tilde_inverse(xt: Seq) -> tuple[IrrLabel, ...]:
+    # dropping the leading 0 of a based XSeq and lowering by one leaves an XSeq
+    return _zeta_inverse(FAMILY_D, tuple(v - 1 for v in xt[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +309,8 @@ def special_reps(family: str, n: int, m: int | None = None) -> tuple[SpecialRep,
     out: list[SpecialRep] = []
     for x in sc.enumerate_space("X", mm, n):
         b = sc.beta(x)
-        f = _f_from_strict_count(family, len(sc.frakS(x)))
-        for label in zeta_inverse(family, x):
+        f = _f_from_strict_count(family, len(sc._frakS(x)))
+        for label in _zeta_inverse(family, x):
             out.append(SpecialRep(label, x, b, f))
     return tuple(out)
 
@@ -279,7 +319,7 @@ def special_f(label: IrrLabel) -> int:
     """f-invariant of a special label (DomainError when not special)."""
     if label.family == FAMILY_A:
         return 1
-    return _f_from_strict_count(label.family, len(sc.frakS(zeta(label))))
+    return _f_from_strict_count(label.family, len(sc._frakS(zeta(label))))
 
 
 def is_special(label: IrrLabel) -> bool:
@@ -393,6 +433,10 @@ def dimension(label: IrrLabel) -> int:
 def align_row(z: Seq, length: int) -> Seq:
     """Shift a row up to the requested length by prepending fresh zeros."""
     sc.ensure_zseq(z)
+    return _align(z, length)
+
+
+def _align(z: Seq, length: int) -> Seq:
     if length < len(z):
         raise DomainError(f"cannot shorten row of length {len(z)} to {length}")
     t = length - len(z)
@@ -403,8 +447,8 @@ def aligned_rows(label: IrrLabel, k: int) -> tuple[Seq, Seq]:
     """Rows of a BC label aligned to lengths (k+1, k), of a D label to (k, k)."""
     lab = canonicalize(label)
     assert lab.zp is not None
-    zp = align_row(lab.zp, k)
-    return align_row(lab.z, k + 1 if lab.family == FAMILY_BC else k), zp
+    zp = _align(lab.zp, k)
+    return _align(lab.z, k + 1 if lab.family == FAMILY_BC else k), zp
 
 
 def shift(label: IrrLabel, t: int) -> IrrLabel:
@@ -422,14 +466,16 @@ def canonicalize(label: IrrLabel) -> IrrLabel:
     """Minimal representative of a label under shifting: drop the longest
     common prefix 0, 1, ..., t-1 of the rows, keeping one slot in the
     shortest row."""
-    rows = (label.z,) if label.zp is None else (label.z, label.zp)
+    z, zp = label.z, label.zp
+    last = len(z if zp is None else zp) - 1
     t = 0
-    while t < len(rows[-1]) - 1 and all(row[t] == t for row in rows):
+    while t < last and z[t] == t and (zp is None or zp[t] == t):
         t += 1
     if t == 0:
         return label
-    z = tuple(v - t for v in label.z[t:])
-    if label.zp is None:
-        return IrrLabel(FAMILY_A, label.n, z)
-    zp = tuple(v - t for v in label.zp[t:])
-    return IrrLabel(label.family, label.n, z, zp, label.kappa)
+    # dropping a common prefix keeps every row valid and the D row order
+    z = tuple(v - t for v in z[t:])
+    if zp is None:
+        return _trusted_label(FAMILY_A, label.n, z)
+    zp = tuple(v - t for v in zp[t:])
+    return _trusted_label(label.family, label.n, z, zp, label.kappa)

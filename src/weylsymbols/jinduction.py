@@ -36,7 +36,7 @@ from .irreps import (
     FAMILY_BC,
     FAMILY_D,
     IrrLabel,
-    align_row,
+    _align,
     aligned_rows,
     b_invariant,
     canonicalize,
@@ -169,7 +169,7 @@ def double_dots(u: Seq) -> tuple[Seq, Seq]:
     total = sc.rho0(u)
     first = tuple(u[2 * i] - i for i in range((len(u) + 1) // 2))
     second = tuple(u[2 * i + 1] - i - 1 for i in range(len(u) // 2))
-    if sc.rho0(first) + (sc.rho0(second) if second else 0) != total:
+    if sc._rho0(first) + sc._rho0(second) != total:
         raise InvariantError(f"split changed the deviation sum of {u!r}")
     return first, second
 
@@ -187,7 +187,7 @@ def f_product(factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> int:
 # alignment helpers
 
 def _a_row(label: IrrLabel, length: int) -> Seq:
-    return align_row(canonicalize(label).z, length)
+    return _align(canonicalize(label).z, length)
 
 
 def _check_factors(e: Embedding, factors: tuple[IrrLabel, ...]) -> None:

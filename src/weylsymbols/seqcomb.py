@@ -20,6 +20,13 @@ minimal member of its space and are additive under entrywise addition.
 
 All functions are pure; sequences in and out are tuples, sets of indices are
 frozensets, and interval sets are tuples of (lo, hi) pairs sorted by lo.
+
+Validation happens at the boundary: every public statistic checks its
+argument with the matching ensure_* and then calls its private kernel
+(_rho0, _beta0, _rho, _frakS), which assumes a valid sequence.  The other
+modules of the package call a kernel only on tuples the library built
+itself (split enumerators, enumerated spaces, rows of a validated label),
+never on input that arrived from outside.
 """
 
 from __future__ import annotations
@@ -150,17 +157,26 @@ def base_yt(m: int) -> Seq:
 # ---------------------------------------------------------------------------
 # deviation statistics
 
+def _rho0(z: Seq) -> int:
+    # sum of z minus sum of (0, 1, ..., m)
+    return sum(z) - len(z) * (len(z) - 1) // 2
+
+
 def rho0(z: Seq) -> int:
     """Sum of deviations of a ZSeq from (0,1,...,m)."""
     ensure_zseq(z)
-    return sum(v - i for i, v in enumerate(z))
+    return _rho0(z)
+
+
+def _beta0(z: Seq) -> int:
+    m = len(z) - 1
+    return sum((m - i) * (v - i) for i, v in enumerate(z))
 
 
 def beta0(z: Seq) -> int:
     """Deviations of a ZSeq weighted by the number of later positions."""
     ensure_zseq(z)
-    m = len(z) - 1
-    return sum((m - i) * (v - i) for i, v in enumerate(z))
+    return _beta0(z)
 
 
 def _dev_sum(seq: Seq, base: Seq) -> int:
@@ -172,9 +188,15 @@ def _dev_weighted(seq: Seq, base: Seq) -> int:
     return sum((m - i) * (v - b) for i, (v, b) in enumerate(zip(seq, base)))
 
 
+def _rho(x: Seq) -> int:
+    # _dev_sum against base_x(m), whose entries sum to ceil(m/2) * floor(m/2)
+    m = len(x) - 1
+    return sum(x) - ((m + 1) // 2) * (m // 2)
+
+
 def rho(x: Seq) -> int:
     ensure_xseq(x)
-    return _dev_sum(x, base_x(len(x) - 1))
+    return _rho(x)
 
 
 def beta(x: Seq) -> int:
@@ -221,6 +243,14 @@ def eseq_sum(e: Seq) -> int:
 # ---------------------------------------------------------------------------
 # frakS / frakI statistics
 
+def _frakS(x: Seq) -> frozenset[int]:
+    m = len(x) - 1
+    return frozenset(
+        i for i in range(m + 1)
+        if (i == 0 or x[i - 1] < x[i]) and (i == m or x[i] < x[i + 1])
+    )
+
+
 def frakS(x: Seq) -> frozenset[int]:
     """Positions strictly above the left neighbour and below the right one.
 
@@ -228,14 +258,7 @@ def frakS(x: Seq) -> frozenset[int]:
     realized as edge-case branches.
     """
     ensure_xseq(x)
-    m = len(x) - 1
-    out = set()
-    for i in range(m + 1):
-        left_ok = i == 0 or x[i - 1] < x[i]
-        right_ok = i == m or x[i] < x[i + 1]
-        if left_ok and right_ok:
-            out.add(i)
-    return frozenset(out)
+    return _frakS(x)
 
 
 def frakI(y: Seq) -> tuple[Interval, ...]:
@@ -362,7 +385,7 @@ def member_S(y: Seq, x: Seq, xp: Seq) -> bool:
         return False
     if seq_add(x, xp) != y:
         return False
-    sx, sxp = frakS(x), frakS(xp)
+    sx, sxp = _frakS(x), _frakS(xp)
     if sx | sxp != R(y) or sx & sxp != R0(y):
         return False
     if not frakI_odd(y) and sxp:
@@ -462,7 +485,7 @@ def member_tilde_S(y: Seq, x: Seq, xp: Seq) -> bool:
         return False
     if seq_add(x, xp) != y:
         return False
-    sx, sxp = frakS(x), frakS(xp)
+    sx, sxp = _frakS(x), _frakS(xp)
     if sx | sxp != R(y) or sx & sxp != R0(y):
         return False
     odd = frakI_odd(y)
@@ -661,7 +684,7 @@ def symmetric_decompositions(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
             xt = tuple(x)
             e = tuple(y[t] - 2 * x[t] for t in range(m + 1))
             ex = seq_add(e, xt)
-            if member_S(y, xt, ex) and frakS(ex) == frakS(xt):
+            if member_S(y, xt, ex) and _frakS(ex) == _frakS(xt):
                 out.append((xt, e))
             return
         lo = 0

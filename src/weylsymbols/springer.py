@@ -55,13 +55,14 @@ class ClassLabel:
     def __post_init__(self) -> None:
         if self.family not in CLASS_FAMILIES:
             raise ValidationError(f"unknown class family {self.family!r}")
-        m = len(self.y) - 1
         if self.family == CLASS_A:
             total = sc.rho0(self.y)
         elif self.family == CLASS_C:
             total = sc.tilde_rho_prime(self.y)
         else:
+            # the statistic validates y before its length is read
             total = sc.rho_prime(self.y)
+            m = len(self.y) - 1
             if self.family == CLASS_B and m % 2 != 0:
                 raise ValidationError(f"family B needs even length index, got {m}")
             if self.family == CLASS_D and m % 2 != 1:

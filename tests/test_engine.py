@@ -10,18 +10,19 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylsymbols import engine, seqcomb as sc
+from weylsymbols import engine, jinduction, seqcomb as sc
 from weylsymbols.engine import (
     RANK_FLOOR,
     OmegaDescriptor,
     ParahoricSpec,
+    SpecialIndex,
     bar_S,
     enumerate_cz,
     fa,
     fc,
     verify,
 )
-from weylsymbols.errors import DomainError
+from weylsymbols.errors import DomainError, InvariantError
 from weylsymbols.irreps import (
     FAMILY_A,
     FAMILY_BC,
@@ -30,6 +31,7 @@ from weylsymbols.irreps import (
     canonicalize,
     make_d_label,
     partition_to_z,
+    policy_m,
     special_reps,
     z_to_partition,
 )
@@ -347,6 +349,50 @@ def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
         monkeypatch.setattr(engine, name, counted(name))
     assert len(verify(family, 6).rows) == rows
     assert calls == {"enumerate_cz": rows, "class_invariants": rows}
+
+
+@pytest.mark.parametrize("family", ["C", "D"])
+def test_verify_builds_each_special_pool_once(monkeypatch, family):
+    pools: dict[tuple[str, int], int] = {}
+    inner_reps = engine.special_reps
+
+    def counted_reps(fam, rank, *args):
+        pools[fam, rank] = pools.get((fam, rank), 0) + 1
+        return inner_reps(fam, rank, *args)
+
+    from_scratch = []
+    inner_f = jinduction.special_f
+
+    def counted_f(label):
+        from_scratch.append(label)
+        return inner_f(label)
+
+    monkeypatch.setattr(engine, "special_reps", counted_reps)
+    monkeypatch.setattr(jinduction, "special_f", counted_f)
+    assert verify(family, 6).ok()
+    assert pools and set(pools.values()) == {1}
+    # every factor f-product is read from the index, none from special_f
+    assert from_scratch == []
+
+
+def test_special_index_matches_f_product_and_rejects_nonspecial_factors():
+    index = SpecialIndex()
+    for family in (FAMILY_A, FAMILY_BC, FAMILY_D):
+        for rep in special_reps(family, 4, policy_m(family, 4) + 2):
+            assert index.f_product((rep.label,)) == f_product((rep.label,))
+    with pytest.raises(InvariantError, match="not special"):
+        index.f_product((IrrLabel(FAMILY_BC, 2, (1, 2), (0,)),))
+
+
+@pytest.mark.parametrize("label, n", [
+    (IrrLabel("D", 5, (5,), (0,)), 5),
+    (IrrLabel("BC", 5, (0, 6), (0,)), 5),
+    (IrrLabel(FAMILY_A, 4, (4,)), 5),
+])
+def test_fc_and_fa_reject_a_foreign_label_at_family_a(label, n):
+    for f in (fa, fc):
+        with pytest.raises(DomainError, match="family A rows take"):
+            f(label, "A", n)
 
 
 def test_fc_and_fa_reject_a_label_of_another_rank_alike():

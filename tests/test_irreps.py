@@ -6,6 +6,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylsymbols import seqcomb as sc
 from weylsymbols.errors import DomainError, ValidationError
@@ -14,6 +16,7 @@ from weylsymbols.irreps import (
     FAMILY_BC,
     FAMILY_D,
     IrrLabel,
+    align_row,
     b_invariant,
     canonicalize,
     dimension,
@@ -31,6 +34,7 @@ from weylsymbols.irreps import (
     zeta_tilde,
     zeta_tilde_inverse,
 )
+from weylsymbols.jinduction import double_dots
 
 
 def _partitions(n: int, cap: int | None = None) -> list[tuple[int, ...]]:
@@ -104,6 +108,52 @@ def test_label_validation():
     with pytest.raises(ValidationError):
         IrrLabel(FAMILY_D, 2, (1,), (1,), kappa=2)
     IrrLabel(FAMILY_D, 2, (1,), (1,), kappa=1)  # degenerate pair is fine
+
+
+@pytest.mark.parametrize("call, args", [
+    (sc.rho0, ((0, 0, 1),)),
+    (sc.rho0, ([0, 1],)),
+    (sc.beta0, ((1, 0),)),
+    (sc.beta0, ((0, -1),)),
+    (sc.rho, ((0, 0, 0),)),
+    (sc.rho, (None,)),
+    (sc.frakS, ((0, 0, 0),)),
+    (sc.frakS, ((),)),
+    (zeta_inverse, (FAMILY_BC, (0, 0, 0))),
+    (zeta_inverse, (FAMILY_D, (1, 0))),
+    (zeta_inverse, (FAMILY_BC, (2,))),  # an XSeq, but no second row
+    (special_reps, (FAMILY_BC, 0, 0)),
+    (zeta_tilde_inverse, ((0, 0, 0),)),
+    (align_row, ((0, 0), 3)),
+    (align_row, ((0, True), 3)),
+    (double_dots, ((2, 1),)),
+    (double_dots, ((0, 1.5),)),
+    (IrrLabel, (FAMILY_A, 1, (1, 1))),
+    (IrrLabel, (FAMILY_BC, 1, (0, 2), (-1,))),
+    (IrrLabel, (FAMILY_D, 1, (0, 2), (1, 1))),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_public_entry_points_still_validate(call, args):
+    with pytest.raises(ValidationError):
+        call(*args)
+
+
+@given(st.sampled_from([FAMILY_A, FAMILY_BC, FAMILY_D]),
+       st.integers(min_value=0, max_value=5),
+       st.integers(min_value=0, max_value=3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_trusted_labels_equal_their_validated_rebuild(family, n, pad, data):
+    if family == FAMILY_A:
+        z = data.draw(st.sampled_from(sc.enumerate_space("Z", n + pad, n)))
+        labels: tuple[IrrLabel, ...] = (IrrLabel(FAMILY_A, n, z),)
+    else:
+        m = policy_m(family, n) + 2 * pad
+        x = data.draw(st.sampled_from(sc.enumerate_space("X", m, n)))
+        labels = zeta_inverse(family, x)
+        if family == FAMILY_D:
+            labels += zeta_tilde_inverse((0,) + tuple(v + 1 for v in x))
+    for lab in labels + tuple(canonicalize(lab) for lab in labels):
+        rebuilt = IrrLabel(lab.family, lab.n, lab.z, lab.zp, lab.kappa)
+        assert lab == rebuilt and hash(lab) == hash(rebuilt)
 
 
 def test_make_d_label_sorts_rows():

@@ -347,6 +347,18 @@ def test_additivity_properties(pair):
     assert sc.beta_prime(y) == sc.beta(x) + sc.beta(xp)
 
 
+@given(st.integers(min_value=0, max_value=8),
+       st.integers(min_value=0, max_value=8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernels_match_their_validating_statistics(m, n, data):
+    z = data.draw(st.sampled_from(sc.enumerate_space("Z", m, n)))
+    assert sc._rho0(z) == sc.rho0(z) == n
+    assert sc._beta0(z) == sc.beta0(z)
+    x = data.draw(st.sampled_from(sc.enumerate_space("X", m, n)))
+    assert sc._rho(x) == sc.rho(x) == n
+    assert sc._frakS(x) == sc.frakS(x)
+
+
 @pytest.mark.parametrize("m", [2, 4, 6])
 def test_tilde_additivity(m):
     for a in range(3):

@@ -63,6 +63,13 @@ def test_class_label_validation():
     }
 
 
+@pytest.mark.parametrize("family", [CLASS_A, CLASS_B, CLASS_C, CLASS_D])
+@pytest.mark.parametrize("y", [None, 5])
+def test_class_label_rejects_a_non_sequence_as_invalid(family, y):
+    with pytest.raises(ValidationError, match="nonempty tuple"):
+        ClassLabel(family, 4, y)
+
+
 # ---------------------------------------------------------------------------
 # tau and its fibers
 
