@@ -246,6 +246,10 @@ def _cmd_j(args: argparse.Namespace) -> _Output:
         factor_blobs = blob["factors"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DomainError(f"malformed induction spec: {exc}")
+    if not isinstance(emb_blob, dict):
+        raise DomainError("malformed induction spec: embedding must be an object")
+    if not isinstance(factor_blobs, list):
+        raise DomainError("malformed induction spec: factors must be a list")
     emb = Embedding(
         kind=emb_blob.get("kind", ""),
         r=emb_blob.get("r", 0),

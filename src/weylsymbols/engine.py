@@ -13,12 +13,14 @@ independently and compared:
   order realized by a stable f-maximal decomposition.
 
 Decompositions are enumerated by backtracking over entrywise summands of
-the class sequence y: two-block shapes split y as x + x~ and carry one
-special label per block (two in degenerate family-D fibers); shapes with
-a middle symmetric-group block split y as x + e + x~ with e the deviation
-profile of the middle factor. Family A scales deviation partitions by a
-divisor instead. Enumeration order is lexicographic throughout, so every
-report is byte-stable across runs.
+the class sequence y: the maximal members of enumerate_cz are two-block
+shapes that split y as x + x~ and carry one special label per block (two
+in degenerate family-D fibers). Shapes with a middle symmetric-group block
+arise only as symmetry witnesses, from the symmetric decompositions
+y = x + e + x of seqcomb, e being the deviation profile of the middle
+factor. Family A scales deviation partitions by a divisor instead.
+Enumeration order is lexicographic throughout, so every report is
+byte-stable across runs.
 
 Each report row is one pass: the class invariants, the maximal members and
 one f-product per member are computed once, and the class sequence and the
@@ -184,44 +186,12 @@ class ParahoricSpec:
         return out
 
 
-@dataclass(frozen=True)
-class OmegaDescriptor:
-    """Symmetry group permuting the affine diagram nodes of a family."""
-
-    family: str
-    n: int
-
-    def __post_init__(self) -> None:
-        ensure_floor(self.family, self.n)
-
-    @property
-    def order(self) -> int:
-        if self.family == CLASS_A:
-            return self.n
-        return 4 if self.family == CLASS_D else 2
-
-    def subgroups(self) -> tuple[tuple[str, int], ...]:
-        """All subgroups as (name, order) pairs, ascending by order."""
-        if self.family == CLASS_A:
-            return tuple(
-                (f"C{d}", d) for d in range(1, self.n + 1) if self.n % d == 0
-            )
-        if self.family != CLASS_D:
-            return (("1", 1), ("Omega", 2))
-        if self.n % 2 == 0:
-            # Klein four-group: three subgroups of order two
-            return (("1", 1), ("<w1>", 2), ("<w2>", 2), ("<w1w2>", 2),
-                    ("Omega", 4))
-        # cyclic of order four: one proper nontrivial subgroup
-        return (("1", 1), ("<w2>", 2), ("Omega", 4))
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "order": self.order,
-            "subgroups": [{"name": s, "order": o} for s, o in self.subgroups()],
-        }
+def _omega_order(family: str, n: int) -> int:
+    """Order of the symmetry group permuting the affine diagram nodes."""
+    ensure_floor(family, n)
+    if family == CLASS_A:
+        return n
+    return 4 if family == CLASS_D else 2
 
 
 Member = tuple[ParahoricSpec, tuple[IrrLabel, ...]]
@@ -268,46 +238,6 @@ def _based_splits(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     x[1] <= y[1] - 1."""
     return sc.split_pairs(y, lower=(y[0],) + (0,) * (len(y) - 1),
                           upper=(y[0], y[1] - 1) + y[2:])
-
-
-def _triple_splits(y: Seq) -> tuple[tuple[Seq, Seq, Seq], ...]:
-    """All (x, e, x~) with x + e + x~ = y, e a nonzero nondecreasing
-    profile, both outer parts XSeqs. Lexicographic in (x, e)."""
-    m = len(y) - 1
-    out: list[tuple[Seq, Seq, Seq]] = []
-    xs: list[int] = []
-    es: list[int] = []
-
-    def rec(i: int) -> None:
-        if i > m:
-            if sum(es):
-                out.append((
-                    tuple(xs),
-                    tuple(es),
-                    tuple(y[j] - xs[j] - es[j] for j in range(m + 1)),
-                ))
-            return
-        xlo = 0
-        if i >= 1:
-            xlo = max(xlo, xs[i - 1])
-        if i >= 2:
-            xlo = max(xlo, xs[i - 2] + 1)
-        for v in range(xlo, y[i] + 1):
-            elo = es[i - 1] if i >= 1 else 0
-            for w in range(elo, y[i] - v + 1):
-                t = y[i] - v - w
-                if i >= 1 and t < y[i - 1] - xs[i - 1] - es[i - 1]:
-                    continue
-                if i >= 2 and t <= y[i - 2] - xs[i - 2] - es[i - 2]:
-                    continue
-                xs.append(v)
-                es.append(w)
-                rec(i + 1)
-                xs.pop()
-                es.pop()
-
-    rec(0)
-    return tuple(out)
 
 
 def _ensure_a_label(label: IrrLabel, n: int) -> None:
@@ -358,66 +288,40 @@ def _replay(spec: ParahoricSpec, factors: tuple[IrrLabel, ...],
     return labels_match(j_induce(emb, factors), target)
 
 
-def enumerate_cz(label: IrrLabel, family: str, n: int,
-                 maximal_only: bool = True) -> tuple[Member, ...]:
-    """All shape/factor members whose induction image is the given label.
+def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
+    """All maximal-shape members whose induction image is the given label.
 
-    Members are found by decomposing the class sequence of the label, so
-    the label must lie in the stratum (DomainError otherwise). Degenerate
-    family-D block fibers are expanded, one member per choice. With the
-    flag set only shapes omitting a single affine node are kept.
+    Members are found by splitting the class sequence of the label into two
+    blocks, so the label must lie in the stratum (DomainError otherwise);
+    only shapes omitting a single affine node are kept. Degenerate family-D
+    block fibers are expanded, one member per choice.
     """
     _ensure_family(family)
     if family == CLASS_A:
         _ensure_a_label(label, n)
-        out: list[Member] = [(ParahoricSpec(CLASS_A, n, d=1),
-                              (canonicalize(label),))]
-        if not maximal_only:
-            for d, tilde in _a_divisor_members(label, n):
-                if d > 1:
-                    out.append((ParahoricSpec(CLASS_A, n, d=d), (tilde,) * d))
-        return tuple(out)
+        return ((ParahoricSpec(CLASS_A, n, d=1), (canonicalize(label),)),)
     y = tau(family, label).y
-    out = []
+    out: list[Member] = []
     if family == CLASS_B:
         for x, xt in sc.split_pairs(y):
             spec = ParahoricSpec(CLASS_B, n, r=sc._rho(x), q=sc._rho(xt))
             out.append((spec, (_zeta_inverse(FAMILY_BC, x)[0],
                                _zeta_inverse(FAMILY_BC, xt)[0])))
-        if not maximal_only:
-            for x, e, xt in _triple_splits(y):
-                p = sum(e)
-                spec = ParahoricSpec(CLASS_B, n, r=sc._rho(x), p=p,
-                                     q=sc._rho(xt))
-                out.append((spec, (_zeta_inverse(FAMILY_BC, x)[0],
-                                   _a_label(e, p),
-                                   _zeta_inverse(FAMILY_BC, xt)[0])))
     elif family == CLASS_C:
         for x, xt in _based_splits(y):
             spec = ParahoricSpec(CLASS_C, n, r=sc._rho(x), q=sc.tilde_rho(xt))
-            if maximal_only and not spec.is_maximal():
+            if not spec.is_maximal():
                 continue
             for lab in _zeta_tilde_inverse(xt):
                 out.append((spec, (_zeta_inverse(FAMILY_BC, x)[0], lab)))
     else:
         for x, xt in sc.split_pairs(y):
             spec = ParahoricSpec(CLASS_D, n, r=sc._rho(x), q=sc._rho(xt))
-            if maximal_only and not spec.is_maximal():
+            if not spec.is_maximal():
                 continue
             for dl, dr in itertools.product(_zeta_inverse(FAMILY_D, x),
                                             _zeta_inverse(FAMILY_D, xt)):
                 out.append((spec, (dl, dr)))
-        if not maximal_only:
-            for x, e, xt in _triple_splits(y):
-                p = sum(e)
-                r, q = sc._rho(x), sc._rho(xt)
-                mid = _a_label(e, p)
-                for lam in d_placements(r, p, q):
-                    spec = ParahoricSpec(CLASS_D, n, r=r, p=p, q=q, lam=lam)
-                    for dl, dr in itertools.product(
-                            _zeta_inverse(FAMILY_D, x),
-                            _zeta_inverse(FAMILY_D, xt)):
-                        out.append((spec, (dl, mid, dr)))
     return tuple(out)
 
 
@@ -427,7 +331,7 @@ def enumerate_cz(label: IrrLabel, family: str, n: int,
 def fa(label: IrrLabel, family: str, n: int) -> int:
     """Largest factor f-product over the maximal members of the label
     (verify's row pass takes it from the members it already holds)."""
-    members = enumerate_cz(label, family, n, maximal_only=True)
+    members = enumerate_cz(label, family, n)
     return max(f_product(factors) for _, factors in members)
 
 
@@ -533,7 +437,7 @@ def fc(label: IrrLabel, family: str, n: int) -> int:
     """Largest shape-symmetry subgroup order fixing some f-maximal member
     (verify's row pass supplies the y and fa it holds; here they are
     worked out, except for family A, which needs neither)."""
-    omega = OmegaDescriptor(family, n)
+    order = _omega_order(family, n)
     canon = canonicalize(label)
     if family == CLASS_A:
         _ensure_a_label(canon, n)
@@ -543,9 +447,9 @@ def fc(label: IrrLabel, family: str, n: int) -> int:
     value, witness = _fc_with_witness(canon, family, n, y, fa_value, f_product)
     if witness is not None and not _replay(witness[0], witness[1], label):
         raise InvariantError("symmetry witness does not replay")
-    if omega.order % value:
+    if order % value:
         raise InvariantError(
-            f"symmetry order {value} does not divide {omega.order}"
+            f"symmetry order {value} does not divide {order}"
         )
     return value
 
@@ -701,7 +605,7 @@ def _class_row(family: str, n: int, c: ClassLabel, label: IrrLabel,
     inv = class_invariants(c)
     canon = canonicalize(label)
     b_label = b_invariant(canon)
-    members = enumerate_cz(canon, family, n, maximal_only=True)
+    members = enumerate_cz(canon, family, n)
     fs = [index.f_product(factors) for _, factors in members]
     # a maximum equal to the class component count also bounds every member
     fa_value = max(fs)

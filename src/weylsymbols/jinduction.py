@@ -26,8 +26,7 @@ treat it as a representative choice rather than a computed value.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import seqcomb as sc
 from .errors import DomainError, InvariantError, ValidationError
@@ -41,7 +40,6 @@ from .irreps import (
     b_invariant,
     canonicalize,
     special_f,
-    special_reps,
 )
 from .seqcomb import Seq
 
@@ -295,99 +293,3 @@ def _d_triple(
     else:
         kappa = 0
     return IrrLabel(FAMILY_D, left.n + mid.n + right.n, w, wp, kappa)
-
-
-# ---------------------------------------------------------------------------
-# transitivity checking
-
-@dataclass(frozen=True)
-class ComposeReport:
-    """Outcome of a transitivity check: composed two-step induction against
-    the direct one across all special factor tuples."""
-
-    inner: Embedding
-    outer: Embedding
-    slot: int
-    direct: Embedding
-    checked: int
-    failures: tuple[str, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def j_compose_check(
-    inner: Embedding, outer: Embedding, slot: int, direct: Embedding
-) -> ComposeReport:
-    """Check that inducing through an intermediate subgroup agrees with
-    inducing directly, over every tuple of special factor labels."""
-    outer_sig = outer.factor_signature()
-    if not 0 <= slot < len(outer_sig):
-        raise DomainError(f"slot {slot} out of range for {outer.kind}")
-    if outer_sig[slot] != inner.target():
-        raise DomainError(
-            f"slot {slot} of {outer.kind} is {outer_sig[slot]}, "
-            f"but {inner.kind} lands in {inner.target()}"
-        )
-    flat_sig = (
-        outer_sig[:slot] + inner.factor_signature() + outer_sig[slot + 1 :]
-    )
-    direct_sig = direct.factor_signature()
-    # rank-0 slots are padding (their only label is trivial); the chains
-    # must agree on the positive-rank factors, in order
-    if [s for s in direct_sig if s[1] > 0] != [s for s in flat_sig if s[1] > 0]:
-        raise DomainError(
-            f"direct embedding {direct.kind} has factors "
-            f"{direct_sig}, expected {flat_sig} up to rank-0 padding"
-        )
-    if direct.target() != outer.target():
-        raise DomainError("direct and outer embeddings have different targets")
-
-    pools = [
-        [rep.label for rep in special_reps(family, rank)]
-        for family, rank in flat_sig
-    ]
-    width = len(inner.factor_signature())
-    checked = 0
-    failures: list[str] = []
-    for combo in itertools.product(*pools):
-        checked += 1
-        inner_factors = combo[slot : slot + width]
-        mid = j_induce(inner, inner_factors)
-        outer_factors = combo[:slot] + (mid,) + combo[slot + width :]
-        composed = j_induce(outer, outer_factors)
-        straight = j_induce(direct, _repack(flat_sig, combo, direct_sig))
-        if not labels_match(composed, straight):
-            failures.append(f"{combo!r}: {composed!r} != {straight!r}")
-    return ComposeReport(inner, outer, slot, direct, checked, tuple(failures))
-
-
-def _repack(
-    flat_sig: tuple[tuple[str, int], ...],
-    combo: tuple[IrrLabel, ...],
-    direct_sig: tuple[tuple[str, int], ...],
-) -> tuple[IrrLabel, ...]:
-    """Redistribute the positive-rank labels of combo into direct_sig's
-    slots, filling rank-0 slots with the trivial label of their family."""
-    positives = [
-        label for (_, rank), label in zip(flat_sig, combo) if rank > 0
-    ]
-    out: list[IrrLabel] = []
-    for family, rank in direct_sig:
-        if rank > 0:
-            out.append(positives.pop(0))
-        else:
-            out.append(_trivial_label(family))
-    return tuple(out)
-
-
-def _trivial_label(family: str) -> IrrLabel:
-    if family == FAMILY_A:
-        return IrrLabel(FAMILY_A, 0, (0,))
-    if family == FAMILY_BC:
-        return IrrLabel(FAMILY_BC, 0, (0, 1), (0,))
-    return IrrLabel(FAMILY_D, 0, (0,), (0,))

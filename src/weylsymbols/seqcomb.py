@@ -23,10 +23,10 @@ frozensets, and interval sets are tuples of (lo, hi) pairs sorted by lo.
 
 Validation happens at the boundary: every public statistic checks its
 argument with the matching ensure_* and then calls its private kernel
-(_rho0, _beta0, _rho, _frakS), which assumes a valid sequence.  The other
-modules of the package call a kernel only on tuples the library built
-itself (split enumerators, enumerated spaces, rows of a validated label),
-never on input that arrived from outside.
+(_rho0, _beta0, _rho, _frakS, _frakI), which assumes a valid sequence.
+The other modules of the package call a kernel only on tuples the library
+built itself (split enumerators, enumerated spaces, rows of a validated
+label), never on input that arrived from outside.
 """
 
 from __future__ import annotations
@@ -261,9 +261,7 @@ def frakS(x: Seq) -> frozenset[int]:
     return _frakS(x)
 
 
-def frakI(y: Seq) -> tuple[Interval, ...]:
-    """Maximal constant runs of y[i] - i with a strict increase at both ends."""
-    ensure_yseq(y)
+def _frakI(y: Seq) -> tuple[Interval, ...]:
     m = len(y) - 1
     d = [v - i for i, v in enumerate(y)]
     out: list[Interval] = []
@@ -280,23 +278,39 @@ def frakI(y: Seq) -> tuple[Interval, ...]:
     return tuple(out)
 
 
+def frakI(y: Seq) -> tuple[Interval, ...]:
+    """Maximal constant runs of y[i] - i with a strict increase at both ends."""
+    ensure_yseq(y)
+    return _frakI(y)
+
+
+# R, R0 and the odd-size intervals, each derived from one frakI(y) tuple
+
+def _ends(ivs: tuple[Interval, ...]) -> frozenset[int]:
+    return frozenset(v for iv in ivs for v in iv)
+
+
+def _singles(ivs: tuple[Interval, ...]) -> frozenset[int]:
+    return frozenset(lo for lo, hi in ivs if lo == hi)
+
+
+def _odd(ivs: tuple[Interval, ...]) -> tuple[Interval, ...]:
+    return tuple(iv for iv in ivs if (iv[1] - iv[0] + 1) % 2 == 1)
+
+
 def frakI_odd(y: Seq) -> tuple[Interval, ...]:
     """The odd-size members of frakI(y)."""
-    return tuple(iv for iv in frakI(y) if (iv[1] - iv[0] + 1) % 2 == 1)
+    return _odd(frakI(y))
 
 
 def R(y: Seq) -> frozenset[int]:
     """Endpoints of the frakI(y) intervals."""
-    out = set()
-    for lo, hi in frakI(y):
-        out.add(lo)
-        out.add(hi)
-    return frozenset(out)
+    return _ends(frakI(y))
 
 
 def R0(y: Seq) -> frozenset[int]:
     """Positions of the size-one frakI(y) intervals."""
-    return frozenset(lo for lo, hi in frakI(y) if lo == hi)
+    return _singles(frakI(y))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +374,7 @@ def interval_decomp(y: Seq) -> IntervalDecomp:
         if not y[a.stop] <= y[b.start] - 2:
             raise InvariantError(f"block gap violated between {a} and {b} in {y!r}")
     decomp = IntervalDecomp(tuple(blocks))
-    if decomp.arithmetic_intervals() != frakI(y):
+    if decomp.arithmetic_intervals() != _frakI(y):
         raise InvariantError(f"block decomposition disagrees with frakI for {y!r}")
     return decomp
 
@@ -386,9 +400,10 @@ def member_S(y: Seq, x: Seq, xp: Seq) -> bool:
     if seq_add(x, xp) != y:
         return False
     sx, sxp = _frakS(x), _frakS(xp)
-    if sx | sxp != R(y) or sx & sxp != R0(y):
+    ivs = _frakI(y)
+    if sx | sxp != _ends(ivs) or sx & sxp != _singles(ivs):
         return False
-    if not frakI_odd(y) and sxp:
+    if not _odd(ivs) and sxp:
         return False
     return True
 
@@ -486,9 +501,10 @@ def member_tilde_S(y: Seq, x: Seq, xp: Seq) -> bool:
     if seq_add(x, xp) != y:
         return False
     sx, sxp = _frakS(x), _frakS(xp)
-    if sx | sxp != R(y) or sx & sxp != R0(y):
+    ivs = _frakI(y)
+    if sx | sxp != _ends(ivs) or sx & sxp != _singles(ivs):
         return False
-    odd = frakI_odd(y)
+    odd = _odd(ivs)
     if len(odd) == 1 and odd[0][0] == 0 and sxp != frozenset({0}):
         return False
     return True

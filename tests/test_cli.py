@@ -114,6 +114,18 @@ def test_j_rejects_malformed_specs():
     assert _run(["j", "--spec", spec])[0] == 2
 
 
+@pytest.mark.parametrize("spec", [
+    {"embedding": [], "factors": []},
+    {"embedding": "B_WrWq", "factors": []},
+    {"embedding": {"kind": "B_WrWq", "r": 1, "q": 1}, "factors": 5},
+])
+def test_j_rejects_a_badly_shaped_spec(spec):
+    code, out, err = _run(["j", "--spec", json.dumps(spec)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed induction spec: ")
+
+
 def test_verify_reports_success_bytes_stably():
     first = _run(["verify", "--family", "B", "--rank", "6", "--format", "json"])
     second = _run(["verify", "--family", "B", "--rank", "6", "--format", "json"])

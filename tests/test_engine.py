@@ -1,4 +1,4 @@
-"""Verification-engine checks: subgroup shapes, symmetry descriptors,
+"""Verification-engine checks: subgroup shapes, symmetry orders,
 member enumeration with replay, frozen small-rank reports, determinism."""
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from weylsymbols import engine, jinduction, seqcomb as sc
 from weylsymbols.engine import (
     RANK_FLOOR,
-    OmegaDescriptor,
     ParahoricSpec,
     SpecialIndex,
     bar_S,
@@ -82,7 +81,7 @@ def _stratum(family: str, n: int) -> list[IrrLabel]:
 
 
 # ---------------------------------------------------------------------------
-# shapes and symmetry descriptors
+# shapes and symmetry orders
 
 def test_parahoric_spec_family_a():
     spec = ParahoricSpec("A", 6, d=3, coset=1)
@@ -121,18 +120,13 @@ def test_parahoric_spec_blocks():
 
 
 def test_omega_descriptor_orders():
-    assert OmegaDescriptor("A", 6).order == 6
-    assert OmegaDescriptor("B", 4).order == 2
-    assert OmegaDescriptor("C", 4).order == 2
-    assert OmegaDescriptor("D", 4).order == 4
-    assert OmegaDescriptor("A", 6).subgroups() == (
-        ("C1", 1), ("C2", 2), ("C3", 3), ("C6", 6)
-    )
-    # even rank: three involutions; odd rank: cyclic with one involution
-    assert [o for _, o in OmegaDescriptor("D", 4).subgroups()] == [1, 2, 2, 2, 4]
-    assert [o for _, o in OmegaDescriptor("D", 5).subgroups()] == [1, 2, 4]
+    assert engine._omega_order("A", 6) == 6
+    assert engine._omega_order("B", 4) == 2
+    assert engine._omega_order("C", 4) == 2
+    assert engine._omega_order("D", 4) == 4
+    assert engine._omega_order("D", 5) == 4
     with pytest.raises(DomainError):
-        OmegaDescriptor("D", 3)
+        engine._omega_order("D", 3)
 
 
 def test_rank_floors():
@@ -164,31 +158,15 @@ def test_enumerate_cz_members_replay_to_their_label():
                     assert got == lab
 
 
-def test_enumerate_cz_nonmaximal_extends_the_maximal_members():
-    for family, n in (("B", 3), ("D", 4)):
-        for lab in _stratum(family, n):
-            maximal = enumerate_cz(lab, family, n)
-            everything = enumerate_cz(lab, family, n, maximal_only=False)
-            assert set(maximal) <= set(everything)
-    # the top class sequence admits a middle-block member
-    lab = _stratum("B", 3)[0]
-    shapes = {
-        (spec.r, spec.p, spec.q)
-        for spec, _ in enumerate_cz(lab, "B", 3, maximal_only=False)
-    }
-    assert any(p > 0 for _, p, _ in shapes)
-
-
 def test_enumerate_cz_family_a_divisor_members():
     lab = IrrLabel(FAMILY_A, 4, partition_to_z((2, 2)))
-    members = enumerate_cz(lab, "A", 4, maximal_only=False)
-    assert [(spec.d, len(factors)) for spec, factors in members] == [
-        (1, 1), (2, 2)
-    ]
-    half = members[1][1][0]
+    divisors = engine._a_divisor_members(lab, 4)
+    assert [d for d, _ in divisors] == [1, 2]
+    half = divisors[1][1]
     assert z_to_partition(half.z) == (1, 1)
-    for spec, factors in members:
-        assert _member_image(spec, factors) == canonicalize(lab)
+    for d, tilde in divisors:
+        spec = ParahoricSpec("A", 4, d=d)
+        assert _member_image(spec, (tilde,) * d) == canonicalize(lab)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +241,7 @@ def test_bar_s_matches_the_stratum_size():
 
 def test_fc_divides_the_symmetry_order():
     for family, n in (("B", 4), ("C", 4), ("D", 4), ("D", 5)):
-        order = OmegaDescriptor(family, n).order
+        order = engine._omega_order(family, n)
         for lab in _stratum(family, n):
             assert order % fc(lab, family, n) == 0
 

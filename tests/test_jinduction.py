@@ -36,7 +36,6 @@ from weylsymbols.jinduction import (
     d_placements,
     double_dots,
     f_product,
-    j_compose_check,
     j_induce,
     labels_match,
 )
@@ -334,24 +333,42 @@ def test_d_spwdq_matches_triple_with_empty_left():
 # transitivity
 
 def test_compose_b_chains():
+    # W_r x (S_p x W_q) inside W_r x W_{p+q} agrees with W_r x S_p x W_q
     for n in range(0, 6):
         for r, p, q in _splits(n, 3):
             inner = Embedding(EMBED_B_SP_WQ, p=p, q=q)
             outer = Embedding(EMBED_B_WR_WQ, r=r, q=p + q)
             direct = Embedding(EMBED_B_WR_SP_WQ, r=r, p=p, q=q)
-            report = j_compose_check(inner, outer, 1, direct)
-            assert report.ok
-            assert report.checked > 0
+            pools = [
+                _special_labels(FAMILY_BC, r),
+                _special_labels(FAMILY_A, p),
+                _special_labels(FAMILY_BC, q),
+            ]
+            checked = 0
+            for combo in itertools.product(*pools):
+                composed = j_induce(outer, [combo[0], j_induce(inner, combo[1:])])
+                assert labels_match(composed, j_induce(direct, combo)), combo
+                checked += 1
+            assert checked > 0
 
 
 def test_compose_d_chains():
+    # the middle factor of W'_r x S_0 x W'_{p+q} is the rank-0 trivial label
+    empty = _trivial(FAMILY_A, 0)
     for n in range(0, 7):
         for r, p, q in _splits(n, 3):
             inner = Embedding(EMBED_D_SP_WDQ, p=p, q=q)
             outer = Embedding(EMBED_D_TRIPLE, r=r, p=0, q=p + q)
             direct = Embedding(EMBED_D_TRIPLE, r=r, p=p, q=q)
-            report = j_compose_check(inner, outer, 2, direct)
-            assert report.ok
+            pools = [
+                _special_labels(FAMILY_D, r),
+                _special_labels(FAMILY_A, p),
+                _special_labels(FAMILY_D, q),
+            ]
+            for combo in itertools.product(*pools):
+                mid = j_induce(inner, combo[1:])
+                composed = j_induce(outer, [combo[0], empty, mid])
+                assert labels_match(composed, j_induce(direct, combo)), combo
 
 
 def test_compose_a_chains():
@@ -378,17 +395,3 @@ def test_compose_a_chains():
                 )
                 direct_ok = direct_ok and left == right
             assert direct_ok
-
-
-def test_compose_check_validates_wiring():
-    inner = Embedding(EMBED_B_SP_WQ, p=1, q=1)
-    outer = Embedding(EMBED_B_WR_WQ, r=1, q=2)
-    direct = Embedding(EMBED_B_WR_SP_WQ, r=1, p=1, q=1)
-    with pytest.raises(DomainError):
-        j_compose_check(inner, outer, 0, direct)  # wrong slot type
-    with pytest.raises(DomainError):
-        j_compose_check(inner, outer, 5, direct)  # slot out of range
-    with pytest.raises(DomainError):
-        j_compose_check(
-            inner, outer, 1, Embedding(EMBED_B_WR_SP_WQ, r=1, p=2, q=0)
-        )  # wrong flattened signature

@@ -254,6 +254,36 @@ def test_S_members_frakS_structure(m):
                 assert sc.frakS(x) and sc.frakS(xp)
 
 
+def test_membership_computes_frakI_once_per_call(monkeypatch):
+    # each membership test validates y once and derives R, R0 and the odd
+    # intervals from a single frakI(y)
+    calls = {"ensure_yseq": 0, "_frakI": 0}
+
+    def counted(name):
+        inner = getattr(sc, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sc, name, counted(name))
+    cases = [(sc.member_S, y, pair)
+             for y in ((0, 2, 4), (0, 1, 2, 4), (1, 1, 3, 3))
+             for pair in sc.split_pairs(y)]
+    cases += [(sc.member_tilde_S, y, pair)
+              for y in ((0, 1, 3), (0, 1, 3, 4, 6))
+              for pair in sc.split_pairs(y, upper=(0, 0) + y[2:])]
+    for member, y, (x, xp) in cases:
+        calls.update(ensure_yseq=0, _frakI=0)
+        member(y, x, xp)
+        assert calls["ensure_yseq"] == 1, (member.__name__, y, x, xp)
+        assert calls["_frakI"] == 1, (member.__name__, y, x, xp)
+    assert any(member(y, x, xp) for member, y, (x, xp) in cases)
+
+
 @pytest.mark.parametrize("m", [2, 4, 6])
 def test_enumerate_tilde_S_nonempty_and_structure(m):
     for n in range(5):
