@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .engine import ensure_floor, verify
-from .errors import DomainError, InvariantError, WeylSymbolsError
+from .errors import DomainError, InvariantError, ValidationError, WeylSymbolsError
 from .exceptional import (
     GROUPS,
     OMEGA_ORDERS,
@@ -250,14 +250,17 @@ def _cmd_j(args: argparse.Namespace) -> _Output:
         raise DomainError("malformed induction spec: embedding must be an object")
     if not isinstance(factor_blobs, list):
         raise DomainError("malformed induction spec: factors must be a list")
-    emb = Embedding(
-        kind=emb_blob.get("kind", ""),
-        r=emb_blob.get("r", 0),
-        p=emb_blob.get("p", 0),
-        q=emb_blob.get("q", 0),
-        lam=emb_blob.get("lambda", 0),
-    )
-    factors = tuple(_label_from_json(b) for b in factor_blobs)
+    try:
+        emb = Embedding(
+            kind=emb_blob.get("kind", ""),
+            r=emb_blob.get("r", 0),
+            p=emb_blob.get("p", 0),
+            q=emb_blob.get("q", 0),
+            lam=emb_blob.get("lambda", 0),
+        )
+        factors = tuple(_label_from_json(b) for b in factor_blobs)
+    except ValidationError as exc:
+        raise DomainError(f"malformed induction spec: {exc}")
     image = j_induce(emb, factors)
     return _Output(
         payload={

@@ -60,7 +60,9 @@ class IrrLabel:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}")
-        if self.kappa not in (0, 1):
+        if not sc.is_nat(self.n):
+            raise ValidationError(f"rank must be a nonnegative int, got {self.n!r}")
+        if not sc.is_nat(self.kappa) or self.kappa > 1:
             raise ValidationError(f"kappa must be 0 or 1, got {self.kappa!r}")
         if self.family == FAMILY_A:
             if self.zp is not None:

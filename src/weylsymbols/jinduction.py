@@ -11,17 +11,24 @@ Each Embedding names a product subgroup of a classical Weyl group:
 * D_triple:  W'_r x S_p x W'_q  inside W'_{r+p+q}, the symmetric factor
              twisted by one of four sign characters (lam in [0,3])
 
+One table, _KINDS, names each kind's target family and the (block, family)
+of each factor; everything kind-specific reads it.
+
 j_induce carries a tuple of special factor labels to the unique special
 label of the ambient group whose b-invariant is the sum of the factors'.
-The arithmetic is rowwise: align every factor to a common row length, add
-deviations (splitting symmetric-group rows into two interleaved halves via
-double_dots), and canonicalize the result.  b-additivity is asserted on
+The rule is one row sum.  With k = n + 1, every factor is aligned to the
+target's row lengths, (k) for A, (k+1, k) for BC and (k, k) for D: rows of
+a BC or D factor are shifted up to those lengths, and the row of an A
+factor inside a BC or D target is split into two interleaved halves by
+double_dots (the odd half lands on the first row of a D target).  The image
+rows are the entrywise sums of the factors' rows less (#factors - 1) base
+rows (0, 1, ..., len - 1), canonicalized.  b-additivity is asserted on
 every call.
 
 Degenerate family-D outputs carry a kappa bit that the row arithmetic does
-not determine; the convention kappa' = (kappa + kappa~ + lam) mod 2 is
-applied and marked by DEGENERATE_CONVENTION so downstream comparisons can
-treat it as a representative choice rather than a computed value.
+not determine; the convention kappa' = (sum of factor kappas + lam) mod 2
+is applied and marked by DEGENERATE_CONVENTION so downstream comparisons
+can treat it as a representative choice rather than a computed value.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .irreps import (
     FAMILY_D,
     IrrLabel,
     _align,
-    aligned_rows,
     b_invariant,
     canonicalize,
     special_f,
@@ -51,26 +57,18 @@ EMBED_C_WR_WDQ = "C_WrWDq"
 EMBED_D_SP_WDQ = "D_SpWDq"
 EMBED_D_TRIPLE = "D_triple"
 
-EMBED_KINDS = (
-    EMBED_A_SPLIT,
-    EMBED_B_SP_WQ,
-    EMBED_B_WR_WQ,
-    EMBED_B_WR_SP_WQ,
-    EMBED_C_WR_WDQ,
-    EMBED_D_SP_WDQ,
-    EMBED_D_TRIPLE,
-)
-
-# kind -> (uses r, uses p, uses q)
-_KIND_PARTS = {
-    EMBED_A_SPLIT: (True, False, True),
-    EMBED_B_SP_WQ: (False, True, True),
-    EMBED_B_WR_WQ: (True, False, True),
-    EMBED_B_WR_SP_WQ: (True, True, True),
-    EMBED_C_WR_WDQ: (True, False, True),
-    EMBED_D_SP_WDQ: (False, True, True),
-    EMBED_D_TRIPLE: (True, True, True),
+# kind -> (target family, (block, family) of each factor in argument order)
+_KINDS = {
+    EMBED_A_SPLIT: (FAMILY_A, ("r", FAMILY_A), ("q", FAMILY_A)),
+    EMBED_B_SP_WQ: (FAMILY_BC, ("p", FAMILY_A), ("q", FAMILY_BC)),
+    EMBED_B_WR_WQ: (FAMILY_BC, ("r", FAMILY_BC), ("q", FAMILY_BC)),
+    EMBED_B_WR_SP_WQ: (FAMILY_BC, ("r", FAMILY_BC), ("p", FAMILY_A), ("q", FAMILY_BC)),
+    EMBED_C_WR_WDQ: (FAMILY_BC, ("r", FAMILY_BC), ("q", FAMILY_D)),
+    EMBED_D_SP_WDQ: (FAMILY_D, ("p", FAMILY_A), ("q", FAMILY_D)),
+    EMBED_D_TRIPLE: (FAMILY_D, ("r", FAMILY_D), ("p", FAMILY_A), ("q", FAMILY_D)),
 }
+
+EMBED_KINDS = tuple(_KINDS)
 
 DEGENERATE_CONVENTION = "kappa-sum-mod-2"
 
@@ -103,12 +101,13 @@ class Embedding:
     def __post_init__(self) -> None:
         if self.kind not in EMBED_KINDS:
             raise ValidationError(f"unsupported embedding kind {self.kind!r}")
-        for name, value in (("r", self.r), ("p", self.p), ("q", self.q)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        for name in ("r", "p", "q", "lam"):
+            if not sc.is_nat(getattr(self, name)):
                 raise ValidationError(f"{name} must be a nonnegative int")
-        uses = _KIND_PARTS[self.kind]
-        for use, name, value in zip(uses, "rpq", (self.r, self.p, self.q)):
-            if not use and value != 0:
+        _, *blocks = _KINDS[self.kind]
+        used = {block for block, _ in blocks}
+        for name in "rpq":
+            if name not in used and getattr(self, name) != 0:
                 raise ValidationError(f"{self.kind} does not use part {name}")
         if self.kind != EMBED_D_TRIPLE:
             if self.lam != 0:
@@ -127,27 +126,12 @@ class Embedding:
 
     def factor_signature(self) -> tuple[tuple[str, int], ...]:
         """(family, rank) of each factor, in j_induce argument order."""
-        if self.kind == EMBED_A_SPLIT:
-            return ((FAMILY_A, self.r), (FAMILY_A, self.q))
-        if self.kind == EMBED_B_SP_WQ:
-            return ((FAMILY_A, self.p), (FAMILY_BC, self.q))
-        if self.kind == EMBED_B_WR_WQ:
-            return ((FAMILY_BC, self.r), (FAMILY_BC, self.q))
-        if self.kind == EMBED_B_WR_SP_WQ:
-            return ((FAMILY_BC, self.r), (FAMILY_A, self.p), (FAMILY_BC, self.q))
-        if self.kind == EMBED_C_WR_WDQ:
-            return ((FAMILY_BC, self.r), (FAMILY_D, self.q))
-        if self.kind == EMBED_D_SP_WDQ:
-            return ((FAMILY_A, self.p), (FAMILY_D, self.q))
-        return ((FAMILY_D, self.r), (FAMILY_A, self.p), (FAMILY_D, self.q))
+        _, *blocks = _KINDS[self.kind]
+        return tuple((family, getattr(self, block)) for block, family in blocks)
 
     def target(self) -> tuple[str, int]:
         """(family, rank) of the ambient group."""
-        if self.kind == EMBED_A_SPLIT:
-            return (FAMILY_A, self.n)
-        if self.kind in (EMBED_D_SP_WDQ, EMBED_D_TRIPLE):
-            return (FAMILY_D, self.n)
-        return (FAMILY_BC, self.n)
+        return (_KINDS[self.kind][0], self.n)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "r": self.r, "p": self.p, "q": self.q}
@@ -182,11 +166,7 @@ def f_product(factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# alignment helpers
-
-def _a_row(label: IrrLabel, length: int) -> Seq:
-    return _align(canonicalize(label).z, length)
-
+# truncated induction
 
 def _check_factors(e: Embedding, factors: tuple[IrrLabel, ...]) -> None:
     sig = e.factor_signature()
@@ -202,16 +182,22 @@ def _check_factors(e: Embedding, factors: tuple[IrrLabel, ...]) -> None:
             raise DomainError(f"factor {i} must have its rows in dagger form")
 
 
-def _row_sum(base_multiple: int, k: int, *rows: Seq) -> Seq:
-    """Entrywise sum of rows minus base_multiple copies of (0,1,...,k)."""
-    out = []
-    for i in range(k + 1):
-        out.append(sum(row[i] for row in rows) - base_multiple * i)
-    return tuple(out)
+def _factor_rows(
+    target: str, lengths: tuple[int, ...], label: IrrLabel
+) -> tuple[Seq, ...]:
+    """Rows of a factor label aligned to the target's row lengths.  Two-row
+    factors are shifted up (a D factor's first row gains one leading slot in
+    a BC target); the row of an A factor in a BC or D target is split by
+    double_dots, its odd half landing on the first row of a D target."""
+    lab = canonicalize(label)
+    if lab.zp is not None:
+        return (_align(lab.z, lengths[0]), _align(lab.zp, lengths[1]))
+    row = _align(lab.z, sum(lengths))
+    if target == FAMILY_A:
+        return (row,)
+    even, odd = double_dots(row)
+    return (odd, even) if target == FAMILY_D else (even, odd)
 
-
-# ---------------------------------------------------------------------------
-# truncated induction
 
 def j_induce(e: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> IrrLabel:
     """Image of a tuple of special factor labels under truncated induction
@@ -219,47 +205,19 @@ def j_induce(e: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> Ir
     the sum of the factors' b-invariants."""
     factors = tuple(factors)
     _check_factors(e, factors)
-    n = e.n
+    family, n = e.target()
     k = n + 1
-    if e.kind == EMBED_A_SPLIT:
-        za = _a_row(factors[0], n + 1)
-        zb = _a_row(factors[1], n + 1)
-        out = IrrLabel(FAMILY_A, n, _row_sum(1, n, za, zb))
-    elif e.kind == EMBED_B_SP_WQ:
-        first, second = double_dots(_a_row(factors[0], 2 * k + 1))
-        z, zp = aligned_rows(factors[1], k)
-        out = IrrLabel(
-            FAMILY_BC, n, _row_sum(1, k, z, first), _row_sum(1, k - 1, zp, second)
-        )
-    elif e.kind == EMBED_B_WR_WQ:
-        z, zp = aligned_rows(factors[0], k)
-        zt, ztp = aligned_rows(factors[1], k)
-        out = IrrLabel(
-            FAMILY_BC, n, _row_sum(1, k, z, zt), _row_sum(1, k - 1, zp, ztp)
-        )
-    elif e.kind == EMBED_B_WR_SP_WQ:
-        z, zp = aligned_rows(factors[0], k)
-        first, second = double_dots(_a_row(factors[1], 2 * k + 1))
-        zt, ztp = aligned_rows(factors[2], k)
-        out = IrrLabel(
-            FAMILY_BC,
-            n,
-            _row_sum(2, k, z, zt, first),
-            _row_sum(2, k - 1, zp, ztp, second),
-        )
-    elif e.kind == EMBED_C_WR_WDQ:
-        z, zp = aligned_rows(factors[0], k)
-        zt, ztp = aligned_rows(factors[1], k)
-        raised = (0,) + tuple(v + 1 for v in zt)
-        out = IrrLabel(
-            FAMILY_BC, n, _row_sum(1, k, z, raised), _row_sum(1, k - 1, zp, ztp)
-        )
-    elif e.kind == EMBED_D_SP_WDQ:
-        rest = IrrLabel(FAMILY_D, 0, (0,), (0,))
-        out = _d_triple(k, rest, factors[0], factors[1], 0)
-    else:
-        out = _d_triple(k, factors[0], factors[1], factors[2], e.lam)
-    out = canonicalize(out)
+    lengths = {FAMILY_A: (k,), FAMILY_BC: (k + 1, k), FAMILY_D: (k, k)}[family]
+    aligned = [_factor_rows(family, lengths, f) for f in factors]
+    extra = len(factors) - 1
+    rows = tuple(
+        tuple(sum(col) - extra * i for i, col in enumerate(zip(*parts)))
+        for parts in zip(*aligned)
+    )
+    kappa = 0
+    if family == FAMILY_D and rows[0] == rows[1]:
+        kappa = (sum(f.kappa for f in factors) + e.lam) % 2
+    out = canonicalize(IrrLabel(family, n, *rows, kappa=kappa))
     want = sum(b_invariant(f) for f in factors)
     got = b_invariant(out)
     if got != want:
@@ -277,19 +235,3 @@ def labels_match(a: IrrLabel, b: IrrLabel) -> bool:
         return (a.n, a.z, a.zp) == (b.n, b.z, b.zp)
     return a == b
 
-
-def _d_triple(
-    k: int, left: IrrLabel, mid: IrrLabel, right: IrrLabel, lam: int
-) -> IrrLabel:
-    """Shared row arithmetic for the two family-D embeddings.  The odd
-    half of the symmetric-group row lands on the first output row."""
-    z, zp = aligned_rows(left, k)
-    zt, ztp = aligned_rows(right, k)
-    even_half, odd_half = double_dots(_a_row(mid, 2 * k))
-    w = _row_sum(2, k - 1, z, zt, odd_half)
-    wp = _row_sum(2, k - 1, zp, ztp, even_half)
-    if w == wp:
-        kappa = (left.kappa + right.kappa + lam) % 2
-    else:
-        kappa = 0
-    return IrrLabel(FAMILY_D, left.n + mid.n + right.n, w, wp, kappa)

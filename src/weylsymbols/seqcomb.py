@@ -48,10 +48,16 @@ KIND_ARITHMETIC = "ARITHMETIC"
 # ---------------------------------------------------------------------------
 # validation
 
+def is_nat(v: object) -> bool:
+    """True for a nonnegative int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def _ensure_entries(seq: Seq) -> None:
     if not isinstance(seq, tuple) or len(seq) == 0:
         raise ValidationError(f"sequence must be a nonempty tuple, got {seq!r}")
     for v in seq:
+        # inline, not is_nat: this loop runs on every validated entry
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise ValidationError(f"entries must be nonnegative ints, got {seq!r}")
 
@@ -390,22 +396,29 @@ def member_S(y: Seq, x: Seq, xp: Seq) -> bool:
     odd-size interval the second part has empty frakS.
     """
     ensure_yseq(y)
+    return _is_split(y, x, xp, ensure_xseq) and _matched(_frakI(y), x, xp, False)
+
+
+def _is_split(y: Seq, x: Seq, xp: Seq, ensure_second) -> bool:
+    """True when x is an XSeq, xp passes ensure_second and x + xp = y."""
     try:
         ensure_xseq(x)
-        ensure_xseq(xp)
+        ensure_second(xp)
     except ValidationError:
         return False
-    if len(x) != len(y) or len(xp) != len(y):
-        return False
-    if seq_add(x, xp) != y:
-        return False
+    return len(x) == len(y) == len(xp) and seq_add(x, xp) == y
+
+
+def _matched(ivs: tuple[Interval, ...], x: Seq, xp: Seq, based: bool) -> bool:
+    """Membership kernel of S(y), or of tilde-S(y) when based, for XSeqs
+    x + xp = y (xp a based XSeq when based), with ivs = _frakI(y)."""
     sx, sxp = _frakS(x), _frakS(xp)
-    ivs = _frakI(y)
     if sx | sxp != _ends(ivs) or sx & sxp != _singles(ivs):
         return False
-    if not _odd(ivs) and sxp:
-        return False
-    return True
+    odd = _odd(ivs)
+    if based:
+        return not (len(odd) == 1 and odd[0][0] == 0) or sxp == frozenset({0})
+    return bool(odd) or not sxp
 
 
 def split_pairs(y: Seq, lower: Seq | None = None,
@@ -446,7 +459,9 @@ def split_pairs(y: Seq, lower: Seq | None = None,
 def enumerate_S(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     """All matched splits of y, lexicographically ordered by first part."""
     ensure_yseq(y)
-    return tuple(pair for pair in split_pairs(y) if member_S(y, *pair))
+    ivs = _frakI(y)
+    # split_pairs yields XSeq pairs summing to y
+    return tuple((x, xp) for x, xp in split_pairs(y) if _matched(ivs, x, xp, False))
 
 
 def construct_one_S(y: Seq) -> tuple[Seq, Seq]:
@@ -491,23 +506,7 @@ def member_tilde_S(y: Seq, x: Seq, xp: Seq) -> bool:
     starting at 0 the second part must have frakS exactly {0}.
     """
     _ensure_tilde_domain(y)
-    try:
-        ensure_xseq(x)
-        ensure_xtseq(xp)
-    except ValidationError:
-        return False
-    if len(x) != len(y) or len(xp) != len(y):
-        return False
-    if seq_add(x, xp) != y:
-        return False
-    sx, sxp = _frakS(x), _frakS(xp)
-    ivs = _frakI(y)
-    if sx | sxp != _ends(ivs) or sx & sxp != _singles(ivs):
-        return False
-    odd = _odd(ivs)
-    if len(odd) == 1 and odd[0][0] == 0 and sxp != frozenset({0}):
-        return False
-    return True
+    return _is_split(y, x, xp, ensure_xtseq) and _matched(_frakI(y), x, xp, True)
 
 
 def _ensure_tilde_domain(y: Seq) -> None:
@@ -524,9 +523,11 @@ def _ensure_tilde_domain(y: Seq) -> None:
 def enumerate_tilde_S(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     """All based matched splits of y, lexicographically ordered by first part."""
     _ensure_tilde_domain(y)
-    # xp[0] = 0 and xp[1] >= 1 force x[0] = x[1] = 0.
+    # xp[0] = 0 and xp[1] >= 1 force x[0] = x[1] = 0, so with y0 = 0 and
+    # y1 = 1 every complement is a based XSeq
+    ivs = _frakI(y)
     pairs = split_pairs(y, upper=(0, 0) + y[2:])
-    return tuple(pair for pair in pairs if member_tilde_S(y, *pair))
+    return tuple((x, xp) for x, xp in pairs if _matched(ivs, x, xp, True))
 
 
 # ---------------------------------------------------------------------------
@@ -691,16 +692,18 @@ def symmetric_decompositions(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     has size one.
     """
     ensure_yseq(y)
+    ivs = _frakI(y)
     m = len(y) - 1
     out = []
     x: list[int] = []
 
     def rec(i: int) -> None:
         if i > m:
+            # x is an XSeq and e is nondecreasing, so e + x is an XSeq too
             xt = tuple(x)
             e = tuple(y[t] - 2 * x[t] for t in range(m + 1))
             ex = seq_add(e, xt)
-            if member_S(y, xt, ex) and _frakS(ex) == _frakS(xt):
+            if _matched(ivs, xt, ex, False) and _frakS(ex) == _frakS(xt):
                 out.append((xt, e))
             return
         lo = 0

@@ -55,6 +55,8 @@ class ClassLabel:
     def __post_init__(self) -> None:
         if self.family not in CLASS_FAMILIES:
             raise ValidationError(f"unknown class family {self.family!r}")
+        if not sc.is_nat(self.n):
+            raise ValidationError(f"rank must be a nonnegative int, got {self.n!r}")
         if self.family == CLASS_A:
             total = sc.rho0(self.y)
         elif self.family == CLASS_C:

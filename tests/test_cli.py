@@ -118,6 +118,19 @@ def test_j_rejects_malformed_specs():
     {"embedding": [], "factors": []},
     {"embedding": "B_WrWq", "factors": []},
     {"embedding": {"kind": "B_WrWq", "r": 1, "q": 1}, "factors": 5},
+    # a bool where an int belongs
+    {
+        "embedding": {"kind": "D_triple", "p": 2, "lambda": True},
+        "factors": [
+            {"family": "D", "n": 0, "z": [0], "zp": [0], "kappa": 0},
+            {"family": "A", "n": 2, "z": [0, 3]},
+            {"family": "D", "n": 0, "z": [0], "zp": [0], "kappa": 0},
+        ],
+    },
+    {
+        "embedding": {"kind": "A_split", "r": 1, "q": 0},
+        "factors": [{"family": "A", "n": True, "z": [1]}, {"family": "A", "n": 0, "z": [0]}],
+    },
 ])
 def test_j_rejects_a_badly_shaped_spec(spec):
     code, out, err = _run(["j", "--spec", json.dumps(spec)])

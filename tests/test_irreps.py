@@ -107,6 +107,13 @@ def test_label_validation():
         IrrLabel(FAMILY_D, 1, (1,), (0,), kappa=1)  # kappa on distinct rows
     with pytest.raises(ValidationError):
         IrrLabel(FAMILY_D, 2, (1,), (1,), kappa=2)
+    # the rank and kappa are ints, not bools or floats
+    with pytest.raises(ValidationError):
+        IrrLabel(FAMILY_A, True, (1,))
+    with pytest.raises(ValidationError):
+        IrrLabel(FAMILY_A, 2.0, (0, 3))
+    with pytest.raises(ValidationError):
+        IrrLabel(FAMILY_D, 2, (1,), (1,), kappa=True)
     IrrLabel(FAMILY_D, 2, (1,), (1,), kappa=1)  # degenerate pair is fine
 
 

@@ -4,7 +4,9 @@ preservation for the nested embeddings, transitivity chains."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +116,10 @@ def test_embedding_validation():
         Embedding(EMBED_D_TRIPLE, r=0, p=2, q=1, lam=3)  # lam=3 needs q=0
     with pytest.raises(ValidationError):
         Embedding(EMBED_D_TRIPLE, r=0, p=2, q=0, lam=4)
+    with pytest.raises(ValidationError):
+        Embedding(EMBED_D_TRIPLE, r=0, p=2, q=0, lam=True)  # a bool, not an int
+    with pytest.raises(ValidationError):
+        Embedding(EMBED_B_WR_WQ, r=1, q=1, lam=0.0)
     Embedding(EMBED_D_TRIPLE, r=0, p=2, q=0, lam=1)
     Embedding(EMBED_D_TRIPLE, r=1, p=2, q=0, lam=2)
     Embedding(EMBED_D_TRIPLE, r=0, p=3, q=0, lam=3)
@@ -224,6 +230,36 @@ def test_b_additivity_all_kinds():
                 assert b_invariant(out) == sum(b_invariant(c) for c in combo)
 
 
+# every (embedding, factors, image) over all kinds at targets A <= 8,
+# BC <= 7 and D <= 7, every admissible lam included
+_IMAGES_CASES = 7684
+_IMAGES_SHA256 = "30fdb1e854696fdff73d9464e2895294402fa007a5e497b35e8f7c3d58347c90"
+
+
+def test_images_of_every_kind_are_pinned():
+    caps = {FAMILY_A: 8, FAMILY_BC: 7, FAMILY_D: 7}
+    digest = hashlib.sha256()
+    cases = 0
+    for n in range(0, 9):
+        for e in _all_embeddings(n):
+            if n > caps[e.target()[0]]:
+                continue
+            lams = d_placements(e.r, e.p, e.q) if e.kind == EMBED_D_TRIPLE else (0,)
+            pools = [_special_labels(f, rank) for f, rank in e.factor_signature()]
+            for lam in lams:
+                twisted = dataclasses.replace(e, lam=lam)
+                for combo in itertools.product(*pools):
+                    case = {
+                        "embedding": twisted.to_json(),
+                        "factors": [f.to_json() for f in combo],
+                        "image": j_induce(twisted, combo).to_json(),
+                    }
+                    digest.update(json.dumps(case, sort_keys=True).encode() + b"\n")
+                    cases += 1
+    assert cases == _IMAGES_CASES
+    assert digest.hexdigest() == _IMAGES_SHA256
+
+
 def test_nested_embeddings_preserve_specialness_and_f():
     nested = []
     for n in range(0, 6):
@@ -327,6 +363,22 @@ def test_d_spwdq_matches_triple_with_empty_left():
                 _special_labels(FAMILY_A, p), _special_labels(FAMILY_D, q)
             ):
                 assert j_induce(e1, [u, d]) == j_induce(e2, [left, u, d])
+    # likewise B_SpWq is B_WrSpWq with r = 0, and B_WrWq is B_WrSpWq with p = 0
+    empty_w, empty_s = _trivial(FAMILY_BC, 0), _trivial(FAMILY_A, 0)
+    for n in range(0, 5):
+        for a, b in _splits(n, 2):
+            sp_wq = Embedding(EMBED_B_SP_WQ, p=a, q=b)
+            sp_triple = Embedding(EMBED_B_WR_SP_WQ, r=0, p=a, q=b)
+            for u, w in itertools.product(
+                _special_labels(FAMILY_A, a), _special_labels(FAMILY_BC, b)
+            ):
+                assert j_induce(sp_wq, [u, w]) == j_induce(sp_triple, [empty_w, u, w])
+            wr_wq = Embedding(EMBED_B_WR_WQ, r=a, q=b)
+            wr_triple = Embedding(EMBED_B_WR_SP_WQ, r=a, p=0, q=b)
+            for v, w in itertools.product(
+                _special_labels(FAMILY_BC, a), _special_labels(FAMILY_BC, b)
+            ):
+                assert j_induce(wr_wq, [v, w]) == j_induce(wr_triple, [v, empty_s, w])
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,14 @@ def test_membership_computes_frakI_once_per_call(monkeypatch):
         assert calls["ensure_yseq"] == 1, (member.__name__, y, x, xp)
         assert calls["_frakI"] == 1, (member.__name__, y, x, xp)
     assert any(member(y, x, xp) for member, y, (x, xp) in cases)
+    # the enumerators validate y once, not once per candidate split
+    for enumerate_, y in ((sc.enumerate_S, (0, 2, 4, 6, 8, 10)),
+                          (sc.enumerate_tilde_S, (0, 1, 3, 5, 7)),
+                          (sc.symmetric_decompositions, (0, 2, 4, 6, 8, 10))):
+        calls.update(ensure_yseq=0, _frakI=0)
+        assert enumerate_(y)
+        assert calls["ensure_yseq"] == 1, (enumerate_.__name__, y)
+        assert calls["_frakI"] == 1, (enumerate_.__name__, y)
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])

@@ -56,6 +56,10 @@ def test_class_label_validation():
         ClassLabel(CLASS_B, 3, (0, 0, 2))  # rank mismatch
     with pytest.raises(ValidationError):
         ClassLabel(CLASS_A, 1, (0, 0))
+    with pytest.raises(ValidationError):
+        ClassLabel(CLASS_B, 1.0, (0, 1, 2))  # the rank is an int
+    with pytest.raises(ValidationError):
+        ClassLabel(CLASS_B, True, (0, 1, 2))
     assert ClassLabel(CLASS_B, 1, (0, 1, 2)).to_json() == {
         "family": "B",
         "n": 1,
