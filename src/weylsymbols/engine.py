@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import seqcomb as sc
 from .errors import DomainError, InvariantError
 from .irreps import (
     FAMILY_A,
-    FAMILY_BC,
-    FAMILY_D,
     IrrLabel,
     _zeta_inverse,
     _zeta_tilde_inverse,
@@ -74,6 +73,7 @@ from .springer import (
     CLASS_C,
     CLASS_D,
     CLASS_FAMILIES,
+    LABEL_FAMILY,
     ClassLabel,
     class_invariants,
     enumerate_classes,
@@ -240,6 +240,15 @@ def _based_splits(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
                           upper=(y[0], y[1] - 1) + y[2:])
 
 
+def _two_block(family: str) -> tuple[Callable, Callable, Callable]:
+    """Splits of a family B, C or D class sequence into two blocks x + x~:
+    the split enumerator, the rank of x~ and the label fiber of x~ (x is
+    an XSeq of rank _rho(x), fiber _zeta_inverse(LABEL_FAMILY[family], x))."""
+    if family == CLASS_C:
+        return _based_splits, sc._tilde_rho, _zeta_tilde_inverse
+    return sc.split_pairs, sc._rho, partial(_zeta_inverse, LABEL_FAMILY[family])
+
+
 def _ensure_a_label(label: IrrLabel, n: int) -> None:
     if label.family != FAMILY_A or label.n != n:
         raise DomainError(
@@ -301,27 +310,15 @@ def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
         _ensure_a_label(label, n)
         return ((ParahoricSpec(CLASS_A, n, d=1), (canonicalize(label),)),)
     y = tau(family, label).y
+    splits, rank2, fiber2 = _two_block(family)
     out: list[Member] = []
-    if family == CLASS_B:
-        for x, xt in sc.split_pairs(y):
-            spec = ParahoricSpec(CLASS_B, n, r=sc._rho(x), q=sc._rho(xt))
-            out.append((spec, (_zeta_inverse(FAMILY_BC, x)[0],
-                               _zeta_inverse(FAMILY_BC, xt)[0])))
-    elif family == CLASS_C:
-        for x, xt in _based_splits(y):
-            spec = ParahoricSpec(CLASS_C, n, r=sc._rho(x), q=sc.tilde_rho(xt))
-            if not spec.is_maximal():
-                continue
-            for lab in _zeta_tilde_inverse(xt):
-                out.append((spec, (_zeta_inverse(FAMILY_BC, x)[0], lab)))
-    else:
-        for x, xt in sc.split_pairs(y):
-            spec = ParahoricSpec(CLASS_D, n, r=sc._rho(x), q=sc._rho(xt))
-            if not spec.is_maximal():
-                continue
-            for dl, dr in itertools.product(_zeta_inverse(FAMILY_D, x),
-                                            _zeta_inverse(FAMILY_D, xt)):
-                out.append((spec, (dl, dr)))
+    for x, xt in splits(y):
+        spec = ParahoricSpec(family, n, r=sc._rho(x), q=rank2(xt))
+        if not spec.is_maximal():
+            continue
+        for factors in itertools.product(
+                _zeta_inverse(LABEL_FAMILY[family], x), fiber2(xt)):
+            out.append((spec, factors))
     return tuple(out)
 
 
@@ -348,15 +345,10 @@ def _a_divisor_members(label: IrrLabel, n: int) -> tuple[tuple[int, IrrLabel], .
     return tuple(out)
 
 
-def _fc_family_a(label: IrrLabel, n: int) -> tuple[int, Member | None]:
-    d, tilde = _a_divisor_members(label, n)[-1]
-    return d, (ParahoricSpec(CLASS_A, n, d=d), (tilde,) * d)
-
-
 def _symmetric_member(family: str, n: int, x: Seq, e: Seq) -> Member:
     """Member realizing a self-matched decomposition y = x + e + x."""
     p = sum(e)
-    lab = _zeta_inverse(FAMILY_BC if family == CLASS_B else FAMILY_D, x)[0]
+    lab = _zeta_inverse(LABEL_FAMILY[family], x)[0]
     r = sc._rho(x)
     spec = ParahoricSpec(family, n, r=r, p=p, q=r)
     if p == 0:
@@ -367,54 +359,20 @@ def _symmetric_member(family: str, n: int, x: Seq, e: Seq) -> Member:
 FProduct = Callable[[tuple[IrrLabel, ...]], int]
 
 
-def _fc_family_b(y: Seq, n: int, fa_value: int,
-                 fprod: FProduct) -> tuple[int, Member | None]:
-    # a self-matched decomposition is automatically f-maximal
-    for x, e in sc.symmetric_decompositions(y):
-        member = _symmetric_member(CLASS_B, n, x, e)
-        if fprod(member[1]) != fa_value:
-            raise InvariantError(
-                f"self-matched member misses the maximal f-product on {y!r}"
-            )
-        return 2, member
-    return 1, None
-
-
-def _fc_family_c(y: Seq, n: int, fa_value: int,
-                 fprod: FProduct) -> tuple[int, Member | None]:
-    # the node flip fixes a member exactly when the based part keeps a
-    # strict position beyond its base one; the f-product must be maximal
-    for x, xt in _based_splits(y):
-        if len(sc._frakS(xt)) < 3:
+def _split_witness(family: str, n: int, y: Seq, fa_value: int,
+                   fprod: FProduct,
+                   strict: tuple[int, int]) -> tuple[int, Member | None]:
+    """First two-block member at the maximal f-product whose parts keep at
+    least strict = (lo, hi) strict positions: order 2 with it, else 1."""
+    splits, rank2, fiber2 = _two_block(family)
+    lo, hi = strict
+    for x, xt in splits(y):
+        if len(sc._frakS(xt)) < hi or len(sc._frakS(x)) < lo:
             continue
-        factors = (_zeta_inverse(FAMILY_BC, x)[0], _zeta_tilde_inverse(xt)[0])
+        factors = (_zeta_inverse(LABEL_FAMILY[family], x)[0], fiber2(xt)[0])
         if fprod(factors) != fa_value:
             continue
-        spec = ParahoricSpec(CLASS_C, n, r=sc._rho(x), q=sc.tilde_rho(xt))
-        return 2, (spec, factors)
-    return 1, None
-
-
-def _fc_family_d(y: Seq, n: int, fa_value: int,
-                 fprod: FProduct) -> tuple[int, Member | None]:
-    # full symmetry: a self-matched decomposition with a strict position
-    sym = sc.symmetric_decompositions(y)
-    for x, e in sym:
-        if sc._frakS(x):
-            return 4, _symmetric_member(CLASS_D, n, x, e)
-    # a self-matched decomposition without strict positions exists only on
-    # interval-free sequences, where the end-to-end flip still fixes it
-    if sym:
-        return 2, _symmetric_member(CLASS_D, n, *sym[0])
-    # half symmetry via a split whose parts both extend across the prong
-    # swap, at maximal f-product
-    for x, xt in sc.split_pairs(y):
-        if len(sc._frakS(x)) < 2 or len(sc._frakS(xt)) < 2:
-            continue
-        factors = (_zeta_inverse(FAMILY_D, x)[0], _zeta_inverse(FAMILY_D, xt)[0])
-        if fprod(factors) != fa_value:
-            continue
-        spec = ParahoricSpec(CLASS_D, n, r=sc._rho(x), q=sc._rho(xt))
+        spec = ParahoricSpec(family, n, r=sc._rho(x), q=rank2(xt))
         return 2, (spec, factors)
     return 1, None
 
@@ -425,12 +383,34 @@ def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
     """Symmetry order and witness of a canonical label, given y, fa and the
     f-product of factor tuples."""
     if family == CLASS_A:
-        return _fc_family_a(label, n)
-    if family == CLASS_B:
-        return _fc_family_b(y, n, fa_value, fprod)
+        d, tilde = _a_divisor_members(label, n)[-1]
+        return d, (ParahoricSpec(CLASS_A, n, d=d), (tilde,) * d)
     if family == CLASS_C:
-        return _fc_family_c(y, n, fa_value, fprod)
-    return _fc_family_d(y, n, fa_value, fprod)
+        # the node flip fixes a member exactly when the based part keeps a
+        # strict position beyond its base one
+        return _split_witness(CLASS_C, n, y, fa_value, fprod, strict=(0, 3))
+    sym = sc.symmetric_decompositions(y)
+    if family == CLASS_B:
+        if not sym:
+            return 1, None
+        # a self-matched decomposition is automatically f-maximal
+        member = _symmetric_member(CLASS_B, n, *sym[0])
+        if fprod(member[1]) != fa_value:
+            raise InvariantError(
+                f"self-matched member misses the maximal f-product on {y!r}"
+            )
+        return 2, member
+    # family D: full symmetry needs a self-matched split with a strict position
+    for x, e in sym:
+        if sc._frakS(x):
+            return 4, _symmetric_member(CLASS_D, n, x, e)
+    # a self-matched decomposition without strict positions exists only on
+    # interval-free sequences, where the end-to-end flip still fixes it
+    if sym:
+        return 2, _symmetric_member(CLASS_D, n, *sym[0])
+    # half symmetry via a split whose parts both extend across the prong
+    # swap, at maximal f-product
+    return _split_witness(CLASS_D, n, y, fa_value, fprod, strict=(2, 2))
 
 
 def fc(label: IrrLabel, family: str, n: int) -> int:

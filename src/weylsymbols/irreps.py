@@ -21,10 +21,12 @@ IrrLabel(...) is the validating constructor and the only one for labels
 that come from outside.  The module-private _trusted_label skips the checks
 and is called only on rows the library built and knows to be valid:
 canonical forms of validated labels (canonicalize, hence row alignment) and
-the split of a validated merged sequence (_zeta_inverse).  Likewise the
-public zeta_inverse, zeta_tilde_inverse and align_row validate their
+the split of a validated merged sequence (_zeta_inverse, which also splits
+a validated class sequence less its base for springer.tau_fiber).  Likewise
+the public zeta_inverse, zeta_tilde_inverse and align_row validate their
 argument, while the _-prefixed kernels they call (_zeta_inverse,
-_zeta_tilde_inverse, _align) are for tuples the library built.
+_zeta_tilde_inverse, _align) are for tuples the library built.  _merge is
+the one interleaving of two rows, shared by zeta and springer.tau.
 """
 
 from __future__ import annotations
@@ -187,6 +189,16 @@ def _f_from_strict_count(family: str, count: int) -> int:
 # ---------------------------------------------------------------------------
 # interleaving maps
 
+def _merge(family: str, z: Seq, zp: Seq) -> Seq:
+    """The two rows' entries in alternate slots, first row first for BC and
+    second row first for D (_zeta_inverse splits them back)."""
+    first, second = (z, zp) if family == FAMILY_BC else (zp, z)
+    merged = [0] * (len(first) + len(second))
+    merged[0::2] = first
+    merged[1::2] = second
+    return tuple(merged)
+
+
 def zeta(label: IrrLabel) -> Seq:
     """Merged sequence of a special label.
 
@@ -197,16 +209,7 @@ def zeta(label: IrrLabel) -> Seq:
     if label.family == FAMILY_A:
         raise DomainError("family A labels have no merged sequence")
     assert label.zp is not None
-    if label.family == FAMILY_BC:
-        merged: list[int] = []
-        for a, b in zip(label.z, label.zp):
-            merged.extend((a, b))
-        merged.append(label.z[-1])
-    else:
-        merged = []
-        for b, a in zip(label.zp, label.z):
-            merged.extend((b, a))
-    x = tuple(merged)
+    x = _merge(label.family, label.z, label.zp)
     try:
         sc.ensure_xseq(x)
     except ValidationError as exc:
@@ -222,16 +225,16 @@ def zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
 
 
 def _zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
-    # x is an XSeq, so every nonempty row below is strictly increasing; a D
-    # merge puts the heavier row second and makes the rows equal exactly
-    # when x has no strict position
+    # x is an XSeq, or a class sequence less its base (springer.tau_fiber),
+    # so every nonempty row below is strictly increasing; a D merge puts
+    # the heavier row second, entry by entry, and makes the rows equal
+    # exactly when x has no strict position
     n = sc._rho(x)
     m = len(x) - 1
     if family == FAMILY_BC:
         if m % 2 != 0:
             raise DomainError(f"BC merge needs odd length, got m={m}")
-        z = x[0::2]
-        zp = x[1::2]
+        z, zp = x[0::2], x[1::2]
         if not zp:
             # a one-entry merge leaves the second row empty
             sc.ensure_zseq(zp)
@@ -239,8 +242,7 @@ def _zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
     if family == FAMILY_D:
         if m % 2 != 1:
             raise DomainError(f"D merge needs even length, got m={m}")
-        zp = x[0::2]
-        z = x[1::2]
+        zp, z = x[0::2], x[1::2]
         if not sc._frakS(x) and n >= 2:
             return (
                 _trusted_label(FAMILY_D, n, z, zp, 0),

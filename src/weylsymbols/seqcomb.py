@@ -23,7 +23,8 @@ frozensets, and interval sets are tuples of (lo, hi) pairs sorted by lo.
 
 Validation happens at the boundary: every public statistic checks its
 argument with the matching ensure_* and then calls its private kernel
-(_rho0, _beta0, _rho, _frakS, _frakI), which assumes a valid sequence.
+(_rho0, _beta0, _rho, _tilde_rho, _frakS, _frakI), which assumes a valid
+sequence.
 The other modules of the package call a kernel only on tuples the library
 built itself (split enumerators, enumerated spaces, rows of a validated
 label), never on input that arrived from outside.
@@ -220,9 +221,15 @@ def beta_prime(y: Seq) -> int:
     return _dev_weighted(y, base_y(len(y) - 1))
 
 
+def _tilde_rho(x: Seq) -> int:
+    # _dev_sum against base_xt(m), whose entries sum to (m/2) * (m/2 + 1)
+    h = (len(x) - 1) // 2
+    return sum(x) - h * (h + 1)
+
+
 def tilde_rho(x: Seq) -> int:
     ensure_xtseq(x)
-    return _dev_sum(x, base_xt(len(x) - 1))
+    return _tilde_rho(x)
 
 
 def tilde_beta(x: Seq) -> int:

@@ -9,13 +9,16 @@ A ClassLabel names one unipotent-class stratum by a single sequence:
 * family "C": a based YSeq (y[1] >= 1) of even length index.
 * family "D": a YSeq of odd length index m = 2k-1.
 
-The map tau pairs each theorem-side label with its stratum by splitting the
-sequence into two rows; tau_fiber inverts it.  class_invariants evaluates
-the component-group data: bbar (the weighted deviation statistic of y),
-z (component count of the adjoint-group centralizer), ztilde_over_z (extra
-components in the simply connected cover), and, for family D only,
-uz_over_z (the intermediate special-orthogonal cover).  All of them read
-off the interval set frakI(y) and its odd-size part.
+The map tau pairs each theorem-side label with its stratum: the label's
+rows merged as irreps.zeta merges them, plus a base staircase (base_x for
+B and D, base_xt for C).  tau_fiber checks y as ClassLabel does and splits
+y less that staircase with irreps._zeta_inverse, which also owns the
+degenerate type-D fiber.  class_invariants evaluates the component-group
+data: bbar (the weighted deviation statistic of y), z (component count of
+the adjoint-group centralizer), ztilde_over_z (extra components in the
+simply connected cover), and, for family D only, uz_over_z (the
+intermediate special-orthogonal cover).  All of them read off the interval
+set frakI(y) and its odd-size part.
 """
 
 from __future__ import annotations
@@ -25,7 +28,16 @@ from dataclasses import dataclass
 
 from . import seqcomb as sc
 from .errors import DomainError, InvariantError, ValidationError
-from .irreps import FAMILY_A, FAMILY_BC, FAMILY_D, IrrLabel, aligned_rows
+from .irreps import (
+    FAMILY_A,
+    FAMILY_BC,
+    FAMILY_D,
+    IrrLabel,
+    _merge,
+    _zeta_inverse,
+    aligned_rows,
+    policy_m,
+)
 from .seqcomb import Seq
 
 CLASS_A = "A"
@@ -43,6 +55,26 @@ LABEL_FAMILY = {
     CLASS_D: FAMILY_D,
 }
 
+# class-side family -> staircase that tau adds to the merged rows
+_BASE = {CLASS_B: sc.base_x, CLASS_C: sc.base_xt, CLASS_D: sc.base_x}
+
+
+def _class_rank(family: str, y: Seq) -> int:
+    """Statistic of a class sequence, after checking that y has the shape
+    of its family (ClassLabel and tau_fiber share this rule)."""
+    if family == CLASS_A:
+        return sc.rho0(y)
+    if family == CLASS_C:
+        return sc.tilde_rho_prime(y)
+    # the statistic validates y before its length is read
+    total = sc.rho_prime(y)
+    m = len(y) - 1
+    if family == CLASS_B and m % 2 != 0:
+        raise ValidationError(f"family B needs even length index, got {m}")
+    if family == CLASS_D and m % 2 != 1:
+        raise ValidationError(f"family D needs odd length index, got {m}")
+    return total
+
 
 @dataclass(frozen=True)
 class ClassLabel:
@@ -57,18 +89,7 @@ class ClassLabel:
             raise ValidationError(f"unknown class family {self.family!r}")
         if not sc.is_nat(self.n):
             raise ValidationError(f"rank must be a nonnegative int, got {self.n!r}")
-        if self.family == CLASS_A:
-            total = sc.rho0(self.y)
-        elif self.family == CLASS_C:
-            total = sc.tilde_rho_prime(self.y)
-        else:
-            # the statistic validates y before its length is read
-            total = sc.rho_prime(self.y)
-            m = len(self.y) - 1
-            if self.family == CLASS_B and m % 2 != 0:
-                raise ValidationError(f"family B needs even length index, got {m}")
-            if self.family == CLASS_D and m % 2 != 1:
-                raise ValidationError(f"family D needs odd length index, got {m}")
+        total = _class_rank(self.family, self.y)
         if total != self.n:
             raise ValidationError(f"sequence statistic {total} != rank {self.n}")
 
@@ -93,26 +114,21 @@ class ClassInvariants:
 
 
 def class_policy_m(family: str, n: int) -> int:
-    """Default sequence length index for each class family."""
-    if family == CLASS_A:
-        return n
-    if family in (CLASS_B, CLASS_C):
-        return 2 * n + 2
-    if family == CLASS_D:
-        return 2 * n + 1
-    raise DomainError(f"unknown class family {family!r}")
+    """Default sequence length index for each class family: the merged
+    length of its tau-partners."""
+    if family not in CLASS_FAMILIES:
+        raise DomainError(f"unknown class family {family!r}")
+    return policy_m(LABEL_FAMILY[family], n)
 
 
 # ---------------------------------------------------------------------------
 # the stratum maps
 
 def tau(family: str, label: IrrLabel) -> ClassLabel:
-    """Stratum of a theorem-side label: rows merged with staircase offsets.
-
-    Family B: even slots get the first row, odd slots the second, offset i.
-    Family C: odd slots are offset by i+1 instead.  Family D: the rows swap
-    (first row to odd slots).  Raises DomainError when the merge leaves the
-    stratum space (the label is outside the theorem's domain).
+    """Stratum of a theorem-side label: its rows, aligned to the policy
+    length, merged as zeta merges them, plus the family's base staircase
+    (base_x for B and D, base_xt for C).  Raises DomainError when the sum
+    leaves the stratum space (the label is outside the theorem's domain).
     """
     if family not in CLASS_FAMILIES:
         raise DomainError(f"unknown class family {family!r}")
@@ -123,24 +139,8 @@ def tau(family: str, label: IrrLabel) -> ClassLabel:
         )
     if family == CLASS_A:
         return ClassLabel(CLASS_A, label.n, label.z)
-    k = label.n + 1
-    z, zp = aligned_rows(label, k)
-    merged: list[int] = []
-    if family == CLASS_B:
-        for i in range(k + 1):
-            merged.append(z[i] + i)
-            if i < k:
-                merged.append(zp[i] + i)
-    elif family == CLASS_C:
-        for i in range(k + 1):
-            merged.append(z[i] + i)
-            if i < k:
-                merged.append(zp[i] + i + 1)
-    else:
-        for i in range(k):
-            merged.append(zp[i] + i)
-            merged.append(z[i] + i)
-    y = tuple(merged)
+    x = _merge(label.family, *aligned_rows(label, label.n + 1))
+    y = sc.seq_add(x, _BASE[family](len(x) - 1))
     try:
         return ClassLabel(family, label.n, y)
     except ValidationError as exc:
@@ -149,33 +149,18 @@ def tau(family: str, label: IrrLabel) -> ClassLabel:
 
 def tau_fiber(family: str, y: Seq, n: int | None = None) -> tuple[IrrLabel, ...]:
     """All labels mapping to the stratum y (two in the degenerate family-D
-    case, one otherwise)."""
+    case, one otherwise); y is checked as ClassLabel checks it, against n
+    when n is given."""
+    if family not in CLASS_FAMILIES:
+        raise DomainError(f"unknown class family {family!r}")
+    rank = _class_rank(family, y)
+    if n is not None and n != rank:
+        raise DomainError(f"rank {n} != sequence statistic {rank}")
     if family == CLASS_A:
-        rank = sc.rho0(y)
-        if n is not None and n != rank:
-            raise DomainError(f"rank {n} != sequence statistic {rank}")
         return (IrrLabel(FAMILY_A, rank, y),)
-    if family == CLASS_B:
-        rank = sc.rho_prime(y)
-        z = tuple(v - i for i, v in enumerate(y[0::2]))
-        zp = tuple(v - i for i, v in enumerate(y[1::2]))
-        return (IrrLabel(FAMILY_BC, rank, z, zp),)
-    if family == CLASS_C:
-        rank = sc.tilde_rho_prime(y)
-        z = tuple(v - i for i, v in enumerate(y[0::2]))
-        zp = tuple(v - i - 1 for i, v in enumerate(y[1::2]))
-        return (IrrLabel(FAMILY_BC, rank, z, zp),)
-    if family == CLASS_D:
-        rank = sc.rho_prime(y)
-        z = tuple(v - i for i, v in enumerate(y[1::2]))
-        zp = tuple(v - i for i, v in enumerate(y[0::2]))
-        if not sc.frakI(y) and rank >= 2:
-            return (
-                IrrLabel(FAMILY_D, rank, z, zp, 0),
-                IrrLabel(FAMILY_D, rank, z, zp, 1),
-            )
-        return (IrrLabel(FAMILY_D, rank, z, zp),)
-    raise DomainError(f"unknown class family {family!r}")
+    # the rows of y less its base are strictly increasing, as the split needs
+    x = sc.seq_sub(y, _BASE[family](len(y) - 1))
+    return _zeta_inverse(LABEL_FAMILY[family], x)
 
 
 # ---------------------------------------------------------------------------

@@ -395,6 +395,9 @@ def test_kernels_match_their_validating_statistics(m, n, data):
     x = data.draw(st.sampled_from(sc.enumerate_space("X", m, n)))
     assert sc._rho(x) == sc.rho(x) == n
     assert sc._frakS(x) == sc.frakS(x)
+    # based XSeqs need an even length index m >= 2
+    xt = data.draw(st.sampled_from(sc.enumerate_space("XT", 2 + m - m % 2, n)))
+    assert sc._tilde_rho(xt) == sc.tilde_rho(xt) == n
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])

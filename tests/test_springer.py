@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -109,7 +111,7 @@ def test_tau_fiber_rules_family_d():
 
 def test_tau_round_trip_all_families():
     for family in CLASS_FAMILIES:
-        for n in range(0, 5):
+        for n in range(0, 8):
             for c in enumerate_classes(family, n):
                 fiber = tau_fiber(family, c.y)
                 assert len(fiber) in (1, 2)
@@ -120,6 +122,43 @@ def test_tau_round_trip_all_families():
                     assert len(fiber) == want
                 else:
                     assert len(fiber) == 1
+
+
+def test_tau_fiber_listings_are_pinned():
+    # every fiber at B/C/D ranks 2-12 as tau_fiber returns it, at the
+    # policy length (verify reports hold the canonicalized labels)
+    rows = [
+        (c.y, [lab.to_json() for lab in tau_fiber(family, c.y, n)])
+        for family in (CLASS_B, CLASS_C, CLASS_D)
+        for n in range(2, 13)
+        for c in enumerate_classes(family, n)
+    ]
+    assert len(rows) == 3769
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "79fd545e0732e93c91282e5e4a464b53f186556762fb98265ecc22a0eb3c9ac9"
+
+
+@pytest.mark.parametrize("family, y", [
+    (CLASS_A, (0, 2)),
+    (CLASS_B, (0, 0, 2, 2, 5)),
+    (CLASS_C, (0, 1, 3)),
+    (CLASS_D, (0, 0, 2, 3)),
+])
+def test_tau_fiber_checks_the_rank_in_every_family(family, y):
+    assert all(lab.n == 1 for lab in tau_fiber(family, y, 1))
+    with pytest.raises(DomainError, match=r"rank 7 != sequence statistic 1"):
+        tau_fiber(family, y, 7)
+
+
+@pytest.mark.parametrize("family, y, message", [
+    (CLASS_B, (0, 0, 2, 3), "family B needs even length index, got 3"),
+    (CLASS_D, (0, 0, 2), "family D needs odd length index, got 2"),
+])
+def test_tau_fiber_checks_y_as_class_label_does(family, y, message):
+    with pytest.raises(ValidationError, match=message):
+        ClassLabel(family, 1, y)
+    with pytest.raises(ValidationError, match=message):
+        tau_fiber(family, y)
 
 
 def test_tau_counts_and_distinct_labels():
