@@ -5,7 +5,10 @@ minimal-degree induction from reflection subgroups are computed
 independently and compared:
 
 * membership: the induction image over maximal subgroup shapes equals the
-  stratum label set,
+  stratum label set, and each row's maximal members equal its fiber of the
+  induction graph, so the members of the row's label are exactly the
+  (shape, factors) that induce to it; only witnesses on other shapes are
+  replayed through j_induce,
 * degrees: the class beta statistic equals the label b-invariant,
 * component counts: the class component invariant equals the maximal
   f-product over maximal decompositions,
@@ -26,11 +29,13 @@ Each report row is one pass: the class invariants, the maximal members and
 one f-product per member are computed once, and the class sequence and the
 maximal f-product feed the symmetry-order witness search directly.  One
 verify call builds one SpecialIndex: each (family, rank) pool of special
-labels is enumerated once, shared by bar_S and the rows, and the rows read
-their factors' f-invariants from it.  The index lives only as long as the
-call.  Split parts found by the enumerators below are valid by
-construction, so they go through the unvalidated kernels of seqcomb and
-irreps.
+labels is enumerated once, shared by the induction graph and the rows, and
+the rows read their factors' f-invariants from it.  It also builds one
+induction graph, the images of every maximal shape's pool products and the
+fiber of members over each, which the membership check and the rows
+share.  Index and graph live only as long as the call.  Split parts found
+by the enumerators below are valid by construction, so they go through
+the unvalidated kernels of seqcomb and irreps.
 """
 
 from __future__ import annotations
@@ -65,7 +70,9 @@ from .jinduction import (
     d_placements,
     f_product,
     j_induce,
+    j_induce_pool,
     labels_match,
+    match_key,
 )
 from .springer import (
     CLASS_A,
@@ -219,14 +226,17 @@ class SpecialIndex:
         """Product of the factors' f-invariants, as jinduction.f_product."""
         out = 1
         for label in factors:
-            canon = canonicalize(label)
-            if canon not in self._f:
-                self.pool(canon.family, canon.n)
+            f = self._f.get(label)
+            if f is None:
+                canon = canonicalize(label)
                 if canon not in self._f:
-                    raise InvariantError(
-                        f"factor {label_str(label)} is not special"
-                    )
-            out *= self._f[canon]
+                    self.pool(canon.family, canon.n)
+                    if canon not in self._f:
+                        raise InvariantError(
+                            f"factor {label_str(label)} is not special"
+                        )
+                f = self._f[canon]
+            out *= f
         return out
 
 
@@ -275,6 +285,18 @@ def _embedding(spec: ParahoricSpec) -> Embedding:
     return Embedding(EMBED_D_TRIPLE, r=spec.r, p=spec.p, q=spec.q, lam=spec.lam)
 
 
+def _d_middle(spec: ParahoricSpec, factors: tuple) -> tuple:
+    """Factors of a D two-block shape with the rank-0 A middle factor of its
+    D_triple embedding added (two factors given, the member form) or
+    dropped (three given, the embedding form); any other shape's factors
+    pass unchanged."""
+    if spec.family != CLASS_D or spec.p:
+        return factors
+    if len(factors) == 2:
+        return (factors[0], _D_FILLER, factors[1])
+    return (factors[0], factors[2])
+
+
 def _replay(spec: ParahoricSpec, factors: tuple[IrrLabel, ...],
             target: IrrLabel) -> bool:
     """Recompute the induction image of a member and compare to the target;
@@ -289,12 +311,8 @@ def _replay(spec: ParahoricSpec, factors: tuple[IrrLabel, ...],
             emb = Embedding(EMBED_A_SPLIT, r=h * step, q=step)
             acc = j_induce(emb, (acc, factors[h]))
         return acc == target
-    emb = _embedding(spec)
-    if spec.family != CLASS_D:
-        return j_induce(emb, factors) == target
-    if len(factors) == 2:
-        factors = (factors[0], _D_FILLER, factors[1])
-    return labels_match(j_induce(emb, factors), target)
+    return labels_match(j_induce(_embedding(spec), _d_middle(spec, factors)),
+                        target)
 
 
 def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
@@ -437,27 +455,44 @@ def fc(label: IrrLabel, family: str, n: int) -> int:
 # ---------------------------------------------------------------------------
 # stratum membership and the full report
 
-def bar_S(family: str, n: int,
-          index: SpecialIndex | None = None) -> frozenset[IrrLabel]:
+Fibers = dict[object, set[Member]]
+
+
+def _induction_graph(family: str, n: int,
+                     index: SpecialIndex) -> tuple[frozenset[IrrLabel], Fibers]:
     """Induction image over all maximal shapes, computed purely on the
-    label side (no class sequences involved).  The factor pools come from
-    the given index (verify shares its own), or from a fresh one."""
-    ensure_floor(family, n)
-    if index is None:
-        index = SpecialIndex()
+    label side (no class sequences involved), and its fibers: match_key of
+    an image -> the members (shape, canonical factors) inducing to it, D
+    two-block members in their two-factor form."""
     if family == CLASS_A:
         # the only maximal shape is the full group
-        return frozenset(index.pool(FAMILY_A, n))
-    out: set[IrrLabel] = set()
+        spec = ParahoricSpec(CLASS_A, n, d=1)
+        pool = index.pool(FAMILY_A, n)
+        return frozenset(pool), {lab: {(spec, (lab,))} for lab in pool}
+    images: set[IrrLabel] = set()
+    fibers: Fibers = {}
     for r in range(n + 1):
         spec = ParahoricSpec(family, n, r=r, q=n - r)
         if not spec.is_maximal():
             continue
         emb = _embedding(spec)
         pools = [index.pool(fam, rank) for fam, rank in emb.factor_signature()]
-        for factors in itertools.product(*pools):
-            out.add(j_induce(emb, factors))
-    return frozenset(out)
+        for factors, image in j_induce_pool(emb, pools):
+            images.add(image)
+            fibers.setdefault(match_key(image), set()).add(
+                (spec, _d_middle(spec, factors)))
+    return frozenset(images), fibers
+
+
+def bar_S(family: str, n: int,
+          index: SpecialIndex | None = None) -> frozenset[IrrLabel]:
+    """Induction image over all maximal shapes, computed purely on the
+    label side (no class sequences involved).  The factor pools come from
+    the given index, or from a fresh one."""
+    ensure_floor(family, n)
+    if index is None:
+        index = SpecialIndex()
+    return _induction_graph(family, n, index)[0]
 
 
 @dataclass(frozen=True)
@@ -580,22 +615,32 @@ def _member_str(member: Member) -> str:
     return shape + " " + "*".join(label_str(lab) for lab in factors)
 
 
+def _canonical_member(member: Member) -> Member:
+    spec, factors = member
+    return spec, tuple(canonicalize(f) for f in factors)
+
+
 def _class_row(family: str, n: int, c: ClassLabel, label: IrrLabel,
-               index: SpecialIndex) -> ClassRow:
+               index: SpecialIndex, fibers: Fibers) -> ClassRow:
     inv = class_invariants(c)
     canon = canonicalize(label)
     b_label = b_invariant(canon)
     members = enumerate_cz(canon, family, n)
-    fs = [index.f_product(factors) for _, factors in members]
+    found = [_canonical_member(m) for m in members]
+    fs = [index.f_product(factors) for _, factors in found]
     # a maximum equal to the class component count also bounds every member
     fa_value = max(fs)
     fc_value, fc_witness = _fc_with_witness(canon, family, n, c.y, fa_value,
                                             index.f_product)
     best = tuple(m for m, f in zip(members, fs) if f == fa_value)
     witnesses = best if fc_witness is None else best + (fc_witness,)
-    witnesses_ok = all(
-        _replay(spec, factors, canon) for spec, factors in witnesses
-    )
+    # the maximal members must be the label's whole fiber of the induction
+    # graph, so the f-maximal ones induce to the label by construction; the
+    # symmetry witness is replayed only when it lies outside the fiber
+    fiber = fibers.get(match_key(canon), set())
+    witnesses_ok = set(found) == fiber and (
+        fc_witness is None or _canonical_member(fc_witness) in fiber
+        or _replay(*fc_witness, canon))
     return ClassRow(
         label=canon,
         y=c.y,
@@ -624,13 +669,13 @@ def verify(family: str, n: int) -> VerificationReport:
     """
     ensure_floor(family, n)
     index = SpecialIndex()
-    image = bar_S(family, n, index)
+    image, fibers = _induction_graph(family, n, index)
     rows: list[ClassRow] = []
     stratum: set[IrrLabel] = set()
     for c in enumerate_classes(family, n):
         for label in tau_fiber(family, c.y, n):
             stratum.add(canonicalize(label))
-            rows.append(_class_row(family, n, c, label, index))
+            rows.append(_class_row(family, n, c, label, index, fibers))
     return VerificationReport(
         family=family,
         n=n,

@@ -294,8 +294,7 @@ def special_reps(family: str, n: int, m: int | None = None) -> tuple[SpecialRep,
     policy (or caller-provided m) and expand fibers, so degenerate family-D
     symbols appear once per kappa value.
     """
-    if n < 0:
-        raise DomainError(f"rank must be nonnegative, got {n}")
+    sc.ensure_rank(n)
     if family == FAMILY_A:
         k = n if m is None else m
         if k < 0:

@@ -23,17 +23,26 @@ factor inside a BC or D target is split into two interleaved halves by
 double_dots (the odd half lands on the first row of a D target).  The image
 rows are the entrywise sums of the factors' rows less (#factors - 1) base
 rows (0, 1, ..., len - 1), canonicalized.  b-additivity is asserted on
-every call.
+every product.
+
+The pool form j_induce_pool yields the image of every product of a list
+of factor pools: each pool label is checked, aligned and given its b once,
+and every image is still built by the validating IrrLabel(...).  j_induce
+is its one-product case.
 
 Degenerate family-D outputs carry a kappa bit that the row arithmetic does
 not determine; the convention kappa' = (sum of factor kappas + lam) mod 2
-is applied and marked by DEGENERATE_CONVENTION so downstream comparisons
-can treat it as a representative choice rather than a computed value.
+is applied and marked by DEGENERATE_CONVENTION.  match_key holds the one
+rule for comparing such labels: by their rows alone, the kappa bit being a
+representative choice rather than a computed value.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import sub
+from typing import Iterator, Sequence
 
 from . import seqcomb as sc
 from .errors import DomainError, InvariantError, ValidationError
@@ -168,18 +177,14 @@ def f_product(factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> int:
 # ---------------------------------------------------------------------------
 # truncated induction
 
-def _check_factors(e: Embedding, factors: tuple[IrrLabel, ...]) -> None:
-    sig = e.factor_signature()
-    if len(factors) != len(sig):
-        raise DomainError(f"{e.kind} takes {len(sig)} factors, got {len(factors)}")
-    for i, ((family, rank), label) in enumerate(zip(sig, factors)):
-        if label.family != family or label.n != rank:
-            raise DomainError(
-                f"factor {i} must be family {family} rank {rank}, "
-                f"got family {label.family} rank {label.n}"
-            )
-        if label.family == FAMILY_D and not label.is_dagger:
-            raise DomainError(f"factor {i} must have its rows in dagger form")
+def _check_factor(i: int, family: str, rank: int, label: IrrLabel) -> None:
+    if label.family != family or label.n != rank:
+        raise DomainError(
+            f"factor {i} must be family {family} rank {rank}, "
+            f"got family {label.family} rank {label.n}"
+        )
+    if label.family == FAMILY_D and not label.is_dagger:
+        raise DomainError(f"factor {i} must have its rows in dagger form")
 
 
 def _factor_rows(
@@ -199,39 +204,77 @@ def _factor_rows(
     return (odd, even) if target == FAMILY_D else (even, odd)
 
 
-def j_induce(e: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> IrrLabel:
-    """Image of a tuple of special factor labels under truncated induction
-    along the embedding.  Output is canonicalized; its b-invariant equals
-    the sum of the factors' b-invariants."""
-    factors = tuple(factors)
-    _check_factors(e, factors)
+def j_induce_pool(
+    e: Embedding, pools: Sequence[Sequence[IrrLabel]]
+) -> Iterator[tuple[tuple[IrrLabel, ...], IrrLabel]]:
+    """(factors, image) of every product of the factor pools, in
+    itertools.product order, each image as j_induce gives it.  Every pool
+    label is checked against the factor signature before the first product,
+    and its aligned rows, b-invariant and kappa are worked out once per
+    pool; each image is still built by the validating IrrLabel(...) and its
+    b-additivity asserted."""
+    sig = e.factor_signature()
+    if len(pools) != len(sig):
+        raise DomainError(f"{e.kind} takes {len(sig)} factors, got {len(pools)}")
     family, n = e.target()
     k = n + 1
     lengths = {FAMILY_A: (k,), FAMILY_BC: (k + 1, k), FAMILY_D: (k, k)}[family]
-    aligned = [_factor_rows(family, lengths, f) for f in factors]
-    extra = len(factors) - 1
-    rows = tuple(
-        tuple(sum(col) - extra * i for i, col in enumerate(zip(*parts)))
-        for parts in zip(*aligned)
-    )
-    kappa = 0
-    if family == FAMILY_D and rows[0] == rows[1]:
-        kappa = (sum(f.kappa for f in factors) + e.lam) % 2
-    out = canonicalize(IrrLabel(family, n, *rows, kappa=kappa))
-    want = sum(b_invariant(f) for f in factors)
-    got = b_invariant(out)
-    if got != want:
-        raise InvariantError(
-            f"b-additivity failed for {e.kind}: {got} != {want}"
+    prepared = []
+    for i, ((fam, rank), pool) in enumerate(zip(sig, pools)):
+        entries = []
+        for label in pool:
+            _check_factor(i, fam, rank, label)
+            entries.append((label, _factor_rows(family, lengths, label),
+                            b_invariant(label), label.kappa))
+        prepared.append(entries)
+    # the base rows (0, 1, ..., len - 1) a column sum counts once too often
+    # per factor after the first
+    extra = len(sig) - 1
+    overlap = tuple(tuple(range(0, extra * length, extra)) for length in lengths)
+    return _pool_images(e, family, n, prepared, overlap)
+
+
+def _pool_images(
+    e: Embedding, family: str, n: int, prepared: list,
+    overlap: tuple[Seq, ...],
+) -> Iterator[tuple[tuple[IrrLabel, ...], IrrLabel]]:
+    for combo in itertools.product(*prepared):
+        factors, aligned, bs, kappas = zip(*combo)
+        rows = tuple(
+            tuple(map(sub, map(sum, zip(*parts)), twice))
+            for parts, twice in zip(zip(*aligned), overlap)
         )
-    return out
+        kappa = 0
+        if family == FAMILY_D and rows[0] == rows[1]:
+            kappa = (sum(kappas) + e.lam) % 2
+        out = canonicalize(IrrLabel(family, n, *rows, kappa=kappa))
+        got, want = b_invariant(out), sum(bs)
+        if got != want:
+            raise InvariantError(
+                f"b-additivity failed for {e.kind}: {got} != {want}"
+            )
+        yield factors, out
+
+
+def j_induce(e: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> IrrLabel:
+    """Image of a tuple of special factor labels under truncated induction
+    along the embedding: the one-product case of j_induce_pool.  Output is
+    canonicalized; its b-invariant equals the sum of the factors'
+    b-invariants."""
+    return next(j_induce_pool(e, [(f,) for f in factors]))[1]
+
+
+def match_key(label: IrrLabel) -> IrrLabel | tuple[int, Seq, Seq]:
+    """Key under which labels compare: the rows (n, z, zp) of a degenerate
+    family-D label, whose kappa bit follows DEGENERATE_CONVENTION and is a
+    representative choice rather than a computed value; the label itself
+    otherwise."""
+    if label.degenerate:
+        return (label.n, label.z, label.zp)
+    return label
 
 
 def labels_match(a: IrrLabel, b: IrrLabel) -> bool:
-    """Label equality, except that two degenerate family-D labels match when
-    their rows do: their kappa bits follow DEGENERATE_CONVENTION and are a
-    representative choice, not a computed value."""
-    if a.degenerate and b.degenerate:
-        return (a.n, a.z, a.zp) == (b.n, b.z, b.zp)
-    return a == b
-
+    """Label equality up to the kappa bit of degenerate family-D labels:
+    equality of match_key."""
+    return match_key(a) == match_key(b)

@@ -54,6 +54,17 @@ def is_nat(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
+def ensure_rank(n: object) -> None:
+    """Reject a rank that is not a nonnegative int: a negative int lies
+    outside the domain (DomainError); anything else, a bool or a float
+    included, is malformed (ValidationError, as ClassLabel raises)."""
+    if is_nat(n):
+        return
+    if isinstance(n, int) and not isinstance(n, bool):
+        raise DomainError(f"rank must be nonnegative, got {n}")
+    raise ValidationError(f"rank must be a nonnegative int, got {n!r}")
+
+
 def _ensure_entries(seq: Seq) -> None:
     if not isinstance(seq, tuple) or len(seq) == 0:
         raise ValidationError(f"sequence must be a nonempty tuple, got {seq!r}")

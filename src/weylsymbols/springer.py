@@ -154,8 +154,10 @@ def tau_fiber(family: str, y: Seq, n: int | None = None) -> tuple[IrrLabel, ...]
     if family not in CLASS_FAMILIES:
         raise DomainError(f"unknown class family {family!r}")
     rank = _class_rank(family, y)
-    if n is not None and n != rank:
-        raise DomainError(f"rank {n} != sequence statistic {rank}")
+    if n is not None:
+        sc.ensure_rank(n)
+        if n != rank:
+            raise DomainError(f"rank {n} != sequence statistic {rank}")
     if family == CLASS_A:
         return (IrrLabel(FAMILY_A, rank, y),)
     # the rows of y less its base are strictly increasing, as the split needs
@@ -233,8 +235,7 @@ def enumerate_classes(family: str, n: int, m: int | None = None) -> tuple[ClassL
     length (or caller-provided m)."""
     if family not in CLASS_FAMILIES:
         raise DomainError(f"unknown class family {family!r}")
-    if n < 0:
-        raise DomainError(f"rank must be nonnegative, got {n}")
+    sc.ensure_rank(n)
     mm = class_policy_m(family, n) if m is None else m
     out = []
     for y in sc.enumerate_space(_SPACE_KIND[family], mm, n):

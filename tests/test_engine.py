@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylsymbols import engine, jinduction, seqcomb as sc
+from weylsymbols.cli import main
 from weylsymbols.engine import (
     RANK_FLOOR,
     ParahoricSpec,
@@ -43,6 +44,7 @@ from weylsymbols.jinduction import (
     Embedding,
     f_product,
     j_induce,
+    match_key,
 )
 from weylsymbols.springer import enumerate_classes, tau_fiber
 
@@ -351,6 +353,55 @@ def test_verify_builds_each_special_pool_once(monkeypatch, family):
     assert pools and set(pools.values()) == {1}
     # every factor f-product is read from the index, none from special_f
     assert from_scratch == []
+
+
+@pytest.mark.parametrize("family", ["C", "D"])
+def test_a_fiber_short_of_one_member_fails_its_rows(monkeypatch, capsys,
+                                                    family):
+    build = engine._induction_graph
+    cut = []
+
+    def short_graph(fam, n, index):
+        images, fibers = build(fam, n, index)
+        key = max(fibers, key=lambda k: (len(fibers[k]), repr(k)))
+        fibers[key].remove(min(fibers[key], key=repr))
+        cut.append(key)
+        return images, fibers
+
+    monkeypatch.setattr(engine, "_induction_graph", short_graph)
+    report = verify(family, 6)
+    failed = [row for row in report.rows if not row.witnesses_ok]
+    assert failed
+    assert failed == [row for row in report.rows
+                      if match_key(row.label) == cut[0]]
+    assert not report.ok()
+    assert main(["verify", "--family", family, "--rank", "6"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_replays_only_witnesses_outside_their_fiber(monkeypatch):
+    calls = []
+    inner = engine.j_induce
+
+    def counted(e, factors):
+        calls.append(e)
+        return inner(e, factors)
+
+    monkeypatch.setattr(engine, "j_induce", counted)
+    graphs = {family: engine._induction_graph(family, 10, SpecialIndex())
+              for family in "BCD"}
+    for family, (images, _) in graphs.items():
+        assert bar_S(family, 10) == images
+    assert calls == []
+    outside = 0
+    for family, (_, fibers) in graphs.items():
+        for row in verify(family, 10).rows:
+            fiber = fibers[match_key(row.label)]
+            outside += sum(
+                (spec, tuple(map(canonicalize, factors))) not in fiber
+                for spec, factors in row.witnesses
+            )
+    assert len(calls) == outside == 110
 
 
 def test_special_index_matches_f_product_and_rejects_nonspecial_factors():

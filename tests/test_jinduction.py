@@ -23,6 +23,7 @@ from weylsymbols.irreps import (
     is_special,
     make_d_label,
     partition_to_z,
+    shift,
     special_f,
     special_reps,
 )
@@ -39,8 +40,11 @@ from weylsymbols.jinduction import (
     double_dots,
     f_product,
     j_induce,
+    j_induce_pool,
     labels_match,
+    match_key,
 )
+from weylsymbols.oracle import character_table, key_to_label
 
 
 def _a_label(partition: tuple[int, ...]) -> IrrLabel:
@@ -258,6 +262,46 @@ def test_images_of_every_kind_are_pinned():
                     cases += 1
     assert cases == _IMAGES_CASES
     assert digest.hexdigest() == _IMAGES_SHA256
+
+
+def test_pool_form_yields_j_induce_of_every_product_in_order():
+    caps = {FAMILY_A: 6, FAMILY_BC: 5, FAMILY_D: 5}
+    for n in range(0, 7):
+        for e in _all_embeddings(n):
+            if n > caps[e.target()[0]]:
+                continue
+            lams = d_placements(e.r, e.p, e.q) if e.kind == EMBED_D_TRIPLE else (0,)
+            pools = [_special_labels(f, rank) for f, rank in e.factor_signature()]
+            for lam in lams:
+                twisted = dataclasses.replace(e, lam=lam)
+                want = [(combo, j_induce(twisted, combo))
+                        for combo in itertools.product(*pools)]
+                assert list(j_induce_pool(twisted, pools)) == want
+
+
+def test_pool_form_checks_every_label_before_the_first_product():
+    e = Embedding(EMBED_B_WR_WQ, r=1, q=2)
+    good = [_special_labels(FAMILY_BC, 1), _special_labels(FAMILY_BC, 2)]
+    with pytest.raises(DomainError, match="factor 1 must be family BC rank 2"):
+        j_induce_pool(e, [good[0], good[1] + [_trivial(FAMILY_BC, 3)]])
+    with pytest.raises(DomainError, match="takes 2 factors, got 1"):
+        j_induce_pool(e, good[:1])
+
+
+def test_labels_match_is_equality_of_match_keys():
+    labels = [
+        lab
+        for n in range(0, 5)
+        for key in character_table(FAMILY_D, n).irreps
+        for lab in (key_to_label(FAMILY_D, n, key),
+                    shift(key_to_label(FAMILY_D, n, key), 1))
+    ]
+    assert sum(lab.degenerate for lab in labels) >= 8
+    for a, b in itertools.product(labels, repeat=2):
+        rows_match = (a.degenerate and b.degenerate
+                      and (a.n, a.z, a.zp) == (b.n, b.z, b.zp))
+        assert labels_match(a, b) == (match_key(a) == match_key(b))
+        assert labels_match(a, b) == (a == b or rows_match)
 
 
 def test_nested_embeddings_preserve_specialness_and_f():

@@ -288,6 +288,19 @@ def test_enumerate_classes_counts_and_base_conditions():
         enumerate_classes(CLASS_B, -1)
 
 
+@pytest.mark.parametrize("call, args", [
+    (enumerate_classes, (CLASS_B, 2.0)),
+    (tau_fiber, (CLASS_B, (0, 1, 2), True)),
+    (tau_fiber, (CLASS_B, (0, 1, 2), 1.0)),
+    (special_reps, (FAMILY_BC, True)),
+], ids=["enumerate_classes-float", "tau_fiber-bool", "tau_fiber-float",
+        "special_reps-bool"])
+def test_ranks_must_be_ints(call, args):
+    with pytest.raises(ValidationError,
+                       match=r"rank must be a nonnegative int, got (2\.0|True|1\.0)"):
+        call(*args)
+
+
 def test_shift_class_commutes_with_tau():
     pairs = [
         (CLASS_B, FAMILY_BC),
