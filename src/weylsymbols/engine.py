@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import seqcomb as sc
 from .errors import DomainError, InvariantError
@@ -458,12 +458,24 @@ def fc(label: IrrLabel, family: str, n: int) -> int:
 Fibers = dict[object, set[Member]]
 
 
+def _maximal_pools(family: str, n: int, index: SpecialIndex
+                   ) -> Iterator[tuple[ParahoricSpec, Embedding, list]]:
+    """(shape, embedding, factor pools) of every maximal shape of a B, C or
+    D target, the pools read from the index."""
+    for r in range(n + 1):
+        spec = ParahoricSpec(family, n, r=r, q=n - r)
+        if spec.is_maximal():
+            emb = _embedding(spec)
+            yield spec, emb, [index.pool(fam, rank)
+                              for fam, rank in emb.factor_signature()]
+
+
 def _induction_graph(family: str, n: int,
                      index: SpecialIndex) -> tuple[frozenset[IrrLabel], Fibers]:
-    """Induction image over all maximal shapes, computed purely on the
-    label side (no class sequences involved), and its fibers: match_key of
-    an image -> the members (shape, canonical factors) inducing to it, D
-    two-block members in their two-factor form."""
+    """Induction image over all maximal shapes, as bar_S, and its fibers:
+    match_key of an image -> the members (shape, canonical factors)
+    inducing to it, D two-block members in their two-factor form.  Every
+    shape's products go through one j_induce_pool."""
     if family == CLASS_A:
         # the only maximal shape is the full group
         spec = ParahoricSpec(CLASS_A, n, d=1)
@@ -471,12 +483,7 @@ def _induction_graph(family: str, n: int,
         return frozenset(pool), {lab: {(spec, (lab,))} for lab in pool}
     images: set[IrrLabel] = set()
     fibers: Fibers = {}
-    for r in range(n + 1):
-        spec = ParahoricSpec(family, n, r=r, q=n - r)
-        if not spec.is_maximal():
-            continue
-        emb = _embedding(spec)
-        pools = [index.pool(fam, rank) for fam, rank in emb.factor_signature()]
+    for spec, emb, pools in _maximal_pools(family, n, index):
         for factors, image in j_induce_pool(emb, pools):
             images.add(image)
             fibers.setdefault(match_key(image), set()).add(
@@ -487,12 +494,20 @@ def _induction_graph(family: str, n: int,
 def bar_S(family: str, n: int,
           index: SpecialIndex | None = None) -> frozenset[IrrLabel]:
     """Induction image over all maximal shapes, computed purely on the
-    label side (no class sequences involved).  The factor pools come from
-    the given index, or from a fresh one."""
+    label side (no class sequences involved), one public j_induce per
+    factor product.  verify takes the same image from its induction graph
+    instead; this per-product form stays the independent reference for it.
+    The factor pools come from the given index, or from a fresh one."""
     ensure_floor(family, n)
     if index is None:
         index = SpecialIndex()
-    return _induction_graph(family, n, index)[0]
+    if family == CLASS_A:
+        return frozenset(index.pool(FAMILY_A, n))
+    return frozenset(
+        j_induce(emb, factors)
+        for _, emb, pools in _maximal_pools(family, n, index)
+        for factors in itertools.product(*pools)
+    )
 
 
 @dataclass(frozen=True)
