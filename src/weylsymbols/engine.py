@@ -28,14 +28,15 @@ byte-stable across runs.
 Each report row is one pass: the class invariants, the maximal members and
 one f-product per member are computed once, and the class sequence and the
 maximal f-product feed the symmetry-order witness search directly.  One
-verify call builds one SpecialIndex: each (family, rank) pool of special
-labels is enumerated once, shared by the induction graph and the rows, and
-the rows read their factors' f-invariants from it.  It also builds one
-induction graph, the images of every maximal shape's pool products and the
-fiber of members over each, which the membership check and the rows
-share.  Index and graph live only as long as the call.  Split parts found
-by the enumerators below are valid by construction, so they go through
-the unvalidated kernels of seqcomb and irreps.
+verify call builds one SpecialIndex, whose (family, rank) pools of special
+labels are enumerated once and give the rows their factors' f-invariants,
+and one induction graph: the images of every maximal shape's pool products
+and the fiber of members over each.  Both live only as long as the call.
+Every member factor has one form there, the member form: BC and D labels as
+the rows split them out of y, at the target's merged length, A labels
+canonical; so fibers, members, witnesses and f lookups compare as they are.
+Split parts found by the enumerators below are valid by construction, so
+they go through the unvalidated kernels of seqcomb and irreps.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .irreps import (
     canonicalize,
     label_str,
     partition_to_z,
+    policy_m,
     special_reps,
     xi,
     z_to_partition,
@@ -101,8 +103,9 @@ def _ensure_family(family: str) -> None:
 
 
 def ensure_floor(family: str, n: int) -> None:
-    """Reject an unknown class family or a rank below its RANK_FLOOR."""
+    """Reject an unknown class family or a rank not an int >= RANK_FLOOR."""
     _ensure_family(family)
+    sc.ensure_rank(n)
     if n < RANK_FLOOR[family]:
         raise DomainError(
             f"family {family} needs rank >= {RANK_FLOOR[family]}, got {n}"
@@ -205,37 +208,40 @@ Member = tuple[ParahoricSpec, tuple[IrrLabel, ...]]
 
 
 class SpecialIndex:
-    """Special labels of each (family, rank), enumerated on first use: the
-    canonical labels of the pool, and canonical label -> f-invariant."""
+    """Special labels of each (family, rank) in the member form of a rank-n
+    verify target, enumerated on first use, and label -> f-invariant."""
 
-    def __init__(self) -> None:
+    def __init__(self, n: int) -> None:
+        self._n = n
         self._pools: dict[tuple[str, int], tuple[IrrLabel, ...]] = {}
         self._f: dict[IrrLabel, int] = {}
 
     def pool(self, family: str, rank: int) -> tuple[IrrLabel, ...]:
-        """Canonical special labels of the family at the rank."""
+        """Special labels of the family at the rank: BC and D labels at the
+        target's merged length, as rows split them out of y; A canonical."""
         key = (family, rank)
         if key not in self._pools:
-            reps = special_reps(family, rank)
-            labels = tuple(canonicalize(rep.label) for rep in reps)
+            if family == FAMILY_A:
+                reps = special_reps(FAMILY_A, rank)
+                labels = tuple(canonicalize(rep.label) for rep in reps)
+            else:
+                reps = special_reps(family, rank, policy_m(family, self._n))
+                labels = tuple(rep.label for rep in reps)
             self._f.update(zip(labels, (rep.f for rep in reps)))
             self._pools[key] = labels
         return self._pools[key]
 
     def f_product(self, factors: tuple[IrrLabel, ...]) -> int:
-        """Product of the factors' f-invariants, as jinduction.f_product."""
+        """Product of the factors' f-invariants, as jinduction.f_product,
+        for factors in the index's member form."""
         out = 1
         for label in factors:
             f = self._f.get(label)
             if f is None:
-                canon = canonicalize(label)
-                if canon not in self._f:
-                    self.pool(canon.family, canon.n)
-                    if canon not in self._f:
-                        raise InvariantError(
-                            f"factor {label_str(label)} is not special"
-                        )
-                f = self._f[canon]
+                self.pool(label.family, label.n)
+                f = self._f.get(label)
+                if f is None:
+                    raise InvariantError(f"factor {label_str(label)} is not special")
             out *= f
         return out
 
@@ -299,12 +305,9 @@ def _d_middle(spec: ParahoricSpec, factors: tuple) -> tuple:
 
 def _replay(spec: ParahoricSpec, factors: tuple[IrrLabel, ...],
             target: IrrLabel) -> bool:
-    """Recompute the induction image of a member and compare to the target;
-    degenerate family-D images compare by rows only."""
-    target = canonicalize(target)
+    """Recompute the induction image of a member and compare to the
+    canonical target; degenerate family-D images compare by rows only."""
     if spec.family == CLASS_A:
-        if spec.d == 1:
-            return canonicalize(factors[0]) == target
         step = spec.n // spec.d
         acc = factors[0]
         for h in range(1, spec.d):
@@ -324,6 +327,7 @@ def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
     block fibers are expanded, one member per choice.
     """
     _ensure_family(family)
+    sc.ensure_rank(n)
     if family == CLASS_A:
         _ensure_a_label(label, n)
         return ((ParahoricSpec(CLASS_A, n, d=1), (canonicalize(label),)),)
@@ -353,7 +357,7 @@ def fa(label: IrrLabel, family: str, n: int) -> int:
 def _a_divisor_members(label: IrrLabel, n: int) -> tuple[tuple[int, IrrLabel], ...]:
     """Divisors d of n dividing every part of the label's deviation
     partition, ascending, each with the scaled rank-n/d label."""
-    part = z_to_partition(canonicalize(label).z)
+    part = z_to_partition(label.z)
     out = []
     for d in range(1, n + 1):
         if n % d or any(v % d for v in part):
@@ -443,7 +447,7 @@ def fc(label: IrrLabel, family: str, n: int) -> int:
     else:
         y, fa_value = tau(family, canon).y, fa(canon, family, n)
     value, witness = _fc_with_witness(canon, family, n, y, fa_value, f_product)
-    if witness is not None and not _replay(witness[0], witness[1], label):
+    if witness is not None and not _replay(witness[0], witness[1], canon):
         raise InvariantError("symmetry witness does not replay")
     if order % value:
         raise InvariantError(
@@ -473,9 +477,10 @@ def _maximal_pools(family: str, n: int, index: SpecialIndex
 def _induction_graph(family: str, n: int,
                      index: SpecialIndex) -> tuple[frozenset[IrrLabel], Fibers]:
     """Induction image over all maximal shapes, as bar_S, and its fibers:
-    match_key of an image -> the members (shape, canonical factors)
-    inducing to it, D two-block members in their two-factor form.  Every
-    shape's products go through one j_induce_pool."""
+    match_key of an image -> the members (shape, factors) inducing to it,
+    factors in the index's member form, as enumerate_cz gives them (D
+    two-block members in their two-factor form).  Every shape's products go
+    through one j_induce_pool."""
     if family == CLASS_A:
         # the only maximal shape is the full group
         spec = ParahoricSpec(CLASS_A, n, d=1)
@@ -491,16 +496,14 @@ def _induction_graph(family: str, n: int,
     return frozenset(images), fibers
 
 
-def bar_S(family: str, n: int,
-          index: SpecialIndex | None = None) -> frozenset[IrrLabel]:
-    """Induction image over all maximal shapes, computed purely on the
-    label side (no class sequences involved), one public j_induce per
-    factor product.  verify takes the same image from its induction graph
-    instead; this per-product form stays the independent reference for it.
-    The factor pools come from the given index, or from a fresh one."""
+def bar_S(family: str, n: int) -> frozenset[IrrLabel]:
+    """Induction image over all maximal shapes, as canonical labels,
+    computed purely on the label side (no class sequences involved), one
+    public j_induce per product of the member-form factor pools.  verify
+    takes the same image from its induction graph instead; this per-product
+    form stays the independent reference for it."""
     ensure_floor(family, n)
-    if index is None:
-        index = SpecialIndex()
+    index = SpecialIndex(n)
     if family == CLASS_A:
         return frozenset(index.pool(FAMILY_A, n))
     return frozenset(
@@ -630,19 +633,12 @@ def _member_str(member: Member) -> str:
     return shape + " " + "*".join(label_str(lab) for lab in factors)
 
 
-def _canonical_member(member: Member) -> Member:
-    spec, factors = member
-    return spec, tuple(canonicalize(f) for f in factors)
-
-
-def _class_row(family: str, n: int, c: ClassLabel, label: IrrLabel,
+def _class_row(family: str, n: int, c: ClassLabel, canon: IrrLabel,
                index: SpecialIndex, fibers: Fibers) -> ClassRow:
     inv = class_invariants(c)
-    canon = canonicalize(label)
     b_label = b_invariant(canon)
     members = enumerate_cz(canon, family, n)
-    found = [_canonical_member(m) for m in members]
-    fs = [index.f_product(factors) for _, factors in found]
+    fs = [index.f_product(factors) for _, factors in members]
     # a maximum equal to the class component count also bounds every member
     fa_value = max(fs)
     fc_value, fc_witness = _fc_with_witness(canon, family, n, c.y, fa_value,
@@ -653,8 +649,8 @@ def _class_row(family: str, n: int, c: ClassLabel, label: IrrLabel,
     # graph, so the f-maximal ones induce to the label by construction; the
     # symmetry witness is replayed only when it lies outside the fiber
     fiber = fibers.get(match_key(canon), set())
-    witnesses_ok = set(found) == fiber and (
-        fc_witness is None or _canonical_member(fc_witness) in fiber
+    witnesses_ok = set(members) == fiber and (
+        fc_witness is None or fc_witness in fiber
         or _replay(*fc_witness, canon))
     return ClassRow(
         label=canon,
@@ -683,14 +679,15 @@ def verify(family: str, n: int) -> VerificationReport:
     any order; this driver runs them serially in class order.
     """
     ensure_floor(family, n)
-    index = SpecialIndex()
+    index = SpecialIndex(n)
     image, fibers = _induction_graph(family, n, index)
     rows: list[ClassRow] = []
     stratum: set[IrrLabel] = set()
     for c in enumerate_classes(family, n):
         for label in tau_fiber(family, c.y, n):
-            stratum.add(canonicalize(label))
-            rows.append(_class_row(family, n, c, label, index, fibers))
+            canon = canonicalize(label)
+            stratum.add(canon)
+            rows.append(_class_row(family, n, c, canon, index, fibers))
     return VerificationReport(
         family=family,
         n=n,

@@ -292,23 +292,19 @@ def special_reps(family: str, n: int, m: int | None = None) -> tuple[SpecialRep,
     Family A: every irreducible is special (f = 1 throughout). Families BC
     and D enumerate the merged-sequence stratum at the module's length
     policy (or caller-provided m) and expand fibers, so degenerate family-D
-    symbols appear once per kappa value.
+    symbols appear once per kappa value.  An m or n that is not an int
+    raises ValidationError; an m of the wrong parity for the family raises
+    DomainError.
     """
     sc.ensure_rank(n)
     if family == FAMILY_A:
-        k = n if m is None else m
-        if k < 0:
-            raise DomainError(f"row length index must be nonnegative, got {k}")
         return tuple(
             SpecialRep(IrrLabel(FAMILY_A, n, z), z, sc.beta0(z), 1)
-            for z in sc.enumerate_space("Z", k, n)
+            for z in sc.enumerate_space("Z", n if m is None else m, n)
         )
     if family not in (FAMILY_BC, FAMILY_D):
         raise DomainError(f"unknown family {family!r}")
     mm = policy_m(family, n) if m is None else m
-    want_parity = 0 if family == FAMILY_BC else 1
-    if mm % 2 != want_parity:
-        raise DomainError(f"family {family} needs m parity {want_parity}, got {mm}")
     out: list[SpecialRep] = []
     for x in sc.enumerate_space("X", mm, n):
         b = sc.beta(x)

@@ -662,11 +662,15 @@ def enumerate_space(kind: str, m: int, n: int) -> tuple[Seq, ...]:
 
     The statistic is the deviation sum against the space's base sequence
     (plain entry sum for kind E). Output is lexicographically sorted and
-    duplicate-free. m or n above the size cap raises ResourceError.
+    duplicate-free. m or n not an int (a bool included) raises
+    ValidationError, negative DomainError, above the size cap ResourceError.
     """
     kind = _KIND_ALIASES.get(kind, kind)
     if kind not in ("Z", "X", "Y", "XT", "YT", "E"):
         raise DomainError(f"unknown sequence kind {kind!r}")
+    for name, v in (("m", m), ("n", n)):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValidationError(f"{name} must be an int, got {v!r}")
     if m < 0 or n < 0:
         raise DomainError(f"m and n must be nonnegative, got m={m} n={n}")
     if m > SIZE_CAP or n > SIZE_CAP:

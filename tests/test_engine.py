@@ -32,6 +32,7 @@ from weylsymbols.irreps import (
     make_d_label,
     partition_to_z,
     policy_m,
+    shift,
     special_reps,
     z_to_partition,
 )
@@ -293,6 +294,8 @@ _VERIFY_DIGESTS = {
           "5aa869f6f00180a05c1d0b08a83f2e91e3b237a0dfc2ae2699ffe21ad07eac57"),
     "D": ("D", 6, 31,
           "b81442f7fa45fd44f9fead04f259137cf8ddc4c8b861a7ac4f53d9026f7f20b2"),
+    "A12": ("A", 12, 77,
+            "7cfa3362f87bfb279e4f0b68aff4e0a90921206c140510d88fd91a00ef2fd7b2"),
     "B8": ("B", 8, 86,
            "0fec6e5da0b9d5b0926fec5290743371181af9670123d7babdbea9bdc3d8bbf7"),
     "C8": ("C", 8, 100,
@@ -388,7 +391,7 @@ def test_verify_replays_only_witnesses_outside_their_fiber(monkeypatch):
         return inner(e, factors)
 
     monkeypatch.setattr(engine, "j_induce", counted)
-    graphs = {family: engine._induction_graph(family, 10, SpecialIndex())
+    graphs = {family: engine._induction_graph(family, 10, SpecialIndex(10))
               for family in "BCD"}
     assert calls == []
     for family, (images, _) in graphs.items():
@@ -399,21 +402,40 @@ def test_verify_replays_only_witnesses_outside_their_fiber(monkeypatch):
     outside = 0
     for family, (_, fibers) in graphs.items():
         for row in verify(family, 10).rows:
+            # witnesses and fibers share the member form
             fiber = fibers[match_key(row.label)]
-            outside += sum(
-                (spec, tuple(map(canonicalize, factors))) not in fiber
-                for spec, factors in row.witnesses
-            )
+            outside += sum(member not in fiber for member in row.witnesses)
     assert len(calls) == outside == 110
 
 
 def test_special_index_matches_f_product_and_rejects_nonspecial_factors():
-    index = SpecialIndex()
+    index = SpecialIndex(6)
     for family in (FAMILY_A, FAMILY_BC, FAMILY_D):
-        for rep in special_reps(family, 4, policy_m(family, 4) + 2):
-            assert index.f_product((rep.label,)) == f_product((rep.label,))
+        for rank in range(5):
+            pool = index.pool(family, rank)
+            if family == FAMILY_A:
+                assert pool == tuple(canonicalize(rep.label)
+                                     for rep in special_reps(family, rank))
+            else:
+                # BC and D pools sit at the target's merged length
+                assert pool == tuple(rep.label for rep in special_reps(
+                    family, rank, policy_m(family, 6)))
+            for label in pool:
+                assert index.f_product((label,)) == f_product((label,))
+    # a non-special label in the member form: rows of lengths (8, 7)
     with pytest.raises(InvariantError, match="not special"):
-        index.f_product((IrrLabel(FAMILY_BC, 2, (1, 2), (0,)),))
+        index.f_product((shift(IrrLabel(FAMILY_BC, 2, (1, 2), (0,)), 6),))
+
+
+@pytest.mark.parametrize("family", [FAMILY_BC, FAMILY_D])
+def test_special_index_rejects_a_special_label_padded_differently(family):
+    index = SpecialIndex(6)
+    label = index.pool(family, 3)[-1]
+    assert index.f_product((label,)) == f_product((label,))
+    for other in (canonicalize(label), shift(label, 1)):
+        assert other != label
+        with pytest.raises(InvariantError, match="not special"):
+            index.f_product((other,))
 
 
 @pytest.mark.parametrize("label, n", [

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from weylsymbols import seqcomb as sc
+from weylsymbols.engine import bar_S, fa, fc, verify
 from weylsymbols.errors import DomainError, ValidationError
 from weylsymbols.irreps import (
     FAMILY_A,
@@ -293,11 +294,33 @@ def test_enumerate_classes_counts_and_base_conditions():
     (tau_fiber, (CLASS_B, (0, 1, 2), True)),
     (tau_fiber, (CLASS_B, (0, 1, 2), 1.0)),
     (special_reps, (FAMILY_BC, True)),
+    (verify, (CLASS_B, 3.0)),
+    (bar_S, (CLASS_B, 3.0)),
+    (fc, (IrrLabel(FAMILY_A, 3, (3,)), CLASS_A, 3.0)),
+    (fa, (IrrLabel(FAMILY_BC, 3, (0, 4), (0,)), CLASS_B, 3.0)),
 ], ids=["enumerate_classes-float", "tau_fiber-bool", "tau_fiber-float",
-        "special_reps-bool"])
+        "special_reps-bool", "verify-float", "bar_S-float", "fc-float",
+        "fa-float"])
 def test_ranks_must_be_ints(call, args):
     with pytest.raises(ValidationError,
-                       match=r"rank must be a nonnegative int, got (2\.0|True|1\.0)"):
+                       match=r"rank must be a nonnegative int, got ([123]\.0|True)"):
+        call(*args)
+
+
+@pytest.mark.parametrize("call, args, error", [
+    (special_reps, (FAMILY_BC, 2, 6.0), ValidationError),
+    (special_reps, (FAMILY_A, 2, True), ValidationError),
+    (special_reps, (FAMILY_BC, 2, True), ValidationError),
+    (enumerate_classes, (CLASS_B, 2, 6.0), ValidationError),
+    (sc.enumerate_space, ("X", 2.0, 1), ValidationError),
+    (sc.enumerate_space, ("X", 2, "1"), ValidationError),
+    (special_reps, (FAMILY_A, 2, -1), DomainError),
+    (enumerate_classes, (CLASS_B, 2, -2), DomainError),
+], ids=["special_reps-float", "special_reps-bool", "special_reps-bool-odd",
+        "enumerate_classes-float", "enumerate_space-float", "enumerate_space-str",
+        "special_reps-negative", "enumerate_classes-negative"])
+def test_length_indices_must_be_nonnegative_ints(call, args, error):
+    with pytest.raises(error, match=r"must be (an int|nonnegative), got"):
         call(*args)
 
 
