@@ -25,13 +25,19 @@ factor. Family A scales deviation partitions by a divisor instead.
 Enumeration order is lexicographic throughout, so every report is
 byte-stable across runs.
 
-Each report row is one pass: the class invariants, the maximal members and
-one f-product per member are computed once, and the class sequence and the
-maximal f-product feed the symmetry-order witness search directly.  One
-verify call builds one SpecialIndex, whose (family, rank) pools of special
-labels are enumerated once and give the rows their factors' f-invariants,
-and one induction graph: the images of every maximal shape's pool products
-and the fiber of members over each.  Both live only as long as the call.
+Each report row is one pass: the class invariants, the split table of the
+class sequence y (every two-block split with its block ranks), the maximal
+members and one f-product per member are computed once; the maximal
+members and the C and D split witness both read the one split table, and
+y and the maximal f-product feed the symmetry-order witness search
+directly.  One verify call builds one SpecialIndex, whose (family, rank)
+pools of special labels are enumerated once and give the rows their
+factors' f-invariants; one table of the maximal shapes by block sizes,
+shared by the induction graph and every row; and one induction graph: the
+images of every maximal shape's pool products, each distinct image built
+once through one image table across all shapes, and the fiber of members
+over each.  All of them live only as long as the call: the public entry
+points (enumerate_cz, fa, fc, bar_S) build their own and cache nothing.
 Every member factor has one form there, the member form: BC and D labels as
 the rows split them out of y, at the target's merged length, A labels
 canonical; so fibers, members, witnesses and f lookups compare as they are.
@@ -69,10 +75,11 @@ from .jinduction import (
     EMBED_C_WR_WDQ,
     EMBED_D_TRIPLE,
     Embedding,
+    ImageTable,
     d_placements,
     f_product,
+    _induce_pool,
     j_induce,
-    j_induce_pool,
     labels_match,
     match_key,
 )
@@ -265,6 +272,56 @@ def _two_block(family: str) -> tuple[Callable, Callable, Callable]:
     return sc.split_pairs, sc._rho, partial(_zeta_inverse, LABEL_FAMILY[family])
 
 
+Split = tuple[Seq, Seq, int, int]
+
+
+def _split_table(family: str, y: Seq) -> tuple[Split, ...]:
+    """Every two-block split of a B, C or D class sequence y, in the
+    enumerator's order, as (x, x~, rank of x, rank of x~)."""
+    splits, rank2, _ = _two_block(family)
+    return tuple((x, xt, sc._rho(x), rank2(xt)) for x, xt in splits(y))
+
+
+Shapes = dict[tuple[int, int], ParahoricSpec]
+
+
+def _maximal_shapes(family: str, n: int) -> Shapes:
+    """Maximal shapes of a rank-n target by block sizes (r, q): the
+    two-block shapes of B, C and D; family A's one, the full group, is
+    stored under (n, 0)."""
+    if family == CLASS_A:
+        return {(n, 0): ParahoricSpec(CLASS_A, n, d=1)}
+    shapes = (ParahoricSpec(family, n, r=r, q=n - r) for r in range(n + 1))
+    return {(s.r, s.q): s for s in shapes if s.is_maximal()}
+
+
+def _maximal_members(family: str, splits: tuple[Split, ...],
+                     shapes: Shapes) -> tuple[Member, ...]:
+    """Members of the splits on maximal shapes, one per choice of label in
+    each block's fiber (degenerate family-D fibers hold two)."""
+    fiber2 = _two_block(family)[2]
+    out: list[Member] = []
+    for x, xt, r, q in splits:
+        spec = shapes.get((r, q))
+        if spec is None:
+            continue
+        for factors in itertools.product(
+                _zeta_inverse(LABEL_FAMILY[family], x), fiber2(xt)):
+            out.append((spec, factors))
+    return tuple(out)
+
+
+def _stratum_y(label: IrrLabel, family: str, n: int) -> Seq:
+    """Class sequence of a B, C or D stratum label of rank n (DomainError
+    for a label outside the stratum or of another rank)."""
+    if label.n != n:
+        raise DomainError(
+            f"block sizes must add up to the rank {n}, "
+            f"got a label of rank {label.n}"
+        )
+    return tau(family, label).y
+
+
 def _ensure_a_label(label: IrrLabel, n: int) -> None:
     if label.family != FAMILY_A or label.n != n:
         raise DomainError(
@@ -324,24 +381,16 @@ def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
     Members are found by splitting the class sequence of the label into two
     blocks, so the label must lie in the stratum (DomainError otherwise);
     only shapes omitting a single affine node are kept. Degenerate family-D
-    block fibers are expanded, one member per choice.
+    block fibers are expanded, one member per choice.  (verify's row pass
+    splits the y it holds instead, and keeps the split table.)
     """
     _ensure_family(family)
     sc.ensure_rank(n)
     if family == CLASS_A:
         _ensure_a_label(label, n)
         return ((ParahoricSpec(CLASS_A, n, d=1), (canonicalize(label),)),)
-    y = tau(family, label).y
-    splits, rank2, fiber2 = _two_block(family)
-    out: list[Member] = []
-    for x, xt in splits(y):
-        spec = ParahoricSpec(family, n, r=sc._rho(x), q=rank2(xt))
-        if not spec.is_maximal():
-            continue
-        for factors in itertools.product(
-                _zeta_inverse(LABEL_FAMILY[family], x), fiber2(xt)):
-            out.append((spec, factors))
-    return tuple(out)
+    splits = _split_table(family, _stratum_y(label, family, n))
+    return _maximal_members(family, splits, _maximal_shapes(family, n))
 
 
 # ---------------------------------------------------------------------------
@@ -381,36 +430,36 @@ def _symmetric_member(family: str, n: int, x: Seq, e: Seq) -> Member:
 FProduct = Callable[[tuple[IrrLabel, ...]], int]
 
 
-def _split_witness(family: str, n: int, y: Seq, fa_value: int,
-                   fprod: FProduct,
+def _split_witness(family: str, n: int, splits: tuple[Split, ...],
+                   fa_value: int, fprod: FProduct,
                    strict: tuple[int, int]) -> tuple[int, Member | None]:
     """First two-block member at the maximal f-product whose parts keep at
     least strict = (lo, hi) strict positions: order 2 with it, else 1."""
-    splits, rank2, fiber2 = _two_block(family)
+    fiber2 = _two_block(family)[2]
     lo, hi = strict
-    for x, xt in splits(y):
+    for x, xt, r, q in splits:
         if len(sc._frakS(xt)) < hi or len(sc._frakS(x)) < lo:
             continue
         factors = (_zeta_inverse(LABEL_FAMILY[family], x)[0], fiber2(xt)[0])
         if fprod(factors) != fa_value:
             continue
-        spec = ParahoricSpec(family, n, r=sc._rho(x), q=rank2(xt))
-        return 2, (spec, factors)
+        return 2, (ParahoricSpec(family, n, r=r, q=q), factors)
     return 1, None
 
 
 def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
-                     fa_value: int,
+                     splits: tuple[Split, ...], fa_value: int,
                      fprod: FProduct) -> tuple[int, Member | None]:
-    """Symmetry order and witness of a canonical label, given y, fa and the
-    f-product of factor tuples."""
+    """Symmetry order and witness of a canonical label, given y, its split
+    table (empty for family A), fa and the f-product of factor tuples."""
     if family == CLASS_A:
         d, tilde = _a_divisor_members(label, n)[-1]
         return d, (ParahoricSpec(CLASS_A, n, d=d), (tilde,) * d)
     if family == CLASS_C:
         # the node flip fixes a member exactly when the based part keeps a
         # strict position beyond its base one
-        return _split_witness(CLASS_C, n, y, fa_value, fprod, strict=(0, 3))
+        return _split_witness(CLASS_C, n, splits, fa_value, fprod,
+                              strict=(0, 3))
     sym = sc.symmetric_decompositions(y)
     if family == CLASS_B:
         if not sym:
@@ -432,21 +481,25 @@ def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
         return 2, _symmetric_member(CLASS_D, n, *sym[0])
     # half symmetry via a split whose parts both extend across the prong
     # swap, at maximal f-product
-    return _split_witness(CLASS_D, n, y, fa_value, fprod, strict=(2, 2))
+    return _split_witness(CLASS_D, n, splits, fa_value, fprod, strict=(2, 2))
 
 
 def fc(label: IrrLabel, family: str, n: int) -> int:
     """Largest shape-symmetry subgroup order fixing some f-maximal member
-    (verify's row pass supplies the y and fa it holds; here they are
-    worked out, except for family A, which needs neither)."""
+    (verify's row pass supplies the y, split table and fa it holds; here
+    they are worked out, except for family A, which needs none)."""
     order = _omega_order(family, n)
     canon = canonicalize(label)
     if family == CLASS_A:
         _ensure_a_label(canon, n)
-        y, fa_value = canon.z, 1
+        y, splits, fa_value = canon.z, (), 1
     else:
-        y, fa_value = tau(family, canon).y, fa(canon, family, n)
-    value, witness = _fc_with_witness(canon, family, n, y, fa_value, f_product)
+        y = _stratum_y(canon, family, n)
+        splits = _split_table(family, y)
+        members = _maximal_members(family, splits, _maximal_shapes(family, n))
+        fa_value = max(f_product(factors) for _, factors in members)
+    value, witness = _fc_with_witness(canon, family, n, y, splits, fa_value,
+                                      f_product)
     if witness is not None and not _replay(witness[0], witness[1], canon):
         raise InvariantError("symmetry witness does not replay")
     if order % value:
@@ -462,38 +515,36 @@ def fc(label: IrrLabel, family: str, n: int) -> int:
 Fibers = dict[object, set[Member]]
 
 
-def _maximal_pools(family: str, n: int, index: SpecialIndex
+def _maximal_pools(shapes: Shapes, index: SpecialIndex
                    ) -> Iterator[tuple[ParahoricSpec, Embedding, list]]:
     """(shape, embedding, factor pools) of every maximal shape of a B, C or
     D target, the pools read from the index."""
-    for r in range(n + 1):
-        spec = ParahoricSpec(family, n, r=r, q=n - r)
-        if spec.is_maximal():
-            emb = _embedding(spec)
-            yield spec, emb, [index.pool(fam, rank)
-                              for fam, rank in emb.factor_signature()]
+    for spec in shapes.values():
+        emb = _embedding(spec)
+        yield spec, emb, [index.pool(fam, rank)
+                          for fam, rank in emb.factor_signature()]
 
 
-def _induction_graph(family: str, n: int,
-                     index: SpecialIndex) -> tuple[frozenset[IrrLabel], Fibers]:
+def _induction_graph(family: str, n: int, index: SpecialIndex,
+                     shapes: Shapes) -> tuple[frozenset[IrrLabel], Fibers]:
     """Induction image over all maximal shapes, as bar_S, and its fibers:
     match_key of an image -> the members (shape, factors) inducing to it,
     factors in the index's member form, as enumerate_cz gives them (D
     two-block members in their two-factor form).  Every shape's products go
-    through one j_induce_pool."""
+    through one pool induction, all sharing one image table, so each
+    distinct image is built once."""
     if family == CLASS_A:
         # the only maximal shape is the full group
-        spec = ParahoricSpec(CLASS_A, n, d=1)
+        spec = shapes[n, 0]
         pool = index.pool(FAMILY_A, n)
         return frozenset(pool), {lab: {(spec, (lab,))} for lab in pool}
-    images: set[IrrLabel] = set()
+    table: ImageTable = {}
     fibers: Fibers = {}
-    for spec, emb, pools in _maximal_pools(family, n, index):
-        for factors, image in j_induce_pool(emb, pools):
-            images.add(image)
+    for spec, emb, pools in _maximal_pools(shapes, index):
+        for factors, image in _induce_pool(emb, pools, table):
             fibers.setdefault(match_key(image), set()).add(
                 (spec, _d_middle(spec, factors)))
-    return frozenset(images), fibers
+    return frozenset(image for image, _ in table.values()), fibers
 
 
 def bar_S(family: str, n: int) -> frozenset[IrrLabel]:
@@ -508,7 +559,7 @@ def bar_S(family: str, n: int) -> frozenset[IrrLabel]:
         return frozenset(index.pool(FAMILY_A, n))
     return frozenset(
         j_induce(emb, factors)
-        for _, emb, pools in _maximal_pools(family, n, index)
+        for _, emb, pools in _maximal_pools(_maximal_shapes(family, n), index)
         for factors in itertools.product(*pools)
     )
 
@@ -634,15 +685,22 @@ def _member_str(member: Member) -> str:
 
 
 def _class_row(family: str, n: int, c: ClassLabel, canon: IrrLabel,
-               index: SpecialIndex, fibers: Fibers) -> ClassRow:
+               index: SpecialIndex, shapes: Shapes,
+               fibers: Fibers) -> ClassRow:
     inv = class_invariants(c)
     b_label = b_invariant(canon)
-    members = enumerate_cz(canon, family, n)
+    # y is split once; the maximal members and the symmetry witness search
+    # both read the one split table
+    if family == CLASS_A:
+        splits, members = (), ((shapes[n, 0], (canon,)),)
+    else:
+        splits = _split_table(family, c.y)
+        members = _maximal_members(family, splits, shapes)
     fs = [index.f_product(factors) for _, factors in members]
     # a maximum equal to the class component count also bounds every member
     fa_value = max(fs)
-    fc_value, fc_witness = _fc_with_witness(canon, family, n, c.y, fa_value,
-                                            index.f_product)
+    fc_value, fc_witness = _fc_with_witness(canon, family, n, c.y, splits,
+                                            fa_value, index.f_product)
     best = tuple(m for m, f in zip(members, fs) if f == fa_value)
     witnesses = best if fc_witness is None else best + (fc_witness,)
     # the maximal members must be the label's whole fiber of the induction
@@ -680,14 +738,16 @@ def verify(family: str, n: int) -> VerificationReport:
     """
     ensure_floor(family, n)
     index = SpecialIndex(n)
-    image, fibers = _induction_graph(family, n, index)
+    shapes = _maximal_shapes(family, n)
+    image, fibers = _induction_graph(family, n, index, shapes)
     rows: list[ClassRow] = []
     stratum: set[IrrLabel] = set()
     for c in enumerate_classes(family, n):
         for label in tau_fiber(family, c.y, n):
             canon = canonicalize(label)
             stratum.add(canon)
-            rows.append(_class_row(family, n, c, canon, index, fibers))
+            rows.append(_class_row(family, n, c, canon, index, shapes,
+                                   fibers))
     return VerificationReport(
         family=family,
         n=n,

@@ -27,8 +27,12 @@ every product.
 
 The pool form j_induce_pool yields the image of every product of a list
 of factor pools: each pool label is checked, aligned and given its b once,
-and every image is still built by the validating IrrLabel(...).  j_induce
-is its one-product case.
+and each distinct image row pair is built by the validating IrrLabel(...)
+and canonicalized once per call, its b kept beside it for the b-additivity
+check of every later product with the same rows.  j_induce is its
+one-product case.  Both start a fresh image table on every call; the
+private _induce_pool takes the table from its caller, so the induction
+graph of one verify call shares one across all its shapes.
 
 Degenerate family-D outputs carry a kappa bit that the row arithmetic does
 not determine; the convention kappa' = (sum of factor kappas + lam) mod 2
@@ -193,11 +197,18 @@ def _factor_rows(
     """Rows of a factor label aligned to the target's row lengths.  Two-row
     factors are shifted up (a D factor's first row gains one leading slot in
     a BC target); the row of an A factor in a BC or D target is split by
-    double_dots, its odd half landing on the first row of a D target."""
-    lab = canonicalize(label)
-    if lab.zp is not None:
-        return (_align(lab.z, lengths[0]), _align(lab.zp, lengths[1]))
-    row = _align(lab.z, sum(lengths))
+    double_dots, its odd half landing on the first row of a D target.
+    Aligning a row gives the same result for every shift of the label, so
+    it is canonicalized first only when a row is longer than the target's."""
+    z, zp = label.z, label.zp
+    if zp is not None:
+        if len(z) > lengths[0] or len(zp) > lengths[1]:
+            lab = canonicalize(label)
+            z, zp = lab.z, lab.zp
+        return (_align(z, lengths[0]), _align(zp, lengths[1]))
+    if len(z) > sum(lengths):
+        z = canonicalize(label).z
+    row = _align(z, sum(lengths))
     if target == FAMILY_A:
         return (row,)
     even, odd = double_dots(row)
@@ -211,8 +222,20 @@ def j_induce_pool(
     itertools.product order, each image as j_induce gives it.  Every pool
     label is checked against the factor signature before the first product,
     and its aligned rows, b-invariant and kappa are worked out once per
-    pool; each image is still built by the validating IrrLabel(...) and its
-    b-additivity asserted."""
+    pool; each distinct image is built by the validating IrrLabel(...) once
+    per call, and the b-additivity of every product is asserted."""
+    return _induce_pool(e, pools, {})
+
+
+ImageTable = dict[tuple[tuple[Seq, ...], int], tuple[IrrLabel, int]]
+
+
+def _induce_pool(
+    e: Embedding, pools: Sequence[Sequence[IrrLabel]], images: ImageTable
+) -> Iterator[tuple[tuple[IrrLabel, ...], IrrLabel]]:
+    """j_induce_pool reading and filling the caller's image table, aligned
+    rows and kappa -> (canonical image, its b); one table serves every
+    embedding of one target family and rank."""
     sig = e.factor_signature()
     if len(pools) != len(sig):
         raise DomainError(f"{e.kind} takes {len(sig)} factors, got {len(pools)}")
@@ -231,12 +254,12 @@ def j_induce_pool(
     # per factor after the first
     extra = len(sig) - 1
     overlap = tuple(tuple(range(0, extra * length, extra)) for length in lengths)
-    return _pool_images(e, family, n, prepared, overlap)
+    return _pool_images(e, family, n, prepared, overlap, images)
 
 
 def _pool_images(
     e: Embedding, family: str, n: int, prepared: list,
-    overlap: tuple[Seq, ...],
+    overlap: tuple[Seq, ...], images: ImageTable,
 ) -> Iterator[tuple[tuple[IrrLabel, ...], IrrLabel]]:
     for combo in itertools.product(*prepared):
         factors, aligned, bs, kappas = zip(*combo)
@@ -247,8 +270,12 @@ def _pool_images(
         kappa = 0
         if family == FAMILY_D and rows[0] == rows[1]:
             kappa = (sum(kappas) + e.lam) % 2
-        out = canonicalize(IrrLabel(family, n, *rows, kappa=kappa))
-        got, want = b_invariant(out), sum(bs)
+        hit = images.get((rows, kappa))
+        if hit is None:
+            out = canonicalize(IrrLabel(family, n, *rows, kappa=kappa))
+            hit = images[rows, kappa] = (out, b_invariant(out))
+        out, got = hit
+        want = sum(bs)
         if got != want:
             raise InvariantError(
                 f"b-additivity failed for {e.kind}: {got} != {want}"

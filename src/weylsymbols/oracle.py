@@ -45,6 +45,7 @@ from .irreps import (
     z_to_partition,
 )
 from .jinduction import Embedding
+from .seqcomb import ensure_rank
 
 RANK_BOUNDS = {FAMILY_A: 7, FAMILY_BC: 5, FAMILY_D: 5}
 
@@ -322,6 +323,7 @@ def _pair_order_key(p: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(p), p)
 
 
+@cache
 def _build_table(family: str, n: int) -> CharacterTable:
     if family == FAMILY_A:
         parts = _partitions(n)
@@ -463,14 +465,13 @@ def _verify_split_gauge(t: CharacterTable) -> None:
             raise OracleError(f"split gauge fails for {key} in D{t.n}")
 
 
-@cache
 def character_table(family: str, n: int) -> CharacterTable:
     """Exact table for the rank-n group of the family, gated by exact
-    orthogonality and order checks at construction."""
+    orthogonality and order checks at construction.  The arguments are
+    checked on every call, before the table cache is read."""
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"rank must be a nonnegative int, got {n!r}")
+    ensure_rank(n)
     if n > RANK_BOUNDS[family]:
         raise ResourceError(
             f"family {family} tables stop at rank {RANK_BOUNDS[family]}"

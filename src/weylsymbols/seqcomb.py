@@ -680,6 +680,8 @@ def enumerate_space(kind: str, m: int, n: int) -> tuple[Seq, ...]:
     base = _space_base(kind, m)
     out: list[Seq] = []
     seq: list[int] = []
+    # (i, value at i, value before it) -> _tail_min_dev, filled on first use
+    tails: dict[tuple[int, int, int | None], int] = {}
 
     def rec(i: int, used: int) -> None:
         if i > m:
@@ -695,7 +697,11 @@ def enumerate_space(kind: str, m: int, n: int) -> tuple[Seq, ...]:
             dev = val - base[i]
             if used + dev > n:
                 break
-            if used + dev + _tail_min_dev(kind, base, i, val, prev1) <= n:
+            tail = tails.get((i, val, prev1))
+            if tail is None:
+                tail = tails[i, val, prev1] = _tail_min_dev(kind, base, i,
+                                                            val, prev1)
+            if used + dev + tail <= n:
                 seq.append(val)
                 rec(i + 1, used + dev)
                 seq.pop()

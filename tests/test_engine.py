@@ -296,6 +296,12 @@ _VERIFY_DIGESTS = {
           "b81442f7fa45fd44f9fead04f259137cf8ddc4c8b861a7ac4f53d9026f7f20b2"),
     "A12": ("A", 12, 77,
             "7cfa3362f87bfb279e4f0b68aff4e0a90921206c140510d88fd91a00ef2fd7b2"),
+    "A16": ("A", 16, 231,
+            "8a5ad976be137e7624c757cb5ca31dd137c9712bad0f075889f13dc2ac95027b"),
+    "A20": ("A", 20, 627,
+            "e4ffe876df9211bc0535598867e1370021204b6f3157b2734fc495b3e199c200"),
+    "A24": ("A", 24, 1575,
+            "eadd130ca8b3028b6ddae241ea7b8c27dd26bb67d83f8960d491b4a1118260b7"),
     "B8": ("B", 8, 86,
            "0fec6e5da0b9d5b0926fec5290743371181af9670123d7babdbea9bdc3d8bbf7"),
     "C8": ("C", 8, 100,
@@ -314,24 +320,44 @@ def test_verify_reports_match_their_pinned_digests(case):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("family, rows", [("C", 40), ("D", 31)])
+@pytest.mark.parametrize("family, rows", [("B", 35), ("C", 40), ("D", 31)])
 def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
                                                          rows):
-    calls = {"enumerate_cz": 0, "class_invariants": 0}
+    # one split search per row feeds both the maximal members and the C
+    # and D split witness
+    calls = {"split_pairs": 0, "class_invariants": 0}
 
-    def counted(name):
-        inner = getattr(engine, name)
+    def counted(module, name):
+        inner = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return inner(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(engine, name, counted(name))
+    counted(sc, "split_pairs")
+    counted(engine, "class_invariants")
     assert len(verify(family, 6).rows) == rows
-    assert calls == {"enumerate_cz": rows, "class_invariants": rows}
+    assert calls == {"split_pairs": rows, "class_invariants": rows}
+
+
+def test_induction_graph_builds_each_distinct_image_once(monkeypatch):
+    built = []
+    inner = jinduction.IrrLabel
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(jinduction, "IrrLabel", counted)
+    images = 0
+    for family in "BCD":
+        shapes = engine._maximal_shapes(family, 10)
+        graph, _ = engine._induction_graph(family, 10, SpecialIndex(10), shapes)
+        images += len(graph)
+    # one validating build per distinct image, not one per product
+    assert len(built) == images == 196 + 232 + 168
 
 
 @pytest.mark.parametrize("family", ["C", "D"])
@@ -364,8 +390,8 @@ def test_a_fiber_short_of_one_member_fails_its_rows(monkeypatch, capsys,
     build = engine._induction_graph
     cut = []
 
-    def short_graph(fam, n, index):
-        images, fibers = build(fam, n, index)
+    def short_graph(fam, n, index, shapes):
+        images, fibers = build(fam, n, index, shapes)
         key = max(fibers, key=lambda k: (len(fibers[k]), repr(k)))
         fibers[key].remove(min(fibers[key], key=repr))
         cut.append(key)
@@ -391,7 +417,9 @@ def test_verify_replays_only_witnesses_outside_their_fiber(monkeypatch):
         return inner(e, factors)
 
     monkeypatch.setattr(engine, "j_induce", counted)
-    graphs = {family: engine._induction_graph(family, 10, SpecialIndex(10))
+    graphs = {family: engine._induction_graph(
+                  family, 10, SpecialIndex(10),
+                  engine._maximal_shapes(family, 10))
               for family in "BCD"}
     assert calls == []
     for family, (images, _) in graphs.items():

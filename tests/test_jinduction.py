@@ -279,6 +279,20 @@ def test_pool_form_yields_j_induce_of_every_product_in_order():
                 assert list(j_induce_pool(twisted, pools)) == want
 
 
+def test_factor_padding_leaves_the_image_unchanged():
+    # a factor row longer than the target's is canonicalized before it is
+    # aligned, a shorter one is aligned as it is; every padding gives one
+    # image
+    for n in range(0, 5):
+        for e in _all_embeddings(n):
+            pools = [_special_labels(f, rank) for f, rank in e.factor_signature()]
+            for combo in itertools.product(*pools):
+                want = j_induce(e, combo)
+                assert j_induce(e, [canonicalize(f) for f in combo]) == want
+                for t in (1, n + 3):
+                    assert j_induce(e, [shift(f, t) for f in combo]) == want
+
+
 def test_pool_form_checks_every_label_before_the_first_product():
     e = Embedding(EMBED_B_WR_WQ, r=1, q=2)
     good = [_special_labels(FAMILY_BC, 1), _special_labels(FAMILY_BC, 2)]

@@ -6,7 +6,12 @@ import itertools
 
 import pytest
 
-from weylsymbols.errors import DomainError, OracleError, ResourceError
+from weylsymbols.errors import (
+    DomainError,
+    OracleError,
+    ResourceError,
+    ValidationError,
+)
 from weylsymbols.irreps import (
     FAMILY_A,
     FAMILY_BC,
@@ -147,6 +152,18 @@ def test_table_bounds_and_validation():
         character_table("E", 2)
     with pytest.raises(DomainError):
         character_table(FAMILY_A, -1)
+
+
+@pytest.mark.parametrize("family, n, bad", [
+    (FAMILY_A, 2, (FAMILY_A, 2.0)),
+    (FAMILY_BC, 1, (FAMILY_BC, True)),
+    (FAMILY_D, 2, ([FAMILY_D], 2)),
+])
+def test_table_arguments_are_checked_with_the_cache_warm(family, n, bad):
+    # a cached table must not answer for an argument equal to its key
+    assert character_table(family, n).n == n
+    with pytest.raises((ValidationError, DomainError)):
+        character_table(*bad)
 
 
 def test_table_generator_classes():

@@ -354,6 +354,22 @@ def test_enumerate_space_lexicographic_and_complete():
         assert list(out) == sorted(slow)
 
 
+@pytest.mark.parametrize("kind, m, n", [("X", 22, 10), ("Z", 10, 10),
+                                         ("Y", 9, 8), ("XT", 10, 6),
+                                         ("YT", 10, 6), ("E", 8, 8)])
+def test_enumerate_space_bounds_each_tail_once(monkeypatch, kind, m, n):
+    calls = []
+    inner = sc._tail_min_dev
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(sc, "_tail_min_dev", counted)
+    assert sc.enumerate_space(kind, m, n) and calls
+    assert len(set(calls)) == len(calls)
+
+
 # ---------------------------------------------------------------------------
 # additivity properties
 
