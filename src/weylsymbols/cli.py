@@ -18,7 +18,8 @@ environment data leak into the payload.  Exit status is 0 on success, 1
 when a verification-style subcommand finds a failing check or an internal
 identity fails, and 2 for usage errors (bad flags, malformed specs, unknown
 keys).  --output is written atomically: a failed run leaves any existing
-file untouched.
+file untouched.  Only the requested format is built, and JSON output is
+exactly the text of json.dumps(payload, indent=2).
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from json.encoder import encode_basestring_ascii as _str_json
+from typing import Any, Callable, Sequence
 
 from .engine import ensure_floor, verify
 from .errors import DomainError, InvariantError, ValidationError, WeylSymbolsError
@@ -69,23 +71,128 @@ _FAMILIES = ("A", "B", "C", "D")
 
 @dataclass
 class _Output:
-    """The data one subcommand computed, in the terms of every format.
+    """The data one subcommand computed, one builder per format.
 
-    payload holds the JSON fields that follow schema_version and command.
-    headers and rows make the table, and also the CSV unless csv_headers and
-    csv_rows are given.  table replaces the rendered table when the library
-    formats its own.  notes is set for suite-style tables: the lines printed
-    before the result trailer.
+    payload() gives the JSON fields that follow schema_version and command.
+    headers and rows() make the table, and also the CSV unless csv_headers
+    and csv_rows() are given.  table() replaces the rendered table when the
+    library formats its own.  notes is set for suite-style tables: the lines
+    printed before the result trailer.  _render calls only the builders of
+    the requested format.
     """
 
-    payload: dict
+    payload: Callable[[], dict]
     headers: list[str] = field(default_factory=list)
-    rows: list[list[str]] = field(default_factory=list)
+    rows: Callable[[], list[list[str]]] = list
     csv_headers: list[str] | None = None
-    csv_rows: list[list[object]] | None = None
-    table: str | None = None
+    csv_rows: Callable[[], list[list[object]]] | None = None
+    table: Callable[[], str] | None = None
     notes: list[str] | None = None
     failed: bool = False
+
+
+_INF = float("inf")
+
+
+def _float_json(v: float) -> str:
+    # the stdlib's rule: NaN and the infinities by name, else float repr
+    if v != v:
+        return "NaN"
+    if v == _INF:
+        return "Infinity"
+    if v == -_INF:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def _key_json(key: object) -> str:
+    """A dict key as json.dumps writes it: a str as it is; a float, bool,
+    None or int first turned into its JSON text."""
+    if isinstance(key, str):
+        return _str_json(key)
+    if isinstance(key, float):
+        return _str_json(_float_json(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+# exact scalar type -> its JSON text; subclasses take the isinstance path
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: _str_json,
+    int: int.__repr__,
+    float: _float_json,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda v: "null",
+}
+
+
+def _json_value(v: object, pad: str) -> str:
+    """JSON text of v, its closing bracket after pad (a newline and the
+    indent of v's own level), as json.dumps(..., indent=2) lays it out."""
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        if {*map(type, v)} == {int}:
+            body = map(int.__repr__, v)
+        else:
+            scalar = _SCALARS.get
+            body = [e(x) if (e := scalar(type(x))) else _json_value(x, inner)
+                    for x in v]
+        return "[" + inner + ("," + inner).join(body) + pad + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = pad + "  "
+        scalar = _SCALARS.get
+        body = [
+            (_str_json(k) if type(k) is str else _key_json(k)) + ": "
+            + (e(x) if (e := scalar(type(x))) else _json_value(x, inner))
+            for k, x in v.items()
+        ]
+        return "{" + inner + ("," + inner).join(body) + pad + "}"
+    if isinstance(v, str):
+        return _str_json(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _float_json(v)
+    raise TypeError(f"Object of type {v.__class__.__name__} "
+                    "is not JSON serializable")
+
+
+def _json_text(obj: object) -> str:
+    """Exactly the text of json.dumps(obj, indent=2).
+
+    Before Python 3.13 json.dumps encodes an indented document in pure
+    Python, one generator step per token, which took about half of
+    `verify --format json` at rank 10.  There this kernel builds the same
+    text one container at a time: keys and strings go through the
+    stdlib's C encode_basestring_ascii, and a list of plain ints is one
+    join.  It takes dict, list, tuple, str, int, float, bool and None (and
+    their subclasses) and raises TypeError on anything else, as json.dumps
+    does; unlike json.dumps it does not look for reference cycles.  From
+    3.13 the stdlib encodes indent in C and is faster than the kernel, so
+    there this is the stdlib call; the kernel goes once requires-python
+    reaches 3.13.
+    """
+    if sys.version_info >= (3, 13):
+        return json.dumps(obj, indent=2)
+    return _json_value(obj, "\n")
 
 
 def _seq_str(seq: Sequence[int]) -> str:
@@ -109,20 +216,21 @@ def _render(args: argparse.Namespace, out: _Output) -> None:
     to --output."""
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION, "command": args.cmd,
-                   **out.payload}
-        text = json.dumps(payload, indent=2) + "\n"
+                   **out.payload()}
+        text = _json_text(payload) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         headers = out.headers if out.csv_headers is None else out.csv_headers
         writer.writerow(["schema_version", *headers])
-        for row in out.rows if out.csv_rows is None else out.csv_rows:
+        for row in out.rows() if out.csv_rows is None else out.csv_rows():
             writer.writerow([SCHEMA_VERSION, *row])
         text = buf.getvalue()
     else:
-        text = out.table
-        if text is None:
-            text = _render_table(out.headers, out.rows)
+        if out.table is None:
+            text = _render_table(out.headers, out.rows())
+        else:
+            text = out.table()
         if out.notes is not None:
             text += "".join(f"{line}\n" for line in out.notes)
             text += f"result: {'failed' if out.failed else 'ok'}\n"
@@ -159,9 +267,13 @@ def _cmd_special_reps(args: argparse.Namespace) -> _Output:
     fam = LABEL_FAMILY[args.family]
     reps = special_reps(fam, args.rank)
     headers = ["label", "x", "b", "f"]
-    rows = [[label_str(r.label), _seq_str(r.xseq), str(r.b), str(r.f)] for r in reps]
+
+    def rows() -> list[list[str]]:
+        return [[label_str(r.label), _seq_str(r.xseq), str(r.b), str(r.f)]
+                for r in reps]
+
     return _Output(
-        payload={
+        payload=lambda: {
             "family": args.family,
             "rank": args.rank,
             "m": policy_m(fam, args.rank),
@@ -174,7 +286,7 @@ def _cmd_special_reps(args: argparse.Namespace) -> _Output:
         headers=headers,
         rows=rows,
         csv_headers=["family", "rank", *headers],
-        csv_rows=[[args.family, args.rank, *row] for row in rows],
+        csv_rows=lambda: [[args.family, args.rank, *row] for row in rows()],
     )
 
 
@@ -186,19 +298,22 @@ def _cmd_springer(args: argparse.Namespace) -> _Output:
         partners = [canonicalize(lab) for lab in tau_fiber(args.family, c.y, args.rank)]
         entries.append((c, inv, partners))
     headers = ["y", "bbar", "z", "ztilde/z", "uz/z", "partners"]
-    rows = [
-        [
-            _seq_str(c.y),
-            str(inv.bbar),
-            str(inv.z),
-            str(inv.ztilde_over_z),
-            "-" if inv.uz_over_z is None else str(inv.uz_over_z),
-            "|".join(label_str(lab) for lab in partners),
+
+    def rows() -> list[list[str]]:
+        return [
+            [
+                _seq_str(c.y),
+                str(inv.bbar),
+                str(inv.z),
+                str(inv.ztilde_over_z),
+                "-" if inv.uz_over_z is None else str(inv.uz_over_z),
+                "|".join(label_str(lab) for lab in partners),
+            ]
+            for c, inv, partners in entries
         ]
-        for c, inv, partners in entries
-    ]
+
     return _Output(
-        payload={
+        payload=lambda: {
             "family": args.family,
             "rank": args.rank,
             "count": len(entries),
@@ -217,7 +332,7 @@ def _cmd_springer(args: argparse.Namespace) -> _Output:
         headers=headers,
         rows=rows,
         csv_headers=["family", "rank", *headers],
-        csv_rows=[[args.family, args.rank, *row] for row in rows],
+        csv_rows=lambda: [[args.family, args.rank, *row] for row in rows()],
     )
 
 
@@ -263,7 +378,7 @@ def _cmd_j(args: argparse.Namespace) -> _Output:
         raise DomainError(f"malformed induction spec: {exc}")
     image = j_induce(emb, factors)
     return _Output(
-        payload={
+        payload=lambda: {
             "embedding": emb.to_json(),
             "factors": [lab.to_json() for lab in factors],
             "image": image.to_json(),
@@ -271,7 +386,7 @@ def _cmd_j(args: argparse.Namespace) -> _Output:
             "special": is_special(image),
         },
         headers=["embedding", "factors", "image", "b", "special"],
-        rows=[[
+        rows=lambda: [[
             emb.kind,
             " ".join(label_str(lab) for lab in factors),
             label_str(image),
@@ -284,8 +399,8 @@ def _cmd_j(args: argparse.Namespace) -> _Output:
 def _cmd_verify(args: argparse.Namespace) -> _Output:
     report = verify(args.family, args.rank)
     return _Output(
-        payload={"report": report.to_json()},
-        table=report.to_table(),
+        payload=lambda: {"report": report.to_json()},
+        table=report.to_table,
         csv_headers=[
             "family",
             "rank",
@@ -304,7 +419,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Output:
             "image_in_stratum",
             "stratum_in_image",
         ],
-        csv_rows=[
+        csv_rows=lambda: [
             [
                 report.family,
                 report.n,
@@ -334,9 +449,9 @@ def _suite_output(report: LemmaSuiteReport | OracleSuiteReport, items: Sequence,
     """Suite-style output: one row per named check with its case and failure
     counts, each failure listed below the table."""
     return _Output(
-        payload={"report": report.to_json()},
+        payload=lambda: {"report": report.to_json()},
         headers=[name_header, "cases", "failures"],
-        rows=[[it.name, str(it.cases), str(len(it.failures))] for it in items],
+        rows=lambda: [[it.name, str(it.cases), str(len(it.failures))] for it in items],
         notes=[f"FAIL {it.name}: {f}" for it in items for f in it.failures],
         failed=not report.ok(),
     )
@@ -373,9 +488,9 @@ def _cmd_exceptional(args: argparse.Namespace) -> _Output:
             if check.status in ("FAIL", "AMBIGUOUS")
         ]
         return _Output(
-            payload={"report": report.to_json()},
+            payload=lambda: {"report": report.to_json()},
             headers=["status", "rows"],
-            rows=[[status, str(counts[status])] for status in sorted(counts)],
+            rows=lambda: [[status, str(counts[status])] for status in sorted(counts)],
             notes=notes,
             failed=not report.ok(),
         )
@@ -389,13 +504,13 @@ def _cmd_exceptional(args: argparse.Namespace) -> _Output:
     else:
         rows = list(load_tables()[args.group])
     return _Output(
-        payload={
+        payload=lambda: {
             "group": args.group,
             "count": len(rows),
             "rows": [r.to_json() for r in rows],
         },
         headers=["rho", "bbar", "a x a'", "(J,E1)"],
-        rows=[
+        rows=lambda: [
             [
                 r.rho_name,
                 str(r.bbar),
@@ -414,7 +529,7 @@ def _cmd_exceptional(args: argparse.Namespace) -> _Output:
             "witness_E1",
             "flags",
         ],
-        csv_rows=[
+        csv_rows=lambda: [
             [
                 r.group,
                 r.rho_name,

@@ -76,9 +76,11 @@ from .jinduction import (
     EMBED_D_TRIPLE,
     Embedding,
     ImageTable,
+    Prepared,
+    _pool_images,
+    _prepare_pool,
     d_placements,
     f_product,
-    _induce_pool,
     j_induce,
     labels_match,
     match_key,
@@ -530,18 +532,27 @@ def _induction_graph(family: str, n: int, index: SpecialIndex,
     """Induction image over all maximal shapes, as bar_S, and its fibers:
     match_key of an image -> the members (shape, factors) inducing to it,
     factors in the index's member form, as enumerate_cz gives them (D
-    two-block members in their two-factor form).  Every shape's products go
-    through one pool induction, all sharing one image table, so each
-    distinct image is built once."""
+    two-block members in their two-factor form).  Each (family, rank) pool
+    is aligned to the target and weighed once, for every shape that uses
+    it, and every shape's products share one image table, so each distinct
+    image is built once.  The pools are not checked against the shapes'
+    signatures: the index builds them to fit."""
     if family == CLASS_A:
         # the only maximal shape is the full group
         spec = shapes[n, 0]
         pool = index.pool(FAMILY_A, n)
         return frozenset(pool), {lab: {(spec, (lab,))} for lab in pool}
     table: ImageTable = {}
+    prepared: dict[tuple[str, int], list[Prepared]] = {}
     fibers: Fibers = {}
-    for spec, emb, pools in _maximal_pools(shapes, index):
-        for factors, image in _induce_pool(emb, pools, table):
+    for spec in shapes.values():
+        emb = _embedding(spec)
+        pools = []
+        for key in emb.factor_signature():
+            if key not in prepared:
+                prepared[key] = _prepare_pool(emb, index.pool(*key))
+            pools.append(prepared[key])
+        for factors, image in _pool_images(emb, pools, table):
             fibers.setdefault(match_key(image), set()).add(
                 (spec, _d_middle(spec, factors)))
     return frozenset(image for image, _ in table.values()), fibers
@@ -734,7 +745,9 @@ def verify(family: str, n: int) -> VerificationReport:
     contribute one row per label); the membership comparison is a
     two-sided set equality of canonical labels. Each row is a pure
     function of (family, n, class, label), so rows could be computed in
-    any order; this driver runs them serially in class order.
+    any order; this driver runs them serially in class order.  An
+    InvariantError raised by a row is raised again, from the original, with
+    the row's family, n, y and label before its message.
     """
     ensure_floor(family, n)
     index = SpecialIndex(n)
@@ -746,8 +759,14 @@ def verify(family: str, n: int) -> VerificationReport:
         for label in tau_fiber(family, c.y, n):
             canon = canonicalize(label)
             stratum.add(canon)
-            rows.append(_class_row(family, n, c, canon, index, shapes,
-                                   fibers))
+            try:
+                row = _class_row(family, n, c, canon, index, shapes, fibers)
+            except InvariantError as exc:
+                raise InvariantError(
+                    f"family {family} n={n} y={','.join(map(str, c.y))} "
+                    f"label {label_str(canon)}: {exc}"
+                ) from exc
+            rows.append(row)
     return VerificationReport(
         family=family,
         n=n,

@@ -305,9 +305,12 @@ def special_reps(family: str, n: int, m: int | None = None) -> tuple[SpecialRep,
     if family not in (FAMILY_BC, FAMILY_D):
         raise DomainError(f"unknown family {family!r}")
     mm = policy_m(family, n) if m is None else m
+    xs = sc.enumerate_space("X", mm, n)
+    # enumerated sequences are valid XSeqs: weigh them without re-checking
+    base = sc.base_x(mm)
     out: list[SpecialRep] = []
-    for x in sc.enumerate_space("X", mm, n):
-        b = sc.beta(x)
+    for x in xs:
+        b = sc._dev_weighted(x, base)
         f = _f_from_strict_count(family, len(sc._frakS(x)))
         for label in _zeta_inverse(family, x):
             out.append(SpecialRep(label, x, b, f))

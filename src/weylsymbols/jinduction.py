@@ -30,9 +30,11 @@ of factor pools: each pool label is checked, aligned and given its b once,
 and each distinct image row pair is built by the validating IrrLabel(...)
 and canonicalized once per call, its b kept beside it for the b-additivity
 check of every later product with the same rows.  j_induce is its
-one-product case.  Both start a fresh image table on every call; the
-private _induce_pool takes the table from its caller, so the induction
-graph of one verify call shares one across all its shapes.
+one-product case.  Both start a fresh image table on every call.  The
+private _prepare_pool and _pool_images split that work for a caller that
+induces many embeddings into one target: the induction graph of one verify
+call prepares each (family, rank) pool once, trusting the special-label
+index it reads, and shares one image table across all its shapes.
 
 Degenerate family-D outputs carry a kappa bit that the row arithmetic does
 not determine; the convention kappa' = (sum of factor kappas + lam) mod 2
@@ -224,43 +226,48 @@ def j_induce_pool(
     and its aligned rows, b-invariant and kappa are worked out once per
     pool; each distinct image is built by the validating IrrLabel(...) once
     per call, and the b-additivity of every product is asserted."""
-    return _induce_pool(e, pools, {})
-
-
-ImageTable = dict[tuple[tuple[Seq, ...], int], tuple[IrrLabel, int]]
-
-
-def _induce_pool(
-    e: Embedding, pools: Sequence[Sequence[IrrLabel]], images: ImageTable
-) -> Iterator[tuple[tuple[IrrLabel, ...], IrrLabel]]:
-    """j_induce_pool reading and filling the caller's image table, aligned
-    rows and kappa -> (canonical image, its b); one table serves every
-    embedding of one target family and rank."""
     sig = e.factor_signature()
     if len(pools) != len(sig):
         raise DomainError(f"{e.kind} takes {len(sig)} factors, got {len(pools)}")
-    family, n = e.target()
-    k = n + 1
-    lengths = {FAMILY_A: (k,), FAMILY_BC: (k + 1, k), FAMILY_D: (k, k)}[family]
-    prepared = []
     for i, ((fam, rank), pool) in enumerate(zip(sig, pools)):
-        entries = []
         for label in pool:
             _check_factor(i, fam, rank, label)
-            entries.append((label, _factor_rows(family, lengths, label),
-                            b_invariant(label), label.kappa))
-        prepared.append(entries)
-    # the base rows (0, 1, ..., len - 1) a column sum counts once too often
-    # per factor after the first
-    extra = len(sig) - 1
-    overlap = tuple(tuple(range(0, extra * length, extra)) for length in lengths)
-    return _pool_images(e, family, n, prepared, overlap, images)
+    return _pool_images(e, [_prepare_pool(e, pool) for pool in pools], {})
+
+
+ImageTable = dict[tuple[tuple[Seq, ...], int], tuple[IrrLabel, int]]
+# a pool label with its rows aligned to the target's, its b and its kappa
+Prepared = tuple[IrrLabel, tuple[Seq, ...], int, int]
+
+
+def _row_lengths(family: str, n: int) -> tuple[int, ...]:
+    k = n + 1
+    return {FAMILY_A: (k,), FAMILY_BC: (k + 1, k), FAMILY_D: (k, k)}[family]
+
+
+def _prepare_pool(e: Embedding, pool: Sequence[IrrLabel]) -> list[Prepared]:
+    """The pool's labels, trusted to fit the embedding's signature, each
+    with its rows aligned to the target's, its b and its kappa; the result
+    serves every embedding of the same target family and rank."""
+    family, n = e.target()
+    lengths = _row_lengths(family, n)
+    return [(label, _factor_rows(family, lengths, label), b_invariant(label),
+             label.kappa) for label in pool]
 
 
 def _pool_images(
-    e: Embedding, family: str, n: int, prepared: list,
-    overlap: tuple[Seq, ...], images: ImageTable,
+    e: Embedding, prepared: Sequence[Sequence[Prepared]], images: ImageTable
 ) -> Iterator[tuple[tuple[IrrLabel, ...], IrrLabel]]:
+    """Every product of the prepared pools with its image, reading and
+    filling the caller's image table, aligned rows and kappa -> (canonical
+    image, its b); one table serves every embedding of one target family
+    and rank."""
+    family, n = e.target()
+    # the base rows (0, 1, ..., len - 1) a column sum counts once too often
+    # per factor after the first
+    extra = len(prepared) - 1
+    overlap = tuple(tuple(range(0, extra * length, extra))
+                    for length in _row_lengths(family, n))
     for combo in itertools.product(*prepared):
         factors, aligned, bs, kappas = zip(*combo)
         rows = tuple(

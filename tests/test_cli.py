@@ -6,15 +6,18 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from weylsymbols import cli, engine
 from weylsymbols.cli import main
 from weylsymbols.engine import verify
 from weylsymbols.errors import InvariantError
-from weylsymbols.irreps import FAMILY_A
+from weylsymbols.irreps import FAMILY_A, canonicalize, label_str
+from weylsymbols.springer import enumerate_classes, tau_fiber
 from weylsymbols.suites import lemma_suite, oracle_suite
 
 
@@ -167,7 +170,14 @@ def test_a_failed_internal_identity_exits_one(monkeypatch):
     code, out, err = _run(["verify", "--family", "B", "--rank", "3"])
     assert code == 1
     assert out == ""
-    assert err == "error: injected\n"
+    # the failing row is named: the first class and its label
+    c = enumerate_classes("B", 3)[0]
+    label = canonicalize(tau_fiber("B", c.y, 3)[0])
+    assert err == (f"error: family B n=3 y={','.join(map(str, c.y))} "
+                   f"label {label_str(label)}: injected\n")
+    with pytest.raises(InvariantError) as info:
+        verify("B", 3)
+    assert str(info.value.__cause__) == "injected"
 
 
 def test_usage_errors_exit_two():
@@ -267,3 +277,102 @@ def test_oracle_check_rejects_a_negative_rank_bound():
     assert code == 2
     assert out == ""
     assert "max_rank" in err
+
+
+# ---------------------------------------------------------------------------
+# JSON text: the kernel against json.dumps
+
+_JSON_SPEC = json.dumps({
+    "embedding": {"kind": "B_SpWq", "p": 2, "q": 2},
+    "factors": [
+        {"family": "A", "n": 2, "z": [0, 3]},
+        {"family": "BC", "n": 2, "z": [0, 1, 2, 4], "zp": [0, 1, 3]},
+    ],
+})
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10 ** 40), max_value=10 ** 40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+_keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_json_values = st.recursive(
+    _scalars | st.lists(st.integers()),
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.dictionaries(_keys, inner, max_size=5)
+    ),
+    max_leaves=30,
+)
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example([True, 1, 0])
+@example([[], {}, [[]], [{}], {"": []}, ()])
+@example([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324])
+@example({"\u00e9\u4e2d\U0001f600": "\x00\x1f\"\\\n\t\u2028"})
+@example({1: 1, 1.5: 2, True: 3, None: 4, math.nan: 5, -0.0: 6})
+@example([-(10 ** 30), 0, 10 ** 30, -1])
+@example((1, (2, [3, (4,)])))
+@example([_Int(3), _Int(-4)])
+@example({_Str("k"): _Str("v"), "n": [_Int(1), 2]})
+def test_json_text_is_the_text_of_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    object(), {"a": {1, 2}}, [b"bytes"], {(1, 2): 1}, {"a": [1, object()]},
+])
+def test_json_text_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._json_text(value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["special-reps", "--family", "D", "--rank", "4"],
+    ["springer", "--family", "C", "--rank", "4"],
+    ["j", "--spec", _JSON_SPEC],
+    ["verify", "--family", "B", "--rank", "4"],
+    ["oracle-check", "--max-rank", "2"],
+    ["exceptional", "--group", "F4"],
+    ["exceptional", "--validate"],
+    ["lemmas", "--max-m", "4", "--max-weight", "4"],
+])
+def test_json_output_is_the_stdlib_text_of_itself(argv):
+    code, out, _ = _run(argv + ["--format", "json"])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt, unbuilt", [
+    ("json", ("to_table",)),
+    ("csv", ("to_table", "to_json")),
+    ("table", ("to_json",)),
+])
+def test_verify_builds_only_the_requested_format(monkeypatch, fmt, unbuilt):
+    calls = []
+    for name in unbuilt:
+        def counted(self, name=name):
+            calls.append(name)
+            return ""
+        monkeypatch.setattr(engine.VerificationReport, name, counted)
+    code, out, _ = _run(["verify", "--family", "C", "--rank", "4",
+                         "--format", fmt])
+    assert code == 0 and out
+    assert calls == []

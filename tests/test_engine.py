@@ -360,6 +360,27 @@ def test_induction_graph_builds_each_distinct_image_once(monkeypatch):
     assert len(built) == images == 196 + 232 + 168
 
 
+@pytest.mark.parametrize("family", ["B", "C", "D"])
+def test_induction_graph_prepares_each_pool_label_once(monkeypatch, family):
+    aligned = []
+    inner = jinduction._factor_rows
+
+    def counted(target, lengths, label):
+        aligned.append(label)
+        return inner(target, lengths, label)
+
+    monkeypatch.setattr(jinduction, "_factor_rows", counted)
+    index = SpecialIndex(8)
+    shapes = engine._maximal_shapes(family, 8)
+    engine._induction_graph(family, 8, index, shapes)
+    keys = {key for spec in shapes.values()
+            for key in engine._embedding(spec).factor_signature()}
+    pooled = [label for key in keys for label in index.pool(*key)]
+    # one alignment per distinct pool label, not one per shape using it
+    assert len(set(pooled)) == len(pooled)
+    assert sorted(aligned, key=repr) == sorted(pooled, key=repr)
+
+
 @pytest.mark.parametrize("family", ["C", "D"])
 def test_verify_builds_each_special_pool_once(monkeypatch, family):
     pools: dict[tuple[str, int], int] = {}

@@ -233,6 +233,30 @@ def test_special_reps_d_degenerate_pairs():
             assert len(bucket) == 1
 
 
+@pytest.mark.parametrize("family, n", [(FAMILY_BC, 7), (FAMILY_D, 7)])
+def test_special_reps_trusts_its_enumerated_sequences(monkeypatch, family, n):
+    checks = []
+    inner = sc.ensure_xseq
+
+    def counted(seq):
+        checks.append(seq)
+        inner(seq)
+
+    monkeypatch.setattr(sc, "ensure_xseq", counted)
+    reps = special_reps(family, n)
+    assert checks == []
+    monkeypatch.undo()
+    # the same reps as the validating statistics give them
+    assert [rep.xseq for rep in reps] == [
+        x for x in sc.enumerate_space("X", policy_m(family, n), n)
+        for _ in zeta_inverse(family, x)
+    ]
+    for rep in reps:
+        assert rep.b == sc.beta(rep.xseq) == b_invariant(rep.label)
+        assert rep.f == special_f(rep.label)
+        assert zeta(rep.label) == rep.xseq
+
+
 def test_special_reps_domain_errors():
     with pytest.raises(DomainError):
         special_reps(FAMILY_BC, 2, m=5)  # wrong parity
