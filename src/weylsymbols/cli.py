@@ -54,6 +54,7 @@ from .irreps import (
     is_special,
     label_str,
     policy_m,
+    seq_str,
     special_reps,
 )
 from .jinduction import Embedding, j_induce
@@ -91,44 +92,10 @@ class _Output:
     failed: bool = False
 
 
-_INF = float("inf")
-
-
-def _float_json(v: float) -> str:
-    # the stdlib's rule: NaN and the infinities by name, else float repr
-    if v != v:
-        return "NaN"
-    if v == _INF:
-        return "Infinity"
-    if v == -_INF:
-        return "-Infinity"
-    return float.__repr__(v)
-
-
-def _key_json(key: object) -> str:
-    """A dict key as json.dumps writes it: a str as it is; a float, bool,
-    None or int first turned into its JSON text."""
-    if isinstance(key, str):
-        return _str_json(key)
-    if isinstance(key, float):
-        return _str_json(_float_json(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return '"' + int.__repr__(key) + '"'
-    raise TypeError("keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
-# exact scalar type -> its JSON text; subclasses take the isinstance path
+# exact scalar type -> its JSON text; any other value goes to json.dumps
 _SCALARS: dict[type, Callable[[Any], str]] = {
     str: _str_json,
     int: int.__repr__,
-    float: _float_json,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda v: "null",
 }
@@ -148,31 +115,28 @@ def _json_value(v: object, pad: str) -> str:
             body = [e(x) if (e := scalar(type(x))) else _json_value(x, inner)
                     for x in v]
         return "[" + inner + ("," + inner).join(body) + pad + "]"
-    if isinstance(v, dict):
+    if type(v) is dict:
         if not v:
             return "{}"
         inner = pad + "  "
         scalar = _SCALARS.get
-        body = [
-            (_str_json(k) if type(k) is str else _key_json(k)) + ": "
-            + (e(x) if (e := scalar(type(x))) else _json_value(x, inner))
-            for k, x in v.items()
-        ]
+        try:
+            body = [
+                _str_json(k) + ": "
+                + (e(x) if (e := scalar(type(x))) else _json_value(x, inner))
+                for k, x in v.items()
+            ]
+        except TypeError:
+            # _str_json raised on a key that is not a str (trying it is
+            # cheaper than checking every key first), or the stdlib
+            # rejected a value below, which it rejects again here
+            return json.dumps(v, indent=2).replace("\n", pad)
         return "{" + inner + ("," + inner).join(body) + pad + "}"
-    if isinstance(v, str):
-        return _str_json(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        return _float_json(v)
-    raise TypeError(f"Object of type {v.__class__.__name__} "
-                    "is not JSON serializable")
+    if e := _SCALARS.get(type(v)):
+        return e(v)
+    # floats, subclasses and what the stdlib rejects: its own text,
+    # indented to this level (JSON text holds no raw newline)
+    return json.dumps(v, indent=2).replace("\n", pad)
 
 
 def _json_text(obj: object) -> str:
@@ -181,22 +145,19 @@ def _json_text(obj: object) -> str:
     Before Python 3.13 json.dumps encodes an indented document in pure
     Python, one generator step per token, which took about half of
     `verify --format json` at rank 10.  There this kernel builds the same
-    text one container at a time: keys and strings go through the
-    stdlib's C encode_basestring_ascii, and a list of plain ints is one
-    join.  It takes dict, list, tuple, str, int, float, bool and None (and
-    their subclasses) and raises TypeError on anything else, as json.dumps
-    does; unlike json.dumps it does not look for reference cycles.  From
-    3.13 the stdlib encodes indent in C and is faster than the kernel, so
-    there this is the stdlib call; the kernel goes once requires-python
-    reaches 3.13.
+    text one container at a time for the values CLI payloads hold: lists,
+    tuples, dicts with str keys, and exact str, int, bool and None.  Keys
+    and strings go through the stdlib's C encode_basestring_ascii, and a
+    list of plain ints is one join.  Any other value (a float, a dict with
+    other keys, a subclass, or what json.dumps rejects with TypeError) is
+    json.dumps's own text of it; unlike json.dumps the kernel does not look
+    for reference cycles in the containers it lays out.  From 3.13 the
+    stdlib encodes indent in C and is faster than the kernel, so there this
+    is the stdlib call; the kernel goes once requires-python reaches 3.13.
     """
     if sys.version_info >= (3, 13):
         return json.dumps(obj, indent=2)
     return _json_value(obj, "\n")
-
-
-def _seq_str(seq: Sequence[int]) -> str:
-    return ",".join(str(v) for v in seq)
 
 
 def _render_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -269,7 +230,7 @@ def _cmd_special_reps(args: argparse.Namespace) -> _Output:
     headers = ["label", "x", "b", "f"]
 
     def rows() -> list[list[str]]:
-        return [[label_str(r.label), _seq_str(r.xseq), str(r.b), str(r.f)]
+        return [[label_str(r.label), seq_str(r.xseq), str(r.b), str(r.f)]
                 for r in reps]
 
     return _Output(
@@ -302,7 +263,7 @@ def _cmd_springer(args: argparse.Namespace) -> _Output:
     def rows() -> list[list[str]]:
         return [
             [
-                _seq_str(c.y),
+                seq_str(c.y),
                 str(inv.bbar),
                 str(inv.z),
                 str(inv.ztilde_over_z),
@@ -424,7 +385,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Output:
                 report.family,
                 report.n,
                 label_str(r.label),
-                _seq_str(r.y),
+                seq_str(r.y),
                 r.b_label,
                 r.b_class,
                 r.fa_value,

@@ -21,22 +21,23 @@ shapes that split y as x + x~ and carry one special label per block (two
 in degenerate family-D fibers). Shapes with a middle symmetric-group block
 arise only as symmetry witnesses, from the symmetric decompositions
 y = x + e + x of seqcomb, e being the deviation profile of the middle
-factor. Family A scales deviation partitions by a divisor instead.
+factor: the splits (x, x + e) of y that seqcomb's filter keeps. Family A
+scales deviation partitions by a divisor instead.
 Enumeration order is lexicographic throughout, so every report is
 byte-stable across runs.
 
 Each report row is one pass: the class invariants, the split table of the
 class sequence y (every two-block split with its block ranks), the maximal
 members and one f-product per member are computed once; the maximal
-members and the C and D split witness both read the one split table, and
-y and the maximal f-product feed the symmetry-order witness search
-directly.  One verify call builds one SpecialIndex, whose (family, rank)
-pools of special labels are enumerated once and give the rows their
-factors' f-invariants; one table of the maximal shapes by block sizes,
-shared by the induction graph and every row; and one induction graph: the
-images of every maximal shape's pool products, each distinct image built
-once through one image table across all shapes, and the fiber of members
-over each.  All of them live only as long as the call: the public entry
+members, the B and D symmetric witnesses and the C and D split witness
+all read the one split table, and the maximal f-product feeds the
+symmetry-order witness search directly.  One verify call builds one
+SpecialIndex, whose (family, rank) pools of special labels are enumerated
+once and give the rows their factors' f-invariants; one table of the
+maximal shapes by block sizes, shared by the induction graph and every
+row; and one induction graph: the images of every maximal shape's pool
+products, each distinct image built once through one image table across
+all shapes, and the fiber of members over each.  All of them live only as long as the call: the public entry
 points (enumerate_cz, fa, fc, bar_S) build their own and cache nothing.
 Every member factor has one form there, the member form: BC and D labels as
 the rows split them out of y, at the target's merged length, A labels
@@ -64,6 +65,7 @@ from .irreps import (
     label_str,
     partition_to_z,
     policy_m,
+    seq_str,
     special_reps,
     xi,
     z_to_partition,
@@ -258,19 +260,13 @@ class SpecialIndex:
 # ---------------------------------------------------------------------------
 # summand enumeration
 
-def _based_splits(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
-    """The splits of y whose complement is a based XSeq: x[0] = y[0] and
-    x[1] <= y[1] - 1."""
-    return sc.split_pairs(y, lower=(y[0],) + (0,) * (len(y) - 1),
-                          upper=(y[0], y[1] - 1) + y[2:])
-
-
 def _two_block(family: str) -> tuple[Callable, Callable, Callable]:
     """Splits of a family B, C or D class sequence into two blocks x + x~:
     the split enumerator, the rank of x~ and the label fiber of x~ (x is
     an XSeq of rank _rho(x), fiber _zeta_inverse(LABEL_FAMILY[family], x))."""
     if family == CLASS_C:
-        return _based_splits, sc._tilde_rho, _zeta_tilde_inverse
+        # a C class sequence at the policy length starts (0, 1)
+        return sc.based_split_pairs, sc._tilde_rho, _zeta_tilde_inverse
     return sc.split_pairs, sc._rho, partial(_zeta_inverse, LABEL_FAMILY[family])
 
 
@@ -314,8 +310,16 @@ def _maximal_members(family: str, splits: tuple[Split, ...],
 
 
 def _stratum_y(label: IrrLabel, family: str, n: int) -> Seq:
-    """Class sequence of a B, C or D stratum label of rank n (DomainError
-    for a label outside the stratum or of another rank)."""
+    """Class sequence of a stratum label of rank n: the row of a family A
+    label, tau of a B, C or D label (DomainError for a label outside the
+    stratum or of another rank)."""
+    if family == CLASS_A:
+        if label.family != FAMILY_A or label.n != n:
+            raise DomainError(
+                f"family A rows take a family A label of rank {n}, "
+                f"got family {label.family} rank {label.n}"
+            )
+        return label.z
     if label.n != n:
         raise DomainError(
             f"block sizes must add up to the rank {n}, "
@@ -324,12 +328,15 @@ def _stratum_y(label: IrrLabel, family: str, n: int) -> Seq:
     return tau(family, label).y
 
 
-def _ensure_a_label(label: IrrLabel, n: int) -> None:
-    if label.family != FAMILY_A or label.n != n:
-        raise DomainError(
-            f"family A rows take a family A label of rank {n}, "
-            f"got family {label.family} rank {label.n}"
-        )
+def _members(family: str, n: int, canon: IrrLabel, y: Seq,
+             shapes: Shapes) -> tuple[tuple[Split, ...], tuple[Member, ...]]:
+    """The split table of the class sequence y of the canonical label and
+    the label's maximal members: family A's one member is the full group
+    with the label itself, and its split table is empty."""
+    if family == CLASS_A:
+        return (), ((shapes[n, 0], (canon,)),)
+    splits = _split_table(family, y)
+    return splits, _maximal_members(family, splits, shapes)
 
 
 def _a_label(e: Seq, p: int) -> IrrLabel:
@@ -384,15 +391,14 @@ def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
     blocks, so the label must lie in the stratum (DomainError otherwise);
     only shapes omitting a single affine node are kept. Degenerate family-D
     block fibers are expanded, one member per choice.  (verify's row pass
-    splits the y it holds instead, and keeps the split table.)
+    runs the same member pass on the y it holds, and keeps the split
+    table.)
     """
     _ensure_family(family)
     sc.ensure_rank(n)
-    if family == CLASS_A:
-        _ensure_a_label(label, n)
-        return ((ParahoricSpec(CLASS_A, n, d=1), (canonicalize(label),)),)
-    splits = _split_table(family, _stratum_y(label, family, n))
-    return _maximal_members(family, splits, _maximal_shapes(family, n))
+    y = _stratum_y(label, family, n)
+    return _members(family, n, canonicalize(label), y,
+                    _maximal_shapes(family, n))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +468,7 @@ def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
         # strict position beyond its base one
         return _split_witness(CLASS_C, n, splits, fa_value, fprod,
                               strict=(0, 3))
-    sym = sc.symmetric_decompositions(y)
+    sym = sc._symmetric(sc._frakI(y), (split[:2] for split in splits))
     if family == CLASS_B:
         if not sym:
             return 1, None
@@ -489,17 +495,12 @@ def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
 def fc(label: IrrLabel, family: str, n: int) -> int:
     """Largest shape-symmetry subgroup order fixing some f-maximal member
     (verify's row pass supplies the y, split table and fa it holds; here
-    they are worked out, except for family A, which needs none)."""
+    they are worked out)."""
     order = _omega_order(family, n)
     canon = canonicalize(label)
-    if family == CLASS_A:
-        _ensure_a_label(canon, n)
-        y, splits, fa_value = canon.z, (), 1
-    else:
-        y = _stratum_y(canon, family, n)
-        splits = _split_table(family, y)
-        members = _maximal_members(family, splits, _maximal_shapes(family, n))
-        fa_value = max(f_product(factors) for _, factors in members)
+    y = _stratum_y(canon, family, n)
+    splits, members = _members(family, n, canon, y, _maximal_shapes(family, n))
+    fa_value = max(f_product(factors) for _, factors in members)
     value, witness = _fc_with_witness(canon, family, n, y, splits, fa_value,
                                       f_product)
     if witness is not None and not _replay(witness[0], witness[1], canon):
@@ -674,9 +675,8 @@ class VerificationReport:
         for r in self.rows:
             mark = "" if r.ok() else "  <- FAIL"
             wit = _member_str(r.witnesses[0]) if r.witnesses else "-"
-            ystr = ",".join(str(v) for v in r.y)
             lines.append(
-                f"{label_str(r.label):<30} {ystr:<26} {r.b_label:>4} "
+                f"{label_str(r.label):<30} {seq_str(r.y):<26} {r.b_label:>4} "
                 f"{r.fa_value:>6} {r.fc_value:>6}  {wit}{mark}"
             )
         return "\n".join(lines) + "\n"
@@ -702,11 +702,7 @@ def _class_row(family: str, n: int, c: ClassLabel, canon: IrrLabel,
     b_label = b_invariant(canon)
     # y is split once; the maximal members and the symmetry witness search
     # both read the one split table
-    if family == CLASS_A:
-        splits, members = (), ((shapes[n, 0], (canon,)),)
-    else:
-        splits = _split_table(family, c.y)
-        members = _maximal_members(family, splits, shapes)
+    splits, members = _members(family, n, canon, c.y, shapes)
     fs = [index.f_product(factors) for _, factors in members]
     # a maximum equal to the class component count also bounds every member
     fa_value = max(fs)
@@ -763,7 +759,7 @@ def verify(family: str, n: int) -> VerificationReport:
                 row = _class_row(family, n, c, canon, index, shapes, fibers)
             except InvariantError as exc:
                 raise InvariantError(
-                    f"family {family} n={n} y={','.join(map(str, c.y))} "
+                    f"family {family} n={n} y={seq_str(c.y)} "
                     f"label {label_str(canon)}: {exc}"
                 ) from exc
             rows.append(row)

@@ -138,14 +138,17 @@ def _trusted_label(family: str, n: int, z: Seq, zp: Seq | None = None,
     return label
 
 
+def seq_str(seq: Seq) -> str:
+    """Compact text form of a sequence: its entries joined by commas."""
+    return ",".join(str(v) for v in seq)
+
+
 def label_str(label: IrrLabel) -> str:
     """Compact text form: [z] or [z;zp], degenerate labels marked ^kappa."""
-    row = ",".join(str(v) for v in label.z)
     if label.zp is None:
-        return f"[{row}]"
-    rowp = ",".join(str(v) for v in label.zp)
+        return f"[{seq_str(label.z)}]"
     mark = f"^{label.kappa}" if label.degenerate else ""
-    return f"[{row};{rowp}]{mark}"
+    return f"[{seq_str(label.z)};{seq_str(label.zp)}]{mark}"
 
 
 def make_d_label(n: int, z: Seq, zp: Seq, kappa: int = 0) -> IrrLabel:

@@ -14,7 +14,10 @@ The statistics frakS (positions that are strictly larger than the left
 neighbour and strictly smaller than the right one) and frakI (maximal
 constant runs of y[i] - i with a strict jump at both ends) drive everything:
 parities, the unique block decomposition of a YSeq, the matched-split sets
-S(y) and tilde-S(y), and the skeleton/remainder decomposition of an XSeq.
+S(y) and tilde-S(y), the symmetric decompositions y = x + e + x, and the
+skeleton/remainder decomposition of an XSeq.  One backtracking search,
+split_pairs, enumerates the splits of y into two XSeqs; S(y), tilde-S(y)
+(over based_split_pairs) and the symmetric decompositions filter its pairs.
 Deviation statistics (rho/beta families) measure each sequence against the
 minimal member of its space and are additive under entrywise addition.
 
@@ -33,7 +36,7 @@ label), never on input that arrived from outside.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterable, Literal
 
 from .errors import DomainError, InvariantError, ResourceError, ValidationError
 
@@ -439,17 +442,14 @@ def _matched(ivs: tuple[Interval, ...], x: Seq, xp: Seq, based: bool) -> bool:
     return bool(odd) or not sxp
 
 
-def split_pairs(y: Seq, lower: Seq | None = None,
-                upper: Seq | None = None) -> tuple[tuple[Seq, Seq], ...]:
+def split_pairs(y: Seq, upper: Seq | None = None) -> tuple[tuple[Seq, Seq], ...]:
     """All (x, xp) in XSeq x XSeq with x + xp = y, lexicographically in x.
 
-    Optional entrywise bounds lower[i] <= x[i] <= upper[i], within the
-    defaults 0 and y[i], let callers freeze a prefix or pin the shape of the
-    complement.  Backtracking keeps both partial sequences valid, which
-    prunes hard.
+    An optional entrywise bound x[i] <= upper[i], within the default y[i],
+    lets callers pin the shape of the complement.  Backtracking keeps both
+    partial sequences valid, which prunes hard.
     """
     m = len(y) - 1
-    lows = (0,) * (m + 1) if lower is None else lower
     highs = y if upper is None else upper
     out: list[tuple[Seq, Seq]] = []
     xs: list[int] = []
@@ -458,7 +458,7 @@ def split_pairs(y: Seq, lower: Seq | None = None,
         if i > m:
             out.append((tuple(xs), tuple(v - u for u, v in zip(xs, y))))
             return
-        lo, hi = lows[i], highs[i]
+        lo, hi = 0, highs[i]
         if i >= 1:
             lo = max(lo, xs[i - 1])
             hi = min(hi, xs[i - 1] + y[i] - y[i - 1])
@@ -538,14 +538,20 @@ def _ensure_tilde_domain(y: Seq) -> None:
         raise DomainError(f"based splits need y0 = 0 and y1 = 1, got {y!r}")
 
 
+def based_split_pairs(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
+    """The splits (x, xp) of a YSeq y starting (0, 1) whose complement xp
+    is a based XSeq, lexicographically in x."""
+    # xp[0] = 0 and xp[1] >= 1 force x[0] = x[1] = 0, so with y0 = 0 and
+    # y1 = 1 every complement is a based XSeq
+    return split_pairs(y, upper=(0, 0) + y[2:])
+
+
 def enumerate_tilde_S(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     """All based matched splits of y, lexicographically ordered by first part."""
     _ensure_tilde_domain(y)
-    # xp[0] = 0 and xp[1] >= 1 force x[0] = x[1] = 0, so with y0 = 0 and
-    # y1 = 1 every complement is a based XSeq
     ivs = _frakI(y)
-    pairs = split_pairs(y, upper=(0, 0) + y[2:])
-    return tuple((x, xp) for x, xp in pairs if _matched(ivs, x, xp, True))
+    return tuple((x, xp) for x, xp in based_split_pairs(y)
+                 if _matched(ivs, x, xp, True))
 
 
 # ---------------------------------------------------------------------------
@@ -714,38 +720,25 @@ def enumerate_space(kind: str, m: int, n: int) -> tuple[Seq, ...]:
 # ---------------------------------------------------------------------------
 # symmetric decompositions
 
+def _symmetric(ivs: tuple[Interval, ...],
+               pairs: Iterable[tuple[Seq, Seq]]) -> tuple[tuple[Seq, Seq], ...]:
+    """The (x, e) of the split pairs (x, xp) of y, ivs = _frakI(y), whose
+    difference e = xp - x is nonnegative and nondecreasing, that are
+    matched, and whose parts have equal frakS; in the order of pairs."""
+    out = []
+    for x, xp in pairs:
+        e = tuple(b - a for a, b in zip(x, xp))
+        if e[0] < 0 or any(u > v for u, v in zip(e, e[1:])):
+            continue
+        if _matched(ivs, x, xp, False) and _frakS(xp) == _frakS(x):
+            out.append((x, e))
+    return tuple(out)
+
+
 def symmetric_decompositions(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     """All (x, e) with y = x + e + x, (x, e+x) a matched split of y, and
-    frakS(e + x) = frakS(x). Nonempty exactly when every frakI(y) interval
-    has size one.
+    frakS(e + x) = frakS(x), lexicographically in x. Nonempty exactly when
+    every frakI(y) interval has size one.
     """
     ensure_yseq(y)
-    ivs = _frakI(y)
-    m = len(y) - 1
-    out = []
-    x: list[int] = []
-
-    def rec(i: int) -> None:
-        if i > m:
-            # x is an XSeq and e is nondecreasing, so e + x is an XSeq too
-            xt = tuple(x)
-            e = tuple(y[t] - 2 * x[t] for t in range(m + 1))
-            ex = seq_add(e, xt)
-            if _matched(ivs, xt, ex, False) and _frakS(ex) == _frakS(xt):
-                out.append((xt, e))
-            return
-        lo = 0
-        hi = y[i] // 2
-        if i >= 1:
-            lo = max(lo, x[i - 1])
-            # e nondecreasing: y[i] - 2x[i] >= y[i-1] - 2x[i-1]
-            hi = min(hi, x[i - 1] + (y[i] - y[i - 1]) // 2)
-        if i >= 2:
-            lo = max(lo, x[i - 2] + 1)
-        for val in range(lo, hi + 1):
-            x.append(val)
-            rec(i + 1)
-            x.pop()
-
-    rec(0)
-    return tuple(out)
+    return _symmetric(_frakI(y), split_pairs(y))

@@ -173,35 +173,40 @@ def _interval_sizes(intervals: tuple[tuple[int, int], ...]) -> list[int]:
 
 
 def class_invariants(c: ClassLabel) -> ClassInvariants:
-    """Component-group data of a class, from the interval set of y."""
+    """Component-group data of a class, from the interval set of y (which
+    the ClassLabel checked when it was built, so the kernels read it)."""
+    m = len(c.y) - 1
     if c.family == CLASS_A:
-        base = sc.base_z(len(c.y) - 1)
+        base = sc.base_z(m)
         ztilde = math.gcd(c.n, *(v - b for v, b in zip(c.y, base)))
         if c.n == 0:
             ztilde = 1
-        return ClassInvariants(bbar=sc.beta0(c.y), z=1, ztilde_over_z=ztilde)
-    intervals = sc.frakI(c.y)
+        return ClassInvariants(bbar=sc._beta0(c.y), z=1, ztilde_over_z=ztilde)
+    intervals = sc._frakI(c.y)
+    odd = sc._odd(intervals)
     sizes = _interval_sizes(intervals)
+    base = sc.base_yt(m) if c.family == CLASS_C else sc.base_y(m)
+    bbar = sc._dev_weighted(c.y, base)
     if c.family == CLASS_B:
         if not intervals:
             raise InvariantError(f"even-length stratum without intervals: {c.y!r}")
         return ClassInvariants(
-            bbar=sc.beta_prime(c.y),
+            bbar=bbar,
             z=2 ** (len(intervals) - 1),
             ztilde_over_z=2 if all(s == 1 for s in sizes) else 1,
         )
     if c.family == CLASS_C:
-        delta = 1 if any(lo > 0 for lo, hi in sc.frakI_odd(c.y)) else 0
+        delta = 1 if any(lo > 0 for lo, hi in odd) else 0
         exponent = len(intervals) - 1 - delta
         if exponent < 0:
             raise InvariantError(f"negative component exponent for {c.y!r}")
         return ClassInvariants(
-            bbar=sc.tilde_beta_prime(c.y),
+            bbar=bbar,
             z=2**exponent,
             ztilde_over_z=2**delta,
         )
     # family D
-    delta = 1 if sc.frakI_odd(c.y) else 0
+    delta = 1 if odd else 0
     z = 2 ** max(len(intervals) - 1 - delta, 0)
     uz = 2 ** max(len(intervals) - 1, 0)
     all_singletons = all(s == 1 for s in sizes)
@@ -217,7 +222,7 @@ def class_invariants(c: ClassLabel) -> ClassInvariants:
     if ratio != (2 if all_singletons else 1) * (uz // z):
         raise InvariantError(f"component recombination failed for {c.y!r}")
     return ClassInvariants(
-        bbar=sc.beta_prime(c.y),
+        bbar=bbar,
         z=z,
         ztilde_over_z=ratio,
         uz_over_z=uz // z,

@@ -323,9 +323,10 @@ def test_verify_reports_match_their_pinned_digests(case):
 @pytest.mark.parametrize("family, rows", [("B", 35), ("C", 40), ("D", 31)])
 def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
                                                          rows):
-    # one split search per row feeds both the maximal members and the C
-    # and D split witness
-    calls = {"split_pairs": 0, "class_invariants": 0}
+    # one split search per row feeds the maximal members, the B and D
+    # symmetric witnesses and the C and D split witness
+    calls = {"split_pairs": 0, "class_invariants": 0,
+             "symmetric_decompositions": 0}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -337,9 +338,11 @@ def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
         monkeypatch.setattr(module, name, wrapper)
 
     counted(sc, "split_pairs")
+    counted(sc, "symmetric_decompositions")
     counted(engine, "class_invariants")
     assert len(verify(family, 6).rows) == rows
-    assert calls == {"split_pairs": rows, "class_invariants": rows}
+    assert calls == {"split_pairs": rows, "class_invariants": rows,
+                     "symmetric_decompositions": 0}
 
 
 def test_induction_graph_builds_each_distinct_image_once(monkeypatch):

@@ -228,14 +228,16 @@ def test_enumerate_S_matches_brute_force(m):
         assert fast == slow
         assert fast, f"matched splits empty for {y}"
         assert sc.construct_one_S(y) in fast
-        # the bounds that pin the complement to a based XSeq (type C)
         plain = sc.split_pairs(y)
         assert plain == tuple(_brute_splits(y))
-        based = sc.split_pairs(y, lower=(y[0],) + (0,) * m,
-                               upper=(y[0], y[1] - 1) + y[2:])
-        assert based == tuple(
-            (x, xp) for x, xp in plain if x[0] == y[0] and x[1] <= y[1] - 1
-        )
+        # the bound x[0] = x[1] = 0, which pins the complement of a y
+        # starting (0, 1) to a based XSeq (type C)
+        based = sc.based_split_pairs(y)
+        assert based == tuple((x, xp) for x, xp in plain if x[:2] == (0, 0))
+        if y[:2] == (0, 1):
+            assert based == tuple(
+                (x, xp) for x, xp in plain if xp[0] == 0 and xp[1] >= 1
+            )
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -327,6 +329,24 @@ def test_symmetric_decompositions_iff_all_singletons(m):
     for y in _all_yseqs(m, 6):
         want = all(lo == hi for lo, hi in sc.frakI(y))
         assert bool(sc.symmetric_decompositions(y)) == want
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6])
+def test_symmetric_decompositions_match_their_definition(m):
+    # every XSeq x with e = y - 2x nonnegative and nondecreasing, (x, x + e)
+    # matched and frakS(x + e) = frakS(x); rho'(y) = 2 rho(x) + sum(e)
+    # bounds rho(x) by half the weight
+    xs = list(_xseqs_upto(m, 3))
+    for y in _all_yseqs(m, 6):
+        want = []
+        for x in xs:
+            e = tuple(v - 2 * u for u, v in zip(x, y))
+            if min(e) < 0 or list(e) != sorted(e):
+                continue
+            xp = sc.seq_add(x, e)
+            if sc.member_S(y, x, xp) and sc.frakS(xp) == sc.frakS(x):
+                want.append((x, e))
+        assert sc.symmetric_decompositions(y) == tuple(sorted(want)), y
 
 
 def test_enumerate_space_lexicographic_and_complete():

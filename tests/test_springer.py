@@ -236,6 +236,22 @@ def test_invariants_are_powers_of_two():
                     assert inv.uz_over_z is None
 
 
+def test_class_invariants_trust_their_class_label(monkeypatch):
+    # the ClassLabel checked y when it was built; the invariants read it
+    # through the kernels and validate nothing again
+    classes = [c for family in CLASS_FAMILIES
+               for c in enumerate_classes(family, 5)]
+    want = [class_invariants(c) for c in classes]
+    calls = []
+    for name in ("ensure_yseq", "ensure_eseq", "ensure_zseq"):
+        def counted(seq, name=name, inner=getattr(sc, name)):
+            calls.append(name)
+            return inner(seq)
+        monkeypatch.setattr(sc, name, counted)
+    assert [class_invariants(c) for c in classes] == want
+    assert calls == []
+
+
 def test_family_d_component_consistency():
     # uz/z = 2^delta and ztilde/uz = 2 iff all intervals singletons,
     # recombining to the published four-case list; exhaustive to rank 9
