@@ -51,13 +51,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import seqcomb as sc
 from .errors import DomainError, InvariantError
 from .irreps import (
     FAMILY_A,
     IrrLabel,
+    _trusted,
     _zeta_inverse,
     _zeta_tilde_inverse,
     b_invariant,
@@ -67,7 +68,6 @@ from .irreps import (
     policy_m,
     seq_str,
     special_reps,
-    xi,
     z_to_partition,
 )
 from .jinduction import (
@@ -92,13 +92,13 @@ from .springer import (
     CLASS_B,
     CLASS_C,
     CLASS_D,
-    CLASS_FAMILIES,
     LABEL_FAMILY,
     ClassLabel,
+    _ensure_class_family,
+    _tau_fiber,
     class_invariants,
     enumerate_classes,
     tau,
-    tau_fiber,
 )
 
 Seq = tuple[int, ...]
@@ -108,14 +108,9 @@ Seq = tuple[int, ...]
 RANK_FLOOR = {CLASS_A: 2, CLASS_B: 2, CLASS_C: 3, CLASS_D: 4}
 
 
-def _ensure_family(family: str) -> None:
-    if family not in CLASS_FAMILIES:
-        raise DomainError(f"unknown class family {family!r}")
-
-
 def ensure_floor(family: str, n: int) -> None:
     """Reject an unknown class family or a rank not an int >= RANK_FLOOR."""
-    _ensure_family(family)
+    _ensure_class_family(family)
     sc.ensure_rank(n)
     if n < RANK_FLOOR[family]:
         raise DomainError(
@@ -147,7 +142,7 @@ class ParahoricSpec:
     lam: int = 0
 
     def __post_init__(self) -> None:
-        _ensure_family(self.family)
+        _ensure_class_family(self.family)
         if self.n <= 0:
             raise DomainError(f"rank must be positive, got {self.n}")
         if self.family == CLASS_A:
@@ -340,7 +335,9 @@ def _members(family: str, n: int, canon: IrrLabel, y: Seq,
 
 
 def _a_label(e: Seq, p: int) -> IrrLabel:
-    return canonicalize(xi(p, len(e) - 1).backward(e))
+    # e is nondecreasing with total p, so e + base_z is a rank-p row
+    z = sc.seq_add(e, sc.base_z(len(e) - 1))
+    return canonicalize(_trusted(IrrLabel, FAMILY_A, p, z, None, 0))
 
 
 _D_FILLER = IrrLabel(FAMILY_A, 0, (0,))
@@ -394,7 +391,7 @@ def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
     runs the same member pass on the y it holds, and keeps the split
     table.)
     """
-    _ensure_family(family)
+    _ensure_class_family(family)
     sc.ensure_rank(n)
     y = _stratum_y(label, family, n)
     return _members(family, n, canonicalize(label), y,
@@ -518,16 +515,6 @@ def fc(label: IrrLabel, family: str, n: int) -> int:
 Fibers = dict[object, set[Member]]
 
 
-def _maximal_pools(shapes: Shapes, index: SpecialIndex
-                   ) -> Iterator[tuple[ParahoricSpec, Embedding, list]]:
-    """(shape, embedding, factor pools) of every maximal shape of a B, C or
-    D target, the pools read from the index."""
-    for spec in shapes.values():
-        emb = _embedding(spec)
-        yield spec, emb, [index.pool(fam, rank)
-                          for fam, rank in emb.factor_signature()]
-
-
 def _induction_graph(family: str, n: int, index: SpecialIndex,
                      shapes: Shapes) -> tuple[frozenset[IrrLabel], Fibers]:
     """Induction image over all maximal shapes, as bar_S, and its fibers:
@@ -569,10 +556,11 @@ def bar_S(family: str, n: int) -> frozenset[IrrLabel]:
     index = SpecialIndex(n)
     if family == CLASS_A:
         return frozenset(index.pool(FAMILY_A, n))
+    embs = [_embedding(spec) for spec in _maximal_shapes(family, n).values()]
     return frozenset(
-        j_induce(emb, factors)
-        for _, emb, pools in _maximal_pools(_maximal_shapes(family, n), index)
-        for factors in itertools.product(*pools)
+        j_induce(emb, factors) for emb in embs
+        for factors in itertools.product(
+            *(index.pool(*key) for key in emb.factor_signature()))
     )
 
 
@@ -752,7 +740,7 @@ def verify(family: str, n: int) -> VerificationReport:
     rows: list[ClassRow] = []
     stratum: set[IrrLabel] = set()
     for c in enumerate_classes(family, n):
-        for label in tau_fiber(family, c.y, n):
+        for label in _tau_fiber(family, c.y, n):
             canon = canonicalize(label)
             stratum.add(canon)
             try:

@@ -18,11 +18,14 @@ deviation codec xi for symmetric-group factors are implemented here, along
 with degrees, shifts, and canonical forms.
 
 IrrLabel(...) is the validating constructor and the only one for labels
-that come from outside.  The module-private _trusted_label skips the checks
-and is called only on rows the library built and knows to be valid:
-canonical forms of validated labels (canonicalize, hence row alignment) and
-the split of a validated merged sequence (_zeta_inverse, which also splits
-a validated class sequence less its base for springer.tau_fiber).  Likewise
+that come from outside.  The package-private _trusted(cls, *values) builds
+a frozen dataclass (IrrLabel here, springer's ClassLabel too) from every
+field's value without the checks, and is called only on values the library
+built and knows to be valid: canonical forms of validated labels
+(canonicalize, hence row alignment), the split of a merged or class
+sequence the library holds (_zeta_inverse, which also splits a class
+sequence less its base for springer._tau_fiber), the enumerated rows of
+special_reps("A", ...) and enumerated class sequences.  Likewise
 the public zeta_inverse, zeta_tilde_inverse and align_row validate their
 argument, while the _-prefixed kernels they call (_zeta_inverse,
 _zeta_tilde_inverse, _align) are for tuples the library built.  _merge is
@@ -34,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from typing import TypeVar
 
 from . import seqcomb as sc
 from .errors import DomainError, ValidationError
@@ -44,6 +48,8 @@ FAMILY_BC = "BC"
 FAMILY_D = "D"
 
 FAMILIES = (FAMILY_A, FAMILY_BC, FAMILY_D)
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +129,16 @@ class IrrLabel:
         return out
 
 
-def _trusted_label(family: str, n: int, z: Seq, zp: Seq | None = None,
-                   kappa: int = 0) -> IrrLabel:
-    """An IrrLabel built without validation, for rows valid by construction."""
-    label = object.__new__(IrrLabel)
+def _trusted(cls: type[T], *values: object) -> T:
+    """An instance of the frozen dataclass cls with every field set to its
+    value, in declaration order, without __post_init__: for values valid
+    by construction."""
+    obj = object.__new__(cls)
     # field by field, as the dataclass __init__ does, so the instance keeps
-    # the compact attribute layout of a validated label
-    set_field = object.__setattr__
-    set_field(label, "family", family)
-    set_field(label, "n", n)
-    set_field(label, "z", z)
-    set_field(label, "zp", zp)
-    set_field(label, "kappa", kappa)
-    return label
+    # the compact attribute layout of a checked one
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def seq_str(seq: Seq) -> str:
@@ -228,7 +231,7 @@ def zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
 
 
 def _zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
-    # x is an XSeq, or a class sequence less its base (springer.tau_fiber),
+    # x is an XSeq, or a class sequence less its base (springer._tau_fiber),
     # so every nonempty row below is strictly increasing; a D merge puts
     # the heavier row second, entry by entry, and makes the rows equal
     # exactly when x has no strict position
@@ -241,17 +244,17 @@ def _zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
         if not zp:
             # a one-entry merge leaves the second row empty
             sc.ensure_zseq(zp)
-        return (_trusted_label(FAMILY_BC, n, z, zp),)
+        return (_trusted(IrrLabel, FAMILY_BC, n, z, zp, 0),)
     if family == FAMILY_D:
         if m % 2 != 1:
             raise DomainError(f"D merge needs even length, got m={m}")
         zp, z = x[0::2], x[1::2]
         if not sc._frakS(x) and n >= 2:
             return (
-                _trusted_label(FAMILY_D, n, z, zp, 0),
-                _trusted_label(FAMILY_D, n, z, zp, 1),
+                _trusted(IrrLabel, FAMILY_D, n, z, zp, 0),
+                _trusted(IrrLabel, FAMILY_D, n, z, zp, 1),
             )
-        return (_trusted_label(FAMILY_D, n, z, zp),)
+        return (_trusted(IrrLabel, FAMILY_D, n, z, zp, 0),)
     raise DomainError(f"no merged-sequence map for family {family!r}")
 
 
@@ -302,7 +305,8 @@ def special_reps(family: str, n: int, m: int | None = None) -> tuple[SpecialRep,
     sc.ensure_rank(n)
     if family == FAMILY_A:
         return tuple(
-            SpecialRep(IrrLabel(FAMILY_A, n, z), z, sc.beta0(z), 1)
+            SpecialRep(_trusted(IrrLabel, FAMILY_A, n, z, None, 0), z,
+                       sc._beta0(z), 1)
             for z in sc.enumerate_space("Z", n if m is None else m, n)
         )
     if family not in (FAMILY_BC, FAMILY_D):
@@ -458,7 +462,8 @@ def aligned_rows(label: IrrLabel, k: int) -> tuple[Seq, Seq]:
 
 def shift(label: IrrLabel, t: int) -> IrrLabel:
     """Prepend t fresh slots to every row, preserving all invariants."""
-    if t < 0:
+    if not sc.is_nat(t):
+        sc._ensure_int("shift amount", t)
         raise DomainError(f"shift amount must be nonnegative, got {t}")
     z = align_row(label.z, len(label.z) + t)
     if label.zp is None:
@@ -481,6 +486,6 @@ def canonicalize(label: IrrLabel) -> IrrLabel:
     # dropping a common prefix keeps every row valid and the D row order
     z = tuple(v - t for v in z[t:])
     if zp is None:
-        return _trusted_label(FAMILY_A, label.n, z)
+        return _trusted(IrrLabel, FAMILY_A, label.n, z, None, 0)
     zp = tuple(v - t for v in zp[t:])
-    return _trusted_label(label.family, label.n, z, zp, label.kappa)
+    return _trusted(IrrLabel, label.family, label.n, z, zp, label.kappa)

@@ -20,6 +20,9 @@ split_pairs, enumerates the splits of y into two XSeqs; S(y), tilde-S(y)
 (over based_split_pairs) and the symmetric decompositions filter its pairs.
 Deviation statistics (rho/beta families) measure each sequence against the
 minimal member of its space and are additive under entrywise addition.
+Each space's rule is one row of the table _SPACES (its base, the least
+steps over the previous two entries, the least value at position 1), which
+enumerate_space reads.
 
 All functions are pure; sequences in and out are tuples, sets of indices are
 frozensets, and interval sets are tuples of (lo, hi) pairs sorted by lo.
@@ -36,7 +39,7 @@ label), never on input that arrived from outside.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Callable, Iterable, Literal
 
 from .errors import DomainError, InvariantError, ResourceError, ValidationError
 
@@ -66,6 +69,12 @@ def ensure_rank(n: object) -> None:
     if isinstance(n, int) and not isinstance(n, bool):
         raise DomainError(f"rank must be nonnegative, got {n}")
     raise ValidationError(f"rank must be a nonnegative int, got {n!r}")
+
+
+def _ensure_int(name: str, v: object) -> None:
+    """Reject a value that is not an int, a bool included (ValidationError)."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValidationError(f"{name} must be an int, got {v!r}")
 
 
 def _ensure_entries(seq: Seq) -> None:
@@ -614,41 +623,26 @@ _KIND_ALIASES = {
 }
 
 
-def _space_base(kind: str, m: int) -> Seq:
-    if kind == "Z":
-        return base_z(m)
-    if kind == "X":
-        return base_x(m)
-    if kind == "Y":
-        return base_y(m)
-    if kind == "XT":
-        return base_xt(m)
-    if kind == "YT":
-        return base_yt(m)
-    return tuple(0 for _ in range(m + 1))
+# kind -> (its base sequence of length index m, the least step over the
+# previous entry, the least step over the entry before that, the least
+# value at position 1)
+_SPACES: dict[str, tuple[Callable[[int], Seq], int, int, int]] = {
+    "Z": (base_z, 1, 2, 1),
+    "X": (base_x, 0, 1, 0),
+    "Y": (base_y, 0, 2, 0),
+    "XT": (base_xt, 0, 1, 1),
+    "YT": (base_yt, 0, 2, 1),
+    "E": (lambda m: (0,) * (m + 1), 0, 0, 0),
+}
 
 
 def _space_lower(kind: str, i: int, prev1: int | None, prev2: int | None) -> int:
     """Smallest value allowed at position i given the previous two entries."""
-    if kind == "Z":
-        return 0 if prev1 is None else prev1 + 1
-    if kind == "E":
-        return 0 if prev1 is None else prev1
-    if kind in ("X", "XT"):
-        lo = 0 if prev1 is None else prev1
-        if prev2 is not None:
-            lo = max(lo, prev2 + 1)
-        if kind == "XT" and i == 1:
-            lo = max(lo, 1)
-        return lo
-    if kind in ("Y", "YT"):
-        lo = 0 if prev1 is None else prev1
-        if prev2 is not None:
-            lo = max(lo, prev2 + 2)
-        if kind == "YT" and i == 1:
-            lo = max(lo, 1)
-        return lo
-    raise DomainError(f"unknown sequence kind {kind!r}")
+    _, step1, step2, low1 = _SPACES[kind]
+    lo = 0 if prev1 is None else prev1 + step1
+    if prev2 is not None:
+        lo = max(lo, prev2 + step2)
+    return max(lo, low1) if i == 1 else lo
 
 
 def _tail_min_dev(kind: str, base: Seq, i: int, prev1: int, prev2: int | None) -> int:
@@ -672,18 +666,17 @@ def enumerate_space(kind: str, m: int, n: int) -> tuple[Seq, ...]:
     ValidationError, negative DomainError, above the size cap ResourceError.
     """
     kind = _KIND_ALIASES.get(kind, kind)
-    if kind not in ("Z", "X", "Y", "XT", "YT", "E"):
+    if kind not in _SPACES:
         raise DomainError(f"unknown sequence kind {kind!r}")
-    for name, v in (("m", m), ("n", n)):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValidationError(f"{name} must be an int, got {v!r}")
+    _ensure_int("m", m)
+    _ensure_int("n", n)
     if m < 0 or n < 0:
         raise DomainError(f"m and n must be nonnegative, got m={m} n={n}")
     if m > SIZE_CAP or n > SIZE_CAP:
         raise ResourceError(f"enumeration capped at {SIZE_CAP}, got m={m} n={n}")
     if kind in ("XT", "YT") and (m % 2 != 0 or m < 2):
         raise DomainError(f"kind {kind} needs m even >= 2, got {m}")
-    base = _space_base(kind, m)
+    base = _SPACES[kind][0](m)
     out: list[Seq] = []
     seq: list[int] = []
     # (i, value at i, value before it) -> _tail_min_dev, filled on first use

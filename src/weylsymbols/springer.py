@@ -11,14 +11,16 @@ A ClassLabel names one unipotent-class stratum by a single sequence:
 
 The map tau pairs each theorem-side label with its stratum: the label's
 rows merged as irreps.zeta merges them, plus a base staircase (base_x for
-B and D, base_xt for C).  tau_fiber checks y as ClassLabel does and splits
-y less that staircase with irreps._zeta_inverse, which also owns the
-degenerate type-D fiber.  class_invariants evaluates the component-group
-data: bbar (the weighted deviation statistic of y), z (component count of
-the adjoint-group centralizer), ztilde_over_z (extra components in the
-simply connected cover), and, for family D only, uz_over_z (the
-intermediate special-orthogonal cover).  All of them read off the interval
-set frakI(y) and its odd-size part.
+B and D, base_xt for C).  tau_fiber checks y as ClassLabel does, then its
+kernel _tau_fiber splits y less that staircase with irreps._zeta_inverse,
+which also owns the degenerate type-D fiber.  enumerate_classes checks
+family, n and m once and builds its classes unchecked (irreps._trusted);
+engine.verify reads _tau_fiber on those.  class_invariants evaluates the
+component-group data: bbar (the weighted deviation statistic of y), z
+(component count of the adjoint-group centralizer), ztilde_over_z (extra
+components in the simply connected cover), and, for family D only,
+uz_over_z (the intermediate special-orthogonal cover).  All of them read
+off the interval set frakI(y) and its odd-size part.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .irreps import (
     FAMILY_D,
     IrrLabel,
     _merge,
+    _trusted,
     _zeta_inverse,
     aligned_rows,
     policy_m,
@@ -59,6 +62,19 @@ LABEL_FAMILY = {
 _BASE = {CLASS_B: sc.base_x, CLASS_C: sc.base_xt, CLASS_D: sc.base_x}
 
 
+def _ensure_class_family(family: str) -> None:
+    if family not in CLASS_FAMILIES:
+        raise DomainError(f"unknown class family {family!r}")
+
+
+def _ensure_parity(family: str, m: int) -> None:
+    """Reject a length index of the wrong parity for family B or D."""
+    if family == CLASS_B and m % 2 != 0:
+        raise ValidationError(f"family B needs even length index, got {m}")
+    if family == CLASS_D and m % 2 != 1:
+        raise ValidationError(f"family D needs odd length index, got {m}")
+
+
 def _class_rank(family: str, y: Seq) -> int:
     """Statistic of a class sequence, after checking that y has the shape
     of its family (ClassLabel and tau_fiber share this rule)."""
@@ -68,11 +84,7 @@ def _class_rank(family: str, y: Seq) -> int:
         return sc.tilde_rho_prime(y)
     # the statistic validates y before its length is read
     total = sc.rho_prime(y)
-    m = len(y) - 1
-    if family == CLASS_B and m % 2 != 0:
-        raise ValidationError(f"family B needs even length index, got {m}")
-    if family == CLASS_D and m % 2 != 1:
-        raise ValidationError(f"family D needs odd length index, got {m}")
+    _ensure_parity(family, len(y) - 1)
     return total
 
 
@@ -116,8 +128,7 @@ class ClassInvariants:
 def class_policy_m(family: str, n: int) -> int:
     """Default sequence length index for each class family: the merged
     length of its tau-partners."""
-    if family not in CLASS_FAMILIES:
-        raise DomainError(f"unknown class family {family!r}")
+    _ensure_class_family(family)
     return policy_m(LABEL_FAMILY[family], n)
 
 
@@ -130,8 +141,7 @@ def tau(family: str, label: IrrLabel) -> ClassLabel:
     (base_x for B and D, base_xt for C).  Raises DomainError when the sum
     leaves the stratum space (the label is outside the theorem's domain).
     """
-    if family not in CLASS_FAMILIES:
-        raise DomainError(f"unknown class family {family!r}")
+    _ensure_class_family(family)
     if label.family != LABEL_FAMILY[family]:
         raise DomainError(
             f"class family {family} pairs with {LABEL_FAMILY[family]} labels, "
@@ -151,15 +161,19 @@ def tau_fiber(family: str, y: Seq, n: int | None = None) -> tuple[IrrLabel, ...]
     """All labels mapping to the stratum y (two in the degenerate family-D
     case, one otherwise); y is checked as ClassLabel checks it, against n
     when n is given."""
-    if family not in CLASS_FAMILIES:
-        raise DomainError(f"unknown class family {family!r}")
+    _ensure_class_family(family)
     rank = _class_rank(family, y)
     if n is not None:
         sc.ensure_rank(n)
         if n != rank:
             raise DomainError(f"rank {n} != sequence statistic {rank}")
+    return _tau_fiber(family, y, rank)
+
+
+def _tau_fiber(family: str, y: Seq, n: int) -> tuple[IrrLabel, ...]:
+    """tau_fiber of a class sequence y of rank n that the library built."""
     if family == CLASS_A:
-        return (IrrLabel(FAMILY_A, rank, y),)
+        return (_trusted(IrrLabel, FAMILY_A, n, y, None, 0),)
     # the rows of y less its base are strictly increasing, as the split needs
     x = sc.seq_sub(y, _BASE[family](len(y) - 1))
     return _zeta_inverse(LABEL_FAMILY[family], x)
@@ -237,17 +251,20 @@ _SPACE_KIND = {CLASS_A: "Z", CLASS_B: "Y", CLASS_C: "YT", CLASS_D: "Y"}
 
 def enumerate_classes(family: str, n: int, m: int | None = None) -> tuple[ClassLabel, ...]:
     """All strata of the family at rank n, lexicographically, at the policy
-    length (or caller-provided m)."""
-    if family not in CLASS_FAMILIES:
-        raise DomainError(f"unknown class family {family!r}")
+    length (or caller-provided m).  Family, n and m are checked once; the
+    enumerated sequences then have their family's shape and statistic n."""
+    _ensure_class_family(family)
     sc.ensure_rank(n)
     mm = class_policy_m(family, n) if m is None else m
+    ys = sc.enumerate_space(_SPACE_KIND[family], mm, n)
+    # the space is never empty, so this raises where a per-y check would
+    _ensure_parity(family, mm)
     out = []
-    for y in sc.enumerate_space(_SPACE_KIND[family], mm, n):
+    for y in ys:
         if family == CLASS_C and mm >= 2 * n + 2 and (y[0] != 0 or y[1] != 1):
             # at the policy length a based stratum always starts (0, 1, ...)
             raise InvariantError(f"based stratum starts {y[:2]}: {y!r}")
-        out.append(ClassLabel(family, n, y))
+        out.append(_trusted(ClassLabel, family, n, y))
     return tuple(out)
 
 
@@ -257,7 +274,8 @@ def enumerate_classes(family: str, n: int, m: int | None = None) -> tuple[ClassL
 def shift_class(c: ClassLabel, t: int) -> ClassLabel:
     """Stratum of the same class at length index enlarged by 2t (or t for
     family A): the label-side shift conjugated through tau."""
-    if t < 0:
+    if not sc.is_nat(t):
+        sc._ensure_int("shift amount", t)
         raise DomainError(f"shift amount must be nonnegative, got {t}")
     if c.family == CLASS_A:
         head, step = tuple(range(t)), t

@@ -15,6 +15,7 @@ from itertools import product
 from . import seqcomb as sc
 from .errors import DomainError, OracleError, ValidationError
 from .irreps import (
+    FAMILIES,
     FAMILY_A,
     FAMILY_BC,
     FAMILY_D,
@@ -46,13 +47,10 @@ from .oracle import (
 )
 
 
-# ---------------------------------------------------------------------------
-# sequence-combinatorics property suite
-
-
 @dataclass(frozen=True)
-class LemmaCheck:
-    """One exhaustive property check with its case count and failures."""
+class SuiteCheck:
+    """One exhaustive check of either suite (a lemma of the property suite,
+    a block of the oracle suite) with its case count and failures."""
 
     name: str
     cases: int
@@ -72,7 +70,7 @@ class LemmaSuiteReport:
 
     max_m: int
     max_weight: int
-    checks: tuple[LemmaCheck, ...]
+    checks: tuple[SuiteCheck, ...]
 
     def ok(self) -> bool:
         return all(not c.failures for c in self.checks)
@@ -84,6 +82,10 @@ class LemmaSuiteReport:
             "ok": self.ok(),
             "checks": [c.to_json() for c in self.checks],
         }
+
+
+# ---------------------------------------------------------------------------
+# sequence-combinatorics property suite
 
 
 def _spaces(kind: str, max_m: int, max_weight: int) -> dict[int, list[sc.Seq]]:
@@ -107,9 +109,11 @@ def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
     interval has size one), over all sequences with length index at most
     max_m and deviation weight at most max_weight.
     """
+    sc._ensure_int("max_m", max_m)
+    sc._ensure_int("max_weight", max_weight)
     if max_m < 0 or max_weight < 0:
         raise DomainError("suite bounds must be nonnegative")
-    checks: list[LemmaCheck] = []
+    checks: list[SuiteCheck] = []
     xs = _spaces("X", max_m, max_weight)
     ys = _spaces("Y", max_m, max_weight)
 
@@ -120,7 +124,7 @@ def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
             cases += 1
             if len(sc.frakS(x)) % 2 != (m - 1) % 2:
                 fails.append(f"x={x}")
-    checks.append(LemmaCheck("signature_parity", cases, tuple(fails)))
+    checks.append(SuiteCheck("signature_parity", cases, tuple(fails)))
 
     par_cases = 0
     par_fails: list[str] = []
@@ -132,8 +136,8 @@ def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
                 par_fails.append(f"y={y}")
             if len(sc.R(y)) + len(sc.R0(y)) != 2 * len(sc.frakI(y)):
                 cnt_fails.append(f"y={y}")
-    checks.append(LemmaCheck("interval_parity", par_cases, tuple(par_fails)))
-    checks.append(LemmaCheck("endpoint_count", par_cases, tuple(cnt_fails)))
+    checks.append(SuiteCheck("interval_parity", par_cases, tuple(par_fails)))
+    checks.append(SuiteCheck("endpoint_count", par_cases, tuple(cnt_fails)))
 
     sub_cases = 0
     sub_fails: list[str] = []
@@ -176,8 +180,8 @@ def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
                     enum_fails.append(f"y={y} x={x}: endpoint cover broken")
                 if no_odd and s2:
                     enum_fails.append(f"y={y} x={x}: spurious second signature")
-    checks.append(LemmaCheck("signature_subadditivity", sub_cases, tuple(sub_fails)))
-    checks.append(LemmaCheck("split_enumeration", enum_cases, tuple(enum_fails)))
+    checks.append(SuiteCheck("signature_subadditivity", sub_cases, tuple(sub_fails)))
+    checks.append(SuiteCheck("split_enumeration", enum_cases, tuple(enum_fails)))
 
     cases = 0
     fails = []
@@ -215,7 +219,7 @@ def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
                     fails.append(f"y={y} x={x}: single-interval shape broken")
                 if offset_odd and len(s2) < 3:
                     fails.append(f"y={y} x={x}: second signature below three")
-    checks.append(LemmaCheck("based_split_enumeration", cases, tuple(fails)))
+    checks.append(SuiteCheck("based_split_enumeration", cases, tuple(fails)))
 
     cases = 0
     fails = []
@@ -234,7 +238,7 @@ def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
             hat2, e2 = sc.hat_decompose(hat)
             if hat2 != hat or any(e2):
                 fails.append(f"x={x}: not idempotent")
-    checks.append(LemmaCheck("hat_roundtrip", cases, tuple(fails)))
+    checks.append(SuiteCheck("hat_roundtrip", cases, tuple(fails)))
 
     cases = 0
     fails = []
@@ -249,7 +253,7 @@ def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
                 mid = sc.seq_add(e, x)
                 if sc.seq_add(x, mid) != y or sc.frakS(mid) != sc.frakS(x):
                     fails.append(f"y={y} x={x}: malformed witness")
-    checks.append(LemmaCheck("symmetric_witness_equivalence", cases, tuple(fails)))
+    checks.append(SuiteCheck("symmetric_witness_equivalence", cases, tuple(fails)))
 
     return LemmaSuiteReport(max_m=max_m, max_weight=max_weight, checks=tuple(checks))
 
@@ -259,26 +263,10 @@ def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
 
 
 @dataclass(frozen=True)
-class OracleBlock:
-    """One oracle-vs-formula comparison block."""
-
-    name: str
-    cases: int
-    failures: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "cases": self.cases,
-            "failures": list(self.failures),
-        }
-
-
-@dataclass(frozen=True)
 class OracleSuiteReport:
     """Results of the character-theoretic cross-checks."""
 
-    blocks: tuple[OracleBlock, ...]
+    blocks: tuple[SuiteCheck, ...]
 
     def ok(self) -> bool:
         return all(not b.failures for b in self.blocks)
@@ -328,11 +316,16 @@ def oracle_suite(family: str | None = None, max_rank: int | None = None) -> Orac
     character arithmetic with the label-side invariant over all of Irr; the
     j block replays every supported embedding on every special factor tuple
     and demands the same image (degenerate outputs up to the documented
-    gauge bit) with induction multiplicity exactly one.
+    gauge bit) with induction multiplicity exactly one.  A family outside
+    FAMILIES raises DomainError, as does a negative max_rank; a max_rank
+    that is not an int raises ValidationError.
     """
-    if max_rank is not None and max_rank < 0:
+    if family is not None and family not in FAMILIES:
+        raise DomainError(f"unknown family {family!r}")
+    if max_rank is not None and not sc.is_nat(max_rank):
+        sc._ensure_int("max_rank", max_rank)
         raise DomainError(f"max_rank must be nonnegative, got {max_rank}")
-    blocks: list[OracleBlock] = []
+    blocks: list[SuiteCheck] = []
 
     for fam, cap in _B_SCOPE:
         if family is not None and fam != family:
@@ -349,7 +342,7 @@ def oracle_suite(family: str | None = None, max_rank: int | None = None) -> Orac
                     fails.append(f"{label_str(label)}: b {got} vs {b_invariant(label)}")
                 if is_special(label) and mult != 1:
                     fails.append(f"{label_str(label)}: multiplicity {mult} at its degree")
-        blocks.append(OracleBlock(f"b_{fam}", cases, tuple(fails)))
+        blocks.append(SuiteCheck(f"b_{fam}", cases, tuple(fails)))
 
     for fam, cap in _J_SCOPE:
         if family is not None and fam != family:
@@ -382,6 +375,6 @@ def oracle_suite(family: str | None = None, max_rank: int | None = None) -> Orac
                     fails.append(
                         f"{emb.kind} {tuple(label_str(c) for c in combo)}: multiplicity != 1"
                     )
-        blocks.append(OracleBlock(f"j_{fam}", cases, tuple(fails)))
+        blocks.append(SuiteCheck(f"j_{fam}", cases, tuple(fails)))
 
     return OracleSuiteReport(blocks=tuple(blocks))

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from weylsymbols import cli, engine
 from weylsymbols.cli import main
 from weylsymbols.engine import verify
-from weylsymbols.errors import InvariantError
+from weylsymbols.errors import DomainError, InvariantError, ValidationError
 from weylsymbols.irreps import FAMILY_A, canonicalize, label_str
 from weylsymbols.springer import enumerate_classes, tau_fiber
 from weylsymbols.suites import lemma_suite, oracle_suite
@@ -270,6 +270,28 @@ def test_oracle_suite_scales_down():
     assert report.ok()
     assert [b.name for b in report.blocks] == ["b_A", "j_A"]
     assert all(b.cases > 0 for b in report.blocks)
+
+
+@pytest.mark.parametrize("call, kwargs, error, message", [
+    (lemma_suite, {"max_m": 1.5}, ValidationError, "max_m must be an int, got 1.5"),
+    (lemma_suite, {"max_m": None}, ValidationError, "max_m must be an int, got None"),
+    (lemma_suite, {"max_weight": True}, ValidationError,
+     "max_weight must be an int, got True"),
+    (lemma_suite, {"max_m": -1}, DomainError, "suite bounds must be nonnegative"),
+    (oracle_suite, {"max_rank": 1.5}, ValidationError,
+     "max_rank must be an int, got 1.5"),
+    (oracle_suite, {"max_rank": False}, ValidationError,
+     "max_rank must be an int, got False"),
+    (oracle_suite, {"max_rank": -1}, DomainError, "max_rank must be nonnegative, got -1"),
+    (oracle_suite, {"family": "B"}, DomainError, "unknown family 'B'"),
+], ids=["lemma-float", "lemma-none", "lemma-bool", "lemma-negative", "oracle-float",
+        "oracle-bool", "oracle-negative", "oracle-class-family"])
+def test_suites_check_their_arguments(call, kwargs, error, message):
+    # a malformed bound or an unknown family is refused before any case
+    # runs, never turned into a green report that checked nothing
+    with pytest.raises(error) as info:
+        call(**kwargs)
+    assert str(info.value) == message
 
 
 def test_oracle_check_rejects_a_negative_rank_bound():

@@ -10,7 +10,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylsymbols import engine, jinduction, seqcomb as sc
+from weylsymbols import engine, jinduction, seqcomb as sc, springer
 from weylsymbols.cli import main
 from weylsymbols.engine import (
     RANK_FLOOR,
@@ -382,6 +382,35 @@ def test_induction_graph_prepares_each_pool_label_once(monkeypatch, family):
     # one alignment per distinct pool label, not one per shape using it
     assert len(set(pooled)) == len(pooled)
     assert sorted(aligned, key=repr) == sorted(pooled, key=repr)
+
+
+def test_enumerated_classes_and_rows_are_checked_only_where_they_enter(
+        monkeypatch):
+    # enumerate_classes checks family, n and m once and verify reads the
+    # tau_fiber kernel: no enumerated y is checked again, nor any symmetric
+    # witness's deviation profile, nor any enumerated family-A row
+    calls: dict[str, int] = {}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("ensure_yseq", "ensure_eseq"):
+        counted(sc, name)
+    counted(springer, "_class_rank")
+    for family in ("B", "C", "D"):
+        assert verify(family, 6).ok()
+    for family in ("A", "B", "C", "D"):
+        assert enumerate_classes(family, 6)
+    assert calls == {}
+    counted(sc, "ensure_zseq")
+    assert len(special_reps(FAMILY_A, 6)) == 11
+    assert calls == {}
 
 
 @pytest.mark.parametrize("family", ["C", "D"])

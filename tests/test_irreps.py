@@ -35,6 +35,12 @@ from weylsymbols.irreps import (
     zeta_tilde_inverse,
 )
 from weylsymbols.jinduction import double_dots
+from weylsymbols.springer import (
+    CLASS_FAMILIES,
+    ClassLabel,
+    class_policy_m,
+    enumerate_classes,
+)
 
 
 def _partitions(n: int, cap: int | None = None) -> list[tuple[int, ...]]:
@@ -161,6 +167,17 @@ def test_trusted_labels_equal_their_validated_rebuild(family, n, pad, data):
     for lab in labels + tuple(canonicalize(lab) for lab in labels):
         rebuilt = IrrLabel(lab.family, lab.n, lab.z, lab.zp, lab.kappa)
         assert lab == rebuilt and hash(lab) == hash(rebuilt)
+
+
+@pytest.mark.parametrize("family", CLASS_FAMILIES)
+def test_trusted_classes_equal_their_validated_rebuild(family):
+    # enumerate_classes builds its classes unchecked, at the policy length
+    # and at a longer one alike
+    for n in range(9):
+        for m in (None, class_policy_m(family, n) + 2):
+            for c in enumerate_classes(family, n, m):
+                rebuilt = ClassLabel(c.family, c.n, c.y)
+                assert c == rebuilt and hash(c) == hash(rebuilt)
 
 
 def test_make_d_label_sorts_rows():

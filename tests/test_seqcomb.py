@@ -349,29 +349,32 @@ def test_symmetric_decompositions_match_their_definition(m):
         assert sc.symmetric_decompositions(y) == tuple(sorted(want)), y
 
 
+_SPACE_RULES = {
+    "Z": (sc.ensure_zseq, sc.rho0), "X": (sc.ensure_xseq, sc.rho),
+    "Y": (sc.ensure_yseq, sc.rho_prime), "E": (sc.ensure_eseq, sc.eseq_sum),
+    "XT": (sc.ensure_xtseq, sc.tilde_rho),
+    "YT": (sc.ensure_ytseq, sc.tilde_rho_prime),
+}
+
+
 def test_enumerate_space_lexicographic_and_complete():
-    for kind, m, n in [("Z", 3, 3), ("X", 4, 3), ("Y", 3, 4), ("E", 3, 3),
-                       ("XT", 4, 2), ("YT", 4, 3)]:
-        out = sc.enumerate_space(kind, m, n)
-        assert list(out) == sorted(set(out))
-        cap = max(n + m + 2, 1)
-        ensure = {
-            "Z": sc.ensure_zseq, "X": sc.ensure_xseq, "Y": sc.ensure_yseq,
-            "E": sc.ensure_eseq, "XT": sc.ensure_xtseq, "YT": sc.ensure_ytseq,
-        }[kind]
-        stat = {
-            "Z": sc.rho0, "X": sc.rho, "Y": sc.rho_prime, "E": sc.eseq_sum,
-            "XT": sc.tilde_rho, "YT": sc.tilde_rho_prime,
-        }[kind]
-        slow = []
-        for cand in itertools.product(range(cap), repeat=m + 1):
-            try:
-                ensure(cand)
-            except ValidationError:
-                continue
-            if stat(cand) == n:
-                slow.append(cand)
-        assert list(out) == sorted(slow)
+    # every kind, m <= 6 and n <= 4 (XT and YT at even m >= 2) against one
+    # brute-force sweep per (kind, m), bucketed by the statistic: every
+    # space is nondecreasing, and an entry of a sequence with statistic n is
+    # at most its base's last entry + n, so below m + 5
+    for kind, (ensure, stat) in _SPACE_RULES.items():
+        for m in (2, 4, 6) if kind in ("XT", "YT") else range(7):
+            slow: dict[int, list] = {n: [] for n in range(5)}
+            for cand in itertools.combinations_with_replacement(range(m + 5),
+                                                                m + 1):
+                try:
+                    ensure(cand)
+                except ValidationError:
+                    continue
+                slow.setdefault(stat(cand), []).append(cand)
+            for n in range(5):
+                out = sc.enumerate_space(kind, m, n)
+                assert list(out) == sorted(set(out)) == slow[n], (kind, m, n)
 
 
 @pytest.mark.parametrize("kind, m, n", [("X", 22, 10), ("Z", 10, 10),

@@ -29,6 +29,7 @@ from weylsymbols.springer import (
     CLASS_FAMILIES,
     ClassInvariants,
     ClassLabel,
+    _tau_fiber,
     class_invariants,
     class_policy_m,
     enumerate_classes,
@@ -305,6 +306,31 @@ def test_enumerate_classes_counts_and_base_conditions():
         enumerate_classes(CLASS_B, -1)
 
 
+@pytest.mark.parametrize("family, m, message", [
+    (CLASS_B, 5, "family B needs even length index, got 5"),
+    (CLASS_B, 7, "family B needs even length index, got 7"),
+    (CLASS_D, 4, "family D needs odd length index, got 4"),
+    (CLASS_D, 0, "family D needs odd length index, got 0"),
+])
+def test_a_wrong_parity_length_index_is_refused_as_before(family, m, message):
+    # enumerate_classes checks m once, with the message every ClassLabel
+    # of the wrong length raises
+    with pytest.raises(ValidationError) as info:
+        enumerate_classes(family, 2, m)
+    assert str(info.value) == message
+    y = sc.enumerate_space("Y", m, 2)[0]
+    with pytest.raises(ValidationError) as info:
+        ClassLabel(family, 2, y)
+    assert str(info.value) == message
+
+
+def test_tau_fiber_kernel_matches_the_checked_map():
+    for family in CLASS_FAMILIES:
+        for n in range(9):
+            for c in enumerate_classes(family, n):
+                assert _tau_fiber(family, c.y, n) == tau_fiber(family, c.y, n)
+
+
 @pytest.mark.parametrize("call, args", [
     (enumerate_classes, (CLASS_B, 2.0)),
     (tau_fiber, (CLASS_B, (0, 1, 2), True)),
@@ -332,9 +358,17 @@ def test_ranks_must_be_ints(call, args):
     (sc.enumerate_space, ("X", 2, "1"), ValidationError),
     (special_reps, (FAMILY_A, 2, -1), DomainError),
     (enumerate_classes, (CLASS_B, 2, -2), DomainError),
+    (shift, (IrrLabel(FAMILY_A, 1, (1,)), 1.5), ValidationError),
+    (shift, (IrrLabel(FAMILY_A, 1, (1,)), True), ValidationError),
+    (shift, (IrrLabel(FAMILY_A, 1, (1,)), -1), DomainError),
+    (shift_class, (ClassLabel(CLASS_A, 1, (1,)), 1.5), ValidationError),
+    (shift_class, (ClassLabel(CLASS_B, 1, (0, 0, 3)), True), ValidationError),
+    (shift_class, (ClassLabel(CLASS_A, 1, (1,)), -1), DomainError),
 ], ids=["special_reps-float", "special_reps-bool", "special_reps-bool-odd",
         "enumerate_classes-float", "enumerate_space-float", "enumerate_space-str",
-        "special_reps-negative", "enumerate_classes-negative"])
+        "special_reps-negative", "enumerate_classes-negative", "shift-float",
+        "shift-bool", "shift-negative", "shift_class-float", "shift_class-bool",
+        "shift_class-negative"])
 def test_length_indices_must_be_nonnegative_ints(call, args, error):
     with pytest.raises(error, match=r"must be (an int|nonnegative), got"):
         call(*args)
