@@ -45,9 +45,7 @@ from .exceptional import (
     validate_tables,
 )
 from .irreps import (
-    FAMILY_A,
-    FAMILY_BC,
-    FAMILY_D,
+    FAMILIES,
     IrrLabel,
     b_invariant,
     canonicalize,
@@ -58,12 +56,16 @@ from .irreps import (
     special_reps,
 )
 from .jinduction import Embedding, j_induce
-from .springer import LABEL_FAMILY, class_invariants, enumerate_classes, tau_fiber
+from .springer import (
+    CLASS_FAMILIES,
+    LABEL_FAMILY,
+    _tau_fiber,
+    class_invariants,
+    enumerate_classes,
+)
 from .suites import LemmaSuiteReport, OracleSuiteReport, lemma_suite, oracle_suite
 
 SCHEMA_VERSION = 2
-
-_FAMILIES = ("A", "B", "C", "D")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +258,9 @@ def _cmd_springer(args: argparse.Namespace) -> _Output:
     entries = []
     for c in enumerate_classes(args.family, args.rank):
         inv = class_invariants(c)
-        partners = [canonicalize(lab) for lab in tau_fiber(args.family, c.y, args.rank)]
+        # enumerate_classes checked c.y, so the kernel skips the public checks
+        fiber = _tau_fiber(args.family, c.y, args.rank)
+        partners = [canonicalize(lab) for lab in fiber]
         entries.append((c, inv, partners))
     headers = ["y", "bbar", "z", "ztilde/z", "uz/z", "partners"]
 
@@ -419,10 +423,7 @@ def _suite_output(report: LemmaSuiteReport | OracleSuiteReport, items: Sequence,
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> _Output:
-    family = None
-    if args.family is not None:
-        family = {"A": FAMILY_A, "BC": FAMILY_BC, "D": FAMILY_D}[args.family]
-    report = oracle_suite(family=family, max_rank=args.max_rank)
+    report = oracle_suite(family=args.family, max_rank=args.max_rank)
     return _suite_output(report, report.blocks, "block")
 
 
@@ -525,7 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     ranked = argparse.ArgumentParser(add_help=False)
-    ranked.add_argument("--family", choices=_FAMILIES, required=True)
+    ranked.add_argument("--family", choices=CLASS_FAMILIES, required=True)
     ranked.add_argument("--rank", type=int, required=True)
 
     sub.add_parser(
@@ -550,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracle-check", parents=[common],
         help="replay the character-theoretic cross-checks",
     )
-    op.add_argument("--family", choices=("A", "BC", "D"), default=None)
+    op.add_argument("--family", choices=FAMILIES, default=None)
     op.add_argument("--max-rank", type=int, default=None)
     ep = sub.add_parser(
         "exceptional", parents=[common],

@@ -81,7 +81,6 @@ from .jinduction import (
     Prepared,
     _pool_images,
     _prepare_pool,
-    d_placements,
     f_product,
     j_induce,
     labels_match,
@@ -125,21 +124,19 @@ def ensure_floor(family: str, n: int) -> None:
 class ParahoricSpec:
     """Shape of a reflection subgroup used in the enumeration.
 
-    Family A uses a divisor d of n with a coset index selecting one of the
+    Family A uses a divisor d of n and always the first (coset 0) of the
     n/d equally spaced node sets; families B, C, D use block sizes
-    (r, p, q), family D with a placement flag lam for the middle
-    symmetric-group block. Maximality is computed from the shape, never
-    declared by callers.
+    (r, p, q), the family-D middle symmetric-group block untwisted
+    (placement 0). Maximality is computed from the shape, never declared
+    by callers.
     """
 
     family: str
     n: int
     d: int = 1
-    coset: int = 0
     r: int = 0
     p: int = 0
     q: int = 0
-    lam: int = 0
 
     def __post_init__(self) -> None:
         _ensure_class_family(self.family)
@@ -148,14 +145,10 @@ class ParahoricSpec:
         if self.family == CLASS_A:
             if self.d < 1 or self.n % self.d:
                 raise DomainError(f"d must divide n, got d={self.d}, n={self.n}")
-            if not 0 <= self.coset < self.n // self.d:
-                raise DomainError(
-                    f"coset must lie in [0, {self.n // self.d}), got {self.coset}"
-                )
-            if self.r or self.p or self.q or self.lam:
-                raise DomainError("family A shapes carry only a divisor and coset")
+            if self.r or self.p or self.q:
+                raise DomainError("family A shapes carry only a divisor")
             return
-        if self.d != 1 or self.coset:
+        if self.d != 1:
             raise DomainError(f"family {self.family} shapes carry no divisor data")
         if min(self.r, self.p, self.q) < 0 or self.r + self.p + self.q != self.n:
             raise DomainError(
@@ -164,14 +157,6 @@ class ParahoricSpec:
             )
         if self.family == CLASS_C and self.p:
             raise DomainError("family C shapes have no middle block")
-        if self.family != CLASS_D and self.lam:
-            raise DomainError(f"family {self.family} shapes carry no placement flag")
-        if (self.family == CLASS_D
-                and self.lam not in d_placements(self.r, self.p, self.q)):
-            raise DomainError(
-                f"placement {self.lam} not defined for blocks "
-                f"({self.r}, {self.p}, {self.q})"
-            )
 
     def diagram_size(self) -> int:
         """Number of affine diagram nodes the shape occupies."""
@@ -192,13 +177,14 @@ class ParahoricSpec:
         return self.diagram_size() == nodes - 1
 
     def to_json(self) -> dict:
+        # schema 2 names a coset (A) and a placement (D), always 0 here; the
+        # constant keys keep the output and every pinned digest as they were
         if self.family == CLASS_A:
-            return {"family": self.family, "n": self.n, "d": self.d,
-                    "coset": self.coset}
+            return {"family": self.family, "n": self.n, "d": self.d, "coset": 0}
         out = {"family": self.family, "n": self.n, "r": self.r, "p": self.p,
                "q": self.q}
         if self.family == CLASS_D:
-            out["lam"] = self.lam
+            out["lam"] = 0
         return out
 
 
@@ -351,7 +337,7 @@ def _embedding(spec: ParahoricSpec) -> Embedding:
         return Embedding(EMBED_B_WR_SP_WQ, r=spec.r, p=spec.p, q=spec.q)
     if spec.family == CLASS_C:
         return Embedding(EMBED_C_WR_WDQ, r=spec.r, q=spec.q)
-    return Embedding(EMBED_D_TRIPLE, r=spec.r, p=spec.p, q=spec.q, lam=spec.lam)
+    return Embedding(EMBED_D_TRIPLE, r=spec.r, p=spec.p, q=spec.q)
 
 
 def _d_middle(spec: ParahoricSpec, factors: tuple) -> tuple:
@@ -677,7 +663,7 @@ def _member_str(member: Member) -> str:
     elif spec.family == CLASS_C:
         shape = f"({spec.r},{spec.q})"
     elif spec.family == CLASS_D and spec.p:
-        shape = f"({spec.r},{spec.p},{spec.q})l{spec.lam}"
+        shape = f"({spec.r},{spec.p},{spec.q})l0"
     else:
         shape = f"({spec.r},{spec.p},{spec.q})"
     return shape + " " + "*".join(label_str(lab) for lab in factors)

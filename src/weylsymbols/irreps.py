@@ -373,9 +373,10 @@ class XiBijection:
 
 def xi(p: int, m: int) -> XiBijection:
     """Deviation-profile bijection for rank-p symmetric-group labels at
-    length index m; total of the profile equals p."""
-    if p < 0 or m < 0:
-        raise DomainError(f"p and m must be nonnegative, got p={p} m={m}")
+    length index m; total of the profile equals p.  A p or m that is not
+    an int raises ValidationError, a negative one DomainError."""
+    sc._ensure_nat("p", p)
+    sc._ensure_nat("m", m)
     return XiBijection(p, m)
 
 
@@ -462,9 +463,7 @@ def aligned_rows(label: IrrLabel, k: int) -> tuple[Seq, Seq]:
 
 def shift(label: IrrLabel, t: int) -> IrrLabel:
     """Prepend t fresh slots to every row, preserving all invariants."""
-    if not sc.is_nat(t):
-        sc._ensure_int("shift amount", t)
-        raise DomainError(f"shift amount must be nonnegative, got {t}")
+    sc._ensure_nat("shift amount", t)
     z = align_row(label.z, len(label.z) + t)
     if label.zp is None:
         return IrrLabel(label.family, label.n, z)

@@ -169,12 +169,6 @@ def _e_cycles(g: Element) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(out)
 
 
-def _e_type(g: Element) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    alpha = sorted((len(c) for c, sg in _e_cycles(g) if sg == 1), reverse=True)
-    beta = sorted((len(c) for c, sg in _e_cycles(g) if sg == -1), reverse=True)
-    return tuple(alpha), tuple(beta)
-
-
 def _canonical_element(
     n: int, alpha: tuple[int, ...], beta: tuple[int, ...], half: int = 0
 ) -> Element:
@@ -210,17 +204,14 @@ def _split_half(g: Element) -> int:
     length: the sign parity of the conjugator onto the canonical
     representative.  The centralizer of such an element has even flip
     parity, so the label is constant on rotation-subgroup classes."""
-    p, s = g
-    cycles = sorted(_e_cycles(g), key=lambda cs: (-len(cs[0]), cs[0][0]))
+    s = g[1]
     parity = 1
-    offset = 0
-    for sup, sign in cycles:
+    for sup, sign in _e_cycles(g):
         assert sign == 1 and len(sup) % 2 == 0
         sigma = 1
         for v in sup:
             parity *= sigma
             sigma *= s[v]
-        offset += len(sup)
     return 0 if parity == 1 else 1
 
 
@@ -240,9 +231,6 @@ class ClassKey:
     beta: tuple[int, ...] = ()
     half: int | None = None
 
-    def to_json(self) -> dict:
-        return {"alpha": list(self.alpha), "beta": list(self.beta), "half": self.half}
-
 
 @dataclass(frozen=True)
 class IrrKey:
@@ -252,17 +240,10 @@ class IrrKey:
     mu: tuple[int, ...] | None = None
     sign: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "lam": list(self.lam),
-            "mu": None if self.mu is None else list(self.mu),
-            "sign": self.sign,
-        }
-
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Exact character table with class sizes and generator locations."""
+    """Exact character table with class sizes."""
 
     family: str
     n: int
@@ -271,29 +252,13 @@ class CharacterTable:
     sizes: tuple[int, ...]
     irreps: tuple[IrrKey, ...]
     values: tuple[tuple[int, ...], ...]
-    generator_classes: tuple[int, ...]
 
     def identity_index(self) -> int:
-        return _class_map(self.family, self.n)[
-            ClassKey(tuple(1 for _ in range(self.n)))
-        ]
+        return self.classes.index(ClassKey((1,) * self.n))
 
     def dims(self) -> tuple[int, ...]:
         i0 = self.identity_index()
         return tuple(row[i0] for row in self.values)
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "order": self.order,
-            "classes": [
-                {**c.to_json(), "size": sz} for c, sz in zip(self.classes, self.sizes)
-            ],
-            "irreps": [k.to_json() for k in self.irreps],
-            "values": [list(row) for row in self.values],
-            "generator_classes": list(self.generator_classes),
-        }
 
 
 def _signed_class_list(
@@ -371,7 +336,6 @@ def _build_table(family: str, n: int) -> CharacterTable:
         tuple(sizes),
         tuple(irreps),
         tuple(values),
-        _generator_classes(family, n, {c: i for i, c in enumerate(classes)}),
     )
     _verify_table(table)
     return table
@@ -391,42 +355,10 @@ def _d_value(key: IrrKey, c: ClassKey) -> int:
     return w // 2 + key.sign * (1 if c.half == 0 else -1) * delta
 
 
-def _generator_classes(
-    family: str, n: int, index: dict[ClassKey, int]
-) -> tuple[int, ...]:
-    if family == FAMILY_A:
-        if n < 2:
-            return ()
-        key = ClassKey((2,) + (1,) * (n - 2))
-        return (index[key],) * (n - 1)
-    if family == FAMILY_BC:
-        if n < 1:
-            return ()
-        flip = ClassKey((1,) * (n - 1), (1,))
-        out = [index[flip]]
-        if n >= 2:
-            out += [index[ClassKey((2,) + (1,) * (n - 2))]] * (n - 1)
-        return tuple(out)
-    if n < 2:
-        return ()
-    swap = list(range(n))
-    swap[0], swap[1] = 1, 0
-    both_flips = (tuple(swap), (-1, -1) + (1,) * (n - 2))
-    plain = (tuple(swap), (1,) * n)
-    out = []
-    for g in (both_flips,) + (plain,) * (n - 1):
-        alpha, beta = _e_type(g)
-        half = _split_half(g) if _is_split_type(alpha, beta) else None
-        out.append(index[ClassKey(alpha, beta, half)])
-    return tuple(out)
-
-
 def _verify_table(t: CharacterTable) -> None:
     if sum(t.sizes) != t.order:
         raise OracleError(f"class sizes of {t.family}{t.n} miss the group order")
-    i0 = next(
-        i for i, c in enumerate(t.classes) if c.alpha == tuple(1 for _ in range(t.n))
-    )
+    i0 = t.identity_index()
     if sum(row[i0] ** 2 for row in t.values) != t.order:
         raise OracleError(f"degree squares of {t.family}{t.n} miss the group order")
     rows = len(t.values)

@@ -39,7 +39,7 @@ label), never on input that arrived from outside.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal
+from typing import Callable, Iterable
 
 from .errors import DomainError, InvariantError, ResourceError, ValidationError
 
@@ -75,6 +75,14 @@ def _ensure_int(name: str, v: object) -> None:
     """Reject a value that is not an int, a bool included (ValidationError)."""
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValidationError(f"{name} must be an int, got {v!r}")
+
+
+def _ensure_nat(name: str, v: object) -> None:
+    """Reject a value that is not an int (ValidationError) or is negative
+    (DomainError)."""
+    _ensure_int(name, v)
+    if v < 0:
+        raise DomainError(f"{name} must be nonnegative, got {v}")
 
 
 def _ensure_entries(seq: Seq) -> None:
@@ -612,8 +620,6 @@ def hat_decompose(x: Seq) -> tuple[Seq, Seq]:
 
 # ---------------------------------------------------------------------------
 # strata enumeration
-
-Kind = Literal["Z", "X", "Y", "XT", "YT", "E"]
 
 _KIND_ALIASES = {
     "Z": "Z", "X": "X", "Y": "Y", "E": "E",

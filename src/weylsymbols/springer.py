@@ -274,9 +274,7 @@ def enumerate_classes(family: str, n: int, m: int | None = None) -> tuple[ClassL
 def shift_class(c: ClassLabel, t: int) -> ClassLabel:
     """Stratum of the same class at length index enlarged by 2t (or t for
     family A): the label-side shift conjugated through tau."""
-    if not sc.is_nat(t):
-        sc._ensure_int("shift amount", t)
-        raise DomainError(f"shift amount must be nonnegative, got {t}")
+    sc._ensure_nat("shift amount", t)
     if c.family == CLASS_A:
         head, step = tuple(range(t)), t
     elif c.family == CLASS_C:

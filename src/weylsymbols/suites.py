@@ -322,9 +322,8 @@ def oracle_suite(family: str | None = None, max_rank: int | None = None) -> Orac
     """
     if family is not None and family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
-    if max_rank is not None and not sc.is_nat(max_rank):
-        sc._ensure_int("max_rank", max_rank)
-        raise DomainError(f"max_rank must be nonnegative, got {max_rank}")
+    if max_rank is not None:
+        sc._ensure_nat("max_rank", max_rank)
     blocks: list[SuiteCheck] = []
 
     for fam, cap in _B_SCOPE:

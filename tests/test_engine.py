@@ -71,8 +71,7 @@ def _member_image(spec: ParahoricSpec, factors):
     if len(factors) == 2:
         factors = (factors[0], IrrLabel(FAMILY_A, 0, (0,)), factors[1])
     return j_induce(
-        Embedding(EMBED_D_TRIPLE, r=spec.r, p=spec.p, q=spec.q, lam=spec.lam),
-        factors,
+        Embedding(EMBED_D_TRIPLE, r=spec.r, p=spec.p, q=spec.q), factors
     )
 
 
@@ -87,15 +86,14 @@ def _stratum(family: str, n: int) -> list[IrrLabel]:
 # shapes and symmetry orders
 
 def test_parahoric_spec_family_a():
-    spec = ParahoricSpec("A", 6, d=3, coset=1)
+    spec = ParahoricSpec("A", 6, d=3)
     assert spec.diagram_size() == 3
     assert not spec.is_maximal()
     assert ParahoricSpec("A", 6, d=1).is_maximal()
-    assert spec.to_json() == {"family": "A", "n": 6, "d": 3, "coset": 1}
+    # schema 2 keeps the constant coset key
+    assert spec.to_json() == {"family": "A", "n": 6, "d": 3, "coset": 0}
     with pytest.raises(DomainError):
         ParahoricSpec("A", 6, d=4)
-    with pytest.raises(DomainError):
-        ParahoricSpec("A", 6, d=3, coset=2)
     with pytest.raises(DomainError):
         ParahoricSpec("A", 6, d=2, r=1, q=3)
 
@@ -109,17 +107,16 @@ def test_parahoric_spec_blocks():
     assert not ParahoricSpec("C", 5, r=4, q=1).is_maximal()
     assert ParahoricSpec("D", 6, r=2, q=4).is_maximal()
     assert not ParahoricSpec("D", 6, r=1, q=5).is_maximal()
-    assert not ParahoricSpec("D", 6, r=0, p=6, q=0, lam=3).is_maximal()
+    assert not ParahoricSpec("D", 6, r=0, p=6, q=0).is_maximal()
+    # schema 2 keeps the constant placement key on family D only
+    assert ParahoricSpec("D", 6, r=2, p=2, q=2).to_json() == {
+        "family": "D", "n": 6, "r": 2, "p": 2, "q": 2, "lam": 0}
+    assert ParahoricSpec("B", 5, r=2, p=1, q=2).to_json() == {
+        "family": "B", "n": 5, "r": 2, "p": 1, "q": 2}
     with pytest.raises(DomainError):
         ParahoricSpec("B", 5, r=2, q=2)
     with pytest.raises(DomainError):
         ParahoricSpec("C", 5, r=2, p=1, q=2)
-    with pytest.raises(DomainError):
-        ParahoricSpec("B", 5, r=2, p=1, q=2, lam=1)
-    with pytest.raises(DomainError):
-        ParahoricSpec("D", 6, r=2, p=2, q=2, lam=1)
-    with pytest.raises(DomainError):
-        ParahoricSpec("D", 6, r=0, p=2, q=4, lam=2)
 
 
 def test_omega_descriptor_orders():
@@ -386,9 +383,10 @@ def test_induction_graph_prepares_each_pool_label_once(monkeypatch, family):
 
 def test_enumerated_classes_and_rows_are_checked_only_where_they_enter(
         monkeypatch):
-    # enumerate_classes checks family, n and m once and verify reads the
-    # tau_fiber kernel: no enumerated y is checked again, nor any symmetric
-    # witness's deviation profile, nor any enumerated family-A row
+    # enumerate_classes checks family, n and m once and verify and the
+    # springer listing read the tau_fiber kernel: no enumerated y is checked
+    # again, nor any symmetric witness's deviation profile, nor any
+    # enumerated family-A row
     calls: dict[str, int] = {}
 
     def counted(module, name):
@@ -405,6 +403,7 @@ def test_enumerated_classes_and_rows_are_checked_only_where_they_enter(
     counted(springer, "_class_rank")
     for family in ("B", "C", "D"):
         assert verify(family, 6).ok()
+        assert main(["springer", "--family", family, "--rank", "6"]) == 0
     for family in ("A", "B", "C", "D"):
         assert enumerate_classes(family, 6)
     assert calls == {}

@@ -350,6 +350,22 @@ def test_xi_zero_rank_and_errors():
         xi(2, 4).forward(_a_label((3,)))  # wrong rank
 
 
+@pytest.mark.parametrize("p, m, error", [
+    (1.5, 2, ValidationError),
+    (True, 3, ValidationError),
+    (2, 4.0, ValidationError),
+    ("a", 1, ValidationError),
+    (2, None, ValidationError),
+    (-1, 2, DomainError),
+    (2, -1, DomainError),
+])
+def test_xi_rejects_malformed_arguments(p, m, error):
+    # refused at the codec's construction, not later by a misleading
+    # backward check or a bare TypeError
+    with pytest.raises(error):
+        xi(p, m)
+
+
 def test_xi_roundtrip_exhaustive():
     for p in range(0, 5):
         codec = xi(p, 2 * p + 2)

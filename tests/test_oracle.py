@@ -139,6 +139,8 @@ def test_table_sizes_and_orders():
             assert sum(t.sizes) == t.order
             assert sum(d * d for d in t.dims()) == t.order
             assert len(t.irreps) == len(t.classes)
+            assert t.classes[t.identity_index()] == ClassKey((1,) * n)
+            assert t.sizes[t.identity_index()] == 1
 
 
 def test_table_bounds_and_validation():
@@ -164,29 +166,6 @@ def test_table_arguments_are_checked_with_the_cache_warm(family, n, bad):
     assert character_table(family, n).n == n
     with pytest.raises((ValidationError, DomainError)):
         character_table(*bad)
-
-
-def test_table_generator_classes():
-    t = character_table(FAMILY_A, 4)
-    key = t.classes[t.generator_classes[0]]
-    assert key.alpha == (2, 1, 1) and len(t.generator_classes) == 3
-    t = character_table(FAMILY_BC, 3)
-    assert t.classes[t.generator_classes[0]].beta == (1,)
-    assert t.classes[t.generator_classes[1]].alpha == (2, 1)
-    # at rank 2 the two rotation-subgroup generators land in different
-    # halves of the same split class
-    t = character_table(FAMILY_D, 2)
-    a, b = (t.classes[i] for i in t.generator_classes)
-    assert a.alpha == b.alpha == (2,)
-    assert {a.half, b.half} == {0, 1}
-
-
-def test_table_json_round_shape():
-    t = character_table(FAMILY_D, 3)
-    data = t.to_json()
-    assert data["order"] == 24
-    assert len(data["classes"]) == len(data["irreps"]) == len(data["values"])
-    assert data["classes"][0].keys() == {"alpha", "beta", "half", "size"}
 
 
 def test_dimensions_match_label_formula():
@@ -335,8 +314,6 @@ def test_j_oracle_twisted_triples_swap_split_halves():
 
 
 def test_oracle_keys_are_plain_data():
-    key = IrrKey((2, 1), (1,))
-    assert key.to_json() == {"lam": [2, 1], "mu": [1], "sign": 0}
-    ck = ClassKey((2,), (), 1)
-    assert ck.to_json() == {"alpha": [2], "beta": [], "half": 1}
+    assert IrrKey((2, 1), (1,)) == IrrKey((2, 1), (1,), 0)
+    assert ClassKey((2,)) == ClassKey((2,), (), None)
     assert RANK_BOUNDS[FAMILY_A] == 7
