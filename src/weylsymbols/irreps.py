@@ -391,16 +391,29 @@ def z_to_partition(z: Seq) -> tuple[int, ...]:
 
 
 def partition_to_z(lam: tuple[int, ...], length: int | None = None) -> Seq:
-    """Row encoding a partition at the given length (default: minimal)."""
+    """Row encoding a partition at the given length (default: minimal).
+    A part or length that is not an int raises ValidationError."""
+    if not isinstance(lam, (tuple, list)):
+        raise ValidationError(f"partition must be a tuple or list, got {lam!r}")
     lam = tuple(lam)
+    for v in lam:
+        sc._ensure_int("part", v)
     if any(a < b for a, b in zip(lam, lam[1:])) or any(v <= 0 for v in lam):
         raise DomainError(f"not a partition: {lam!r}")
-    size = len(lam) if lam else 1
+    if length is not None:
+        sc._ensure_int("length", length)
+        size = max(len(lam), 1)
+        if length < size:
+            raise DomainError(f"length {length} below part count {size}")
+    return _partition_to_z(lam, length)
+
+
+def _partition_to_z(lam: tuple[int, ...], length: int | None = None) -> Seq:
+    """partition_to_z without the checks, for a partition tuple and a length
+    (if given) no less than its part count."""
     if length is None:
-        length = size
-    if length < size:
-        raise DomainError(f"length {length} below part count {size}")
-    padded = [0] * (length - len(lam)) + sorted(lam)
+        length = max(len(lam), 1)
+    padded = (0,) * (length - len(lam)) + lam[::-1]
     return tuple(v + i for i, v in enumerate(padded))
 
 

@@ -32,16 +32,16 @@ from functools import cache
 from itertools import product
 from math import factorial
 
-from .errors import DomainError, OracleError, ResourceError
+from .errors import DomainError, OracleError, ResourceError, ValidationError
 from .irreps import (
     FAMILIES,
     FAMILY_A,
     FAMILY_BC,
     FAMILY_D,
     IrrLabel,
+    _partition_to_z,
     canonicalize,
     make_d_label,
-    partition_to_z,
     z_to_partition,
 )
 from .jinduction import Embedding
@@ -445,7 +445,7 @@ def label_to_key(label: IrrLabel) -> IrrKey:
 def key_to_label(family: str, n: int, key: IrrKey) -> IrrLabel:
     """Inverse of label_to_key, in canonical (shortest-rows) form."""
     if family == FAMILY_A:
-        return canonicalize(IrrLabel(FAMILY_A, n, partition_to_z(key.lam)))
+        return canonicalize(IrrLabel(FAMILY_A, n, _partition_to_z(key.lam)))
     assert key.mu is not None
     if family == FAMILY_BC:
         length = max(len(key.lam), len(key.mu), 1) + 1
@@ -453,15 +453,15 @@ def key_to_label(family: str, n: int, key: IrrKey) -> IrrLabel:
             IrrLabel(
                 FAMILY_BC,
                 n,
-                partition_to_z(key.lam, length),
-                partition_to_z(key.mu, length - 1),
+                _partition_to_z(key.lam, length),
+                _partition_to_z(key.mu, length - 1),
             )
         )
     length = max(len(key.lam), len(key.mu), 1)
     kappa = 1 if key.sign == -1 else 0
     return canonicalize(
         make_d_label(
-            n, partition_to_z(key.lam, length), partition_to_z(key.mu, length), kappa
+            n, _partition_to_z(key.lam, length), _partition_to_z(key.mu, length), kappa
         )
     )
 
@@ -513,26 +513,43 @@ def _b_of_key(family: str, n: int, key: IrrKey) -> tuple[int, int]:
     raise OracleError(f"no symmetric power contains {key} in {family}{n}")
 
 
+def _ensure_label(name: str, label: object) -> None:
+    if not isinstance(label, IrrLabel):
+        raise ValidationError(f"{name} must be an IrrLabel, got {label!r}")
+
+
 def b_oracle(label: IrrLabel) -> tuple[int, int]:
     """Least symmetric-power degree of the reflection representation
     containing the irreducible, with the multiplicity there."""
+    _ensure_label("label", label)
     return _b_of_key(label.family, label.n, label_to_key(label))
 
 
 # ---------------------------------------------------------------------------
 # induction through explicit block embeddings
 
-def _check_io(emb: Embedding, factors: tuple[IrrLabel, ...]) -> tuple[str, int]:
+def _check_io(
+    emb: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]
+) -> tuple[str, int, tuple[IrrLabel, ...]]:
+    """The target (family, rank) of emb and the factors as a tuple, after
+    checking that emb is an Embedding and factors a tuple or list of labels
+    that fit its signature."""
+    if not isinstance(emb, Embedding):
+        raise ValidationError(f"embedding must be an Embedding, got {emb!r}")
+    if not isinstance(factors, (tuple, list)):
+        raise ValidationError(f"factors must be a tuple or list, got {factors!r}")
+    factors = tuple(factors)
     sig = emb.factor_signature()
     if len(factors) != len(sig):
         raise DomainError(f"{emb.kind} expects {len(sig)} factors")
     for (fam, rank), lab in zip(sig, factors):
+        _ensure_label("factor", lab)
         if lab.family != fam or lab.n != rank:
             raise DomainError(f"factor {lab} does not sit in ({fam}, {rank})")
     tfam, tn = emb.target()
     if tn > RANK_BOUNDS[tfam]:
         raise ResourceError(f"target rank {tn} exceeds the {tfam} oracle bound")
-    return tfam, tn
+    return tfam, tn, factors
 
 
 def _fused_class(
@@ -567,8 +584,8 @@ def induction_multiplicity(
 ) -> int:
     """Multiplicity of the target irreducible in the induction of the
     factor product through the embedding, by exact inner product."""
-    factors = tuple(factors)
-    tfam, tn = _check_io(emb, factors)
+    tfam, tn, factors = _check_io(emb, factors)
+    _ensure_label("target", target)
     if target.family != tfam or target.n != tn:
         raise DomainError(f"target {target} does not sit in ({tfam}, {tn})")
     sig = emb.factor_signature()
@@ -606,8 +623,7 @@ def j_oracle(
 ) -> IrrLabel:
     """The unique irreducible of the target group appearing in the induced
     product at the factor product's own least symmetric-power degree."""
-    factors = tuple(factors)
-    tfam, tn = _check_io(emb, factors)
+    tfam, tn, factors = _check_io(emb, factors)
     floor = sum(b_oracle(lab)[0] for lab in factors)
     hits = []
     for key in character_table(tfam, tn).irreps:

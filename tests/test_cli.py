@@ -8,6 +8,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +18,14 @@ from weylsymbols import cli, engine
 from weylsymbols.cli import main
 from weylsymbols.engine import verify
 from weylsymbols.errors import DomainError, InvariantError, ValidationError
-from weylsymbols.irreps import FAMILY_A, canonicalize, label_str
+from weylsymbols.irreps import (
+    FAMILY_A,
+    FAMILY_D,
+    IrrLabel,
+    canonicalize,
+    label_str,
+    special_reps,
+)
 from weylsymbols.springer import enumerate_classes, tau_fiber
 from weylsymbols.suites import lemma_suite, oracle_suite
 
@@ -207,13 +216,21 @@ def test_a_failed_output_write_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "rows.json"
     path.write_text("old\n")
 
-    def refuse(src, dst):
+    def refuse(*args):
         raise OSError("injected")
 
-    monkeypatch.setattr(os, "replace", refuse)
-    code, out, err = _run(
-        ["springer", "--family", "A", "--rank", "4", "--output", str(path)]
-    )
+    argv = ["springer", "--family", "A", "--rank", "4", "--output", str(path)]
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", refuse)
+        for fmt in ("table", "json"):
+            code, out, err = _run(argv + ["--format", fmt])
+            assert code == 2
+            assert err == "error: injected\n"
+            assert path.read_text() == "old\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.json"]
+    # the JSON stream fails after its first pieces reached the file
+    monkeypatch.setattr(cli, "_json_value", refuse)
+    code, out, err = _run(argv + ["--format", "json"])
     assert code == 2
     assert err == "error: injected\n"
     assert path.read_text() == "old\n"
@@ -336,6 +353,10 @@ class _Int(int):
     pass
 
 
+# one dict object that a payload holds at several depths
+_SHARED = {"z": [0, 2], "k": "v"}
+
+
 class _Str(str):
     pass
 
@@ -351,8 +372,67 @@ class _Str(str):
 @example((1, (2, [3, (4,)])))
 @example([_Int(3), _Int(-4)])
 @example({_Str("k"): _Str("v"), "n": [_Int(1), 2]})
+@example({"a": _SHARED, "b": [_SHARED, {"c": _SHARED}], "d": [[_SHARED]]})
+@example([_SHARED, [_SHARED], {"e": [_SHARED]}])
 def test_json_text_is_the_text_of_json_dumps(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2)
+    assert "".join(cli._json_text(value)) == json.dumps(value, indent=2)
+
+
+def test_labels_render_as_their_json_dicts():
+    labs = special_reps(FAMILY_D, 4)
+    lab, other = labs[0].label, labs[-1].label
+    value = {"label": lab, "rows": [lab, [other, {"f": [lab, other]}]],
+             "t": (lab,), "deep": {"x": {"y": lab}}}
+    plain = json.loads(json.dumps(value, default=IrrLabel.to_json))
+    assert "".join(cli._json_text(value)) == json.dumps(plain, indent=2)
+
+
+def test_one_render_builds_each_distinct_label_text_once(monkeypatch):
+    report = verify("B", 8)
+    built = []
+    to_json = IrrLabel.to_json
+
+    def counted(self):
+        built.append(self)
+        return to_json(self)
+
+    monkeypatch.setattr(IrrLabel, "to_json", counted)
+    code, out, _ = _run(["verify", "--family", "B", "--rank", "8",
+                         "--format", "json"])
+    assert code == 0
+    # a row label and a witness factor sit at two indent depths
+    row_labels = {r.label for r in report.rows}
+    factors = {lab for r in report.rows for _, fs in r.witnesses for lab in fs}
+    assert len(built) == len(row_labels) + len(factors)
+    uses = len(report.rows) + sum(len(fs) for r in report.rows
+                                  for _, fs in r.witnesses)
+    assert len(built) < uses / 2
+    monkeypatch.setattr(IrrLabel, "to_json", to_json)
+    assert out == json.dumps({"schema_version": cli.SCHEMA_VERSION,
+                              "command": "verify",
+                              "report": report.to_json()}, indent=2) + "\n"
+
+
+def test_json_output_peak_memory_stays_near_the_table(tmp_path):
+    """The JSON stream holds one row's text at a time, not the document:
+    at B14 (a 16.7 MB file) its peak RSS stays within 25% of the table's."""
+    # VmHWM counts the new process image alone; ru_maxrss would start at
+    # the peak of the test process that forked it
+    code = ("import re, sys; from weylsymbols.cli import main; "
+            "assert main(sys.argv[1:]) == 0; "
+            "print(re.search(r'VmHWM:\\s*(\\d+)', "
+            "open('/proc/self/status').read())[1])")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    peak = {}
+    for fmt in ("table", "json"):
+        argv = ["verify", "--family", "B", "--rank", "14", "--format", fmt,
+                "--output", str(tmp_path / f"b14.{fmt}")]
+        done = subprocess.run([sys.executable, "-c", code, *argv], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        peak[fmt] = int(done.stdout)
+    assert (tmp_path / "b14.json").stat().st_size > 10 ** 7
+    assert peak["json"] <= 1.25 * peak["table"], peak
 
 
 @pytest.mark.parametrize("value", [
@@ -362,7 +442,7 @@ def test_json_text_rejects_what_json_dumps_rejects(value):
     with pytest.raises(TypeError) as want:
         json.dumps(value, indent=2)
     with pytest.raises(TypeError) as got:
-        cli._json_text(value)
+        "".join(cli._json_text(value))
     assert str(got.value) == str(want.value)
 
 

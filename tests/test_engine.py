@@ -22,7 +22,7 @@ from weylsymbols.engine import (
     fc,
     verify,
 )
-from weylsymbols.errors import DomainError, InvariantError
+from weylsymbols.errors import DomainError, InvariantError, ValidationError
 from weylsymbols.irreps import (
     FAMILY_A,
     FAMILY_BC,
@@ -117,6 +117,32 @@ def test_parahoric_spec_blocks():
         ParahoricSpec("B", 5, r=2, q=2)
     with pytest.raises(DomainError):
         ParahoricSpec("C", 5, r=2, p=1, q=2)
+
+
+@pytest.mark.parametrize("family, n, fields", [
+    ("A", 6, {"d": 2.0}),
+    ("B", True, {"r": 1}),
+    ("B", 2, {"r": "1", "q": 1}),
+    ("B", 2.0, {"r": 1, "q": 1}),
+    ("D", 4, {"r": 2, "p": None, "q": 2}),
+    ("C", 3, {"r": 1, "q": 2.0}),
+])
+def test_parahoric_spec_rejects_fields_that_are_not_ints(family, n, fields):
+    with pytest.raises(ValidationError):
+        ParahoricSpec(family, n, **fields)
+
+
+@pytest.mark.parametrize("family, n, fields, message", [
+    ("B", 0, {}, "rank must be positive, got 0"),
+    ("B", -2, {}, "rank must be positive, got -2"),
+    ("A", 6, {"d": 4}, "d must divide n, got d=4, n=6"),
+    ("B", 3, {"r": -1, "q": 4},
+     "block sizes must be nonnegative with r+p+q = 3, got (-1, 0, 4)"),
+])
+def test_parahoric_spec_keeps_its_domain_messages(family, n, fields, message):
+    with pytest.raises(DomainError) as info:
+        ParahoricSpec(family, n, **fields)
+    assert str(info.value) == message
 
 
 def test_omega_descriptor_orders():

@@ -420,6 +420,15 @@ def test_partition_codec_frozen():
         partition_to_z((2, 1), 1)
 
 
+@pytest.mark.parametrize("lam, length", [
+    ((1.5,), None), ((2, True), None), (("2",), None), (3, None), (None, 2),
+    ((2,), 2.0), ((2,), True), ((2,), "3"),
+])
+def test_partition_to_z_rejects_malformed_arguments(lam, length):
+    with pytest.raises(ValidationError):
+        partition_to_z(lam, length)
+
+
 def test_partition_codec_roundtrip():
     for n in range(0, 7):
         for lam in _partitions(n):

@@ -6,6 +6,8 @@ import itertools
 
 import pytest
 
+from weylsymbols import seqcomb as sc
+from weylsymbols.engine import verify
 from weylsymbols.errors import (
     DomainError,
     OracleError,
@@ -166,6 +168,47 @@ def test_table_arguments_are_checked_with_the_cache_warm(family, n, bad):
     assert character_table(family, n).n == n
     with pytest.raises((ValidationError, DomainError)):
         character_table(*bad)
+
+
+def test_oracle_entry_points_reject_what_is_not_a_label():
+    emb = Embedding(EMBED_A_SPLIT, r=1, q=1)
+    one = IrrLabel(FAMILY_A, 1, (1,))
+    two = IrrLabel(FAMILY_A, 2, partition_to_z((2,)))
+    for call in (
+        lambda: b_oracle("x"),
+        lambda: b_oracle(None),
+        lambda: b_oracle(label_to_key(two)),
+        lambda: j_oracle(emb, ["x", one]),
+        lambda: j_oracle(emb, (one, 7)),
+        lambda: j_oracle(emb, one),
+        lambda: j_oracle("A_split", [one, one]),
+        lambda: induction_multiplicity(emb, [one, "x"], two),
+        lambda: induction_multiplicity(emb, [one, one], "x"),
+        lambda: induction_multiplicity(None, [one, one], two),
+    ):
+        with pytest.raises(ValidationError):
+            call()
+    assert induction_multiplicity(emb, [one, one], two) == 1
+
+
+def test_internal_partition_codecs_skip_the_boundary_checks(monkeypatch):
+    # the key codec and the family-A divisor members encode partitions
+    # they built themselves, through the unchecked kernel
+    checked = []
+    inner = sc._ensure_int
+
+    def counted(name, v):
+        checked.append(name)
+        inner(name, v)
+
+    monkeypatch.setattr(sc, "_ensure_int", counted)
+    for family, n in ((FAMILY_A, 5), (FAMILY_BC, 3), (FAMILY_D, 4)):
+        for key in character_table(family, n).irreps:
+            assert label_to_key(key_to_label(family, n, key)) == key
+    assert verify("A", 6).ok()
+    assert "part" not in checked and "length" not in checked
+    partition_to_z((2, 1), 3)
+    assert checked[-3:] == ["part", "part", "length"]
 
 
 def test_dimensions_match_label_formula():
