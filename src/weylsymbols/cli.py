@@ -22,8 +22,9 @@ file untouched.  Only the requested format is built, and JSON output is
 exactly the text of json.dumps(payload, indent=2), streamed: the header
 first, then one row's text at a time, never the whole document as one
 string, with each distinct label's text built once per render and indent
-depth.  At B16 through --output, `verify --format json` peaks at 55 MB RSS
-(the table format at 51 MB), where the whole-string render took 205 MB.
+depth and each verify row's dict built only when the stream reaches it.
+At B16 through --output, `verify --format json` peaks at 51 MB RSS, as
+the table format does, where the whole-string render took 205 MB.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _str_json
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .engine import ensure_floor, verify
+from .engine import ClassRow, ensure_floor, verify
 from .errors import DomainError, InvariantError, ValidationError, WeylSymbolsError
 from .exceptional import (
     GROUPS,
@@ -82,7 +83,8 @@ class _Output:
     """The data one subcommand computed, one builder per format.
 
     payload() gives the JSON fields that follow schema_version and command;
-    an IrrLabel in them stands for its to_json() dict.
+    an IrrLabel in them stands for its to_json() dict, and a verify ClassRow
+    for its to_json() dict with the labels left as they are.
     headers and rows() make the table, and also the CSV unless csv_headers
     and csv_rows() are given.  table() replaces the rendered table when the
     library formats its own.  notes is set for suite-style tables: the lines
@@ -109,13 +111,21 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
 }
 
 
+def _itself(v: Any) -> Any:
+    return v
+
+
 def _json_value(v: object, pad: str, labels: dict) -> str:
     """JSON text of v, its closing bracket after pad (a newline and the
     indent of v's own level), as json.dumps(..., indent=2) lays it out.
 
     An IrrLabel stands for its to_json() dict; labels maps (label, pad) to
-    the text already built for it in this render.
+    the text already built for it in this render.  A ClassRow stands for
+    its to_json() dict with the labels left as they are, built here, when
+    the stream reaches the row, and dropped with its text.
     """
+    if type(v) is ClassRow:
+        v = v.to_json(_itself)
     if type(v) is IrrLabel:
         text = labels.get((v, pad))
         if text is None:
@@ -409,8 +419,9 @@ def _cmd_j(args: argparse.Namespace) -> _Output:
 def _cmd_verify(args: argparse.Namespace) -> _Output:
     report = verify(args.family, args.rank)
     return _Output(
-        # labels stay IrrLabels: the renderer builds each one's text once
-        payload=lambda: {"report": report.to_json(label=lambda lab: lab)},
+        # rows stay ClassRows: the renderer builds each one's dict when it
+        # reaches the row, and each label's text once
+        payload=lambda: {"report": report.to_json(row=_itself)},
         table=report.to_table,
         csv_headers=[
             "family",

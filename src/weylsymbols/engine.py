@@ -60,6 +60,7 @@ from .irreps import (
     IrrLabel,
     _partition_to_z,
     _trusted,
+    _z_to_partition,
     _zeta_inverse,
     _zeta_tilde_inverse,
     b_invariant,
@@ -68,7 +69,6 @@ from .irreps import (
     policy_m,
     seq_str,
     special_reps,
-    z_to_partition,
 )
 from .jinduction import (
     EMBED_A_SPLIT,
@@ -400,7 +400,7 @@ def fa(label: IrrLabel, family: str, n: int) -> int:
 def _a_divisor_members(label: IrrLabel, n: int) -> tuple[tuple[int, IrrLabel], ...]:
     """Divisors d of n dividing every part of the label's deviation
     partition, ascending, each with the scaled rank-n/d label."""
-    part = z_to_partition(label.z)
+    part = _z_to_partition(label.z)
     out = []
     for d in range(1, n + 1):
         if n % d or any(v % d for v in part):
@@ -628,13 +628,13 @@ class VerificationReport:
     def ok(self) -> bool:
         return self.holds_a and all(r.ok() for r in self.rows)
 
-    def to_json(self, label: Callable[[IrrLabel], object] | None = None
+    def to_json(self, row: Callable[[ClassRow], object] | None = None
                 ) -> dict:
-        """The report as JSON data.  label gives each label's value; by
-        default that is one to_json() dict per distinct label, shared by
-        every row and witness factor that names it."""
-        if label is None:
-            label = cache(IrrLabel.to_json)
+        """The report as JSON data.  row gives each row's value; by default
+        that is its to_json() dict, with one to_json() dict per distinct
+        label shared by every row and witness factor that names it."""
+        if row is None:
+            row = partial(ClassRow.to_json, label=cache(IrrLabel.to_json))
         return {
             "family": self.family,
             "n": self.n,
@@ -645,7 +645,7 @@ class VerificationReport:
             "image_in_stratum": self.image_in_stratum,
             "stratum_in_image": self.stratum_in_image,
             "ok": self.ok(),
-            "rows": [r.to_json(label) for r in self.rows],
+            "rows": [*map(row, self.rows)],
         }
 
     def to_table(self) -> str:

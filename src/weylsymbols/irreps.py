@@ -386,6 +386,11 @@ def xi(p: int, m: int) -> XiBijection:
 def z_to_partition(z: Seq) -> tuple[int, ...]:
     """Partition encoded by a row: nonzero deviations, largest first."""
     sc.ensure_zseq(z)
+    return _z_to_partition(z)
+
+
+def _z_to_partition(z: Seq) -> tuple[int, ...]:
+    """z_to_partition without the check, for a row of a checked label."""
     devs = [v - i for i, v in enumerate(z)]
     return tuple(sorted((d for d in devs if d), reverse=True))
 
@@ -434,10 +439,10 @@ def _hook_dimension(lam: tuple[int, ...]) -> int:
 def dimension(label: IrrLabel) -> int:
     """Degree of the irreducible representation named by the label."""
     if label.family == FAMILY_A:
-        return _hook_dimension(z_to_partition(label.z))
+        return _hook_dimension(_z_to_partition(label.z))
     assert label.zp is not None
-    lam = z_to_partition(label.z)
-    mu = z_to_partition(label.zp)
+    lam = _z_to_partition(label.z)
+    mu = _z_to_partition(label.zp)
     base = (
         math.comb(label.n, sum(mu))
         * _hook_dimension(lam)

@@ -1,13 +1,24 @@
 """Brute-force character theory for small permutation-style Weyl groups.
 
-Everything is computed from first principles in exact integer and rational
-arithmetic: conjugacy classes from cycle types, irreducible characters by
-border-strip recursions (plain for the symmetric group, a two-row variant
-for the signed-permutation group, restriction with split handling for its
+Everything is computed from first principles in exact integer arithmetic:
+conjugacy classes from cycle types, irreducible characters by border-strip
+recursions (plain for the symmetric group, a two-row variant for the
+signed-permutation group, restriction with split handling for its
 index-two rotation subgroup), symmetric powers of the reflection
 representation by power-sum recursion, and induction multiplicities from
-explicit block embeddings.  None of the label-side formulas are consulted
-for values, so agreement between the two routes is a meaningful check.
+explicit block embeddings.  Every division is exact by check: each step of
+the power-sum recursion and each inner product over a group order is a
+divmod, and a remainder (or a negative multiplicity) raises OracleError.
+None of the label-side formulas are consulted for values, so agreement
+between the two routes is a meaningful check.
+
+Induction goes through one fusion table per embedding, built on first use
+and cached: the index of the target class that each tuple of factor
+classes fuses into, in product() order.  A product of factor irreducibles
+is induced once, in one pass over that table, into one integer per target
+class (class sizes folded into the factor rows), and each multiplicity is
+that vector paired with a target row and divided by the subgroup order;
+j_oracle pairs the one vector with every irreducible at the floor degree.
 
 Group dictionary: family A at rank n is the symmetric group on n letters,
 family BC the full signed-permutation group on n letters, and family D its
@@ -27,10 +38,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import factorial
+from math import factorial, prod
+from operator import mul
+from typing import Callable
 
 from .errors import DomainError, OracleError, ResourceError, ValidationError
 from .irreps import (
@@ -40,9 +52,9 @@ from .irreps import (
     FAMILY_D,
     IrrLabel,
     _partition_to_z,
+    _z_to_partition,
     canonicalize,
     make_d_label,
-    z_to_partition,
 )
 from .jinduction import Embedding
 from .seqcomb import ensure_rank
@@ -411,14 +423,22 @@ def character_table(family: str, n: int) -> CharacterTable:
     return _build_table(family, n)
 
 
+# The helpers below read the cached tables without character_table's
+# argument checks: their callers name groups within the bounds.
+
 @cache
 def _class_map(family: str, n: int) -> dict[ClassKey, int]:
-    return {c: i for i, c in enumerate(character_table(family, n).classes)}
+    return {c: i for i, c in enumerate(_build_table(family, n).classes)}
 
 
 @cache
 def _irr_map(family: str, n: int) -> dict[IrrKey, int]:
-    return {k: i for i, k in enumerate(character_table(family, n).irreps)}
+    return {k: i for i, k in enumerate(_build_table(family, n).irreps)}
+
+
+def _row(family: str, n: int, key: IrrKey) -> tuple[int, ...]:
+    """Character values of the irreducible named by key, class by class."""
+    return _build_table(family, n).values[_irr_map(family, n)[key]]
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +448,9 @@ def label_to_key(label: IrrLabel) -> IrrKey:
     """Oracle row named by a label: rows become partitions; family D rows
     are ordered by (weight, parts) and kappa = 0 picks the +1 piece."""
     if label.family == FAMILY_A:
-        return IrrKey(z_to_partition(label.z))
+        return IrrKey(_z_to_partition(label.z))
     assert label.zp is not None
-    pl, pm = z_to_partition(label.z), z_to_partition(label.zp)
+    pl, pm = _z_to_partition(label.z), _z_to_partition(label.zp)
     if label.family == FAMILY_BC:
         return IrrKey(pl, pm)
     if pl == pm:
@@ -482,35 +502,49 @@ def _power_trace(family: str, c: ClassKey, k: int) -> int:
 
 
 @cache
-def _sym_power_row(family: str, n: int, i: int) -> tuple[Fraction, ...]:
+def _sym_power_row(family: str, n: int, i: int) -> tuple[int, ...]:
     """Character of the i-th symmetric power of the reflection
-    representation, by the power-sum recursion."""
-    t = character_table(family, n)
+    representation, by the power-sum recursion i h_i = sum_k p_k h_(i-k)
+    in integers; a division by i that leaves a remainder raises."""
+    t = _build_table(family, n)
     if i == 0:
-        return tuple(Fraction(1) for _ in t.classes)
+        return (1,) * len(t.classes)
     lower = [_sym_power_row(family, n, j) for j in range(i)]
     out = []
     for ci, c in enumerate(t.classes):
-        acc = Fraction(0)
-        for k in range(1, i + 1):
-            acc += _power_trace(family, c, k) * lower[i - k][ci]
-        out.append(acc / i)
+        acc = sum(
+            _power_trace(family, c, k) * lower[i - k][ci] for k in range(1, i + 1)
+        )
+        h, rem = divmod(acc, i)
+        if rem:
+            raise OracleError(f"non-integral symmetric power {i} in {family}{n}")
+        out.append(h)
     return tuple(out)
 
 
 @cache
 def _b_of_key(family: str, n: int, key: IrrKey) -> tuple[int, int]:
+    # the one checked table read: b_oracle's label may be out of bounds
     t = character_table(family, n)
-    row = t.values[_irr_map(family, n)[key]]
+    weighted = [sz * v for sz, v in zip(t.sizes, _row(family, n, key))]
     for i in range(n * n + 2):
         power = _sym_power_row(family, n, i)
-        tot = sum(sz * v * h for sz, v, h in zip(t.sizes, row, power))
-        mult = tot / t.order
-        if mult.denominator != 1 or mult < 0:
+        mult, rem = divmod(sum(map(mul, weighted, power)), t.order)
+        if rem or mult < 0:
             raise OracleError(f"non-integral multiplicity for {key} at degree {i}")
-        if mult >= 1:
-            return i, int(mult)
+        if mult:
+            return i, mult
     raise OracleError(f"no symmetric power contains {key} in {family}{n}")
+
+
+@cache
+def _by_degree(family: str, n: int) -> dict[int, list[IrrKey]]:
+    """The irreducibles of the rank-n group, in table order, grouped by their
+    least symmetric-power degree."""
+    out: dict[int, list[IrrKey]] = {}
+    for key in _build_table(family, n).irreps:
+        out.setdefault(_b_of_key(family, n, key)[0], []).append(key)
+    return out
 
 
 def _ensure_label(name: str, label: object) -> None:
@@ -579,6 +613,50 @@ def _fused_class(
     return ClassKey(alpha, beta, _split_half(g))
 
 
+@cache
+def _fusion(emb: Embedding) -> tuple[int, ...]:
+    """Index of the target class that each tuple of factor classes fuses
+    into, one per tuple in the order product() lists them."""
+    sig = emb.factor_signature()
+    tfam, tn = emb.target()
+    tmap = _class_map(tfam, tn)
+    return tuple(
+        tmap[_fused_class(emb, sig, keys, tfam, tn)]
+        for keys in product(*(_build_table(f, rank).classes for f, rank in sig))
+    )
+
+
+def _induced(emb: Embedding, keys: list[IrrKey]) -> tuple[list[int], int]:
+    """The product of the factor irreducibles named by keys, induced to the
+    target: one integer per target class, the sum of class size times value
+    over the factor-class tuples fusing into it, and the subgroup order."""
+    weighted = []
+    sub_order = 1
+    for (fam, rank), key in zip(emb.factor_signature(), keys):
+        ft = _build_table(fam, rank)
+        weighted.append([sz * v for sz, v in zip(ft.sizes, _row(fam, rank, key))])
+        sub_order *= ft.order
+    tfam, tn = emb.target()
+    induced = [0] * len(_build_table(tfam, tn).classes)
+    for fused, vals in zip(_fusion(emb), product(*weighted)):
+        induced[fused] += prod(vals)
+    return induced, sub_order
+
+
+def _pair(
+    induced: list[int],
+    sub_order: int,
+    row: tuple[int, ...],
+    target: Callable[[], IrrLabel],
+) -> int:
+    """Multiplicity of the irreducible with character row in the induced
+    product, by exact inner product; target() names it in the error."""
+    mult, rem = divmod(sum(map(mul, induced, row)), sub_order)
+    if rem or mult < 0:
+        raise OracleError(f"non-integral induction multiplicity for {target()}")
+    return mult
+
+
 def induction_multiplicity(
     emb: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel], target: IrrLabel
 ) -> int:
@@ -588,52 +666,31 @@ def induction_multiplicity(
     _ensure_label("target", target)
     if target.family != tfam or target.n != tn:
         raise DomainError(f"target {target} does not sit in ({tfam}, {tn})")
-    sig = emb.factor_signature()
-    ttab = character_table(tfam, tn)
-    trow = ttab.values[_irr_map(tfam, tn)[label_to_key(target)]]
-    tmap = _class_map(tfam, tn)
-    ftabs = [character_table(fam, rank) for fam, rank in sig]
-    frows = [
-        ft.values[_irr_map(ft.family, ft.n)[label_to_key(lab)]]
-        for ft, lab in zip(ftabs, factors)
-    ]
-    sub_order = 1
-    for ft in ftabs:
-        sub_order *= ft.order
-    total = 0
-    for combo in product(*(range(len(ft.classes)) for ft in ftabs)):
-        val = 1
-        weight = 1
-        for pos, ci in enumerate(combo):
-            val *= frows[pos][ci]
-            weight *= ftabs[pos].sizes[ci]
-        if val == 0:
-            continue
-        keys = tuple(ftabs[pos].classes[ci] for pos, ci in enumerate(combo))
-        fused = tmap[_fused_class(emb, sig, keys, tfam, tn)]
-        total += weight * val * trow[fused]
-    mult = Fraction(total, sub_order)
-    if mult.denominator != 1 or mult < 0:
-        raise OracleError(f"non-integral induction multiplicity for {target}")
-    return int(mult)
+    induced, sub_order = _induced(emb, [*map(label_to_key, factors)])
+    row = _row(tfam, tn, label_to_key(target))
+    return _pair(induced, sub_order, row, lambda: target)
 
 
 def j_oracle(
     emb: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]
 ) -> IrrLabel:
     """The unique irreducible of the target group appearing in the induced
-    product at the factor product's own least symmetric-power degree."""
+    product at the factor product's own least symmetric-power degree.  The
+    product is induced once and paired with each irreducible of that degree."""
     tfam, tn, factors = _check_io(emb, factors)
-    floor = sum(b_oracle(lab)[0] for lab in factors)
+    keys = [*map(label_to_key, factors)]
+    floor = sum(
+        _b_of_key(fam, rank, key)[0]
+        for (fam, rank), key in zip(emb.factor_signature(), keys)
+    )
+    induced, sub_order = _induced(emb, keys)
     hits = []
-    for key in character_table(tfam, tn).irreps:
-        if _b_of_key(tfam, tn, key)[0] != floor:
-            continue
-        lab = key_to_label(tfam, tn, key)
-        if induction_multiplicity(emb, factors, lab) >= 1:
-            hits.append(lab)
+    for key in _by_degree(tfam, tn).get(floor, ()):
+        row = _row(tfam, tn, key)
+        if _pair(induced, sub_order, row, lambda: key_to_label(tfam, tn, key)):
+            hits.append(key)
     if len(hits) != 1:
         raise OracleError(
             f"{emb.kind} induction has {len(hits)} constituents at degree {floor}"
         )
-    return hits[0]
+    return key_to_label(tfam, tn, hits[0])

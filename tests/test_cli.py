@@ -413,6 +413,31 @@ def test_one_render_builds_each_distinct_label_text_once(monkeypatch):
                               "report": report.to_json()}, indent=2) + "\n"
 
 
+def test_verify_json_builds_each_row_dict_when_the_stream_reaches_it(monkeypatch):
+    report = verify("C", 6)
+    built = []
+    to_json = engine.ClassRow.to_json
+
+    def counted(self, label=IrrLabel.to_json):
+        built.append(self)
+        return to_json(self, label)
+
+    monkeypatch.setattr(engine.ClassRow, "to_json", counted)
+    monkeypatch.setattr(cli, "verify", lambda family, n: report)
+    args = cli._build_parser().parse_args(
+        ["verify", "--family", "C", "--rank", "6", "--format", "json"])
+    payload = cli._cmd_verify(args).payload()
+    assert built == []
+    pieces = []
+    for piece in cli._json_text(payload):
+        pieces.append(piece)
+        # no row is built ahead of the piece that holds its text
+        assert len(built) == sum('"label": {' in p for p in pieces)
+    assert built == list(report.rows)
+    monkeypatch.setattr(engine.ClassRow, "to_json", to_json)
+    assert "".join(pieces) == json.dumps({"report": report.to_json()}, indent=2)
+
+
 def test_json_output_peak_memory_stays_near_the_table(tmp_path):
     """The JSON stream holds one row's text at a time, not the document:
     at B14 (a 16.7 MB file) its peak RSS stays within 25% of the table's."""

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import prod
 
 import pytest
 
+from weylsymbols import oracle
 from weylsymbols import seqcomb as sc
-from weylsymbols.engine import verify
+from weylsymbols.engine import _a_divisor_members, verify
 from weylsymbols.errors import (
     DomainError,
     OracleError,
@@ -26,6 +29,7 @@ from weylsymbols.irreps import (
     make_d_label,
     partition_to_z,
     special_reps,
+    z_to_partition,
 )
 from weylsymbols.jinduction import (
     EMBED_A_SPLIT,
@@ -36,6 +40,7 @@ from weylsymbols.jinduction import (
     EMBED_D_SP_WDQ,
     EMBED_D_TRIPLE,
     Embedding,
+    d_placements,
     j_induce,
 )
 from weylsymbols.oracle import (
@@ -192,23 +197,46 @@ def test_oracle_entry_points_reject_what_is_not_a_label():
 
 
 def test_internal_partition_codecs_skip_the_boundary_checks(monkeypatch):
-    # the key codec and the family-A divisor members encode partitions
-    # they built themselves, through the unchecked kernel
+    # the key codec, the degree formula and the family-A divisor members
+    # encode partitions they built themselves, and decode rows of labels
+    # checked when they were built, through the unchecked kernels
     checked = []
-    inner = sc._ensure_int
+    decoded = []
+    inner, inner_row = sc._ensure_int, sc.ensure_zseq
 
     def counted(name, v):
         checked.append(name)
         inner(name, v)
 
+    def counted_row(z):
+        decoded.append(z)
+        inner_row(z)
+
     monkeypatch.setattr(sc, "_ensure_int", counted)
+    labels = []
     for family, n in ((FAMILY_A, 5), (FAMILY_BC, 3), (FAMILY_D, 4)):
         for key in character_table(family, n).irreps:
-            assert label_to_key(key_to_label(family, n, key)) == key
+            labels.append((key, key_to_label(family, n, key)))
+    monkeypatch.setattr(sc, "ensure_zseq", counted_row)
+    for key, lab in labels:
+        assert label_to_key(lab) == key
+        dimension(lab)
+    assert decoded == []
+    a_labels = [lab for _, lab in labels if lab.family == FAMILY_A]
+    for lab in a_labels:
+        _a_divisor_members(lab, lab.n)
+    # the divisor members are new labels, checked as they are built from
+    # rows the kernel decoded without checking them again
+    assert not any(z is lab.z for z in decoded for lab in a_labels)
     assert verify("A", 6).ok()
     assert "part" not in checked and "length" not in checked
     partition_to_z((2, 1), 3)
     assert checked[-3:] == ["part", "part", "length"]
+    # the public decoder keeps its check
+    assert z_to_partition((0, 3)) == (2,)
+    assert decoded[-1] == (0, 3)
+    with pytest.raises(ValidationError):
+        z_to_partition((3, 1))
 
 
 def test_dimensions_match_label_formula():
@@ -254,6 +282,30 @@ def test_b_oracle_matches_label_invariant_everywhere():
                 assert b == b_invariant(lab)
                 if family == FAMILY_A or is_special(lab):
                     assert mult == 1
+
+
+def test_symmetric_power_rows_are_the_integers_of_the_power_sum_recursion():
+    for family, nmax in ((FAMILY_A, 5), (FAMILY_BC, 4), (FAMILY_D, 4)):
+        for n in range(nmax + 1):
+            classes = character_table(family, n).classes
+            want = [[Fraction(1)] * len(classes)]
+            for i in range(1, n * n + 2):
+                want.append([
+                    sum(oracle._power_trace(family, c, k) * want[i - k][ci]
+                        for k in range(1, i + 1)) / i
+                    for ci, c in enumerate(classes)
+                ])
+                got = oracle._sym_power_row(family, n, i)
+                assert all(type(v) is int for v in got)
+                assert list(got) == want[i]
+
+
+def test_a_symmetric_power_that_divides_with_a_remainder_raises(monkeypatch):
+    # rows below degree 2 are cached with their true values first
+    assert oracle._sym_power_row(FAMILY_A, 3, 1) == (-1, 0, 2)
+    monkeypatch.setattr(oracle, "_power_trace", lambda family, c, k: 1)
+    with pytest.raises(OracleError, match="non-integral symmetric power 2"):
+        oracle._sym_power_row.__wrapped__(FAMILY_A, 3, 2)
 
 
 def test_b_oracle_dagger_counterexample():
@@ -360,3 +412,107 @@ def test_oracle_keys_are_plain_data():
     assert IrrKey((2, 1), (1,)) == IrrKey((2, 1), (1,), 0)
     assert ClassKey((2,)) == ClassKey((2,), (), None)
     assert RANK_BOUNDS[FAMILY_A] == 7
+
+
+def _embeddings(family: str, cap: int) -> list[Embedding]:
+    """Every embedding kind into the family, at target ranks up to cap."""
+    out: list[Embedding] = []
+    for n in range(cap + 1):
+        if family == FAMILY_A:
+            out += [Embedding(EMBED_A_SPLIT, r=r, q=n - r) for r in range(n + 1)]
+        elif family == FAMILY_BC:
+            for kind in (EMBED_B_SP_WQ, EMBED_B_WR_WQ, EMBED_C_WR_WDQ):
+                part = "p" if kind == EMBED_B_SP_WQ else "r"
+                out += [Embedding(kind, **{part: k, "q": n - k}) for k in range(n + 1)]
+            out += [Embedding(EMBED_B_WR_SP_WQ, r=r, p=p, q=n - r - p)
+                    for r in range(n + 1) for p in range(n - r + 1)]
+        else:
+            out += [Embedding(EMBED_D_SP_WDQ, p=p, q=n - p) for p in range(n + 1)]
+            out += [Embedding(EMBED_D_TRIPLE, r=r, p=p, q=n - r - p, lam=lam)
+                    for r in range(n + 1) for p in range(n - r + 1)
+                    for lam in d_placements(r, p, n - r - p)]
+    return out
+
+
+def _multiplicity_by_class_tuples(emb, factors, target) -> Fraction:
+    """The inner product summed one tuple of factor classes at a time, each
+    tuple fused on its own, in Fractions."""
+    sig = emb.factor_signature()
+    tfam, tn = emb.target()
+    ttab = character_table(tfam, tn)
+    trow = ttab.values[ttab.irreps.index(label_to_key(target))]
+    ftabs = [character_table(f, rank) for f, rank in sig]
+    frows = [ft.values[ft.irreps.index(label_to_key(lab))]
+             for ft, lab in zip(ftabs, factors)]
+    total = Fraction(0)
+    for combo in itertools.product(*(range(len(ft.classes)) for ft in ftabs)):
+        weight = prod(ft.sizes[ci] for ft, ci in zip(ftabs, combo))
+        val = prod(row[ci] for row, ci in zip(frows, combo))
+        keys = tuple(ft.classes[ci] for ft, ci in zip(ftabs, combo))
+        fused = ttab.classes.index(oracle._fused_class(emb, sig, keys, tfam, tn))
+        total += Fraction(weight * val * trow[fused])
+    return total / prod(ft.order for ft in ftabs)
+
+
+def test_induction_multiplicity_is_the_sum_over_factor_class_tuples():
+    cases = 0
+    for family, cap in ((FAMILY_A, 4), (FAMILY_BC, 3), (FAMILY_D, 3)):
+        for emb in _embeddings(family, cap):
+            pools = [[rep.label for rep in special_reps(f, rank)]
+                     for f, rank in emb.factor_signature()]
+            targets = _labels(*emb.target())
+            for combo in itertools.product(*pools):
+                for target in targets:
+                    want = _multiplicity_by_class_tuples(emb, combo, target)
+                    assert induction_multiplicity(emb, combo, target) == want
+                    cases += 1
+    assert cases == 1875
+
+
+def test_a_seen_embedding_is_fused_from_its_table(monkeypatch):
+    fused = []
+    inner = oracle._fused_class
+
+    def counted(*args):
+        fused.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(oracle, "_fused_class", counted)
+    oracle._fusion.cache_clear()
+    emb = Embedding(EMBED_D_TRIPLE, r=1, p=2, q=1)
+    pools = [[rep.label for rep in special_reps(f, rank)]
+             for f, rank in emb.factor_signature()]
+    combos = list(itertools.product(*pools))
+    j_oracle(emb, combos[0])
+    # one fusion per tuple of factor classes, on the first product only
+    assert len(fused) == prod(len(character_table(f, rank).classes)
+                              for f, rank in emb.factor_signature())
+    fused.clear()
+    for combo in combos:
+        induction_multiplicity(emb, combo, j_oracle(emb, combo))
+    assert fused == []
+
+
+def test_a_row_that_pairs_non_integrally_raises(monkeypatch):
+    emb = Embedding(EMBED_A_SPLIT, r=2, q=1)
+    factors = (_trivial(FAMILY_A, 2), _trivial(FAMILY_A, 1))
+    target = _trivial(FAMILY_A, 3)
+    # every table read below is cached with its true values first
+    assert j_oracle(emb, factors) == target
+    assert induction_multiplicity(emb, factors, target) == 1
+    identity = character_table(FAMILY_A, 3).identity_index()
+    row = oracle._row
+
+    def off_by_one(family, n, key):
+        values = list(row(family, n, key))
+        if (family, n) == (FAMILY_A, 3):
+            values[identity] += 1
+        return tuple(values)
+
+    monkeypatch.setattr(oracle, "_row", off_by_one)
+    with pytest.raises(OracleError, match="non-integral induction multiplicity"):
+        induction_multiplicity(emb, factors, target)
+    with pytest.raises(OracleError, match="non-integral induction multiplicity"):
+        j_oracle(emb, factors)
+    with pytest.raises(OracleError, match="non-integral multiplicity"):
+        oracle._b_of_key.__wrapped__(FAMILY_A, 3, label_to_key(target))
