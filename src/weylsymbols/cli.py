@@ -18,8 +18,10 @@ environment data leak into the payload.  Exit status is 0 on success, 1
 when a verification-style subcommand finds a failing check or an internal
 identity fails, and 2 for usage errors (bad flags, malformed specs, unknown
 keys).  --output is written atomically: a failed run leaves any existing
-file untouched.  Only the requested format is built, and JSON output is
-exactly the text of json.dumps(payload, indent=2), streamed: the header
+file untouched, and a path in a missing directory, or naming a directory,
+is refused by its own name before the subcommand runs.  Only the
+requested format is built, and JSON output is exactly the text of
+json.dumps(payload, indent=2), streamed: the header
 first, then one row's text at a time, never the whole document as one
 string, with each distinct label's text built once per render and indent
 depth and each verify row's dict built only when the stream reaches it.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import itertools
 import json
@@ -257,12 +260,28 @@ def _render(args: argparse.Namespace, out: _Output) -> None:
         _write_atomically(args.output, pieces)
 
 
+def _check_output(path: str) -> None:
+    """Reject an --output path that cannot be written, before any work:
+    one whose directory does not exist, or that names a directory."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        code = errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _write_atomically(path: str, pieces: Iterable[str]) -> None:
     """Write the pieces one at a time to a temporary file beside path,
     then rename it into place; on error the temporary file goes and any
     old file stays."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    except OSError as exc:
+        # name the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(pieces)
@@ -642,6 +661,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output is not None:
+            _check_output(args.output)
         out = _DISPATCH[args.cmd](args)
         _render(args, out)
     except (WeylSymbolsError, OSError) as exc:

@@ -27,18 +27,22 @@ Enumeration order is lexicographic throughout, so every report is
 byte-stable across runs.
 
 Each report row is one pass: the class invariants, the split table of the
-class sequence y (every two-block split with its block ranks), the maximal
-members and one f-product per member are computed once; the maximal
-members, the B and D symmetric witnesses and the C and D split witness
-all read the one split table, and the maximal f-product feeds the
-symmetry-order witness search directly.  One verify call builds one
-SpecialIndex, whose (family, rank) pools of special labels are enumerated
-once and give the rows their factors' f-invariants; one table of the
-maximal shapes by block sizes, shared by the induction graph and every
-row; and one induction graph: the images of every maximal shape's pool
-products, each distinct image built once through one image table across
-all shapes, and the fiber of members over each.  All of them live only as long as the call: the public entry
-points (enumerate_cz, fa, fc, bar_S) build their own and cache nothing.
+class sequence y (every two-block split with both parts' records), the
+maximal members and one f-product per member are computed once; the
+maximal members, the B and D symmetric witnesses and the C and D split
+witness all read the one split table, and the maximal f-product feeds the
+symmetry-order witness search directly.  One verify call builds one table
+of split parts, keyed by sequence, that records each first part and each
+complement the first time a row meets it: its rank, its member-form
+labels, its f-invariant and its count of strict positions, so a member's
+f-product is f(x) * f(x~) read from it; one SpecialIndex, whose (family,
+rank) pools of special labels are enumerated once for the induction graph;
+one table of the maximal shapes by block sizes, shared by the induction
+graph and every row; and one induction graph: the images of every maximal
+shape's pool products, each distinct image built once through one image
+table across all shapes, and the fiber of members over each.  All of them
+live only as long as the call: the public entry points (enumerate_cz, fa,
+fc, bar_S) build their own and cache nothing.
 Every member factor has one form there, the member form: BC and D labels as
 the rows split them out of y, at the target's merged length, A labels
 canonical; so fibers, members, witnesses and f lookups compare as they are.
@@ -57,12 +61,14 @@ from . import seqcomb as sc
 from .errors import DomainError, InvariantError
 from .irreps import (
     FAMILY_A,
+    FAMILY_D,
     IrrLabel,
+    _ensure_label,
+    _f_from_strict_count,
     _partition_to_z,
     _trusted,
     _z_to_partition,
     _zeta_inverse,
-    _zeta_tilde_inverse,
     b_invariant,
     canonicalize,
     label_str,
@@ -81,7 +87,6 @@ from .jinduction import (
     Prepared,
     _pool_images,
     _prepare_pool,
-    f_product,
     j_induce,
     labels_match,
     match_key,
@@ -204,12 +209,11 @@ Member = tuple[ParahoricSpec, tuple[IrrLabel, ...]]
 
 class SpecialIndex:
     """Special labels of each (family, rank) in the member form of a rank-n
-    verify target, enumerated on first use, and label -> f-invariant."""
+    verify target, enumerated on first use."""
 
     def __init__(self, n: int) -> None:
         self._n = n
         self._pools: dict[tuple[str, int], tuple[IrrLabel, ...]] = {}
-        self._f: dict[IrrLabel, int] = {}
 
     def pool(self, family: str, rank: int) -> tuple[IrrLabel, ...]:
         """Special labels of the family at the rank: BC and D labels at the
@@ -222,46 +226,64 @@ class SpecialIndex:
             else:
                 reps = special_reps(family, rank, policy_m(family, self._n))
                 labels = tuple(rep.label for rep in reps)
-            self._f.update(zip(labels, (rep.f for rep in reps)))
             self._pools[key] = labels
         return self._pools[key]
-
-    def f_product(self, factors: tuple[IrrLabel, ...]) -> int:
-        """Product of the factors' f-invariants, as jinduction.f_product,
-        for factors in the index's member form."""
-        out = 1
-        for label in factors:
-            f = self._f.get(label)
-            if f is None:
-                self.pool(label.family, label.n)
-                f = self._f.get(label)
-                if f is None:
-                    raise InvariantError(f"factor {label_str(label)} is not special")
-            out *= f
-        return out
 
 
 # ---------------------------------------------------------------------------
 # summand enumeration
 
-def _two_block(family: str) -> tuple[Callable, Callable, Callable]:
-    """Splits of a family B, C or D class sequence into two blocks x + x~:
-    the split enumerator, the rank of x~ and the label fiber of x~ (x is
-    an XSeq of rank _rho(x), fiber _zeta_inverse(LABEL_FAMILY[family], x))."""
-    if family == CLASS_C:
-        # a C class sequence at the policy length starts (0, 1)
-        return sc.based_split_pairs, sc._tilde_rho, _zeta_tilde_inverse
-    return sc.split_pairs, sc._rho, partial(_zeta_inverse, LABEL_FAMILY[family])
+# A split part's record: its rank, its member-form labels (two for a
+# degenerate family-D part), its f-invariant and its count of strict
+# positions len(_frakS(part)).
+Part = tuple[int, tuple[IrrLabel, ...], int, int]
+Split = tuple[Seq, Seq, Part, Part]
+# One call's split parts, keyed by sequence: first parts x and complements
+# x~, each recorded the first time a row meets it.
+Parts = tuple[dict[Seq, Part], dict[Seq, Part]]
 
 
-Split = tuple[Seq, Seq, int, int]
+def _split_parts(family: str) -> Parts:
+    """An empty split-part table.  A family-C complement is a based
+    sequence with records of its own; B and D complements are XSeqs
+    recorded as first parts are, so they share the first parts' map."""
+    first: dict[Seq, Part] = {}
+    return first, {} if family == CLASS_C else first
 
 
-def _split_table(family: str, y: Seq) -> tuple[Split, ...]:
-    """Every two-block split of a B, C or D class sequence y, in the
-    enumerator's order, as (x, x~, rank of x, rank of x~)."""
-    splits, rank2, _ = _two_block(family)
-    return tuple((x, xt, sc._rho(x), rank2(xt)) for x, xt in splits(y))
+def _part(family: str, x: Seq) -> Part:
+    """Record of an XSeq part whose labels lie in the label family."""
+    strict = len(sc._frakS(x))
+    return (sc._rho(x), _zeta_inverse(family, x),
+            _f_from_strict_count(family, strict), strict)
+
+
+def _based_part(xt: Seq) -> Part:
+    """Record of a based XSeq part, a family-C complement: the labels and f
+    of its lowered D merge, the rank and strict count of xt itself."""
+    _, labels, f, _ = _part(FAMILY_D, tuple(v - 1 for v in xt[1:]))
+    return sc._tilde_rho(xt), labels, f, len(sc._frakS(xt))
+
+
+def _split_table(family: str, y: Seq, parts: Parts) -> tuple[Split, ...]:
+    """Every two-block split x + x~ of a B, C or D class sequence y, in the
+    enumerator's order, as (x, x~, record of x, record of x~); the records
+    come from parts, and parts not met before are recorded there."""
+    first, second = parts
+    labels = LABEL_FAMILY[family]
+    based = family == CLASS_C
+    # a C class sequence at the policy length starts (0, 1)
+    pairs = sc.based_split_pairs(y) if based else sc.split_pairs(y)
+    out = []
+    for x, xt in pairs:
+        px = first.get(x)
+        if px is None:
+            px = first[x] = _part(labels, x)
+        pxt = second.get(xt)
+        if pxt is None:
+            pxt = second[xt] = _based_part(xt) if based else _part(labels, xt)
+        out.append((x, xt, px, pxt))
+    return tuple(out)
 
 
 Shapes = dict[tuple[int, int], ParahoricSpec]
@@ -277,20 +299,22 @@ def _maximal_shapes(family: str, n: int) -> Shapes:
     return {(s.r, s.q): s for s in shapes if s.is_maximal()}
 
 
-def _maximal_members(family: str, splits: tuple[Split, ...],
-                     shapes: Shapes) -> tuple[Member, ...]:
+def _maximal_members(splits: tuple[Split, ...], shapes: Shapes
+                     ) -> tuple[tuple[Member, ...], tuple[int, ...]]:
     """Members of the splits on maximal shapes, one per choice of label in
-    each block's fiber (degenerate family-D fibers hold two)."""
-    fiber2 = _two_block(family)[2]
-    out: list[Member] = []
-    for x, xt, r, q in splits:
-        spec = shapes.get((r, q))
+    each block's fiber (degenerate family-D fibers hold two), and each
+    member's f-product f(x) * f(x~)."""
+    members: list[Member] = []
+    fs: list[int] = []
+    for _, _, px, pxt in splits:
+        spec = shapes.get((px[0], pxt[0]))
         if spec is None:
             continue
-        for factors in itertools.product(
-                _zeta_inverse(LABEL_FAMILY[family], x), fiber2(xt)):
-            out.append((spec, factors))
-    return tuple(out)
+        f = px[2] * pxt[2]
+        for factors in itertools.product(px[1], pxt[1]):
+            members.append((spec, factors))
+            fs.append(f)
+    return tuple(members), tuple(fs)
 
 
 def _stratum_y(label: IrrLabel, family: str, n: int) -> Seq:
@@ -312,15 +336,17 @@ def _stratum_y(label: IrrLabel, family: str, n: int) -> Seq:
     return tau(family, label).y
 
 
-def _members(family: str, n: int, canon: IrrLabel, y: Seq,
-             shapes: Shapes) -> tuple[tuple[Split, ...], tuple[Member, ...]]:
-    """The split table of the class sequence y of the canonical label and
-    the label's maximal members: family A's one member is the full group
-    with the label itself, and its split table is empty."""
+def _members(family: str, n: int, canon: IrrLabel, y: Seq, shapes: Shapes,
+             parts: Parts) -> tuple[tuple[Split, ...], tuple[Member, ...],
+                                    tuple[int, ...]]:
+    """The split table of the class sequence y of the canonical label, the
+    label's maximal members and their f-products: family A's one member is
+    the full group with the label itself, of f 1, and its split table is
+    empty."""
     if family == CLASS_A:
-        return (), ((shapes[n, 0], (canon,)),)
-    splits = _split_table(family, y)
-    return splits, _maximal_members(family, splits, shapes)
+        return (), ((shapes[n, 0], (canon,)),), (1,)
+    splits = _split_table(family, y, parts)
+    return (splits, *_maximal_members(splits, shapes))
 
 
 def _a_label(e: Seq, p: int) -> IrrLabel:
@@ -370,6 +396,20 @@ def _replay(spec: ParahoricSpec, factors: tuple[IrrLabel, ...],
                         target)
 
 
+def _label_members(label: IrrLabel, family: str, n: int, parts: Parts
+                   ) -> tuple[IrrLabel, Seq, tuple[Split, ...],
+                              tuple[Member, ...], tuple[int, ...]]:
+    """The canonical form of a label handed to a public entry point, its
+    class sequence, split table, maximal members and their f-products,
+    read from the call's own split-part table.  The label is checked here;
+    the family and rank already are."""
+    _ensure_label("label", label)
+    canon = canonicalize(label)
+    y = _stratum_y(canon, family, n)
+    return (canon, y,
+            *_members(family, n, canon, y, _maximal_shapes(family, n), parts))
+
+
 def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
     """All maximal-shape members whose induction image is the given label.
 
@@ -382,9 +422,7 @@ def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
     """
     _ensure_class_family(family)
     sc.ensure_rank(n)
-    y = _stratum_y(label, family, n)
-    return _members(family, n, canonicalize(label), y,
-                    _maximal_shapes(family, n))[1]
+    return _label_members(label, family, n, _split_parts(family))[3]
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +431,9 @@ def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
 def fa(label: IrrLabel, family: str, n: int) -> int:
     """Largest factor f-product over the maximal members of the label
     (verify's row pass takes it from the members it already holds)."""
-    members = enumerate_cz(label, family, n)
-    return max(f_product(factors) for _, factors in members)
+    _ensure_class_family(family)
+    sc.ensure_rank(n)
+    return max(_label_members(label, family, n, _split_parts(family))[4])
 
 
 def _a_divisor_members(label: IrrLabel, n: int) -> tuple[tuple[int, IrrLabel], ...]:
@@ -410,72 +449,66 @@ def _a_divisor_members(label: IrrLabel, n: int) -> tuple[tuple[int, IrrLabel], .
     return tuple(out)
 
 
-def _symmetric_member(family: str, n: int, x: Seq, e: Seq) -> Member:
-    """Member realizing a self-matched decomposition y = x + e + x."""
+def _symmetric_member(family: str, n: int, e: Seq, part: Part) -> Member:
+    """Member realizing a self-matched decomposition y = x + e + x, part
+    being the record of x; its f-product is the square of x's f."""
     p = sum(e)
-    lab = _zeta_inverse(LABEL_FAMILY[family], x)[0]
-    r = sc._rho(x)
-    spec = ParahoricSpec(family, n, r=r, p=p, q=r)
+    lab = part[1][0]
+    spec = ParahoricSpec(family, n, r=part[0], p=p, q=part[0])
     if p == 0:
         return (spec, (lab, lab))
     return (spec, (lab, _a_label(e, p), lab))
 
 
-FProduct = Callable[[tuple[IrrLabel, ...]], int]
-
-
 def _split_witness(family: str, n: int, splits: tuple[Split, ...],
-                   fa_value: int, fprod: FProduct,
-                   strict: tuple[int, int]) -> tuple[int, Member | None]:
+                   fa_value: int, strict: tuple[int, int]
+                   ) -> tuple[int, Member | None]:
     """First two-block member at the maximal f-product whose parts keep at
     least strict = (lo, hi) strict positions: order 2 with it, else 1."""
-    fiber2 = _two_block(family)[2]
     lo, hi = strict
-    for x, xt, r, q in splits:
-        if len(sc._frakS(xt)) < hi or len(sc._frakS(x)) < lo:
+    for _, _, px, pxt in splits:
+        if pxt[3] < hi or px[3] < lo or px[2] * pxt[2] != fa_value:
             continue
-        factors = (_zeta_inverse(LABEL_FAMILY[family], x)[0], fiber2(xt)[0])
-        if fprod(factors) != fa_value:
-            continue
-        return 2, (ParahoricSpec(family, n, r=r, q=q), factors)
+        return 2, (ParahoricSpec(family, n, r=px[0], q=pxt[0]),
+                   (px[1][0], pxt[1][0]))
     return 1, None
 
 
 def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
                      splits: tuple[Split, ...], fa_value: int,
-                     fprod: FProduct) -> tuple[int, Member | None]:
+                     first: dict[Seq, Part]) -> tuple[int, Member | None]:
     """Symmetry order and witness of a canonical label, given y, its split
-    table (empty for family A), fa and the f-product of factor tuples."""
+    table (empty for family A), fa and the first parts' records."""
     if family == CLASS_A:
         d, tilde = _a_divisor_members(label, n)[-1]
         return d, (ParahoricSpec(CLASS_A, n, d=d), (tilde,) * d)
     if family == CLASS_C:
         # the node flip fixes a member exactly when the based part keeps a
         # strict position beyond its base one
-        return _split_witness(CLASS_C, n, splits, fa_value, fprod,
-                              strict=(0, 3))
+        return _split_witness(CLASS_C, n, splits, fa_value, strict=(0, 3))
     sym = sc._symmetric(sc._frakI(y), (split[:2] for split in splits))
     if family == CLASS_B:
         if not sym:
             return 1, None
         # a self-matched decomposition is automatically f-maximal
-        member = _symmetric_member(CLASS_B, n, *sym[0])
-        if fprod(member[1]) != fa_value:
+        x, e = sym[0]
+        if first[x][2] ** 2 != fa_value:
             raise InvariantError(
                 f"self-matched member misses the maximal f-product on {y!r}"
             )
-        return 2, member
+        return 2, _symmetric_member(CLASS_B, n, e, first[x])
     # family D: full symmetry needs a self-matched split with a strict position
     for x, e in sym:
-        if sc._frakS(x):
-            return 4, _symmetric_member(CLASS_D, n, x, e)
+        if first[x][3]:
+            return 4, _symmetric_member(CLASS_D, n, e, first[x])
     # a self-matched decomposition without strict positions exists only on
     # interval-free sequences, where the end-to-end flip still fixes it
     if sym:
-        return 2, _symmetric_member(CLASS_D, n, *sym[0])
+        x, e = sym[0]
+        return 2, _symmetric_member(CLASS_D, n, e, first[x])
     # half symmetry via a split whose parts both extend across the prong
     # swap, at maximal f-product
-    return _split_witness(CLASS_D, n, splits, fa_value, fprod, strict=(2, 2))
+    return _split_witness(CLASS_D, n, splits, fa_value, strict=(2, 2))
 
 
 def fc(label: IrrLabel, family: str, n: int) -> int:
@@ -483,12 +516,10 @@ def fc(label: IrrLabel, family: str, n: int) -> int:
     (verify's row pass supplies the y, split table and fa it holds; here
     they are worked out)."""
     order = _omega_order(family, n)
-    canon = canonicalize(label)
-    y = _stratum_y(canon, family, n)
-    splits, members = _members(family, n, canon, y, _maximal_shapes(family, n))
-    fa_value = max(f_product(factors) for _, factors in members)
-    value, witness = _fc_with_witness(canon, family, n, y, splits, fa_value,
-                                      f_product)
+    parts = _split_parts(family)
+    canon, y, splits, _, fs = _label_members(label, family, n, parts)
+    value, witness = _fc_with_witness(canon, family, n, y, splits, max(fs),
+                                      parts[0])
     if witness is not None and not _replay(witness[0], witness[1], canon):
         raise InvariantError("symmetry witness does not replay")
     if order % value:
@@ -681,18 +712,16 @@ def _member_str(member: Member) -> str:
 
 
 def _class_row(family: str, n: int, c: ClassLabel, canon: IrrLabel,
-               index: SpecialIndex, shapes: Shapes,
-               fibers: Fibers) -> ClassRow:
+               shapes: Shapes, parts: Parts, fibers: Fibers) -> ClassRow:
     inv = class_invariants(c)
     b_label = b_invariant(canon)
     # y is split once; the maximal members and the symmetry witness search
     # both read the one split table
-    splits, members = _members(family, n, canon, c.y, shapes)
-    fs = [index.f_product(factors) for _, factors in members]
+    splits, members, fs = _members(family, n, canon, c.y, shapes, parts)
     # a maximum equal to the class component count also bounds every member
     fa_value = max(fs)
     fc_value, fc_witness = _fc_with_witness(canon, family, n, c.y, splits,
-                                            fa_value, index.f_product)
+                                            fa_value, parts[0])
     best = tuple(m for m, f in zip(members, fs) if f == fa_value)
     witnesses = best if fc_witness is None else best + (fc_witness,)
     # the maximal members must be the label's whole fiber of the induction
@@ -731,9 +760,9 @@ def verify(family: str, n: int) -> VerificationReport:
     the row's family, n, y and label before its message.
     """
     ensure_floor(family, n)
-    index = SpecialIndex(n)
     shapes = _maximal_shapes(family, n)
-    image, fibers = _induction_graph(family, n, index, shapes)
+    image, fibers = _induction_graph(family, n, SpecialIndex(n), shapes)
+    parts = _split_parts(family)
     rows: list[ClassRow] = []
     stratum: set[IrrLabel] = set()
     for c in enumerate_classes(family, n):
@@ -741,7 +770,7 @@ def verify(family: str, n: int) -> VerificationReport:
             canon = canonicalize(label)
             stratum.add(canon)
             try:
-                row = _class_row(family, n, c, canon, index, shapes, fibers)
+                row = _class_row(family, n, c, canon, shapes, parts, fibers)
             except InvariantError as exc:
                 raise InvariantError(
                     f"family {family} n={n} y={seq_str(c.y)} "

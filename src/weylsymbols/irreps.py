@@ -141,6 +141,12 @@ def _trusted(cls: type[T], *values: object) -> T:
     return obj
 
 
+def _ensure_label(name: str, label: object) -> None:
+    """Reject a value handed in as a label that is not an IrrLabel."""
+    if not isinstance(label, IrrLabel):
+        raise ValidationError(f"{name} must be an IrrLabel, got {label!r}")
+
+
 def seq_str(seq: Seq) -> str:
     """Compact text form of a sequence: its entries joined by commas."""
     return ",".join(str(v) for v in seq)

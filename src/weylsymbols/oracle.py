@@ -51,6 +51,7 @@ from .irreps import (
     FAMILY_BC,
     FAMILY_D,
     IrrLabel,
+    _ensure_label,
     _partition_to_z,
     _z_to_partition,
     canonicalize,
@@ -545,11 +546,6 @@ def _by_degree(family: str, n: int) -> dict[int, list[IrrKey]]:
     for key in _build_table(family, n).irreps:
         out.setdefault(_b_of_key(family, n, key)[0], []).append(key)
     return out
-
-
-def _ensure_label(name: str, label: object) -> None:
-    if not isinstance(label, IrrLabel):
-        raise ValidationError(f"{name} must be an IrrLabel, got {label!r}")
 
 
 def b_oracle(label: IrrLabel) -> tuple[int, int]:

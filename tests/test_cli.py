@@ -237,6 +237,41 @@ def test_a_failed_output_write_keeps_the_old_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.json"]
 
 
+def test_an_unwritable_output_path_is_refused_by_name_before_the_run(
+        tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "verify", lambda *args: ran.append(args))
+    missing = tmp_path / "missing" / "x.json"
+    for path, message in ((missing, "No such file or directory"),
+                          (tmp_path, "Is a directory")):
+        argv = ["verify", "--family", "B", "--rank", "3", "--output",
+                str(path)]
+        for fmt in ("table", "json"):
+            code, out, err = _run(argv + ["--format", fmt])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: [Errno ")
+            assert err.endswith(f"{message}: {str(path)!r}\n")
+    assert ran == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_temporary_file_that_cannot_be_made_names_the_output_path(
+        tmp_path, monkeypatch):
+    path = tmp_path / "rows.json"
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied",
+                              str(tmp_path / "tmp123.tmp"))
+
+    monkeypatch.setattr(cli.tempfile, "mkstemp", refuse)
+    code, _, err = _run(["springer", "--family", "A", "--rank", "4",
+                         "--output", str(path)])
+    assert code == 2
+    assert err == f"error: [Errno 13] Permission denied: {str(path)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exceptional_table_has_the_source_row_count():
     code, out, _ = _run(["exceptional", "--group", "F4", "--format", "table"])
     assert code == 0

@@ -10,7 +10,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylsymbols import engine, jinduction, seqcomb as sc, springer
+from weylsymbols import engine, irreps, jinduction, seqcomb as sc, springer
 from weylsymbols.cli import main
 from weylsymbols.engine import (
     RANK_FLOOR,
@@ -22,7 +22,7 @@ from weylsymbols.engine import (
     fc,
     verify,
 )
-from weylsymbols.errors import DomainError, InvariantError, ValidationError
+from weylsymbols.errors import DomainError, ValidationError
 from weylsymbols.irreps import (
     FAMILY_A,
     FAMILY_BC,
@@ -32,7 +32,7 @@ from weylsymbols.irreps import (
     make_d_label,
     partition_to_z,
     policy_m,
-    shift,
+    special_f,
     special_reps,
     z_to_partition,
 )
@@ -458,7 +458,8 @@ def test_verify_builds_each_special_pool_once(monkeypatch, family):
     monkeypatch.setattr(jinduction, "special_f", counted_f)
     assert verify(family, 6).ok()
     assert pools and set(pools.values()) == {1}
-    # every factor f-product is read from the index, none from special_f
+    # every factor f-product is read from the split-part table, none from
+    # special_f
     assert from_scratch == []
 
 
@@ -514,7 +515,7 @@ def test_verify_replays_only_witnesses_outside_their_fiber(monkeypatch):
     assert len(calls) == outside == 110
 
 
-def test_special_index_matches_f_product_and_rejects_nonspecial_factors():
+def test_special_index_pools_are_the_special_reps_in_member_form():
     index = SpecialIndex(6)
     for family in (FAMILY_A, FAMILY_BC, FAMILY_D):
         for rank in range(5):
@@ -526,22 +527,76 @@ def test_special_index_matches_f_product_and_rejects_nonspecial_factors():
                 # BC and D pools sit at the target's merged length
                 assert pool == tuple(rep.label for rep in special_reps(
                     family, rank, policy_m(family, 6)))
-            for label in pool:
-                assert index.f_product((label,)) == f_product((label,))
-    # a non-special label in the member form: rows of lengths (8, 7)
-    with pytest.raises(InvariantError, match="not special"):
-        index.f_product((shift(IrrLabel(FAMILY_BC, 2, (1, 2), (0,)), 6),))
 
 
-@pytest.mark.parametrize("family", [FAMILY_BC, FAMILY_D])
-def test_special_index_rejects_a_special_label_padded_differently(family):
-    index = SpecialIndex(6)
-    label = index.pool(family, 3)[-1]
-    assert index.f_product((label,)) == f_product((label,))
-    for other in (canonicalize(label), shift(label, 1)):
-        assert other != label
-        with pytest.raises(InvariantError, match="not special"):
-            index.f_product((other,))
+def _split_parts(family: str, n: int):
+    """The split-part table verify(family, n) fills, and its split count."""
+    parts = engine._split_parts(family)
+    splits = sum(len(engine._split_table(family, c.y, parts))
+                 for c in enumerate_classes(family, n))
+    return parts, splits
+
+
+@pytest.mark.parametrize("family, n", [
+    (family, n) for family in "BCD" for n in range(RANK_FLOOR[family], 9)])
+def test_split_part_records_equal_the_kernels(family, n):
+    (first, second), _ = _split_parts(family, n)
+    labels = springer.LABEL_FAMILY[family]
+    # only C's based complements keep a map of their own
+    assert (first is second) == (family != "C")
+
+    def record(rank, fiber, x):
+        fs = {special_f(label) for label in fiber}
+        assert len(fs) == 1
+        return rank, fiber, fs.pop(), len(sc._frakS(x))
+
+    for x, rec in first.items():
+        assert rec == record(sc._rho(x), irreps._zeta_inverse(labels, x), x)
+    for xt, rec in second.items():
+        if family == "C":
+            # the based complement: labels and f of its lowered D merge,
+            # its strict count taken on the based sequence itself
+            assert rec == record(sc._tilde_rho(xt),
+                                 irreps._zeta_tilde_inverse(xt), xt)
+        else:
+            assert rec == record(sc._rho(xt), irreps._zeta_inverse(labels, xt),
+                                 xt)
+    for c in enumerate_classes(family, n):
+        for x, xt, px, pxt in engine._split_table(family, c.y, (first, second)):
+            assert px is first[x] and pxt is second[xt]
+
+
+@pytest.mark.parametrize("family", ["C", "D"])
+def test_verify_labels_each_distinct_split_part_once(monkeypatch, family):
+    calls = []
+    inner = engine._zeta_inverse
+
+    def counted(fam, x):
+        calls.append((fam, x))
+        return inner(fam, x)
+
+    (first, second), splits = _split_parts(family, 8)
+    monkeypatch.setattr(engine, "_zeta_inverse", counted)
+    assert verify(family, 8).ok()
+    # one label fiber per distinct part, not one per split
+    distinct = len(first) + (len(second) if second is not first else 0)
+    assert len(calls) == len(set(calls)) == distinct
+    assert 2 * splits > 3 * len(calls)
+
+
+@pytest.mark.parametrize("family", ["B", "C", "D"])
+def test_public_fa_and_fc_equal_every_verify_row(family):
+    for row in verify(family, 7).rows:
+        assert fa(row.label, family, 7) == row.fa_value
+        assert fc(row.label, family, 7) == row.fc_value
+
+
+@pytest.mark.parametrize("value", [True, None, "B", (1, 2),
+                                   {"family": "BC", "n": 1}])
+def test_public_entry_points_reject_a_value_that_is_not_a_label(value):
+    for f in (enumerate_cz, fa, fc):
+        with pytest.raises(ValidationError, match="label must be an IrrLabel"):
+            f(value, "B", 3)
 
 
 @pytest.mark.parametrize("label, n", [
