@@ -21,17 +21,19 @@ shapes that split y as x + x~ and carry one special label per block (two
 in degenerate family-D fibers). Shapes with a middle symmetric-group block
 arise only as symmetry witnesses, from the symmetric decompositions
 y = x + e + x of seqcomb, e being the deviation profile of the middle
-factor: the splits (x, x + e) of y that seqcomb's filter keeps. Family A
-scales deviation partitions by a divisor instead.
+factor: seqcomb finds them with a search of its own over x, and each x is
+a first part of the row's split table. Family A scales deviation
+partitions by a divisor instead.
 Enumeration order is lexicographic throughout, so every report is
 byte-stable across runs.
 
 Each report row is one pass: the class invariants, the split table of the
 class sequence y (every two-block split with both parts' records), the
 maximal members and one f-product per member are computed once; the
-maximal members, the B and D symmetric witnesses and the C and D split
-witness all read the one split table, and the maximal f-product feeds the
-symmetry-order witness search directly.  One verify call builds one table
+maximal members and the C and D split witness read the one split table,
+the B and D symmetric witnesses read their first parts' records from it,
+and the maximal f-product feeds the symmetry-order witness search
+directly.  One verify call builds one table
 of split parts, keyed by sequence, that records each first part and each
 complement the first time a row meets it: its rank, its member-form
 labels, its f-invariant and its count of strict positions, so a member's
@@ -486,7 +488,8 @@ def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
         # the node flip fixes a member exactly when the based part keeps a
         # strict position beyond its base one
         return _split_witness(CLASS_C, n, splits, fa_value, strict=(0, 3))
-    sym = sc._symmetric(sc._frakI(y), (split[:2] for split in splits))
+    # every x of a self-matched decomposition is a first part of the table
+    sym = sc._symmetric(sc._frakI(y), y)
     if family == CLASS_B:
         if not sym:
             return 1, None

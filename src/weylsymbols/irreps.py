@@ -184,6 +184,7 @@ class SpecialRep:
 def b_invariant(label: IrrLabel) -> int:
     """Least symmetric-power degree of the reflection representation
     containing the irreducible, computed from the rows."""
+    _ensure_label("label", label)
     if label.family == FAMILY_A:
         return sc._beta0(label.z)
     assert label.zp is not None
@@ -332,6 +333,7 @@ def special_reps(family: str, n: int, m: int | None = None) -> tuple[SpecialRep,
 
 def special_f(label: IrrLabel) -> int:
     """f-invariant of a special label (DomainError when not special)."""
+    _ensure_label("label", label)
     if label.family == FAMILY_A:
         return 1
     return _f_from_strict_count(label.family, len(sc._frakS(zeta(label))))
@@ -339,6 +341,7 @@ def special_f(label: IrrLabel) -> int:
 
 def is_special(label: IrrLabel) -> bool:
     """True when the label names a special representation."""
+    _ensure_label("label", label)
     if label.family == FAMILY_A:
         return True
     try:
@@ -444,6 +447,7 @@ def _hook_dimension(lam: tuple[int, ...]) -> int:
 
 def dimension(label: IrrLabel) -> int:
     """Degree of the irreducible representation named by the label."""
+    _ensure_label("label", label)
     if label.family == FAMILY_A:
         return _hook_dimension(_z_to_partition(label.z))
     assert label.zp is not None
@@ -499,6 +503,7 @@ def canonicalize(label: IrrLabel) -> IrrLabel:
     """Minimal representative of a label under shifting: drop the longest
     common prefix 0, 1, ..., t-1 of the rows, keeping one slot in the
     shortest row."""
+    _ensure_label("label", label)
     z, zp = label.z, label.zp
     last = len(z if zp is None else zp) - 1
     t = 0

@@ -173,7 +173,9 @@ def double_dots(u: Seq) -> tuple[Seq, Seq]:
 
 def f_product(factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> int:
     """f-invariant of an outer tensor product of special labels: the product
-    of the factors' f-invariants."""
+    of the factors' f-invariants (each factor checked by special_f)."""
+    if not isinstance(factors, (tuple, list)):
+        raise ValidationError(f"factors must be a tuple or list, got {factors!r}")
     out = 1
     for label in factors:
         out *= special_f(label)

@@ -16,8 +16,10 @@ constant runs of y[i] - i with a strict jump at both ends) drive everything:
 parities, the unique block decomposition of a YSeq, the matched-split sets
 S(y) and tilde-S(y), the symmetric decompositions y = x + e + x, and the
 skeleton/remainder decomposition of an XSeq.  One backtracking search,
-split_pairs, enumerates the splits of y into two XSeqs; S(y), tilde-S(y)
-(over based_split_pairs) and the symmetric decompositions filter its pairs.
+split_pairs, enumerates the splits of y into two XSeqs; S(y) and tilde-S(y)
+(over based_split_pairs) filter its pairs.  The symmetric decompositions
+have a backtracking search of their own over the first part x, bounded so
+that e = y - 2x stays nonnegative and nondecreasing.
 Deviation statistics (rho/beta families) measure each sequence against the
 minimal member of its space and are additive under entrywise addition.
 Each space's rule is one row of the table _SPACES (its base, the least
@@ -39,7 +41,9 @@ label), never on input that arrived from outside.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import accumulate
+from operator import add, sub
+from typing import Callable
 
 from .errors import DomainError, InvariantError, ResourceError, ValidationError
 
@@ -150,14 +154,14 @@ def seq_add(a: Seq, b: Seq) -> Seq:
     """Entrywise sum; mismatched lengths are a domain error."""
     if len(a) != len(b):
         raise DomainError(f"cannot add sequences of lengths {len(a)} and {len(b)}")
-    return tuple(u + v for u, v in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def seq_sub(a: Seq, b: Seq) -> Seq:
     """Entrywise difference; mismatched lengths are a domain error."""
     if len(a) != len(b):
         raise DomainError(f"cannot subtract sequences of lengths {len(a)} and {len(b)}")
-    return tuple(u - v for u, v in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +172,22 @@ def base_z(m: int) -> Seq:
     return tuple(range(m + 1))
 
 
+def _paired(m: int, step: int) -> Seq:
+    """(0, 0, step, step, 2 step, ...) of length m + 1."""
+    out = [0] * (m + 1)
+    out[0::2] = range(0, step * (m // 2 + 1), step)
+    out[1::2] = range(0, step * ((m + 1) // 2), step)
+    return tuple(out)
+
+
 def base_x(m: int) -> Seq:
     """(0,0,1,1,...): the unique XSeq with deviation statistic 0."""
-    return tuple(i // 2 for i in range(m + 1))
+    return _paired(m, 1)
 
 
 def base_y(m: int) -> Seq:
     """(0,0,2,2,...): equals 2 * base_x entrywise."""
-    return tuple(2 * (i // 2) for i in range(m + 1))
+    return _paired(m, 2)
 
 
 def base_xt(m: int) -> Seq:
@@ -207,8 +219,10 @@ def rho0(z: Seq) -> int:
 
 
 def _beta0(z: Seq) -> int:
+    # _dev_weighted against (0, 1, ..., m), whose weighted sum is
+    # (m - 1) m (m + 1) / 6
     m = len(z) - 1
-    return sum((m - i) * (v - i) for i, v in enumerate(z))
+    return _weighted(z) - (m - 1) * m * (m + 1) // 6
 
 
 def beta0(z: Seq) -> int:
@@ -218,12 +232,17 @@ def beta0(z: Seq) -> int:
 
 
 def _dev_sum(seq: Seq, base: Seq) -> int:
-    return sum(v - b for v, b in zip(seq, base))
+    return sum(seq) - sum(base)
+
+
+def _weighted(seq: Seq) -> int:
+    # sum of (m - i) * seq[i]: each entry counted once in every prefix sum
+    # from its own on, less once
+    return sum(accumulate(seq)) - sum(seq)
 
 
 def _dev_weighted(seq: Seq, base: Seq) -> int:
-    m = len(seq) - 1
-    return sum((m - i) * (v - b) for i, (v, b) in enumerate(zip(seq, base)))
+    return _weighted(seq) - _weighted(base)
 
 
 def _rho(x: Seq) -> int:
@@ -473,7 +492,7 @@ def split_pairs(y: Seq, upper: Seq | None = None) -> tuple[tuple[Seq, Seq], ...]
 
     def rec(i: int) -> None:
         if i > m:
-            out.append((tuple(xs), tuple(v - u for u, v in zip(xs, y))))
+            out.append((tuple(xs), tuple(map(sub, y, xs))))
             return
         lo, hi = 0, highs[i]
         if i >= 1:
@@ -651,16 +670,22 @@ def _space_lower(kind: str, i: int, prev1: int | None, prev2: int | None) -> int
     return max(lo, low1) if i == 1 else lo
 
 
-def _tail_min_dev(kind: str, base: Seq, i: int, prev1: int, prev2: int | None) -> int:
-    """Minimal total deviation contributed by positions after i."""
-    m = len(base) - 1
-    total = 0
-    a, b = prev2, prev1
-    for j in range(i + 1, m + 1):
-        v = _space_lower(kind, j, b, a)
-        total += v - base[j]
-        a, b = b, v
-    return total
+Tails = dict[tuple[int, int, int | None], int]
+
+
+def _tail_dev(kind: str, base: Seq, tails: Tails, i: int, val: int,
+              prev1: int | None) -> int:
+    """Least total deviation of the positions after i, given the value val
+    at i and prev1 before it: one greedy step to position i + 1, plus the
+    entry of tails for that step, computed and filled on first use."""
+    if i == len(base) - 1:
+        return 0
+    v = _space_lower(kind, i + 1, val, prev1)
+    tail = tails.get((i + 1, v, val))
+    if tail is None:
+        tail = tails[i + 1, v, val] = _tail_dev(kind, base, tails, i + 1, v,
+                                                val)
+    return v - base[i + 1] + tail
 
 
 def enumerate_space(kind: str, m: int, n: int) -> tuple[Seq, ...]:
@@ -685,31 +710,35 @@ def enumerate_space(kind: str, m: int, n: int) -> tuple[Seq, ...]:
     base = _SPACES[kind][0](m)
     out: list[Seq] = []
     seq: list[int] = []
-    # (i, value at i, value before it) -> _tail_min_dev, filled on first use
-    tails: dict[tuple[int, int, int | None], int] = {}
+    # (i, value at i, value before it) -> _tail_dev, filled on first use;
+    # each entry reads the entry one position on
+    tails: Tails = {}
 
     def rec(i: int, used: int) -> None:
-        if i > m:
-            if used == n:
-                out.append(tuple(seq))
-            return
         prev1 = seq[i - 1] if i >= 1 else None
         prev2 = seq[i - 2] if i >= 2 else None
         val = _space_lower(kind, i, prev1, prev2)
-        while True:
-            if kind == "XT" and i == 0 and val > 0:
-                break
-            dev = val - base[i]
-            if used + dev > n:
+        if i == m:
+            # the last entry is the one that brings the statistic to n
+            last = base[m] + n - used
+            if last >= val:
+                out.append((*seq, last))
+            return
+        # the deviation and the tail both grow with val, so the first val
+        # past n ends the loop
+        while not (kind == "XT" and i == 0 and val > 0):
+            dev = used + val - base[i]
+            if dev > n:
                 break
             tail = tails.get((i, val, prev1))
             if tail is None:
-                tail = tails[i, val, prev1] = _tail_min_dev(kind, base, i,
-                                                            val, prev1)
-            if used + dev + tail <= n:
-                seq.append(val)
-                rec(i + 1, used + dev)
-                seq.pop()
+                tail = tails[i, val, prev1] = _tail_dev(kind, base, tails, i,
+                                                        val, prev1)
+            if dev + tail > n:
+                break
+            seq.append(val)
+            rec(i + 1, dev)
+            seq.pop()
             val += 1
 
     rec(0, 0)
@@ -719,18 +748,40 @@ def enumerate_space(kind: str, m: int, n: int) -> tuple[Seq, ...]:
 # ---------------------------------------------------------------------------
 # symmetric decompositions
 
-def _symmetric(ivs: tuple[Interval, ...],
-               pairs: Iterable[tuple[Seq, Seq]]) -> tuple[tuple[Seq, Seq], ...]:
-    """The (x, e) of the split pairs (x, xp) of y, ivs = _frakI(y), whose
-    difference e = xp - x is nonnegative and nondecreasing, that are
-    matched, and whose parts have equal frakS; in the order of pairs."""
-    out = []
-    for x, xp in pairs:
-        e = tuple(b - a for a, b in zip(x, xp))
-        if e[0] < 0 or any(u > v for u, v in zip(e, e[1:])):
-            continue
-        if _matched(ivs, x, xp, False) and _frakS(xp) == _frakS(x):
-            out.append((x, e))
+def _symmetric(ivs: tuple[Interval, ...], y: Seq) -> tuple[tuple[Seq, Seq], ...]:
+    """The (x, e) with y = x + e + x, x an XSeq and e nonnegative and
+    nondecreasing, whose split (x, x + e) of y is matched (ivs = _frakI(y))
+    and whose parts have equal frakS; lexicographically in x.
+
+    Backtracking over x keeps e[i] = y[i] - 2 x[i] at least e[i - 1] (and
+    e[-1] = 0), so x[i] <= (y[i] - e[i - 1]) // 2; x + e is then an XSeq
+    too.  Equal frakS sets cover the interval ends and meet in the size-one
+    intervals only when every interval has size one.
+    """
+    if _ends(ivs) != _singles(ivs):
+        return ()
+    m = len(y) - 1
+    out: list[tuple[Seq, Seq]] = []
+    xs: list[int] = []
+
+    def rec(i: int, prev_e: int) -> None:
+        if i > m:
+            x = tuple(xs)
+            xp = tuple(map(sub, y, x))
+            if _matched(ivs, x, xp, False) and _frakS(xp) == _frakS(x):
+                out.append((x, tuple(map(sub, xp, x))))
+            return
+        lo = 0
+        if i >= 1:
+            lo = xs[i - 1]
+        if i >= 2:
+            lo = max(lo, xs[i - 2] + 1)
+        for v in range(lo, (y[i] - prev_e) // 2 + 1):
+            xs.append(v)
+            rec(i + 1, y[i] - 2 * v)
+            xs.pop()
+
+    rec(0, 0)
     return tuple(out)
 
 
@@ -740,4 +791,4 @@ def symmetric_decompositions(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     every frakI(y) interval has size one.
     """
     ensure_yseq(y)
-    return _symmetric(_frakI(y), split_pairs(y))
+    return _symmetric(_frakI(y), y)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 from . import seqcomb as sc
 from .errors import DomainError, InvariantError, ValidationError
@@ -35,6 +36,7 @@ from .irreps import (
     FAMILY_BC,
     FAMILY_D,
     IrrLabel,
+    _ensure_label,
     _merge,
     _trusted,
     _zeta_inverse,
@@ -142,6 +144,7 @@ def tau(family: str, label: IrrLabel) -> ClassLabel:
     leaves the stratum space (the label is outside the theorem's domain).
     """
     _ensure_class_family(family)
+    _ensure_label("label", label)
     if label.family != LABEL_FAMILY[family]:
         raise DomainError(
             f"class family {family} pairs with {LABEL_FAMILY[family]} labels, "
@@ -189,10 +192,12 @@ def _interval_sizes(intervals: tuple[tuple[int, int], ...]) -> list[int]:
 def class_invariants(c: ClassLabel) -> ClassInvariants:
     """Component-group data of a class, from the interval set of y (which
     the ClassLabel checked when it was built, so the kernels read it)."""
+    if not isinstance(c, ClassLabel):
+        raise ValidationError(f"class must be a ClassLabel, got {c!r}")
     m = len(c.y) - 1
     if c.family == CLASS_A:
         base = sc.base_z(m)
-        ztilde = math.gcd(c.n, *(v - b for v, b in zip(c.y, base)))
+        ztilde = math.gcd(c.n, *map(sub, c.y, base))
         if c.n == 0:
             ztilde = 1
         return ClassInvariants(bbar=sc._beta0(c.y), z=1, ztilde_over_z=ztilde)

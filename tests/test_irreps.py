@@ -34,12 +34,14 @@ from weylsymbols.irreps import (
     zeta_tilde,
     zeta_tilde_inverse,
 )
-from weylsymbols.jinduction import double_dots
+from weylsymbols.jinduction import double_dots, f_product
 from weylsymbols.springer import (
     CLASS_FAMILIES,
     ClassLabel,
+    class_invariants,
     class_policy_m,
     enumerate_classes,
+    tau,
 )
 
 
@@ -479,3 +481,27 @@ def test_label_json():
     assert lab.to_json() == {"family": "D", "n": 2, "z": [1], "zp": [1], "kappa": 1}
     lab = IrrLabel(FAMILY_A, 1, (1,))
     assert lab.to_json() == {"family": "A", "n": 1, "z": [1]}
+
+
+_LABEL_ENTRY_POINTS = {
+    "b_invariant": b_invariant,
+    "canonicalize": canonicalize,
+    "dimension": dimension,
+    "is_special": is_special,
+    "special_f": special_f,
+    "tau": lambda value: tau("B", value),
+    "class_invariants": class_invariants,
+    "f_product": f_product,
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.5, None, "B", (1, 2)],
+                         ids=["bool", "float", "None", "str", "tuple"])
+@pytest.mark.parametrize("name", sorted(_LABEL_ENTRY_POINTS))
+def test_label_and_class_entry_points_reject_a_value_of_another_type(name,
+                                                                     value):
+    # f_product takes a tuple or list of labels and checks each factor
+    with pytest.raises(ValidationError,
+                       match="must be an IrrLabel|must be a ClassLabel"
+                             "|must be a tuple or list"):
+        _LABEL_ENTRY_POINTS[name](value)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from weylsymbols import seqcomb as sc
 from weylsymbols.errors import DomainError, InvariantError, ResourceError, ValidationError
+from weylsymbols.springer import enumerate_classes
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +350,38 @@ def test_symmetric_decompositions_match_their_definition(m):
         assert sc.symmetric_decompositions(y) == tuple(sorted(want)), y
 
 
+def _symmetric_by_filter(y):
+    """The symmetric decompositions of y as a filter of its split pairs
+    (x, xp): e = xp - x nonnegative and nondecreasing, (x, xp) matched and
+    frakS(xp) = frakS(x), in split order."""
+    ivs = sc._frakI(y)
+    out = []
+    for x, xp in sc.split_pairs(y):
+        e = tuple(b - a for a, b in zip(x, xp))
+        if e[0] < 0 or any(u > v for u, v in zip(e, e[1:])):
+            continue
+        if sc._matched(ivs, x, xp, False) and sc._frakS(xp) == sc._frakS(x):
+            out.append((x, e))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("family", ["B", "D"])
+def test_symmetric_search_equals_the_split_filter_on_class_sequences(family):
+    found = 0
+    for n in range(2, 13):
+        for c in enumerate_classes(family, n):
+            got = sc._symmetric(sc._frakI(c.y), c.y)
+            assert got == _symmetric_by_filter(c.y), c.y
+            found += len(got)
+    assert found
+
+
+def test_symmetric_search_equals_the_split_filter_on_small_yseqs():
+    for m in range(9):
+        for y in _all_yseqs(m, 8):
+            assert sc._symmetric(sc._frakI(y), y) == _symmetric_by_filter(y), y
+
+
 _SPACE_RULES = {
     "Z": (sc.ensure_zseq, sc.rho0), "X": (sc.ensure_xseq, sc.rho),
     "Y": (sc.ensure_yseq, sc.rho_prime), "E": (sc.ensure_eseq, sc.eseq_sum),
@@ -381,16 +414,63 @@ def test_enumerate_space_lexicographic_and_complete():
                                          ("Y", 9, 8), ("XT", 10, 6),
                                          ("YT", 10, 6), ("E", 8, 8)])
 def test_enumerate_space_bounds_each_tail_once(monkeypatch, kind, m, n):
+    # each entry of the call's tail table is computed once, the chained
+    # steps included
     calls = []
-    inner = sc._tail_min_dev
+    inner = sc._tail_dev
 
-    def counted(*args):
-        calls.append(args)
-        return inner(*args)
+    def counted(kind, base, tails, i, val, prev1):
+        calls.append((i, val, prev1))
+        return inner(kind, base, tails, i, val, prev1)
 
-    monkeypatch.setattr(sc, "_tail_min_dev", counted)
+    monkeypatch.setattr(sc, "_tail_dev", counted)
     assert sc.enumerate_space(kind, m, n) and calls
     assert len(set(calls)) == len(calls)
+
+
+# kind -> (base, least step over the previous entry, least step over the
+# entry before that, least value at position 1)
+_GREEDY_RULES = {
+    "Z": (sc.base_z, 1, 2, 0), "X": (sc.base_x, 0, 1, 0),
+    "Y": (sc.base_y, 0, 2, 0), "XT": (sc.base_xt, 0, 1, 1),
+    "YT": (sc.base_yt, 0, 2, 1), "E": (lambda m: (0,) * (m + 1), 0, 0, 0),
+}
+
+
+def _greedy_tail(kind, m, i, val, prev1):
+    """Deviation of the least continuation of (..., prev1, val) at position
+    i, walked entry by entry to position m."""
+    base, step1, step2, low1 = _GREEDY_RULES[kind]
+    base = base(m)
+    a, b, total = prev1, val, 0
+    for j in range(i + 1, m + 1):
+        v = b + step1
+        if a is not None:
+            v = max(v, a + step2)
+        if j == 1:
+            v = max(v, low1)
+        total += v - base[j]
+        a, b = b, v
+    return total
+
+
+@pytest.mark.parametrize("kind", sorted(_GREEDY_RULES))
+def test_enumerate_space_tail_entries_equal_a_greedy_walk(monkeypatch, kind):
+    entries = []
+    inner = sc._tail_dev
+
+    def recorded(kind, base, tails, i, val, prev1):
+        out = inner(kind, base, tails, i, val, prev1)
+        entries.append((len(base) - 1, i, val, prev1, out))
+        return out
+
+    monkeypatch.setattr(sc, "_tail_dev", recorded)
+    for m in (2, 4, 6) if kind in ("XT", "YT") else range(7):
+        for n in range(6):
+            sc.enumerate_space(kind, m, n)
+    assert entries
+    for m, i, val, prev1, out in entries:
+        assert out == _greedy_tail(kind, m, i, val, prev1), (m, i, val, prev1)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +517,26 @@ def test_kernels_match_their_validating_statistics(m, n, data):
     # based XSeqs need an even length index m >= 2
     xt = data.draw(st.sampled_from(sc.enumerate_space("XT", 2 + m - m % 2, n)))
     assert sc._tilde_rho(xt) == sc.tilde_rho(xt) == n
+
+
+@given(st.integers(min_value=0, max_value=16), st.data())
+@settings(max_examples=200, deadline=None)
+def test_deviation_sums_equal_their_per_entry_definitions(m, data):
+    entries = st.lists(st.integers(min_value=0, max_value=60), min_size=m + 1,
+                       max_size=m + 1).map(tuple)
+    seq, base = data.draw(entries), data.draw(entries)
+    assert sc._dev_sum(seq, base) == sum(v - b for v, b in zip(seq, base))
+    assert sc._dev_weighted(seq, base) == sum(
+        (m - i) * (v - b) for i, (v, b) in enumerate(zip(seq, base)))
+    assert sc._beta0(seq) == sum((m - i) * (v - i) for i, v in enumerate(seq))
+    assert sc.seq_sub(seq, base) == tuple(v - b for v, b in zip(seq, base))
+    assert sc.seq_add(seq, base) == tuple(v + b for v, b in zip(seq, base))
+
+
+def test_paired_bases_equal_their_per_entry_definitions():
+    for m in range(sc.SIZE_CAP + 1):
+        assert sc.base_x(m) == tuple(i // 2 for i in range(m + 1))
+        assert sc.base_y(m) == tuple(2 * (i // 2) for i in range(m + 1))
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])
