@@ -23,8 +23,9 @@ is refused by its own name before the subcommand runs.  Only the
 requested format is built, and JSON output is exactly the text of
 json.dumps(payload, indent=2), streamed: the header
 first, then one row's text at a time, never the whole document as one
-string, with each distinct label's text built once per render and indent
-depth and each verify row's dict built only when the stream reaches it.
+string, with each distinct label's and witness shape's text built once
+per render and indent depth and each verify row's dict built only when
+the stream reaches it.
 At B16 through --output, `verify --format json` peaks at 51 MB RSS, as
 the table format does, where the whole-string render took 205 MB.
 """
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _str_json
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .engine import ClassRow, ensure_floor, verify
+from .engine import ClassRow, ParahoricSpec, ensure_floor, verify
 from .errors import DomainError, InvariantError, ValidationError, WeylSymbolsError
 from .exceptional import (
     GROUPS,
@@ -122,14 +123,15 @@ def _json_value(v: object, pad: str, labels: dict) -> str:
     """JSON text of v, its closing bracket after pad (a newline and the
     indent of v's own level), as json.dumps(..., indent=2) lays it out.
 
-    An IrrLabel stands for its to_json() dict; labels maps (label, pad) to
-    the text already built for it in this render.  A ClassRow stands for
-    its to_json() dict with the labels left as they are, built here, when
-    the stream reaches the row, and dropped with its text.
+    An IrrLabel or a ParahoricSpec stands for its to_json() dict; labels
+    maps (value, pad) to the text already built for it in this render.  A
+    ClassRow stands for its to_json() dict with the labels and witness
+    shapes left as they are, built here, when the stream reaches the row,
+    and dropped with its text.
     """
     if type(v) is ClassRow:
-        v = v.to_json(_itself)
-    if type(v) is IrrLabel:
+        v = v.to_json(_itself, _itself)
+    if type(v) is IrrLabel or type(v) is ParahoricSpec:
         text = labels.get((v, pad))
         if text is None:
             text = labels[v, pad] = _json_value(v.to_json(), pad, labels)
@@ -198,11 +200,11 @@ def _json_text(obj: object) -> Iterator[str]:
     A payload is streamed: its dicts one key at a time, its lists (the
     rows of a report) one element at a time, each element's text built,
     yielded and dropped before the next, so a render never holds the
-    whole document as one string.  An IrrLabel in obj stands for its
-    to_json() dict, and each distinct label's text is built once per
-    indent depth in one render, then spliced wherever that label appears:
-    as a row label or a witness factor.  The table lives only as long as
-    the render.
+    whole document as one string.  An IrrLabel or a ParahoricSpec in obj
+    stands for its to_json() dict, and each distinct one's text is built
+    once per indent depth in one render, then spliced wherever it appears:
+    as a row label, a witness factor or a witness shape.  The table lives
+    only as long as the render.
 
     Before Python 3.13 json.dumps encodes an indented document in pure
     Python, one generator step per token; this kernel builds the same text
@@ -439,7 +441,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Output:
     report = verify(args.family, args.rank)
     return _Output(
         # rows stay ClassRows: the renderer builds each one's dict when it
-        # reaches the row, and each label's text once
+        # reaches the row, and each label's and shape's text once
         payload=lambda: {"report": report.to_json(row=_itself)},
         table=report.to_table,
         csv_headers=[

@@ -87,6 +87,7 @@ from .jinduction import (
     Embedding,
     ImageTable,
     Prepared,
+    _layout,
     _pool_images,
     _prepare_pool,
     j_induce,
@@ -100,9 +101,10 @@ from .springer import (
     CLASS_D,
     LABEL_FAMILY,
     ClassLabel,
+    _class_invariants,
     _ensure_class_family,
+    _intervals,
     _tau_fiber,
-    class_invariants,
     enumerate_classes,
     tau,
 )
@@ -477,10 +479,12 @@ def _split_witness(family: str, n: int, splits: tuple[Split, ...],
 
 
 def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
+                     intervals: tuple[sc.Interval, ...],
                      splits: tuple[Split, ...], fa_value: int,
                      first: dict[Seq, Part]) -> tuple[int, Member | None]:
-    """Symmetry order and witness of a canonical label, given y, its split
-    table (empty for family A), fa and the first parts' records."""
+    """Symmetry order and witness of a canonical label, given y, its
+    interval set frakI(y) (read for B and D), its split table (empty for
+    family A), fa and the first parts' records."""
     if family == CLASS_A:
         d, tilde = _a_divisor_members(label, n)[-1]
         return d, (ParahoricSpec(CLASS_A, n, d=d), (tilde,) * d)
@@ -489,7 +493,7 @@ def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
         # strict position beyond its base one
         return _split_witness(CLASS_C, n, splits, fa_value, strict=(0, 3))
     # every x of a self-matched decomposition is a first part of the table
-    sym = sc._symmetric(sc._frakI(y), y)
+    sym = sc._symmetric(intervals, y)
     if family == CLASS_B:
         if not sym:
             return 1, None
@@ -521,8 +525,8 @@ def fc(label: IrrLabel, family: str, n: int) -> int:
     order = _omega_order(family, n)
     parts = _split_parts(family)
     canon, y, splits, _, fs = _label_members(label, family, n, parts)
-    value, witness = _fc_with_witness(canon, family, n, y, splits, max(fs),
-                                      parts[0])
+    value, witness = _fc_with_witness(canon, family, n, y, _intervals(family, y),
+                                      splits, max(fs), parts[0])
     if witness is not None and not _replay(witness[0], witness[1], canon):
         raise InvariantError("symmetry witness does not replay")
     if order % value:
@@ -544,9 +548,9 @@ def _induction_graph(family: str, n: int, index: SpecialIndex,
     match_key of an image -> the members (shape, factors) inducing to it,
     factors in the index's member form, as enumerate_cz gives them (D
     two-block members in their two-factor form).  Each (family, rank) pool
-    is aligned to the target and weighed once, for every shape that uses
-    it, and every shape's products share one image table, so each distinct
-    image is built once.  The pools are not checked against the shapes'
+    is aligned to the target, packed and weighed once, for every shape that
+    uses it, and every shape's products share one image table keyed by
+    packed image rows, so each distinct image is built once.  The pools are not checked against the shapes'
     signatures: the index builds them to fit."""
     if family == CLASS_A:
         # the only maximal shape is the full group
@@ -554,16 +558,18 @@ def _induction_graph(family: str, n: int, index: SpecialIndex,
         pool = index.pool(FAMILY_A, n)
         return frozenset(pool), {lab: {(spec, (lab,))} for lab in pool}
     table: ImageTable = {}
-    prepared: dict[tuple[str, int], list[Prepared]] = {}
+    prepared: dict[tuple[str, int], Prepared] = {}
     fibers: Fibers = {}
+    # every shape induces into the one target
+    layout = _layout(LABEL_FAMILY[family], n)
     for spec in shapes.values():
         emb = _embedding(spec)
         pools = []
         for key in emb.factor_signature():
             if key not in prepared:
-                prepared[key] = _prepare_pool(emb, index.pool(*key))
+                prepared[key] = _prepare_pool(layout, index.pool(*key))
             pools.append(prepared[key])
-        for factors, image in _pool_images(emb, pools, table):
+        for factors, image in _pool_images(emb, layout, pools, table):
             fibers.setdefault(match_key(image), set()).add(
                 (spec, _d_middle(spec, factors)))
     return frozenset(image for image, _ in table.values()), fibers
@@ -609,9 +615,11 @@ class ClassRow:
         return (self.holds_b1 and self.holds_b2 and self.holds_b3
                 and self.witnesses_ok)
 
-    def to_json(self, label: Callable[[IrrLabel], object] = IrrLabel.to_json
+    def to_json(self, label: Callable[[IrrLabel], object] = IrrLabel.to_json,
+                shape: Callable[[ParahoricSpec], object] = ParahoricSpec.to_json
                 ) -> dict:
-        """The row as JSON data, label giving each label's value."""
+        """The row as JSON data, label giving each label's value and shape
+        each witness shape's."""
         return {
             "label": label(self.label),
             "y": list(self.y),
@@ -622,7 +630,7 @@ class ClassRow:
             "fc": self.fc_value,
             "ztilde_over_z": self.ratio_value,
             "witnesses": [
-                {"shape": spec.to_json(),
+                {"shape": shape(spec),
                  "factors": [*map(label, factors)]}
                 for spec, factors in self.witnesses
             ],
@@ -716,15 +724,18 @@ def _member_str(member: Member) -> str:
 
 def _class_row(family: str, n: int, c: ClassLabel, canon: IrrLabel,
                shapes: Shapes, parts: Parts, fibers: Fibers) -> ClassRow:
-    inv = class_invariants(c)
+    # one interval set of y serves the invariants and the B and D symmetric
+    # witness search
+    intervals = _intervals(family, c.y)
+    inv = _class_invariants(c, intervals)
     b_label = b_invariant(canon)
     # y is split once; the maximal members and the symmetry witness search
     # both read the one split table
     splits, members, fs = _members(family, n, canon, c.y, shapes, parts)
     # a maximum equal to the class component count also bounds every member
     fa_value = max(fs)
-    fc_value, fc_witness = _fc_with_witness(canon, family, n, c.y, splits,
-                                            fa_value, parts[0])
+    fc_value, fc_witness = _fc_with_witness(canon, family, n, c.y, intervals,
+                                            splits, fa_value, parts[0])
     best = tuple(m for m, f in zip(members, fs) if f == fa_value)
     witnesses = best if fc_witness is None else best + (fc_witness,)
     # the maximal members must be the label's whole fiber of the induction

@@ -504,16 +504,21 @@ def canonicalize(label: IrrLabel) -> IrrLabel:
     common prefix 0, 1, ..., t-1 of the rows, keeping one slot in the
     shortest row."""
     _ensure_label("label", label)
-    z, zp = label.z, label.zp
+    z, zp = _canonical_rows(label.z, label.zp)
+    if z is label.z:
+        return label
+    # dropping a common prefix keeps every row valid and the D row order
+    return _trusted(IrrLabel, label.family, label.n, z, zp, label.kappa)
+
+
+def _canonical_rows(z: Seq, zp: Seq | None) -> tuple[Seq, Seq | None]:
+    """The rows canonicalize keeps (zp None for a one-row label): the rows
+    themselves when they share no prefix to drop."""
     last = len(z if zp is None else zp) - 1
     t = 0
     while t < last and z[t] == t and (zp is None or zp[t] == t):
         t += 1
     if t == 0:
-        return label
-    # dropping a common prefix keeps every row valid and the D row order
+        return z, zp
     z = tuple(v - t for v in z[t:])
-    if zp is None:
-        return _trusted(IrrLabel, FAMILY_A, label.n, z, None, 0)
-    zp = tuple(v - t for v in zp[t:])
-    return _trusted(IrrLabel, label.family, label.n, z, zp, label.kappa)
+    return z, None if zp is None else tuple(v - t for v in zp[t:])

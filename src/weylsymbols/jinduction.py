@@ -25,16 +25,31 @@ rows are the entrywise sums of the factors' rows less (#factors - 1) base
 rows (0, 1, ..., len - 1), canonicalized.  b-additivity is asserted on
 every product.
 
+The rows are summed as packed integers.  Each factor's aligned rows are
+one int, entry i of the rows laid end to end in little-endian field i; an
+image is the int sum of its factors' ints less (#factors - 1) packed base
+rows, and its rows are unpacked from that int only when it is new.  The
+field width is derived from the target (_layout): in a rank-n target with
+longest row L, entry j of an aligned rank-r factor lies in [j, j + r], so
+a column sum of at most three factors, whose ranks add up to n, is at most
+3 (L - 1) + n, and each field is the narrowest of 8, 16, 32 and 64 bits
+that holds it.  No field carries into its neighbour, and none borrows
+when the base rows are taken away, every column summing to at least the
+base entries it loses.  The two rows of a family-D image have equal
+lengths, so they are equal exactly when the two halves of its int are.
+
 The pool form j_induce_pool yields the image of every product of a list
-of factor pools: each pool label is checked, aligned and given its b once,
-and each distinct image row pair is built by the validating IrrLabel(...)
-and canonicalized once per call, its b kept beside it for the b-additivity
-check of every later product with the same rows.  j_induce is its
-one-product case.  Both start a fresh image table on every call.  The
-private _prepare_pool and _pool_images split that work for a caller that
-induces many embeddings into one target: the induction graph of one verify
-call prepares each (family, rank) pool once, trusting the special-label
-index it reads, and shares one image table across all its shapes.
+of factor pools: each pool label is checked, aligned, packed and given its
+b once, and each distinct image has its rows canonicalized and is built by
+the validating IrrLabel(...) once per call, its b kept beside it for the
+b-additivity check of every later product with the same packed rows and
+kappa.
+j_induce is its one-product case.  Both start a fresh image table on every
+call.  The private _layout, _prepare_pool and _pool_images split that work
+for a caller that induces many embeddings into one target: the induction
+graph of one verify call prepares each (family, rank) pool once, trusting
+the special-label index it reads, and shares one image table across all
+its shapes.
 
 Degenerate family-D outputs carry a kappa bit that the row arithmetic does
 not determine; the convention kappa' = (sum of factor kappas + lam) mod 2
@@ -46,9 +61,9 @@ representative choice rather than a computed value.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
-from operator import sub
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import seqcomb as sc
 from .errors import DomainError, InvariantError, ValidationError
@@ -58,6 +73,8 @@ from .irreps import (
     FAMILY_D,
     IrrLabel,
     _align,
+    _canonical_rows,
+    _ensure_label,
     b_invariant,
     canonicalize,
     special_f,
@@ -142,7 +159,7 @@ class Embedding:
     def factor_signature(self) -> tuple[tuple[str, int], ...]:
         """(family, rank) of each factor, in j_induce argument order."""
         _, *blocks = _KINDS[self.kind]
-        return tuple((family, getattr(self, block)) for block, family in blocks)
+        return tuple([(family, getattr(self, block)) for block, family in blocks])
 
     def target(self) -> tuple[str, int]:
         """(family, rank) of the ambient group."""
@@ -164,10 +181,16 @@ def double_dots(u: Seq) -> tuple[Seq, Seq]:
     Both halves are strictly increasing and their deviation sums add up to
     the deviation sum of u."""
     total = sc.rho0(u)
-    first = tuple(u[2 * i] - i for i in range((len(u) + 1) // 2))
-    second = tuple(u[2 * i + 1] - i - 1 for i in range(len(u) // 2))
+    first, second = _double_dots(u)
     if sc._rho0(first) + sc._rho0(second) != total:
         raise InvariantError(f"split changed the deviation sum of {u!r}")
+    return first, second
+
+
+def _double_dots(u: Seq) -> tuple[Seq, Seq]:
+    """double_dots of a row the caller has checked."""
+    first = tuple(u[2 * i] - i for i in range((len(u) + 1) // 2))
+    second = tuple(u[2 * i + 1] - i - 1 for i in range(len(u) // 2))
     return first, second
 
 
@@ -186,6 +209,7 @@ def f_product(factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> int:
 # truncated induction
 
 def _check_factor(i: int, family: str, rank: int, label: IrrLabel) -> None:
+    _ensure_label("factor", label)
     if label.family != family or label.n != rank:
         raise DomainError(
             f"factor {i} must be family {family} rank {rank}, "
@@ -215,7 +239,7 @@ def _factor_rows(
     row = _align(z, sum(lengths))
     if target == FAMILY_A:
         return (row,)
-    even, odd = double_dots(row)
+    even, odd = _double_dots(row)
     return (odd, even) if target == FAMILY_D else (even, odd)
 
 
@@ -225,66 +249,120 @@ def j_induce_pool(
     """(factors, image) of every product of the factor pools, in
     itertools.product order, each image as j_induce gives it.  Every pool
     label is checked against the factor signature before the first product,
-    and its aligned rows, b-invariant and kappa are worked out once per
-    pool; each distinct image is built by the validating IrrLabel(...) once
-    per call, and the b-additivity of every product is asserted."""
+    and its rows are aligned and packed and its b-invariant worked out once
+    per pool; each distinct image is built by the validating IrrLabel(...)
+    once per call, and the b-additivity of every product is asserted."""
+    if not isinstance(e, Embedding):
+        raise ValidationError(f"embedding must be an Embedding, got {e!r}")
+    if not isinstance(pools, (tuple, list)):
+        raise ValidationError(f"pools must be a tuple or list, got {pools!r}")
     sig = e.factor_signature()
     if len(pools) != len(sig):
         raise DomainError(f"{e.kind} takes {len(sig)} factors, got {len(pools)}")
     for i, ((fam, rank), pool) in enumerate(zip(sig, pools)):
+        if not isinstance(pool, (tuple, list)):
+            raise ValidationError(f"pool {i} must be a tuple or list, got {pool!r}")
         for label in pool:
             _check_factor(i, fam, rank, label)
-    return _pool_images(e, [_prepare_pool(e, pool) for pool in pools], {})
+    layout = _layout(*e.target())
+    prepared = [_prepare_pool(layout, pool) for pool in pools]
+    return _pool_images(e, layout, prepared, {})
 
 
-ImageTable = dict[tuple[tuple[Seq, ...], int], tuple[IrrLabel, int]]
-# a pool label with its rows aligned to the target's, its b and its kappa
-Prepared = tuple[IrrLabel, tuple[Seq, ...], int, int]
+# packed image rows and kappa -> (canonical image, its b)
+ImageTable = dict[tuple[int, int], tuple[IrrLabel, int]]
+# a pool's labels, their aligned rows each packed into one int, and their b
+Prepared = tuple[tuple[IrrLabel, ...], tuple[int, ...], tuple[int, ...]]
+
+# the most factors of any kind: a column sum adds at most this many entries
+_MAX_FACTORS = max(len(blocks) for _, *blocks in _KINDS.values())
 
 
-def _row_lengths(family: str, n: int) -> tuple[int, ...]:
+# how the rows of one target are packed into an int: its family, rank and
+# row lengths, the struct format of the packed fields, one little-endian
+# field per entry, and the packed base rows (0, 1, ..., len - 1)
+Layout = tuple[str, int, tuple[int, ...], str, int]
+
+
+def _layout(family: str, n: int) -> Layout:
+    """The packed layout of a rank-n target.  Entry j of an aligned rank-r
+    factor lies in [j, j + r], so a column sum of at most _MAX_FACTORS
+    factors, whose ranks add up to n, is at most _MAX_FACTORS * (L - 1) + n,
+    L the longest row.  Each field is the narrowest of 8, 16, 32 and 64 bits
+    that holds that bound (64 bits hold it for any rows that fit in
+    memory), so no field carries into the next, and taking away the base
+    rows never borrows from one (a column of F factors sums to at least
+    F * j)."""
     k = n + 1
-    return {FAMILY_A: (k,), FAMILY_BC: (k + 1, k), FAMILY_D: (k, k)}[family]
+    lengths = {FAMILY_A: (k,), FAMILY_BC: (k + 1, k), FAMILY_D: (k, k)}[family]
+    bits = (_MAX_FACTORS * (max(lengths) - 1) + n).bit_length()
+    fields = f"<{sum(lengths)}{'BHIQ'[(bits > 8) + (bits > 16) + (bits > 32)]}"
+    return (family, n, lengths, fields,
+            _pack(fields, itertools.chain(*map(range, lengths))))
 
 
-def _prepare_pool(e: Embedding, pool: Sequence[IrrLabel]) -> list[Prepared]:
-    """The pool's labels, trusted to fit the embedding's signature, each
-    with its rows aligned to the target's, its b and its kappa; the result
-    serves every embedding of the same target family and rank."""
-    family, n = e.target()
-    lengths = _row_lengths(family, n)
-    return [(label, _factor_rows(family, lengths, label), b_invariant(label),
-             label.kappa) for label in pool]
+def _pack(fields: str, entries: Iterable[int]) -> int:
+    """entries as one int, laid out in the fields of the struct format."""
+    return int.from_bytes(struct.pack(fields, *entries), "little")
+
+
+def _unpack(layout: Layout, packed: int) -> tuple[Seq, Seq | None]:
+    """The rows that _pack laid out as packed (the second None for a
+    one-row target)."""
+    _, _, lengths, fields, _ = layout
+    entries = struct.unpack(fields, packed.to_bytes(struct.calcsize(fields),
+                                                    "little"))
+    if len(lengths) == 1:
+        return entries, None
+    return entries[:lengths[0]], entries[lengths[0]:]
+
+
+def _prepare_pool(layout: Layout, pool: Sequence[IrrLabel]) -> Prepared:
+    """The pool's labels, trusted to fit a factor of the layout's target,
+    with each one's rows aligned to the target's and packed, and each one's
+    b; the result serves every embedding of the same target."""
+    family, _, lengths, fields, _ = layout
+    return (tuple(pool),
+            tuple(_pack(fields, itertools.chain(*_factor_rows(family, lengths, label)))
+                  for label in pool),
+            tuple(map(b_invariant, pool)))
 
 
 def _pool_images(
-    e: Embedding, prepared: Sequence[Sequence[Prepared]], images: ImageTable
+    e: Embedding, layout: Layout, prepared: Sequence[Prepared],
+    images: ImageTable
 ) -> Iterator[tuple[tuple[IrrLabel, ...], IrrLabel]]:
     """Every product of the prepared pools with its image, reading and
-    filling the caller's image table, aligned rows and kappa -> (canonical
-    image, its b); one table serves every embedding of one target family
-    and rank."""
-    family, n = e.target()
-    # the base rows (0, 1, ..., len - 1) a column sum counts once too often
-    # per factor after the first
-    extra = len(prepared) - 1
-    overlap = tuple(tuple(range(0, extra * length, extra))
-                    for length in _row_lengths(family, n))
-    for combo in itertools.product(*prepared):
-        factors, aligned, bs, kappas = zip(*combo)
-        rows = tuple(
-            tuple(map(sub, map(sum, zip(*parts)), twice))
-            for parts, twice in zip(zip(*aligned), overlap)
-        )
+    filling the caller's image table, packed image rows and kappa ->
+    (canonical image, its b); one table serves every embedding of one
+    target.  An image is one int sum of the factors' packed rows; it is
+    unpacked into rows, canonicalized and validated only when the table
+    misses."""
+    family, n, _, fields, base = layout
+    # the base rows a column sum counts once too often per factor after
+    # the first
+    overlap = (len(prepared) - 1) * base
+    # a family-D image has two rows of equal length, the two halves of its
+    # int; they are equal exactly on a degenerate label
+    degenerate = family == FAMILY_D
+    half = 4 * struct.calcsize(fields)
+    low = (1 << half) - 1
+    labels, packed, bs = zip(*prepared)
+    for factors, parts, b_parts in zip(itertools.product(*labels),
+                                       itertools.product(*packed),
+                                       itertools.product(*bs)):
+        image = sum(parts) - overlap
         kappa = 0
-        if family == FAMILY_D and rows[0] == rows[1]:
-            kappa = (sum(kappas) + e.lam) % 2
-        hit = images.get((rows, kappa))
+        if degenerate and image >> half == image & low:
+            kappa = (sum(f.kappa for f in factors) + e.lam) % 2
+        hit = images.get((image, kappa))
         if hit is None:
-            out = canonicalize(IrrLabel(family, n, *rows, kappa=kappa))
-            hit = images[rows, kappa] = (out, b_invariant(out))
+            # canonical rows first, so the label validates the shorter rows
+            out = IrrLabel(family, n, *_canonical_rows(*_unpack(layout, image)),
+                           kappa=kappa)
+            hit = images[image, kappa] = (out, b_invariant(out))
         out, got = hit
-        want = sum(bs)
+        want = sum(b_parts)
         if got != want:
             raise InvariantError(
                 f"b-additivity failed for {e.kind}: {got} != {want}"
@@ -297,6 +375,8 @@ def j_induce(e: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> Ir
     along the embedding: the one-product case of j_induce_pool.  Output is
     canonicalized; its b-invariant equals the sum of the factors'
     b-invariants."""
+    if not isinstance(factors, (tuple, list)):
+        raise ValidationError(f"factors must be a tuple or list, got {factors!r}")
     return next(j_induce_pool(e, [(f,) for f in factors]))[1]
 
 

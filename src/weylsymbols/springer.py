@@ -194,6 +194,17 @@ def class_invariants(c: ClassLabel) -> ClassInvariants:
     the ClassLabel checked when it was built, so the kernels read it)."""
     if not isinstance(c, ClassLabel):
         raise ValidationError(f"class must be a ClassLabel, got {c!r}")
+    return _class_invariants(c, _intervals(c.family, c.y))
+
+
+def _intervals(family: str, y: Seq) -> tuple[sc.Interval, ...]:
+    """The interval set frakI(y) of a B, C or D class; none for family A."""
+    return () if family == CLASS_A else sc._frakI(y)
+
+
+def _class_invariants(c: ClassLabel, intervals: tuple[sc.Interval, ...]
+                      ) -> ClassInvariants:
+    """class_invariants of a class, given _intervals of its y."""
     m = len(c.y) - 1
     if c.family == CLASS_A:
         base = sc.base_z(m)
@@ -201,7 +212,6 @@ def class_invariants(c: ClassLabel) -> ClassInvariants:
         if c.n == 0:
             ztilde = 1
         return ClassInvariants(bbar=sc._beta0(c.y), z=1, ztilde_over_z=ztilde)
-    intervals = sc._frakI(c.y)
     odd = sc._odd(intervals)
     sizes = _interval_sizes(intervals)
     base = sc.base_yt(m) if c.family == CLASS_C else sc.base_y(m)

@@ -172,10 +172,10 @@ def test_verify_signals_failure_with_exit_one(monkeypatch):
 
 
 def test_a_failed_internal_identity_exits_one(monkeypatch):
-    def broken(c):
+    def broken(c, intervals):
         raise InvariantError("injected")
 
-    monkeypatch.setattr(engine, "class_invariants", broken)
+    monkeypatch.setattr(engine, "_class_invariants", broken)
     code, out, err = _run(["verify", "--family", "B", "--rank", "3"])
     assert code == 1
     assert out == ""
@@ -453,9 +453,9 @@ def test_verify_json_builds_each_row_dict_when_the_stream_reaches_it(monkeypatch
     built = []
     to_json = engine.ClassRow.to_json
 
-    def counted(self, label=IrrLabel.to_json):
+    def counted(self, *args):
         built.append(self)
-        return to_json(self, label)
+        return to_json(self, *args)
 
     monkeypatch.setattr(engine.ClassRow, "to_json", counted)
     monkeypatch.setattr(cli, "verify", lambda family, n: report)
@@ -471,6 +471,29 @@ def test_verify_json_builds_each_row_dict_when_the_stream_reaches_it(monkeypatch
     assert built == list(report.rows)
     monkeypatch.setattr(engine.ClassRow, "to_json", to_json)
     assert "".join(pieces) == json.dumps({"report": report.to_json()}, indent=2)
+
+
+def test_verify_json_renders_each_witness_shape_once(monkeypatch):
+    report = verify("D", 7)
+    shapes = [spec for row in report.rows for spec, _ in row.witnesses]
+    built = []
+    to_json = engine.ParahoricSpec.to_json
+
+    def counted(self):
+        built.append(self)
+        return to_json(self)
+
+    monkeypatch.setattr(cli, "verify", lambda family, n: report)
+    args = cli._build_parser().parse_args(
+        ["verify", "--family", "D", "--rank", "7", "--format", "json"])
+    payload = cli._cmd_verify(args).payload()
+    monkeypatch.setattr(engine.ParahoricSpec, "to_json", counted)
+    text = "".join(cli._json_text(payload))
+    # every witness shape sits at one depth, so its text is built once
+    assert len(shapes) > 2 * len(set(shapes))
+    assert sorted(built, key=repr) == sorted(set(shapes), key=repr)
+    monkeypatch.setattr(engine.ParahoricSpec, "to_json", to_json)
+    assert text == json.dumps({"report": report.to_json()}, indent=2)
 
 
 def test_json_output_peak_memory_stays_near_the_table(tmp_path):

@@ -347,8 +347,9 @@ def test_verify_reports_match_their_pinned_digests(case):
 def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
                                                          rows):
     # one split search per row feeds the maximal members, the B and D
-    # symmetric witnesses and the C and D split witness
-    calls = {"split_pairs": 0, "class_invariants": 0,
+    # symmetric witnesses and the C and D split witness; one interval set
+    # per row feeds the invariants and the B and D symmetric witnesses
+    calls = {"split_pairs": 0, "_class_invariants": 0, "_frakI": 0,
              "symmetric_decompositions": 0}
 
     def counted(module, name):
@@ -362,10 +363,11 @@ def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
 
     counted(sc, "split_pairs")
     counted(sc, "symmetric_decompositions")
-    counted(engine, "class_invariants")
+    counted(sc, "_frakI")
+    counted(engine, "_class_invariants")
     assert len(verify(family, 6).rows) == rows
-    assert calls == {"split_pairs": rows, "class_invariants": rows,
-                     "symmetric_decompositions": 0}
+    assert calls == {"split_pairs": rows, "_class_invariants": rows,
+                     "_frakI": rows, "symmetric_decompositions": 0}
 
 
 def test_induction_graph_builds_each_distinct_image_once(monkeypatch):

@@ -279,6 +279,132 @@ def test_pool_form_yields_j_induce_of_every_product_in_order():
                 assert list(j_induce_pool(twisted, pools)) == want
 
 
+def _reference_image(e: Embedding, factors) -> tuple:
+    """The row rule of the jinduction docstring on plain tuples, apart from
+    the library's kernels: (family, n, rows, kappa) of the image."""
+    family, n = e.target()
+    k = n + 1
+    lengths = {FAMILY_A: (k,), FAMILY_BC: (k + 1, k), FAMILY_D: (k, k)}[family]
+
+    def align(row, length):
+        # drop a common prefix 0, 1, ..., t-1 a padded row carries beyond
+        # the length, then shift up to the length
+        while len(row) > length and row[0] == 0:
+            row = tuple(v - 1 for v in row[1:])
+        t = length - len(row)
+        return tuple(range(t)) + tuple(v + t for v in row)
+
+    aligned = []
+    for f in factors:
+        if f.zp is not None:
+            aligned.append((align(f.z, lengths[0]), align(f.zp, lengths[1])))
+        elif family == FAMILY_A:
+            aligned.append((align(f.z, k),))
+        else:
+            u = align(f.z, sum(lengths))
+            even = tuple(u[2 * i] - i for i in range((len(u) + 1) // 2))
+            odd = tuple(u[2 * i + 1] - i - 1 for i in range(len(u) // 2))
+            aligned.append((odd, even) if family == FAMILY_D else (even, odd))
+    extra = len(factors) - 1
+    rows = tuple(
+        tuple(sum(column) - extra * j for j, column in enumerate(zip(*parts)))
+        for parts in zip(*aligned)
+    )
+    kappa = 0
+    if family == FAMILY_D and rows[0] == rows[1]:
+        kappa = (sum(f.kappa for f in factors) + e.lam) % 2
+    # canonical form: drop the longest common prefix 0, 1, ..., t-1, one
+    # slot kept in the shortest row
+    t = 0
+    while t < min(map(len, rows)) - 1 and all(row[t] == t for row in rows):
+        t += 1
+    return family, n, tuple(tuple(v - t for v in row[t:]) for row in rows), kappa
+
+
+def _as_reference(label: IrrLabel) -> tuple:
+    rows = (label.z,) if label.zp is None else (label.z, label.zp)
+    return label.family, label.n, rows, label.kappa
+
+
+def test_pool_form_follows_the_row_rule_of_every_product():
+    caps = {FAMILY_A: 6, FAMILY_BC: 5, FAMILY_D: 5}
+    cases = 0
+    for n in range(0, 7):
+        for e in _all_embeddings(n):
+            if n > caps[e.target()[0]]:
+                continue
+            lams = d_placements(e.r, e.p, e.q) if e.kind == EMBED_D_TRIPLE else (0,)
+            pools = [_special_labels(f, rank) for f, rank in e.factor_signature()]
+            for lam in lams:
+                twisted = dataclasses.replace(e, lam=lam)
+                for combo, image in j_induce_pool(twisted, pools):
+                    assert _as_reference(image) == _reference_image(twisted, combo)
+                    cases += 1
+    assert cases == 1707
+
+
+def _heavy_last(family: str, rank: int, second: bool) -> IrrLabel:
+    """A rank-rank label whose whole weight sits on the last entry of its
+    first row, or of its second row when second is set (D keeps the heavier
+    row first, so its second row stays light)."""
+    if family == FAMILY_A:
+        return IrrLabel(FAMILY_A, rank, (rank,))
+    if family == FAMILY_D:
+        return make_d_label(rank, (rank,), (0,))
+    if second:
+        return IrrLabel(FAMILY_BC, rank, (0, 1), (rank,))
+    return IrrLabel(FAMILY_BC, rank, (0, rank + 1), (0,))
+
+
+# 63 and 64: the bound on a column sum of three factors, 4n + 3 for a BC
+# target, fills an 8-bit field and then needs 16 bits; 127 and 128: the
+# largest image entry, 2n + 1, fills 8 bits and then needs 9; 16383 and
+# 16384: the bound fills a 16-bit field and then needs 32 bits
+@pytest.mark.parametrize("n", [63, 64, 127, 128, 16383, 16384])
+def test_heavy_last_entries_do_not_carry_into_the_next_field(n):
+    r, p = n // 3, n // 3
+    q = n - r - p
+    for e in (Embedding(EMBED_A_SPLIT, r=r + p, q=q),
+              Embedding(EMBED_B_WR_SP_WQ, r=r, p=p, q=q),
+              Embedding(EMBED_C_WR_WDQ, r=r + p, q=q),
+              Embedding(EMBED_D_TRIPLE, r=r, p=p, q=q)):
+        pools = [[_heavy_last(f, rank, second) for second in (False, True)]
+                 for f, rank in e.factor_signature()]
+        for combo, image in j_induce_pool(e, pools):
+            assert _as_reference(image) == _reference_image(e, combo)
+
+
+_BAD_INPUTS = {
+    "embedding None": (lambda emb, ok: j_induce(None, ok),
+                       "embedding must be an Embedding"),
+    "embedding str": (lambda emb, ok: j_induce("B_WrWq", ok),
+                      "embedding must be an Embedding"),
+    "factors None": (lambda emb, ok: j_induce(emb, None),
+                     "factors must be a tuple or list"),
+    "factors str": (lambda emb, ok: j_induce(emb, "ab"),
+                    "factors must be a tuple or list"),
+    "factors ints": (lambda emb, ok: j_induce(emb, (1, 2)),
+                     "factor must be an IrrLabel"),
+    "pools None": (lambda emb, ok: j_induce_pool(emb, None),
+                   "pools must be a tuple or list"),
+    "pools of None": (lambda emb, ok: j_induce_pool(emb, [None, None]),
+                      "pool 0 must be a tuple or list"),
+    "pool of None": (lambda emb, ok: j_induce_pool(emb, [[ok[0]], [None]]),
+                     "factor must be an IrrLabel"),
+    "pool embedding": (lambda emb, ok: j_induce_pool("B_WrWq", [[f] for f in ok]),
+                       "embedding must be an Embedding"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_malformed_induction_inputs_raise_validation_error(case):
+    call, message = _BAD_INPUTS[case]
+    emb = Embedding(EMBED_B_WR_WQ, r=1, q=1)
+    ok = (_trivial(FAMILY_BC, 1), _trivial(FAMILY_BC, 1))
+    with pytest.raises(ValidationError, match=message):
+        call(emb, ok)
+
+
 def test_factor_padding_leaves_the_image_unchanged():
     # a factor row longer than the target's is canonicalized before it is
     # aligned, a shorter one is aligned as it is; every padding gives one
