@@ -27,27 +27,46 @@ partitions by a divisor instead.
 Enumeration order is lexicographic throughout, so every report is
 byte-stable across runs.
 
-Each report row is one pass: the class invariants, the split table of the
-class sequence y (every two-block split with both parts' records), the
-maximal members and one f-product per member are computed once; the
-maximal members and the C and D split witness read the one split table,
-the B and D symmetric witnesses read their first parts' records from it,
-and the maximal f-product feeds the symmetry-order witness search
-directly.  One verify call builds one table
-of split parts, keyed by sequence, that records each first part and each
-complement the first time a row meets it: its rank, its member-form
-labels, its f-invariant and its count of strict positions, so a member's
-f-product is f(x) * f(x~) read from it; one SpecialIndex, whose (family,
-rank) pools of special labels are enumerated once for the induction graph;
-one table of the maximal shapes by block sizes, shared by the induction
-graph and every row; and one induction graph: the images of every maximal
-shape's pool products, each distinct image built once through one image
-table across all shapes, and the fiber of members over each.  All of them
-live only as long as the call: the public entry points (enumerate_cz, fa,
-fc, bar_S) build their own and cache nothing.
-Every member factor has one form there, the member form: BC and D labels as
-the rows split them out of y, at the target's merged length, A labels
-canonical; so fibers, members, witnesses and f lookups compare as they are.
+One verify call builds each intermediate at most once and keeps none
+past the call; the public entry points (enumerate_cz, fa, fc, bar_S) build
+their own through the same code and cache nothing.
+
+* The record table (_Parts).  Every XSeq record is keyed by the sequence
+  packed into one int, one field per entry, sized so that every entry of
+  a rank-n class sequence y fits (_split_fields).  A record holds the
+  part's rank, its member-form labels, its f-invariant, its count of
+  strict positions and one small int id per label.  The pools of special
+  labels that the maximal shapes' factor signatures name fill the table:
+  special_reps gives each pool's merged sequences, labels, b and f, and a
+  family-D pool of a C target is filed under its based complement
+  (0, x0 + 1, x1 + 1, ...).  A split part misses the table only when no
+  maximal shape uses its rank (C's rank-(n - 1) splits, D's ranks 1 and
+  n - 1); its record then keeps rank, f and strict count, and its labels
+  are built when a witness first reads them.
+* One table of the maximal shapes by block sizes, shared by the induction
+  graph and every row.
+* One induction graph: each pool aligned to the target and packed once
+  for every shape that uses it; every product of a shape's pools summed
+  as packed ints into one image table keyed by packed image rows, so each
+  distinct image is built and validated once and b-additivity is checked
+  on every product; and the fibers, each product's member int filed under
+  its packed image int.  A member is one int, count * a + b for the ids a
+  and b of its two blocks' labels (the blocks' ranks name its shape).
+* Per row, one split table of y: the split search yields packed first
+  parts x, each complement is packed(y) - x, and both records are read by
+  int, with no sequence tuple built per split.  The row's member ints are
+  compared with its fiber as sets; the maximal f-product is read as
+  f(x) * f(x~); ParahoricSpec and label tuples are built only for the
+  witnesses the row prints: the f-maximal members and the symmetry
+  witness, which is replayed through j_induce only when it lies outside
+  the fiber.  The C and D split witness reads the same split table, the
+  B and D symmetric witnesses look up their first parts' records in the
+  record table, and one interval set frakI(y) serves the class
+  invariants and the symmetric witness search.
+
+Every member factor has one form, the member form: BC and D labels as the
+rows split them out of y, at the target's merged length, A labels
+canonical; so fibers, members and witnesses compare as they are.
 Split parts found by the enumerators below are valid by construction, so
 they go through the unvalidated kernels of seqcomb and irreps.
 """
@@ -55,6 +74,7 @@ they go through the unvalidated kernels of seqcomb and irreps.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable
@@ -65,6 +85,7 @@ from .irreps import (
     FAMILY_A,
     FAMILY_D,
     IrrLabel,
+    SpecialRep,
     _ensure_label,
     _f_from_strict_count,
     _partition_to_z,
@@ -86,7 +107,6 @@ from .jinduction import (
     EMBED_D_TRIPLE,
     Embedding,
     ImageTable,
-    Prepared,
     _layout,
     _pool_images,
     _prepare_pool,
@@ -209,87 +229,6 @@ def _omega_order(family: str, n: int) -> int:
 
 
 Member = tuple[ParahoricSpec, tuple[IrrLabel, ...]]
-
-
-class SpecialIndex:
-    """Special labels of each (family, rank) in the member form of a rank-n
-    verify target, enumerated on first use."""
-
-    def __init__(self, n: int) -> None:
-        self._n = n
-        self._pools: dict[tuple[str, int], tuple[IrrLabel, ...]] = {}
-
-    def pool(self, family: str, rank: int) -> tuple[IrrLabel, ...]:
-        """Special labels of the family at the rank: BC and D labels at the
-        target's merged length, as rows split them out of y; A canonical."""
-        key = (family, rank)
-        if key not in self._pools:
-            if family == FAMILY_A:
-                reps = special_reps(FAMILY_A, rank)
-                labels = tuple(canonicalize(rep.label) for rep in reps)
-            else:
-                reps = special_reps(family, rank, policy_m(family, self._n))
-                labels = tuple(rep.label for rep in reps)
-            self._pools[key] = labels
-        return self._pools[key]
-
-
-# ---------------------------------------------------------------------------
-# summand enumeration
-
-# A split part's record: its rank, its member-form labels (two for a
-# degenerate family-D part), its f-invariant and its count of strict
-# positions len(_frakS(part)).
-Part = tuple[int, tuple[IrrLabel, ...], int, int]
-Split = tuple[Seq, Seq, Part, Part]
-# One call's split parts, keyed by sequence: first parts x and complements
-# x~, each recorded the first time a row meets it.
-Parts = tuple[dict[Seq, Part], dict[Seq, Part]]
-
-
-def _split_parts(family: str) -> Parts:
-    """An empty split-part table.  A family-C complement is a based
-    sequence with records of its own; B and D complements are XSeqs
-    recorded as first parts are, so they share the first parts' map."""
-    first: dict[Seq, Part] = {}
-    return first, {} if family == CLASS_C else first
-
-
-def _part(family: str, x: Seq) -> Part:
-    """Record of an XSeq part whose labels lie in the label family."""
-    strict = len(sc._frakS(x))
-    return (sc._rho(x), _zeta_inverse(family, x),
-            _f_from_strict_count(family, strict), strict)
-
-
-def _based_part(xt: Seq) -> Part:
-    """Record of a based XSeq part, a family-C complement: the labels and f
-    of its lowered D merge, the rank and strict count of xt itself."""
-    _, labels, f, _ = _part(FAMILY_D, tuple(v - 1 for v in xt[1:]))
-    return sc._tilde_rho(xt), labels, f, len(sc._frakS(xt))
-
-
-def _split_table(family: str, y: Seq, parts: Parts) -> tuple[Split, ...]:
-    """Every two-block split x + x~ of a B, C or D class sequence y, in the
-    enumerator's order, as (x, x~, record of x, record of x~); the records
-    come from parts, and parts not met before are recorded there."""
-    first, second = parts
-    labels = LABEL_FAMILY[family]
-    based = family == CLASS_C
-    # a C class sequence at the policy length starts (0, 1)
-    pairs = sc.based_split_pairs(y) if based else sc.split_pairs(y)
-    out = []
-    for x, xt in pairs:
-        px = first.get(x)
-        if px is None:
-            px = first[x] = _part(labels, x)
-        pxt = second.get(xt)
-        if pxt is None:
-            pxt = second[xt] = _based_part(xt) if based else _part(labels, xt)
-        out.append((x, xt, px, pxt))
-    return tuple(out)
-
-
 Shapes = dict[tuple[int, int], ParahoricSpec]
 
 
@@ -303,22 +242,181 @@ def _maximal_shapes(family: str, n: int) -> Shapes:
     return {(s.r, s.q): s for s in shapes if s.is_maximal()}
 
 
-def _maximal_members(splits: tuple[Split, ...], shapes: Shapes
-                     ) -> tuple[tuple[Member, ...], tuple[int, ...]]:
-    """Members of the splits on maximal shapes, one per choice of label in
-    each block's fiber (degenerate family-D fibers hold two), and each
-    member's f-product f(x) * f(x~)."""
-    members: list[Member] = []
-    fs: list[int] = []
+def _pool_reps(family: str, rank: int, n: int) -> tuple[SpecialRep, ...]:
+    """Special representations of the family at the rank in the member form
+    of a rank-n target: BC and D labels at the target's merged length, as
+    rows split them out of y; A labels canonical."""
+    if family == FAMILY_A:
+        return tuple(SpecialRep(canonicalize(rep.label), rep.xseq, rep.b,
+                                rep.f)
+                     for rep in special_reps(FAMILY_A, rank))
+    return special_reps(family, rank, policy_m(family, n))
+
+
+# ---------------------------------------------------------------------------
+# the record table
+
+# A split part's record: its rank, its member-form labels (two for a
+# degenerate family-D part; None until first read off the pools), its
+# f-invariant, its count of strict positions len(_frakS(part)) and one
+# label id per label (none off the pools).
+Record = list
+# A split: the packed first part x and complement x~, and their records.
+Split = tuple[int, int, Record, Record]
+
+
+# (family, rank) -> a pool's labels, their b-invariants and their ids
+Pools = dict[tuple[str, int], tuple[tuple[IrrLabel, ...], tuple[int, ...],
+                                    tuple[int, ...]]]
+
+
+class _Parts:
+    """One call's record table: the XSeq records of the special-label pools
+    that the maximal shapes name, keyed by packed sequence, with one id per
+    pool label, and the records of the split parts that miss them (see the
+    module docstring)."""
+
+    def __init__(self, family: str, n: int, shapes: Shapes) -> None:
+        self.family = family
+        self.n = n
+        self.fields, self.width = _split_fields(family, n)
+        self.records: dict[int, Record] = {}
+        self.pools: Pools = {}
+        # label ids handed out; a member int is count * a + b
+        self.count = 0
+        # family-A labels, which have no merged sequence to key a record,
+        # by id
+        self.label_ids: dict[IrrLabel, int] = {}
+        # the maximal shape of a split by its first part's rank, the two
+        # parts' ranks adding up to n (None off the maximal shapes)
+        self.shape_at = [shapes.get((r, n - r)) for r in range(n + 1)]
+        keys = ([(FAMILY_A, n)] if family == CLASS_A else
+                [key for spec in shapes.values()
+                 for key in _embedding(spec).factor_signature()])
+        for key in keys:
+            if key not in self.pools:
+                self._fill(*key)
+
+    def _fill(self, fam: str, rank: int) -> None:
+        """Enumerate one pool, give its labels ids and record its merged
+        sequences (none for a family-A pool)."""
+        reps = _pool_reps(fam, rank, self.n)
+        labels = tuple(rep.label for rep in reps)
+        ids = tuple(range(self.count, self.count + len(reps)))
+        self.count += len(reps)
+        self.pools[fam, rank] = (labels, tuple(rep.b for rep in reps), ids)
+        if fam == FAMILY_A:
+            self.label_ids.update(zip(labels, ids))
+            return
+        based = self.family == CLASS_C and fam == FAMILY_D
+        x: Seq | None = None
+        for rep, i in zip(reps, ids):
+            # the labels of one merged sequence are adjacent
+            if rep.xseq == x:
+                record[1] += (rep.label,)
+                record[4] += (i,)
+                continue
+            x = rep.xseq
+            part = (0, *(v + 1 for v in x)) if based else x
+            record = [rank, (rep.label,), rep.f, len(sc._frakS(part)), (i,)]
+            self.records[sc._pack(self.fields, part)] = record
+
+    def splits(self, y: Seq) -> list[Split]:
+        """Every two-block split x + x~ of a B, C or D class sequence y, in
+        the enumerator's order; a part that misses the table is recorded
+        there."""
+        records = self.records
+        whole = sc._pack(self.fields, y)
+        # a C class sequence at the policy length starts (0, 1), and x[0] =
+        # x[1] = 0 makes every complement a based XSeq
+        highs = (0, 0, *y[2:]) if self.family == CLASS_C else y
+        out = []
+        for first in sc._split_firsts(y, highs, self.width):
+            second = whole - first
+            # a record is a nonempty list
+            out.append((first, second,
+                        records.get(first) or self._miss(first),
+                        records.get(second) or self._miss(second)))
+        return out
+
+    def _miss(self, key: int) -> Record:
+        record = self.records[key] = _part(self.family,
+                                           sc._unpack(self.fields, key))
+        return record
+
+    def labels(self, key: int) -> tuple[IrrLabel, ...]:
+        """The member-form labels of the recorded part, built on first
+        read."""
+        record = self.records[key]
+        if record[1] is None:
+            x = sc._unpack(self.fields, key)
+            if self.family == CLASS_C and x[1]:
+                # a based complement: the labels of its lowered D merge
+                record[1] = _zeta_inverse(FAMILY_D,
+                                          tuple(v - 1 for v in x[1:]))
+            else:
+                record[1] = _zeta_inverse(LABEL_FAMILY[self.family], x)
+        return record[1]
+
+
+def _split_fields(family: str, n: int) -> tuple[str, int]:
+    """The packed fields of the split parts of a rank-n class sequence y,
+    one per entry, and their width.  y, of length m + 1 at the policy
+    length, is a merged rank-n special label plus a base staircase, both
+    ending in m // 2 but for the label's last entry, which lies at most n
+    above it: no entry of y exceeds 2 (m // 2) + n, and the label with one
+    row of weight n reaches that bound."""
+    m = policy_m(LABEL_FAMILY[family], n)
+    return sc._key_fields(m + 1, 2 * (m // 2) + n)
+
+
+def _part(family: str, x: Seq) -> Record:
+    """Record of a split part outside the pools, its labels unbuilt: a C
+    part with x[1] >= 1 is a based complement, of the rank of x itself and
+    the f of its lowered D merge, which has one strict position fewer (the
+    base one)."""
+    strict = len(sc._frakS(x))
+    if family == CLASS_C and x[1]:
+        return [sc._tilde_rho(x), None,
+                _f_from_strict_count(FAMILY_D, strict - 1), strict, ()]
+    return [sc._rho(x), None,
+            _f_from_strict_count(LABEL_FAMILY[family], strict), strict, ()]
+
+
+def _maximal(parts: _Parts, splits: list[Split]) -> tuple[set[int], int]:
+    """The member ints of the splits on maximal shapes, one per choice of
+    label in each block's fiber (degenerate family-D fibers hold two), and
+    their largest f-product f(x) * f(x~) (0 when there is none)."""
+    shape_at, count = parts.shape_at, parts.count
+    members: set[int] = set()
+    fa_value = 0
     for _, _, px, pxt in splits:
-        spec = shapes.get((px[0], pxt[0]))
-        if spec is None:
+        if shape_at[px[0]] is None:
             continue
         f = px[2] * pxt[2]
-        for factors in itertools.product(px[1], pxt[1]):
-            members.append((spec, factors))
-            fs.append(f)
-    return tuple(members), tuple(fs)
+        if f > fa_value:
+            fa_value = f
+        for a in px[4]:
+            a *= count
+            for b in pxt[4]:
+                members.add(a + b)
+    return members, fa_value
+
+
+def _member_forms(parts: _Parts, splits: list[Split], f: int | None = None
+                  ) -> tuple[Member, ...]:
+    """The members (shape, factors) of the splits on maximal shapes, in
+    order, one per choice of label in each block's fiber; only those of
+    f-product f when f is given."""
+    out = []
+    for _, _, px, pxt in splits:
+        spec = parts.shape_at[px[0]]
+        if spec is None or (f is not None and px[2] * pxt[2] != f):
+            continue
+        for lx in px[1]:
+            for lxt in pxt[1]:
+                out.append((spec, (lx, lxt)))
+    return tuple(out)
 
 
 def _stratum_y(label: IrrLabel, family: str, n: int) -> Seq:
@@ -338,19 +436,6 @@ def _stratum_y(label: IrrLabel, family: str, n: int) -> Seq:
             f"got a label of rank {label.n}"
         )
     return tau(family, label).y
-
-
-def _members(family: str, n: int, canon: IrrLabel, y: Seq, shapes: Shapes,
-             parts: Parts) -> tuple[tuple[Split, ...], tuple[Member, ...],
-                                    tuple[int, ...]]:
-    """The split table of the class sequence y of the canonical label, the
-    label's maximal members and their f-products: family A's one member is
-    the full group with the label itself, of f 1, and its split table is
-    empty."""
-    if family == CLASS_A:
-        return (), ((shapes[n, 0], (canon,)),), (1,)
-    splits = _split_table(family, y, parts)
-    return (splits, *_maximal_members(splits, shapes))
 
 
 def _a_label(e: Seq, p: int) -> IrrLabel:
@@ -374,15 +459,12 @@ def _embedding(spec: ParahoricSpec) -> Embedding:
 
 
 def _d_middle(spec: ParahoricSpec, factors: tuple) -> tuple:
-    """Factors of a D two-block shape with the rank-0 A middle factor of its
-    D_triple embedding added (two factors given, the member form) or
-    dropped (three given, the embedding form); any other shape's factors
-    pass unchanged."""
+    """Factors of a member in its embedding's order: a D two-block member
+    gains the rank-0 A middle factor of its D_triple embedding; any other
+    member's factors pass unchanged."""
     if spec.family != CLASS_D or spec.p:
         return factors
-    if len(factors) == 2:
-        return (factors[0], _D_FILLER, factors[1])
-    return (factors[0], factors[2])
+    return (factors[0], _D_FILLER, factors[1])
 
 
 def _replay(spec: ParahoricSpec, factors: tuple[IrrLabel, ...],
@@ -400,18 +482,19 @@ def _replay(spec: ParahoricSpec, factors: tuple[IrrLabel, ...],
                         target)
 
 
-def _label_members(label: IrrLabel, family: str, n: int, parts: Parts
-                   ) -> tuple[IrrLabel, Seq, tuple[Split, ...],
-                              tuple[Member, ...], tuple[int, ...]]:
+def _label_splits(label: IrrLabel, family: str, n: int
+                  ) -> tuple[IrrLabel, Seq, _Parts | None, list[Split]]:
     """The canonical form of a label handed to a public entry point, its
-    class sequence, split table, maximal members and their f-products,
-    read from the call's own split-part table.  The label is checked here;
-    the family and rank already are."""
+    class sequence and, for B, C and D, the call's own record table and the
+    split table of y.  The label is checked here; the family and rank
+    already are."""
     _ensure_label("label", label)
     canon = canonicalize(label)
     y = _stratum_y(canon, family, n)
-    return (canon, y,
-            *_members(family, n, canon, y, _maximal_shapes(family, n), parts))
+    if family == CLASS_A:
+        return canon, y, None, []
+    parts = _Parts(family, n, _maximal_shapes(family, n))
+    return canon, y, parts, parts.splits(y)
 
 
 def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
@@ -420,13 +503,17 @@ def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
     Members are found by splitting the class sequence of the label into two
     blocks, so the label must lie in the stratum (DomainError otherwise);
     only shapes omitting a single affine node are kept. Degenerate family-D
-    block fibers are expanded, one member per choice.  (verify's row pass
-    runs the same member pass on the y it holds, and keeps the split
-    table.)
+    block fibers are expanded, one member per choice; family A's one member
+    is the full group with the label itself.  (verify's row pass reads the
+    same split table as member ints, and prints only the f-maximal
+    members.)
     """
     _ensure_class_family(family)
     sc.ensure_rank(n)
-    return _label_members(label, family, n, _split_parts(family))[3]
+    canon, _, parts, splits = _label_splits(label, family, n)
+    if parts is None:
+        return ((_maximal_shapes(CLASS_A, n)[n, 0], (canon,)),)
+    return _member_forms(parts, splits)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +521,11 @@ def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
 
 def fa(label: IrrLabel, family: str, n: int) -> int:
     """Largest factor f-product over the maximal members of the label
-    (verify's row pass takes it from the members it already holds)."""
+    (verify's row pass takes it from the split table it already holds)."""
     _ensure_class_family(family)
     sc.ensure_rank(n)
-    return max(_label_members(label, family, n, _split_parts(family))[4])
+    _, _, parts, splits = _label_splits(label, family, n)
+    return 1 if parts is None else _maximal(parts, splits)[1]
 
 
 def _a_divisor_members(label: IrrLabel, n: int) -> tuple[tuple[int, IrrLabel], ...]:
@@ -453,45 +541,61 @@ def _a_divisor_members(label: IrrLabel, n: int) -> tuple[tuple[int, IrrLabel], .
     return tuple(out)
 
 
-def _symmetric_member(family: str, n: int, e: Seq, part: Part) -> Member:
-    """Member realizing a self-matched decomposition y = x + e + x, part
-    being the record of x; its f-product is the square of x's f."""
+# A witness: the member, and its member int when it lies on a maximal shape
+Witness = tuple[Member, int | None]
+
+
+def _symmetric_member(parts: _Parts, x: Seq, e: Seq) -> Witness:
+    """Member realizing a self-matched decomposition y = x + e + x; its
+    f-product is the square of x's f."""
+    key = sc._pack(parts.fields, x)
+    rank, _, _, _, ids = parts.records[key]
+    lab = parts.labels(key)[0]
     p = sum(e)
-    lab = part[1][0]
-    spec = ParahoricSpec(family, n, r=part[0], p=p, q=part[0])
-    if p == 0:
-        return (spec, (lab, lab))
-    return (spec, (lab, _a_label(e, p), lab))
+    spec = ParahoricSpec(parts.family, parts.n, r=rank, p=p, q=rank)
+    if p:
+        return (spec, (lab, _a_label(e, p), lab)), None
+    if parts.shape_at[rank] is None:
+        return (spec, (lab, lab)), None
+    return (spec, (lab, lab)), ids[0] * parts.count + ids[0]
 
 
-def _split_witness(family: str, n: int, splits: tuple[Split, ...],
-                   fa_value: int, strict: tuple[int, int]
-                   ) -> tuple[int, Member | None]:
+def _split_witness(parts: _Parts, splits: list[Split], fa_value: int,
+                   strict: tuple[int, int]) -> tuple[int, Witness | None]:
     """First two-block member at the maximal f-product whose parts keep at
     least strict = (lo, hi) strict positions: order 2 with it, else 1."""
     lo, hi = strict
-    for _, _, px, pxt in splits:
+    for first, second, px, pxt in splits:
         if pxt[3] < hi or px[3] < lo or px[2] * pxt[2] != fa_value:
             continue
-        return 2, (ParahoricSpec(family, n, r=px[0], q=pxt[0]),
-                   (px[1][0], pxt[1][0]))
+        spec = parts.shape_at[px[0]]
+        member = None
+        if spec is None:
+            spec = ParahoricSpec(parts.family, parts.n, r=px[0], q=pxt[0])
+        else:
+            member = px[4][0] * parts.count + pxt[4][0]
+        return 2, ((spec, (parts.labels(first)[0], parts.labels(second)[0])),
+                   member)
     return 1, None
 
 
 def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
-                     intervals: tuple[sc.Interval, ...],
-                     splits: tuple[Split, ...], fa_value: int,
-                     first: dict[Seq, Part]) -> tuple[int, Member | None]:
+                     intervals: tuple[sc.Interval, ...], splits: list[Split],
+                     fa_value: int, parts: _Parts | None
+                     ) -> tuple[int, Witness | None]:
     """Symmetry order and witness of a canonical label, given y, its
     interval set frakI(y) (read for B and D), its split table (empty for
-    family A), fa and the first parts' records."""
+    family A), fa and the call's record table (family A's, which only
+    verify builds, names the full group's members)."""
     if family == CLASS_A:
         d, tilde = _a_divisor_members(label, n)[-1]
-        return d, (ParahoricSpec(CLASS_A, n, d=d), (tilde,) * d)
+        # only the full group, d = 1, is a maximal shape
+        member = parts.label_ids.get(tilde) if d == 1 and parts else None
+        return d, ((ParahoricSpec(CLASS_A, n, d=d), (tilde,) * d), member)
     if family == CLASS_C:
         # the node flip fixes a member exactly when the based part keeps a
         # strict position beyond its base one
-        return _split_witness(CLASS_C, n, splits, fa_value, strict=(0, 3))
+        return _split_witness(parts, splits, fa_value, strict=(0, 3))
     # every x of a self-matched decomposition is a first part of the table
     sym = sc._symmetric(intervals, y)
     if family == CLASS_B:
@@ -499,23 +603,22 @@ def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
             return 1, None
         # a self-matched decomposition is automatically f-maximal
         x, e = sym[0]
-        if first[x][2] ** 2 != fa_value:
+        if parts.records[sc._pack(parts.fields, x)][2] ** 2 != fa_value:
             raise InvariantError(
                 f"self-matched member misses the maximal f-product on {y!r}"
             )
-        return 2, _symmetric_member(CLASS_B, n, e, first[x])
+        return 2, _symmetric_member(parts, x, e)
     # family D: full symmetry needs a self-matched split with a strict position
     for x, e in sym:
-        if first[x][3]:
-            return 4, _symmetric_member(CLASS_D, n, e, first[x])
+        if parts.records[sc._pack(parts.fields, x)][3]:
+            return 4, _symmetric_member(parts, x, e)
     # a self-matched decomposition without strict positions exists only on
     # interval-free sequences, where the end-to-end flip still fixes it
     if sym:
-        x, e = sym[0]
-        return 2, _symmetric_member(CLASS_D, n, e, first[x])
+        return 2, _symmetric_member(parts, *sym[0])
     # half symmetry via a split whose parts both extend across the prong
     # swap, at maximal f-product
-    return _split_witness(CLASS_D, n, splits, fa_value, strict=(2, 2))
+    return _split_witness(parts, splits, fa_value, strict=(2, 2))
 
 
 def fc(label: IrrLabel, family: str, n: int) -> int:
@@ -523,11 +626,12 @@ def fc(label: IrrLabel, family: str, n: int) -> int:
     (verify's row pass supplies the y, split table and fa it holds; here
     they are worked out)."""
     order = _omega_order(family, n)
-    parts = _split_parts(family)
-    canon, y, splits, _, fs = _label_members(label, family, n, parts)
-    value, witness = _fc_with_witness(canon, family, n, y, _intervals(family, y),
-                                      splits, max(fs), parts[0])
-    if witness is not None and not _replay(witness[0], witness[1], canon):
+    canon, y, parts, splits = _label_splits(label, family, n)
+    fa_value = 1 if parts is None else _maximal(parts, splits)[1]
+    value, witness = _fc_with_witness(canon, family, n, y,
+                                      _intervals(family, y), splits, fa_value,
+                                      parts)
+    if witness is not None and not _replay(*witness[0], canon):
         raise InvariantError("symmetry witness does not replay")
     if order % value:
         raise InvariantError(
@@ -539,40 +643,51 @@ def fc(label: IrrLabel, family: str, n: int) -> int:
 # ---------------------------------------------------------------------------
 # stratum membership and the full report
 
-Fibers = dict[object, set[Member]]
+# match_key of an image -> the member ints inducing to it
+Fibers = dict[object, set[int]]
 
 
-def _induction_graph(family: str, n: int, index: SpecialIndex,
-                     shapes: Shapes) -> tuple[frozenset[IrrLabel], Fibers]:
+def _induction_graph(parts: _Parts, shapes: Shapes
+                     ) -> tuple[frozenset[IrrLabel], Fibers]:
     """Induction image over all maximal shapes, as bar_S, and its fibers:
-    match_key of an image -> the members (shape, factors) inducing to it,
-    factors in the index's member form, as enumerate_cz gives them (D
-    two-block members in their two-factor form).  Each (family, rank) pool
-    is aligned to the target, packed and weighed once, for every shape that
-    uses it, and every shape's products share one image table keyed by
-    packed image rows, so each distinct image is built once.  The pools are not checked against the shapes'
-    signatures: the index builds them to fit."""
+    match_key of an image -> the member ints inducing to it.  Each pool of
+    the record table is aligned to the target and packed once, for every
+    shape that uses it, and every shape's products share one image table
+    keyed by packed image rows, so each distinct image is built once.  A
+    product's member int, count times the first block's id plus the last
+    block's (a D shape's A middle factor adds nothing), is filed under the
+    packed image int, which compares as match_key does: kappa is 0 on
+    every non-degenerate image, and a degenerate one is keyed by its rows.
+    The pools are not checked against the shapes' signatures: the table
+    builds them to fit."""
+    family, n = parts.family, parts.n
     if family == CLASS_A:
         # the only maximal shape is the full group
-        spec = shapes[n, 0]
-        pool = index.pool(FAMILY_A, n)
-        return frozenset(pool), {lab: {(spec, (lab,))} for lab in pool}
-    table: ImageTable = {}
-    prepared: dict[tuple[str, int], Prepared] = {}
-    fibers: Fibers = {}
+        labels, _, ids = parts.pools[FAMILY_A, n]
+        return frozenset(labels), {lab: {i} for lab, i in zip(labels, ids)}
     # every shape induces into the one target
     layout = _layout(LABEL_FAMILY[family], n)
+    prepared = {key: _prepare_pool(layout, labels, bs)
+                for key, (labels, bs, _) in parts.pools.items()}
+    images: ImageTable = {}
+    filed: defaultdict[int, set[int]] = defaultdict(set)
+    count = parts.count
     for spec in shapes.values():
         emb = _embedding(spec)
-        pools = []
-        for key in emb.factor_signature():
-            if key not in prepared:
-                prepared[key] = _prepare_pool(layout, index.pool(*key))
-            pools.append(prepared[key])
-        for factors, image in _pool_images(emb, layout, pools, table):
-            fibers.setdefault(match_key(image), set()).add(
-                (spec, _d_middle(spec, factors)))
-    return frozenset(image for image, _ in table.values()), fibers
+        signature = emb.factor_signature()
+        # each label's token is its id times its block's weight in a
+        # member int, and a product's member int the sum of its tokens
+        weights = (count, *(0,) * (len(signature) - 2), 1)
+        members = map(sum, itertools.product(
+            *([i * weight for i in parts.pools[key][2]]
+              for key, weight in zip(signature, weights))))
+        products = _pool_images(emb, layout,
+                                [prepared[key] for key in signature], images)
+        for member, (_, _, image) in zip(members, products):
+            filed[image].add(member)
+    return (frozenset(label for label, _ in images.values()),
+            {match_key(label): filed[image]
+             for (image, _), (label, _) in images.items()})
 
 
 def bar_S(family: str, n: int) -> frozenset[IrrLabel]:
@@ -582,14 +697,15 @@ def bar_S(family: str, n: int) -> frozenset[IrrLabel]:
     takes the same image from its induction graph instead; this per-product
     form stays the independent reference for it."""
     ensure_floor(family, n)
-    index = SpecialIndex(n)
+    shapes = _maximal_shapes(family, n)
+    pools = _Parts(family, n, shapes).pools
     if family == CLASS_A:
-        return frozenset(index.pool(FAMILY_A, n))
-    embs = [_embedding(spec) for spec in _maximal_shapes(family, n).values()]
+        return frozenset(pools[FAMILY_A, n][0])
+    embs = [_embedding(spec) for spec in shapes.values()]
     return frozenset(
         j_induce(emb, factors) for emb in embs
         for factors in itertools.product(
-            *(index.pool(*key) for key in emb.factor_signature()))
+            *(pools[key][0] for key in emb.factor_signature()))
     )
 
 
@@ -723,28 +839,38 @@ def _member_str(member: Member) -> str:
 
 
 def _class_row(family: str, n: int, c: ClassLabel, canon: IrrLabel,
-               shapes: Shapes, parts: Parts, fibers: Fibers) -> ClassRow:
+               parts: _Parts, fibers: Fibers) -> ClassRow:
     # one interval set of y serves the invariants and the B and D symmetric
     # witness search
     intervals = _intervals(family, c.y)
     inv = _class_invariants(c, intervals)
     b_label = b_invariant(canon)
-    # y is split once; the maximal members and the symmetry witness search
-    # both read the one split table
-    splits, members, fs = _members(family, n, canon, c.y, shapes, parts)
-    # a maximum equal to the class component count also bounds every member
-    fa_value = max(fs)
+    if family == CLASS_A:
+        # the one maximal member is the full group with the label itself
+        splits: list[Split] = []
+        members = {parts.label_ids.get(canon)}
+        fa_value = 1
+        best: tuple[Member, ...] = ((parts.shape_at[n], (canon,)),)
+    else:
+        # y is split once; the maximal members and the symmetry witness
+        # search both read the one split table
+        splits = parts.splits(c.y)
+        # a maximum equal to the class component count also bounds every
+        # member
+        members, fa_value = _maximal(parts, splits)
+        best = _member_forms(parts, splits, fa_value)
     fc_value, fc_witness = _fc_with_witness(canon, family, n, c.y, intervals,
-                                            splits, fa_value, parts[0])
-    best = tuple(m for m, f in zip(members, fs) if f == fa_value)
-    witnesses = best if fc_witness is None else best + (fc_witness,)
+                                            splits, fa_value, parts)
+    witnesses = best
+    if fc_witness is not None:
+        witnesses += (fc_witness[0],)
     # the maximal members must be the label's whole fiber of the induction
     # graph, so the f-maximal ones induce to the label by construction; the
     # symmetry witness is replayed only when it lies outside the fiber
     fiber = fibers.get(match_key(canon), set())
-    witnesses_ok = set(members) == fiber and (
-        fc_witness is None or fc_witness in fiber
-        or _replay(*fc_witness, canon))
+    witnesses_ok = members == fiber and (
+        fc_witness is None or fc_witness[1] in fiber
+        or _replay(*fc_witness[0], canon))
     return ClassRow(
         label=canon,
         y=c.y,
@@ -775,8 +901,8 @@ def verify(family: str, n: int) -> VerificationReport:
     """
     ensure_floor(family, n)
     shapes = _maximal_shapes(family, n)
-    image, fibers = _induction_graph(family, n, SpecialIndex(n), shapes)
-    parts = _split_parts(family)
+    parts = _Parts(family, n, shapes)
+    image, fibers = _induction_graph(parts, shapes)
     rows: list[ClassRow] = []
     stratum: set[IrrLabel] = set()
     for c in enumerate_classes(family, n):
@@ -784,7 +910,7 @@ def verify(family: str, n: int) -> VerificationReport:
             canon = canonicalize(label)
             stratum.add(canon)
             try:
-                row = _class_row(family, n, c, canon, shapes, parts, fibers)
+                row = _class_row(family, n, c, canon, parts, fibers)
             except InvariantError as exc:
                 raise InvariantError(
                     f"family {family} n={n} y={seq_str(c.y)} "

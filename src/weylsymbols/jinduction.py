@@ -30,12 +30,11 @@ one int, entry i of the rows laid end to end in little-endian field i; an
 image is the int sum of its factors' ints less (#factors - 1) packed base
 rows, and its rows are unpacked from that int only when it is new.  The
 field width is derived from the target (_layout): in a rank-n target with
-longest row L, entry j of an aligned rank-r factor lies in [j, j + r], so
-a column sum of at most three factors, whose ranks add up to n, is at most
-3 (L - 1) + n, and each field is the narrowest of 8, 16, 32 and 64 bits
-that holds it.  No field carries into its neighbour, and none borrows
-when the base rows are taken away, every column summing to at least the
-base entries it loses.  The two rows of a family-D image have equal
+longest row L, entry j of an image lies in [j, j + n], so no image entry
+exceeds (L - 1) + n, and each field is the narrowest of 8, 16, 32 and 64
+bits that holds that.  The int sum is exact whatever its intermediate
+carries, so only the image's own entries, and each factor's, which are
+no larger, must fit a field.  The two rows of a family-D image have equal
 lengths, so they are equal exactly when the two halves of its int are.
 
 The pool form j_induce_pool yields the image of every product of a list
@@ -47,9 +46,9 @@ kappa.
 j_induce is its one-product case.  Both start a fresh image table on every
 call.  The private _layout, _prepare_pool and _pool_images split that work
 for a caller that induces many embeddings into one target: the induction
-graph of one verify call prepares each (family, rank) pool once, trusting
-the special-label index it reads, and shares one image table across all
-its shapes.
+graph of one verify call prepares each (family, rank) pool once, with the
+b-invariants special_reps gave its labels, and shares one image table
+across all its shapes, filing each product under its packed image int.
 
 Degenerate family-D outputs carry a kappa bit that the row arithmetic does
 not determine; the convention kappa' = (sum of factor kappas + lam) mod 2
@@ -63,7 +62,8 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from . import seqcomb as sc
 from .errors import DomainError, InvariantError, ValidationError
@@ -265,17 +265,15 @@ def j_induce_pool(
         for label in pool:
             _check_factor(i, fam, rank, label)
     layout = _layout(*e.target())
-    prepared = [_prepare_pool(layout, pool) for pool in pools]
-    return _pool_images(e, layout, prepared, {})
+    prepared = [_prepare_pool(layout, pool, tuple(map(b_invariant, pool)))
+                for pool in pools]
+    return map(itemgetter(0, 1), _pool_images(e, layout, prepared, {}))
 
 
 # packed image rows and kappa -> (canonical image, its b)
 ImageTable = dict[tuple[int, int], tuple[IrrLabel, int]]
 # a pool's labels, their aligned rows each packed into one int, and their b
 Prepared = tuple[tuple[IrrLabel, ...], tuple[int, ...], tuple[int, ...]]
-
-# the most factors of any kind: a column sum adds at most this many entries
-_MAX_FACTORS = max(len(blocks) for _, *blocks in _KINDS.values())
 
 
 # how the rows of one target are packed into an int: its family, rank and
@@ -285,59 +283,51 @@ Layout = tuple[str, int, tuple[int, ...], str, int]
 
 
 def _layout(family: str, n: int) -> Layout:
-    """The packed layout of a rank-n target.  Entry j of an aligned rank-r
-    factor lies in [j, j + r], so a column sum of at most _MAX_FACTORS
-    factors, whose ranks add up to n, is at most _MAX_FACTORS * (L - 1) + n,
-    L the longest row.  Each field is the narrowest of 8, 16, 32 and 64 bits
-    that holds that bound (64 bits hold it for any rows that fit in
-    memory), so no field carries into the next, and taking away the base
-    rows never borrows from one (a column of F factors sums to at least
-    F * j)."""
+    """The packed layout of a rank-n target.  Entry j of a rank-n image,
+    like entry j of an aligned factor of rank r <= n, lies in [j, j + n],
+    so its fields hold (L - 1) + n, L the longest row; the int sum of the
+    factors is exact, so no other column sum needs a field."""
     k = n + 1
     lengths = {FAMILY_A: (k,), FAMILY_BC: (k + 1, k), FAMILY_D: (k, k)}[family]
-    bits = (_MAX_FACTORS * (max(lengths) - 1) + n).bit_length()
-    fields = f"<{sum(lengths)}{'BHIQ'[(bits > 8) + (bits > 16) + (bits > 32)]}"
+    fields, _ = sc._key_fields(sum(lengths), max(lengths) - 1 + n)
     return (family, n, lengths, fields,
-            _pack(fields, itertools.chain(*map(range, lengths))))
-
-
-def _pack(fields: str, entries: Iterable[int]) -> int:
-    """entries as one int, laid out in the fields of the struct format."""
-    return int.from_bytes(struct.pack(fields, *entries), "little")
+            sc._pack(fields, itertools.chain(*map(range, lengths))))
 
 
 def _unpack(layout: Layout, packed: int) -> tuple[Seq, Seq | None]:
-    """The rows that _pack laid out as packed (the second None for a
+    """The rows that sc._pack laid out as packed (the second None for a
     one-row target)."""
     _, _, lengths, fields, _ = layout
-    entries = struct.unpack(fields, packed.to_bytes(struct.calcsize(fields),
-                                                    "little"))
+    entries = sc._unpack(fields, packed)
     if len(lengths) == 1:
         return entries, None
     return entries[:lengths[0]], entries[lengths[0]:]
 
 
-def _prepare_pool(layout: Layout, pool: Sequence[IrrLabel]) -> Prepared:
-    """The pool's labels, trusted to fit a factor of the layout's target,
-    with each one's rows aligned to the target's and packed, and each one's
-    b; the result serves every embedding of the same target."""
+def _prepare_pool(layout: Layout, labels: Sequence[IrrLabel],
+                  bs: Sequence[int]) -> Prepared:
+    """The pool's labels, trusted to fit a factor of the layout's target
+    and to have the b-invariants bs, with each one's rows aligned to the
+    target's and packed; the result serves every embedding of the same
+    target."""
     family, _, lengths, fields, _ = layout
-    return (tuple(pool),
-            tuple(_pack(fields, itertools.chain(*_factor_rows(family, lengths, label)))
-                  for label in pool),
-            tuple(map(b_invariant, pool)))
+    return (tuple(labels),
+            tuple(sc._pack(fields, itertools.chain(
+                      *_factor_rows(family, lengths, label)))
+                  for label in labels),
+            tuple(bs))
 
 
 def _pool_images(
     e: Embedding, layout: Layout, prepared: Sequence[Prepared],
     images: ImageTable
-) -> Iterator[tuple[tuple[IrrLabel, ...], IrrLabel]]:
-    """Every product of the prepared pools with its image, reading and
-    filling the caller's image table, packed image rows and kappa ->
-    (canonical image, its b); one table serves every embedding of one
-    target.  An image is one int sum of the factors' packed rows; it is
-    unpacked into rows, canonicalized and validated only when the table
-    misses."""
+) -> Iterator[tuple[tuple[IrrLabel, ...], IrrLabel, int]]:
+    """Every product of the prepared pools, as its factors, its image and
+    the image's packed rows, reading and filling the caller's image table,
+    packed image rows and kappa -> (canonical image, its b); one table
+    serves every embedding of one target.  An image is one int sum of the
+    factors' packed rows; it is unpacked into rows, canonicalized and
+    validated only when the table misses."""
     family, n, _, fields, base = layout
     # the base rows a column sum counts once too often per factor after
     # the first
@@ -367,7 +357,7 @@ def _pool_images(
             raise InvariantError(
                 f"b-additivity failed for {e.kind}: {got} != {want}"
             )
-        yield factors, out
+        yield factors, out, image
 
 
 def j_induce(e: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> IrrLabel:

@@ -16,8 +16,10 @@ constant runs of y[i] - i with a strict jump at both ends) drive everything:
 parities, the unique block decomposition of a YSeq, the matched-split sets
 S(y) and tilde-S(y), the symmetric decompositions y = x + e + x, and the
 skeleton/remainder decomposition of an XSeq.  One backtracking search,
-split_pairs, enumerates the splits of y into two XSeqs; S(y) and tilde-S(y)
-(over based_split_pairs) filter its pairs.  The symmetric decompositions
+_split_firsts, enumerates the splits of y into two XSeqs, each as its first
+part packed into one int (one field per entry, _key_fields sizing them);
+split_pairs and based_split_pairs unpack its pairs, and S(y) and tilde-S(y)
+filter them.  The symmetric decompositions
 have a backtracking search of their own over the first part x, bounded so
 that e = y - 2x stays nonnegative and nondecreasing.
 Deviation statistics (rho/beta families) measure each sequence against the
@@ -40,10 +42,11 @@ label), never on input that arrived from outside.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import DomainError, InvariantError, ResourceError, ValidationError
 
@@ -162,6 +165,30 @@ def seq_sub(a: Seq, b: Seq) -> Seq:
     if len(a) != len(b):
         raise DomainError(f"cannot subtract sequences of lengths {len(a)} and {len(b)}")
     return tuple(map(sub, a, b))
+
+
+# ---------------------------------------------------------------------------
+# sequences packed into one int, one fixed-width field per entry
+
+def _key_fields(count: int, bound: int) -> tuple[str, int]:
+    """The struct format of count little-endian unsigned fields, each the
+    narrowest of 8, 16, 32 and 64 bits that holds every int in [0, bound]
+    (64 bits hold any entry of a sequence that fits in memory), and that
+    width in bits."""
+    bits = bound.bit_length()
+    code = (bits > 8) + (bits > 16) + (bits > 32)
+    return f"<{count}{'BHIQ'[code]}", 8 << code
+
+
+def _pack(fields: str, entries: Iterable[int]) -> int:
+    """entries as one int, laid out in the fields of the struct format."""
+    return int.from_bytes(struct.pack(fields, *entries), "little")
+
+
+def _unpack(fields: str, packed: int) -> Seq:
+    """The entries that _pack laid out in the fields as packed."""
+    return struct.unpack(fields, packed.to_bytes(struct.calcsize(fields),
+                                                 "little"))
 
 
 # ---------------------------------------------------------------------------
@@ -482,32 +509,60 @@ def split_pairs(y: Seq, upper: Seq | None = None) -> tuple[tuple[Seq, Seq], ...]
     """All (x, xp) in XSeq x XSeq with x + xp = y, lexicographically in x.
 
     An optional entrywise bound x[i] <= upper[i], within the default y[i],
-    lets callers pin the shape of the complement.  Backtracking keeps both
-    partial sequences valid, which prunes hard.
+    lets callers pin the shape of the complement.  The pairs are those of
+    _split_firsts, unpacked.
+    """
+    highs = y if upper is None else upper
+    fields, width = _key_fields(len(y), max(highs, default=0))
+    out = []
+    for first in _split_firsts(y, highs, width):
+        x = _unpack(fields, first)
+        out.append((x, tuple(map(sub, y, x))))
+    return tuple(out)
+
+
+def _split_firsts(y: Seq, highs: Seq, width: int) -> list[int]:
+    """The first parts x of every split x + xp = y into two XSeqs with
+    x[i] <= highs[i], lexicographically in x, each packed into one int:
+    x[i] in bits [i * width, (i + 1) * width).  When every entry of y fits
+    in width bits, so does every entry of xp, and xp packs to the packed y
+    less the packed x.
+
+    Backtracking keeps both partial sequences valid, which prunes hard, and
+    the admissible values of the last entry are one run of packed ints.
     """
     m = len(y) - 1
-    highs = y if upper is None else upper
-    out: list[tuple[Seq, Seq]] = []
-    xs: list[int] = []
+    if m < 0:
+        return [0]
+    # x[i] <= x[i-1] + up1[i] and x[i] <= x[i-2] + up2[i] keep xp an XSeq;
+    # before the start, with x[-1] = x[-2] = -1, only highs bounds x
+    up1 = [highs[0] + 1] + [y[i] - y[i - 1] for i in range(1, m + 1)]
+    up2 = [h + 1 for h in highs[:2]] + [y[i] - y[i - 2] - 1
+                                       for i in range(2, m + 1)]
+    out: list[int] = []
 
-    def rec(i: int) -> None:
-        if i > m:
-            out.append((tuple(xs), tuple(map(sub, y, xs))))
-            return
-        lo, hi = 0, highs[i]
-        if i >= 1:
-            lo = max(lo, xs[i - 1])
-            hi = min(hi, xs[i - 1] + y[i] - y[i - 1])
-        if i >= 2:
-            lo = max(lo, xs[i - 2] + 1)
-            hi = min(hi, xs[i - 2] + y[i] - y[i - 2] - 1)
+    def rec(i: int, acc: int, p2: int, p1: int) -> None:
+        while True:
+            # x nondecreasing with x[i] > x[i-2]
+            lo = p1 if p1 > p2 else p2 + 1
+            hi = min(highs[i], p1 + up1[i], p2 + up2[i])
+            shift = i * width
+            if i == m:
+                if lo <= hi:
+                    out.extend(range(acc + (lo << shift),
+                                     acc + (hi << shift) + 1, 1 << shift))
+                return
+            if lo != hi:
+                break
+            # a forced entry branches nowhere: take it in place
+            acc += lo << shift
+            p2, p1 = p1, lo
+            i += 1
         for v in range(lo, hi + 1):
-            xs.append(v)
-            rec(i + 1)
-            xs.pop()
+            rec(i + 1, acc + (v << shift), p1, v)
 
-    rec(0)
-    return tuple(out)
+    rec(0, 0, -1, -1)
+    return out
 
 
 def enumerate_S(y: Seq) -> tuple[tuple[Seq, Seq], ...]:

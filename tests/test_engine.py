@@ -15,7 +15,6 @@ from weylsymbols.cli import main
 from weylsymbols.engine import (
     RANK_FLOOR,
     ParahoricSpec,
-    SpecialIndex,
     bar_S,
     enumerate_cz,
     fa,
@@ -349,8 +348,8 @@ def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
     # one split search per row feeds the maximal members, the B and D
     # symmetric witnesses and the C and D split witness; one interval set
     # per row feeds the invariants and the B and D symmetric witnesses
-    calls = {"split_pairs": 0, "_class_invariants": 0, "_frakI": 0,
-             "symmetric_decompositions": 0}
+    calls = {"_split_firsts": 0, "split_pairs": 0, "_class_invariants": 0,
+             "_frakI": 0, "symmetric_decompositions": 0}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -361,13 +360,16 @@ def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
 
         monkeypatch.setattr(module, name, wrapper)
 
+    counted(sc, "_split_firsts")
     counted(sc, "split_pairs")
     counted(sc, "symmetric_decompositions")
     counted(sc, "_frakI")
     counted(engine, "_class_invariants")
     assert len(verify(family, 6).rows) == rows
-    assert calls == {"split_pairs": rows, "_class_invariants": rows,
-                     "_frakI": rows, "symmetric_decompositions": 0}
+    # the rows read the packed split search, not its unpacking wrapper
+    assert calls == {"_split_firsts": rows, "split_pairs": 0,
+                     "_class_invariants": rows, "_frakI": rows,
+                     "symmetric_decompositions": 0}
 
 
 def test_induction_graph_builds_each_distinct_image_once(monkeypatch):
@@ -382,7 +384,8 @@ def test_induction_graph_builds_each_distinct_image_once(monkeypatch):
     images = 0
     for family in "BCD":
         shapes = engine._maximal_shapes(family, 10)
-        graph, _ = engine._induction_graph(family, 10, SpecialIndex(10), shapes)
+        graph, _ = engine._induction_graph(engine._Parts(family, 10, shapes),
+                                           shapes)
         images += len(graph)
     # one validating build per distinct image, not one per product
     assert len(built) == images == 196 + 232 + 168
@@ -398,12 +401,14 @@ def test_induction_graph_prepares_each_pool_label_once(monkeypatch, family):
         return inner(target, lengths, label)
 
     monkeypatch.setattr(jinduction, "_factor_rows", counted)
-    index = SpecialIndex(8)
     shapes = engine._maximal_shapes(family, 8)
-    engine._induction_graph(family, 8, index, shapes)
+    parts = engine._Parts(family, 8, shapes)
+    assert aligned == []
+    engine._induction_graph(parts, shapes)
     keys = {key for spec in shapes.values()
             for key in engine._embedding(spec).factor_signature()}
-    pooled = [label for key in keys for label in index.pool(*key)]
+    assert set(parts.pools) == keys
+    pooled = [label for key in keys for label in parts.pools[key][0]]
     # one alignment per distinct pool label, not one per shape using it
     assert len(set(pooled)) == len(pooled)
     assert sorted(aligned, key=repr) == sorted(pooled, key=repr)
@@ -471,8 +476,8 @@ def test_a_fiber_short_of_one_member_fails_its_rows(monkeypatch, capsys,
     build = engine._induction_graph
     cut = []
 
-    def short_graph(fam, n, index, shapes):
-        images, fibers = build(fam, n, index, shapes)
+    def short_graph(parts, shapes):
+        images, fibers = build(parts, shapes)
         key = max(fibers, key=lambda k: (len(fibers[k]), repr(k)))
         fibers[key].remove(min(fibers[key], key=repr))
         cut.append(key)
@@ -498,30 +503,39 @@ def test_verify_replays_only_witnesses_outside_their_fiber(monkeypatch):
         return inner(e, factors)
 
     monkeypatch.setattr(engine, "j_induce", counted)
-    graphs = {family: engine._induction_graph(
-                  family, 10, SpecialIndex(10),
-                  engine._maximal_shapes(family, 10))
-              for family in "BCD"}
+    graphs = {}
+    for family in "BCD":
+        shapes = engine._maximal_shapes(family, 10)
+        parts = engine._Parts(family, 10, shapes)
+        graphs[family] = parts, engine._induction_graph(parts, shapes)
     assert calls == []
-    for family, (images, _) in graphs.items():
+    for family, (_, (images, _)) in graphs.items():
         # bar_S induces product by product through the public j_induce
         assert bar_S(family, 10) == images
     assert calls
     calls.clear()
     outside = 0
-    for family, (_, fibers) in graphs.items():
+    for family, (parts, (_, fibers)) in graphs.items():
+        # a member int is count * (first block's id) + (last block's id),
+        # its shape the blocks' ranks
+        label_of = {i: label for labels, _, ids in parts.pools.values()
+                    for label, i in zip(labels, ids)}
         for row in verify(family, 10).rows:
-            # witnesses and fibers share the member form
-            fiber = fibers[match_key(row.label)]
+            fiber = set()
+            for member in fibers[match_key(row.label)]:
+                factors = tuple(map(label_of.__getitem__,
+                                    divmod(member, parts.count)))
+                fiber.add((ParahoricSpec(family, 10, r=factors[0].n,
+                                         q=factors[1].n), factors))
             outside += sum(member not in fiber for member in row.witnesses)
     assert len(calls) == outside == 110
 
 
-def test_special_index_pools_are_the_special_reps_in_member_form():
-    index = SpecialIndex(6)
+def test_pool_reps_are_the_special_reps_in_member_form():
     for family in (FAMILY_A, FAMILY_BC, FAMILY_D):
         for rank in range(5):
-            pool = index.pool(family, rank)
+            pool = tuple(rep.label
+                         for rep in engine._pool_reps(family, rank, 6))
             if family == FAMILY_A:
                 assert pool == tuple(canonicalize(rep.label)
                                      for rep in special_reps(family, rank))
@@ -529,61 +543,176 @@ def test_special_index_pools_are_the_special_reps_in_member_form():
                 # BC and D pools sit at the target's merged length
                 assert pool == tuple(rep.label for rep in special_reps(
                     family, rank, policy_m(family, 6)))
+    # a record table holds the pools its maximal shapes name, each label
+    # with an id of its own, the ids counting up from 0
+    for family in "ABCD":
+        n = RANK_FLOOR[family] + 2
+        parts = engine._Parts(family, n, engine._maximal_shapes(family, n))
+        ids = []
+        for (fam, rank), (labels, bs, pool_ids) in parts.pools.items():
+            reps = engine._pool_reps(fam, rank, n)
+            assert labels == tuple(rep.label for rep in reps)
+            assert bs == tuple(map(irreps.b_invariant, labels))
+            ids += pool_ids
+        assert ids == list(range(parts.count))
 
 
 def _split_parts(family: str, n: int):
-    """The split-part table verify(family, n) fills, and its split count."""
-    parts = engine._split_parts(family)
-    splits = sum(len(engine._split_table(family, c.y, parts))
-                 for c in enumerate_classes(family, n))
+    """The record table verify(family, n) fills, and its split count."""
+    parts = engine._Parts(family, n, engine._maximal_shapes(family, n))
+    splits = sum(len(parts.splits(c.y)) for c in enumerate_classes(family, n))
     return parts, splits
 
 
 @pytest.mark.parametrize("family, n", [
     (family, n) for family in "BCD" for n in range(RANK_FLOOR[family], 9)])
 def test_split_part_records_equal_the_kernels(family, n):
-    (first, second), _ = _split_parts(family, n)
+    parts, _ = _split_parts(family, n)
     labels = springer.LABEL_FAMILY[family]
-    # only C's based complements keep a map of their own
-    assert (first is second) == (family != "C")
+    label_of = {i: label for fiber, _, ids in parts.pools.values()
+                for label, i in zip(fiber, ids)}
 
     def record(rank, fiber, x):
         fs = {special_f(label) for label in fiber}
         assert len(fs) == 1
         return rank, fiber, fs.pop(), len(sc._frakS(x))
 
-    for x, rec in first.items():
-        assert rec == record(sc._rho(x), irreps._zeta_inverse(labels, x), x)
-    for xt, rec in second.items():
-        if family == "C":
+    for key, rec in parts.records.items():
+        x = sc._unpack(parts.fields, key)
+        assert sc._pack(parts.fields, x) == key
+        fiber = parts.labels(key)
+        if family == "C" and x[1]:
             # the based complement: labels and f of its lowered D merge,
             # its strict count taken on the based sequence itself
-            assert rec == record(sc._tilde_rho(xt),
-                                 irreps._zeta_tilde_inverse(xt), xt)
+            assert tuple(rec[:4]) == record(sc._tilde_rho(x),
+                                     irreps._zeta_tilde_inverse(x), x)
         else:
-            assert rec == record(sc._rho(xt), irreps._zeta_inverse(labels, xt),
-                                 xt)
+            assert tuple(rec[:4]) == record(sc._rho(x),
+                                     irreps._zeta_inverse(labels, x), x)
+        # a pool part names each of its labels by id; a part outside the
+        # pools has no ids, and no maximal shape has its rank
+        assert tuple(map(label_of.get, rec[4])) in (fiber, ())
+        assert bool(rec[4]) == (parts.shape_at[rec[0]] is not None
+                                if family != "C" or not x[1] else
+                                parts.shape_at[n - rec[0]] is not None)
     for c in enumerate_classes(family, n):
-        for x, xt, px, pxt in engine._split_table(family, c.y, (first, second)):
-            assert px is first[x] and pxt is second[xt]
+        for first, second, px, pxt in parts.splits(c.y):
+            x = sc._unpack(parts.fields, first)
+            xt = sc._unpack(parts.fields, second)
+            assert sc.seq_add(x, xt) == c.y
+            # C's first parts start (0, 0), its complements are based
+            assert family != "C" or (x[:2] == (0, 0) and xt[1] >= 1)
+            assert px is parts.records[first] and pxt is parts.records[second]
 
 
 @pytest.mark.parametrize("family", ["C", "D"])
 def test_verify_labels_each_distinct_split_part_once(monkeypatch, family):
     calls = []
-    inner = engine._zeta_inverse
 
-    def counted(fam, x):
-        calls.append((fam, x))
-        return inner(fam, x)
+    def counted(module):
+        inner = module._zeta_inverse
 
-    (first, second), splits = _split_parts(family, 8)
-    monkeypatch.setattr(engine, "_zeta_inverse", counted)
+        def wrapper(fam, x):
+            calls.append((fam, x))
+            return inner(fam, x)
+
+        monkeypatch.setattr(module, "_zeta_inverse", wrapper)
+
+    parts, splits = _split_parts(family, 8)
+    # special_reps labels the pools, the table a part outside them
+    counted(irreps)
+    counted(engine)
     assert verify(family, 8).ok()
     # one label fiber per distinct part, not one per split
-    distinct = len(first) + (len(second) if second is not first else 0)
-    assert len(calls) == len(set(calls)) == distinct
+    assert len(calls) == len(set(calls)) <= len(parts.records)
     assert 2 * splits > 3 * len(calls)
+
+
+@pytest.mark.parametrize("family, labelled, read", [("C", 644, 2),
+                                                    ("D", 304, 38)])
+def test_verify_labels_a_part_outside_the_pools_only_when_a_witness_reads_it(
+        monkeypatch, family, labelled, read):
+    calls = []
+
+    def counted(module):
+        inner = module._zeta_inverse
+
+        def wrapper(fam, x):
+            calls.append((fam, x))
+            return inner(fam, x)
+
+        monkeypatch.setattr(module, "_zeta_inverse", wrapper)
+
+    # special_reps labels the pools, the table a part outside them
+    counted(irreps)
+    counted(engine)
+    report = verify(family, 10)
+    assert report.ok()
+    # one label build per pool sequence and per part outside the pools that
+    # a printed witness names; labelling every split part built 733 (C)
+    # and 348 (D) besides the pools
+    assert len(calls) == len(set(calls)) == labelled
+    monkeypatch.undo()
+    parts, _ = _split_parts(family, 10)
+    named = {label for row in report.rows for _, factors in row.witnesses
+             for label in factors}
+    pooled, outside = set(), set()
+    for key, rec in parts.records.items():
+        x = sc._unpack(parts.fields, key)
+        merged = ((FAMILY_D, tuple(v - 1 for v in x[1:]))
+                  if family == "C" and x[1] else
+                  (springer.LABEL_FAMILY[family], x))
+        if rec[4]:
+            pooled.add(merged)
+        elif set(parts.labels(key)) & named:
+            outside.add(merged)
+    assert len(outside) == read
+    assert set(calls) == pooled | outside
+
+
+# the largest entry of a rank-n class sequence, 3n + 2 for B and C and 3n
+# for D, fills an 8-bit field at the first rank of each pair and needs 16
+# bits at the second
+@pytest.mark.parametrize("family, n, code, y_max", [
+    ("B", 84, "B", 254), ("B", 85, "H", 257),
+    ("C", 84, "B", 254), ("C", 85, "H", 257),
+    ("D", 85, "B", 255), ("D", 86, "H", 258),
+])
+def test_split_fields_are_the_narrowest_that_hold_every_class_entry(
+        family, n, code, y_max):
+    fields, width = engine._split_fields(family, n)
+    assert fields[-1] == code and width == (8 if code == "B" else 16)
+    # the class of the label with one row of weight n reaches the bound
+    label = (IrrLabel(FAMILY_BC, n, (0, n + 1), (0,)) if family != "D"
+             else make_d_label(n, (n,), (0,)))
+    y = springer.tau(family, label).y
+    assert max(y) == y_max
+    whole = sc._pack(fields, y)
+    assert sc._unpack(fields, whole) == y
+    highs = (0, 0, *y[2:]) if family == "C" else y
+    splits = [(sc._unpack(fields, first), sc._unpack(fields, whole - first))
+              for first in sc._split_firsts(y, highs, width)]
+    upper = None if family != "C" else highs
+    assert splits == list(sc.split_pairs(y, upper))
+
+
+def test_verify_b_records_no_split_part_outside_the_pools(monkeypatch):
+    # every B shape with two blocks is maximal, so each part of a split is
+    # a pool sequence that the pool enumeration recorded
+    missed = []
+    inner = engine._part
+
+    def counted(family, x):
+        missed.append(x)
+        return inner(family, x)
+
+    monkeypatch.setattr(engine, "_part", counted)
+    assert verify("B", 10).ok()
+    assert missed == []
+    parts, splits = _split_parts("B", 10)
+    assert missed == []
+    assert len(parts.records) == 385 and splits > 3 * len(parts.records)
+    assert all(rec[4] for rec in parts.records.values())
 
 
 @pytest.mark.parametrize("family", ["B", "C", "D"])

@@ -36,6 +36,7 @@ from weylsymbols.jinduction import (
     EMBED_D_SP_WDQ,
     EMBED_D_TRIPLE,
     Embedding,
+    _layout,
     d_placements,
     double_dots,
     f_product,
@@ -356,11 +357,11 @@ def _heavy_last(family: str, rank: int, second: bool) -> IrrLabel:
     return IrrLabel(FAMILY_BC, rank, (0, rank + 1), (0,))
 
 
-# 63 and 64: the bound on a column sum of three factors, 4n + 3 for a BC
-# target, fills an 8-bit field and then needs 16 bits; 127 and 128: the
-# largest image entry, 2n + 1, fills 8 bits and then needs 9; 16383 and
-# 16384: the bound fills a 16-bit field and then needs 32 bits
-@pytest.mark.parametrize("n", [63, 64, 127, 128, 16383, 16384])
+# 127 and 128: the largest image entry, (L - 1) + n (2n + 1 for a BC
+# target, 2n for D), fills an 8-bit field and then needs 16 bits, as
+# 32767 and 32768 fill 16 bits and then need 32; 63, 64, 16383 and 16384
+# sit inside a field width
+@pytest.mark.parametrize("n", [63, 64, 127, 128, 16383, 16384, 32767, 32768])
 def test_heavy_last_entries_do_not_carry_into_the_next_field(n):
     r, p = n // 3, n // 3
     q = n - r - p
@@ -372,6 +373,28 @@ def test_heavy_last_entries_do_not_carry_into_the_next_field(n):
                  for f, rank in e.factor_signature()]
         for combo, image in j_induce_pool(e, pools):
             assert _as_reference(image) == _reference_image(e, combo)
+
+
+@pytest.mark.parametrize("family, n, code, image_max", [
+    (FAMILY_BC, 127, "B", 255), (FAMILY_BC, 128, "H", 257),
+    (FAMILY_D, 127, "B", 254), (FAMILY_D, 128, "H", 256),
+    (FAMILY_BC, 32767, "H", 65535), (FAMILY_D, 32768, "I", 65536),
+])
+def test_layout_fields_are_the_narrowest_that_hold_every_image_entry(
+        family, n, code, image_max):
+    fields = _layout(family, n)[3]
+    assert fields[-1] == code
+    # the heavy one-row image reaches the bound (L - 1) + n
+    if family == FAMILY_BC:
+        e = Embedding(EMBED_B_WR_WQ, r=n // 2, q=n - n // 2)
+    else:
+        e = Embedding(EMBED_D_TRIPLE, r=n // 2, q=n - n // 2)
+    factors = [_heavy_last(f, rank, False) for f, rank in e.factor_signature()]
+    image = j_induce(e, factors)
+    assert image == _heavy_last(family, n, False)
+    # its first row, aligned to the target's length L, ends in (L - 1) + n
+    longest = n + 2 if family == FAMILY_BC else n + 1
+    assert image.z[-1] + longest - len(image.z) == image_max
 
 
 _BAD_INPUTS = {
