@@ -29,7 +29,12 @@ byte-stable across runs.
 
 One verify call builds each intermediate at most once and keeps none
 past the call; the public entry points (enumerate_cz, fa, fc, bar_S) build
-their own through the same code and cache nothing.
+their own through the same code.  The one cache that outlives a call is
+jinduction's table per target (family, rank), read and filled by the
+public j_induce that witness replays and bar_S call: the target's layout,
+each factor label's packed aligned rows and b, and its image table,
+(packed image, kappa) -> (canonical image, b).  The induction graph keeps
+its own image table, which goes with the call.
 
 * The record table (_Parts).  Every XSeq record is keyed by the sequence
   packed into one int, one field per entry, sized so that every entry of
@@ -37,9 +42,10 @@ their own through the same code and cache nothing.
   part's rank, its member-form labels, its f-invariant, its count of
   strict positions and one small int id per label.  The pools of special
   labels that the maximal shapes' factor signatures name fill the table:
-  special_reps gives each pool's merged sequences, labels, b and f, and a
-  family-D pool of a C target is filed under its based complement
-  (0, x0 + 1, x1 + 1, ...).  A split part misses the table only when no
+  the special-rep enumeration gives each pool's merged sequences, labels,
+  b, f and the strict count it took f from, and a family-D pool of a C
+  target is filed under its based complement (0, x0 + 1, x1 + 1, ...),
+  whose count is one more.  A split part misses the table only when no
   maximal shape uses its rank (C's rank-(n - 1) splits, D's ranks 1 and
   n - 1); its record then keeps rank, f and strict count, and its labels
   are built when a witness first reads them.
@@ -77,7 +83,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import seqcomb as sc
 from .errors import DomainError, InvariantError
@@ -85,10 +91,11 @@ from .irreps import (
     FAMILY_A,
     FAMILY_D,
     IrrLabel,
-    SpecialRep,
+    SpecialSeq,
     _ensure_label,
     _f_from_strict_count,
     _partition_to_z,
+    _special_seqs,
     _trusted,
     _z_to_partition,
     _zeta_inverse,
@@ -242,15 +249,16 @@ def _maximal_shapes(family: str, n: int) -> Shapes:
     return {(s.r, s.q): s for s in shapes if s.is_maximal()}
 
 
-def _pool_reps(family: str, rank: int, n: int) -> tuple[SpecialRep, ...]:
+def _pool_seqs(family: str, rank: int, n: int) -> Iterator[SpecialSeq]:
     """Special representations of the family at the rank in the member form
-    of a rank-n target: BC and D labels at the target's merged length, as
-    rows split them out of y; A labels canonical."""
+    of a rank-n target, one group per merged sequence as _special_seqs
+    gives them: BC and D labels at the target's merged length, as rows
+    split them out of y; each A label canonical, in a group of its own
+    under its row, with strict count 0."""
     if family == FAMILY_A:
-        return tuple(SpecialRep(canonicalize(rep.label), rep.xseq, rep.b,
-                                rep.f)
-                     for rep in special_reps(FAMILY_A, rank))
-    return special_reps(family, rank, policy_m(family, n))
+        return ((rep.xseq, rep.b, 0, (canonicalize(rep.label),))
+                for rep in special_reps(FAMILY_A, rank))
+    return _special_seqs(family, rank, policy_m(family, n))
 
 
 # ---------------------------------------------------------------------------
@@ -299,27 +307,28 @@ class _Parts:
 
     def _fill(self, fam: str, rank: int) -> None:
         """Enumerate one pool, give its labels ids and record its merged
-        sequences (none for a family-A pool)."""
-        reps = _pool_reps(fam, rank, self.n)
-        labels = tuple(rep.label for rep in reps)
-        ids = tuple(range(self.count, self.count + len(reps)))
-        self.count += len(reps)
-        self.pools[fam, rank] = (labels, tuple(rep.b for rep in reps), ids)
-        if fam == FAMILY_A:
-            self.label_ids.update(zip(labels, ids))
-            return
+        sequences (none for a family-A pool).  A record keeps the strict
+        count that the enumeration took for f; a C target files a D
+        sequence x under its based complement (0, x0 + 1, x1 + 1, ...),
+        which has one strict position more, the base one."""
         based = self.family == CLASS_C and fam == FAMILY_D
-        x: Seq | None = None
-        for rep, i in zip(reps, ids):
-            # the labels of one merged sequence are adjacent
-            if rep.xseq == x:
-                record[1] += (rep.label,)
-                record[4] += (i,)
+        labels: list[IrrLabel] = []
+        bs: list[int] = []
+        ids: list[int] = []
+        for x, b, strict, fiber in _pool_seqs(fam, rank, self.n):
+            fiber_ids = tuple(range(self.count, self.count + len(fiber)))
+            self.count += len(fiber)
+            labels += fiber
+            bs += [b] * len(fiber)
+            ids += fiber_ids
+            if fam == FAMILY_A:
+                self.label_ids.update(zip(fiber, fiber_ids))
                 continue
-            x = rep.xseq
             part = (0, *(v + 1 for v in x)) if based else x
-            record = [rank, (rep.label,), rep.f, len(sc._frakS(part)), (i,)]
-            self.records[sc._pack(self.fields, part)] = record
+            self.records[sc._pack(self.fields, part)] = [
+                rank, fiber, _f_from_strict_count(fam, strict),
+                strict + 1 if based else strict, fiber_ids]
+        self.pools[fam, rank] = (tuple(labels), tuple(bs), tuple(ids))
 
     def splits(self, y: Seq) -> list[Split]:
         """Every two-block split x + x~ of a B, C or D class sequence y, in

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import TypeVar
+from typing import Iterator, TypeVar
 
 from . import seqcomb as sc
 from .errors import DomainError, ValidationError
@@ -319,16 +319,27 @@ def special_reps(family: str, n: int, m: int | None = None) -> tuple[SpecialRep,
     if family not in (FAMILY_BC, FAMILY_D):
         raise DomainError(f"unknown family {family!r}")
     mm = policy_m(family, n) if m is None else m
-    xs = sc.enumerate_space("X", mm, n)
-    # enumerated sequences are valid XSeqs: weigh them without re-checking
-    base = sc.base_x(mm)
-    out: list[SpecialRep] = []
-    for x in xs:
-        b = sc._dev_weighted(x, base)
-        f = _f_from_strict_count(family, len(sc._frakS(x)))
-        for label in _zeta_inverse(family, x):
-            out.append(SpecialRep(label, x, b, f))
-    return tuple(out)
+    return tuple(SpecialRep(label, x, b, _f_from_strict_count(family, strict))
+                 for x, b, strict, labels in _special_seqs(family, n, mm)
+                 for label in labels)
+
+
+# a merged sequence x of a special stratum, its b, its count of strict
+# positions len(_frakS(x)), which fixes f, and its labels
+SpecialSeq = tuple[Seq, int, int, tuple[IrrLabel, ...]]
+
+
+def _special_seqs(family: str, n: int, m: int) -> Iterator[SpecialSeq]:
+    """The merged sequences of the rank-n special stratum of family BC or
+    D at length m, in enumeration order, each with its b, strict count and
+    labels: special_reps grouped by sequence, for a caller that needs the
+    count too.  m is checked before the first sequence is yielded."""
+    # enumerate_space checks m; the sequences it yields are valid XSeqs,
+    # weighed without re-checking
+    xs = sc.enumerate_space("X", m, n)
+    base = sc.base_x(m)
+    return ((x, sc._dev_weighted(x, base), len(sc._frakS(x)),
+             _zeta_inverse(family, x)) for x in xs)
 
 
 def special_f(label: IrrLabel) -> int:

@@ -38,17 +38,23 @@ no larger, must fit a field.  The two rows of a family-D image have equal
 lengths, so they are equal exactly when the two halves of its int are.
 
 The pool form j_induce_pool yields the image of every product of a list
-of factor pools: each pool label is checked, aligned, packed and given its
-b once, and each distinct image has its rows canonicalized and is built by
-the validating IrrLabel(...) once per call, its b kept beside it for the
-b-additivity check of every later product with the same packed rows and
-kappa.
-j_induce is its one-product case.  Both start a fresh image table on every
-call.  The private _layout, _prepare_pool and _pool_images split that work
-for a caller that induces many embeddings into one target: the induction
-graph of one verify call prepares each (family, rank) pool once, with the
-b-invariants special_reps gave its labels, and shares one image table
-across all its shapes, filing each product under its packed image int.
+of factor pools.  It reads and fills one cached table per target (family,
+rank), _target: the target's layout; each factor label's aligned rows,
+packed into one int, and its b; and the image table, packed image rows
+and kappa -> (canonical image, its b).  So each factor label is aligned,
+packed and given its b, and each distinct image has its rows
+canonicalized and is built by the validating IrrLabel(...), once per
+target per process; every product, a product served from the table
+included, still has its b-additivity checked against the stored b.  The
+tables hold only labels of targets a caller induced into.  j_induce is
+the one-product case; every pool label is checked on every call, before
+the table is read.  The private _layout, _prepare_pool and _pool_images
+split that work for a caller that induces many embeddings into one
+target and keeps its own tables: the induction graph of one verify call
+prepares each (family, rank) pool once, with the b-invariants
+special_reps gave its labels, and shares one image table, its own and
+dropped with the call, across all its shapes, filing each product under
+its packed image int.
 
 Degenerate family-D outputs carry a kappa bit that the row arithmetic does
 not determine; the convention kappa' = (sum of factor kappas + lam) mod 2
@@ -62,6 +68,7 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
+from functools import cache
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -248,10 +255,11 @@ def j_induce_pool(
 ) -> Iterator[tuple[tuple[IrrLabel, ...], IrrLabel]]:
     """(factors, image) of every product of the factor pools, in
     itertools.product order, each image as j_induce gives it.  Every pool
-    label is checked against the factor signature before the first product,
-    and its rows are aligned and packed and its b-invariant worked out once
-    per pool; each distinct image is built by the validating IrrLabel(...)
-    once per call, and the b-additivity of every product is asserted."""
+    label is checked against the factor signature before the first product
+    and before the target's table is read; each label's rows are aligned
+    and packed and its b-invariant worked out, and each distinct image is
+    built by the validating IrrLabel(...), once per target per process
+    (_target), and the b-additivity of every product is asserted."""
     if not isinstance(e, Embedding):
         raise ValidationError(f"embedding must be an Embedding, got {e!r}")
     if not isinstance(pools, (tuple, list)):
@@ -264,10 +272,16 @@ def j_induce_pool(
             raise ValidationError(f"pool {i} must be a tuple or list, got {pool!r}")
         for label in pool:
             _check_factor(i, fam, rank, label)
-    layout = _layout(*e.target())
-    prepared = [_prepare_pool(layout, pool, tuple(map(b_invariant, pool)))
-                for pool in pools]
-    return map(itemgetter(0, 1), _pool_images(e, layout, prepared, {}))
+    layout, known, images = _target(*e.target())
+    prepared = []
+    for pool in pools:
+        for label in pool:
+            if label not in known:
+                known[label] = (_packed_rows(layout, label), b_invariant(label))
+        entries = [known[label] for label in pool]
+        prepared.append((tuple(pool), tuple(packed for packed, _ in entries),
+                         tuple(b for _, b in entries)))
+    return map(itemgetter(0, 1), _pool_images(e, layout, prepared, images))
 
 
 # packed image rows and kappa -> (canonical image, its b)
@@ -280,6 +294,15 @@ Prepared = tuple[tuple[IrrLabel, ...], tuple[int, ...], tuple[int, ...]]
 # row lengths, the struct format of the packed fields, one little-endian
 # field per entry, and the packed base rows (0, 1, ..., len - 1)
 Layout = tuple[str, int, tuple[int, ...], str, int]
+
+
+@cache
+def _target(family: str, n: int
+            ) -> tuple[Layout, dict[IrrLabel, tuple[int, int]], ImageTable]:
+    """The one table of a target that j_induce_pool reads and fills: its
+    layout, factor label -> (its packed aligned rows, its b), and its image
+    table."""
+    return _layout(family, n), {}, {}
 
 
 def _layout(family: str, n: int) -> Layout:
@@ -304,17 +327,21 @@ def _unpack(layout: Layout, packed: int) -> tuple[Seq, Seq | None]:
     return entries[:lengths[0]], entries[lengths[0]:]
 
 
+def _packed_rows(layout: Layout, label: IrrLabel) -> int:
+    """The rows of a factor label aligned to the layout's target, packed
+    into one int."""
+    family, _, lengths, fields, _ = layout
+    return sc._pack(fields, itertools.chain(*_factor_rows(family, lengths, label)))
+
+
 def _prepare_pool(layout: Layout, labels: Sequence[IrrLabel],
                   bs: Sequence[int]) -> Prepared:
     """The pool's labels, trusted to fit a factor of the layout's target
     and to have the b-invariants bs, with each one's rows aligned to the
     target's and packed; the result serves every embedding of the same
     target."""
-    family, _, lengths, fields, _ = layout
     return (tuple(labels),
-            tuple(sc._pack(fields, itertools.chain(
-                      *_factor_rows(family, lengths, label)))
-                  for label in labels),
+            tuple(_packed_rows(layout, label) for label in labels),
             tuple(bs))
 
 

@@ -15,10 +15,15 @@ between the two routes is a meaningful check.
 Induction goes through one fusion table per embedding, built on first use
 and cached: the index of the target class that each tuple of factor
 classes fuses into, in product() order.  A product of factor irreducibles
-is induced once, in one pass over that table, into one integer per target
-class (class sizes folded into the factor rows), and each multiplicity is
-that vector paired with a target row and divided by the subgroup order;
+is induced in one pass over that table into one integer per target class
+(class sizes folded into the factor rows), and each multiplicity is that
+vector paired with a target row and divided by the subgroup order;
 j_oracle pairs the one vector with every irreducible at the floor degree.
+The induced vector of the last product is kept, one entry and no more: a
+cross-check calls j_oracle and then induction_multiplicity on the image it
+returned, and the second call pairs the same vector without inducing the
+product again.  The label codec (label_to_key, key_to_label) is memoized
+per argument once the argument has been checked.
 
 Group dictionary: family A at rank n is the symmetric group on n letters,
 family BC the full signed-permutation group on n letters, and family D its
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 from math import factorial, prod
 from operator import mul
@@ -220,7 +225,8 @@ def _split_half(g: Element) -> int:
     s = g[1]
     parity = 1
     for sup, sign in _e_cycles(g):
-        assert sign == 1 and len(sup) % 2 == 0
+        if sign != 1 or len(sup) % 2:
+            raise OracleError("a split class element has a negative or odd cycle")
         sigma = 1
         for v in sup:
             parity *= sigma
@@ -355,7 +361,7 @@ def _build_table(family: str, n: int) -> CharacterTable:
 
 
 def _d_value(key: IrrKey, c: ClassKey) -> int:
-    assert key.mu is not None
+    # every family-D key carries two partitions
     if key.sign == 0:
         return _pair_chi(key.lam, key.mu, c.alpha, c.beta)
     w = _pair_chi(key.lam, key.lam, c.alpha, c.beta)
@@ -447,10 +453,19 @@ def _row(family: str, n: int, key: IrrKey) -> tuple[int, ...]:
 
 def label_to_key(label: IrrLabel) -> IrrKey:
     """Oracle row named by a label: rows become partitions; family D rows
-    are ordered by (weight, parts) and kappa = 0 picks the +1 piece."""
+    are ordered by (weight, parts) and kappa = 0 picks the +1 piece.  A
+    value that is not an IrrLabel raises ValidationError before the memo
+    is read."""
+    _ensure_label("label", label)
+    return _label_key(label)
+
+
+@cache
+def _label_key(label: IrrLabel) -> IrrKey:
+    """label_to_key of a checked label (an IrrLabel of family BC or D has
+    two rows)."""
     if label.family == FAMILY_A:
         return IrrKey(_z_to_partition(label.z))
-    assert label.zp is not None
     pl, pm = _z_to_partition(label.z), _z_to_partition(label.zp)
     if label.family == FAMILY_BC:
         return IrrKey(pl, pm)
@@ -464,10 +479,30 @@ def label_to_key(label: IrrLabel) -> IrrKey:
 
 
 def key_to_label(family: str, n: int, key: IrrKey) -> IrrLabel:
-    """Inverse of label_to_key, in canonical (shortest-rows) form."""
+    """Inverse of label_to_key on the irreducibles of the rank-n table, in
+    canonical (shortest-rows) form.  family and n are checked as
+    character_table checks them; a key that is not an IrrKey of int parts
+    raises ValidationError and one the table lacks DomainError, all before
+    the memo is read."""
+    character_table(family, n)
+    if not isinstance(key, IrrKey):
+        raise ValidationError(f"key must be an IrrKey, got {key!r}")
+    rows = (key.lam,) if key.mu is None else (key.lam, key.mu)
+    if type(key.sign) is not int or not all(
+        type(row) is tuple and all(type(v) is int for v in row) for row in rows
+    ):
+        raise ValidationError(f"key parts must be tuples of ints, got {key!r}")
+    if key not in _irr_map(family, n):
+        raise DomainError(f"{key} names no irreducible of {family}{n}")
+    return _key_label(family, n, key)
+
+
+@cache
+def _key_label(family: str, n: int, key: IrrKey) -> IrrLabel:
+    """key_to_label of a key of the rank-n table (a family BC or D key
+    carries two partitions)."""
     if family == FAMILY_A:
         return canonicalize(IrrLabel(FAMILY_A, n, _partition_to_z(key.lam)))
-    assert key.mu is not None
     if family == FAMILY_BC:
         length = max(len(key.lam), len(key.mu), 1) + 1
         return canonicalize(
@@ -552,7 +587,7 @@ def b_oracle(label: IrrLabel) -> tuple[int, int]:
     """Least symmetric-power degree of the reflection representation
     containing the irreducible, with the multiplicity there."""
     _ensure_label("label", label)
-    return _b_of_key(label.family, label.n, label_to_key(label))
+    return _b_of_key(label.family, label.n, _label_key(label))
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +657,14 @@ def _fusion(emb: Embedding) -> tuple[int, ...]:
     )
 
 
-def _induced(emb: Embedding, keys: list[IrrKey]) -> tuple[list[int], int]:
+@lru_cache(maxsize=1)
+def _induced(
+    emb: Embedding, keys: tuple[IrrKey, ...]
+) -> tuple[tuple[int, ...], int]:
     """The product of the factor irreducibles named by keys, induced to the
     target: one integer per target class, the sum of class size times value
-    over the factor-class tuples fusing into it, and the subgroup order."""
+    over the factor-class tuples fusing into it, and the subgroup order.
+    Only the last product's result is kept."""
     weighted = []
     sub_order = 1
     for (fam, rank), key in zip(emb.factor_signature(), keys):
@@ -636,11 +675,11 @@ def _induced(emb: Embedding, keys: list[IrrKey]) -> tuple[list[int], int]:
     induced = [0] * len(_build_table(tfam, tn).classes)
     for fused, vals in zip(_fusion(emb), product(*weighted)):
         induced[fused] += prod(vals)
-    return induced, sub_order
+    return tuple(induced), sub_order
 
 
 def _pair(
-    induced: list[int],
+    induced: tuple[int, ...],
     sub_order: int,
     row: tuple[int, ...],
     target: Callable[[], IrrLabel],
@@ -662,8 +701,8 @@ def induction_multiplicity(
     _ensure_label("target", target)
     if target.family != tfam or target.n != tn:
         raise DomainError(f"target {target} does not sit in ({tfam}, {tn})")
-    induced, sub_order = _induced(emb, [*map(label_to_key, factors)])
-    row = _row(tfam, tn, label_to_key(target))
+    induced, sub_order = _induced(emb, tuple(map(_label_key, factors)))
+    row = _row(tfam, tn, _label_key(target))
     return _pair(induced, sub_order, row, lambda: target)
 
 
@@ -674,7 +713,7 @@ def j_oracle(
     product at the factor product's own least symmetric-power degree.  The
     product is induced once and paired with each irreducible of that degree."""
     tfam, tn, factors = _check_io(emb, factors)
-    keys = [*map(label_to_key, factors)]
+    keys = tuple(map(_label_key, factors))
     floor = sum(
         _b_of_key(fam, rank, key)[0]
         for (fam, rank), key in zip(emb.factor_signature(), keys)
@@ -683,10 +722,10 @@ def j_oracle(
     hits = []
     for key in _by_degree(tfam, tn).get(floor, ()):
         row = _row(tfam, tn, key)
-        if _pair(induced, sub_order, row, lambda: key_to_label(tfam, tn, key)):
+        if _pair(induced, sub_order, row, lambda: _key_label(tfam, tn, key)):
             hits.append(key)
     if len(hits) != 1:
         raise OracleError(
             f"{emb.kind} induction has {len(hits)} constituents at degree {floor}"
         )
-    return key_to_label(tfam, tn, hits[0])
+    return _key_label(tfam, tn, hits[0])

@@ -448,11 +448,16 @@ def test_enumerated_classes_and_rows_are_checked_only_where_they_enter(
 @pytest.mark.parametrize("family", ["C", "D"])
 def test_verify_builds_each_special_pool_once(monkeypatch, family):
     pools: dict[tuple[str, int], int] = {}
-    inner_reps = engine.special_reps
 
-    def counted_reps(fam, rank, *args):
-        pools[fam, rank] = pools.get((fam, rank), 0) + 1
-        return inner_reps(fam, rank, *args)
+    def counted(name):
+        # A pools come from special_reps, BC and D pools from the strata
+        inner = getattr(engine, name)
+
+        def wrapper(fam, rank, *args):
+            pools[fam, rank] = pools.get((fam, rank), 0) + 1
+            return inner(fam, rank, *args)
+
+        monkeypatch.setattr(engine, name, wrapper)
 
     from_scratch = []
     inner_f = jinduction.special_f
@@ -461,7 +466,8 @@ def test_verify_builds_each_special_pool_once(monkeypatch, family):
         from_scratch.append(label)
         return inner_f(label)
 
-    monkeypatch.setattr(engine, "special_reps", counted_reps)
+    counted("special_reps")
+    counted("_special_seqs")
     monkeypatch.setattr(jinduction, "special_f", counted_f)
     assert verify(family, 6).ok()
     assert pools and set(pools.values()) == {1}
@@ -534,15 +540,22 @@ def test_verify_replays_only_witnesses_outside_their_fiber(monkeypatch):
 def test_pool_reps_are_the_special_reps_in_member_form():
     for family in (FAMILY_A, FAMILY_BC, FAMILY_D):
         for rank in range(5):
-            pool = tuple(rep.label
-                         for rep in engine._pool_reps(family, rank, 6))
+            # one group per merged sequence, each rep's (x, b) in it
+            groups = list(engine._pool_seqs(family, rank, 6))
+            pool = tuple((label, x, b) for x, b, _, fiber in groups
+                         for label in fiber)
             if family == FAMILY_A:
-                assert pool == tuple(canonicalize(rep.label)
+                assert pool == tuple((canonicalize(rep.label), rep.xseq,
+                                      rep.b)
                                      for rep in special_reps(family, rank))
             else:
-                # BC and D pools sit at the target's merged length
-                assert pool == tuple(rep.label for rep in special_reps(
-                    family, rank, policy_m(family, 6)))
+                # BC and D pools sit at the target's merged length, each
+                # group with the strict count of its sequence
+                assert pool == tuple((rep.label, rep.xseq, rep.b)
+                                     for rep in special_reps(
+                                         family, rank, policy_m(family, 6)))
+                assert all(strict == len(sc._frakS(x))
+                           for x, _, strict, _ in groups)
     # a record table holds the pools its maximal shapes name, each label
     # with an id of its own, the ids counting up from 0
     for family in "ABCD":
@@ -550,11 +563,48 @@ def test_pool_reps_are_the_special_reps_in_member_form():
         parts = engine._Parts(family, n, engine._maximal_shapes(family, n))
         ids = []
         for (fam, rank), (labels, bs, pool_ids) in parts.pools.items():
-            reps = engine._pool_reps(fam, rank, n)
-            assert labels == tuple(rep.label for rep in reps)
+            assert labels == tuple(
+                label for *_, fiber in engine._pool_seqs(fam, rank, n)
+                for label in fiber)
             assert bs == tuple(map(irreps.b_invariant, labels))
             ids += pool_ids
         assert ids == list(range(parts.count))
+
+
+def test_a_based_d_part_has_one_strict_position_more():
+    # the record of a C target's based D part takes the pool's count + 1
+    for n in range(3, 11):
+        m = policy_m(FAMILY_D, n)
+        for rank in range(n):
+            for x in sc.enumerate_space("X", m, rank):
+                based = (0, *(v + 1 for v in x))
+                assert len(sc._frakS(based)) == len(sc._frakS(x)) + 1
+
+
+@pytest.mark.parametrize("family", ["B", "C"])
+def test_a_record_table_counts_strict_positions_once_per_pool_sequence(
+        monkeypatch, family):
+    seen = []
+    inner = sc._frakS
+
+    def counted(x):
+        seen.append(x)
+        return inner(x)
+
+    monkeypatch.setattr(sc, "_frakS", counted)
+    parts = engine._Parts(family, 8, engine._maximal_shapes(family, 8))
+    monkeypatch.undo()
+    based = 0
+    for key in parts.records:
+        # before any split search every record is a pool sequence
+        x = sc._unpack(parts.fields, key)
+        if family == "C" and x[1]:
+            # a based D part takes its pool sequence's count plus one
+            assert x not in seen
+            based += 1
+        else:
+            assert seen.count(x) == 1
+    assert (based > 0) == (family == "C")
 
 
 def _split_parts(family: str, n: int):

@@ -11,8 +11,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylsymbols import jinduction
 from weylsymbols import seqcomb as sc
-from weylsymbols.errors import DomainError, ValidationError
+from weylsymbols.errors import DomainError, InvariantError, ValidationError
 from weylsymbols.irreps import (
     FAMILY_A,
     FAMILY_BC,
@@ -263,6 +264,63 @@ def test_images_of_every_kind_are_pinned():
                     cases += 1
     assert cases == _IMAGES_CASES
     assert digest.hexdigest() == _IMAGES_SHA256
+
+
+def _oracle_window_cases() -> list:
+    """Every (embedding, factors) the oracle cross-checks: all kinds and
+    admissible lam, special factors, targets A <= 7, BC <= 5 and D <= 5."""
+    caps = {FAMILY_A: 7, FAMILY_BC: 5, FAMILY_D: 5}
+    out = []
+    for n in range(0, 8):
+        for e in _all_embeddings(n):
+            if n > caps[e.target()[0]]:
+                continue
+            lams = d_placements(e.r, e.p, e.q) if e.kind == EMBED_D_TRIPLE else (0,)
+            pools = [_special_labels(f, rank) for f, rank in e.factor_signature()]
+            for lam in lams:
+                twisted = dataclasses.replace(e, lam=lam)
+                out += [(twisted, combo) for combo in itertools.product(*pools)]
+    return out
+
+
+def test_target_tables_give_the_images_of_fresh_ones():
+    cases = _oracle_window_cases()
+    assert len(cases) == 1817
+    cold = []
+    for e, combo in cases:
+        jinduction._target.cache_clear()
+        cold.append(j_induce(e, combo))
+    # IrrLabel equality compares kappa too
+    warm = [j_induce(e, combo) for e, combo in cases]
+    targets = {e.target() for e, _ in cases}
+    sizes = {t: tuple(map(len, jinduction._target(*t)[1:])) for t in targets}
+    assert [j_induce(e, combo) for e, combo in cases] == warm == cold
+    # a second pass over the same labels adds no table entry, and each
+    # image table holds one entry per distinct image of its target
+    assert {t: tuple(map(len, jinduction._target(*t)[1:]))
+            for t in targets} == sizes
+    for t in targets:
+        assert sizes[t][1] == len({label for (e, _), label in zip(cases, cold)
+                                   if e.target() == t})
+
+
+def test_a_served_image_still_has_its_b_additivity_checked(monkeypatch):
+    e = Embedding(EMBED_B_WR_WQ, r=1, q=2)
+    factors = (_trivial(FAMILY_BC, 1), _trivial(FAMILY_BC, 2))
+    image = j_induce(e, factors)
+    _, labels, images = jinduction._target(*e.target())
+    key = next(k for k, (label, _) in images.items() if label == image)
+    monkeypatch.setitem(images, key, (image, b_invariant(image) + 1))
+    with pytest.raises(InvariantError, match="b-additivity"):
+        j_induce(e, factors)
+    monkeypatch.undo()
+    assert j_induce(e, factors) == image
+    # a factor's stored b enters the check too
+    monkeypatch.setitem(labels, factors[0], (labels[factors[0]][0], 1))
+    with pytest.raises(InvariantError, match="b-additivity"):
+        j_induce(e, factors)
+    monkeypatch.undo()
+    assert j_induce(e, factors) == image
 
 
 def test_pool_form_yields_j_induce_of_every_product_in_order():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 from math import prod
@@ -54,6 +55,7 @@ from weylsymbols.oracle import (
     key_to_label,
     label_to_key,
 )
+from weylsymbols.suites import oracle_suite
 
 
 def _partitions(n: int, cap: int | None = None):
@@ -194,6 +196,39 @@ def test_oracle_entry_points_reject_what_is_not_a_label():
         with pytest.raises(ValidationError):
             call()
     assert induction_multiplicity(emb, [one, one], two) == 1
+
+
+def test_label_codec_arguments_are_checked_with_the_memo_warm():
+    two = IrrLabel(FAMILY_A, 2, partition_to_z((2,)))
+    key = IrrKey((1,), (1,))
+    # the memo holds every argument below that compares equal to a bad one
+    assert label_to_key(two) == IrrKey((2,))
+    assert label_to_key(key_to_label(FAMILY_BC, 2, key)) == key
+    assert key_to_label(FAMILY_BC, 1, IrrKey((1,), ())).n == 1
+    for bad in (42, None, IrrKey((2,)), [two]):
+        with pytest.raises(ValidationError):
+            label_to_key(bad)
+    for args, error in [
+        ((FAMILY_BC, 2, 42), ValidationError),
+        ((FAMILY_BC, 2, None), ValidationError),
+        ((FAMILY_BC, 2.0, key), ValidationError),
+        ((FAMILY_BC, True, IrrKey((1,), ())), ValidationError),
+        (([FAMILY_BC], 2, key), DomainError),
+        ((FAMILY_BC, -1, key), DomainError),
+        ((FAMILY_BC, 2, IrrKey((1.0,), (1,))), ValidationError),
+        ((FAMILY_BC, 2, IrrKey((True,), (1,))), ValidationError),
+        ((FAMILY_BC, 2, IrrKey([1], (1,))), ValidationError),
+        ((FAMILY_BC, 2, IrrKey((1,), ([1],))), ValidationError),
+        ((FAMILY_BC, 2, IrrKey((1,), (1,), 0.0)), ValidationError),
+        ((FAMILY_BC, 2, IrrKey((3,), ())), DomainError),
+        ((FAMILY_BC, 2, IrrKey((2,))), DomainError),
+        ((FAMILY_A, 2, key), DomainError),
+        ((FAMILY_D, 2, key), DomainError),
+    ]:
+        with pytest.raises(error):
+            key_to_label(*args)
+    with pytest.raises(ResourceError):
+        key_to_label(FAMILY_A, 8, IrrKey((8,)))
 
 
 def test_internal_partition_codecs_skip_the_boundary_checks(monkeypatch):
@@ -491,6 +526,44 @@ def test_a_seen_embedding_is_fused_from_its_table(monkeypatch):
     for combo in combos:
         induction_multiplicity(emb, combo, j_oracle(emb, combo))
     assert fused == []
+
+
+def test_oracle_suite_induces_each_j_case_once():
+    # induction_multiplicity on the image j_oracle just returned pairs the
+    # vector j_oracle induced
+    oracle._induced.cache_clear()
+    report = oracle_suite()
+    j_cases = sum(b.cases for b in report.blocks if b.name.startswith("j_"))
+    assert report.ok() and j_cases == 816
+    assert oracle._induced.cache_info().misses == 816
+    # one entry is kept, not one per case
+    assert oracle._induced.cache_info().currsize == 1
+
+
+def test_interleaved_cases_keep_their_own_multiplicities():
+    # the four twists of one factor product, and two products of one
+    # twist, each paired with every target against the class-tuple sum
+    e = Embedding(EMBED_D_TRIPLE, r=0, p=2, q=0)
+    pools = [[rep.label for rep in special_reps(f, rank)]
+             for f, rank in e.factor_signature()]
+    cases = [(dataclasses.replace(e, lam=lam), combo)
+             for lam in d_placements(0, 2, 0)
+             for combo in itertools.product(*pools)]
+    cases.append((Embedding(EMBED_A_SPLIT, r=2, q=1),
+                  (_trivial(FAMILY_A, 2), _trivial(FAMILY_A, 1))))
+    targets = {emb.target(): _labels(*emb.target()) for emb, _ in cases}
+    want = {(i, target): _multiplicity_by_class_tuples(emb, combo, target)
+            for i, (emb, combo) in enumerate(cases)
+            for target in targets[emb.target()]}
+    assert len(set(want.values())) > 1
+    for i, (emb, combo) in enumerate(cases):
+        for j, (other, other_combo) in enumerate(cases):
+            got = j_oracle(emb, combo)
+            for target in targets[other.target()]:
+                assert (induction_multiplicity(other, other_combo, target)
+                        == want[j, target])
+            assert induction_multiplicity(emb, combo, got) == 1
+            assert want[i, got] == 1
 
 
 def test_a_row_that_pairs_non_integrally_raises(monkeypatch):
