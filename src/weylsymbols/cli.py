@@ -21,11 +21,12 @@ keys).  --output is written atomically: a failed run leaves any existing
 file untouched, and a path in a missing directory, or naming a directory,
 is refused by its own name before the subcommand runs.  Only the
 requested format is built, and JSON output is exactly the text of
-json.dumps(payload, indent=2), streamed: the header
-first, then one row's text at a time, never the whole document as one
-string, with each distinct label's and witness shape's text built once
-per render and indent depth and each verify row's dict built only when
-the stream reaches it.
+json.dumps(payload, indent=2), streamed: the header first, then one row's
+text at a time, never the whole document as one string.  A verify row is
+laid out from one fixed row template when the stream reaches it, with no
+dict built for it; its label, witness shapes and factors are spliced in
+from a per-render text table that builds each distinct label's and
+shape's text once per indent depth.
 At B16 through --output, `verify --format json` peaks at 51 MB RSS, as
 the table format does, where the whole-string render took 205 MB.
 """
@@ -42,6 +43,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from functools import cache
 from json.encoder import encode_basestring_ascii as _str_json
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -56,6 +58,7 @@ from .exceptional import (
 )
 from .irreps import (
     FAMILIES,
+    FAMILY_D,
     IrrLabel,
     b_invariant,
     canonicalize,
@@ -87,8 +90,8 @@ class _Output:
     """The data one subcommand computed, one builder per format.
 
     payload() gives the JSON fields that follow schema_version and command;
-    an IrrLabel in them stands for its to_json() dict, and a verify ClassRow
-    for its to_json() dict with the labels left as they are.
+    an IrrLabel, a ParahoricSpec or a verify ClassRow in them stands for its
+    to_json() dict.
     headers and rows() make the table, and also the CSV unless csv_headers
     and csv_rows() are given.  table() replaces the rendered table when the
     library formats its own.  notes is set for suite-style tables: the lines
@@ -106,46 +109,122 @@ class _Output:
     failed: bool = False
 
 
+_BOOLS = ("false", "true")
 # exact scalar type -> its JSON text; any other value goes to json.dumps
 _SCALARS: dict[type, Callable[[Any], str]] = {
     str: _str_json,
     int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
+    bool: _BOOLS.__getitem__,
     type(None): lambda v: "null",
 }
 
 
-def _itself(v: Any) -> Any:
-    return v
+def _int_list(v: Sequence[int], pad: str) -> str:
+    """JSON text of the ints v, its closing bracket after pad."""
+    if not v:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, v)) + pad + "]"
 
 
-def _json_value(v: object, pad: str, labels: dict) -> str:
+def _label_text(lab: IrrLabel, pad: str) -> str:
+    """JSON text of lab.to_json() at pad: family, n and z, then zp when
+    the label has a second row and kappa for family D."""
+    inner = pad + "  "
+    text = (f'{{{inner}"family": {_str_json(lab.family)},{inner}"n": {lab.n},'
+            f'{inner}"z": {_int_list(lab.z, inner)}')
+    if lab.zp is not None:
+        text += f',{inner}"zp": {_int_list(lab.zp, inner)}'
+    if lab.family == FAMILY_D:
+        text += f',{inner}"kappa": {lab.kappa}'
+    return text + pad + "}"
+
+
+def _text(v: IrrLabel | ParahoricSpec, pad: str, texts: dict) -> str:
+    """JSON text of v.to_json() at pad, built once per render: texts maps
+    each pad to the texts already built at it, by value."""
+    known = texts.setdefault(pad, {})
+    text = known.get(v)
+    if text is None:
+        text = known[v] = (_label_text(v, pad) if type(v) is IrrLabel
+                           else _json_value(v.to_json(), pad, texts))
+    return text
+
+
+@cache
+def _row_layout(pad: str) -> tuple[str, ...]:
+    """The pads a verify row at pad lays its keys, a witness's keys and a
+    witness's factors out at, and the fixed pieces its witness list is
+    joined from."""
+    keys = pad + "  "
+    item = keys + "  "     # y entries and witnesses
+    wkeys = item + "  "    # a witness's keys
+    factor = wkeys + "  "  # its factors
+    return (keys, wkeys, factor,
+            "[" + item, "," + item, keys + "]",         # the witness list
+            "{" + wkeys + '"shape": ',                  # a witness
+            "," + wkeys + '"factors": [' + factor, "," + factor,
+            wkeys + "]" + item + "}",
+            "," + wkeys + '"factors": []' + item + "}")  # one without factors
+
+
+def _row_text(row: ClassRow, pad: str, texts: dict) -> str:
+    """JSON text of row.to_json() at pad: one format of the row's 13 keys,
+    with the texts of its label, witness shapes and factors spliced in."""
+    (keys, wkeys, factor, lead, sep, close, head, factors, fsep, fclose,
+     nofactors) = _row_layout(pad)
+    if row.witnesses:
+        shapes = texts.setdefault(wkeys, {})
+        labels = texts.setdefault(factor, {})
+        # one join, so the list's text is allocated once
+        parts = []
+        for spec, labs in row.witnesses:
+            parts += (lead, head, shapes.get(spec) or _text(spec, wkeys, texts))
+            if labs:
+                parts += (factors, fsep.join(
+                    [labels.get(lab) or _text(lab, factor, texts) for lab in labs]),
+                    fclose)
+            else:
+                parts.append(nofactors)
+            lead = sep
+        parts.append(close)
+        witnesses = "".join(parts)
+    else:
+        witnesses = "[]"
+    return (f'{{{keys}"label": {_text(row.label, keys, texts)},'
+            f'{keys}"y": {_int_list(row.y, keys)},'
+            f'{keys}"b_label": {row.b_label},{keys}"b_class": {row.b_class},'
+            f'{keys}"fa": {row.fa_value},{keys}"z": {row.z_value},'
+            f'{keys}"fc": {row.fc_value},{keys}"ztilde_over_z": {row.ratio_value},'
+            f'{keys}"witnesses": {witnesses},'
+            f'{keys}"holds_b1": {_BOOLS[row.holds_b1]},'
+            f'{keys}"holds_b2": {_BOOLS[row.holds_b2]},'
+            f'{keys}"holds_b3": {_BOOLS[row.holds_b3]},'
+            f'{keys}"witnesses_ok": {_BOOLS[row.witnesses_ok]}{pad}}}')
+
+
+def _json_value(v: object, pad: str, texts: dict) -> str:
     """JSON text of v, its closing bracket after pad (a newline and the
     indent of v's own level), as json.dumps(..., indent=2) lays it out.
 
-    An IrrLabel or a ParahoricSpec stands for its to_json() dict; labels
-    maps (value, pad) to the text already built for it in this render.  A
-    ClassRow stands for its to_json() dict with the labels and witness
-    shapes left as they are, built here, when the stream reaches the row,
-    and dropped with its text.
+    A verify ClassRow, an IrrLabel or a ParahoricSpec stands for its
+    to_json() dict: a row and a label are laid out by templates of their
+    own, a shape from that dict; texts holds the label and shape texts
+    already built in this render.
     """
     if type(v) is ClassRow:
-        v = v.to_json(_itself, _itself)
+        return _row_text(v, pad, texts)
     if type(v) is IrrLabel or type(v) is ParahoricSpec:
-        text = labels.get((v, pad))
-        if text is None:
-            text = labels[v, pad] = _json_value(v.to_json(), pad, labels)
-        return text
+        return _text(v, pad, texts)
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
-        inner = pad + "  "
         if {*map(type, v)} == {int}:
-            body = map(int.__repr__, v)
-        else:
-            scalar = _SCALARS.get
-            body = [e(x) if (e := scalar(type(x))) else _json_value(x, inner, labels)
-                    for x in v]
+            return _int_list(v, pad)
+        inner = pad + "  "
+        scalar = _SCALARS.get
+        body = [e(x) if (e := scalar(type(x))) else _json_value(x, inner, texts)
+                for x in v]
         return "[" + inner + ("," + inner).join(body) + pad + "]"
     if type(v) is dict:
         if not v:
@@ -155,7 +234,7 @@ def _json_value(v: object, pad: str, labels: dict) -> str:
         try:
             body = [
                 _str_json(k) + ": "
-                + (e(x) if (e := scalar(type(x))) else _json_value(x, inner, labels))
+                + (e(x) if (e := scalar(type(x))) else _json_value(x, inner, texts))
                 for k, x in v.items()
             ]
         except TypeError:
@@ -171,15 +250,15 @@ def _json_value(v: object, pad: str, labels: dict) -> str:
     return json.dumps(v, indent=2).replace("\n", pad)
 
 
-def _json_pieces(v: object, pad: str, labels: dict) -> Iterator[str]:
-    """The text of _json_value(v, pad, labels) in pieces: a nonempty dict
+def _json_pieces(v: object, pad: str, texts: dict) -> Iterator[str]:
+    """The text of _json_value(v, pad, texts) in pieces: a nonempty dict
     with str keys yields its keys and the pieces of each value, a nonempty
     list or tuple each element's whole text, anything else one piece."""
     if isinstance(v, (list, tuple)) and v:
         inner = pad + "  "
         sep = "[" + inner
         for x in v:
-            yield sep + _json_value(x, inner, labels)
+            yield sep + _json_value(x, inner, texts)
             sep = "," + inner
         yield pad + "]"
     elif type(v) is dict and v and all(isinstance(k, str) for k in v):
@@ -187,11 +266,11 @@ def _json_pieces(v: object, pad: str, labels: dict) -> Iterator[str]:
         sep = "{" + inner
         for k, x in v.items():
             yield sep + _str_json(k) + ": "
-            yield from _json_pieces(x, inner, labels)
+            yield from _json_pieces(x, inner, texts)
             sep = "," + inner
         yield pad + "}"
     else:
-        yield _json_value(v, pad, labels)
+        yield _json_value(v, pad, texts)
 
 
 def _json_text(obj: object) -> Iterator[str]:
@@ -200,11 +279,13 @@ def _json_text(obj: object) -> Iterator[str]:
     A payload is streamed: its dicts one key at a time, its lists (the
     rows of a report) one element at a time, each element's text built,
     yielded and dropped before the next, so a render never holds the
-    whole document as one string.  An IrrLabel or a ParahoricSpec in obj
-    stands for its to_json() dict, and each distinct one's text is built
-    once per indent depth in one render, then spliced wherever it appears:
-    as a row label, a witness factor or a witness shape.  The table lives
-    only as long as the render.
+    whole document as one string.  An IrrLabel, a ParahoricSpec or a
+    verify ClassRow in obj stands for its to_json() dict.  A row is laid
+    out from one fixed row template at its indent depth (_row_text), with
+    the texts of its label, witness shapes and factors spliced in; each
+    distinct label's (_label_text) and shape's text is built once per
+    indent depth in one render, kept in a table that lives only as long
+    as the render, and spliced wherever it appears.
 
     Before Python 3.13 json.dumps encodes an indented document in pure
     Python, one generator step per token; this kernel builds the same text
@@ -440,9 +521,9 @@ def _cmd_j(args: argparse.Namespace) -> _Output:
 def _cmd_verify(args: argparse.Namespace) -> _Output:
     report = verify(args.family, args.rank)
     return _Output(
-        # rows stay ClassRows: the renderer builds each one's dict when it
-        # reaches the row, and each label's and shape's text once
-        payload=lambda: {"report": report.to_json(row=_itself)},
+        # rows stay ClassRows: the renderer lays each one out from the row
+        # template when the stream reaches it
+        payload=lambda: {"report": report.to_json(row_dicts=False)},
         table=report.to_table,
         csv_headers=[
             "family",

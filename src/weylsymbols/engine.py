@@ -740,11 +740,9 @@ class ClassRow:
         return (self.holds_b1 and self.holds_b2 and self.holds_b3
                 and self.witnesses_ok)
 
-    def to_json(self, label: Callable[[IrrLabel], object] = IrrLabel.to_json,
-                shape: Callable[[ParahoricSpec], object] = ParahoricSpec.to_json
+    def to_json(self, label: Callable[[IrrLabel], object] = IrrLabel.to_json
                 ) -> dict:
-        """The row as JSON data, label giving each label's value and shape
-        each witness shape's."""
+        """The row as JSON data, label giving each label's value."""
         return {
             "label": label(self.label),
             "y": list(self.y),
@@ -755,7 +753,7 @@ class ClassRow:
             "fc": self.fc_value,
             "ztilde_over_z": self.ratio_value,
             "witnesses": [
-                {"shape": shape(spec),
+                {"shape": spec.to_json(),
                  "factors": [*map(label, factors)]}
                 for spec, factors in self.witnesses
             ],
@@ -795,13 +793,15 @@ class VerificationReport:
     def ok(self) -> bool:
         return self.holds_a and all(r.ok() for r in self.rows)
 
-    def to_json(self, row: Callable[[ClassRow], object] | None = None
-                ) -> dict:
-        """The report as JSON data.  row gives each row's value; by default
-        that is its to_json() dict, with one to_json() dict per distinct
-        label shared by every row and witness factor that names it."""
-        if row is None:
-            row = partial(ClassRow.to_json, label=cache(IrrLabel.to_json))
+    def to_json(self, row_dicts: bool = True) -> dict:
+        """The report as JSON data.  Each row is its to_json() dict, with
+        one to_json() dict per distinct label shared by every row and
+        witness factor that names it; with row_dicts False the rows stay
+        ClassRows, for a renderer that lays each one out itself."""
+        rows = self.rows
+        if row_dicts:
+            rows = [*map(partial(ClassRow.to_json, label=cache(IrrLabel.to_json)),
+                         rows)]
         return {
             "family": self.family,
             "n": self.n,
@@ -812,7 +812,7 @@ class VerificationReport:
             "image_in_stratum": self.image_in_stratum,
             "stratum_in_image": self.stratum_in_image,
             "ok": self.ok(),
-            "rows": [*map(row, self.rows)],
+            "rows": rows,
         }
 
     def to_table(self) -> str:

@@ -256,7 +256,7 @@ def _zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
         if m % 2 != 1:
             raise DomainError(f"D merge needs even length, got m={m}")
         zp, z = x[0::2], x[1::2]
-        if not sc._frakS(x) and n >= 2:
+        if z == zp and n >= 2:
             return (
                 _trusted(IrrLabel, FAMILY_D, n, z, zp, 0),
                 _trusted(IrrLabel, FAMILY_D, n, z, zp, 1),

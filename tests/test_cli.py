@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -20,6 +21,7 @@ from weylsymbols.engine import verify
 from weylsymbols.errors import DomainError, InvariantError, ValidationError
 from weylsymbols.irreps import (
     FAMILY_A,
+    FAMILY_BC,
     FAMILY_D,
     IrrLabel,
     canonicalize,
@@ -413,51 +415,64 @@ def test_json_text_is_the_text_of_json_dumps(value):
     assert "".join(cli._json_text(value)) == json.dumps(value, indent=2)
 
 
-def test_labels_render_as_their_json_dicts():
+def test_labels_render_as_their_json_dicts(monkeypatch):
     labs = special_reps(FAMILY_D, 4)
     lab, other = labs[0].label, labs[-1].label
     value = {"label": lab, "rows": [lab, [other, {"f": [lab, other]}]],
              "t": (lab,), "deep": {"x": {"y": lab}}}
     plain = json.loads(json.dumps(value, default=IrrLabel.to_json))
+    built = []
+    label_text = cli._label_text
+
+    def counted(lab, pad):
+        built.append((lab, pad))
+        return label_text(lab, pad)
+
+    monkeypatch.setattr(cli, "_label_text", counted)
     assert "".join(cli._json_text(value)) == json.dumps(plain, indent=2)
+    # lab sits twice at the depth of "rows" and "t"'s elements
+    assert len(built) == len(set(built)) == 6
 
 
 def test_one_render_builds_each_distinct_label_text_once(monkeypatch):
     report = verify("B", 8)
     built = []
-    to_json = IrrLabel.to_json
+    label_text = cli._label_text
 
-    def counted(self):
-        built.append(self)
-        return to_json(self)
+    def counted(lab, pad):
+        built.append((lab, pad))
+        return label_text(lab, pad)
 
-    monkeypatch.setattr(IrrLabel, "to_json", counted)
+    monkeypatch.setattr(cli, "_label_text", counted)
     code, out, _ = _run(["verify", "--family", "B", "--rank", "8",
                          "--format", "json"])
     assert code == 0
     # a row label and a witness factor sit at two indent depths
     row_labels = {r.label for r in report.rows}
     factors = {lab for r in report.rows for _, fs in r.witnesses for lab in fs}
-    assert len(built) == len(row_labels) + len(factors)
+    assert len(built) == len(set(built)) == len(row_labels) + len(factors)
     uses = len(report.rows) + sum(len(fs) for r in report.rows
                                   for _, fs in r.witnesses)
     assert len(built) < uses / 2
-    monkeypatch.setattr(IrrLabel, "to_json", to_json)
     assert out == json.dumps({"schema_version": cli.SCHEMA_VERSION,
                               "command": "verify",
                               "report": report.to_json()}, indent=2) + "\n"
 
 
-def test_verify_json_builds_each_row_dict_when_the_stream_reaches_it(monkeypatch):
+def test_verify_json_renders_each_row_when_the_stream_reaches_it(monkeypatch):
     report = verify("C", 6)
     built = []
-    to_json = engine.ClassRow.to_json
+    row_text = cli._row_text
 
-    def counted(self, *args):
-        built.append(self)
-        return to_json(self, *args)
+    def counted(row, pad, texts):
+        built.append(row)
+        return row_text(row, pad, texts)
 
-    monkeypatch.setattr(engine.ClassRow, "to_json", counted)
+    def unused(self, *args, **kwargs):
+        raise AssertionError("the renderer lays rows out from its template")
+
+    monkeypatch.setattr(cli, "_row_text", counted)
+    monkeypatch.setattr(engine.ClassRow, "to_json", unused)
     monkeypatch.setattr(cli, "verify", lambda family, n: report)
     args = cli._build_parser().parse_args(
         ["verify", "--family", "C", "--rank", "6", "--format", "json"])
@@ -466,10 +481,10 @@ def test_verify_json_builds_each_row_dict_when_the_stream_reaches_it(monkeypatch
     pieces = []
     for piece in cli._json_text(payload):
         pieces.append(piece)
-        # no row is built ahead of the piece that holds its text
+        # no row is rendered ahead of the piece that holds its text
         assert len(built) == sum('"label": {' in p for p in pieces)
     assert built == list(report.rows)
-    monkeypatch.setattr(engine.ClassRow, "to_json", to_json)
+    monkeypatch.undo()
     assert "".join(pieces) == json.dumps({"report": report.to_json()}, indent=2)
 
 
@@ -494,6 +509,69 @@ def test_verify_json_renders_each_witness_shape_once(monkeypatch):
     assert sorted(built, key=repr) == sorted(set(shapes), key=repr)
     monkeypatch.setattr(engine.ParahoricSpec, "to_json", to_json)
     assert text == json.dumps({"report": report.to_json()}, indent=2)
+
+
+# a verify row's pad in the CLI payload (document -> report -> rows), and
+# the pads its template lays labels and witness shapes out at
+_ROW_PAD = "\n" + " " * 6
+_LABEL_PADS = (_ROW_PAD + "  ", _ROW_PAD + " " * 8)  # row label, factor
+_SHAPE_PAD = _ROW_PAD + " " * 6
+
+
+def _indented(value: object, pad: str) -> str:
+    return json.dumps(value, indent=2).replace("\n", pad)
+
+
+def test_label_and_shape_templates_follow_their_json_dicts():
+    labels = [rep.label
+              for family, lo in ((FAMILY_A, 1), (FAMILY_BC, 1), (FAMILY_D, 2))
+              for n in range(lo, 9) for rep in special_reps(family, n)]
+    assert {lab.kappa for lab in labels if lab.degenerate} == {0, 1}
+    for lab in labels:
+        for pad in _LABEL_PADS:
+            assert cli._label_text(lab, pad) == _indented(lab.to_json(), pad)
+    shapes = [spec for family in "ABCD" for n in range(engine.RANK_FLOOR[family], 9)
+              for spec in engine._maximal_shapes(family, n).values()]
+    assert {spec.family for spec in shapes} == set("ABCD")
+    for spec in shapes:
+        assert cli._text(spec, _SHAPE_PAD, {}) == _indented(spec.to_json(), _SHAPE_PAD)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_row_template_follows_the_row_json_dict(family):
+    rows = verify(family, 5).rows
+    spec, _ = rows[0].witnesses[0]
+    variants = [*rows]
+    for row in rows[:3]:
+        variants += [dataclasses.replace(row, witnesses=()),
+                     dataclasses.replace(row, witnesses=((spec, ()),)),
+                     dataclasses.replace(row, y=())]
+        variants += [dataclasses.replace(row, **{flag: False}) for flag in (
+            "holds_b1", "holds_b2", "holds_b3", "witnesses_ok")]
+    if family == "A":
+        assert set(spec.to_json()) == {"family", "n", "d", "coset"}
+    for pad in (_ROW_PAD, "\n"):
+        # one text table for the render, as the CLI keeps
+        texts: dict = {}
+        for row in variants:
+            assert cli._row_text(row, pad, texts) == _indented(row.to_json(), pad)
+
+
+# sha256 of `weylsymbols verify --family F --rank 8 --format json` stdout
+_VERIFY_JSON_SHA256 = {
+    "A": "9f06e30b6d7ccd742aa87609e1e4d1b71a8c5cbbbe7811fcbaa4d8ff72a9a3aa",
+    "B": "ac617ec6dff92638eff0b563d0a73712072e2ba78154b2dc6dbd9aa36e67216f",
+    "C": "da6ffa7e6ec7db772321835695374e7858ebead521cf4f4bbd18e4cb7495fe60",
+    "D": "6a2eae362d33478e124522d232b32aaab1c3fa52bee0cfbc5f62e458ebd85747",
+}
+
+
+@pytest.mark.parametrize("family", sorted(_VERIFY_JSON_SHA256))
+def test_verify_json_text_is_pinned(family):
+    code, out, _ = _run(["verify", "--family", family, "--rank", "8",
+                         "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_JSON_SHA256[family]
 
 
 def test_json_output_peak_memory_stays_near_the_table(tmp_path):

@@ -581,7 +581,7 @@ def test_a_based_d_part_has_one_strict_position_more():
                 assert len(sc._frakS(based)) == len(sc._frakS(x)) + 1
 
 
-@pytest.mark.parametrize("family", ["B", "C"])
+@pytest.mark.parametrize("family", ["B", "C", "D"])
 def test_a_record_table_counts_strict_positions_once_per_pool_sequence(
         monkeypatch, family):
     seen = []

@@ -171,6 +171,19 @@ def test_trusted_labels_equal_their_validated_rebuild(family, n, pad, data):
         assert lab == rebuilt and hash(lab) == hash(rebuilt)
 
 
+def test_d_rows_are_equal_exactly_when_no_position_is_strict():
+    # _zeta_inverse tells a degenerate D fiber by its equal rows: every D
+    # XSeq up to the policy length, and every class sequence less its base
+    # that tau_fiber splits, has equal rows exactly when frakS(x) is empty
+    xs = [x for n in range(9) for m in range(1, policy_m(FAMILY_D, n) + 1, 2)
+          for x in sc.enumerate_space("X", m, n)]
+    xs += [sc.seq_sub(c.y, sc.base_x(len(c.y) - 1))
+           for n in range(9) for c in enumerate_classes("D", n)]
+    equal = [x for x in xs if x[0::2] == x[1::2]]
+    assert equal == [x for x in xs if not sc._frakS(x)]
+    assert len(xs) == 999 and len(equal) == 81
+
+
 @pytest.mark.parametrize("family", CLASS_FAMILIES)
 def test_trusted_classes_equal_their_validated_rebuild(family):
     # enumerate_classes builds its classes unchecked, at the policy length
