@@ -29,12 +29,14 @@ byte-stable across runs.
 
 One verify call builds each intermediate at most once and keeps none
 past the call; the public entry points (enumerate_cz, fa, fc, bar_S) build
-their own through the same code.  The one cache that outlives a call is
+their own through the same code.  Two caches outlive a call.  One is
 jinduction's table per target (family, rank), read and filled by the
 public j_induce that witness replays and bar_S call: the target's layout,
 each factor label's packed aligned rows and b, and its image table,
-(packed image, kappa) -> (canonical image, b).  The induction graph keeps
-its own image table, which goes with the call.
+(packed image, kappa) -> (canonical image, b).  The other is the
+special_reps memo, one pool per (family, rank, m), which the family-A
+pools read; the BC and D pools are enumerated per call.  The induction
+graph keeps its own image table, which goes with the call.
 
 * The record table (_Parts).  Every XSeq record is keyed by the sequence
   packed into one int, one field per entry, sized so that every entry of

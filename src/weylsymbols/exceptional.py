@@ -34,7 +34,7 @@ from functools import cache
 from importlib import resources
 
 from .errors import DomainError, NotFoundError, ValidationError
-from .irreps import FAMILY_A, FAMILY_BC, FAMILY_D, SpecialRep, dimension, special_reps
+from .irreps import FAMILY_A, FAMILY_BC, FAMILY_D, dimension, special_reps
 
 GROUPS = ("G2", "F4", "E6", "E7", "E8")
 
@@ -199,11 +199,6 @@ def lookup(group: str, rho_name: str, bbar: int) -> ExceptionalRow:
 # witness recomputation
 
 
-@cache
-def _pool(family: str, n: int) -> tuple[SpecialRep, ...]:
-    return special_reps(family, n)
-
-
 def _parse_factors(witness_j: str) -> list[tuple[str, int]] | None:
     """Split a curated witness_J into (letter, rank) factors; None if garbled."""
     if witness_j == "empty":
@@ -295,7 +290,7 @@ def _check_witness(row: ExceptionalRow) -> WitnessCheck:
     f_total = 1
     for (letter, rank), dim, b in zip(factors, dims, fixed_b):
         family, n = _classical_pool(letter, rank)
-        hits = [r for r in _pool(family, n) if r.b == b and dimension(r.label) == dim]
+        hits = [r for r in special_reps(family, n) if r.b == b and dimension(r.label) == dim]
         fs = sorted({r.f for r in hits})
         if not fs:
             return done(STATUS_FAIL, f"no special of dimension {dim} at b = {b} in {letter}{rank}")

@@ -217,8 +217,10 @@ def zeta(label: IrrLabel) -> Seq:
 
     Family BC: alternate first row / second row entries. Family D: alternate
     second row / first row entries. Raises DomainError when the label is not
-    special (the merge is not an XSeq).
+    special (the merge is not an XSeq).  A value that is not an IrrLabel
+    raises ValidationError.
     """
+    _ensure_label("label", label)
     if label.family == FAMILY_A:
         raise DomainError("family A labels have no merged sequence")
     assert label.zp is not None
@@ -267,7 +269,9 @@ def _zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
 
 def zeta_tilde(label: IrrLabel) -> Seq:
     """Based merged sequence of a family-D special label: prepend 0 and use
-    the plain merge shifted up by one."""
+    the plain merge shifted up by one.  A value that is not an IrrLabel
+    raises ValidationError."""
+    _ensure_label("label", label)
     if label.family != FAMILY_D:
         raise DomainError("based merge applies to family D only")
     # a valid merge shifted up behind a 0 is always a based XSeq
@@ -289,7 +293,9 @@ def _zeta_tilde_inverse(xt: Seq) -> tuple[IrrLabel, ...]:
 # special enumeration
 
 def policy_m(family: str, n: int) -> int:
-    """Default merged-sequence length index for each family."""
+    """Default merged-sequence length index for each family.  A rank that
+    is not an int raises ValidationError, a negative one DomainError."""
+    sc.ensure_rank(n)
     if family == FAMILY_A:
         return n
     if family == FAMILY_BC:
@@ -307,20 +313,31 @@ def special_reps(family: str, n: int, m: int | None = None) -> tuple[SpecialRep,
     policy (or caller-provided m) and expand fibers, so degenerate family-D
     symbols appear once per kappa value.  An m or n that is not an int
     raises ValidationError; an m of the wrong parity for the family raises
-    DomainError.
+    DomainError.  The arguments are checked on every call; the pool is then
+    read from a memo, built once per (family, n, m) and shared by every
+    caller.
     """
     sc.ensure_rank(n)
+    if family not in FAMILIES:
+        raise DomainError(f"unknown family {family!r}")
+    if m is not None:
+        # before the memo: 8.0 and True hash like the ints 8 and 1
+        sc._ensure_int("m", m)
+    return _special_pool(family, n, policy_m(family, n) if m is None else m)
+
+
+@cache
+def _special_pool(family: str, n: int, m: int) -> tuple[SpecialRep, ...]:
+    """special_reps of checked arguments at length m.  An error raised while
+    the pool is built (m out of range or of the wrong parity) is not kept."""
     if family == FAMILY_A:
         return tuple(
             SpecialRep(_trusted(IrrLabel, FAMILY_A, n, z, None, 0), z,
                        sc._beta0(z), 1)
-            for z in sc.enumerate_space("Z", n if m is None else m, n)
+            for z in sc.enumerate_space("Z", m, n)
         )
-    if family not in (FAMILY_BC, FAMILY_D):
-        raise DomainError(f"unknown family {family!r}")
-    mm = policy_m(family, n) if m is None else m
     return tuple(SpecialRep(label, x, b, _f_from_strict_count(family, strict))
-                 for x, b, strict, labels in _special_seqs(family, n, mm)
+                 for x, b, strict, labels in _special_seqs(family, n, m)
                  for label in labels)
 
 

@@ -23,7 +23,10 @@ The induced vector of the last product is kept, one entry and no more: a
 cross-check calls j_oracle and then induction_multiplicity on the image it
 returned, and the second call pairs the same vector without inducing the
 product again.  The label codec (label_to_key, key_to_label) is memoized
-per argument once the argument has been checked.
+per argument once the argument has been checked.  The power-sum recursion
+reads one cached trace row per (family, rank, k), the trace of the k-th
+power of every class, so each class trace is computed once however many
+symmetric powers use it.
 
 Group dictionary: family A at rank n is the symmetric group on n letters,
 family BC the full signed-permutation group on n letters, and family D its
@@ -538,19 +541,24 @@ def _power_trace(family: str, c: ClassKey, k: int) -> int:
 
 
 @cache
+def _trace_row(family: str, n: int, k: int) -> tuple[int, ...]:
+    """_power_trace of every class of the rank-n table at k, in table order:
+    one row per (family, n, k), shared by every symmetric power above k."""
+    return tuple(_power_trace(family, c, k) for c in _build_table(family, n).classes)
+
+
+@cache
 def _sym_power_row(family: str, n: int, i: int) -> tuple[int, ...]:
     """Character of the i-th symmetric power of the reflection
     representation, by the power-sum recursion i h_i = sum_k p_k h_(i-k)
-    in integers; a division by i that leaves a remainder raises."""
-    t = _build_table(family, n)
+    in integers, each p_k the cached trace row of k; a division by i that
+    leaves a remainder raises."""
     if i == 0:
-        return (1,) * len(t.classes)
+        return (1,) * len(_build_table(family, n).classes)
     lower = [_sym_power_row(family, n, j) for j in range(i)]
+    terms = [map(mul, _trace_row(family, n, k), lower[i - k]) for k in range(1, i + 1)]
     out = []
-    for ci, c in enumerate(t.classes):
-        acc = sum(
-            _power_trace(family, c, k) * lower[i - k][ci] for k in range(1, i + 1)
-        )
+    for acc in map(sum, zip(*terms)):
         h, rem = divmod(acc, i)
         if rem:
             raise OracleError(f"non-integral symmetric power {i} in {family}{n}")

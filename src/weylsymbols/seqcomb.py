@@ -18,10 +18,11 @@ S(y) and tilde-S(y), the symmetric decompositions y = x + e + x, and the
 skeleton/remainder decomposition of an XSeq.  One backtracking search,
 _split_firsts, enumerates the splits of y into two XSeqs, each as its first
 part packed into one int (one field per entry, _key_fields sizing them);
-split_pairs and based_split_pairs unpack its pairs, and S(y) and tilde-S(y)
-filter them.  The symmetric decompositions
-have a backtracking search of their own over the first part x, bounded so
-that e = y - 2x stays nonnegative and nondecreasing.
+split_pairs and based_split_pairs check their arguments and unpack its
+pairs through one kernel, _split_pairs, whose pairs S(y) and tilde-S(y)
+filter.  The symmetric decompositions have a backtracking search of their
+own over the first part x, bounded so that e = y - 2x stays nonnegative
+and nondecreasing.
 Deviation statistics (rho/beta families) measure each sequence against the
 minimal member of its space and are additive under entrywise addition.
 Each space's rule is one row of the table _SPACES (its base, the least
@@ -45,7 +46,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add, sub
+from operator import add, gt, sub
 from typing import Callable, Iterable
 
 from .errors import DomainError, InvariantError, ResourceError, ValidationError
@@ -509,11 +510,26 @@ def split_pairs(y: Seq, upper: Seq | None = None) -> tuple[tuple[Seq, Seq], ...]
     """All (x, xp) in XSeq x XSeq with x + xp = y, lexicographically in x.
 
     An optional entrywise bound x[i] <= upper[i], within the default y[i],
-    lets callers pin the shape of the complement.  The pairs are those of
-    _split_firsts, unpacked.
+    lets callers pin the shape of the complement.  A y that is not a
+    nonempty tuple of nonnegative ints, or an upper that is not a tuple of
+    ints, raises ValidationError; an upper of another length or with an
+    entry above y's raises DomainError.
     """
-    highs = y if upper is None else upper
-    fields, width = _key_fields(len(y), max(highs, default=0))
+    _ensure_entries(y)
+    if upper is not None:
+        if not isinstance(upper, tuple):
+            raise ValidationError(f"upper must be a tuple, got {upper!r}")
+        for v in upper:
+            _ensure_int("upper entry", v)
+        if len(upper) != len(y) or any(map(gt, upper, y)):
+            raise DomainError(f"upper {upper!r} is not an entrywise bound within y {y!r}")
+    return _split_pairs(y, y if upper is None else upper)
+
+
+def _split_pairs(y: Seq, highs: Seq) -> tuple[tuple[Seq, Seq], ...]:
+    """split_pairs of a checked y and bound: the pairs of _split_firsts,
+    unpacked."""
+    fields, width = _key_fields(len(y), max(highs))
     out = []
     for first in _split_firsts(y, highs, width):
         x = _unpack(fields, first)
@@ -569,8 +585,9 @@ def enumerate_S(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     """All matched splits of y, lexicographically ordered by first part."""
     ensure_yseq(y)
     ivs = _frakI(y)
-    # split_pairs yields XSeq pairs summing to y
-    return tuple((x, xp) for x, xp in split_pairs(y) if _matched(ivs, x, xp, False))
+    # _split_pairs yields XSeq pairs summing to y
+    return tuple((x, xp) for x, xp in _split_pairs(y, y)
+                 if _matched(ivs, x, xp, False))
 
 
 def construct_one_S(y: Seq) -> tuple[Seq, Seq]:
@@ -630,18 +647,27 @@ def _ensure_tilde_domain(y: Seq) -> None:
 
 
 def based_split_pairs(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
-    """The splits (x, xp) of a YSeq y starting (0, 1) whose complement xp
-    is a based XSeq, lexicographically in x."""
+    """The splits (x, xp) of y with x[0] = x[1] = 0, lexicographically in
+    x: for a YSeq y starting (0, 1), those whose complement xp is a based
+    XSeq.  A y that is not a tuple of nonnegative ints raises
+    ValidationError, one with fewer than two entries DomainError."""
+    _ensure_entries(y)
+    if len(y) < 2:
+        raise DomainError(f"based splits need at least two entries, got {y!r}")
+    return _based_split_pairs(y)
+
+
+def _based_split_pairs(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     # xp[0] = 0 and xp[1] >= 1 force x[0] = x[1] = 0, so with y0 = 0 and
     # y1 = 1 every complement is a based XSeq
-    return split_pairs(y, upper=(0, 0) + y[2:])
+    return _split_pairs(y, (0, 0) + y[2:])
 
 
 def enumerate_tilde_S(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     """All based matched splits of y, lexicographically ordered by first part."""
     _ensure_tilde_domain(y)
     ivs = _frakI(y)
-    return tuple((x, xp) for x, xp in based_split_pairs(y)
+    return tuple((x, xp) for x, xp in _based_split_pairs(y)
                  if _matched(ivs, x, xp, True))
 
 
@@ -751,9 +777,11 @@ def enumerate_space(kind: str, m: int, n: int) -> tuple[Seq, ...]:
     duplicate-free. m or n not an int (a bool included) raises
     ValidationError, negative DomainError, above the size cap ResourceError.
     """
-    kind = _KIND_ALIASES.get(kind, kind)
-    if kind not in _SPACES:
+    # a kind that is not a str is unknown too, an unhashable one included
+    space = _KIND_ALIASES.get(kind) if isinstance(kind, str) else None
+    if space is None:
         raise DomainError(f"unknown sequence kind {kind!r}")
+    kind = space
     _ensure_int("m", m)
     _ensure_int("n", n)
     if m < 0 or n < 0:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylsymbols import irreps
 from weylsymbols import seqcomb as sc
 from weylsymbols.errors import DomainError, ValidationError
 from weylsymbols.irreps import (
@@ -267,6 +268,8 @@ def test_special_reps_d_degenerate_pairs():
 
 @pytest.mark.parametrize("family, n", [(FAMILY_BC, 7), (FAMILY_D, 7)])
 def test_special_reps_trusts_its_enumerated_sequences(monkeypatch, family, n):
+    # a cold memo, so the pool is enumerated under the patch
+    irreps._special_pool.cache_clear()
     checks = []
     inner = sc.ensure_xseq
 
@@ -487,6 +490,63 @@ def test_policy_m_values():
     assert policy_m(FAMILY_A, 5) == 5
     assert policy_m(FAMILY_BC, 5) == 12
     assert policy_m(FAMILY_D, 5) == 11
+
+
+@pytest.mark.parametrize("call, args, error", [
+    (policy_m, (FAMILY_D, -3), DomainError),
+    (policy_m, (FAMILY_A, True), ValidationError),
+    (policy_m, (FAMILY_BC, 2.0), ValidationError),
+    (class_policy_m, ("B", 1.0), ValidationError),
+    (class_policy_m, ("B", None), ValidationError),
+    (class_policy_m, ("D", -1), DomainError),
+], ids=["policy_m-negative", "policy_m-bool", "policy_m-float",
+        "class_policy_m-float", "class_policy_m-None",
+        "class_policy_m-negative"])
+def test_length_policies_check_the_rank(call, args, error):
+    with pytest.raises(error, match="rank must be"):
+        call(*args)
+
+
+@pytest.mark.parametrize("value", [True, None, "x"],
+                         ids=["bool", "None", "str"])
+@pytest.mark.parametrize("merge", [zeta, zeta_tilde],
+                         ids=["zeta", "zeta_tilde"])
+def test_merges_reject_a_value_that_is_not_a_label(merge, value):
+    with pytest.raises(ValidationError, match="must be an IrrLabel"):
+        merge(value)
+
+
+@pytest.mark.parametrize("args, error", [
+    ((FAMILY_BC, 3, 8.0), ValidationError),
+    ((FAMILY_BC, 3, True), ValidationError),
+    ((FAMILY_BC, True), ValidationError),
+    (([FAMILY_BC], 3), DomainError),
+    ((FAMILY_BC, 3, [8]), ValidationError),
+    ((FAMILY_BC, 3, 7), DomainError),
+], ids=["m-float", "m-bool", "n-bool", "family-list", "m-list",
+        "m-wrong-parity"])
+def test_a_warm_pool_memo_still_refuses_each_malformed_call(args, error):
+    # 8.0 and True hash like 8 and 1, so they are refused before the memo;
+    # a pool that fails to build is not kept
+    assert special_reps(FAMILY_BC, 3) == special_reps(FAMILY_BC, 3, 8)
+    before = irreps._special_pool.cache_info()
+    for _ in range(2):
+        with pytest.raises(error):
+            special_reps(*args)
+    after = irreps._special_pool.cache_info()
+    assert (after.hits, after.currsize) == (before.hits, before.currsize)
+
+
+@pytest.mark.parametrize("family, n", [(FAMILY_A, 5), (FAMILY_BC, 4),
+                                       (FAMILY_D, 5)])
+def test_a_repeated_pool_is_one_memo_entry_equal_to_a_fresh_build(family, n):
+    first = special_reps(family, n)
+    assert special_reps(family, n) is first
+    # the policy length named or left out reads one entry
+    assert special_reps(family, n, policy_m(family, n)) is first
+    irreps._special_pool.cache_clear()
+    fresh = special_reps(family, n)
+    assert fresh is not first and fresh == first
 
 
 def test_label_json():

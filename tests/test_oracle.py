@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
 import pytest
 
-from weylsymbols import oracle
+from weylsymbols import irreps, oracle, suites
 from weylsymbols import seqcomb as sc
 from weylsymbols.engine import _a_divisor_members, verify
 from weylsymbols.errors import (
@@ -336,9 +337,10 @@ def test_symmetric_power_rows_are_the_integers_of_the_power_sum_recursion():
 
 
 def test_a_symmetric_power_that_divides_with_a_remainder_raises(monkeypatch):
-    # rows below degree 2 are cached with their true values first
+    # rows below degree 2 are cached with their true values first; the
+    # trace rows are cached too, so the recursion reads patched ones
     assert oracle._sym_power_row(FAMILY_A, 3, 1) == (-1, 0, 2)
-    monkeypatch.setattr(oracle, "_power_trace", lambda family, c, k: 1)
+    monkeypatch.setattr(oracle, "_trace_row", lambda family, n, k: (1, 1, 1))
     with pytest.raises(OracleError, match="non-integral symmetric power 2"):
         oracle._sym_power_row.__wrapped__(FAMILY_A, 3, 2)
 
@@ -538,6 +540,51 @@ def test_oracle_suite_induces_each_j_case_once():
     assert oracle._induced.cache_info().misses == 816
     # one entry is kept, not one per case
     assert oracle._induced.cache_info().currsize == 1
+
+
+def test_oracle_suite_builds_each_special_pool_once(monkeypatch):
+    # the j blocks ask for a factor pool once per embedding and factor;
+    # the special_reps memo builds each distinct (family, rank, m) once
+    asked = []
+    inner = suites.special_reps
+
+    def counted(*args):
+        asked.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(suites, "special_reps", counted)
+    irreps._special_pool.cache_clear()
+    assert oracle_suite().ok()
+    info = irreps._special_pool.cache_info()
+    assert (len(asked), len(set(asked))) == (437, 17)
+    assert info.misses == info.currsize == 17
+
+
+def test_a_cold_table_set_traces_each_class_power_once(monkeypatch):
+    traced = Counter()
+    inner = oracle._power_trace
+
+    def counted(family, c, k):
+        traced[family, c, k] += 1
+        return inner(family, c, k)
+
+    monkeypatch.setattr(oracle, "_power_trace", counted)
+    for cached in (oracle._trace_row, oracle._sym_power_row,
+                   oracle._b_of_key, oracle._by_degree):
+        cached.cache_clear()
+    for family, cap in RANK_BOUNDS.items():
+        for n in range(cap + 1):
+            for key in character_table(family, n).irreps:
+                oracle._b_of_key(family, n, key)
+    assert traced and set(traced.values()) == {1}
+    # each table is traced in whole rows: every class at k = 1, ..., top
+    for family, cap in RANK_BOUNDS.items():
+        for n in range(cap + 1):
+            classes = character_table(family, n).classes
+            rows = {(c, k) for fam, c, k in traced
+                    if fam == family and c in classes}
+            top = max((k for _, k in rows), default=0)
+            assert rows == {(c, k) for c in classes for k in range(1, top + 1)}
 
 
 def test_interleaved_cases_keep_their_own_multiplicities():

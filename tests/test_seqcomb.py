@@ -241,6 +241,42 @@ def test_enumerate_S_matches_brute_force(m):
             )
 
 
+@pytest.mark.parametrize("call, args, error", [
+    (sc.split_pairs, ((),), ValidationError),
+    (sc.split_pairs, ((0, 1.5),), ValidationError),
+    (sc.split_pairs, ((0, -1),), ValidationError),
+    (sc.split_pairs, ([0, 0, 2, 2],), ValidationError),
+    (sc.split_pairs, ((0, True),), ValidationError),
+    (sc.split_pairs, ((0, 0, 2, 2), [0, 0, 2, 2]), ValidationError),
+    (sc.split_pairs, ((0, 0, 2, 2), (0, 0, 2.0, 2)), ValidationError),
+    (sc.split_pairs, ((0, 0, 2, 2), (5, 5, 5, 5)), DomainError),
+    (sc.split_pairs, ((0, 0, 2, 2), (0, 1, 2, 2)), DomainError),
+    (sc.split_pairs, ((0, 0, 2, 2), (0, 0, 2)), DomainError),
+    (sc.based_split_pairs, ((-1, 0),), ValidationError),
+    (sc.based_split_pairs, ([0, 0, 2, 2],), ValidationError),
+    (sc.based_split_pairs, ((),), ValidationError),
+    (sc.based_split_pairs, ((0,),), DomainError),
+], ids=["empty", "float", "negative", "list", "bool", "upper-list",
+        "upper-float", "upper-above", "upper-one-above", "upper-short",
+        "based-negative", "based-list", "based-empty", "based-one-entry"])
+def test_split_enumerators_refuse_what_they_cannot_split(call, args, error):
+    with pytest.raises(error):
+        call(*args)
+
+
+def test_split_enumerators_take_every_bound_within_y():
+    y = (0, 2, 4, 6, 8)
+    assert sc.split_pairs(y, y) == sc.split_pairs(y)
+    upper = (0, 1, 2, 3, 4)
+    bounded = sc.split_pairs(y, upper)
+    assert len(bounded) == 20 and bounded == tuple(
+        (x, xp) for x, xp in sc.split_pairs(y)
+        if all(map(int.__le__, x, upper)))
+    # a bound below 0 leaves no first part
+    assert sc.split_pairs(y, (-1, 2, 4, 6, 8)) == ()
+    assert sc.based_split_pairs((0, 1)) == (((0, 0), (0, 1)),)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_S_members_frakS_structure(m):
     # no intervals at all: both parts flat; no odd interval: second part flat
@@ -408,6 +444,13 @@ def test_enumerate_space_lexicographic_and_complete():
             for n in range(5):
                 out = sc.enumerate_space(kind, m, n)
                 assert list(out) == sorted(set(out)) == slow[n], (kind, m, n)
+
+
+@pytest.mark.parametrize("kind", [["X"], ("X",), None, 1, "W"],
+                         ids=["list", "tuple", "None", "int", "str"])
+def test_enumerate_space_refuses_an_unknown_kind_of_any_type(kind):
+    with pytest.raises(DomainError, match="unknown sequence kind"):
+        sc.enumerate_space(kind, 3, 2)
 
 
 @pytest.mark.parametrize("kind, m, n", [("X", 22, 10), ("Z", 10, 10),
