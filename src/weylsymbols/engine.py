@@ -38,26 +38,24 @@ special_reps memo, one pool per (family, rank, m), which the family-A
 pools read; the BC and D pools are enumerated per call.  The induction
 graph keeps its own image table, which goes with the call.
 
-* The record table (_Parts).  Every XSeq record is keyed by the sequence
-  packed into one int, one field per entry, sized so that every entry of
-  a rank-n class sequence y fits (_split_fields).  A record holds the
-  part's rank, its member-form labels, its f-invariant, its count of
-  strict positions and one small int id per label.  The pools of special
-  labels that the maximal shapes' factor signatures name fill the table:
-  the special-rep enumeration gives each pool's merged sequences, labels,
-  b, f and the strict count it took f from, and a family-D pool of a C
-  target is filed under its based complement (0, x0 + 1, x1 + 1, ...),
-  whose count is one more.  A split part misses the table only when no
-  maximal shape uses its rank (C's rank-(n - 1) splits, D's ranks 1 and
-  n - 1); its record then keeps rank, f and strict count, and its labels
-  are built when a witness first reads them.
+* The record table (_Parts), one record per split part.  Every XSeq
+  record is keyed by the sequence packed into one int, one field per
+  entry, sized so that every entry of a rank-n class sequence y fits
+  (_split_fields).  A record holds the part's rank, its member-form
+  labels, its f-invariant and one small int id per label.  The pools of
+  special labels fill the table: those that the maximal shapes' factor
+  signatures name, and every rank of each family a split part belongs to
+  (BC for B, BC and D for C, D for D), so every split part has a record.
+  The special-rep enumeration gives each pool's merged sequences, labels,
+  b and f, and a family-D pool of a C target is filed under its based
+  complement (0, x0 + 1, x1 + 1, ...).
 * One table of the maximal shapes by block sizes, shared by the induction
   graph and every row.
-* One induction graph: each pool aligned to the target and packed once
-  for every shape that uses it; every product of a shape's pools summed
-  as packed ints into one image table keyed by packed image rows, so each
-  distinct image is built and validated once and b-additivity is checked
-  on every product; and the fibers, each product's member int filed under
+* One induction graph: each pool a shape names aligned to the target and
+  packed once for every shape that uses it; every product of a shape's
+  pools summed as packed ints into one image table keyed by packed image
+  rows, so each distinct image is built and validated once and
+  b-additivity is checked on every product; and the fibers, each product's member int filed under
   its packed image int.  A member is one int, count * a + b for the ids a
   and b of its two blocks' labels (the blocks' ranks name its shape).
 * Per row, one split table of y: the split search yields packed first
@@ -70,7 +68,11 @@ graph keeps its own image table, which goes with the call.
   the fiber.  The C and D split witness reads the same split table, the
   B and D symmetric witnesses look up their first parts' records in the
   record table, and one interval set frakI(y) serves the class
-  invariants and the symmetric witness search.
+  invariants and the symmetric witness search.  The C and D witnesses
+  need parts with a strict position (beyond the base one of a C
+  complement), which are exactly the parts whose first label is not
+  degenerate: a D merge at odd length has an even count of strict
+  positions, zero exactly on equal rows.
 
 Every member factor has one form, the member form: BC and D labels as the
 rows split them out of y, at the target's merged length, A labels
@@ -91,16 +93,15 @@ from . import seqcomb as sc
 from .errors import DomainError, InvariantError
 from .irreps import (
     FAMILY_A,
+    FAMILY_BC,
     FAMILY_D,
     IrrLabel,
     SpecialSeq,
     _ensure_label,
-    _f_from_strict_count,
     _partition_to_z,
     _special_seqs,
     _trusted,
     _z_to_partition,
-    _zeta_inverse,
     b_invariant,
     canonicalize,
     label_str,
@@ -256,9 +257,9 @@ def _pool_seqs(family: str, rank: int, n: int) -> Iterator[SpecialSeq]:
     of a rank-n target, one group per merged sequence as _special_seqs
     gives them: BC and D labels at the target's merged length, as rows
     split them out of y; each A label canonical, in a group of its own
-    under its row, with strict count 0."""
+    under its row, with f = 1."""
     if family == FAMILY_A:
-        return ((rep.xseq, rep.b, 0, (canonicalize(rep.label),))
+        return ((rep.xseq, rep.b, 1, (canonicalize(rep.label),))
                 for rep in special_reps(FAMILY_A, rank))
     return _special_seqs(family, rank, policy_m(family, n))
 
@@ -267,24 +268,25 @@ def _pool_seqs(family: str, rank: int, n: int) -> Iterator[SpecialSeq]:
 # the record table
 
 # A split part's record: its rank, its member-form labels (two for a
-# degenerate family-D part; None until first read off the pools), its
-# f-invariant, its count of strict positions len(_frakS(part)) and one
-# label id per label (none off the pools).
-Record = list
-# A split: the packed first part x and complement x~, and their records.
-Split = tuple[int, int, Record, Record]
+# degenerate family-D part), its f-invariant and one label id per label.
+Record = tuple[int, tuple[IrrLabel, ...], int, tuple[int, ...]]
+# A split x + x~: the records of the first part x and the complement x~.
+Split = tuple[Record, Record]
 
 
 # (family, rank) -> a pool's labels, their b-invariants and their ids
 Pools = dict[tuple[str, int], tuple[tuple[IrrLabel, ...], tuple[int, ...],
                                     tuple[int, ...]]]
 
+# the label families of the split parts of a class family's sequences
+_PART_FAMILIES = {CLASS_A: (), CLASS_B: (FAMILY_BC,),
+                  CLASS_C: (FAMILY_BC, FAMILY_D), CLASS_D: (FAMILY_D,)}
+
 
 class _Parts:
-    """One call's record table: the XSeq records of the special-label pools
-    that the maximal shapes name, keyed by packed sequence, with one id per
-    pool label, and the records of the split parts that miss them (see the
-    module docstring)."""
+    """One call's record table: one XSeq record per split part, keyed by
+    packed sequence, with one id per pool label (see the module
+    docstring)."""
 
     def __init__(self, family: str, n: int, shapes: Shapes) -> None:
         self.family = family
@@ -300,24 +302,24 @@ class _Parts:
         # the maximal shape of a split by its first part's rank, the two
         # parts' ranks adding up to n (None off the maximal shapes)
         self.shape_at = [shapes.get((r, n - r)) for r in range(n + 1)]
-        keys = ([(FAMILY_A, n)] if family == CLASS_A else
-                [key for spec in shapes.values()
-                 for key in _embedding(spec).factor_signature()])
-        for key in keys:
-            if key not in self.pools:
-                self._fill(*key)
+        # the pools the shapes name, then every rank of the part families,
+        # so that every split part has a record
+        keys = _signature_keys(family, n, shapes)
+        keys += [(fam, rank) for fam in _PART_FAMILIES[family]
+                 for rank in range(n + 1)]
+        for key in dict.fromkeys(keys):
+            self._fill(*key)
 
     def _fill(self, fam: str, rank: int) -> None:
         """Enumerate one pool, give its labels ids and record its merged
-        sequences (none for a family-A pool).  A record keeps the strict
-        count that the enumeration took for f; a C target files a D
+        sequences (none for a family-A pool); a C target files a D
         sequence x under its based complement (0, x0 + 1, x1 + 1, ...),
-        which has one strict position more, the base one."""
+        of the rank, labels and f of x."""
         based = self.family == CLASS_C and fam == FAMILY_D
         labels: list[IrrLabel] = []
         bs: list[int] = []
         ids: list[int] = []
-        for x, b, strict, fiber in _pool_seqs(fam, rank, self.n):
+        for x, b, f, fiber in _pool_seqs(fam, rank, self.n):
             fiber_ids = tuple(range(self.count, self.count + len(fiber)))
             self.count += len(fiber)
             labels += fiber
@@ -327,47 +329,31 @@ class _Parts:
                 self.label_ids.update(zip(fiber, fiber_ids))
                 continue
             part = (0, *(v + 1 for v in x)) if based else x
-            self.records[sc._pack(self.fields, part)] = [
-                rank, fiber, _f_from_strict_count(fam, strict),
-                strict + 1 if based else strict, fiber_ids]
+            self.records[sc._pack(self.fields, part)] = (rank, fiber, f,
+                                                         fiber_ids)
         self.pools[fam, rank] = (tuple(labels), tuple(bs), tuple(ids))
 
     def splits(self, y: Seq) -> list[Split]:
         """Every two-block split x + x~ of a B, C or D class sequence y, in
-        the enumerator's order; a part that misses the table is recorded
-        there."""
+        the enumerator's order, as the records of its parts."""
         records = self.records
         whole = sc._pack(self.fields, y)
         # a C class sequence at the policy length starts (0, 1), and x[0] =
         # x[1] = 0 makes every complement a based XSeq
         highs = (0, 0, *y[2:]) if self.family == CLASS_C else y
-        out = []
-        for first in sc._split_firsts(y, highs, self.width):
-            second = whole - first
-            # a record is a nonempty list
-            out.append((first, second,
-                        records.get(first) or self._miss(first),
-                        records.get(second) or self._miss(second)))
-        return out
+        return [(records[first], records[whole - first])
+                for first in sc._split_firsts(y, highs, self.width)]
 
-    def _miss(self, key: int) -> Record:
-        record = self.records[key] = _part(self.family,
-                                           sc._unpack(self.fields, key))
-        return record
 
-    def labels(self, key: int) -> tuple[IrrLabel, ...]:
-        """The member-form labels of the recorded part, built on first
-        read."""
-        record = self.records[key]
-        if record[1] is None:
-            x = sc._unpack(self.fields, key)
-            if self.family == CLASS_C and x[1]:
-                # a based complement: the labels of its lowered D merge
-                record[1] = _zeta_inverse(FAMILY_D,
-                                          tuple(v - 1 for v in x[1:]))
-            else:
-                record[1] = _zeta_inverse(LABEL_FAMILY[self.family], x)
-        return record[1]
+def _signature_keys(family: str, n: int, shapes: Shapes
+                    ) -> list[tuple[str, int]]:
+    """The (family, rank) of every factor pool of the maximal shapes, each
+    once, in shape and signature order; family A's one shape, the full
+    group, has the one pool (A, n)."""
+    if family == CLASS_A:
+        return [(FAMILY_A, n)]
+    return [*dict.fromkeys(key for spec in shapes.values()
+                           for key in _embedding(spec).factor_signature())]
 
 
 def _split_fields(family: str, n: int) -> tuple[str, int]:
@@ -381,19 +367,6 @@ def _split_fields(family: str, n: int) -> tuple[str, int]:
     return sc._key_fields(m + 1, 2 * (m // 2) + n)
 
 
-def _part(family: str, x: Seq) -> Record:
-    """Record of a split part outside the pools, its labels unbuilt: a C
-    part with x[1] >= 1 is a based complement, of the rank of x itself and
-    the f of its lowered D merge, which has one strict position fewer (the
-    base one)."""
-    strict = len(sc._frakS(x))
-    if family == CLASS_C and x[1]:
-        return [sc._tilde_rho(x), None,
-                _f_from_strict_count(FAMILY_D, strict - 1), strict, ()]
-    return [sc._rho(x), None,
-            _f_from_strict_count(LABEL_FAMILY[family], strict), strict, ()]
-
-
 def _maximal(parts: _Parts, splits: list[Split]) -> tuple[set[int], int]:
     """The member ints of the splits on maximal shapes, one per choice of
     label in each block's fiber (degenerate family-D fibers hold two), and
@@ -401,15 +374,15 @@ def _maximal(parts: _Parts, splits: list[Split]) -> tuple[set[int], int]:
     shape_at, count = parts.shape_at, parts.count
     members: set[int] = set()
     fa_value = 0
-    for _, _, px, pxt in splits:
+    for px, pxt in splits:
         if shape_at[px[0]] is None:
             continue
         f = px[2] * pxt[2]
         if f > fa_value:
             fa_value = f
-        for a in px[4]:
+        for a in px[3]:
             a *= count
-            for b in pxt[4]:
+            for b in pxt[3]:
                 members.add(a + b)
     return members, fa_value
 
@@ -420,7 +393,7 @@ def _member_forms(parts: _Parts, splits: list[Split], f: int | None = None
     order, one per choice of label in each block's fiber; only those of
     f-product f when f is given."""
     out = []
-    for _, _, px, pxt in splits:
+    for px, pxt in splits:
         spec = parts.shape_at[px[0]]
         if spec is None or (f is not None and px[2] * pxt[2] != f):
             continue
@@ -556,12 +529,11 @@ def _a_divisor_members(label: IrrLabel, n: int) -> tuple[tuple[int, IrrLabel], .
 Witness = tuple[Member, int | None]
 
 
-def _symmetric_member(parts: _Parts, x: Seq, e: Seq) -> Witness:
-    """Member realizing a self-matched decomposition y = x + e + x; its
-    f-product is the square of x's f."""
-    key = sc._pack(parts.fields, x)
-    rank, _, _, _, ids = parts.records[key]
-    lab = parts.labels(key)[0]
+def _symmetric_member(parts: _Parts, record: Record, e: Seq) -> Witness:
+    """Member realizing a self-matched decomposition y = x + e + x, given
+    the record of x; its f-product is the square of x's f."""
+    rank, labels, _, ids = record
+    lab = labels[0]
     p = sum(e)
     spec = ParahoricSpec(parts.family, parts.n, r=rank, p=p, q=rank)
     if p:
@@ -571,22 +543,21 @@ def _symmetric_member(parts: _Parts, x: Seq, e: Seq) -> Witness:
     return (spec, (lab, lab)), ids[0] * parts.count + ids[0]
 
 
-def _split_witness(parts: _Parts, splits: list[Split], fa_value: int,
-                   strict: tuple[int, int]) -> tuple[int, Witness | None]:
-    """First two-block member at the maximal f-product whose parts keep at
-    least strict = (lo, hi) strict positions: order 2 with it, else 1."""
-    lo, hi = strict
-    for first, second, px, pxt in splits:
-        if pxt[3] < hi or px[3] < lo or px[2] * pxt[2] != fa_value:
+def _split_witness(parts: _Parts, splits: list[Split], fa_value: int
+                   ) -> tuple[int, Witness | None]:
+    """First two-block member at the maximal f-product whose parts both
+    have a label that is not degenerate: order 2 with it, else 1."""
+    for px, pxt in splits:
+        lx, lxt = px[1][0], pxt[1][0]
+        if px[2] * pxt[2] != fa_value or lx.degenerate or lxt.degenerate:
             continue
         spec = parts.shape_at[px[0]]
         member = None
         if spec is None:
             spec = ParahoricSpec(parts.family, parts.n, r=px[0], q=pxt[0])
         else:
-            member = px[4][0] * parts.count + pxt[4][0]
-        return 2, ((spec, (parts.labels(first)[0], parts.labels(second)[0])),
-                   member)
+            member = px[3][0] * parts.count + pxt[3][0]
+        return 2, ((spec, (lx, lxt)), member)
     return 1, None
 
 
@@ -605,31 +576,34 @@ def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
         return d, ((ParahoricSpec(CLASS_A, n, d=d), (tilde,) * d), member)
     if family == CLASS_C:
         # the node flip fixes a member exactly when the based part keeps a
-        # strict position beyond its base one
-        return _split_witness(parts, splits, fa_value, strict=(0, 3))
+        # strict position beyond its base one: its label is not degenerate
+        return _split_witness(parts, splits, fa_value)
     # every x of a self-matched decomposition is a first part of the table
-    sym = sc._symmetric(intervals, y)
+    records, fields = parts.records, parts.fields
+    sym = [(records[sc._pack(fields, x)], e)
+           for x, e in sc._symmetric(intervals, y)]
     if family == CLASS_B:
         if not sym:
             return 1, None
         # a self-matched decomposition is automatically f-maximal
-        x, e = sym[0]
-        if parts.records[sc._pack(parts.fields, x)][2] ** 2 != fa_value:
+        record, e = sym[0]
+        if record[2] ** 2 != fa_value:
             raise InvariantError(
                 f"self-matched member misses the maximal f-product on {y!r}"
             )
-        return 2, _symmetric_member(parts, x, e)
-    # family D: full symmetry needs a self-matched split with a strict position
-    for x, e in sym:
-        if parts.records[sc._pack(parts.fields, x)][3]:
-            return 4, _symmetric_member(parts, x, e)
+        return 2, _symmetric_member(parts, record, e)
+    # family D: full symmetry needs a self-matched split with a strict
+    # position, that is x's label not degenerate
+    for record, e in sym:
+        if not record[1][0].degenerate:
+            return 4, _symmetric_member(parts, record, e)
     # a self-matched decomposition without strict positions exists only on
     # interval-free sequences, where the end-to-end flip still fixes it
     if sym:
         return 2, _symmetric_member(parts, *sym[0])
     # half symmetry via a split whose parts both extend across the prong
-    # swap, at maximal f-product
-    return _split_witness(parts, splits, fa_value, strict=(2, 2))
+    # swap (both labels not degenerate), at maximal f-product
+    return _split_witness(parts, splits, fa_value)
 
 
 def fc(label: IrrLabel, family: str, n: int) -> int:
@@ -669,8 +643,8 @@ def _induction_graph(parts: _Parts, shapes: Shapes
     block's (a D shape's A middle factor adds nothing), is filed under the
     packed image int, which compares as match_key does: kappa is 0 on
     every non-degenerate image, and a degenerate one is keyed by its rows.
-    The pools are not checked against the shapes' signatures: the table
-    builds them to fit."""
+    Only the pools the signatures name are prepared, and they are not
+    checked against them: the table builds them to fit."""
     family, n = parts.family, parts.n
     if family == CLASS_A:
         # the only maximal shape is the full group
@@ -678,8 +652,8 @@ def _induction_graph(parts: _Parts, shapes: Shapes
         return frozenset(labels), {lab: {i} for lab, i in zip(labels, ids)}
     # every shape induces into the one target
     layout = _layout(LABEL_FAMILY[family], n)
-    prepared = {key: _prepare_pool(layout, labels, bs)
-                for key, (labels, bs, _) in parts.pools.items()}
+    prepared = {key: _prepare_pool(layout, *parts.pools[key][:2])
+                for key in _signature_keys(family, n, shapes)}
     images: ImageTable = {}
     filed: defaultdict[int, set[int]] = defaultdict(set)
     count = parts.count

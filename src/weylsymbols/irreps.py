@@ -336,26 +336,26 @@ def _special_pool(family: str, n: int, m: int) -> tuple[SpecialRep, ...]:
                        sc._beta0(z), 1)
             for z in sc.enumerate_space("Z", m, n)
         )
-    return tuple(SpecialRep(label, x, b, _f_from_strict_count(family, strict))
-                 for x, b, strict, labels in _special_seqs(family, n, m)
+    return tuple(SpecialRep(label, x, b, f)
+                 for x, b, f, labels in _special_seqs(family, n, m)
                  for label in labels)
 
 
-# a merged sequence x of a special stratum, its b, its count of strict
-# positions len(_frakS(x)), which fixes f, and its labels
+# a merged sequence x of a special stratum, its b, its f and its labels
 SpecialSeq = tuple[Seq, int, int, tuple[IrrLabel, ...]]
 
 
 def _special_seqs(family: str, n: int, m: int) -> Iterator[SpecialSeq]:
     """The merged sequences of the rank-n special stratum of family BC or
-    D at length m, in enumeration order, each with its b, strict count and
-    labels: special_reps grouped by sequence, for a caller that needs the
-    count too.  m is checked before the first sequence is yielded."""
+    D at length m, in enumeration order, each with its b, f and labels:
+    special_reps grouped by sequence.  m is checked before the first
+    sequence is yielded."""
     # enumerate_space checks m; the sequences it yields are valid XSeqs,
     # weighed without re-checking
     xs = sc.enumerate_space("X", m, n)
     base = sc.base_x(m)
-    return ((x, sc._dev_weighted(x, base), len(sc._frakS(x)),
+    return ((x, sc._dev_weighted(x, base),
+             _f_from_strict_count(family, len(sc._frakS(x))),
              _zeta_inverse(family, x)) for x in xs)
 
 
@@ -497,8 +497,11 @@ def dimension(label: IrrLabel) -> int:
 # shifts and canonical forms
 
 def align_row(z: Seq, length: int) -> Seq:
-    """Shift a row up to the requested length by prepending fresh zeros."""
+    """Shift a row up to the requested length by prepending fresh zeros.
+    A row that is not strictly increasing or a length that is not an int
+    raises ValidationError."""
     sc.ensure_zseq(z)
+    sc._ensure_int("row length", length)
     return _align(z, length)
 
 
@@ -510,15 +513,20 @@ def _align(z: Seq, length: int) -> Seq:
 
 
 def aligned_rows(label: IrrLabel, k: int) -> tuple[Seq, Seq]:
-    """Rows of a BC label aligned to lengths (k+1, k), of a D label to (k, k)."""
+    """Rows of a BC label aligned to lengths (k+1, k), of a D label to (k, k).
+    A value that is not an IrrLabel or a k that is not an int raises
+    ValidationError, a family-A label DomainError."""
     lab = canonicalize(label)
-    assert lab.zp is not None
+    sc._ensure_int("row length", k)
+    if lab.zp is None:
+        raise DomainError("family A labels have a single row")
     zp = _align(lab.zp, k)
     return _align(lab.z, k + 1 if lab.family == FAMILY_BC else k), zp
 
 
 def shift(label: IrrLabel, t: int) -> IrrLabel:
     """Prepend t fresh slots to every row, preserving all invariants."""
+    _ensure_label("label", label)
     sc._ensure_nat("shift amount", t)
     z = align_row(label.z, len(label.z) + t)
     if label.zp is None:

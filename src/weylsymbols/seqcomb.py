@@ -46,7 +46,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add, gt, sub
+from operator import add, sub
 from typing import Callable, Iterable
 
 from .errors import DomainError, InvariantError, ResourceError, ValidationError
@@ -506,24 +506,12 @@ def _matched(ivs: tuple[Interval, ...], x: Seq, xp: Seq, based: bool) -> bool:
     return bool(odd) or not sxp
 
 
-def split_pairs(y: Seq, upper: Seq | None = None) -> tuple[tuple[Seq, Seq], ...]:
+def split_pairs(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     """All (x, xp) in XSeq x XSeq with x + xp = y, lexicographically in x.
-
-    An optional entrywise bound x[i] <= upper[i], within the default y[i],
-    lets callers pin the shape of the complement.  A y that is not a
-    nonempty tuple of nonnegative ints, or an upper that is not a tuple of
-    ints, raises ValidationError; an upper of another length or with an
-    entry above y's raises DomainError.
-    """
+    A y that is not a nonempty tuple of nonnegative ints raises
+    ValidationError."""
     _ensure_entries(y)
-    if upper is not None:
-        if not isinstance(upper, tuple):
-            raise ValidationError(f"upper must be a tuple, got {upper!r}")
-        for v in upper:
-            _ensure_int("upper entry", v)
-        if len(upper) != len(y) or any(map(gt, upper, y)):
-            raise DomainError(f"upper {upper!r} is not an entrywise bound within y {y!r}")
-    return _split_pairs(y, y if upper is None else upper)
+    return _split_pairs(y, y)
 
 
 def _split_pairs(y: Seq, highs: Seq) -> tuple[tuple[Seq, Seq], ...]:

@@ -69,6 +69,12 @@ def _ensure_class_family(family: str) -> None:
         raise DomainError(f"unknown class family {family!r}")
 
 
+def _ensure_class(c: object) -> None:
+    """Reject a value handed in as a class that is not a ClassLabel."""
+    if not isinstance(c, ClassLabel):
+        raise ValidationError(f"class must be a ClassLabel, got {c!r}")
+
+
 def _ensure_parity(family: str, m: int) -> None:
     """Reject a length index of the wrong parity for family B or D."""
     if family == CLASS_B and m % 2 != 0:
@@ -192,8 +198,7 @@ def _interval_sizes(intervals: tuple[tuple[int, int], ...]) -> list[int]:
 def class_invariants(c: ClassLabel) -> ClassInvariants:
     """Component-group data of a class, from the interval set of y (which
     the ClassLabel checked when it was built, so the kernels read it)."""
-    if not isinstance(c, ClassLabel):
-        raise ValidationError(f"class must be a ClassLabel, got {c!r}")
+    _ensure_class(c)
     return _class_invariants(c, _intervals(c.family, c.y))
 
 
@@ -289,6 +294,7 @@ def enumerate_classes(family: str, n: int, m: int | None = None) -> tuple[ClassL
 def shift_class(c: ClassLabel, t: int) -> ClassLabel:
     """Stratum of the same class at length index enlarged by 2t (or t for
     family A): the label-side shift conjugated through tau."""
+    _ensure_class(c)
     sc._ensure_nat("shift amount", t)
     if c.family == CLASS_A:
         head, step = tuple(range(t)), t

@@ -407,9 +407,13 @@ def test_induction_graph_prepares_each_pool_label_once(monkeypatch, family):
     engine._induction_graph(parts, shapes)
     keys = {key for spec in shapes.values()
             for key in engine._embedding(spec).factor_signature()}
-    assert set(parts.pools) == keys
+    # the table holds a pool of every rank a split part can have, which
+    # only C and D shapes leave out
+    assert keys <= set(parts.pools)
+    assert (keys == set(parts.pools)) == (family == "B")
     pooled = [label for key in keys for label in parts.pools[key][0]]
-    # one alignment per distinct pool label, not one per shape using it
+    # only the pools the shapes name are aligned, one alignment per
+    # distinct pool label, not one per shape using it
     assert len(set(pooled)) == len(pooled)
     assert sorted(aligned, key=repr) == sorted(pooled, key=repr)
 
@@ -540,22 +544,19 @@ def test_verify_replays_only_witnesses_outside_their_fiber(monkeypatch):
 def test_pool_reps_are_the_special_reps_in_member_form():
     for family in (FAMILY_A, FAMILY_BC, FAMILY_D):
         for rank in range(5):
-            # one group per merged sequence, each rep's (x, b) in it
+            # one group per merged sequence, each rep's (x, b, f) in it
             groups = list(engine._pool_seqs(family, rank, 6))
-            pool = tuple((label, x, b) for x, b, _, fiber in groups
+            pool = tuple((label, x, b, f) for x, b, f, fiber in groups
                          for label in fiber)
             if family == FAMILY_A:
                 assert pool == tuple((canonicalize(rep.label), rep.xseq,
-                                      rep.b)
+                                      rep.b, rep.f)
                                      for rep in special_reps(family, rank))
             else:
-                # BC and D pools sit at the target's merged length, each
-                # group with the strict count of its sequence
-                assert pool == tuple((rep.label, rep.xseq, rep.b)
+                # BC and D pools sit at the target's merged length
+                assert pool == tuple((rep.label, rep.xseq, rep.b, rep.f)
                                      for rep in special_reps(
                                          family, rank, policy_m(family, 6)))
-                assert all(strict == len(sc._frakS(x))
-                           for x, _, strict, _ in groups)
     # a record table holds the pools its maximal shapes name, each label
     # with an id of its own, the ids counting up from 0
     for family in "ABCD":
@@ -621,38 +622,50 @@ def test_split_part_records_equal_the_kernels(family, n):
     labels = springer.LABEL_FAMILY[family]
     label_of = {i: label for fiber, _, ids in parts.pools.values()
                 for label, i in zip(fiber, ids)}
-
-    def record(rank, fiber, x):
-        fs = {special_f(label) for label in fiber}
-        assert len(fs) == 1
-        return rank, fiber, fs.pop(), len(sc._frakS(x))
-
-    for key, rec in parts.records.items():
+    for key, (rank, fiber, f, ids) in parts.records.items():
         x = sc._unpack(parts.fields, key)
         assert sc._pack(parts.fields, x) == key
-        fiber = parts.labels(key)
         if family == "C" and x[1]:
-            # the based complement: labels and f of its lowered D merge,
-            # its strict count taken on the based sequence itself
-            assert tuple(rec[:4]) == record(sc._tilde_rho(x),
-                                     irreps._zeta_tilde_inverse(x), x)
+            # the based complement: rank, labels and f of its lowered D merge
+            assert (rank, fiber) == (sc._tilde_rho(x),
+                                     irreps._zeta_tilde_inverse(x))
         else:
-            assert tuple(rec[:4]) == record(sc._rho(x),
-                                     irreps._zeta_inverse(labels, x), x)
-        # a pool part names each of its labels by id; a part outside the
-        # pools has no ids, and no maximal shape has its rank
-        assert tuple(map(label_of.get, rec[4])) in (fiber, ())
-        assert bool(rec[4]) == (parts.shape_at[rec[0]] is not None
-                                if family != "C" or not x[1] else
-                                parts.shape_at[n - rec[0]] is not None)
+            assert (rank, fiber) == (sc._rho(x),
+                                     irreps._zeta_inverse(labels, x))
+        assert {special_f(label) for label in fiber} == {f}
+        # every record names each of its labels by id
+        assert tuple(map(label_of.get, ids)) == fiber
     for c in enumerate_classes(family, n):
-        for first, second, px, pxt in parts.splits(c.y):
-            x = sc._unpack(parts.fields, first)
-            xt = sc._unpack(parts.fields, second)
+        for px, pxt in parts.splits(c.y):
+            # member-form labels merge back to the parts, at y's length
+            x = irreps.zeta(px[1][0])
+            xt = (irreps.zeta_tilde if family == "C" else irreps.zeta)(
+                pxt[1][0])
             assert sc.seq_add(x, xt) == c.y
             # C's first parts start (0, 0), its complements are based
             assert family != "C" or (x[:2] == (0, 0) and xt[1] >= 1)
-            assert px is parts.records[first] and pxt is parts.records[second]
+            assert px is parts.records[sc._pack(parts.fields, x)]
+            assert pxt is parts.records[sc._pack(parts.fields, xt)]
+
+
+@pytest.mark.parametrize("family", ["C", "D"])
+def test_degenerate_labels_mark_the_parts_short_of_strict_positions(family):
+    # the split and symmetric witnesses test a part's first label for
+    # degeneracy where they once compared its count of strict positions
+    # with a threshold: 3 on C's based complements, 2 on D's parts in a
+    # split and 1 on a D part x of y = x + e + x
+    for n in range(RANK_FLOOR[family], 11):
+        parts = engine._Parts(family, n, engine._maximal_shapes(family, n))
+        for key, (_, fiber, _, _) in parts.records.items():
+            x = sc._unpack(parts.fields, key)
+            strict = len(sc._frakS(x))
+            if family == "D":
+                assert fiber[0].degenerate == (strict < 2) == (strict < 1)
+            elif x[1]:
+                assert fiber[0].degenerate == (strict < 3)
+            else:
+                # a C first part, which no threshold bounded, is a BC part
+                assert not fiber[0].degenerate
 
 
 @pytest.mark.parametrize("family", ["C", "D"])
@@ -669,55 +682,12 @@ def test_verify_labels_each_distinct_split_part_once(monkeypatch, family):
         monkeypatch.setattr(module, "_zeta_inverse", wrapper)
 
     parts, splits = _split_parts(family, 8)
-    # special_reps labels the pools, the table a part outside them
+    # the pool enumeration labels every part the table records
     counted(irreps)
-    counted(engine)
     assert verify(family, 8).ok()
     # one label fiber per distinct part, not one per split
-    assert len(calls) == len(set(calls)) <= len(parts.records)
+    assert len(calls) == len(set(calls)) == len(parts.records)
     assert 2 * splits > 3 * len(calls)
-
-
-@pytest.mark.parametrize("family, labelled, read", [("C", 644, 2),
-                                                    ("D", 304, 38)])
-def test_verify_labels_a_part_outside_the_pools_only_when_a_witness_reads_it(
-        monkeypatch, family, labelled, read):
-    calls = []
-
-    def counted(module):
-        inner = module._zeta_inverse
-
-        def wrapper(fam, x):
-            calls.append((fam, x))
-            return inner(fam, x)
-
-        monkeypatch.setattr(module, "_zeta_inverse", wrapper)
-
-    # special_reps labels the pools, the table a part outside them
-    counted(irreps)
-    counted(engine)
-    report = verify(family, 10)
-    assert report.ok()
-    # one label build per pool sequence and per part outside the pools that
-    # a printed witness names; labelling every split part built 733 (C)
-    # and 348 (D) besides the pools
-    assert len(calls) == len(set(calls)) == labelled
-    monkeypatch.undo()
-    parts, _ = _split_parts(family, 10)
-    named = {label for row in report.rows for _, factors in row.witnesses
-             for label in factors}
-    pooled, outside = set(), set()
-    for key, rec in parts.records.items():
-        x = sc._unpack(parts.fields, key)
-        merged = ((FAMILY_D, tuple(v - 1 for v in x[1:]))
-                  if family == "C" and x[1] else
-                  (springer.LABEL_FAMILY[family], x))
-        if rec[4]:
-            pooled.add(merged)
-        elif set(parts.labels(key)) & named:
-            outside.add(merged)
-    assert len(outside) == read
-    assert set(calls) == pooled | outside
 
 
 # the largest entry of a rank-n class sequence, 3n + 2 for B and C and 3n
@@ -742,27 +712,31 @@ def test_split_fields_are_the_narrowest_that_hold_every_class_entry(
     highs = (0, 0, *y[2:]) if family == "C" else y
     splits = [(sc._unpack(fields, first), sc._unpack(fields, whole - first))
               for first in sc._split_firsts(y, highs, width)]
-    upper = None if family != "C" else highs
-    assert splits == list(sc.split_pairs(y, upper))
+    pairs = sc.based_split_pairs(y) if family == "C" else sc.split_pairs(y)
+    assert splits == list(pairs)
 
 
-def test_verify_b_records_no_split_part_outside_the_pools(monkeypatch):
-    # every B shape with two blocks is maximal, so each part of a split is
-    # a pool sequence that the pool enumeration recorded
-    missed = []
-    inner = engine._part
-
-    def counted(family, x):
-        missed.append(x)
-        return inner(family, x)
-
-    monkeypatch.setattr(engine, "_part", counted)
-    assert verify("B", 10).ok()
-    assert missed == []
-    parts, splits = _split_parts("B", 10)
-    assert missed == []
-    assert len(parts.records) == 385 and splits > 3 * len(parts.records)
-    assert all(rec[4] for rec in parts.records.values())
+def test_verify_b_records_no_split_part_outside_the_pools():
+    # B, C and D alike: the pools of every rank a split part can have
+    # record each part of every split before the first class is split, so
+    # splitting adds no record and every split reads the table's own
+    sizes = {}
+    for family in "BCD":
+        for n in range(RANK_FLOOR[family], 11):
+            parts = engine._Parts(family, n,
+                                  engine._maximal_shapes(family, n))
+            table = dict(parts.records)
+            recorded = {id(rec) for rec in table.values()}
+            splits = [split for c in enumerate_classes(family, n)
+                      for split in parts.splits(c.y)]
+            assert parts.records == table
+            assert all(id(rec) in recorded for split in splits
+                       for rec in split)
+        assert len(splits) > 2 * len(table)
+        sizes[family] = len(table)
+    # C and D splits once added 91 and 82 records at rank 10 to the 642
+    # and 266 of the shapes' pools
+    assert sizes == {"B": 385, "C": 733, "D": 348}
 
 
 @pytest.mark.parametrize("family", ["B", "C", "D"])

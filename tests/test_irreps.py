@@ -18,6 +18,7 @@ from weylsymbols.irreps import (
     FAMILY_D,
     IrrLabel,
     align_row,
+    aligned_rows,
     b_invariant,
     canonicalize,
     dimension,
@@ -42,6 +43,7 @@ from weylsymbols.springer import (
     class_invariants,
     class_policy_m,
     enumerate_classes,
+    shift_class,
     tau,
 )
 
@@ -147,6 +149,8 @@ def test_label_validation():
     (IrrLabel, (FAMILY_A, 1, (1, 1))),
     (IrrLabel, (FAMILY_BC, 1, (0, 2), (-1,))),
     (IrrLabel, (FAMILY_D, 1, (0, 2), (1, 1))),
+    (align_row, ((0, 1, 3), None)),
+    (aligned_rows, (IrrLabel(FAMILY_BC, 1, (0, 2), (0,)), 1.5)),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_public_entry_points_still_validate(call, args):
     with pytest.raises(ValidationError):
@@ -478,6 +482,12 @@ def test_shift_canonicalize_properties():
         shift(labels[0], -1)
 
 
+def test_aligned_rows_refuses_a_family_a_label():
+    # an explicit check, not an assert, so it holds under python -O too
+    with pytest.raises(DomainError, match="single row"):
+        aligned_rows(IrrLabel(FAMILY_A, 1, (1,)), 2)
+
+
 def test_canonicalize_is_idempotent_and_minimal():
     for n in range(0, 5):
         for rep in special_reps(FAMILY_BC, n):
@@ -565,6 +575,8 @@ _LABEL_ENTRY_POINTS = {
     "tau": lambda value: tau("B", value),
     "class_invariants": class_invariants,
     "f_product": f_product,
+    "shift": lambda value: shift(value, 2),
+    "shift_class": lambda value: shift_class(value, 2),
 }
 
 

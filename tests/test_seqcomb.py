@@ -247,33 +247,25 @@ def test_enumerate_S_matches_brute_force(m):
     (sc.split_pairs, ((0, -1),), ValidationError),
     (sc.split_pairs, ([0, 0, 2, 2],), ValidationError),
     (sc.split_pairs, ((0, True),), ValidationError),
-    (sc.split_pairs, ((0, 0, 2, 2), [0, 0, 2, 2]), ValidationError),
-    (sc.split_pairs, ((0, 0, 2, 2), (0, 0, 2.0, 2)), ValidationError),
-    (sc.split_pairs, ((0, 0, 2, 2), (5, 5, 5, 5)), DomainError),
-    (sc.split_pairs, ((0, 0, 2, 2), (0, 1, 2, 2)), DomainError),
-    (sc.split_pairs, ((0, 0, 2, 2), (0, 0, 2)), DomainError),
     (sc.based_split_pairs, ((-1, 0),), ValidationError),
     (sc.based_split_pairs, ([0, 0, 2, 2],), ValidationError),
     (sc.based_split_pairs, ((),), ValidationError),
     (sc.based_split_pairs, ((0,),), DomainError),
-], ids=["empty", "float", "negative", "list", "bool", "upper-list",
-        "upper-float", "upper-above", "upper-one-above", "upper-short",
-        "based-negative", "based-list", "based-empty", "based-one-entry"])
+], ids=["empty", "float", "negative", "list", "bool", "based-negative", "based-list", "based-empty", "based-one-entry"])
 def test_split_enumerators_refuse_what_they_cannot_split(call, args, error):
     with pytest.raises(error):
         call(*args)
 
 
 def test_split_enumerators_take_every_bound_within_y():
+    # split_pairs bounds x by y, based_split_pairs by (0, 0, y2, y3, ...),
+    # on any y, not only on one starting (0, 1)
     y = (0, 2, 4, 6, 8)
-    assert sc.split_pairs(y, y) == sc.split_pairs(y)
-    upper = (0, 1, 2, 3, 4)
-    bounded = sc.split_pairs(y, upper)
-    assert len(bounded) == 20 and bounded == tuple(
-        (x, xp) for x, xp in sc.split_pairs(y)
-        if all(map(int.__le__, x, upper)))
-    # a bound below 0 leaves no first part
-    assert sc.split_pairs(y, (-1, 2, 4, 6, 8)) == ()
+    plain = sc.split_pairs(y)
+    assert all(all(map(int.__le__, x, y)) for x, _ in plain)
+    based = sc.based_split_pairs(y)
+    assert 0 < len(based) < len(plain) and based == tuple(
+        (x, xp) for x, xp in plain if x[:2] == (0, 0))
     assert sc.based_split_pairs((0, 1)) == (((0, 0), (0, 1)),)
 
 
@@ -314,7 +306,7 @@ def test_membership_computes_frakI_once_per_call(monkeypatch):
              for pair in sc.split_pairs(y)]
     cases += [(sc.member_tilde_S, y, pair)
               for y in ((0, 1, 3), (0, 1, 3, 4, 6))
-              for pair in sc.split_pairs(y, upper=(0, 0) + y[2:])]
+              for pair in sc.based_split_pairs(y)]
     for member, y, (x, xp) in cases:
         calls.update(ensure_yseq=0, _frakI=0)
         member(y, x, xp)
