@@ -4,11 +4,12 @@ For each classical family the strata of class sequences and the image of
 minimal-degree induction from reflection subgroups are computed
 independently and compared:
 
-* membership: the induction image over maximal subgroup shapes equals the
-  stratum label set, and each row's maximal members equal its fiber of the
-  induction graph, so the members of the row's label are exactly the
-  (shape, factors) that induce to it; only witnesses on other shapes are
-  replayed through j_induce,
+* membership: every maximal member of a class, a split y = x + x~ of its
+  class sequence on a maximal shape, induces to each of the class's
+  labels, and the members of all classes count every product of the
+  maximal shapes' factor pools, so each row's members are exactly its
+  label's fiber; only witnesses on other shapes are replayed through
+  j_induce,
 * degrees: the class beta statistic equals the label b-invariant,
 * component counts: the class component invariant equals the maximal
   f-product over maximal decompositions,
@@ -35,48 +36,52 @@ public j_induce that witness replays and bar_S call: the target's layout,
 each factor label's packed aligned rows and b, and its image table,
 (packed image, kappa) -> (canonical image, b).  The other is the
 special_reps memo, one pool per (family, rank, m), which the family-A
-pools read; the BC and D pools are enumerated per call.  The induction
-graph keeps its own image table, which goes with the call.
+pools read; the BC and D pools are enumerated per call.
 
 * The record table (_Parts), one record per split part.  Every XSeq
   record is keyed by the sequence packed into one int, one field per
   entry, sized so that every entry of a rank-n class sequence y fits
   (_split_fields).  A record holds the part's rank, its member-form
-  labels, its f-invariant and one small int id per label.  The pools of
-  special labels fill the table: those that the maximal shapes' factor
-  signatures name, and every rank of each family a split part belongs to
-  (BC for B, BC and D for C, D for D), so every split part has a record.
-  The special-rep enumeration gives each pool's merged sequences, labels,
-  b and f, and a family-D pool of a C target is filed under its based
-  complement (0, x0 + 1, x1 + 1, ...).
-* One table of the maximal shapes by block sizes, shared by the induction
-  graph and every row.
-* One induction graph: each pool a shape names aligned to the target and
-  packed once for every shape that uses it; every product of a shape's
-  pools summed as packed ints into one image table keyed by packed image
-  rows, so each distinct image is built and validated once and
-  b-additivity is checked on every product; and the fibers, each product's member int filed under
-  its packed image int.  A member is one int, count * a + b for the ids a
-  and b of its two blocks' labels (the blocks' ranks name its shape).
-* Per row, one split table of y: the split search yields packed first
+  labels, its f-invariant and its b-invariant, and, for a part of a pool
+  that the maximal shapes' factor signatures name, its rows aligned to
+  the target and packed into one int as jinduction packs them (a
+  degenerate fiber's labels share their rows).  The pools of special
+  labels fill the table: those the signatures name, and every rank of
+  each family a split part belongs to (BC for B, BC and D for C, D for
+  D), so every split part has a record.  The special-rep enumeration
+  gives each pool's merged sequences, labels, b and f, and a family-D
+  pool of a C target is filed under its based complement
+  (0, x0 + 1, x1 + 1, ...).
+* One table of the maximal shapes by block sizes, shared by every row.
+* Per class, one split table of y: the split search yields packed first
   parts x, each complement is packed(y) - x, and both records are read by
-  int, with no sequence tuple built per split.  The row's member ints are
-  compared with its fiber as sets; the maximal f-product is read as
-  f(x) * f(x~); ParahoricSpec and label tuples are built only for the
-  witnesses the row prints: the f-maximal members and the symmetry
-  witness, which is replayed through j_induce only when it lies outside
-  the fiber.  The C and D split witness reads the same split table, the
-  B and D symmetric witnesses look up their first parts' records in the
-  record table, and one interval set frakI(y) serves the class
-  invariants and the symmetric witness search.  The C and D witnesses
+  int, with no sequence tuple built per split.  Each split on a maximal
+  shape induces to the int sum packed(x) + packed(x~) - base, of b-invariant
+  b(x) + b(x~) (a D shape's rank-0 A middle factor packs to the base rows
+  and has b 0), and a row passes when these are its label's packed rows
+  and b; the maximal f-product is read as f(x) * f(x~).  ParahoricSpec
+  and label tuples are built only for the witnesses the row prints: the
+  f-maximal members and the symmetry witness, which is replayed through
+  j_induce only when its shape is not maximal (on a maximal shape it is
+  one of the class's own splits).  The C and D split witness reads the
+  same split table, the B and D symmetric witnesses look up their first
+  parts' records in the record table, and one interval set frakI(y)
+  serves the class invariants and the symmetric witness search; the two
+  rows of a two-label D class share all of these.  The C and D witnesses
   need parts with a strict position (beyond the base one of a C
   complement), which are exactly the parts whose first label is not
   degenerate: a D merge at odd length has an even count of strict
   positions, zero exactly on equal rows.
+* The count identity (counted once per class, as the labels of a
+  two-label D class share y): the sum over classes and their maximal
+  splits of |fiber(x)| * |fiber(x~)| is the sum over maximal shapes of the
+  product of their pool sizes.  Members induce to their classes' distinct
+  labels, so are disjoint, and cover every product: each row's members
+  are its label's whole fiber.
 
 Every member factor has one form, the member form: BC and D labels as the
 rows split them out of y, at the target's merged length, A labels
-canonical; so fibers, members and witnesses compare as they are.
+canonical; so members and witnesses compare as they are.
 Split parts found by the enumerators below are valid by construction, so
 they go through the unvalidated kernels of seqcomb and irreps.
 """
@@ -84,7 +89,7 @@ they go through the unvalidated kernels of seqcomb and irreps.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+import math
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Iterator
@@ -116,10 +121,8 @@ from .jinduction import (
     EMBED_C_WR_WDQ,
     EMBED_D_TRIPLE,
     Embedding,
-    ImageTable,
     _layout,
-    _pool_images,
-    _prepare_pool,
+    _packed_rows,
     j_induce,
     labels_match,
     match_key,
@@ -268,15 +271,16 @@ def _pool_seqs(family: str, rank: int, n: int) -> Iterator[SpecialSeq]:
 # the record table
 
 # A split part's record: its rank, its member-form labels (two for a
-# degenerate family-D part), its f-invariant and one label id per label.
-Record = tuple[int, tuple[IrrLabel, ...], int, tuple[int, ...]]
+# degenerate family-D part), its f-invariant, its rows aligned to the
+# target and packed (None off the pools the maximal shapes name) and its
+# b-invariant.
+Record = tuple[int, tuple[IrrLabel, ...], int, int | None, int]
 # A split x + x~: the records of the first part x and the complement x~.
 Split = tuple[Record, Record]
 
 
-# (family, rank) -> a pool's labels, their b-invariants and their ids
-Pools = dict[tuple[str, int], tuple[tuple[IrrLabel, ...], tuple[int, ...],
-                                    tuple[int, ...]]]
+# (family, rank) -> a pool's labels
+Pools = dict[tuple[str, int], tuple[IrrLabel, ...]]
 
 # the label families of the split parts of a class family's sequences
 _PART_FAMILIES = {CLASS_A: (), CLASS_B: (FAMILY_BC,),
@@ -285,8 +289,8 @@ _PART_FAMILIES = {CLASS_A: (), CLASS_B: (FAMILY_BC,),
 
 class _Parts:
     """One call's record table: one XSeq record per split part, keyed by
-    packed sequence, with one id per pool label (see the module
-    docstring)."""
+    packed sequence, and the pools of special labels that fill it (see the
+    module docstring)."""
 
     def __init__(self, family: str, n: int, shapes: Shapes) -> None:
         self.family = family
@@ -294,44 +298,42 @@ class _Parts:
         self.fields, self.width = _split_fields(family, n)
         self.records: dict[int, Record] = {}
         self.pools: Pools = {}
-        # label ids handed out; a member int is count * a + b
-        self.count = 0
-        # family-A labels, which have no merged sequence to key a record,
-        # by id
-        self.label_ids: dict[IrrLabel, int] = {}
         # the maximal shape of a split by its first part's rank, the two
         # parts' ranks adding up to n (None off the maximal shapes)
         self.shape_at = [shapes.get((r, n - r)) for r in range(n + 1)]
-        # the pools the shapes name, then every rank of the part families,
-        # so that every split part has a record
-        keys = _signature_keys(family, n, shapes)
-        keys += [(fam, rank) for fam in _PART_FAMILIES[family]
-                 for rank in range(n + 1)]
+        # the packed rows of the one target every B, C and D shape induces
+        # into
+        self.layout = (None if family == CLASS_A
+                       else _layout(LABEL_FAMILY[family], n))
+        # the pools the shapes name, their parts aligned to the target,
+        # then every rank of the part families, so that every split part
+        # has a record
+        named = [*dict.fromkeys(key for spec in shapes.values()
+                                for key in _signature(spec))]
+        keys = named + [(fam, rank) for fam in _PART_FAMILIES[family]
+                        for rank in range(n + 1)]
         for key in dict.fromkeys(keys):
-            self._fill(*key)
+            self._fill(*key, key in named)
+        # the labels of family A's one pool, which its rows look up
+        self.a_pool = frozenset(self.pools.get((FAMILY_A, n), ()))
 
-    def _fill(self, fam: str, rank: int) -> None:
-        """Enumerate one pool, give its labels ids and record its merged
-        sequences (none for a family-A pool); a C target files a D
-        sequence x under its based complement (0, x0 + 1, x1 + 1, ...),
-        of the rank, labels and f of x."""
+    def _fill(self, fam: str, rank: int, aligned: bool) -> None:
+        """Enumerate one pool and record its merged sequences (none for a
+        family-A pool), with their rows aligned and packed when aligned is
+        set; a C target files a D sequence x under its based complement
+        (0, x0 + 1, x1 + 1, ...), of the rank, labels, f, rows and b of x."""
         based = self.family == CLASS_C and fam == FAMILY_D
         labels: list[IrrLabel] = []
-        bs: list[int] = []
-        ids: list[int] = []
         for x, b, f, fiber in _pool_seqs(fam, rank, self.n):
-            fiber_ids = tuple(range(self.count, self.count + len(fiber)))
-            self.count += len(fiber)
             labels += fiber
-            bs += [b] * len(fiber)
-            ids += fiber_ids
             if fam == FAMILY_A:
-                self.label_ids.update(zip(fiber, fiber_ids))
                 continue
+            # the labels of a degenerate fiber share their rows
+            packed = _packed_rows(self.layout, fiber[0]) if aligned else None
             part = (0, *(v + 1 for v in x)) if based else x
             self.records[sc._pack(self.fields, part)] = (rank, fiber, f,
-                                                         fiber_ids)
-        self.pools[fam, rank] = (tuple(labels), tuple(bs), tuple(ids))
+                                                         packed, b)
+        self.pools[fam, rank] = tuple(labels)
 
     def splits(self, y: Seq) -> list[Split]:
         """Every two-block split x + x~ of a B, C or D class sequence y, in
@@ -345,15 +347,19 @@ class _Parts:
                 for first in sc._split_firsts(y, highs, self.width)]
 
 
-def _signature_keys(family: str, n: int, shapes: Shapes
-                    ) -> list[tuple[str, int]]:
-    """The (family, rank) of every factor pool of the maximal shapes, each
-    once, in shape and signature order; family A's one shape, the full
-    group, has the one pool (A, n)."""
-    if family == CLASS_A:
-        return [(FAMILY_A, n)]
-    return [*dict.fromkeys(key for spec in shapes.values()
-                           for key in _embedding(spec).factor_signature())]
+def _signature(spec: ParahoricSpec) -> tuple[tuple[str, int], ...]:
+    """The (family, rank) of each factor pool of a maximal shape; family
+    A's one shape, the full group, has the one pool (A, n)."""
+    if spec.family == CLASS_A:
+        return ((FAMILY_A, spec.n),)
+    return _embedding(spec).factor_signature()
+
+
+def _product_count(parts: _Parts, shapes: Shapes) -> int:
+    """The number of products of the maximal shapes' factor pools: the sum
+    over shapes of the product of their pool sizes."""
+    return sum(math.prod(len(parts.pools[key]) for key in _signature(spec))
+               for spec in shapes.values())
 
 
 def _split_fields(family: str, n: int) -> tuple[str, int]:
@@ -367,24 +373,24 @@ def _split_fields(family: str, n: int) -> tuple[str, int]:
     return sc._key_fields(m + 1, 2 * (m // 2) + n)
 
 
-def _maximal(parts: _Parts, splits: list[Split]) -> tuple[set[int], int]:
-    """The member ints of the splits on maximal shapes, one per choice of
-    label in each block's fiber (degenerate family-D fibers hold two), and
-    their largest f-product f(x) * f(x~) (0 when there is none)."""
-    shape_at, count = parts.shape_at, parts.count
-    members: set[int] = set()
-    fa_value = 0
+def _maximal(parts: _Parts, splits: list[Split]
+             ) -> tuple[int, int, set[tuple[int, int]]]:
+    """The number of members of the splits on maximal shapes, one per
+    choice of label in each block's fiber (degenerate family-D fibers hold
+    two), their largest f-product f(x) * f(x~) (0 when there is none), and
+    their images: packed(x) + packed(x~) - base rows, with b(x) + b(x~)."""
+    shape_at, base = parts.shape_at, parts.layout[4]
+    members = fa_value = 0
+    images: set[tuple[int, int]] = set()
     for px, pxt in splits:
         if shape_at[px[0]] is None:
             continue
+        members += len(px[1]) * len(pxt[1])
         f = px[2] * pxt[2]
         if f > fa_value:
             fa_value = f
-        for a in px[3]:
-            a *= count
-            for b in pxt[3]:
-                members.add(a + b)
-    return members, fa_value
+        images.add((px[3] + pxt[3] - base, px[4] + pxt[4]))
+    return members, fa_value, images
 
 
 def _member_forms(parts: _Parts, splits: list[Split], f: int | None = None
@@ -489,8 +495,8 @@ def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
     only shapes omitting a single affine node are kept. Degenerate family-D
     block fibers are expanded, one member per choice; family A's one member
     is the full group with the label itself.  (verify's row pass reads the
-    same split table as member ints, and prints only the f-maximal
-    members.)
+    same split table, checks every member's image as a packed row sum and
+    prints only the f-maximal members.)
     """
     _ensure_class_family(family)
     sc.ensure_rank(n)
@@ -525,26 +531,20 @@ def _a_divisor_members(label: IrrLabel, n: int) -> tuple[tuple[int, IrrLabel], .
     return tuple(out)
 
 
-# A witness: the member, and its member int when it lies on a maximal shape
-Witness = tuple[Member, int | None]
-
-
-def _symmetric_member(parts: _Parts, record: Record, e: Seq) -> Witness:
+def _symmetric_member(parts: _Parts, record: Record, e: Seq) -> Member:
     """Member realizing a self-matched decomposition y = x + e + x, given
     the record of x; its f-product is the square of x's f."""
-    rank, labels, _, ids = record
+    rank, labels = record[:2]
     lab = labels[0]
     p = sum(e)
     spec = ParahoricSpec(parts.family, parts.n, r=rank, p=p, q=rank)
     if p:
-        return (spec, (lab, _a_label(e, p), lab)), None
-    if parts.shape_at[rank] is None:
-        return (spec, (lab, lab)), None
-    return (spec, (lab, lab)), ids[0] * parts.count + ids[0]
+        return spec, (lab, _a_label(e, p), lab)
+    return spec, (lab, lab)
 
 
 def _split_witness(parts: _Parts, splits: list[Split], fa_value: int
-                   ) -> tuple[int, Witness | None]:
+                   ) -> tuple[int, Member | None]:
     """First two-block member at the maximal f-product whose parts both
     have a label that is not degenerate: order 2 with it, else 1."""
     for px, pxt in splits:
@@ -552,28 +552,23 @@ def _split_witness(parts: _Parts, splits: list[Split], fa_value: int
         if px[2] * pxt[2] != fa_value or lx.degenerate or lxt.degenerate:
             continue
         spec = parts.shape_at[px[0]]
-        member = None
         if spec is None:
             spec = ParahoricSpec(parts.family, parts.n, r=px[0], q=pxt[0])
-        else:
-            member = px[3][0] * parts.count + pxt[3][0]
-        return 2, ((spec, (lx, lxt)), member)
+        return 2, (spec, (lx, lxt))
     return 1, None
 
 
 def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
                      intervals: tuple[sc.Interval, ...], splits: list[Split],
                      fa_value: int, parts: _Parts | None
-                     ) -> tuple[int, Witness | None]:
+                     ) -> tuple[int, Member | None]:
     """Symmetry order and witness of a canonical label, given y, its
     interval set frakI(y) (read for B and D), its split table (empty for
-    family A), fa and the call's record table (family A's, which only
-    verify builds, names the full group's members)."""
+    family A), fa and the call's record table (read for B, C and D)."""
     if family == CLASS_A:
+        # at d = 1 the witness is the full group with the label itself
         d, tilde = _a_divisor_members(label, n)[-1]
-        # only the full group, d = 1, is a maximal shape
-        member = parts.label_ids.get(tilde) if d == 1 and parts else None
-        return d, ((ParahoricSpec(CLASS_A, n, d=d), (tilde,) * d), member)
+        return d, (ParahoricSpec(CLASS_A, n, d=d), (tilde,) * d)
     if family == CLASS_C:
         # the node flip fixes a member exactly when the based part keeps a
         # strict position beyond its base one: its label is not degenerate
@@ -616,7 +611,7 @@ def fc(label: IrrLabel, family: str, n: int) -> int:
     value, witness = _fc_with_witness(canon, family, n, y,
                                       _intervals(family, y), splits, fa_value,
                                       parts)
-    if witness is not None and not _replay(*witness[0], canon):
+    if witness is not None and not _replay(*witness, canon):
         raise InvariantError("symmetry witness does not replay")
     if order % value:
         raise InvariantError(
@@ -628,69 +623,22 @@ def fc(label: IrrLabel, family: str, n: int) -> int:
 # ---------------------------------------------------------------------------
 # stratum membership and the full report
 
-# match_key of an image -> the member ints inducing to it
-Fibers = dict[object, set[int]]
-
-
-def _induction_graph(parts: _Parts, shapes: Shapes
-                     ) -> tuple[frozenset[IrrLabel], Fibers]:
-    """Induction image over all maximal shapes, as bar_S, and its fibers:
-    match_key of an image -> the member ints inducing to it.  Each pool of
-    the record table is aligned to the target and packed once, for every
-    shape that uses it, and every shape's products share one image table
-    keyed by packed image rows, so each distinct image is built once.  A
-    product's member int, count times the first block's id plus the last
-    block's (a D shape's A middle factor adds nothing), is filed under the
-    packed image int, which compares as match_key does: kappa is 0 on
-    every non-degenerate image, and a degenerate one is keyed by its rows.
-    Only the pools the signatures name are prepared, and they are not
-    checked against them: the table builds them to fit."""
-    family, n = parts.family, parts.n
-    if family == CLASS_A:
-        # the only maximal shape is the full group
-        labels, _, ids = parts.pools[FAMILY_A, n]
-        return frozenset(labels), {lab: {i} for lab, i in zip(labels, ids)}
-    # every shape induces into the one target
-    layout = _layout(LABEL_FAMILY[family], n)
-    prepared = {key: _prepare_pool(layout, *parts.pools[key][:2])
-                for key in _signature_keys(family, n, shapes)}
-    images: ImageTable = {}
-    filed: defaultdict[int, set[int]] = defaultdict(set)
-    count = parts.count
-    for spec in shapes.values():
-        emb = _embedding(spec)
-        signature = emb.factor_signature()
-        # each label's token is its id times its block's weight in a
-        # member int, and a product's member int the sum of its tokens
-        weights = (count, *(0,) * (len(signature) - 2), 1)
-        members = map(sum, itertools.product(
-            *([i * weight for i in parts.pools[key][2]]
-              for key, weight in zip(signature, weights))))
-        products = _pool_images(emb, layout,
-                                [prepared[key] for key in signature], images)
-        for member, (_, _, image) in zip(members, products):
-            filed[image].add(member)
-    return (frozenset(label for label, _ in images.values()),
-            {match_key(label): filed[image]
-             for (image, _), (label, _) in images.items()})
-
-
 def bar_S(family: str, n: int) -> frozenset[IrrLabel]:
     """Induction image over all maximal shapes, as canonical labels,
     computed purely on the label side (no class sequences involved), one
     public j_induce per product of the member-form factor pools.  verify
-    takes the same image from its induction graph instead; this per-product
-    form stays the independent reference for it."""
+    reaches the same image through its count identity instead; this
+    per-product form stays the independent reference for it."""
     ensure_floor(family, n)
     shapes = _maximal_shapes(family, n)
     pools = _Parts(family, n, shapes).pools
     if family == CLASS_A:
-        return frozenset(pools[FAMILY_A, n][0])
+        return frozenset(pools[FAMILY_A, n])
     embs = [_embedding(spec) for spec in shapes.values()]
     return frozenset(
         j_induce(emb, factors) for emb in embs
         for factors in itertools.product(
-            *(pools[key][0] for key in emb.factor_signature()))
+            *(pools[key] for key in emb.factor_signature()))
     )
 
 
@@ -823,89 +771,106 @@ def _member_str(member: Member) -> str:
     return shape + " " + "*".join(label_str(lab) for lab in factors)
 
 
-def _class_row(family: str, n: int, c: ClassLabel, canon: IrrLabel,
-               parts: _Parts, fibers: Fibers) -> ClassRow:
-    # one interval set of y serves the invariants and the B and D symmetric
-    # witness search
-    intervals = _intervals(family, c.y)
-    inv = _class_invariants(c, intervals)
-    b_label = b_invariant(canon)
-    if family == CLASS_A:
-        # the one maximal member is the full group with the label itself
-        splits: list[Split] = []
-        members = {parts.label_ids.get(canon)}
-        fa_value = 1
-        best: tuple[Member, ...] = ((parts.shape_at[n], (canon,)),)
-    else:
-        # y is split once; the maximal members and the symmetry witness
-        # search both read the one split table
-        splits = parts.splits(c.y)
-        # a maximum equal to the class component count also bounds every
-        # member
-        members, fa_value = _maximal(parts, splits)
-        best = _member_forms(parts, splits, fa_value)
-    fc_value, fc_witness = _fc_with_witness(canon, family, n, c.y, intervals,
-                                            splits, fa_value, parts)
-    witnesses = best
-    if fc_witness is not None:
-        witnesses += (fc_witness[0],)
-    # the maximal members must be the label's whole fiber of the induction
-    # graph, so the f-maximal ones induce to the label by construction; the
-    # symmetry witness is replayed only when it lies outside the fiber
-    fiber = fibers.get(match_key(canon), set())
-    witnesses_ok = members == fiber and (
-        fc_witness is None or fc_witness[1] in fiber
-        or _replay(*fc_witness[0], canon))
-    return ClassRow(
-        label=canon,
-        y=c.y,
-        b_label=b_label,
-        b_class=inv.bbar,
-        fa_value=fa_value,
-        z_value=inv.z,
-        fc_value=fc_value,
-        ratio_value=inv.ztilde_over_z,
-        witnesses=witnesses,
-        holds_b1=inv.bbar == b_label,
-        holds_b2=fa_value == inv.z,
-        holds_b3=fc_value == inv.ztilde_over_z,
-        witnesses_ok=witnesses_ok,
-    )
+def _class_rows(family: str, n: int, c: ClassLabel, labels: list[IrrLabel],
+                parts: _Parts) -> tuple[list[ClassRow], int]:
+    """The rows of one class, one per canonical label of its tau fiber, and
+    the class's number of maximal members.  All but each row's member
+    check and witness replay depends on y alone, so the rows share it.  An
+    InvariantError is raised again, from the original, with the family, n,
+    y and the label at hand before its message."""
+    label = labels[0]
+    try:
+        # one interval set of y serves the invariants and the B and D
+        # symmetric witness search
+        intervals = _intervals(family, c.y)
+        inv = _class_invariants(c, intervals)
+        if family == CLASS_A:
+            # the one maximal member is the full group with the label
+            # itself, a product of the shape's one pool when it is in it
+            splits: list[Split] = []
+            members = int(label in parts.a_pool)
+            fa_value = 1
+            witnesses: tuple[Member, ...] = ((parts.shape_at[n], (label,)),)
+        else:
+            # y is split once; the maximal members and the symmetry witness
+            # search both read the one split table
+            splits = parts.splits(c.y)
+            # a maximum equal to the class component count also bounds
+            # every member
+            members, fa_value, images = _maximal(parts, splits)
+            witnesses = _member_forms(parts, splits, fa_value)
+        fc_value, fc_witness = _fc_with_witness(label, family, n, c.y,
+                                                intervals, splits, fa_value,
+                                                parts)
+        if fc_witness is not None:
+            witnesses += (fc_witness,)
+        rows = []
+        for label in labels:
+            b_label = b_invariant(label)
+            # every maximal member must induce to the label, so the
+            # f-maximal ones do by construction; the symmetry witness is
+            # replayed only off the maximal shapes
+            if family == CLASS_A:
+                induced = members == 1
+            else:
+                induced = images <= {(_packed_rows(parts.layout, label),
+                                      b_label)}
+            witnesses_ok = induced and (
+                fc_witness is None or fc_witness[0].is_maximal()
+                or _replay(*fc_witness, label))
+            rows.append(ClassRow(
+                label=label,
+                y=c.y,
+                b_label=b_label,
+                b_class=inv.bbar,
+                fa_value=fa_value,
+                z_value=inv.z,
+                fc_value=fc_value,
+                ratio_value=inv.ztilde_over_z,
+                witnesses=witnesses,
+                holds_b1=inv.bbar == b_label,
+                holds_b2=fa_value == inv.z,
+                holds_b3=fc_value == inv.ztilde_over_z,
+                witnesses_ok=witnesses_ok,
+            ))
+    except InvariantError as exc:
+        raise InvariantError(
+            f"family {family} n={n} y={seq_str(c.y)} "
+            f"label {label_str(label)}: {exc}"
+        ) from exc
+    return rows, members
 
 
 def verify(family: str, n: int) -> VerificationReport:
     """Run every check for one family and rank.
 
     Rows are one per stratum label in class order (split class fibers
-    contribute one row per label); the membership comparison is a
-    two-sided set equality of canonical labels. Each row is a pure
-    function of (family, n, class, label), so rows could be computed in
-    any order; this driver runs them serially in class order.  An
-    InvariantError raised by a row is raised again, from the original, with
-    the row's family, n, y and label before its message.
+    contribute one row per label).  Each row checks that its class's
+    maximal members induce to its label; image_in_stratum is the count
+    identity, the members of all classes numbering every product of the
+    maximal shapes' pools, and stratum_in_image holds when every class has
+    a member.  A wrong count fails the report and raises nothing.  Each
+    class's rows are a pure function of (family, n, class), so they could
+    be computed in any order; this driver runs them serially in class
+    order.  An InvariantError raised by a row is raised again, from the
+    original, with the row's family, n, y and label before its message.
     """
     ensure_floor(family, n)
     shapes = _maximal_shapes(family, n)
     parts = _Parts(family, n, shapes)
-    image, fibers = _induction_graph(parts, shapes)
     rows: list[ClassRow] = []
-    stratum: set[IrrLabel] = set()
+    members = 0
+    covered = True
     for c in enumerate_classes(family, n):
-        for label in _tau_fiber(family, c.y, n):
-            canon = canonicalize(label)
-            stratum.add(canon)
-            try:
-                row = _class_row(family, n, c, canon, parts, fibers)
-            except InvariantError as exc:
-                raise InvariantError(
-                    f"family {family} n={n} y={seq_str(c.y)} "
-                    f"label {label_str(canon)}: {exc}"
-                ) from exc
-            rows.append(row)
+        labels = [canonicalize(label) for label in _tau_fiber(family, c.y, n)]
+        class_rows, count = _class_rows(family, n, c, labels, parts)
+        rows += class_rows
+        members += count
+        covered = covered and count > 0
     return VerificationReport(
         family=family,
         n=n,
         rows=tuple(rows),
-        image_in_stratum=image <= stratum,
-        stratum_in_image=stratum <= image,
+        image_in_stratum=members == _product_count(parts, shapes),
+        stratum_in_image=covered,
     )

@@ -48,13 +48,10 @@ target per process; every product, a product served from the table
 included, still has its b-additivity checked against the stored b.  The
 tables hold only labels of targets a caller induced into.  j_induce is
 the one-product case; every pool label is checked on every call, before
-the table is read.  The private _layout, _prepare_pool and _pool_images
-split that work for a caller that induces many embeddings into one
-target and keeps its own tables: the induction graph of one verify call
-prepares each (family, rank) pool once, with the b-invariants
-special_reps gave its labels, and shares one image table, its own and
-dropped with the call, across all its shapes, filing each product under
-its packed image int.
+the table is read.  The private _layout and _packed_rows serve a caller
+that sums packed rows itself: verify's record table packs each part of
+the pools its maximal shapes name once, and each split on a maximal shape
+is then one int sum, compared with the packed rows of its row's label.
 
 Degenerate family-D outputs carry a kappa bit that the row arithmetic does
 not determine; the convention kappa' = (sum of factor kappas + lam) mod 2
@@ -69,7 +66,6 @@ import itertools
 import struct
 from dataclasses import dataclass
 from functools import cache
-from operator import itemgetter
 from typing import Iterator, Sequence
 
 from . import seqcomb as sc
@@ -281,7 +277,7 @@ def j_induce_pool(
         entries = [known[label] for label in pool]
         prepared.append((tuple(pool), tuple(packed for packed, _ in entries),
                          tuple(b for _, b in entries)))
-    return map(itemgetter(0, 1), _pool_images(e, layout, prepared, images))
+    return _pool_images(e, layout, prepared, images)
 
 
 # packed image rows and kappa -> (canonical image, its b)
@@ -334,25 +330,13 @@ def _packed_rows(layout: Layout, label: IrrLabel) -> int:
     return sc._pack(fields, itertools.chain(*_factor_rows(family, lengths, label)))
 
 
-def _prepare_pool(layout: Layout, labels: Sequence[IrrLabel],
-                  bs: Sequence[int]) -> Prepared:
-    """The pool's labels, trusted to fit a factor of the layout's target
-    and to have the b-invariants bs, with each one's rows aligned to the
-    target's and packed; the result serves every embedding of the same
-    target."""
-    return (tuple(labels),
-            tuple(_packed_rows(layout, label) for label in labels),
-            tuple(bs))
-
-
 def _pool_images(
     e: Embedding, layout: Layout, prepared: Sequence[Prepared],
     images: ImageTable
-) -> Iterator[tuple[tuple[IrrLabel, ...], IrrLabel, int]]:
-    """Every product of the prepared pools, as its factors, its image and
-    the image's packed rows, reading and filling the caller's image table,
-    packed image rows and kappa -> (canonical image, its b); one table
-    serves every embedding of one target.  An image is one int sum of the
+) -> Iterator[tuple[tuple[IrrLabel, ...], IrrLabel]]:
+    """Every product of the prepared pools, as its factors and its image,
+    reading and filling the target's image table, packed image rows and
+    kappa -> (canonical image, its b).  An image is one int sum of the
     factors' packed rows; it is unpacked into rows, canonicalized and
     validated only when the table misses."""
     family, n, _, fields, base = layout
@@ -384,7 +368,7 @@ def _pool_images(
             raise InvariantError(
                 f"b-additivity failed for {e.kind}: {got} != {want}"
             )
-        yield factors, out, image
+        yield factors, out
 
 
 def j_induce(e: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> IrrLabel:

@@ -3,6 +3,7 @@ member enumeration with replay, frozen small-rank reports, determinism."""
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import math
@@ -345,9 +346,11 @@ def test_verify_reports_match_their_pinned_digests(case):
 @pytest.mark.parametrize("family, rows", [("B", 35), ("C", 40), ("D", 31)])
 def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
                                                          rows):
-    # one split search per row feeds the maximal members, the B and D
+    # one split search per class feeds the maximal members, the B and D
     # symmetric witnesses and the C and D split witness; one interval set
-    # per row feeds the invariants and the B and D symmetric witnesses
+    # per class feeds the invariants and the B and D symmetric witnesses;
+    # the two rows of a two-label D class share them
+    classes = len(enumerate_classes(family, 6))
     calls = {"_split_firsts": 0, "split_pairs": 0, "_class_invariants": 0,
              "_frakI": 0, "symmetric_decompositions": 0}
 
@@ -366,33 +369,42 @@ def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
     counted(sc, "_frakI")
     counted(engine, "_class_invariants")
     assert len(verify(family, 6).rows) == rows
+    assert (classes < rows) == (family == "D")
     # the rows read the packed split search, not its unpacking wrapper
-    assert calls == {"_split_firsts": rows, "split_pairs": 0,
-                     "_class_invariants": rows, "_frakI": rows,
+    assert calls == {"_split_firsts": classes, "split_pairs": 0,
+                     "_class_invariants": classes, "_frakI": classes,
                      "symmetric_decompositions": 0}
 
 
-def test_induction_graph_builds_each_distinct_image_once(monkeypatch):
+def test_verify_builds_no_image_label(monkeypatch):
+    # each split's image is an int sum checked against its row's label;
+    # only the witness replays, through the public j_induce, build images
     built = []
+    replaying = []
     inner = jinduction.IrrLabel
+    inner_replay = engine._replay
 
     def counted(*args, **kwargs):
-        built.append(args)
+        if not replaying:
+            built.append(args)
         return inner(*args, **kwargs)
 
+    def replay(*args):
+        replaying.append(args)
+        try:
+            return inner_replay(*args)
+        finally:
+            replaying.pop()
+
     monkeypatch.setattr(jinduction, "IrrLabel", counted)
-    images = 0
+    monkeypatch.setattr(engine, "_replay", replay)
     for family in "BCD":
-        shapes = engine._maximal_shapes(family, 10)
-        graph, _ = engine._induction_graph(engine._Parts(family, 10, shapes),
-                                           shapes)
-        images += len(graph)
-    # one validating build per distinct image, not one per product
-    assert len(built) == images == 196 + 232 + 168
+        assert verify(family, 10).ok()
+    assert built == []
 
 
 @pytest.mark.parametrize("family", ["B", "C", "D"])
-def test_induction_graph_prepares_each_pool_label_once(monkeypatch, family):
+def test_verify_aligns_each_signature_pool_part_once(monkeypatch, family):
     aligned = []
     inner = jinduction._factor_rows
 
@@ -401,21 +413,31 @@ def test_induction_graph_prepares_each_pool_label_once(monkeypatch, family):
         return inner(target, lengths, label)
 
     monkeypatch.setattr(jinduction, "_factor_rows", counted)
+    report = verify(family, 8)
+    monkeypatch.undo()
+    assert report.ok()
     shapes = engine._maximal_shapes(family, 8)
     parts = engine._Parts(family, 8, shapes)
-    assert aligned == []
-    engine._induction_graph(parts, shapes)
     keys = {key for spec in shapes.values()
             for key in engine._embedding(spec).factor_signature()}
     # the table holds a pool of every rank a split part can have, which
     # only C and D shapes leave out
     assert keys <= set(parts.pools)
     assert (keys == set(parts.pools)) == (family == "B")
-    pooled = [label for key in keys for label in parts.pools[key][0]]
-    # only the pools the shapes name are aligned, one alignment per
-    # distinct pool label, not one per shape using it
-    assert len(set(pooled)) == len(pooled)
-    assert sorted(aligned, key=repr) == sorted(pooled, key=repr)
+    # exactly the parts of the pools the shapes name carry packed rows (a
+    # D shape's A middle pool has no parts)
+    assert ({label for key in keys if key[0] != FAMILY_A
+             for label in parts.pools[key]}
+            == {label for rec in parts.records.values() if rec[3] is not None
+                for label in rec[1]})
+    # one alignment per such part, of the first label of its fiber, whose
+    # labels share their rows, and one per row, of the row's own label
+    firsts = [rec[1][0] for rec in parts.records.values()
+              if rec[3] is not None]
+    assert len(set(firsts)) == len(firsts)
+    assert (collections.Counter(aligned)
+            == collections.Counter(firsts)
+            + collections.Counter(row.label for row in report.rows))
 
 
 def test_enumerated_classes_and_rows_are_checked_only_where_they_enter(
@@ -480,25 +502,66 @@ def test_verify_builds_each_special_pool_once(monkeypatch, family):
     assert from_scratch == []
 
 
-@pytest.mark.parametrize("family", ["C", "D"])
-def test_a_fiber_short_of_one_member_fails_its_rows(monkeypatch, capsys,
-                                                    family):
-    build = engine._induction_graph
-    cut = []
+def _is_maximal(parts, split) -> bool:
+    return parts.shape_at[split[0][0]] is not None
 
-    def short_graph(parts, shapes):
-        images, fibers = build(parts, shapes)
-        key = max(fibers, key=lambda k: (len(fibers[k]), repr(k)))
-        fibers[key].remove(min(fibers[key], key=repr))
-        cut.append(key)
-        return images, fibers
 
-    monkeypatch.setattr(engine, "_induction_graph", short_graph)
+@pytest.mark.parametrize("family", ["B", "C", "D"])
+def test_a_class_short_of_one_maximal_split_fails_the_count_identity(
+        monkeypatch, capsys, family):
+    inner = engine._Parts.splits
+    dropped = []
+
+    def short(parts, y):
+        splits = inner(parts, y)
+        # the first maximal split below the class's largest f-product, so
+        # that the printed members and witnesses stay as they are
+        maximal = [s for s in splits if _is_maximal(parts, s)]
+        best = max((px[2] * pxt[2] for px, pxt in maximal), default=0)
+        for split in maximal:
+            if not dropped and split[0][2] * split[1][2] < best:
+                dropped.append(y)
+                splits.remove(split)
+        return splits
+
+    monkeypatch.setattr(engine._Parts, "splits", short)
     report = verify(family, 6)
-    failed = [row for row in report.rows if not row.witnesses_ok]
-    assert failed
-    assert failed == [row for row in report.rows
-                      if match_key(row.label) == cut[0]]
+    assert len(dropped) == 1
+    # every row still passes its own checks: only the count falls short
+    assert all(row.ok() for row in report.rows)
+    assert not report.image_in_stratum and report.stratum_in_image
+    assert not report.ok()
+    dropped.clear()
+    assert main(["verify", "--family", family, "--rank", "6"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family, field", [
+    (family, field) for family in "BCD" for field in (3, 4)])
+def test_a_corrupt_record_fails_exactly_the_rows_that_read_it(
+        monkeypatch, capsys, family, field):
+    # field 3 is a part's packed rows, field 4 its b
+    inner = engine._Parts.__init__
+    tables = []
+
+    def corrupt(parts, *args):
+        inner(parts, *args)
+        key = max(k for k, rec in parts.records.items() if rec[3] is not None)
+        rec = list(parts.records[key])
+        rec[field] += 1
+        parts.records[key] = tuple(rec)
+        tables.append((parts, parts.records[key]))
+
+    monkeypatch.setattr(engine._Parts, "__init__", corrupt)
+    report = verify(family, 6)
+    parts, bad = tables[0]
+    reads = [row for row in report.rows
+             if any(bad in split for split in parts.splits(row.y)
+                    if _is_maximal(parts, split))]
+    assert reads
+    assert [row for row in report.rows if not row.witnesses_ok] == reads
+    assert report.holds_b1 and report.holds_b2 and report.holds_b3
+    assert report.image_in_stratum and report.stratum_in_image
     assert not report.ok()
     assert main(["verify", "--family", family, "--rank", "6"]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -513,32 +576,50 @@ def test_verify_replays_only_witnesses_outside_their_fiber(monkeypatch):
         return inner(e, factors)
 
     monkeypatch.setattr(engine, "j_induce", counted)
-    graphs = {}
-    for family in "BCD":
-        shapes = engine._maximal_shapes(family, 10)
-        parts = engine._Parts(family, 10, shapes)
-        graphs[family] = parts, engine._induction_graph(parts, shapes)
-    assert calls == []
-    for family, (_, (images, _)) in graphs.items():
-        # bar_S induces product by product through the public j_induce
-        assert bar_S(family, 10) == images
-    assert calls
-    calls.clear()
-    outside = 0
-    for family, (parts, (_, fibers)) in graphs.items():
-        # a member int is count * (first block's id) + (last block's id),
-        # its shape the blocks' ranks
-        label_of = {i: label for labels, _, ids in parts.pools.values()
-                    for label, i in zip(labels, ids)}
-        for row in verify(family, 10).rows:
-            fiber = set()
-            for member in fibers[match_key(row.label)]:
-                factors = tuple(map(label_of.__getitem__,
-                                    divmod(member, parts.count)))
-                fiber.add((ParahoricSpec(family, 10, r=factors[0].n,
-                                         q=factors[1].n), factors))
-            outside += sum(member not in fiber for member in row.witnesses)
+    reports = {family: verify(family, 10) for family in "BCD"}
+    # a row's fiber is its members on the maximal shapes, so a witness on
+    # one of them is one of its class's splits; the rest are replayed
+    outside = sum(not spec.is_maximal() for report in reports.values()
+                  for row in report.rows for spec, _ in row.witnesses)
     assert len(calls) == outside == 110
+    for family, report in reports.items():
+        assert report.ok()
+        # bar_S induces product by product through the public j_induce
+        assert ({match_key(label) for label in bar_S(family, 10)}
+                == {match_key(row.label) for row in report.rows})
+
+
+# products of the maximal shapes' pools, and the members summed once per
+# row, where the two rows of a two-label D class count their class twice
+_PRODUCTS = {("B", 10): 2238, ("C", 10): 2030, ("D", 10): 1874,
+             ("B", 14): 16652, ("C", 14): 15382, ("D", 14): 14311,
+             ("D", 4): 38}
+_ROW_SUMS = {("D", 4): 50, ("D", 14): 14691}
+
+
+@pytest.mark.parametrize("family, n", [
+    (family, n) for family in "BCD" for n in range(RANK_FLOOR[family], 15)])
+def test_maximal_members_counted_once_per_class_number_the_products(family,
+                                                                     n):
+    shapes = engine._maximal_shapes(family, n)
+    parts = engine._Parts(family, n, shapes)
+    # the closed form, from the special-rep counts alone
+    products = sum(math.prod(len(special_reps(fam, rank))
+                             for fam, rank in
+                             engine._embedding(spec).factor_signature())
+                   for spec in shapes.values())
+    assert engine._product_count(parts, shapes) == products
+    assert _PRODUCTS.get((family, n), products) == products
+    per_class = per_row = 0
+    for c in enumerate_classes(family, n):
+        members = engine._maximal(parts, parts.splits(c.y))[0]
+        labels = len(tau_fiber(family, c.y, n))
+        assert members and labels <= (2 if family == "D" else 1)
+        per_class += members
+        per_row += labels * members
+    assert per_class == products
+    assert (per_row > products) == (family == "D" and n % 2 == 0)
+    assert _ROW_SUMS.get((family, n), per_row) == per_row
 
 
 def test_pool_reps_are_the_special_reps_in_member_form():
@@ -557,19 +638,14 @@ def test_pool_reps_are_the_special_reps_in_member_form():
                 assert pool == tuple((rep.label, rep.xseq, rep.b, rep.f)
                                      for rep in special_reps(
                                          family, rank, policy_m(family, 6)))
-    # a record table holds the pools its maximal shapes name, each label
-    # with an id of its own, the ids counting up from 0
+    # a record table holds the pools its maximal shapes name
     for family in "ABCD":
         n = RANK_FLOOR[family] + 2
         parts = engine._Parts(family, n, engine._maximal_shapes(family, n))
-        ids = []
-        for (fam, rank), (labels, bs, pool_ids) in parts.pools.items():
+        for (fam, rank), labels in parts.pools.items():
             assert labels == tuple(
                 label for *_, fiber in engine._pool_seqs(fam, rank, n)
                 for label in fiber)
-            assert bs == tuple(map(irreps.b_invariant, labels))
-            ids += pool_ids
-        assert ids == list(range(parts.count))
 
 
 def test_a_based_d_part_has_one_strict_position_more():
@@ -620,9 +696,10 @@ def _split_parts(family: str, n: int):
 def test_split_part_records_equal_the_kernels(family, n):
     parts, _ = _split_parts(family, n)
     labels = springer.LABEL_FAMILY[family]
-    label_of = {i: label for fiber, _, ids in parts.pools.values()
-                for label, i in zip(fiber, ids)}
-    for key, (rank, fiber, f, ids) in parts.records.items():
+    layout = parts.layout
+    # a D shape's rank-0 A middle factor packs to the base rows
+    assert jinduction._packed_rows(layout, engine._D_FILLER) == layout[4]
+    for key, (rank, fiber, f, packed, b) in parts.records.items():
         x = sc._unpack(parts.fields, key)
         assert sc._pack(parts.fields, x) == key
         if family == "C" and x[1]:
@@ -633,8 +710,12 @@ def test_split_part_records_equal_the_kernels(family, n):
             assert (rank, fiber) == (sc._rho(x),
                                      irreps._zeta_inverse(labels, x))
         assert {special_f(label) for label in fiber} == {f}
-        # every record names each of its labels by id
-        assert tuple(map(label_of.get, ids)) == fiber
+        assert {irreps.b_invariant(label) for label in fiber} == {b}
+        # a part of a pool the maximal shapes name carries the rows its
+        # fiber's labels share, aligned to the target and packed
+        if packed is not None:
+            assert {jinduction._packed_rows(layout, label)
+                    for label in fiber} == {packed}
     for c in enumerate_classes(family, n):
         for px, pxt in parts.splits(c.y):
             # member-form labels merge back to the parts, at y's length
@@ -646,6 +727,9 @@ def test_split_part_records_equal_the_kernels(family, n):
             assert family != "C" or (x[:2] == (0, 0) and xt[1] >= 1)
             assert px is parts.records[sc._pack(parts.fields, x)]
             assert pxt is parts.records[sc._pack(parts.fields, xt)]
+            # both parts of a split on a maximal shape carry packed rows
+            if parts.shape_at[px[0]] is not None:
+                assert px[3] is not None and pxt[3] is not None
 
 
 @pytest.mark.parametrize("family", ["C", "D"])
@@ -656,7 +740,7 @@ def test_degenerate_labels_mark_the_parts_short_of_strict_positions(family):
     # split and 1 on a D part x of y = x + e + x
     for n in range(RANK_FLOOR[family], 11):
         parts = engine._Parts(family, n, engine._maximal_shapes(family, n))
-        for key, (_, fiber, _, _) in parts.records.items():
+        for key, (_, fiber, *_) in parts.records.items():
             x = sc._unpack(parts.fields, key)
             strict = len(sc._frakS(x))
             if family == "D":
