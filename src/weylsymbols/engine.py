@@ -30,11 +30,12 @@ byte-stable across runs.
 
 One verify call builds each intermediate at most once and keeps none
 past the call; the public entry points (enumerate_cz, fa, fc, bar_S) build
-their own through the same code.  Two caches outlive a call.  One is
-jinduction's table per target (family, rank), read and filled by the
-public j_induce that witness replays and bar_S call: the target's layout,
-each factor label's packed aligned rows and b, and its image table,
-(packed image, kappa) -> (canonical image, b).  The other is the
+their own through the same code, and each of them, like verify, refuses a
+rank below RANK_FLOOR (ensure_floor) before any work.  Two caches outlive
+a call.  One is jinduction's table per target (family, rank), read and
+filled by j_induce, which witness replays and bar_S call once per
+product: the target's layout, each factor label's packed aligned rows and
+b, and its image table, (packed image, kappa) -> (canonical image, b).  The other is the
 special_reps memo, one pool per (family, rank, m), which the family-A
 pools read; the BC and D pools are enumerated per call.
 
@@ -498,8 +499,7 @@ def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
     same split table, checks every member's image as a packed row sum and
     prints only the f-maximal members.)
     """
-    _ensure_class_family(family)
-    sc.ensure_rank(n)
+    ensure_floor(family, n)
     canon, _, parts, splits = _label_splits(label, family, n)
     if parts is None:
         return ((_maximal_shapes(CLASS_A, n)[n, 0], (canon,)),)
@@ -512,8 +512,7 @@ def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
 def fa(label: IrrLabel, family: str, n: int) -> int:
     """Largest factor f-product over the maximal members of the label
     (verify's row pass takes it from the split table it already holds)."""
-    _ensure_class_family(family)
-    sc.ensure_rank(n)
+    ensure_floor(family, n)
     _, _, parts, splits = _label_splits(label, family, n)
     return 1 if parts is None else _maximal(parts, splits)[1]
 

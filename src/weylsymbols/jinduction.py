@@ -37,18 +37,16 @@ carries, so only the image's own entries, and each factor's, which are
 no larger, must fit a field.  The two rows of a family-D image have equal
 lengths, so they are equal exactly when the two halves of its int are.
 
-The pool form j_induce_pool yields the image of every product of a list
-of factor pools.  It reads and fills one cached table per target (family,
-rank), _target: the target's layout; each factor label's aligned rows,
-packed into one int, and its b; and the image table, packed image rows
-and kappa -> (canonical image, its b).  So each factor label is aligned,
-packed and given its b, and each distinct image has its rows
-canonicalized and is built by the validating IrrLabel(...), once per
-target per process; every product, a product served from the table
-included, still has its b-additivity checked against the stored b.  The
-tables hold only labels of targets a caller induced into.  j_induce is
-the one-product case; every pool label is checked on every call, before
-the table is read.  The private _layout and _packed_rows serve a caller
+j_induce reads and fills one cached table per target (family, rank),
+_target: the target's layout; each factor label's aligned rows, packed
+into one int, and its b; and the image table, packed image rows and kappa
+-> (canonical image, its b).  So each factor label is aligned, packed and
+given its b, and each distinct image has its rows canonicalized and is
+built by the validating IrrLabel(...), once per target per process; every
+factor is checked on every call, before the table is read, and every
+call, one served from the table included, still has its b-additivity
+checked against the stored b.  The tables hold only labels of targets a
+caller induced into.  The private _layout and _packed_rows serve a caller
 that sums packed rows itself: verify's record table packs each part of
 the pools its maximal shapes name once, and each split on a maximal shape
 is then one int sum, compared with the packed rows of its row's label.
@@ -66,7 +64,6 @@ import itertools
 import struct
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, Sequence
 
 from . import seqcomb as sc
 from .errors import DomainError, InvariantError, ValidationError
@@ -246,46 +243,6 @@ def _factor_rows(
     return (odd, even) if target == FAMILY_D else (even, odd)
 
 
-def j_induce_pool(
-    e: Embedding, pools: Sequence[Sequence[IrrLabel]]
-) -> Iterator[tuple[tuple[IrrLabel, ...], IrrLabel]]:
-    """(factors, image) of every product of the factor pools, in
-    itertools.product order, each image as j_induce gives it.  Every pool
-    label is checked against the factor signature before the first product
-    and before the target's table is read; each label's rows are aligned
-    and packed and its b-invariant worked out, and each distinct image is
-    built by the validating IrrLabel(...), once per target per process
-    (_target), and the b-additivity of every product is asserted."""
-    if not isinstance(e, Embedding):
-        raise ValidationError(f"embedding must be an Embedding, got {e!r}")
-    if not isinstance(pools, (tuple, list)):
-        raise ValidationError(f"pools must be a tuple or list, got {pools!r}")
-    sig = e.factor_signature()
-    if len(pools) != len(sig):
-        raise DomainError(f"{e.kind} takes {len(sig)} factors, got {len(pools)}")
-    for i, ((fam, rank), pool) in enumerate(zip(sig, pools)):
-        if not isinstance(pool, (tuple, list)):
-            raise ValidationError(f"pool {i} must be a tuple or list, got {pool!r}")
-        for label in pool:
-            _check_factor(i, fam, rank, label)
-    layout, known, images = _target(*e.target())
-    prepared = []
-    for pool in pools:
-        for label in pool:
-            if label not in known:
-                known[label] = (_packed_rows(layout, label), b_invariant(label))
-        entries = [known[label] for label in pool]
-        prepared.append((tuple(pool), tuple(packed for packed, _ in entries),
-                         tuple(b for _, b in entries)))
-    return _pool_images(e, layout, prepared, images)
-
-
-# packed image rows and kappa -> (canonical image, its b)
-ImageTable = dict[tuple[int, int], tuple[IrrLabel, int]]
-# a pool's labels, their aligned rows each packed into one int, and their b
-Prepared = tuple[tuple[IrrLabel, ...], tuple[int, ...], tuple[int, ...]]
-
-
 # how the rows of one target are packed into an int: its family, rank and
 # row lengths, the struct format of the packed fields, one little-endian
 # field per entry, and the packed base rows (0, 1, ..., len - 1)
@@ -293,11 +250,12 @@ Layout = tuple[str, int, tuple[int, ...], str, int]
 
 
 @cache
-def _target(family: str, n: int
-            ) -> tuple[Layout, dict[IrrLabel, tuple[int, int]], ImageTable]:
-    """The one table of a target that j_induce_pool reads and fills: its
-    layout, factor label -> (its packed aligned rows, its b), and its image
-    table."""
+def _target(family: str, n: int) -> tuple[
+        Layout, dict[IrrLabel, tuple[int, int]],
+        dict[tuple[int, int], tuple[IrrLabel, int]]]:
+    """The one table of a target that j_induce reads and fills: its layout,
+    factor label -> (its packed aligned rows, its b), and its image table,
+    (packed image rows, kappa) -> (canonical image, its b)."""
     return _layout(family, n), {}, {}
 
 
@@ -330,55 +288,50 @@ def _packed_rows(layout: Layout, label: IrrLabel) -> int:
     return sc._pack(fields, itertools.chain(*_factor_rows(family, lengths, label)))
 
 
-def _pool_images(
-    e: Embedding, layout: Layout, prepared: Sequence[Prepared],
-    images: ImageTable
-) -> Iterator[tuple[tuple[IrrLabel, ...], IrrLabel]]:
-    """Every product of the prepared pools, as its factors and its image,
-    reading and filling the target's image table, packed image rows and
-    kappa -> (canonical image, its b).  An image is one int sum of the
-    factors' packed rows; it is unpacked into rows, canonicalized and
-    validated only when the table misses."""
+def j_induce(e: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> IrrLabel:
+    """Image of a tuple of special factor labels under truncated induction
+    along the embedding.  Output is canonicalized; its b-invariant equals
+    the sum of the factors' b-invariants, which is asserted.  Every factor
+    is checked against the factor signature before the target's table is
+    read; the image is one int sum of the factors' packed rows, unpacked,
+    canonicalized and validated only when the image table misses."""
+    if not isinstance(factors, (tuple, list)):
+        raise ValidationError(f"factors must be a tuple or list, got {factors!r}")
+    if not isinstance(e, Embedding):
+        raise ValidationError(f"embedding must be an Embedding, got {e!r}")
+    sig = e.factor_signature()
+    if len(factors) != len(sig):
+        raise DomainError(f"{e.kind} takes {len(sig)} factors, got {len(factors)}")
+    for i, ((fam, rank), label) in enumerate(zip(sig, factors)):
+        _check_factor(i, fam, rank, label)
+    layout, known, images = _target(*e.target())
     family, n, _, fields, base = layout
     # the base rows a column sum counts once too often per factor after
     # the first
-    overlap = (len(prepared) - 1) * base
-    # a family-D image has two rows of equal length, the two halves of its
-    # int; they are equal exactly on a degenerate label
-    degenerate = family == FAMILY_D
-    half = 4 * struct.calcsize(fields)
-    low = (1 << half) - 1
-    labels, packed, bs = zip(*prepared)
-    for factors, parts, b_parts in zip(itertools.product(*labels),
-                                       itertools.product(*packed),
-                                       itertools.product(*bs)):
-        image = sum(parts) - overlap
-        kappa = 0
-        if degenerate and image >> half == image & low:
+    image = -(len(factors) - 1) * base
+    want = 0
+    for label in factors:
+        entry = known.get(label)
+        if entry is None:
+            entry = known[label] = (_packed_rows(layout, label), b_invariant(label))
+        image += entry[0]
+        want += entry[1]
+    kappa = 0
+    if family == FAMILY_D:
+        # a degenerate image: its two rows, the halves of its int, are equal
+        half = 4 * struct.calcsize(fields)
+        if image >> half == image & ((1 << half) - 1):
             kappa = (sum(f.kappa for f in factors) + e.lam) % 2
-        hit = images.get((image, kappa))
-        if hit is None:
-            # canonical rows first, so the label validates the shorter rows
-            out = IrrLabel(family, n, *_canonical_rows(*_unpack(layout, image)),
-                           kappa=kappa)
-            hit = images[image, kappa] = (out, b_invariant(out))
-        out, got = hit
-        want = sum(b_parts)
-        if got != want:
-            raise InvariantError(
-                f"b-additivity failed for {e.kind}: {got} != {want}"
-            )
-        yield factors, out
-
-
-def j_induce(e: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> IrrLabel:
-    """Image of a tuple of special factor labels under truncated induction
-    along the embedding: the one-product case of j_induce_pool.  Output is
-    canonicalized; its b-invariant equals the sum of the factors'
-    b-invariants."""
-    if not isinstance(factors, (tuple, list)):
-        raise ValidationError(f"factors must be a tuple or list, got {factors!r}")
-    return next(j_induce_pool(e, [(f,) for f in factors]))[1]
+    hit = images.get((image, kappa))
+    if hit is None:
+        # canonical rows first, so the label validates the shorter rows
+        out = IrrLabel(family, n, *_canonical_rows(*_unpack(layout, image)),
+                       kappa=kappa)
+        hit = images[image, kappa] = (out, b_invariant(out))
+    out, got = hit
+    if got != want:
+        raise InvariantError(f"b-additivity failed for {e.kind}: {got} != {want}")
+    return out
 
 
 def match_key(label: IrrLabel) -> IrrLabel | tuple[int, Seq, Seq]:

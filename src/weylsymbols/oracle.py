@@ -22,11 +22,12 @@ j_oracle pairs the one vector with every irreducible at the floor degree.
 The induced vector of the last product is kept, one entry and no more: a
 cross-check calls j_oracle and then induction_multiplicity on the image it
 returned, and the second call pairs the same vector without inducing the
-product again.  The label codec (label_to_key, key_to_label) is memoized
-per argument once the argument has been checked.  The power-sum recursion
-reads one cached trace row per (family, rank, k), the trace of the k-th
-power of every class, so each class trace is computed once however many
-symmetric powers use it.
+product again.  Each group (family, rank) is one cached record, built
+once: its verified table, the index of each class and irreducible, and
+per irreducible its canonical label (what key_to_label returns) and its
+least symmetric-power degree with the multiplicity there, found by one
+pass of the power-sum recursion that traces each class power once.
+label_to_key is memoized per label once the label has been checked.
 
 Group dictionary: family A at rank n is the symmetric group on n letters,
 family BC the full signed-permutation group on n letters, and family D its
@@ -47,10 +48,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import product
+from itertools import count, product
 from math import factorial, prod
 from operator import mul
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import DomainError, OracleError, ResourceError, ValidationError
 from .irreps import (
@@ -310,8 +311,8 @@ def _pair_order_key(p: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(p), p)
 
 
-@cache
-def _build_table(family: str, n: int) -> CharacterTable:
+def _table(family: str, n: int) -> CharacterTable:
+    """The rank-n table of the family, built and then verified."""
     if family == FAMILY_A:
         parts = _partitions(n)
         classes = [ClassKey(p) for p in parts]
@@ -419,10 +420,103 @@ def _verify_split_gauge(t: CharacterTable) -> None:
             raise OracleError(f"split gauge fails for {key} in D{t.n}")
 
 
+# ---------------------------------------------------------------------------
+# symmetric powers of the reflection representation
+
+def _power_trace(family: str, c: ClassKey, k: int) -> int:
+    """Trace of the k-th power of a class on the reflection representation,
+    read off the cycle type."""
+    if family == FAMILY_A:
+        if not c.alpha:
+            return 0
+        return sum(v for v in c.alpha if k % v == 0) - 1
+    tot = sum(v for v in c.alpha if k % v == 0)
+    tot += sum((-1) ** (k // v) * v for v in c.beta if k % v == 0)
+    return tot
+
+
+def _sym_powers(t: CharacterTable) -> Iterator[tuple[int, ...]]:
+    """Characters h_0, h_1, ... of the symmetric powers of the reflection
+    representation, class by class, by the power-sum recursion
+    i h_i = sum_k p_k h_(i-k) in integers, p_k the trace row of the k-th
+    powers of the classes, each traced once as the recursion first needs
+    it; a division by i that leaves a remainder raises."""
+    traces: list[list[int]] = []
+    powers = [(1,) * len(t.classes)]
+    yield powers[0]
+    for i in count(1):
+        traces.append([_power_trace(t.family, c, i) for c in t.classes])
+        terms = [map(mul, traces[k - 1], powers[i - k]) for k in range(1, i + 1)]
+        out = []
+        for acc in map(sum, zip(*terms)):
+            h, rem = divmod(acc, i)
+            if rem:
+                raise OracleError(
+                    f"non-integral symmetric power {i} in {t.family}{t.n}"
+                )
+            out.append(h)
+        powers.append(tuple(out))
+        yield powers[i]
+
+
+# ---------------------------------------------------------------------------
+# one record per group
+
+@dataclass(frozen=True, eq=False)
+class _Group:
+    """The rank-n group of a family: its verified table, the index of each
+    class and irreducible in it, and per irreducible its canonical label
+    and (least symmetric-power degree, multiplicity there)."""
+
+    table: CharacterTable
+    class_index: dict[ClassKey, int]
+    irr_index: dict[IrrKey, int]
+    labels: tuple[IrrLabel, ...]
+    degrees: tuple[tuple[int, int], ...]
+
+    def row(self, key: IrrKey) -> tuple[int, ...]:
+        """Character values of the irreducible named by key, class by class."""
+        return self.table.values[self.irr_index[key]]
+
+
+@cache
+def _group(family: str, n: int) -> _Group:
+    """The group record of (family, n), built once: the table is verified,
+    and one pass of the power-sum recursion pairs each symmetric power with
+    every irreducible not yet placed until all are.  Its callers name
+    groups within the bounds; character_table checks them."""
+    t = _table(family, n)
+    weighted = [[sz * v for sz, v in zip(t.sizes, row)] for row in t.values]
+    degrees: list[tuple[int, int] | None] = [None] * len(weighted)
+    for i, power in zip(range(n * n + 2), _sym_powers(t)):
+        for j, row in enumerate(weighted):
+            if degrees[j] is not None:
+                continue
+            mult, rem = divmod(sum(map(mul, row, power)), t.order)
+            if rem or mult < 0:
+                raise OracleError(
+                    f"non-integral multiplicity for {t.irreps[j]} at degree {i}"
+                )
+            if mult:
+                degrees[j] = (i, mult)
+        if None not in degrees:
+            break
+    else:
+        key = t.irreps[degrees.index(None)]
+        raise OracleError(f"no symmetric power contains {key} in {family}{n}")
+    return _Group(
+        t,
+        {c: i for i, c in enumerate(t.classes)},
+        {k: i for i, k in enumerate(t.irreps)},
+        tuple(_key_label(family, n, k) for k in t.irreps),
+        tuple(degrees),
+    )
+
+
 def character_table(family: str, n: int) -> CharacterTable:
     """Exact table for the rank-n group of the family, gated by exact
     orthogonality and order checks at construction.  The arguments are
-    checked on every call, before the table cache is read."""
+    checked on every call, before the group cache is read."""
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
     ensure_rank(n)
@@ -430,25 +524,7 @@ def character_table(family: str, n: int) -> CharacterTable:
         raise ResourceError(
             f"family {family} tables stop at rank {RANK_BOUNDS[family]}"
         )
-    return _build_table(family, n)
-
-
-# The helpers below read the cached tables without character_table's
-# argument checks: their callers name groups within the bounds.
-
-@cache
-def _class_map(family: str, n: int) -> dict[ClassKey, int]:
-    return {c: i for i, c in enumerate(_build_table(family, n).classes)}
-
-
-@cache
-def _irr_map(family: str, n: int) -> dict[IrrKey, int]:
-    return {k: i for i, k in enumerate(_build_table(family, n).irreps)}
-
-
-def _row(family: str, n: int, key: IrrKey) -> tuple[int, ...]:
-    """Character values of the irreducible named by key, class by class."""
-    return _build_table(family, n).values[_irr_map(family, n)[key]]
+    return _group(family, n).table
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +562,9 @@ def key_to_label(family: str, n: int, key: IrrKey) -> IrrLabel:
     canonical (shortest-rows) form.  family and n are checked as
     character_table checks them; a key that is not an IrrKey of int parts
     raises ValidationError and one the table lacks DomainError, all before
-    the memo is read."""
+    the group's labels are read."""
     character_table(family, n)
+    group = _group(family, n)
     if not isinstance(key, IrrKey):
         raise ValidationError(f"key must be an IrrKey, got {key!r}")
     rows = (key.lam,) if key.mu is None else (key.lam, key.mu)
@@ -495,107 +572,33 @@ def key_to_label(family: str, n: int, key: IrrKey) -> IrrLabel:
         type(row) is tuple and all(type(v) is int for v in row) for row in rows
     ):
         raise ValidationError(f"key parts must be tuples of ints, got {key!r}")
-    if key not in _irr_map(family, n):
+    if key not in group.irr_index:
         raise DomainError(f"{key} names no irreducible of {family}{n}")
-    return _key_label(family, n, key)
+    return group.labels[group.irr_index[key]]
 
 
-@cache
 def _key_label(family: str, n: int, key: IrrKey) -> IrrLabel:
     """key_to_label of a key of the rank-n table (a family BC or D key
     carries two partitions)."""
     if family == FAMILY_A:
         return canonicalize(IrrLabel(FAMILY_A, n, _partition_to_z(key.lam)))
-    if family == FAMILY_BC:
-        length = max(len(key.lam), len(key.mu), 1) + 1
-        return canonicalize(
-            IrrLabel(
-                FAMILY_BC,
-                n,
-                _partition_to_z(key.lam, length),
-                _partition_to_z(key.mu, length - 1),
-            )
-        )
     length = max(len(key.lam), len(key.mu), 1)
-    kappa = 1 if key.sign == -1 else 0
-    return canonicalize(
-        make_d_label(
-            n, _partition_to_z(key.lam, length), _partition_to_z(key.mu, length), kappa
-        )
-    )
-
-
-# ---------------------------------------------------------------------------
-# symmetric powers of the reflection representation
-
-def _power_trace(family: str, c: ClassKey, k: int) -> int:
-    """Trace of the k-th power of a class on the reflection representation,
-    read off the cycle type."""
-    if family == FAMILY_A:
-        if not c.alpha:
-            return 0
-        return sum(v for v in c.alpha if k % v == 0) - 1
-    tot = sum(v for v in c.alpha if k % v == 0)
-    tot += sum((-1) ** (k // v) * v for v in c.beta if k % v == 0)
-    return tot
-
-
-@cache
-def _trace_row(family: str, n: int, k: int) -> tuple[int, ...]:
-    """_power_trace of every class of the rank-n table at k, in table order:
-    one row per (family, n, k), shared by every symmetric power above k."""
-    return tuple(_power_trace(family, c, k) for c in _build_table(family, n).classes)
-
-
-@cache
-def _sym_power_row(family: str, n: int, i: int) -> tuple[int, ...]:
-    """Character of the i-th symmetric power of the reflection
-    representation, by the power-sum recursion i h_i = sum_k p_k h_(i-k)
-    in integers, each p_k the cached trace row of k; a division by i that
-    leaves a remainder raises."""
-    if i == 0:
-        return (1,) * len(_build_table(family, n).classes)
-    lower = [_sym_power_row(family, n, j) for j in range(i)]
-    terms = [map(mul, _trace_row(family, n, k), lower[i - k]) for k in range(1, i + 1)]
-    out = []
-    for acc in map(sum, zip(*terms)):
-        h, rem = divmod(acc, i)
-        if rem:
-            raise OracleError(f"non-integral symmetric power {i} in {family}{n}")
-        out.append(h)
-    return tuple(out)
-
-
-@cache
-def _b_of_key(family: str, n: int, key: IrrKey) -> tuple[int, int]:
-    # the one checked table read: b_oracle's label may be out of bounds
-    t = character_table(family, n)
-    weighted = [sz * v for sz, v in zip(t.sizes, _row(family, n, key))]
-    for i in range(n * n + 2):
-        power = _sym_power_row(family, n, i)
-        mult, rem = divmod(sum(map(mul, weighted, power)), t.order)
-        if rem or mult < 0:
-            raise OracleError(f"non-integral multiplicity for {key} at degree {i}")
-        if mult:
-            return i, mult
-    raise OracleError(f"no symmetric power contains {key} in {family}{n}")
-
-
-@cache
-def _by_degree(family: str, n: int) -> dict[int, list[IrrKey]]:
-    """The irreducibles of the rank-n group, in table order, grouped by their
-    least symmetric-power degree."""
-    out: dict[int, list[IrrKey]] = {}
-    for key in _build_table(family, n).irreps:
-        out.setdefault(_b_of_key(family, n, key)[0], []).append(key)
-    return out
+    if family == FAMILY_BC:
+        z, zp = _partition_to_z(key.lam, length + 1), _partition_to_z(key.mu, length)
+        return canonicalize(IrrLabel(FAMILY_BC, n, z, zp))
+    z, zp = _partition_to_z(key.lam, length), _partition_to_z(key.mu, length)
+    return canonicalize(make_d_label(n, z, zp, 1 if key.sign == -1 else 0))
 
 
 def b_oracle(label: IrrLabel) -> tuple[int, int]:
     """Least symmetric-power degree of the reflection representation
     containing the irreducible, with the multiplicity there."""
     _ensure_label("label", label)
-    return _b_of_key(label.family, label.n, _label_key(label))
+    key = _label_key(label)
+    # the one checked group read: the label may be out of bounds
+    character_table(label.family, label.n)
+    group = _group(label.family, label.n)
+    return group.degrees[group.irr_index[key]]
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +606,10 @@ def b_oracle(label: IrrLabel) -> tuple[int, int]:
 
 def _check_io(
     emb: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]
-) -> tuple[str, int, tuple[IrrLabel, ...]]:
-    """The target (family, rank) of emb and the factors as a tuple, after
-    checking that emb is an Embedding and factors a tuple or list of labels
-    that fit its signature."""
+) -> tuple[str, int, tuple[IrrLabel, ...], tuple[tuple[str, int], ...]]:
+    """The target (family, rank) of emb, the factors as a tuple and the
+    factor signature, after checking that emb is an Embedding and factors a
+    tuple or list of labels that fit its signature."""
     if not isinstance(emb, Embedding):
         raise ValidationError(f"embedding must be an Embedding, got {emb!r}")
     if not isinstance(factors, (tuple, list)):
@@ -622,7 +625,7 @@ def _check_io(
     tfam, tn = emb.target()
     if tn > RANK_BOUNDS[tfam]:
         raise ResourceError(f"target rank {tn} exceeds the {tfam} oracle bound")
-    return tfam, tn, factors
+    return tfam, tn, factors, sig
 
 
 def _fused_class(
@@ -658,29 +661,30 @@ def _fusion(emb: Embedding) -> tuple[int, ...]:
     into, one per tuple in the order product() lists them."""
     sig = emb.factor_signature()
     tfam, tn = emb.target()
-    tmap = _class_map(tfam, tn)
+    index = _group(tfam, tn).class_index
     return tuple(
-        tmap[_fused_class(emb, sig, keys, tfam, tn)]
-        for keys in product(*(_build_table(f, rank).classes for f, rank in sig))
+        index[_fused_class(emb, sig, keys, tfam, tn)]
+        for keys in product(*(_group(f, rank).table.classes for f, rank in sig))
     )
 
 
 @lru_cache(maxsize=1)
 def _induced(
-    emb: Embedding, keys: tuple[IrrKey, ...]
+    emb: Embedding, sig: tuple[tuple[str, int], ...], keys: tuple[IrrKey, ...]
 ) -> tuple[tuple[int, ...], int]:
     """The product of the factor irreducibles named by keys, induced to the
     target: one integer per target class, the sum of class size times value
     over the factor-class tuples fusing into it, and the subgroup order.
-    Only the last product's result is kept."""
+    sig is emb's factor signature.  Only the last product's result is
+    kept."""
     weighted = []
     sub_order = 1
-    for (fam, rank), key in zip(emb.factor_signature(), keys):
-        ft = _build_table(fam, rank)
-        weighted.append([sz * v for sz, v in zip(ft.sizes, _row(fam, rank, key))])
+    for (fam, rank), key in zip(sig, keys):
+        group = _group(fam, rank)
+        ft = group.table
+        weighted.append([sz * v for sz, v in zip(ft.sizes, group.row(key))])
         sub_order *= ft.order
-    tfam, tn = emb.target()
-    induced = [0] * len(_build_table(tfam, tn).classes)
+    induced = [0] * len(_group(*emb.target()).table.classes)
     for fused, vals in zip(_fusion(emb), product(*weighted)):
         induced[fused] += prod(vals)
     return tuple(induced), sub_order
@@ -705,12 +709,12 @@ def induction_multiplicity(
 ) -> int:
     """Multiplicity of the target irreducible in the induction of the
     factor product through the embedding, by exact inner product."""
-    tfam, tn, factors = _check_io(emb, factors)
+    tfam, tn, factors, sig = _check_io(emb, factors)
     _ensure_label("target", target)
     if target.family != tfam or target.n != tn:
         raise DomainError(f"target {target} does not sit in ({tfam}, {tn})")
-    induced, sub_order = _induced(emb, tuple(map(_label_key, factors)))
-    row = _row(tfam, tn, _label_key(target))
+    induced, sub_order = _induced(emb, sig, tuple(map(_label_key, factors)))
+    row = _group(tfam, tn).row(_label_key(target))
     return _pair(induced, sub_order, row, lambda: target)
 
 
@@ -720,20 +724,21 @@ def j_oracle(
     """The unique irreducible of the target group appearing in the induced
     product at the factor product's own least symmetric-power degree.  The
     product is induced once and paired with each irreducible of that degree."""
-    tfam, tn, factors = _check_io(emb, factors)
+    tfam, tn, factors, sig = _check_io(emb, factors)
     keys = tuple(map(_label_key, factors))
-    floor = sum(
-        _b_of_key(fam, rank, key)[0]
-        for (fam, rank), key in zip(emb.factor_signature(), keys)
-    )
-    induced, sub_order = _induced(emb, keys)
-    hits = []
-    for key in _by_degree(tfam, tn).get(floor, ()):
-        row = _row(tfam, tn, key)
-        if _pair(induced, sub_order, row, lambda: _key_label(tfam, tn, key)):
-            hits.append(key)
+    floor = 0
+    for (fam, rank), key in zip(sig, keys):
+        group = _group(fam, rank)
+        floor += group.degrees[group.irr_index[key]][0]
+    induced, sub_order = _induced(emb, sig, keys)
+    target = _group(tfam, tn)
+    hits = [
+        i for i, (degree, _) in enumerate(target.degrees)
+        if degree == floor and _pair(induced, sub_order, target.table.values[i],
+                                     lambda: target.labels[i])
+    ]
     if len(hits) != 1:
         raise OracleError(
             f"{emb.kind} induction has {len(hits)} constituents at degree {floor}"
         )
-    return _key_label(tfam, tn, hits[0])
+    return target.labels[hits[0]]

@@ -47,7 +47,7 @@ from weylsymbols.jinduction import (
     j_induce,
     match_key,
 )
-from weylsymbols.springer import enumerate_classes, tau_fiber
+from weylsymbols.springer import LABEL_FAMILY, enumerate_classes, tau_fiber
 
 
 def _member_image(spec: ParahoricSpec, factors):
@@ -161,6 +161,12 @@ def test_rank_floors():
             verify(family, floor - 1)
         with pytest.raises(DomainError):
             bar_S(family, floor - 1)
+        # a label of the rank below the floor is refused by every public
+        # per-label entry point, not answered
+        label = special_reps(LABEL_FAMILY[family], floor - 1)[0].label
+        for call in (enumerate_cz, fa, fc):
+            with pytest.raises(DomainError, match=f"needs rank >= {floor}"):
+                call(label, family, floor - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from weylsymbols.jinduction import (
     double_dots,
     f_product,
     j_induce,
-    j_induce_pool,
     labels_match,
     match_key,
 )
@@ -323,19 +322,15 @@ def test_a_served_image_still_has_its_b_additivity_checked(monkeypatch):
     assert j_induce(e, factors) == image
 
 
-def test_pool_form_yields_j_induce_of_every_product_in_order():
-    caps = {FAMILY_A: 6, FAMILY_BC: 5, FAMILY_D: 5}
-    for n in range(0, 7):
-        for e in _all_embeddings(n):
-            if n > caps[e.target()[0]]:
-                continue
-            lams = d_placements(e.r, e.p, e.q) if e.kind == EMBED_D_TRIPLE else (0,)
-            pools = [_special_labels(f, rank) for f, rank in e.factor_signature()]
-            for lam in lams:
-                twisted = dataclasses.replace(e, lam=lam)
-                want = [(combo, j_induce(twisted, combo))
-                        for combo in itertools.product(*pools)]
-                assert list(j_induce_pool(twisted, pools)) == want
+def test_j_induce_images_do_not_depend_on_the_order_of_the_calls():
+    # the target tables are filled in product order, then in reverse order
+    # from cold; every product gets one image either way
+    cases = _oracle_window_cases()
+    jinduction._target.cache_clear()
+    forward = [j_induce(e, combo) for e, combo in cases]
+    jinduction._target.cache_clear()
+    backward = [j_induce(e, combo) for e, combo in reversed(cases)]
+    assert backward[::-1] == forward
 
 
 def _reference_image(e: Embedding, factors) -> tuple:
@@ -385,7 +380,7 @@ def _as_reference(label: IrrLabel) -> tuple:
     return label.family, label.n, rows, label.kappa
 
 
-def test_pool_form_follows_the_row_rule_of_every_product():
+def test_j_induce_follows_the_row_rule_of_every_product():
     caps = {FAMILY_A: 6, FAMILY_BC: 5, FAMILY_D: 5}
     cases = 0
     for n in range(0, 7):
@@ -396,7 +391,8 @@ def test_pool_form_follows_the_row_rule_of_every_product():
             pools = [_special_labels(f, rank) for f, rank in e.factor_signature()]
             for lam in lams:
                 twisted = dataclasses.replace(e, lam=lam)
-                for combo, image in j_induce_pool(twisted, pools):
+                for combo in itertools.product(*pools):
+                    image = j_induce(twisted, combo)
                     assert _as_reference(image) == _reference_image(twisted, combo)
                     cases += 1
     assert cases == 1707
@@ -429,8 +425,8 @@ def test_heavy_last_entries_do_not_carry_into_the_next_field(n):
               Embedding(EMBED_D_TRIPLE, r=r, p=p, q=q)):
         pools = [[_heavy_last(f, rank, second) for second in (False, True)]
                  for f, rank in e.factor_signature()]
-        for combo, image in j_induce_pool(e, pools):
-            assert _as_reference(image) == _reference_image(e, combo)
+        for combo in itertools.product(*pools):
+            assert _as_reference(j_induce(e, combo)) == _reference_image(e, combo)
 
 
 @pytest.mark.parametrize("family, n, code, image_max", [
@@ -466,14 +462,8 @@ _BAD_INPUTS = {
                     "factors must be a tuple or list"),
     "factors ints": (lambda emb, ok: j_induce(emb, (1, 2)),
                      "factor must be an IrrLabel"),
-    "pools None": (lambda emb, ok: j_induce_pool(emb, None),
-                   "pools must be a tuple or list"),
-    "pools of None": (lambda emb, ok: j_induce_pool(emb, [None, None]),
-                      "pool 0 must be a tuple or list"),
-    "pool of None": (lambda emb, ok: j_induce_pool(emb, [[ok[0]], [None]]),
-                     "factor must be an IrrLabel"),
-    "pool embedding": (lambda emb, ok: j_induce_pool("B_WrWq", [[f] for f in ok]),
-                       "embedding must be an Embedding"),
+    "factor None": (lambda emb, ok: j_induce(emb, [ok[0], None]),
+                    "factor must be an IrrLabel"),
 }
 
 
@@ -500,13 +490,18 @@ def test_factor_padding_leaves_the_image_unchanged():
                     assert j_induce(e, [shift(f, t) for f in combo]) == want
 
 
-def test_pool_form_checks_every_label_before_the_first_product():
+def test_j_induce_checks_every_factor_before_the_target_table():
     e = Embedding(EMBED_B_WR_WQ, r=1, q=2)
-    good = [_special_labels(FAMILY_BC, 1), _special_labels(FAMILY_BC, 2)]
+    good = (_trivial(FAMILY_BC, 1), _trivial(FAMILY_BC, 2))
+    jinduction._target.cache_clear()
     with pytest.raises(DomainError, match="factor 1 must be family BC rank 2"):
-        j_induce_pool(e, [good[0], good[1] + [_trivial(FAMILY_BC, 3)]])
+        j_induce(e, [good[0], _trivial(FAMILY_BC, 3)])
     with pytest.raises(DomainError, match="takes 2 factors, got 1"):
-        j_induce_pool(e, good[:1])
+        j_induce(e, good[:1])
+    # the good factor 0 of the refused calls was never prepared
+    assert jinduction._target.cache_info().currsize == 0
+    j_induce(e, good)
+    assert set(jinduction._target(*e.target())[1]) == set(good)
 
 
 def test_labels_match_is_equality_of_match_keys():

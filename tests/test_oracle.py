@@ -323,7 +323,8 @@ def test_b_oracle_matches_label_invariant_everywhere():
 def test_symmetric_power_rows_are_the_integers_of_the_power_sum_recursion():
     for family, nmax in ((FAMILY_A, 5), (FAMILY_BC, 4), (FAMILY_D, 4)):
         for n in range(nmax + 1):
-            classes = character_table(family, n).classes
+            table = character_table(family, n)
+            classes = table.classes
             want = [[Fraction(1)] * len(classes)]
             for i in range(1, n * n + 2):
                 want.append([
@@ -331,18 +332,22 @@ def test_symmetric_power_rows_are_the_integers_of_the_power_sum_recursion():
                         for k in range(1, i + 1)) / i
                     for ci, c in enumerate(classes)
                 ])
-                got = oracle._sym_power_row(family, n, i)
-                assert all(type(v) is int for v in got)
-                assert list(got) == want[i]
+            got = list(itertools.islice(oracle._sym_powers(table), n * n + 2))
+            assert all(type(v) is int for row in got for v in row)
+            assert [list(row) for row in got] == want
 
 
 def test_a_symmetric_power_that_divides_with_a_remainder_raises(monkeypatch):
-    # rows below degree 2 are cached with their true values first; the
-    # trace rows are cached too, so the recursion reads patched ones
-    assert oracle._sym_power_row(FAMILY_A, 3, 1) == (-1, 0, 2)
-    monkeypatch.setattr(oracle, "_trace_row", lambda family, n, k: (1, 1, 1))
-    with pytest.raises(OracleError, match="non-integral symmetric power 2"):
-        oracle._sym_power_row.__wrapped__(FAMILY_A, 3, 2)
+    # with p_1 = 0 and p_2 = 1 on every class, h_2 = (p_1 h_1 + p_2 h_0) / 2
+    # is 1/2; the group build runs the same recursion
+    table = character_table(FAMILY_A, 3)
+    assert list(itertools.islice(oracle._sym_powers(table), 2)) == [
+        (1, 1, 1), (-1, 0, 2)]
+    monkeypatch.setattr(oracle, "_power_trace", lambda family, c, k: int(k == 2))
+    with pytest.raises(OracleError, match="non-integral symmetric power 2 in A3"):
+        list(itertools.islice(oracle._sym_powers(table), 3))
+    with pytest.raises(OracleError, match="non-integral symmetric power 2 in A3"):
+        oracle._group.__wrapped__(FAMILY_A, 3)
 
 
 def test_b_oracle_dagger_counterexample():
@@ -569,22 +574,46 @@ def test_a_cold_table_set_traces_each_class_power_once(monkeypatch):
         return inner(family, c, k)
 
     monkeypatch.setattr(oracle, "_power_trace", counted)
-    for cached in (oracle._trace_row, oracle._sym_power_row,
-                   oracle._b_of_key, oracle._by_degree):
-        cached.cache_clear()
+    oracle._group.cache_clear()
     for family, cap in RANK_BOUNDS.items():
         for n in range(cap + 1):
-            for key in character_table(family, n).irreps:
-                oracle._b_of_key(family, n, key)
+            character_table(family, n)
     assert traced and set(traced.values()) == {1}
-    # each table is traced in whole rows: every class at k = 1, ..., top
+    # each group is traced in whole rows: every class at k = 1, ..., top,
+    # top its irreducibles' largest least degree
     for family, cap in RANK_BOUNDS.items():
         for n in range(cap + 1):
             classes = character_table(family, n).classes
             rows = {(c, k) for fam, c, k in traced
                     if fam == family and c in classes}
-            top = max((k for _, k in rows), default=0)
+            top = max(b_oracle(key_to_label(family, n, key))[0]
+                      for key in character_table(family, n).irreps)
             assert rows == {(c, k) for c in classes for k in range(1, top + 1)}
+
+
+def test_a_cold_oracle_suite_builds_and_verifies_each_group_once(monkeypatch):
+    verified = []
+    verify_table = oracle._verify_table
+
+    def counted_verify(table):
+        verified.append((table.family, table.n))
+        verify_table(table)
+
+    read = set()
+    group = oracle._group
+
+    def counted_group(family, n):
+        read.add((family, n))
+        return group(family, n)
+
+    monkeypatch.setattr(oracle, "_verify_table", counted_verify)
+    monkeypatch.setattr(oracle, "_group", counted_group)
+    group.cache_clear()
+    assert oracle_suite().ok()
+    # the suite reads A <= 6, BC <= 5 and D <= 5
+    assert len(verified) == len(set(verified)) == len(read) == 19
+    assert set(verified) == read
+    assert group.cache_info().misses == group.cache_info().currsize == 19
 
 
 def test_interleaved_cases_keep_their_own_multiplicities():
@@ -620,19 +649,24 @@ def test_a_row_that_pairs_non_integrally_raises(monkeypatch):
     # every table read below is cached with its true values first
     assert j_oracle(emb, factors) == target
     assert induction_multiplicity(emb, factors, target) == 1
-    identity = character_table(FAMILY_A, 3).identity_index()
-    row = oracle._row
-
-    def off_by_one(family, n, key):
-        values = list(row(family, n, key))
-        if (family, n) == (FAMILY_A, 3):
-            values[identity] += 1
-        return tuple(values)
-
-    monkeypatch.setattr(oracle, "_row", off_by_one)
+    group = oracle._group(FAMILY_A, 3)
+    identity = group.table.identity_index()
+    values = [list(row) for row in group.table.values]
+    for row in values:
+        row[identity] += 1
+    bad = dataclasses.replace(group.table, values=tuple(map(tuple, values)))
+    true_group, true_table = oracle._group, oracle._table
+    monkeypatch.setattr(oracle, "_group", lambda family, n: (
+        dataclasses.replace(group, table=bad) if (family, n) == (FAMILY_A, 3)
+        else true_group(family, n)))
     with pytest.raises(OracleError, match="non-integral induction multiplicity"):
         induction_multiplicity(emb, factors, target)
     with pytest.raises(OracleError, match="non-integral induction multiplicity"):
         j_oracle(emb, factors)
+    monkeypatch.undo()
+    # a group built from the shifted table fails at its least degrees
+    monkeypatch.setattr(oracle, "_table", lambda family, n: (
+        bad if (family, n) == (FAMILY_A, 3) else true_table(family, n)))
+    true_group.cache_clear()
     with pytest.raises(OracleError, match="non-integral multiplicity"):
-        oracle._b_of_key.__wrapped__(FAMILY_A, 3, label_to_key(target))
+        b_oracle(target)
