@@ -26,7 +26,8 @@ text at a time, never the whole document as one string.  A verify row is
 laid out from one fixed row template when the stream reaches it, with no
 dict built for it; its label, witness shapes and factors are spliced in
 from a per-render text table that builds each distinct label's and
-shape's text once per indent depth.
+shape's text once per indent depth and finds each object's text by its id,
+so that a label or shape is hashed only when first met at a depth.
 At B16 through --output, `verify --format json` peaks at 51 MB RSS, as
 the table format does, where the whole-string render took 205 MB.
 """
@@ -141,13 +142,20 @@ def _label_text(lab: IrrLabel, pad: str) -> str:
 
 
 def _text(v: IrrLabel | ParahoricSpec, pad: str, texts: dict) -> str:
-    """JSON text of v.to_json() at pad, built once per render: texts maps
-    each pad to the texts already built at it, by value."""
-    known = texts.setdefault(pad, {})
-    text = known.get(v)
+    """JSON text of v.to_json() at pad, built once per render for each
+    distinct value: texts maps each pad to two tables of the texts already
+    built at it, one by the id of each object met and one by value, so an
+    object is hashed only when first met at the pad, however often it
+    appears.  Every object keyed by id is held by the payload until the
+    render ends, so no id is reused in one render."""
+    by_id, by_value = texts.setdefault(pad, ({}, {}))
+    text = by_id.get(id(v))
     if text is None:
-        text = known[v] = (_label_text(v, pad) if type(v) is IrrLabel
-                           else _json_value(v.to_json(), pad, texts))
+        text = by_value.get(v)
+        if text is None:
+            text = by_value[v] = (_label_text(v, pad) if type(v) is IrrLabel
+                                  else _json_value(v.to_json(), pad, texts))
+        by_id[id(v)] = text
     return text
 
 
@@ -174,15 +182,18 @@ def _row_text(row: ClassRow, pad: str, texts: dict) -> str:
     (keys, wkeys, factor, lead, sep, close, head, factors, fsep, fclose,
      nofactors) = _row_layout(pad)
     if row.witnesses:
-        shapes = texts.setdefault(wkeys, {})
-        labels = texts.setdefault(factor, {})
+        # the texts already built at these pads, by object id
+        shapes = texts.setdefault(wkeys, ({}, {}))[0]
+        labels = texts.setdefault(factor, ({}, {}))[0]
         # one join, so the list's text is allocated once
         parts = []
         for spec, labs in row.witnesses:
-            parts += (lead, head, shapes.get(spec) or _text(spec, wkeys, texts))
+            parts += (lead, head,
+                      shapes.get(id(spec)) or _text(spec, wkeys, texts))
             if labs:
                 parts += (factors, fsep.join(
-                    [labels.get(lab) or _text(lab, factor, texts) for lab in labs]),
+                    [labels.get(id(lab)) or _text(lab, factor, texts)
+                     for lab in labs]),
                     fclose)
             else:
                 parts.append(nofactors)

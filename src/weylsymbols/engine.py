@@ -50,29 +50,38 @@ pools read; the BC and D pools are enumerated per call.
   labels fill the table: those the signatures name, and every rank of
   each family a split part belongs to (BC for B, BC and D for C, D for
   D), so every split part has a record.  The special-rep enumeration
-  gives each pool's merged sequences, labels, b and f, and a family-D
-  pool of a C target is filed under its based complement
-  (0, x0 + 1, x1 + 1, ...).
+  gives each pool's merged sequences, labels, b and f: b weighs x against
+  base_x, whose weighted sum is read once per pool in closed form, and f
+  comes from x's count of strict positions, 2 |set(x)| - len(x) on an
+  XSeq, with no frakS set built.  A family-D pool of a C target is filed
+  under its based complement (0, x0 + 1, x1 + 1, ...).
 * One table of the maximal shapes by block sizes, shared by every row.
 * Per class, one split table of y: the split search yields packed first
   parts x, each complement is packed(y) - x, and both records are read by
-  int, with no sequence tuple built per split.  Each split on a maximal
-  shape induces to the int sum packed(x) + packed(x~) - base, of b-invariant
-  b(x) + b(x~) (a D shape's rank-0 A middle factor packs to the base rows
-  and has b 0), and a row passes when these are its label's packed rows
-  and b; the maximal f-product is read as f(x) * f(x~).  ParahoricSpec
-  and label tuples are built only for the witnesses the row prints: the
-  f-maximal members and the symmetry witness, which is replayed through
-  j_induce only when its shape is not maximal (on a maximal shape it is
-  one of the class's own splits).  The C and D split witness reads the
-  same split table, the B and D symmetric witnesses look up their first
-  parts' records in the record table, and one interval set frakI(y)
-  serves the class invariants and the symmetric witness search; the two
-  rows of a two-label D class share all of these.  The C and D witnesses
-  need parts with a strict position (beyond the base one of a C
-  complement), which are exactly the parts whose first label is not
-  degenerate: a D merge at odd length has an even count of strict
-  positions, zero exactly on equal rows.
+  int, with no sequence tuple built per split.  The search enters past the
+  prefix on which y equals its space's base (base_y, base_yt for C), where
+  x is forced to base_x: one compare of packed(y) with the packed base,
+  which the record table holds with packed base_x, finds it.  Each split
+  on a maximal shape induces to the int sum packed(x) + packed(x~) - base,
+  of b-invariant b(x) + b(x~) (a D shape's rank-0 A middle factor packs to
+  the base rows and has b 0), and a row passes when these are its label's
+  packed rows and b; the maximal f-product is read as f(x) * f(x~).  Those
+  rows are packed from the first label of y's tau fiber at the policy
+  length, whose rows already have the target's lengths, and the labels of
+  a two-label D class share them and their b.  ParahoricSpec and label
+  tuples are built only for the witnesses the row prints: the f-maximal
+  members and the symmetry witness, which is replayed through j_induce
+  only when its shape is not maximal (on a maximal shape it is one of the
+  class's own splits), once per class, as the labels of a two-label D
+  class share one match_key.  The C and D split witness reads the same
+  split table, the B and D symmetric witnesses look up their first parts'
+  records in the record table, and one interval set frakI(y) serves the
+  class invariants and the symmetric witness search; the two rows of a
+  two-label D class share all of these.  The C and D witnesses need parts
+  with a strict position (beyond the base one of a C complement), which
+  are exactly the parts whose first label is not degenerate: a D merge at
+  odd length has an even count of strict positions, zero exactly on equal
+  rows.
 * The count identity (counted once per class, as the labels of a
   two-label D class share y): the sum over classes and their maximal
   splits of |fiber(x)| * |fiber(x~)| is the sum over maximal shapes of the
@@ -297,6 +306,11 @@ class _Parts:
         self.family = family
         self.n = n
         self.fields, self.width = _split_fields(family, n)
+        # a C class sequence at the policy length starts (0, 1), and x[0] =
+        # x[1] = 0 makes every complement a based XSeq
+        self.space = sc._split_space(self.fields, self.width,
+                                     policy_m(LABEL_FAMILY[family], n),
+                                     family == CLASS_C)
         self.records: dict[int, Record] = {}
         self.pools: Pools = {}
         # the maximal shape of a split by its first part's rank, the two
@@ -341,11 +355,8 @@ class _Parts:
         the enumerator's order, as the records of its parts."""
         records = self.records
         whole = sc._pack(self.fields, y)
-        # a C class sequence at the policy length starts (0, 1), and x[0] =
-        # x[1] = 0 makes every complement a based XSeq
-        highs = (0, 0, *y[2:]) if self.family == CLASS_C else y
         return [(records[first], records[whole - first])
-                for first in sc._split_firsts(y, highs, self.width)]
+                for first in sc._split_firsts(y, whole, self.space)]
 
 
 def _signature(spec: ParahoricSpec) -> tuple[tuple[str, int], ...]:
@@ -770,19 +781,25 @@ def _member_str(member: Member) -> str:
     return shape + " " + "*".join(label_str(lab) for lab in factors)
 
 
-def _class_rows(family: str, n: int, c: ClassLabel, labels: list[IrrLabel],
-                parts: _Parts) -> tuple[list[ClassRow], int]:
-    """The rows of one class, one per canonical label of its tau fiber, and
-    the class's number of maximal members.  All but each row's member
-    check and witness replay depends on y alone, so the rows share it.  An
-    InvariantError is raised again, from the original, with the family, n,
-    y and the label at hand before its message."""
+def _class_rows(family: str, n: int, c: ClassLabel,
+                fiber: tuple[IrrLabel, ...], parts: _Parts
+                ) -> tuple[list[ClassRow], int]:
+    """The rows of one class, one per label of its tau fiber, canonical,
+    and the class's number of maximal members.  All but each row's label
+    depends on y alone, so the rows share it: the fiber's labels share
+    their rows, hence their b, their packed rows (packed from the fiber's
+    first label, whose rows already have the target's lengths) and their
+    match_key, so the symmetry witness is replayed once.  An
+    InvariantError is raised again, from the original, with the family,
+    n, y and the label at hand before its message."""
+    labels = [canonicalize(label) for label in fiber]
     label = labels[0]
     try:
         # one interval set of y serves the invariants and the B and D
         # symmetric witness search
         intervals = _intervals(family, c.y)
         inv = _class_invariants(c, intervals)
+        b_label = b_invariant(label)
         if family == CLASS_A:
             # the one maximal member is the full group with the label
             # itself, a product of the shape's one pool when it is in it
@@ -790,6 +807,7 @@ def _class_rows(family: str, n: int, c: ClassLabel, labels: list[IrrLabel],
             members = int(label in parts.a_pool)
             fa_value = 1
             witnesses: tuple[Member, ...] = ((parts.shape_at[n], (label,)),)
+            induced = members == 1
         else:
             # y is split once; the maximal members and the symmetry witness
             # search both read the one split table
@@ -798,45 +816,39 @@ def _class_rows(family: str, n: int, c: ClassLabel, labels: list[IrrLabel],
             # every member
             members, fa_value, images = _maximal(parts, splits)
             witnesses = _member_forms(parts, splits, fa_value)
+            # every maximal member must induce to the labels, so the
+            # f-maximal ones do by construction
+            induced = images <= {(_packed_rows(parts.layout, fiber[0]),
+                                   b_label)}
         fc_value, fc_witness = _fc_with_witness(label, family, n, c.y,
                                                 intervals, splits, fa_value,
                                                 parts)
         if fc_witness is not None:
             witnesses += (fc_witness,)
-        rows = []
-        for label in labels:
-            b_label = b_invariant(label)
-            # every maximal member must induce to the label, so the
-            # f-maximal ones do by construction; the symmetry witness is
-            # replayed only off the maximal shapes
-            if family == CLASS_A:
-                induced = members == 1
-            else:
-                induced = images <= {(_packed_rows(parts.layout, label),
-                                      b_label)}
-            witnesses_ok = induced and (
-                fc_witness is None or fc_witness[0].is_maximal()
-                or _replay(*fc_witness, label))
-            rows.append(ClassRow(
-                label=label,
-                y=c.y,
-                b_label=b_label,
-                b_class=inv.bbar,
-                fa_value=fa_value,
-                z_value=inv.z,
-                fc_value=fc_value,
-                ratio_value=inv.ztilde_over_z,
-                witnesses=witnesses,
-                holds_b1=inv.bbar == b_label,
-                holds_b2=fa_value == inv.z,
-                holds_b3=fc_value == inv.ztilde_over_z,
-                witnesses_ok=witnesses_ok,
-            ))
+        # the symmetry witness is replayed only off the maximal shapes
+        witnesses_ok = induced and (
+            fc_witness is None or fc_witness[0].is_maximal()
+            or _replay(*fc_witness, label))
     except InvariantError as exc:
         raise InvariantError(
             f"family {family} n={n} y={seq_str(c.y)} "
             f"label {label_str(label)}: {exc}"
         ) from exc
+    rows = [ClassRow(
+        label=label,
+        y=c.y,
+        b_label=b_label,
+        b_class=inv.bbar,
+        fa_value=fa_value,
+        z_value=inv.z,
+        fc_value=fc_value,
+        ratio_value=inv.ztilde_over_z,
+        witnesses=witnesses,
+        holds_b1=inv.bbar == b_label,
+        holds_b2=fa_value == inv.z,
+        holds_b3=fc_value == inv.ztilde_over_z,
+        witnesses_ok=witnesses_ok,
+    ) for label in labels]
     return rows, members
 
 
@@ -861,8 +873,8 @@ def verify(family: str, n: int) -> VerificationReport:
     members = 0
     covered = True
     for c in enumerate_classes(family, n):
-        labels = [canonicalize(label) for label in _tau_fiber(family, c.y, n)]
-        class_rows, count = _class_rows(family, n, c, labels, parts)
+        class_rows, count = _class_rows(family, n, c,
+                                        _tau_fiber(family, c.y, n), parts)
         rows += class_rows
         members += count
         covered = covered and count > 0

@@ -351,11 +351,11 @@ def _special_seqs(family: str, n: int, m: int) -> Iterator[SpecialSeq]:
     special_reps grouped by sequence.  m is checked before the first
     sequence is yielded."""
     # enumerate_space checks m; the sequences it yields are valid XSeqs,
-    # weighed without re-checking
+    # weighed against base_x(m) and counted without re-checking
     xs = sc.enumerate_space("X", m, n)
-    base = sc.base_x(m)
-    return ((x, sc._dev_weighted(x, base),
-             _f_from_strict_count(family, len(sc._frakS(x))),
+    base = sc._weighted_x(m)
+    return ((x, sc._weighted(x) - base,
+             _f_from_strict_count(family, sc._strict_count(x)),
              _zeta_inverse(family, x)) for x in xs)
 
 
@@ -364,7 +364,7 @@ def special_f(label: IrrLabel) -> int:
     _ensure_label("label", label)
     if label.family == FAMILY_A:
         return 1
-    return _f_from_strict_count(label.family, len(sc._frakS(zeta(label))))
+    return _f_from_strict_count(label.family, sc._strict_count(zeta(label)))
 
 
 def is_special(label: IrrLabel) -> bool:
@@ -509,6 +509,8 @@ def _align(z: Seq, length: int) -> Seq:
     if length < len(z):
         raise DomainError(f"cannot shorten row of length {len(z)} to {length}")
     t = length - len(z)
+    if not t:
+        return z
     return tuple(range(t)) + tuple(v + t for v in z)
 
 

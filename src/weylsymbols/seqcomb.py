@@ -17,12 +17,16 @@ parities, the unique block decomposition of a YSeq, the matched-split sets
 S(y) and tilde-S(y), the symmetric decompositions y = x + e + x, and the
 skeleton/remainder decomposition of an XSeq.  One backtracking search,
 _split_firsts, enumerates the splits of y into two XSeqs, each as its first
-part packed into one int (one field per entry, _key_fields sizing them);
-split_pairs and based_split_pairs check their arguments and unpack its
-pairs through one kernel, _split_pairs, whose pairs S(y) and tilde-S(y)
-filter.  The symmetric decompositions have a backtracking search of their
-own over the first part x, bounded so that e = y - 2x stays nonnegative
-and nondecreasing.
+part packed into one int (one field per entry, _key_fields sizing them).
+It enters past the prefix on which y equals the base of its space, where x
+is forced to base_x, found by one compare of the packed y with the packed
+base (_split_space).  split_pairs and based_split_pairs check their
+arguments and unpack its pairs through one kernel, _split_pairs, whose
+pairs S(y) and tilde-S(y) filter.  Two XSeqs always add up to a YSeq, so
+the unpacking enumerators answer () for any other y, and refuse a YSeq past
+enumerate_space's size cap before any search.  The symmetric
+decompositions have a backtracking search of their own over the first part
+x, bounded so that e = y - 2x stays nonnegative and nondecreasing.
 Deviation statistics (rho/beta families) measure each sequence against the
 minimal member of its space and are additive under entrywise addition.
 Each space's rule is one row of the table _SPACES (its base, the least
@@ -35,7 +39,9 @@ frozensets, and interval sets are tuples of (lo, hi) pairs sorted by lo.
 Validation happens at the boundary: every public statistic checks its
 argument with the matching ensure_* and then calls its private kernel
 (_rho0, _beta0, _rho, _tilde_rho, _frakS, _frakI), which assumes a valid
-sequence.
+sequence.  _strict_count is len(_frakS(x)) without the set, and
+_weighted_x and _weighted_z are the weighted sums of the bases in closed
+form.
 The other modules of the package call a kernel only on tuples the library
 built itself (split enumerators, enumerated spaces, rows of a validated
 label), never on input that arrived from outside.
@@ -247,10 +253,8 @@ def rho0(z: Seq) -> int:
 
 
 def _beta0(z: Seq) -> int:
-    # _dev_weighted against (0, 1, ..., m), whose weighted sum is
-    # (m - 1) m (m + 1) / 6
-    m = len(z) - 1
-    return _weighted(z) - (m - 1) * m * (m + 1) // 6
+    # _dev_weighted against (0, 1, ..., m)
+    return _weighted(z) - _weighted_z(len(z) - 1)
 
 
 def beta0(z: Seq) -> int:
@@ -271,6 +275,18 @@ def _weighted(seq: Seq) -> int:
 
 def _dev_weighted(seq: Seq, base: Seq) -> int:
     return _weighted(seq) - _weighted(base)
+
+
+def _weighted_z(m: int) -> int:
+    """_weighted(base_z(m)), which base_yt(m) shares, in closed form."""
+    return (m - 1) * m * (m + 1) // 6
+
+
+def _weighted_x(m: int) -> int:
+    """_weighted(base_x(m)) in closed form: the prefix sums of base_x are
+    floor(j^2 / 4), and these add up to this over j < m; base_y(m) weighs
+    twice as much."""
+    return (m - 1) * (m + 1) * (2 * m - 3) // 24
 
 
 def _rho(x: Seq) -> int:
@@ -342,6 +358,13 @@ def _frakS(x: Seq) -> frozenset[int]:
     )
 
 
+def _strict_count(x: Seq) -> int:
+    # len(_frakS(x)) of an XSeq x: an equal neighbour pair x[i] = x[i + 1]
+    # takes both its positions out of frakS, no two such pairs share a
+    # position, and x has len(x) - len(set(x)) of them
+    return 2 * len(set(x)) - len(x)
+
+
 def frakS(x: Seq) -> frozenset[int]:
     """Positions strictly above the left neighbour and below the right one.
 
@@ -353,19 +376,20 @@ def frakS(x: Seq) -> frozenset[int]:
 
 
 def _frakI(y: Seq) -> tuple[Interval, ...]:
-    m = len(y) - 1
-    d = [v - i for i, v in enumerate(y)]
+    # y[i] - i stays constant over a step y[i + 1] - y[i] of 1, rises over a
+    # larger one and falls over a step of 0: the runs end at the steps that
+    # are not 1, and a run is kept when neither end is a step of 0
     out: list[Interval] = []
-    i = 0
-    while i <= m:
-        j = i
-        while j < m and d[j + 1] == d[j]:
-            j += 1
-        left_ok = i == 0 or d[i - 1] < d[i]
-        right_ok = j == m or d[j] < d[j + 1]
-        if left_ok and right_ok:
-            out.append((i, j))
-        i = j + 1
+    lo = 0
+    left_ok = True
+    for i, step in enumerate(map(sub, y[1:], y)):
+        if step != 1:
+            if left_ok and step:
+                out.append((lo, i))
+            lo = i + 1
+            left_ok = step != 0
+    if left_ok:
+        out.append((lo, len(y) - 1))
     return tuple(out)
 
 
@@ -506,50 +530,105 @@ def _matched(ivs: tuple[Interval, ...], x: Seq, xp: Seq, based: bool) -> bool:
     return bool(odd) or not sxp
 
 
-def split_pairs(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
-    """All (x, xp) in XSeq x XSeq with x + xp = y, lexicographically in x.
-    A y that is not a nonempty tuple of nonnegative ints raises
-    ValidationError."""
-    _ensure_entries(y)
-    return _split_pairs(y, y)
+def _ensure_capped(m: int, n: int) -> None:
+    """Refuse a length index m or a statistic n above SIZE_CAP
+    (ResourceError): the enumerations grow without bound in both."""
+    if m > SIZE_CAP or n > SIZE_CAP:
+        raise ResourceError(f"enumeration capped at {SIZE_CAP}, got m={m} n={n}")
 
 
-def _split_pairs(y: Seq, highs: Seq) -> tuple[tuple[Seq, Seq], ...]:
-    """split_pairs of a checked y and bound: the pairs of _split_firsts,
-    unpacked."""
-    fields, width = _key_fields(len(y), max(highs))
-    out = []
-    for first in _split_firsts(y, highs, width):
-        x = _unpack(fields, first)
-        out.append((x, tuple(map(sub, y, x))))
-    return tuple(out)
-
-
-def _split_firsts(y: Seq, highs: Seq, width: int) -> list[int]:
-    """The first parts x of every split x + xp = y into two XSeqs with
-    x[i] <= highs[i], lexicographically in x, each packed into one int:
-    x[i] in bits [i * width, (i + 1) * width).  When every entry of y fits
-    in width bits, so does every entry of xp, and xp packs to the packed y
-    less the packed x.
-
-    Backtracking keeps both partial sequences valid, which prunes hard, and
-    the admissible values of the last entry are one run of packed ints.
-    """
+def _ensure_split_cap(y: Seq) -> None:
+    """_ensure_capped on a YSeq's length index and its statistic rho'(y),
+    whose base_y sums to 2 ceil(m/2) floor(m/2)."""
     m = len(y) - 1
-    if m < 0:
-        return [0]
-    # x[i] <= x[i-1] + up1[i] and x[i] <= x[i-2] + up2[i] keep xp an XSeq;
-    # before the start, with x[-1] = x[-2] = -1, only highs bounds x
-    up1 = [highs[0] + 1] + [y[i] - y[i - 1] for i in range(1, m + 1)]
-    up2 = [h + 1 for h in highs[:2]] + [y[i] - y[i - 2] - 1
-                                       for i in range(2, m + 1)]
+    _ensure_capped(m, sum(y) - 2 * ((m + 1) // 2) * (m // 2))
+
+
+def _splittable(y: Seq) -> bool:
+    """For the unpacking split enumerators: False for a y that is not a
+    YSeq, which has no split, since two XSeqs always add up to a YSeq;
+    ResourceError for a YSeq past the size cap; True otherwise."""
+    try:
+        ensure_yseq(y)
+    except ValidationError:
+        return False
+    _ensure_split_cap(y)
+    return True
+
+
+def split_pairs(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
+    """All (x, xp) in XSeq x XSeq with x + xp = y, lexicographically in x:
+    none when y is not a YSeq.  A y that is not a nonempty tuple of
+    nonnegative ints raises ValidationError, a YSeq past the size cap (in
+    its length index or its statistic rho') ResourceError."""
+    _ensure_entries(y)
+    return _split_pairs(y, False) if _splittable(y) else ()
+
+
+def _split_pairs(y: Seq, based: bool) -> tuple[tuple[Seq, Seq], ...]:
+    """split_pairs of a YSeq y within the size cap, with x[0] = x[1] = 0
+    when based: the pairs of _split_firsts, unpacked."""
+    m = len(y) - 1
+    # the fields hold every entry of y and of the space's base
+    fields, width = _key_fields(m + 1, max(*y, m))
+    whole = _pack(fields, y)
+    return tuple((_unpack(fields, first), _unpack(fields, whole - first))
+                 for first in _split_firsts(y, whole, _split_space(
+                     fields, width, m, based)))
+
+
+# how the split search reads the y of one length and kind: the width of the
+# packed fields, the space's base packed (base_y(m), or (0, 1, ..., m) when
+# x[0] = x[1] = 0 is imposed), base_x(m) packed, and whether it is imposed
+SplitSpace = tuple[int, int, int, bool]
+
+
+def _split_space(fields: str, width: int, m: int, based: bool) -> SplitSpace:
+    """The SplitSpace of the y of length index m packed into fields of the
+    width, with x[0] = x[1] = 0 imposed when based."""
+    return (width, _pack(fields, base_z(m) if based else base_y(m)),
+            _pack(fields, base_x(m)), based)
+
+
+def _split_firsts(y: Seq, whole: int, space: SplitSpace) -> list[int]:
+    """The first parts x of every split x + xp = y into two XSeqs (with
+    x[0] = x[1] = 0 when the space is based), lexicographically in x, each
+    packed into one int: x[i] in bits [i * width, (i + 1) * width).  whole
+    is y packed the same way; when every entry of y fits in width bits, so
+    does every entry of xp, and xp packs to whole less the packed x.
+
+    Entry i of an XSeq is at least i // 2, that of base_x.  In a based
+    space x[1] = 0, so where y starts (0, 1) xp[1] = 1 and entry i of xp is
+    at least ceil(i / 2) from i = 1 on.  So where y equals the space's
+    base, both parts take their least entries and x is forced to base_x.
+    The search enters past that prefix, which ends at the
+    lowest field where whole and the packed base differ, with base_x's
+    prefix taken.  From there backtracking keeps both partial sequences
+    valid, which prunes hard, a forced entry is taken in place, and the
+    admissible values of the last entry are one run of packed ints.
+    """
+    width, base, xbase, based = space
+    m = len(y) - 1
+    diff = whole ^ base
+    # the last entry is searched even when y is the base itself
+    k = min(((diff & -diff).bit_length() - 1) // width, m) if diff else m
+    # x[i] <= x[i-1] + up1[i] keeps xp nondecreasing and x[i] < x[i-2] +
+    # up2[i] keeps xp[i] > xp[i-2], which with xp[0] >= 0 keeps x <= y;
+    # before the start, with x[-1] = x[-2] = -1, they bound x[0] and x[1]
+    # by 0 when based, else x[0] by y[0]
+    up1 = [1 if based else y[0] + 1, *map(sub, y[1:], y)]
+    up2 = [2, 2] if based else [v + 2 for v in y[:2]]
+    up2 += map(sub, y[2:], y)
     out: list[int] = []
 
     def rec(i: int, acc: int, p2: int, p1: int) -> None:
         while True:
             # x nondecreasing with x[i] > x[i-2]
             lo = p1 if p1 > p2 else p2 + 1
-            hi = min(highs[i], p1 + up1[i], p2 + up2[i])
+            hi = p1 + up1[i]
+            bound = p2 + up2[i] - 1
+            if bound < hi:
+                hi = bound
             shift = i * width
             if i == m:
                 if lo <= hi:
@@ -565,16 +644,20 @@ def _split_firsts(y: Seq, highs: Seq, width: int) -> list[int]:
         for v in range(lo, hi + 1):
             rec(i + 1, acc + (v << shift), p1, v)
 
-    rec(0, 0, -1, -1)
+    # base_x's entries below k, and its entries at k - 2 and k - 1
+    rec(k, xbase & ((1 << k * width) - 1), (k - 2) // 2, (k - 1) // 2)
     return out
 
 
 def enumerate_S(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
-    """All matched splits of y, lexicographically ordered by first part."""
+    """All matched splits of y, lexicographically ordered by first part.
+    A y that is not a YSeq raises ValidationError, one past the size cap
+    ResourceError."""
     ensure_yseq(y)
+    _ensure_split_cap(y)
     ivs = _frakI(y)
     # _split_pairs yields XSeq pairs summing to y
-    return tuple((x, xp) for x, xp in _split_pairs(y, y)
+    return tuple((x, xp) for x, xp in _split_pairs(y, False)
                  if _matched(ivs, x, xp, False))
 
 
@@ -637,25 +720,24 @@ def _ensure_tilde_domain(y: Seq) -> None:
 def based_split_pairs(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     """The splits (x, xp) of y with x[0] = x[1] = 0, lexicographically in
     x: for a YSeq y starting (0, 1), those whose complement xp is a based
-    XSeq.  A y that is not a tuple of nonnegative ints raises
-    ValidationError, one with fewer than two entries DomainError."""
+    XSeq; none when y is not a YSeq.  A y that is not a tuple of
+    nonnegative ints raises ValidationError, one with fewer than two
+    entries DomainError, a YSeq past the size cap ResourceError."""
     _ensure_entries(y)
     if len(y) < 2:
         raise DomainError(f"based splits need at least two entries, got {y!r}")
-    return _based_split_pairs(y)
-
-
-def _based_split_pairs(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     # xp[0] = 0 and xp[1] >= 1 force x[0] = x[1] = 0, so with y0 = 0 and
     # y1 = 1 every complement is a based XSeq
-    return _split_pairs(y, (0, 0) + y[2:])
+    return _split_pairs(y, True) if _splittable(y) else ()
 
 
 def enumerate_tilde_S(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
-    """All based matched splits of y, lexicographically ordered by first part."""
+    """All based matched splits of y, lexicographically ordered by first
+    part.  A y past the size cap raises ResourceError."""
     _ensure_tilde_domain(y)
+    _ensure_split_cap(y)
     ivs = _frakI(y)
-    return tuple((x, xp) for x, xp in _based_split_pairs(y)
+    return tuple((x, xp) for x, xp in _split_pairs(y, True)
                  if _matched(ivs, x, xp, True))
 
 
@@ -774,8 +856,7 @@ def enumerate_space(kind: str, m: int, n: int) -> tuple[Seq, ...]:
     _ensure_int("n", n)
     if m < 0 or n < 0:
         raise DomainError(f"m and n must be nonnegative, got m={m} n={n}")
-    if m > SIZE_CAP or n > SIZE_CAP:
-        raise ResourceError(f"enumeration capped at {SIZE_CAP}, got m={m} n={n}")
+    _ensure_capped(m, n)
     if kind in ("XT", "YT") and (m % 2 != 0 or m < 2):
         raise DomainError(f"kind {kind} needs m even >= 2, got {m}")
     base = _SPACES[kind][0](m)
@@ -859,7 +940,9 @@ def _symmetric(ivs: tuple[Interval, ...], y: Seq) -> tuple[tuple[Seq, Seq], ...]
 def symmetric_decompositions(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     """All (x, e) with y = x + e + x, (x, e+x) a matched split of y, and
     frakS(e + x) = frakS(x), lexicographically in x. Nonempty exactly when
-    every frakI(y) interval has size one.
+    every frakI(y) interval has size one.  A y that is not a YSeq raises
+    ValidationError, one past the size cap ResourceError.
     """
     ensure_yseq(y)
+    _ensure_split_cap(y)
     return _symmetric(_frakI(y), y)

@@ -219,8 +219,9 @@ def _class_invariants(c: ClassLabel, intervals: tuple[sc.Interval, ...]
         return ClassInvariants(bbar=sc._beta0(c.y), z=1, ztilde_over_z=ztilde)
     odd = sc._odd(intervals)
     sizes = _interval_sizes(intervals)
-    base = sc.base_yt(m) if c.family == CLASS_C else sc.base_y(m)
-    bbar = sc._dev_weighted(c.y, base)
+    # weighed against base_yt(m) for C, base_y(m) otherwise
+    bbar = sc._weighted(c.y) - (sc._weighted_z(m) if c.family == CLASS_C
+                                else 2 * sc._weighted_x(m))
     if c.family == CLASS_B:
         if not intervals:
             raise InvariantError(f"even-length stratum without intervals: {c.y!r}")

@@ -457,6 +457,14 @@ def test_one_render_builds_each_distinct_label_text_once(monkeypatch):
     assert out == json.dumps({"schema_version": cli.SCHEMA_VERSION,
                               "command": "verify",
                               "report": report.to_json()}, indent=2) + "\n"
+    # the text table finds each label object by its id, so an object is
+    # hashed at most twice per depth it sits at (its value's look-up and,
+    # for a new value, the entry), however often it appears there
+    payload = {"report": report.to_json(row_dicts=False)}
+    assert _hashes(monkeypatch, IrrLabel, payload) <= 2 * (
+        len({id(r.label) for r in report.rows})
+        + len({id(lab) for r in report.rows for _, fs in r.witnesses
+               for lab in fs})) < uses
 
 
 def test_verify_json_renders_each_row_when_the_stream_reaches_it(monkeypatch):
@@ -509,6 +517,25 @@ def test_verify_json_renders_each_witness_shape_once(monkeypatch):
     assert sorted(built, key=repr) == sorted(set(shapes), key=repr)
     monkeypatch.setattr(engine.ParahoricSpec, "to_json", to_json)
     assert text == json.dumps({"report": report.to_json()}, indent=2)
+    # and each shape object is hashed at most twice, by the text table
+    assert _hashes(monkeypatch, engine.ParahoricSpec, payload) <= 2 * len(
+        {id(spec) for row in report.rows for spec, _ in row.witnesses}
+    ) < len(shapes)
+
+
+def _hashes(monkeypatch, cls, payload) -> int:
+    """The number of times one render of the payload hashes a cls."""
+    hashed = []
+    inner = cls.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(cls, "__hash__", counted)
+    "".join(cli._json_text(payload))
+    monkeypatch.setattr(cls, "__hash__", inner)
+    return len(hashed)
 
 
 # a verify row's pad in the CLI payload (document -> report -> rows), and

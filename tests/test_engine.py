@@ -411,14 +411,16 @@ def test_verify_builds_no_image_label(monkeypatch):
 
 @pytest.mark.parametrize("family", ["B", "C", "D"])
 def test_verify_aligns_each_signature_pool_part_once(monkeypatch, family):
+    # the packings verify makes itself; the witness replays' j_induce packs
+    # each factor once per process, in its own table
     aligned = []
-    inner = jinduction._factor_rows
+    inner = engine._packed_rows
 
-    def counted(target, lengths, label):
+    def counted(layout, label):
         aligned.append(label)
-        return inner(target, lengths, label)
+        return inner(layout, label)
 
-    monkeypatch.setattr(jinduction, "_factor_rows", counted)
+    monkeypatch.setattr(engine, "_packed_rows", counted)
     report = verify(family, 8)
     monkeypatch.undo()
     assert report.ok()
@@ -437,13 +439,20 @@ def test_verify_aligns_each_signature_pool_part_once(monkeypatch, family):
             == {label for rec in parts.records.values() if rec[3] is not None
                 for label in rec[1]})
     # one alignment per such part, of the first label of its fiber, whose
-    # labels share their rows, and one per row, of the row's own label
+    # labels share their rows, and one per class, of the first label of its
+    # tau fiber, which its rows share
     firsts = [rec[1][0] for rec in parts.records.values()
               if rec[3] is not None]
     assert len(set(firsts)) == len(firsts)
+    fibers = [springer._tau_fiber(family, c.y, 8)[0]
+              for c in enumerate_classes(family, 8)]
+    assert (len(fibers) < len(report.rows)) == (family == "D")
     assert (collections.Counter(aligned)
-            == collections.Counter(firsts)
-            + collections.Counter(row.label for row in report.rows))
+            == collections.Counter(firsts) + collections.Counter(fibers))
+    # the fiber's rows have the target's lengths already: aligned as they are
+    for label in fibers:
+        rows = jinduction._factor_rows(parts.layout[0], parts.layout[2], label)
+        assert rows[0] is label.z and rows[1] is label.zp
 
 
 def test_enumerated_classes_and_rows_are_checked_only_where_they_enter(
@@ -584,10 +593,16 @@ def test_verify_replays_only_witnesses_outside_their_fiber(monkeypatch):
     monkeypatch.setattr(engine, "j_induce", counted)
     reports = {family: verify(family, 10) for family in "BCD"}
     # a row's fiber is its members on the maximal shapes, so a witness on
-    # one of them is one of its class's splits; the rest are replayed
+    # one of them is one of its class's splits; the rest are replayed, once
+    # per class: the two rows of a two-label D class share their witness
+    # and their labels' match_key
     outside = sum(not spec.is_maximal() for report in reports.values()
                   for row in report.rows for spec, _ in row.witnesses)
-    assert len(calls) == outside == 110
+    shared = sum(not spec.is_maximal() for report in reports.values()
+                 for row, before in zip(report.rows[1:], report.rows)
+                 if row.y == before.y for spec, _ in row.witnesses)
+    assert outside == 110 and shared == 7
+    assert len(calls) == outside - shared == 103
     for family, report in reports.items():
         assert report.ok()
         # bar_S induces product by product through the public j_induce
@@ -668,13 +683,17 @@ def test_a_based_d_part_has_one_strict_position_more():
 def test_a_record_table_counts_strict_positions_once_per_pool_sequence(
         monkeypatch, family):
     seen = []
-    inner = sc._frakS
+    inner = sc._strict_count
 
     def counted(x):
         seen.append(x)
         return inner(x)
 
-    monkeypatch.setattr(sc, "_frakS", counted)
+    def unused(x):
+        raise AssertionError("built a frakS set for a record's f")
+
+    monkeypatch.setattr(sc, "_strict_count", counted)
+    monkeypatch.setattr(sc, "_frakS", unused)
     parts = engine._Parts(family, 8, engine._maximal_shapes(family, 8))
     monkeypatch.undo()
     based = 0
@@ -799,11 +818,18 @@ def test_split_fields_are_the_narrowest_that_hold_every_class_entry(
     assert max(y) == y_max
     whole = sc._pack(fields, y)
     assert sc._unpack(fields, whole) == y
-    highs = (0, 0, *y[2:]) if family == "C" else y
+    m = len(y) - 1
     splits = [(sc._unpack(fields, first), sc._unpack(fields, whole - first))
-              for first in sc._split_firsts(y, highs, width)]
-    pairs = sc.based_split_pairs(y) if family == "C" else sc.split_pairs(y)
-    assert splits == list(pairs)
+              for first in sc._split_firsts(y, whole, sc._split_space(
+                  fields, width, m, family == "C"))]
+    # the same search in 64-bit fields, which hold any entry
+    wide, bits = sc._key_fields(m + 1, 2 ** 63)
+    whole = sc._pack(wide, y)
+    pairs = [(sc._unpack(wide, first), sc._unpack(wide, whole - first))
+             for first in sc._split_firsts(y, whole, sc._split_space(
+                 wide, bits, m, family == "C"))]
+    assert bits == 64 and splits == pairs
+    assert splits and all(sc.seq_add(x, xt) == y for x, xt in splits)
 
 
 def test_verify_b_records_no_split_part_outside_the_pools():

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylsymbols import seqcomb as sc
+from weylsymbols.engine import RANK_FLOOR, _split_fields
 from weylsymbols.errors import DomainError, InvariantError, ResourceError, ValidationError
-from weylsymbols.springer import enumerate_classes
+from weylsymbols.springer import class_policy_m, enumerate_classes
 
 
 # ---------------------------------------------------------------------------
@@ -592,3 +593,167 @@ def test_base_identities():
         assert sc.seq_add(sc.base_x(m), sc.base_xt(m)) == sc.base_yt(m)
     for m in [1, 3, 5]:
         assert sc.seq_add(sc.base_x(m), sc.base_x(m)) == sc.base_y(m)
+
+
+# ---------------------------------------------------------------------------
+# the split search's forced-prefix entry and the counting kernels
+
+def _plain_walk(y, highs, width):
+    """The split search walked from position 0, with x[i] <= highs[i]: the
+    first parts packed as _split_firsts packs them, lexicographically.  It
+    takes every forced entry one at a time, so it is the reference for the
+    search that enters past the forced prefix."""
+    m = len(y) - 1
+    up1 = [highs[0] + 1] + [y[i] - y[i - 1] for i in range(1, m + 1)]
+    up2 = [h + 1 for h in highs[:2]] + [y[i] - y[i - 2] - 1
+                                       for i in range(2, m + 1)]
+    out = []
+
+    def rec(i, acc, p2, p1):
+        while True:
+            lo = p1 if p1 > p2 else p2 + 1
+            hi = min(highs[i], p1 + up1[i], p2 + up2[i])
+            shift = i * width
+            if i == m:
+                if lo <= hi:
+                    out.extend(range(acc + (lo << shift),
+                                     acc + (hi << shift) + 1, 1 << shift))
+                return
+            if lo != hi:
+                break
+            acc += lo << shift
+            p2, p1 = p1, lo
+            i += 1
+        for v in range(lo, hi + 1):
+            rec(i + 1, acc + (v << shift), p1, v)
+
+    rec(0, 0, -1, -1)
+    return out
+
+
+def _forced_prefix(y, base):
+    """The length of the prefix on which y equals the base."""
+    return next((i for i, (a, b) in enumerate(zip(y, base)) if a != b),
+                len(y))
+
+
+def _walk_pairs(y, based):
+    """The pairs of the plain walk, unpacked: the reference for
+    split_pairs, and for based_split_pairs when based."""
+    fields, width = sc._key_fields(len(y), max(y) + len(y))
+    highs = (0, 0, *y[2:]) if based else y
+    return tuple((sc._unpack(fields, first),
+                  tuple(map(int.__sub__, y, sc._unpack(fields, first))))
+                 for first in _plain_walk(y, highs, width))
+
+
+def test_split_enumerators_equal_the_plain_walk_on_small_yseqs():
+    prefixes = {False: set(), True: set()}
+    for m in range(7):
+        for y in _all_yseqs(m, 6):
+            assert sc.split_pairs(y) == _walk_pairs(y, False), y
+            prefixes[False].add(_forced_prefix(y, sc.base_y(m)))
+            if m >= 1:
+                assert sc.based_split_pairs(y) == _walk_pairs(y, True), y
+                prefixes[True].add(_forced_prefix(y, sc.base_z(m)))
+    # the search entered at positions 0, 1 and 2, past the last entry too
+    # (y = base_y), on one to three entries among others
+    assert {0, 1, 2, 7} <= prefixes[False]
+    assert {0, 1, 2, 7} <= prefixes[True]
+    assert sc.split_pairs((0,)) == (((0,), (0,)),)
+    assert sc.split_pairs((3,)) == tuple(((v,), (3 - v,)) for v in range(4))
+    assert sc.based_split_pairs((0, 1, 2)) == (((0, 0, 1), (0, 1, 1)),)
+
+
+@pytest.mark.parametrize("family", ["B", "C", "D"])
+def test_split_entry_equals_the_plain_walk_on_every_class(family):
+    classes = 0
+    for n in range(RANK_FLOOR[family], 13):
+        fields, width = _split_fields(family, n)
+        m = class_policy_m(family, n)
+        space = sc._split_space(fields, width, m, family == "C")
+        for c in enumerate_classes(family, n):
+            highs = (0, 0, *c.y[2:]) if family == "C" else c.y
+            got = sc._split_firsts(c.y, sc._pack(fields, c.y), space)
+            assert got == _plain_walk(c.y, highs, width), c.y
+            classes += 1
+    assert classes > 500
+
+
+@pytest.mark.parametrize("y", [(2 ** 22, 0), (2 ** 40, 0), (1, 0, 0),
+                               (0, 1, 1), (5, 5, 5)])
+def test_a_y_that_is_not_a_yseq_has_no_split_and_no_search(monkeypatch, y):
+    def unused(*args):
+        raise AssertionError("searched a y that has no split")
+
+    monkeypatch.setattr(sc, "_split_firsts", unused)
+    assert sc.split_pairs(y) == ()
+    assert sc.based_split_pairs(y) == ()
+
+
+@pytest.mark.parametrize("y", [(0, 0, 2 ** 70, 2 ** 70), (0, 0, 2 ** 20, 2 ** 20),
+                               (0, 65), sc.base_y(65), sc.base_z(66)])
+def test_a_yseq_past_the_size_cap_is_refused_before_any_search(monkeypatch, y):
+    def unused(*args):
+        raise AssertionError("searched a y past the size cap")
+
+    monkeypatch.setattr(sc, "_split_firsts", unused)
+    monkeypatch.setattr(sc, "_symmetric", unused)
+    for enumerate_ in (sc.split_pairs, sc.based_split_pairs, sc.enumerate_S,
+                       sc.symmetric_decompositions):
+        with pytest.raises(ResourceError, match="capped"):
+            enumerate_(y)
+    if y[:2] == (0, 1) and len(y) % 2:
+        with pytest.raises(ResourceError, match="capped"):
+            sc.enumerate_tilde_S(y)
+
+
+def test_the_split_cap_admits_the_yseqs_at_the_cap():
+    # m = SIZE_CAP and rho' = SIZE_CAP are still searched
+    assert sc.split_pairs(sc.base_y(sc.SIZE_CAP)) == (
+        (sc.base_x(sc.SIZE_CAP), sc.base_x(sc.SIZE_CAP)),)
+    # x = (0, v) for every v up to y[1]
+    y = (0, sc.SIZE_CAP)
+    assert len(sc.split_pairs(y)) == sc.SIZE_CAP + 1
+
+
+def test_the_strict_count_equals_the_size_of_frakS():
+    for m in range(9):
+        for x in _xseqs_upto(m, 7):
+            assert sc._strict_count(x) == len(sc._frakS(x)), x
+
+
+def _frakI_by_entries(y):
+    """frakI(y) by its definition over d[i] = y[i] - i: the maximal
+    constant runs of d with a strict increase at both ends."""
+    m = len(y) - 1
+    d = [v - i for i, v in enumerate(y)]
+    out = []
+    i = 0
+    while i <= m:
+        j = i
+        while j < m and d[j + 1] == d[j]:
+            j += 1
+        if (i == 0 or d[i - 1] < d[i]) and (j == m or d[j] < d[j + 1]):
+            out.append((i, j))
+        i = j + 1
+    return tuple(out)
+
+
+def test_frakI_over_steps_equals_its_per_entry_definition():
+    for m in range(9):
+        for y in _all_yseqs(m, 7):
+            assert sc._frakI(y) == _frakI_by_entries(y), y
+    for family in "BCD":
+        for n in range(2, 9):
+            for c in enumerate_classes(family, n):
+                assert sc._frakI(c.y) == _frakI_by_entries(c.y), c.y
+
+
+def test_closed_form_base_sums_equal_the_weighted_bases():
+    for m in range(2 * sc.SIZE_CAP + 3):
+        assert sc._weighted_x(m) == sc._weighted(sc.base_x(m))
+        assert 2 * sc._weighted_x(m) == sc._weighted(sc.base_y(m))
+        assert sc._weighted_z(m) == sc._weighted(sc.base_z(m))
+        if m % 2 == 0:
+            assert sc._weighted_z(m) == sc._weighted(sc.base_yt(m))
