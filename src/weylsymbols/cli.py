@@ -28,8 +28,6 @@ dict built for it; its label, witness shapes and factors are spliced in
 from a per-render text table that builds each distinct label's and
 shape's text once per indent depth and finds each object's text by its id,
 so that a label or shape is hashed only when first met at a depth.
-At B16 through --output, `verify --format json` peaks at 51 MB RSS, as
-the table format does, where the whole-string render took 205 MB.
 """
 
 from __future__ import annotations

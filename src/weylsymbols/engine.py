@@ -29,15 +29,16 @@ Enumeration order is lexicographic throughout, so every report is
 byte-stable across runs.
 
 One verify call builds each intermediate at most once and keeps none
-past the call; the public entry points (enumerate_cz, fa, fc, bar_S) build
-their own through the same code, and each of them, like verify, refuses a
-rank below RANK_FLOOR (ensure_floor) before any work.  Two caches outlive
-a call.  One is jinduction's table per target (family, rank), read and
+past the call.  fa, fc and enumerate_cz build one call's record table and
+the label's class row with verify's _class_rows (_label_row); bar_S builds
+no record table.  Each public entry point, like verify, refuses a rank
+below RANK_FLOOR (ensure_floor) before any work.  Two caches outlive a
+call.  One is jinduction's table per target (family, rank), read and
 filled by j_induce, which witness replays and bar_S call once per
 product: the target's layout, each factor label's packed aligned rows and
-b, and its image table, (packed image, kappa) -> (canonical image, b).  The other is the
-special_reps memo, one pool per (family, rank, m), which the family-A
-pools read; the BC and D pools are enumerated per call.
+b, and its image table, (packed image, kappa) -> (canonical image, b).
+The other is the special_reps memo, one pool per (family, rank, m), which
+the family-A pools read; the BC and D pools are enumerated per call.
 
 * The record table (_Parts), one record per split part.  Every XSeq
   record is keyed by the sequence packed into one int, one field per
@@ -112,7 +113,6 @@ from .irreps import (
     FAMILY_D,
     IrrLabel,
     SpecialSeq,
-    _ensure_label,
     _partition_to_z,
     _special_seqs,
     _trusted,
@@ -135,7 +135,6 @@ from .jinduction import (
     _packed_rows,
     j_induce,
     labels_match,
-    match_key,
 )
 from .springer import (
     CLASS_A,
@@ -421,23 +420,21 @@ def _member_forms(parts: _Parts, splits: list[Split], f: int | None = None
     return tuple(out)
 
 
-def _stratum_y(label: IrrLabel, family: str, n: int) -> Seq:
-    """Class sequence of a stratum label of rank n: the row of a family A
-    label, tau of a B, C or D label (DomainError for a label outside the
-    stratum or of another rank)."""
+def _stratum_class(label: IrrLabel, family: str, n: int) -> ClassLabel:
+    """Class of a stratum label of rank n, tau of the label (DomainError
+    for a label outside the stratum or of another rank)."""
     if family == CLASS_A:
         if label.family != FAMILY_A or label.n != n:
             raise DomainError(
                 f"family A rows take a family A label of rank {n}, "
                 f"got family {label.family} rank {label.n}"
             )
-        return label.z
-    if label.n != n:
+    elif label.n != n:
         raise DomainError(
             f"block sizes must add up to the rank {n}, "
             f"got a label of rank {label.n}"
         )
-    return tau(family, label).y
+    return tau(family, label)
 
 
 def _a_label(e: Seq, p: int) -> IrrLabel:
@@ -484,19 +481,18 @@ def _replay(spec: ParahoricSpec, factors: tuple[IrrLabel, ...],
                         target)
 
 
-def _label_splits(label: IrrLabel, family: str, n: int
-                  ) -> tuple[IrrLabel, Seq, _Parts | None, list[Split]]:
-    """The canonical form of a label handed to a public entry point, its
-    class sequence and, for B, C and D, the call's own record table and the
-    split table of y.  The label is checked here; the family and rank
-    already are."""
-    _ensure_label("label", label)
+def _label_row(label: IrrLabel, family: str, n: int
+               ) -> tuple[ClassRow, _Parts]:
+    """The verify row of a label handed to a public entry point, and the
+    call's own record table.  The family and rank are checked, then the
+    label (by canonicalize); its class is tau's, and _class_rows builds the
+    row of the canonical label as verify builds its class's rows."""
+    ensure_floor(family, n)
     canon = canonicalize(label)
-    y = _stratum_y(canon, family, n)
-    if family == CLASS_A:
-        return canon, y, None, []
     parts = _Parts(family, n, _maximal_shapes(family, n))
-    return canon, y, parts, parts.splits(y)
+    rows, _ = _class_rows(family, n, _stratum_class(canon, family, n),
+                          (canon,), parts)
+    return rows[0], parts
 
 
 def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
@@ -506,26 +502,20 @@ def enumerate_cz(label: IrrLabel, family: str, n: int) -> tuple[Member, ...]:
     blocks, so the label must lie in the stratum (DomainError otherwise);
     only shapes omitting a single affine node are kept. Degenerate family-D
     block fibers are expanded, one member per choice; family A's one member
-    is the full group with the label itself.  (verify's row pass reads the
-    same split table, checks every member's image as a packed row sum and
-    prints only the f-maximal members.)
+    is the full group with the label itself.
     """
-    ensure_floor(family, n)
-    canon, _, parts, splits = _label_splits(label, family, n)
-    if parts is None:
-        return ((_maximal_shapes(CLASS_A, n)[n, 0], (canon,)),)
-    return _member_forms(parts, splits)
+    row, parts = _label_row(label, family, n)
+    if family == CLASS_A:
+        return ((parts.shape_at[n], (row.label,)),)
+    return _member_forms(parts, parts.splits(row.y))
 
 
 # ---------------------------------------------------------------------------
 # maximal f-product and symmetry order
 
 def fa(label: IrrLabel, family: str, n: int) -> int:
-    """Largest factor f-product over the maximal members of the label
-    (verify's row pass takes it from the split table it already holds)."""
-    ensure_floor(family, n)
-    _, _, parts, splits = _label_splits(label, family, n)
-    return 1 if parts is None else _maximal(parts, splits)[1]
+    """Largest factor f-product over the maximal members of the label."""
+    return _label_row(label, family, n)[0].fa_value
 
 
 def _a_divisor_members(label: IrrLabel, n: int) -> tuple[tuple[int, IrrLabel], ...]:
@@ -568,13 +558,15 @@ def _split_witness(parts: _Parts, splits: list[Split], fa_value: int
     return 1, None
 
 
-def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
+def _fc_with_witness(label: IrrLabel, y: Seq,
                      intervals: tuple[sc.Interval, ...], splits: list[Split],
-                     fa_value: int, parts: _Parts | None
+                     fa_value: int, parts: _Parts
                      ) -> tuple[int, Member | None]:
     """Symmetry order and witness of a canonical label, given y, its
     interval set frakI(y) (read for B and D), its split table (empty for
-    family A), fa and the call's record table (read for B, C and D)."""
+    family A), fa and the call's record table, which gives the family and
+    rank."""
+    family, n = parts.family, parts.n
     if family == CLASS_A:
         # at d = 1 the witness is the full group with the label itself
         d, tilde = _a_divisor_members(label, n)[-1]
@@ -612,22 +604,21 @@ def _fc_with_witness(label: IrrLabel, family: str, n: int, y: Seq,
 
 
 def fc(label: IrrLabel, family: str, n: int) -> int:
-    """Largest shape-symmetry subgroup order fixing some f-maximal member
-    (verify's row pass supplies the y, split table and fa it holds; here
-    they are worked out)."""
+    """Largest shape-symmetry subgroup order fixing some f-maximal member.
+    InvariantError when the label's row fails witnesses_ok (a maximal
+    member of its class induces to another label, or its symmetry witness
+    off the maximal shapes does not replay) or the order does not divide
+    the shape-symmetry group's."""
+    row, _ = _label_row(label, family, n)
     order = _omega_order(family, n)
-    canon, y, parts, splits = _label_splits(label, family, n)
-    fa_value = 1 if parts is None else _maximal(parts, splits)[1]
-    value, witness = _fc_with_witness(canon, family, n, y,
-                                      _intervals(family, y), splits, fa_value,
-                                      parts)
-    if witness is not None and not _replay(*witness, canon):
-        raise InvariantError("symmetry witness does not replay")
-    if order % value:
-        raise InvariantError(
-            f"symmetry order {value} does not divide {order}"
-        )
-    return value
+    if not row.witnesses_ok:
+        failed = ("witnesses_ok fails, a maximal member or the symmetry "
+                  "witness does not induce to the label")
+    elif order % row.fc_value:
+        failed = f"symmetry order {row.fc_value} does not divide {order}"
+    else:
+        return row.fc_value
+    raise InvariantError(f"{_where(family, n, row.y, row.label)}: {failed}")
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +632,9 @@ def bar_S(family: str, n: int) -> frozenset[IrrLabel]:
     per-product form stays the independent reference for it."""
     ensure_floor(family, n)
     shapes = _maximal_shapes(family, n)
-    pools = _Parts(family, n, shapes).pools
+    pools = {key: [lab for *_, fiber in _pool_seqs(*key, n) for lab in fiber]
+             for key in dict.fromkeys(key for spec in shapes.values()
+                                      for key in _signature(spec))}
     if family == CLASS_A:
         return frozenset(pools[FAMILY_A, n])
     embs = [_embedding(spec) for spec in shapes.values()]
@@ -781,11 +774,17 @@ def _member_str(member: Member) -> str:
     return shape + " " + "*".join(label_str(lab) for lab in factors)
 
 
+def _where(family: str, n: int, y: Seq, label: IrrLabel) -> str:
+    """The (family, n, y, label) a failed row's message starts with."""
+    return f"family {family} n={n} y={seq_str(y)} label {label_str(label)}"
+
+
 def _class_rows(family: str, n: int, c: ClassLabel,
                 fiber: tuple[IrrLabel, ...], parts: _Parts
                 ) -> tuple[list[ClassRow], int]:
-    """The rows of one class, one per label of its tau fiber, canonical,
-    and the class's number of maximal members.  All but each row's label
+    """The rows of one class, one per label of fiber (its tau fiber in
+    verify, the one label asked about in _label_row), canonical, and the
+    class's number of maximal members.  All but each row's label
     depends on y alone, so the rows share it: the fiber's labels share
     their rows, hence their b, their packed rows (packed from the fiber's
     first label, whose rows already have the target's lengths) and their
@@ -820,9 +819,8 @@ def _class_rows(family: str, n: int, c: ClassLabel,
             # f-maximal ones do by construction
             induced = images <= {(_packed_rows(parts.layout, fiber[0]),
                                    b_label)}
-        fc_value, fc_witness = _fc_with_witness(label, family, n, c.y,
-                                                intervals, splits, fa_value,
-                                                parts)
+        fc_value, fc_witness = _fc_with_witness(label, c.y, intervals,
+                                                splits, fa_value, parts)
         if fc_witness is not None:
             witnesses += (fc_witness,)
         # the symmetry witness is replayed only off the maximal shapes
@@ -830,10 +828,7 @@ def _class_rows(family: str, n: int, c: ClassLabel,
             fc_witness is None or fc_witness[0].is_maximal()
             or _replay(*fc_witness, label))
     except InvariantError as exc:
-        raise InvariantError(
-            f"family {family} n={n} y={seq_str(c.y)} "
-            f"label {label_str(label)}: {exc}"
-        ) from exc
+        raise InvariantError(f"{_where(family, n, c.y, label)}: {exc}") from exc
     rows = [ClassRow(
         label=label,
         y=c.y,

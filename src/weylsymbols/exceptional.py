@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from importlib import resources
 
@@ -65,14 +65,6 @@ class RawCells:
     a_times_a_prime: str
     witness: str
 
-    def to_json(self) -> dict[str, str]:
-        return {
-            "rho": self.rho,
-            "bbar": self.bbar,
-            "a_times_a_prime": self.a_times_a_prime,
-            "witness": self.witness,
-        }
-
 
 @dataclass(frozen=True)
 class ExceptionalRow:
@@ -89,17 +81,7 @@ class ExceptionalRow:
     raw: RawCells
 
     def to_json(self) -> dict[str, object]:
-        return {
-            "group": self.group,
-            "rho_name": self.rho_name,
-            "bbar": self.bbar,
-            "a": self.a,
-            "a_prime": self.a_prime,
-            "witness_J": self.witness_J,
-            "witness_E1": self.witness_E1,
-            "transcription_flags": list(self.transcription_flags),
-            "raw": self.raw.to_json(),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -113,13 +95,7 @@ class WitnessCheck:
     detail: str
 
     def to_json(self) -> dict[str, object]:
-        return {
-            "group": self.group,
-            "rho_name": self.rho_name,
-            "bbar": self.bbar,
-            "status": self.status,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ to_json output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 from . import seqcomb as sc
@@ -57,11 +57,7 @@ class SuiteCheck:
     failures: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "cases": self.cases,
-            "failures": list(self.failures),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from weylsymbols.engine import (
     fc,
     verify,
 )
-from weylsymbols.errors import DomainError, ValidationError
+from weylsymbols.errors import DomainError, InvariantError, ValidationError
 from weylsymbols.irreps import (
     FAMILY_A,
     FAMILY_BC,
@@ -857,9 +857,81 @@ def test_verify_b_records_no_split_part_outside_the_pools():
 
 @pytest.mark.parametrize("family", ["B", "C", "D"])
 def test_public_fa_and_fc_equal_every_verify_row(family):
-    for row in verify(family, 7).rows:
-        assert fa(row.label, family, 7) == row.fa_value
-        assert fc(row.label, family, 7) == row.fc_value
+    # D8 has two-label classes, D7 none
+    for n in (7, 8) if family == "D" else (7,):
+        rows = verify(family, n).rows
+        for row in rows:
+            # a shifted label is not canonical, and names the same row
+            for label in (row.label, irreps.shift(row.label, 1),
+                          irreps.shift(row.label, 2)):
+                assert fa(label, family, n) == row.fa_value
+                assert fc(label, family, n) == row.fc_value
+        # both kappas of every two-label D class are rows, so both were
+        # asked
+        kappas = collections.defaultdict(set)
+        for row in rows:
+            kappas[row.y].add(row.label.kappa)
+        split = [ks for ks in kappas.values() if len(ks) > 1]
+        assert all(ks == {0, 1} for ks in split)
+        assert len(split) == (5 if n == 8 else 0)
+
+
+def _corrupt_a_member(monkeypatch, family: str, label: IrrLabel) -> None:
+    """Give every record table built from now on a wrong packed row for one
+    part of a maximal split of the label's class: the rows of another
+    record of the part's rank, so that member sums to other rows than the
+    label's."""
+    y = springer.tau(family, label).y
+    inner = engine._Parts.__init__
+
+    def corrupted(self, *args):
+        inner(self, *args)
+        for part in (part for split in self.splits(y)
+                     if self.shape_at[split[0][0]] is not None
+                     for part in split):
+            other = [rec[3] for rec in self.records.values()
+                     if rec[0] == part[0] and rec[3] not in (None, part[3])]
+            if other:
+                break
+        key = next(k for k, rec in self.records.items() if rec is part)
+        self.records[key] = (*part[:3], other[0], part[4])
+
+    monkeypatch.setattr(engine._Parts, "__init__", corrupted)
+
+
+@pytest.mark.parametrize("family, n", [("B", 4), ("C", 4), ("D", 5)])
+def test_fc_refuses_a_label_whose_maximal_member_induces_elsewhere(
+        monkeypatch, family, n):
+    # fc checks every maximal member of the label's class, as verify's row
+    # does, not only its own symmetry witness
+    label = next(row.label for row in verify(family, n).rows
+                 if row.fa_value > 1)
+    value = fc(label, family, n)
+    _corrupt_a_member(monkeypatch, family, label)
+    assert fa(label, family, n) > 1
+    with pytest.raises(InvariantError, match="witnesses_ok fails"):
+        fc(label, family, n)
+    monkeypatch.undo()
+    assert fc(label, family, n) == value
+
+
+@pytest.mark.parametrize("family, n", [("B", 4), ("D", 5)])
+def test_fc_refuses_a_witness_off_the_maximal_shapes_that_does_not_replay(
+        monkeypatch, family, n):
+    rows = verify(family, n).rows
+    off = next(row for row in rows if row.fc_value > 1
+               and not row.witnesses[-1][0].is_maximal())
+    on = next(row for row in rows if row.fc_value > 1
+              and row.witnesses[-1][0].is_maximal())
+    # every replay now lands on a label of another class
+    wrong = next(row.label for row in rows if row.y != off.y)
+    monkeypatch.setattr(engine, "j_induce", lambda emb, factors: wrong)
+    with pytest.raises(InvariantError, match="witnesses_ok fails") as info:
+        fc(off.label, family, n)
+    assert f"family {family} n={n} y=" in str(info.value)
+    # a witness on a maximal shape is one of the class's checked splits and
+    # is not replayed
+    assert fc(on.label, family, n) == on.fc_value
 
 
 @pytest.mark.parametrize("value", [True, None, "B", (1, 2),
