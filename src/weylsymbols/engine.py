@@ -32,7 +32,9 @@ One verify call builds each intermediate at most once and keeps none
 past the call.  fa, fc and enumerate_cz build one call's record table and
 the label's class row with verify's _class_rows (_label_row); bar_S builds
 no record table.  Each public entry point, like verify, refuses a rank
-below RANK_FLOOR (ensure_floor) before any work.  Two caches outlive a
+below RANK_FLOOR or past the enumerations' size cap (ensure_floor) before
+any work, and fa, fc and enumerate_cz check the label against the rank
+before they build the record table.  Two caches outlive a
 call.  One is jinduction's table per target (family, rank), read and
 filled by j_induce, which witness replays and bar_S call once per
 product: the target's layout, each factor label's packed aligned rows and
@@ -159,19 +161,22 @@ RANK_FLOOR = {CLASS_A: 2, CLASS_B: 2, CLASS_C: 3, CLASS_D: 4}
 
 
 def ensure_floor(family: str, n: int) -> None:
-    """Reject an unknown class family or a rank not an int >= RANK_FLOOR."""
+    """Reject an unknown class family, a rank not an int >= RANK_FLOOR,
+    and (ResourceError) a rank whose merged length or itself is past the
+    enumerations' size cap, before any work that grows with the rank."""
     _ensure_class_family(family)
     sc.ensure_rank(n)
     if n < RANK_FLOOR[family]:
         raise DomainError(
             f"family {family} needs rank >= {RANK_FLOOR[family]}, got {n}"
         )
+    sc._ensure_capped(policy_m(LABEL_FAMILY[family], n), n)
 
 
 # ---------------------------------------------------------------------------
 # subgroup shapes
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParahoricSpec:
     """Shape of a reflection subgroup used in the enumeration.
 
@@ -485,13 +490,14 @@ def _label_row(label: IrrLabel, family: str, n: int
                ) -> tuple[ClassRow, _Parts]:
     """The verify row of a label handed to a public entry point, and the
     call's own record table.  The family and rank are checked, then the
-    label (by canonicalize); its class is tau's, and _class_rows builds the
-    row of the canonical label as verify builds its class's rows."""
+    label (by canonicalize) and its class, tau's, before the record
+    table is built; _class_rows builds the row of the canonical label as
+    verify builds its class's rows."""
     ensure_floor(family, n)
     canon = canonicalize(label)
+    c = _stratum_class(canon, family, n)
     parts = _Parts(family, n, _maximal_shapes(family, n))
-    rows, _ = _class_rows(family, n, _stratum_class(canon, family, n),
-                          (canon,), parts)
+    rows, _ = _class_rows(family, n, c, (canon,), parts)
     return rows[0], parts
 
 
@@ -645,7 +651,7 @@ def bar_S(family: str, n: int) -> frozenset[IrrLabel]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassRow:
     """Verification record for one class sequence and one stratum label."""
 
@@ -691,7 +697,7 @@ class ClassRow:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     """Family/rank verification outcome with one row per stratum label."""
 

@@ -56,7 +56,7 @@ _FACTOR_RE = re.compile(r"([A-G])(\d+)('*)")
 _CLASSICAL_LETTERS = frozenset("ABCD")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawCells:
     """The four source cells of one table row, verbatim."""
 
@@ -66,7 +66,7 @@ class RawCells:
     witness: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExceptionalRow:
     """One unipotent class of an exceptional group with its invariants."""
 
@@ -84,7 +84,7 @@ class ExceptionalRow:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessCheck:
     """Outcome of recomputing one row's witness f-product."""
 
@@ -98,7 +98,7 @@ class WitnessCheck:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableReport:
     """Schema findings plus one witness check per row."""
 

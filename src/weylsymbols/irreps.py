@@ -22,14 +22,15 @@ that come from outside.  The package-private _trusted(cls, *values) builds
 a frozen dataclass (IrrLabel here, springer's ClassLabel too) from every
 field's value without the checks, and is called only on values the library
 built and knows to be valid: canonical forms of validated labels
-(canonicalize, hence row alignment), the split of a merged or class
-sequence the library holds (_zeta_inverse, which also splits a class
-sequence less its base for springer._tau_fiber), the enumerated rows of
+(canonicalize, hence row alignment), the rows of a merged or class
+sequence the library holds (_unmerge, behind _zeta_inverse and
+springer._tau_fiber), the enumerated rows of
 special_reps("A", ...) and enumerated class sequences.  Likewise
 the public zeta_inverse, zeta_tilde_inverse and align_row validate their
 argument, while the _-prefixed kernels they call (_zeta_inverse,
 _zeta_tilde_inverse, _align) are for tuples the library built.  _merge is
-the one interleaving of two rows, shared by zeta and springer.tau.
+the one interleaving of two rows, shared by zeta and springer.tau, and
+_unmerge its inverse.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ T = TypeVar("T")
 # ---------------------------------------------------------------------------
 # labels
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IrrLabel:
     """Type-tagged symbol naming one irreducible representation."""
 
@@ -134,8 +135,8 @@ def _trusted(cls: type[T], *values: object) -> T:
     value, in declaration order, without __post_init__: for values valid
     by construction."""
     obj = object.__new__(cls)
-    # field by field, as the dataclass __init__ does, so the instance keeps
-    # the compact attribute layout of a checked one
+    # field by field into the class's slots, as the frozen dataclass
+    # __init__ sets them
     for name, value in zip(cls.__dataclass_fields__, values):
         object.__setattr__(obj, name, value)
     return obj
@@ -168,7 +169,7 @@ def make_d_label(n: int, z: Seq, zp: Seq, kappa: int = 0) -> IrrLabel:
     return IrrLabel(FAMILY_D, n, z, zp, kappa)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpecialRep:
     """A special representation with its merged sequence and invariants."""
 
@@ -240,31 +241,37 @@ def zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
 
 
 def _zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
-    # x is an XSeq, or a class sequence less its base (springer._tau_fiber),
-    # so every nonempty row below is strictly increasing; a D merge puts
-    # the heavier row second, entry by entry, and makes the rows equal
-    # exactly when x has no strict position
-    n = sc._rho(x)
+    # x is an XSeq, so every nonempty row below is strictly increasing
     m = len(x) - 1
     if family == FAMILY_BC:
         if m % 2 != 0:
             raise DomainError(f"BC merge needs odd length, got m={m}")
-        z, zp = x[0::2], x[1::2]
-        if not zp:
-            # a one-entry merge leaves the second row empty
-            sc.ensure_zseq(zp)
-        return (_trusted(IrrLabel, FAMILY_BC, n, z, zp, 0),)
-    if family == FAMILY_D:
+    elif family == FAMILY_D:
         if m % 2 != 1:
             raise DomainError(f"D merge needs even length, got m={m}")
-        zp, z = x[0::2], x[1::2]
-        if z == zp and n >= 2:
-            return (
-                _trusted(IrrLabel, FAMILY_D, n, z, zp, 0),
-                _trusted(IrrLabel, FAMILY_D, n, z, zp, 1),
-            )
-        return (_trusted(IrrLabel, FAMILY_D, n, z, zp, 0),)
-    raise DomainError(f"no merged-sequence map for family {family!r}")
+    else:
+        raise DomainError(f"no merged-sequence map for family {family!r}")
+    return _unmerge(family, sc._rho(x), x[0::2], x[1::2])
+
+
+def _unmerge(family: str, n: int, even: Seq, odd: Seq) -> tuple[IrrLabel, ...]:
+    """The rank-n labels of family BC or D whose rows _merge puts in the
+    even and the odd slots, each row strictly increasing: one label, or two
+    for equal D rows at rank >= 2.  A BC merge of one entry leaves no odd
+    row, which raises ValidationError.  A D merge puts the heavier row
+    second, entry by entry, and makes the rows equal exactly when it has no
+    strict position."""
+    if family == FAMILY_BC:
+        if not odd:
+            # a one-entry merge leaves the second row empty
+            sc.ensure_zseq(odd)
+        return (_trusted(IrrLabel, FAMILY_BC, n, even, odd, 0),)
+    if even == odd and n >= 2:
+        return (
+            _trusted(IrrLabel, FAMILY_D, n, odd, even, 0),
+            _trusted(IrrLabel, FAMILY_D, n, odd, even, 1),
+        )
+    return (_trusted(IrrLabel, FAMILY_D, n, odd, even, 0),)
 
 
 def zeta_tilde(label: IrrLabel) -> Seq:
@@ -382,7 +389,7 @@ def is_special(label: IrrLabel) -> bool:
 # ---------------------------------------------------------------------------
 # symmetric-group deviation codec
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class XiBijection:
     """Bijection between rank-p family-A labels and nondecreasing sequences
     of length m+1 with total p (deviation profiles)."""

@@ -119,7 +119,7 @@ def d_placements(r: int, p: int, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Embedding:
     """A product subgroup of a classical Weyl group, named by kind and the
     ranks of its factors (unused slots stay 0)."""

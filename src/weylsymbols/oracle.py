@@ -245,7 +245,7 @@ def _is_split_type(alpha: tuple[int, ...], beta: tuple[int, ...]) -> bool:
 # ---------------------------------------------------------------------------
 # tables
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassKey:
     """Conjugacy class named by positive/negative cycle types; half tells
     the two rotation-subgroup pieces of a split class apart."""
@@ -255,7 +255,7 @@ class ClassKey:
     half: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IrrKey:
     """Irreducible named by one or two partitions; sign picks a split piece."""
 
@@ -264,7 +264,7 @@ class IrrKey:
     sign: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CharacterTable:
     """Exact character table with class sizes."""
 
@@ -462,7 +462,7 @@ def _sym_powers(t: CharacterTable) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # one record per group
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class _Group:
     """The rank-n group of a family: its verified table, the index of each
     class and irreducible in it, and per irreducible its canonical label

@@ -38,10 +38,16 @@ frozensets, and interval sets are tuples of (lo, hi) pairs sorted by lo.
 
 Validation happens at the boundary: every public statistic checks its
 argument with the matching ensure_* and then calls its private kernel
-(_rho0, _beta0, _rho, _tilde_rho, _frakS, _frakI), which assumes a valid
-sequence.  _strict_count is len(_frakS(x)) without the set, and
-_weighted_x and _weighted_z are the weighted sums of the bases in closed
-form.
+(_rho0, _beta0, _rho, _rho_prime, _tilde_rho, _frakS, _frakI), which
+assumes a valid sequence.  An ensure_* accepts in one pass (_one_pass): a
+single loop checks that the sequence is a tuple of exact nonnegative ints
+that keeps both step rules of its space, the least steps _SPACES holds.
+When that loop rejects, or meets a bool, an int subclass or a value that
+is not a tuple, the staged checks run (the entries, then each step rule
+in turn), which name the fault, or accept an int subclass.  No statistic
+builds its space's base: it sums or weighs against it in closed form.
+_strict_count is len(_frakS(x)) without the set, and _weighted_x and
+_weighted_z are the weighted sums of the bases in closed form.
 The other modules of the package call a kernel only on tuples the library
 built itself (split enumerators, enumerated spaces, rows of a validated
 label), never on input that arrived from outside.
@@ -99,6 +105,29 @@ def _ensure_nat(name: str, v: object) -> None:
         raise DomainError(f"{name} must be nonnegative, got {v}")
 
 
+def _one_pass(seq: object, kind: str) -> bool:
+    """True when seq is a nonempty tuple of exact nonnegative ints obeying
+    the step rules of the space kind (at least step1 over the entry before,
+    step2 over the one before that; see _SPACES), in one loop.  False
+    leaves it to the staged checks, which name the fault, or accept an int
+    subclass."""
+    if type(seq) is not tuple or not seq:
+        return False
+    _, step1, step2, _ = _SPACES[kind]
+    entries = iter(seq)
+    p1 = next(entries)
+    if type(p1) is not int or p1 < 0:
+        return False
+    # position 1 has no entry two before it
+    p2 = -step2
+    for v in entries:
+        if type(v) is not int or v < p1 + step1 or v < p2 + step2:
+            return False
+        p2 = p1
+        p1 = v
+    return True
+
+
 def _ensure_entries(seq: Seq) -> None:
     if not isinstance(seq, tuple) or len(seq) == 0:
         raise ValidationError(f"sequence must be a nonempty tuple, got {seq!r}")
@@ -110,6 +139,8 @@ def _ensure_entries(seq: Seq) -> None:
 
 def ensure_zseq(seq: Seq) -> None:
     """Raise ValidationError unless seq is strictly increasing."""
+    if _one_pass(seq, "Z"):
+        return
     _ensure_entries(seq)
     for i in range(len(seq) - 1):
         if not seq[i] < seq[i + 1]:
@@ -118,6 +149,8 @@ def ensure_zseq(seq: Seq) -> None:
 
 def ensure_xseq(seq: Seq) -> None:
     """Raise ValidationError unless seq is nondecreasing with seq[i] < seq[i+2]."""
+    if _one_pass(seq, "X"):
+        return
     ensure_eseq(seq)
     for i in range(len(seq) - 2):
         if not seq[i] < seq[i + 2]:
@@ -126,6 +159,8 @@ def ensure_xseq(seq: Seq) -> None:
 
 def ensure_yseq(seq: Seq) -> None:
     """Raise ValidationError unless seq is nondecreasing with seq[i] <= seq[i+2]-2."""
+    if _one_pass(seq, "Y"):
+        return
     ensure_eseq(seq)
     for i in range(len(seq) - 2):
         if not seq[i] <= seq[i + 2] - 2:
@@ -134,6 +169,8 @@ def ensure_yseq(seq: Seq) -> None:
 
 def ensure_eseq(seq: Seq) -> None:
     """Raise ValidationError unless seq is nondecreasing."""
+    if _one_pass(seq, "E"):
+        return
     _ensure_entries(seq)
     for i in range(len(seq) - 1):
         if not seq[i] <= seq[i + 1]:
@@ -253,7 +290,7 @@ def rho0(z: Seq) -> int:
 
 
 def _beta0(z: Seq) -> int:
-    # _dev_weighted against (0, 1, ..., m)
+    # weighed against (0, 1, ..., m)
     return _weighted(z) - _weighted_z(len(z) - 1)
 
 
@@ -263,18 +300,10 @@ def beta0(z: Seq) -> int:
     return _beta0(z)
 
 
-def _dev_sum(seq: Seq, base: Seq) -> int:
-    return sum(seq) - sum(base)
-
-
 def _weighted(seq: Seq) -> int:
     # sum of (m - i) * seq[i]: each entry counted once in every prefix sum
     # from its own on, less once
     return sum(accumulate(seq)) - sum(seq)
-
-
-def _dev_weighted(seq: Seq, base: Seq) -> int:
-    return _weighted(seq) - _weighted(base)
 
 
 def _weighted_z(m: int) -> int:
@@ -290,7 +319,7 @@ def _weighted_x(m: int) -> int:
 
 
 def _rho(x: Seq) -> int:
-    # _dev_sum against base_x(m), whose entries sum to ceil(m/2) * floor(m/2)
+    # summed against base_x(m), whose entries sum to ceil(m/2) * floor(m/2)
     m = len(x) - 1
     return sum(x) - ((m + 1) // 2) * (m // 2)
 
@@ -302,21 +331,27 @@ def rho(x: Seq) -> int:
 
 def beta(x: Seq) -> int:
     ensure_xseq(x)
-    return _dev_weighted(x, base_x(len(x) - 1))
+    return _weighted(x) - _weighted_x(len(x) - 1)
+
+
+def _rho_prime(y: Seq) -> int:
+    # summed against base_y(m), whose entries sum to 2 ceil(m/2) floor(m/2)
+    m = len(y) - 1
+    return sum(y) - 2 * ((m + 1) // 2) * (m // 2)
 
 
 def rho_prime(y: Seq) -> int:
     ensure_yseq(y)
-    return _dev_sum(y, base_y(len(y) - 1))
+    return _rho_prime(y)
 
 
 def beta_prime(y: Seq) -> int:
     ensure_yseq(y)
-    return _dev_weighted(y, base_y(len(y) - 1))
+    return _weighted(y) - 2 * _weighted_x(len(y) - 1)
 
 
 def _tilde_rho(x: Seq) -> int:
-    # _dev_sum against base_xt(m), whose entries sum to (m/2) * (m/2 + 1)
+    # summed against base_xt(m), whose entries sum to (m/2) * (m/2 + 1)
     h = (len(x) - 1) // 2
     return sum(x) - h * (h + 1)
 
@@ -328,17 +363,21 @@ def tilde_rho(x: Seq) -> int:
 
 def tilde_beta(x: Seq) -> int:
     ensure_xtseq(x)
-    return _dev_weighted(x, base_xt(len(x) - 1))
+    # base_xt(m) is base_yt(m) less base_x(m)
+    m = len(x) - 1
+    return _weighted(x) - _weighted_z(m) + _weighted_x(m)
 
 
 def tilde_rho_prime(y: Seq) -> int:
     ensure_ytseq(y)
-    return _dev_sum(y, base_yt(len(y) - 1))
+    # summed against base_yt(m) = (0, 1, ..., m)
+    m = len(y) - 1
+    return sum(y) - m * (m + 1) // 2
 
 
 def tilde_beta_prime(y: Seq) -> int:
     ensure_ytseq(y)
-    return _dev_weighted(y, base_yt(len(y) - 1))
+    return _weighted(y) - _weighted_z(len(y) - 1)
 
 
 def eseq_sum(e: Seq) -> int:
@@ -431,7 +470,7 @@ def R0(y: Seq) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # block decomposition
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """One block of the unique decomposition of a YSeq.
 
@@ -450,7 +489,7 @@ class Block:
         return self.stop - self.start + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalDecomp:
     """Ordered block decomposition of a YSeq.
 
@@ -538,10 +577,8 @@ def _ensure_capped(m: int, n: int) -> None:
 
 
 def _ensure_split_cap(y: Seq) -> None:
-    """_ensure_capped on a YSeq's length index and its statistic rho'(y),
-    whose base_y sums to 2 ceil(m/2) floor(m/2)."""
-    m = len(y) - 1
-    _ensure_capped(m, sum(y) - 2 * ((m + 1) // 2) * (m // 2))
+    """_ensure_capped on a YSeq's length index and its statistic rho'(y)."""
+    _ensure_capped(len(y) - 1, _rho_prime(y))
 
 
 def _splittable(y: Seq) -> bool:

@@ -11,23 +11,28 @@ A ClassLabel names one unipotent-class stratum by a single sequence:
 
 The map tau pairs each theorem-side label with its stratum: the label's
 rows merged as irreps.zeta merges them, plus a base staircase (base_x for
-B and D, base_xt for C).  tau_fiber checks y as ClassLabel does, then its
-kernel _tau_fiber splits y less that staircase with irreps._zeta_inverse,
-which also owns the degenerate type-D fiber.  enumerate_classes checks
-family, n and m once and builds its classes unchecked (irreps._trusted);
-engine.verify reads _tau_fiber on those.  class_invariants evaluates the
-component-group data: bbar (the weighted deviation statistic of y), z
-(component count of the adjoint-group centralizer), ztilde_over_z (extra
-components in the simply connected cover), and, for family D only,
-uz_over_z (the intermediate special-orthogonal cover).  All of them read
-off the interval set frakI(y) and its odd-size part.
+B and D, base_xt for C).  Both count up from 0 in the even slots, and in
+the odd slots from 0 (base_x) or 1 (base_xt); _staircase, which tau and
+_tau_fiber share, adds or subtracts them slot by slot without building a
+base.  tau_fiber checks y as ClassLabel does, then its kernel _tau_fiber
+reads the rows off the slots of y less the staircase and labels them with
+irreps._unmerge, which also owns the degenerate type-D fiber.
+enumerate_classes checks family, n and m once and builds its classes
+unchecked (irreps._trusted); engine.verify reads _tau_fiber on those.
+class_invariants evaluates the component-group data: bbar (the weighted
+deviation statistic of y), z (component count of the adjoint-group
+centralizer), ztilde_over_z (extra components in the simply connected
+cover), and, for family D only, uz_over_z (the intermediate
+special-orthogonal cover).  All of them read off the interval set frakI(y)
+and its odd-size part.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub
+from operator import add, sub
+from typing import Callable
 
 from . import seqcomb as sc
 from .errors import DomainError, InvariantError, ValidationError
@@ -39,7 +44,7 @@ from .irreps import (
     _ensure_label,
     _merge,
     _trusted,
-    _zeta_inverse,
+    _unmerge,
     aligned_rows,
     policy_m,
 )
@@ -60,8 +65,19 @@ LABEL_FAMILY = {
     CLASS_D: FAMILY_D,
 }
 
-# class-side family -> staircase that tau adds to the merged rows
-_BASE = {CLASS_B: sc.base_x, CLASS_C: sc.base_xt, CLASS_D: sc.base_x}
+# class-side family -> the first odd-slot entry of the staircase tau adds:
+# base_x = (0, 0, 1, 1, ...) for B and D, base_xt = (0, 1, 1, 2, ...) for C
+_ODD_START = {CLASS_B: 0, CLASS_C: 1, CLASS_D: 0}
+
+
+def _staircase(family: str, seq: Seq, op: Callable[[int, int], int]
+               ) -> tuple[Seq, Seq]:
+    """The even and the odd slots of seq, each combined slot by slot by op
+    (add or sub) with the family's staircase."""
+    even, odd = seq[0::2], seq[1::2]
+    start = _ODD_START[family]
+    return (tuple(map(op, even, range(len(even)))),
+            tuple(map(op, odd, range(start, start + len(odd)))))
 
 
 def _ensure_class_family(family: str) -> None:
@@ -96,7 +112,7 @@ def _class_rank(family: str, y: Seq) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassLabel:
     """One unipotent-class stratum, named by its sequence."""
 
@@ -117,7 +133,7 @@ class ClassLabel:
         return {"family": self.family, "n": self.n, "y": list(self.y)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassInvariants:
     """Centralizer-component data of one class."""
 
@@ -159,9 +175,10 @@ def tau(family: str, label: IrrLabel) -> ClassLabel:
     if family == CLASS_A:
         return ClassLabel(CLASS_A, label.n, label.z)
     x = _merge(label.family, *aligned_rows(label, label.n + 1))
-    y = sc.seq_add(x, _BASE[family](len(x) - 1))
+    y = list(x)
+    y[0::2], y[1::2] = _staircase(family, x, add)
     try:
-        return ClassLabel(family, label.n, y)
+        return ClassLabel(family, label.n, tuple(y))
     except ValidationError as exc:
         raise DomainError(f"label outside the family-{family} domain: {exc}") from exc
 
@@ -183,9 +200,9 @@ def _tau_fiber(family: str, y: Seq, n: int) -> tuple[IrrLabel, ...]:
     """tau_fiber of a class sequence y of rank n that the library built."""
     if family == CLASS_A:
         return (_trusted(IrrLabel, FAMILY_A, n, y, None, 0),)
-    # the rows of y less its base are strictly increasing, as the split needs
-    x = sc.seq_sub(y, _BASE[family](len(y) - 1))
-    return _zeta_inverse(LABEL_FAMILY[family], x)
+    # the slots of y less the staircase are the merged rows, each strictly
+    # increasing, as _unmerge needs
+    return _unmerge(LABEL_FAMILY[family], n, *_staircase(family, y, sub))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .oracle import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteCheck:
     """One exhaustive check of either suite (a lemma of the property suite,
     a block of the oracle suite) with its case count and failures."""
@@ -60,7 +60,7 @@ class SuiteCheck:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LemmaSuiteReport:
     """Results of the exhaustive property suite up to the given bounds."""
 
@@ -258,7 +258,7 @@ def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
 # oracle equivalence suite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleSuiteReport:
     """Results of the character-theoretic cross-checks."""
 

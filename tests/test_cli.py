@@ -15,7 +15,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weylsymbols import cli, engine
+from weylsymbols import cli, engine, seqcomb as sc
 from weylsymbols.cli import main
 from weylsymbols.engine import verify
 from weylsymbols.errors import DomainError, InvariantError, ValidationError
@@ -353,6 +353,26 @@ def test_oracle_check_rejects_a_negative_rank_bound():
     assert code == 2
     assert out == ""
     assert "max_rank" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "B", "--rank", "1000000000000"],
+    ["verify", "--family", "D", "--rank", str(10 ** 30)],
+    ["springer", "--family", "C", "--rank", "1000000000000"],
+])
+def test_a_rank_far_past_the_cap_exits_2_at_once(argv):
+    # in a process of its own, so the stderr text is all the script prints;
+    # verify used to walk every shape up to the rank and never ended
+    code = "import sys; from weylsymbols.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", code, *argv], timeout=30,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"error: enumeration capped at {sc.SIZE_CAP}, ")
+    assert f" n={argv[-1]}\n" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 # ---------------------------------------------------------------------------

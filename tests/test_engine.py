@@ -22,7 +22,12 @@ from weylsymbols.engine import (
     fc,
     verify,
 )
-from weylsymbols.errors import DomainError, InvariantError, ValidationError
+from weylsymbols.errors import (
+    DomainError,
+    InvariantError,
+    ResourceError,
+    ValidationError,
+)
 from weylsymbols.irreps import (
     FAMILY_A,
     FAMILY_BC,
@@ -958,6 +963,49 @@ def test_fc_and_fa_reject_a_label_of_another_rank_alike():
     for f in (fa, fc):
         with pytest.raises(DomainError, match="block sizes"):
             f(lab, "B", 4)
+
+
+def _refuse(*_):
+    raise AssertionError("reached past the entry checks")
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+@pytest.mark.parametrize("n", [10 ** 12, 10 ** 30])
+def test_entry_points_refuse_a_rank_past_the_cap_before_any_work(
+        monkeypatch, family, n):
+    # _maximal_shapes walks range(n + 1), which never ends at these ranks
+    monkeypatch.setattr(engine, "_maximal_shapes", _refuse)
+    m = n if family == "A" else 2 * n + (1 if family == "D" else 2)
+    text = f"capped at {sc.SIZE_CAP}, got m={m} n={n}"
+    lab = special_reps(springer.LABEL_FAMILY[family], 2)[0].label
+    for run in (lambda: verify(family, n), lambda: bar_S(family, n),
+                lambda: fa(lab, family, n), lambda: fc(lab, family, n),
+                lambda: enumerate_cz(lab, family, n)):
+        with pytest.raises(ResourceError, match=text):
+            run()
+
+
+@pytest.mark.parametrize("family, n, m", [
+    ("A", 65, 65), ("B", 40, 82), ("C", 32, 66), ("D", 32, 65)])
+def test_the_cap_error_names_the_rank_asked_for(family, n, m):
+    # B, C and D ranks past the cap used to be refused by the enumeration
+    # of a pool, which named that pool's rank, 0
+    with pytest.raises(ResourceError, match=f"got m={m} n={n}$"):
+        verify(family, n)
+
+
+@pytest.mark.parametrize("family", ["B", "C", "D"])
+def test_a_label_of_another_rank_is_refused_before_the_record_table(
+        monkeypatch, family):
+    lab = IrrLabel(FAMILY_BC if family != "D" else FAMILY_D, 1, (0, 2),
+                   (0,) if family != "D" else (0, 1))
+    n = 31
+    monkeypatch.setattr(engine, "_Parts", _refuse)
+    for f in (fa, fc, enumerate_cz):
+        with pytest.raises(DomainError, match=(
+                f"block sizes must add up to the rank {n}, "
+                f"got a label of rank 1$")):
+            f(lab, family, n)
 
 
 def test_reports_are_deterministic_and_serializable():

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylsymbols import irreps
+from weylsymbols import (
+    engine,
+    exceptional,
+    irreps,
+    jinduction,
+    oracle,
+    springer,
+    suites,
+)
 from weylsymbols import seqcomb as sc
 from weylsymbols.errors import DomainError, ValidationError
 from weylsymbols.irreps import (
@@ -177,7 +187,7 @@ def test_trusted_labels_equal_their_validated_rebuild(family, n, pad, data):
 
 
 def test_d_rows_are_equal_exactly_when_no_position_is_strict():
-    # _zeta_inverse tells a degenerate D fiber by its equal rows: every D
+    # _unmerge tells a degenerate D fiber by its equal rows: every D
     # XSeq up to the policy length, and every class sequence less its base
     # that tau_fiber splits, has equal rows exactly when frakS(x) is empty
     xs = [x for n in range(9) for m in range(1, policy_m(FAMILY_D, n) + 1, 2)
@@ -198,6 +208,27 @@ def test_trusted_classes_equal_their_validated_rebuild(family):
             for c in enumerate_classes(family, n, m):
                 rebuilt = ClassLabel(c.family, c.n, c.y)
                 assert c == rebuilt and hash(c) == hash(rebuilt)
+
+
+def test_every_frozen_record_keeps_its_fields_in_slots():
+    # no per-instance dict and no weakref slot: a trusted and a checked
+    # label share one layout, the fields alone
+    frozen = [cls for mod in (sc, irreps, springer, jinduction, engine,
+                              exceptional, oracle, suites)
+              for cls in vars(mod).values()
+              if isinstance(cls, type) and cls.__module__ == mod.__name__
+              and dataclasses.is_dataclass(cls)
+              and cls.__dataclass_params__.frozen]
+    assert len(frozen) == 22
+    for cls in frozen:
+        assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
+    checked = IrrLabel(FAMILY_D, 2, (0, 2), (0, 2), 1)
+    trusted = irreps._trusted(IrrLabel, FAMILY_D, 2, (0, 2), (0, 2), 1)
+    for label in (checked, trusted):
+        assert not hasattr(label, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(label)
+    assert trusted == checked and hash(trusted) == hash(checked)
 
 
 def test_make_d_label_sorts_rows():

@@ -5,13 +5,19 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylsymbols import seqcomb as sc
 from weylsymbols.engine import RANK_FLOOR, _split_fields
 from weylsymbols.errors import DomainError, InvariantError, ResourceError, ValidationError
-from weylsymbols.springer import class_policy_m, enumerate_classes
+from weylsymbols.irreps import special_reps, zeta_inverse
+from weylsymbols.springer import (
+    LABEL_FAMILY,
+    class_policy_m,
+    enumerate_classes,
+    tau_fiber,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +148,131 @@ def test_validation_errors():
         sc.ensure_xtseq((1, 1, 2))
     with pytest.raises(ValidationError):
         sc.ensure_ytseq((0, 0, 2))
+
+
+class _Int(int):
+    """An int subclass, which the staged checks take for an int."""
+
+
+def _staged(kind: str, seq) -> None:
+    """ensure_<kind>seq as the checks ran before the one-pass loop: the
+    entries, the step rule over the entry before, then the one over the
+    entry two before, and the based rules, each naming its first fault."""
+    if not isinstance(seq, tuple) or len(seq) == 0:
+        raise ValidationError(f"sequence must be a nonempty tuple, got {seq!r}")
+    for v in seq:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise ValidationError(f"entries must be nonnegative ints, got {seq!r}")
+    if kind == "Z":
+        for i in range(len(seq) - 1):
+            if not seq[i] < seq[i + 1]:
+                raise ValidationError(f"not strictly increasing at {i}: {seq!r}")
+        return
+    for i in range(len(seq) - 1):
+        if not seq[i] <= seq[i + 1]:
+            raise ValidationError(f"not nondecreasing at {i}: {seq!r}")
+    for i in range(len(seq) - 2):
+        if kind in ("X", "XT") and not seq[i] < seq[i + 2]:
+            raise ValidationError(f"three equal entries at {i}: {seq!r}")
+        if kind in ("Y", "YT") and not seq[i] <= seq[i + 2] - 2:
+            raise ValidationError(f"two-step gap violated at {i}: {seq!r}")
+    if kind in ("XT", "YT"):
+        name = "XSeq" if kind == "XT" else "YSeq"
+        m = len(seq) - 1
+        if m % 2 != 0 or m < 2:
+            raise ValidationError(
+                f"based {name} needs even length index m >= 2, got m={m}")
+        if kind == "XT" and (seq[0] != 0 or seq[1] < 1):
+            raise ValidationError(f"based XSeq needs x0 = 0 and x1 >= 1: {seq!r}")
+        if kind == "YT" and seq[1] < 1:
+            raise ValidationError(f"based YSeq needs y1 >= 1: {seq!r}")
+
+
+def _outcome(check, seq):
+    """None when check accepts seq, else its exception's type and text."""
+    try:
+        check(seq)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_ENSURE = {"Z": sc.ensure_zseq, "X": sc.ensure_xseq, "Y": sc.ensure_yseq,
+           "E": sc.ensure_eseq, "XT": sc.ensure_xtseq, "YT": sc.ensure_ytseq}
+
+_ENTRY = st.one_of(
+    st.integers(min_value=-3, max_value=12), st.booleans(),
+    st.floats(min_value=-3, max_value=12), st.builds(_Int, st.integers(-3, 12)),
+    st.tuples(st.integers(0, 3)))
+# a start and steps over the entry before, so that every space's valid
+# members turn up, and near misses that start below 0
+_STEPPED = st.builds(
+    lambda start, steps: tuple(itertools.accumulate(steps, initial=start)),
+    st.integers(min_value=-2, max_value=3),
+    st.lists(st.integers(min_value=0, max_value=3), max_size=7))
+_SEQUENCES = st.one_of(
+    _STEPPED, _STEPPED.map(list), _STEPPED.map(lambda t: tuple(map(_Int, t))),
+    st.lists(_ENTRY, max_size=8), st.lists(_ENTRY, max_size=8).map(tuple))
+
+
+@given(_SEQUENCES)
+@settings(max_examples=600, deadline=None)
+@example(())
+@example((0, True))
+@example((_Int(0), _Int(2), _Int(4)))
+@example((0, 0, 2, 2.0))
+@example((-1, 0, 2, 3))
+def test_validators_decide_and_name_faults_as_the_staged_checks(seq):
+    for kind, check in _ENSURE.items():
+        assert _outcome(check, seq) == _outcome(lambda s: _staged(kind, s), seq)
+
+
+def test_one_pass_accepts_every_class_and_special_sequence(monkeypatch):
+    # the sequences the one-pass loop leaves to the staged checks
+    fallbacks = []
+    one_pass = sc._one_pass
+
+    def counted(seq, kind):
+        accepted = one_pass(seq, kind)
+        if not accepted:
+            fallbacks.append((kind, seq))
+        return accepted
+
+    monkeypatch.setattr(sc, "_one_pass", counted)
+    accepted = 0
+    for family in "BCD":
+        for n in range(13):
+            for c in enumerate_classes(family, n):
+                tau_fiber(family, c.y, n)
+                accepted += 1
+            for rep in special_reps(LABEL_FAMILY[family], n):
+                zeta_inverse(LABEL_FAMILY[family], rep.xseq)
+                accepted += 1
+    assert fallbacks == [] and accepted == 6257
+    # a sequence the loop rejects is counted
+    with pytest.raises(ValidationError, match="two-step gap violated at 0"):
+        sc.ensure_yseq((0, 1, 1))
+    assert fallbacks == [("Y", (0, 1, 1))]
+
+
+def test_statistics_equal_their_sums_against_the_bases():
+    for m in range(11):
+        for n in range(6):
+            for x in sc.enumerate_space("X", m, n):
+                assert sc.beta(x) == sc._weighted(x) - sc._weighted(sc.base_x(m))
+            for y in sc.enumerate_space("Y", m, n):
+                base = sc.base_y(m)
+                assert sc.rho_prime(y) == sum(y) - sum(base) == n
+                assert sc.beta_prime(y) == sc._weighted(y) - sc._weighted(base)
+            if m % 2 or m < 2:
+                continue
+            for x in sc.enumerate_space("XT", m, n):
+                assert sc.tilde_beta(x) == (sc._weighted(x)
+                                            - sc._weighted(sc.base_xt(m)))
+            for y in sc.enumerate_space("YT", m, n):
+                base = sc.base_yt(m)
+                assert sc.tilde_rho_prime(y) == sum(y) - sum(base) == n
+                assert sc.tilde_beta_prime(y) == sc._weighted(y) - sc._weighted(base)
 
 
 def test_seq_add_length_mismatch():
@@ -561,9 +692,7 @@ def test_deviation_sums_equal_their_per_entry_definitions(m, data):
     entries = st.lists(st.integers(min_value=0, max_value=60), min_size=m + 1,
                        max_size=m + 1).map(tuple)
     seq, base = data.draw(entries), data.draw(entries)
-    assert sc._dev_sum(seq, base) == sum(v - b for v, b in zip(seq, base))
-    assert sc._dev_weighted(seq, base) == sum(
-        (m - i) * (v - b) for i, (v, b) in enumerate(zip(seq, base)))
+    assert sc._weighted(seq) == sum((m - i) * v for i, v in enumerate(seq))
     assert sc._beta0(seq) == sum((m - i) * (v - i) for i, v in enumerate(seq))
     assert sc.seq_sub(seq, base) == tuple(v - b for v, b in zip(seq, base))
     assert sc.seq_add(seq, base) == tuple(v + b for v, b in zip(seq, base))

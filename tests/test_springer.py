@@ -6,9 +6,11 @@ import hashlib
 import itertools
 import json
 
+from operator import add, sub
+
 import pytest
 
-from weylsymbols import seqcomb as sc
+from weylsymbols import irreps, seqcomb as sc, springer
 from weylsymbols.engine import bar_S, fa, fc, verify
 from weylsymbols.errors import DomainError, ValidationError
 from weylsymbols.irreps import (
@@ -27,6 +29,7 @@ from weylsymbols.springer import (
     CLASS_C,
     CLASS_D,
     CLASS_FAMILIES,
+    LABEL_FAMILY,
     ClassInvariants,
     ClassLabel,
     _tau_fiber,
@@ -329,6 +332,25 @@ def test_tau_fiber_kernel_matches_the_checked_map():
         for n in range(9):
             for c in enumerate_classes(family, n):
                 assert _tau_fiber(family, c.y, n) == tau_fiber(family, c.y, n)
+
+
+def test_the_staircase_is_the_base_slot_by_slot():
+    # tau adds base_x for B and D and base_xt for C, and _tau_fiber takes it
+    # off again, one slot at a time with no base tuple built; the fiber is
+    # the split of y less the base that _zeta_inverse makes
+    bases = {CLASS_B: sc.base_x, CLASS_C: sc.base_xt, CLASS_D: sc.base_x}
+    for family, base in bases.items():
+        for n in range(9):
+            for c in enumerate_classes(family, n):
+                stair = base(len(c.y) - 1)
+                x = sc.seq_sub(c.y, stair)
+                for seq, op, want in ((c.y, sub, x), (x, add, c.y)):
+                    assert springer._staircase(family, seq, op) == (
+                        want[0::2], want[1::2])
+                assert _tau_fiber(family, c.y, n) == irreps._zeta_inverse(
+                    LABEL_FAMILY[family], x)
+                for lab in _tau_fiber(family, c.y, n):
+                    assert tau(family, lab) == c
 
 
 @pytest.mark.parametrize("call, args", [
