@@ -52,12 +52,17 @@ the family-A pools read; the BC and D pools are enumerated per call.
   degenerate fiber's labels share their rows).  The pools of special
   labels fill the table: those the signatures name, and every rank of
   each family a split part belongs to (BC for B, BC and D for C, D for
-  D), so every split part has a record.  The special-rep enumeration
-  gives each pool's merged sequences, labels, b and f: b weighs x against
-  base_x, whose weighted sum is read once per pool in closed form, and f
-  comes from x's count of strict positions, 2 |set(x)| - len(x) on an
-  XSeq, with no frakS set built.  A family-D pool of a C target is filed
-  under its based complement (0, x0 + 1, x1 + 1, ...).
+  D), so every split part has a record.  Each part family's pools, ranks
+  0 to n, come from one walk over the XSeqs x at the target's merged
+  length (seqcomb._x_walk, which streams), whose sums run along the
+  entries: the statistic gives the part's rank, the weighted sum its b
+  (less base_x's, read in closed form), the count of equal neighbours its
+  count of strict positions and so its f, and two linear forms its key
+  and its rows aligned and packed (_key_form, jinduction._rows_form), so
+  no record is packed, weighed or counted on its own.  The labels come
+  from irreps._unmerge, the family-A pools from special_reps.  A
+  family-D pool of a C target is filed under its based complement (0,
+  x0 + 1, x1 + 1, ...), which its key form packs.
 * One table of the maximal shapes by block sizes, shared by every row.
 * Per class, one split table of y: the split search yields packed first
   parts x, each complement is packed(y) - x, and both records are read by
@@ -71,12 +76,14 @@ the family-A pools read; the BC and D pools are enumerated per call.
   packed rows and b; the maximal f-product is read as f(x) * f(x~).  Those
   rows are packed from the first label of y's tau fiber at the policy
   length, whose rows already have the target's lengths, and the labels of
-  a two-label D class share them and their b.  ParahoricSpec and label
-  tuples are built only for the witnesses the row prints: the f-maximal
-  members and the symmetry witness, which is replayed through j_induce
-  only when its shape is not maximal (on a maximal shape it is one of the
-  class's own splits), once per class, as the labels of a two-label D
-  class share one match_key.  The C and D split witness reads the same
+  a two-label D class share them and their b.  They are packed by
+  jinduction._packed_rows from the label's rows, apart from the record
+  table's row form, so the member check's two sides are computed
+  independently.  ParahoricSpec and label tuples are built only for the
+  witnesses the row prints: the f-maximal members and the symmetry
+  witness, which is replayed through j_induce only when its shape is not
+  maximal (on a maximal shape it is one of the class's own splits), once
+  per class, as the labels of a two-label D class share one match_key.  The C and D split witness reads the same
   split table, the B and D symmetric witnesses look up their first parts'
   records in the record table, and one interval set frakI(y) serves the
   class invariants and the symmetric witness search; the two rows of a
@@ -115,9 +122,11 @@ from .irreps import (
     FAMILY_D,
     IrrLabel,
     SpecialSeq,
+    _f_from_strict_count,
     _partition_to_z,
     _special_seqs,
     _trusted,
+    _unmerge,
     _z_to_partition,
     b_invariant,
     canonicalize,
@@ -135,6 +144,7 @@ from .jinduction import (
     Embedding,
     _layout,
     _packed_rows,
+    _rows_form,
     j_induce,
     labels_match,
 )
@@ -304,7 +314,10 @@ _PART_FAMILIES = {CLASS_A: (), CLASS_B: (FAMILY_BC,),
 class _Parts:
     """One call's record table: one XSeq record per split part, keyed by
     packed sequence, and the pools of special labels that fill it (see the
-    module docstring)."""
+    module docstring).  Each part family's records and pools, every rank
+    from 0 to n, come from one seqcomb._x_walk at the target's merged
+    length, whose running sums give each part's rank, b, f, key and packed
+    rows; family-A pools come from special_reps."""
 
     def __init__(self, family: str, n: int, shapes: Shapes) -> None:
         self.family = family
@@ -316,7 +329,6 @@ class _Parts:
                                      policy_m(LABEL_FAMILY[family], n),
                                      family == CLASS_C)
         self.records: dict[int, Record] = {}
-        self.pools: Pools = {}
         # the maximal shape of a split by its first part's rank, the two
         # parts' ranks adding up to n (None off the maximal shapes)
         self.shape_at = [shapes.get((r, n - r)) for r in range(n + 1)]
@@ -329,30 +341,44 @@ class _Parts:
         # has a record
         named = [*dict.fromkeys(key for spec in shapes.values()
                                 for key in _signature(spec))]
-        keys = named + [(fam, rank) for fam in _PART_FAMILIES[family]
-                        for rank in range(n + 1)]
-        for key in dict.fromkeys(keys):
-            self._fill(*key, key in named)
+        pools: dict[tuple[str, int], list[IrrLabel]] = {
+            key: [] for key in named + [(fam, rank)
+                                        for fam in _PART_FAMILIES[family]
+                                        for rank in range(n + 1)]}
+        for fam in _PART_FAMILIES[family]:
+            self._fill(fam, [pools[fam, rank] for rank in range(n + 1)],
+                       [(fam, rank) in named for rank in range(n + 1)])
+        for fam, rank in named:
+            if fam == FAMILY_A:
+                pools[fam, rank] = [lab for *_, fiber in
+                                    _pool_seqs(fam, rank, n) for lab in fiber]
+        self.pools: Pools = {key: tuple(labels)
+                             for key, labels in pools.items()}
         # the labels of family A's one pool, which its rows look up
         self.a_pool = frozenset(self.pools.get((FAMILY_A, n), ()))
 
-    def _fill(self, fam: str, rank: int, aligned: bool) -> None:
-        """Enumerate one pool and record its merged sequences (none for a
-        family-A pool), with their rows aligned and packed when aligned is
-        set; a C target files a D sequence x under its based complement
-        (0, x0 + 1, x1 + 1, ...), of the rank, labels, f, rows and b of x."""
+    def _fill(self, fam: str, pools: list[list[IrrLabel]],
+              aligned: list[bool]) -> None:
+        """Record the merged sequences of the part family's pools, ranks 0
+        to n, from one walk, and add their labels to pools by rank.  A part
+        of a rank whose aligned flag is set carries its rows aligned and
+        packed; a C target files a D sequence x under its based complement
+        (0, x0 + 1, x1 + 1, ...), of the rank, labels, f, rows and b of
+        x."""
+        n = self.n
+        m = policy_m(fam, n)
         based = self.family == CLASS_C and fam == FAMILY_D
-        labels: list[IrrLabel] = []
-        for x, b, f, fiber in _pool_seqs(fam, rank, self.n):
-            labels += fiber
-            if fam == FAMILY_A:
-                continue
+        base = sc._weighted_x(m)
+        f_of = [_f_from_strict_count(fam, count) for count in range(m + 2)]
+        records = self.records
+        for x, rank, w, count, key, rows in sc._x_walk(
+                m, 0, n, _key_form(self.width, m, based),
+                _rows_form(self.layout, fam, m)):
+            fiber = _unmerge(fam, rank, x[0::2], x[1::2])
             # the labels of a degenerate fiber share their rows
-            packed = _packed_rows(self.layout, fiber[0]) if aligned else None
-            part = (0, *(v + 1 for v in x)) if based else x
-            self.records[sc._pack(self.fields, part)] = (rank, fiber, f,
-                                                         packed, b)
-        self.pools[fam, rank] = tuple(labels)
+            records[key] = (rank, fiber, f_of[count],
+                            rows if aligned[rank] else None, w - base)
+            pools[rank] += fiber
 
     def splits(self, y: Seq) -> list[Split]:
         """Every two-block split x + x~ of a B, C or D class sequence y, in
@@ -361,6 +387,15 @@ class _Parts:
         whole = sc._pack(self.fields, y)
         return [(records[first], records[whole - first])
                 for first in sc._split_firsts(y, whole, self.space)]
+
+
+def _key_form(width: int, m: int, based: bool) -> sc.Form:
+    """A merged sequence x of length index m packed into fields of the
+    width, entry i in field i, as a linear form on x; when based, its based
+    complement (0, x0 + 1, x1 + 1, ...), entry i in field i + 1."""
+    shift = width if based else 0
+    coefs = tuple(1 << (i * width + shift) for i in range(m + 1))
+    return (sum(coefs) if based else 0), coefs
 
 
 def _signature(spec: ParahoricSpec) -> tuple[tuple[str, int], ...]:

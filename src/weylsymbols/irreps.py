@@ -242,7 +242,13 @@ def zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
 
 def _zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
     # x is an XSeq, so every nonempty row below is strictly increasing
-    m = len(x) - 1
+    _ensure_merge_length(family, len(x) - 1)
+    return _unmerge(family, sc._rho(x), x[0::2], x[1::2])
+
+
+def _ensure_merge_length(family: str, m: int) -> None:
+    """Reject (DomainError) a merged length index of the wrong parity for
+    family BC or D, and any other family, which has no merge."""
     if family == FAMILY_BC:
         if m % 2 != 0:
             raise DomainError(f"BC merge needs odd length, got m={m}")
@@ -251,7 +257,6 @@ def _zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
             raise DomainError(f"D merge needs even length, got m={m}")
     else:
         raise DomainError(f"no merged-sequence map for family {family!r}")
-    return _unmerge(family, sc._rho(x), x[0::2], x[1::2])
 
 
 def _unmerge(family: str, n: int, even: Seq, odd: Seq) -> tuple[IrrLabel, ...]:
@@ -355,15 +360,20 @@ SpecialSeq = tuple[Seq, int, int, tuple[IrrLabel, ...]]
 def _special_seqs(family: str, n: int, m: int) -> Iterator[SpecialSeq]:
     """The merged sequences of the rank-n special stratum of family BC or
     D at length m, in enumeration order, each with its b, f and labels:
-    special_reps grouped by sequence.  m is checked before the first
-    sequence is yielded."""
-    # enumerate_space checks m; the sequences it yields are valid XSeqs,
-    # weighed against base_x(m) and counted without re-checking
-    xs = sc.enumerate_space("X", m, n)
+    special_reps grouped by sequence.  m and n are checked as
+    enumerate_space checks them, then m's parity for the family, before
+    the first sequence is yielded.  The sequences are the XSeqs of
+    statistic n, read off seqcomb._x_walk at lo = hi = n with its running
+    sums: b is the weighted sum less base_x's, read once in closed form,
+    and f comes from the count of strict positions."""
+    sc._ensure_space_args(m, n)
+    _ensure_merge_length(family, m)
     base = sc._weighted_x(m)
-    return ((x, sc._weighted(x) - base,
-             _f_from_strict_count(family, sc._strict_count(x)),
-             _zeta_inverse(family, x)) for x in xs)
+    # the walk's forms go unread here
+    zero = (0, (0,) * (m + 1))
+    return ((x, w - base, _f_from_strict_count(family, strict),
+             _unmerge(family, n, x[0::2], x[1::2]))
+            for x, _, w, strict, _, _ in sc._x_walk(m, n, n, zero, zero))
 
 
 def special_f(label: IrrLabel) -> int:

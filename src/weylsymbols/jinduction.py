@@ -46,10 +46,12 @@ built by the validating IrrLabel(...), once per target per process; every
 factor is checked on every call, before the table is read, and every
 call, one served from the table included, still has its b-additivity
 checked against the stored b.  The tables hold only labels of targets a
-caller induced into.  The private _layout and _packed_rows serve a caller
-that sums packed rows itself: verify's record table packs each part of
-the pools its maximal shapes name once, and each split on a maximal shape
-is then one int sum, compared with the packed rows of its row's label.
+caller induced into.  The private _layout, _packed_rows and _rows_form
+serve a caller that sums packed rows itself: verify's record table packs
+each part of the pools its maximal shapes name by _rows_form, a linear
+form on the part's merged sequence, each split on a maximal shape is then
+one int sum, and _packed_rows packs the row's label it is compared with
+from that label's rows, apart from the form.
 
 Degenerate family-D outputs carry a kappa bit that the row arithmetic does
 not determine; the convention kappa' = (sum of factor kappas + lam) mod 2
@@ -286,6 +288,29 @@ def _packed_rows(layout: Layout, label: IrrLabel) -> int:
     into one int."""
     family, _, lengths, fields, _ = layout
     return sc._pack(fields, itertools.chain(*_factor_rows(family, lengths, label)))
+
+
+def _rows_form(layout: Layout, family: str, m: int) -> sc.Form:
+    """_packed_rows of the labels irreps._unmerge reads off a family-BC or
+    D merged sequence x of length index m, as a linear form on x: the even
+    slots of x are the first row of a BC label and the second of a D
+    label.  At the target's merged length a row is as long as its
+    target's or, a D row in a BC target, one slot shorter, and then
+    aligned as _align aligns it: a field 0 first, then each entry plus
+    1."""
+    _, _, lengths, fields, _ = layout
+    width = 8 * struct.calcsize(fields) // sum(lengths)
+    coefs = [0] * (m + 1)
+    const = start = 0
+    for length, first in zip(lengths,
+                             (0, 1) if family == FAMILY_BC else (1, 0)):
+        slots = range(first, m + 1, 2)
+        t = length - len(slots)
+        for field, slot in enumerate(slots, start + t):
+            coefs[slot] = 1 << (field * width)
+            const += t << (field * width)
+        start += length
+    return const, tuple(coefs)
 
 
 def j_induce(e: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> IrrLabel:

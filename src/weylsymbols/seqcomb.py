@@ -31,7 +31,8 @@ Deviation statistics (rho/beta families) measure each sequence against the
 minimal member of its space and are additive under entrywise addition.
 Each space's rule is one row of the table _SPACES (its base, the least
 steps over the previous two entries, the least value at position 1), which
-enumerate_space reads.
+enumerate_space reads.  The special pools read their XSeqs off _x_walk,
+its search over a window of statistics, streamed with running sums.
 
 All functions are pure; sequences in and out are tuples, sets of indices are
 frozensets, and interval sets are tuples of (lo, hi) pairs sorted by lo.
@@ -59,7 +60,7 @@ import struct
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, InvariantError, ResourceError, ValidationError
 
@@ -849,6 +850,17 @@ _SPACES: dict[str, tuple[Callable[[int], Seq], int, int, int]] = {
 }
 
 
+def _ensure_space_args(m: object, n: object) -> None:
+    """enumerate_space's checks of m and n, which irreps._special_seqs
+    shares: not an int, a bool included (ValidationError), negative
+    (DomainError), past the size cap (ResourceError)."""
+    _ensure_int("m", m)
+    _ensure_int("n", n)
+    if m < 0 or n < 0:
+        raise DomainError(f"m and n must be nonnegative, got m={m} n={n}")
+    _ensure_capped(m, n)
+
+
 def _space_lower(kind: str, i: int, prev1: int | None, prev2: int | None) -> int:
     """Smallest value allowed at position i given the previous two entries."""
     _, step1, step2, low1 = _SPACES[kind]
@@ -883,17 +895,15 @@ def enumerate_space(kind: str, m: int, n: int) -> tuple[Seq, ...]:
     (plain entry sum for kind E). Output is lexicographically sorted and
     duplicate-free. m or n not an int (a bool included) raises
     ValidationError, negative DomainError, above the size cap ResourceError.
+    The special pools read their XSeqs off _x_walk, the same search
+    streamed over a window of statistics with the sums they need.
     """
     # a kind that is not a str is unknown too, an unhashable one included
     space = _KIND_ALIASES.get(kind) if isinstance(kind, str) else None
     if space is None:
         raise DomainError(f"unknown sequence kind {kind!r}")
     kind = space
-    _ensure_int("m", m)
-    _ensure_int("n", n)
-    if m < 0 or n < 0:
-        raise DomainError(f"m and n must be nonnegative, got m={m} n={n}")
-    _ensure_capped(m, n)
+    _ensure_space_args(m, n)
     if kind in ("XT", "YT") and (m % 2 != 0 or m < 2):
         raise DomainError(f"kind {kind} needs m even >= 2, got {m}")
     base = _SPACES[kind][0](m)
@@ -932,6 +942,73 @@ def enumerate_space(kind: str, m: int, n: int) -> tuple[Seq, ...]:
 
     rec(0, 0)
     return tuple(out)
+
+
+# a linear form on the entries of a sequence: its constant and the
+# coefficient of each entry
+Form = tuple[int, Seq]
+
+
+def _x_walk(m: int, lo: int, hi: int, first: Form, second: Form
+            ) -> Iterator[tuple[Seq, int, int, int, int, int]]:
+    """Every XSeq x of length index m with lo <= rho(x) <= hi, streamed in
+    lexicographic order, as (x, rho(x), _weighted(x), _strict_count(x),
+    first(x), second(x)): enumerate_space("X", m, n) for every n at once,
+    for 0 <= lo <= hi and m the library checked.
+
+    enumerate_space's search and tails, without recursion.  The sums run
+    along the entries: the value at i adds its excess over base_x to the
+    statistic, (m - i) times itself to the weighted sum and its coefficient
+    times itself to each form, and, equal to the entry before it, takes
+    two positions out of the strict count.  The last entry, of weight 0,
+    runs over the values that bring the statistic into [lo, hi]."""
+    base = base_x(m)
+    tails: Tails = {}
+    k1, k2 = first[1], second[1]
+    xs = [0] * (m + 1)
+    # the running sums of the entries before position i, at index i
+    dev = [0] * (m + 1)
+    wsum = [0] * (m + 1)
+    strict = [m + 1] * (m + 1)
+    f1 = [first[0]] * (m + 1)
+    f2 = [second[0]] * (m + 1)
+    # val is the value tried at position i, from the least the step rules
+    # allow
+    i = val = 0
+    while True:
+        prev1 = xs[i - 1] if i else None
+        if i == m:
+            used = dev[m] - base[m]
+            w, s, a, b = wsum[m], strict[m], f1[m], f2[m]
+            c1, c2 = k1[m], k2[m]
+            for v in range(max(val, lo - used), hi - used + 1):
+                xs[m] = v
+                yield (tuple(xs), used + v, w, s - 2 if v == prev1 else s,
+                       a + c1 * v, b + c2 * v)
+        else:
+            excess = dev[i] + val - base[i]
+            tail = tails.get((i, val, prev1))
+            if tail is None:
+                tail = tails[i, val, prev1] = _tail_dev("X", base, tails, i,
+                                                        val, prev1)
+            if excess + tail <= hi:
+                xs[i] = val
+                dev[i + 1] = excess
+                wsum[i + 1] = wsum[i] + (m - i) * val
+                strict[i + 1] = strict[i] - 2 if val == prev1 else strict[i]
+                f1[i + 1] = f1[i] + k1[i] * val
+                f2[i + 1] = f2[i] + k2[i] * val
+                i += 1
+                val = xs[i - 1]
+                if i > 1 and xs[i - 2] >= val:
+                    val = xs[i - 2] + 1
+                continue
+        # the deviation and the tail both grow with the value, so the first
+        # value past hi ends position i: the entry before it moves on
+        if i == 0:
+            return
+        i -= 1
+        val = xs[i] + 1
 
 
 # ---------------------------------------------------------------------------

@@ -186,13 +186,17 @@ def tau(family: str, label: IrrLabel) -> ClassLabel:
 def tau_fiber(family: str, y: Seq, n: int | None = None) -> tuple[IrrLabel, ...]:
     """All labels mapping to the stratum y (two in the degenerate family-D
     case, one otherwise); y is checked as ClassLabel checks it, against n
-    when n is given."""
+    when n is given.  A family-B y of length index 0, a valid class, has
+    no tau-partner: a BC merge needs an entry in each row (DomainError)."""
     _ensure_class_family(family)
     rank = _class_rank(family, y)
     if n is not None:
         sc.ensure_rank(n)
         if n != rank:
             raise DomainError(f"rank {n} != sequence statistic {rank}")
+    if family == CLASS_B and len(y) < 3:
+        raise DomainError(f"a family-B class needs length index m >= 2 for "
+                          f"a tau-partner, got m={len(y) - 1}")
     return _tau_fiber(family, y, rank)
 
 

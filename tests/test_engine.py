@@ -438,22 +438,21 @@ def test_verify_aligns_each_signature_pool_part_once(monkeypatch, family):
     assert keys <= set(parts.pools)
     assert (keys == set(parts.pools)) == (family == "B")
     # exactly the parts of the pools the shapes name carry packed rows (a
-    # D shape's A middle pool has no parts)
+    # D shape's A middle pool has no parts), each once, aligned by the
+    # record table's walk
     assert ({label for key in keys if key[0] != FAMILY_A
              for label in parts.pools[key]}
             == {label for rec in parts.records.values() if rec[3] is not None
                 for label in rec[1]})
-    # one alignment per such part, of the first label of its fiber, whose
-    # labels share their rows, and one per class, of the first label of its
-    # tau fiber, which its rows share
     firsts = [rec[1][0] for rec in parts.records.values()
               if rec[3] is not None]
     assert len(set(firsts)) == len(firsts)
+    # the label side packs one label per class, the first of its tau
+    # fiber, which its rows share, and no pool part
     fibers = [springer._tau_fiber(family, c.y, 8)[0]
               for c in enumerate_classes(family, 8)]
     assert (len(fibers) < len(report.rows)) == (family == "D")
-    assert (collections.Counter(aligned)
-            == collections.Counter(firsts) + collections.Counter(fibers))
+    assert collections.Counter(aligned) == collections.Counter(fibers)
     # the fiber's rows have the target's lengths already: aligned as they are
     for label in fibers:
         rows = jinduction._factor_rows(parts.layout[0], parts.layout[2], label)
@@ -491,19 +490,28 @@ def test_enumerated_classes_and_rows_are_checked_only_where_they_enter(
     assert calls == {}
 
 
+def _counted_walks(monkeypatch):
+    """Record the (m, lo, hi) of every seqcomb._x_walk call."""
+    walks = []
+    inner = sc._x_walk
+
+    def counted(m, lo, hi, *forms):
+        walks.append((m, lo, hi))
+        return inner(m, lo, hi, *forms)
+
+    monkeypatch.setattr(sc, "_x_walk", counted)
+    return walks
+
+
 @pytest.mark.parametrize("family", ["C", "D"])
 def test_verify_builds_each_special_pool_once(monkeypatch, family):
     pools: dict[tuple[str, int], int] = {}
+    # A pools come from special_reps
+    inner = engine.special_reps
 
-    def counted(name):
-        # A pools come from special_reps, BC and D pools from the strata
-        inner = getattr(engine, name)
-
-        def wrapper(fam, rank, *args):
-            pools[fam, rank] = pools.get((fam, rank), 0) + 1
-            return inner(fam, rank, *args)
-
-        monkeypatch.setattr(engine, name, wrapper)
+    def counted(fam, rank, *args):
+        pools[fam, rank] = pools.get((fam, rank), 0) + 1
+        return inner(fam, rank, *args)
 
     from_scratch = []
     inner_f = jinduction.special_f
@@ -512,11 +520,16 @@ def test_verify_builds_each_special_pool_once(monkeypatch, family):
         from_scratch.append(label)
         return inner_f(label)
 
-    counted("special_reps")
-    counted("_special_seqs")
+    monkeypatch.setattr(engine, "special_reps", counted)
+    walks = _counted_walks(monkeypatch)
     monkeypatch.setattr(jinduction, "special_f", counted_f)
     assert verify(family, 6).ok()
-    assert pools and set(pools.values()) == {1}
+    assert set(pools.values()) <= {1}
+    assert bool(pools) == (family == "D")
+    # BC and D pools, every rank from 0 to 6, come from one walk per part
+    # family at the target's merged length: BC and D for C, D for D
+    assert walks == [(policy_m(fam, 6), 0, 6)
+                     for fam in engine._PART_FAMILIES[family]]
     # every factor f-product is read from the split-part table, none from
     # special_f
     assert from_scratch == []
@@ -674,6 +687,53 @@ def test_pool_reps_are_the_special_reps_in_member_form():
                 for label in fiber)
 
 
+@pytest.mark.parametrize("family, n", [
+    (family, n) for family in "BCD" for n in range(3, 11)])
+def test_the_record_table_equals_the_label_path(family, n):
+    # every record against the labels of its pool sequence, each x taken
+    # from enumerate_space and labelled, weighed and packed through the
+    # per-label kernels rather than the walk's running sums
+    shapes = engine._maximal_shapes(family, n)
+    parts = engine._Parts(family, n, shapes)
+    named = {key for spec in shapes.values()
+             for key in engine._signature(spec)}
+    keys = set()
+    for fam in engine._PART_FAMILIES[family]:
+        m = policy_m(fam, n)
+        based = family == "C" and fam == FAMILY_D
+        for rank in range(n + 1):
+            xs = sc.enumerate_space("X", m, rank)
+            fibers = [irreps._zeta_inverse(fam, x) for x in xs]
+            # the pool in enumeration order, as _pool_seqs groups it
+            assert (parts.pools[fam, rank]
+                    == tuple(lab for fiber in fibers for lab in fiber)
+                    == tuple(lab for *_, fiber in
+                             engine._pool_seqs(fam, rank, n)
+                             for lab in fiber))
+            for x, fiber in zip(xs, fibers):
+                key = sc._pack(parts.fields,
+                               (0, *(v + 1 for v in x)) if based else x)
+                keys.add(key)
+                got_rank, got_fiber, f, rows, b = parts.records[key]
+                assert (got_rank, got_fiber) == (rank, fiber)
+                assert f == special_f(fiber[0])
+                assert b == irreps.b_invariant(fiber[0])
+                # packed rows on the pools the maximal shapes name only
+                assert rows == (jinduction._packed_rows(parts.layout,
+                                                        fiber[0])
+                                if (fam, rank) in named else None)
+    # no record beyond the pools' sequences, no pool beyond the named ones
+    # and the part families', and the named family-A pools from special_reps
+    assert keys == set(parts.records)
+    assert set(parts.pools) == named | {
+        (fam, rank) for fam in engine._PART_FAMILIES[family]
+        for rank in range(n + 1)}
+    for fam, rank in named:
+        if fam == FAMILY_A:
+            assert parts.pools[fam, rank] == tuple(
+                canonicalize(rep.label) for rep in special_reps(fam, rank))
+
+
 def test_a_based_d_part_has_one_strict_position_more():
     # the record of a C target's based D part takes the pool's count + 1
     for n in range(3, 11):
@@ -687,30 +747,31 @@ def test_a_based_d_part_has_one_strict_position_more():
 @pytest.mark.parametrize("family", ["B", "C", "D"])
 def test_a_record_table_counts_strict_positions_once_per_pool_sequence(
         monkeypatch, family):
-    seen = []
-    inner = sc._strict_count
-
-    def counted(x):
-        seen.append(x)
-        return inner(x)
-
+    # the walk counts each pool sequence's strict positions as it goes: no
+    # frakS set and no per-record count while the table fills
     def unused(x):
-        raise AssertionError("built a frakS set for a record's f")
+        raise AssertionError("counted strict positions for a record's f")
 
-    monkeypatch.setattr(sc, "_strict_count", counted)
+    walks = _counted_walks(monkeypatch)
+    monkeypatch.setattr(sc, "_strict_count", unused)
     monkeypatch.setattr(sc, "_frakS", unused)
     parts = engine._Parts(family, 8, engine._maximal_shapes(family, 8))
     monkeypatch.undo()
+    # one walk per part family, and one record per sequence it yields
+    assert walks == [(policy_m(fam, 8), 0, 8)
+                     for fam in engine._PART_FAMILIES[family]]
+    assert len(parts.records) == sum(
+        len(sc.enumerate_space("X", m, rank)) for m, _, _ in walks
+        for rank in range(9))
     based = 0
-    for key in parts.records:
-        # before any split search every record is a pool sequence
+    for key, (rank, fiber, f, *_) in parts.records.items():
         x = sc._unpack(parts.fields, key)
         if family == "C" and x[1]:
-            # a based D part takes its pool sequence's count plus one
-            assert x not in seen
+            # a based D part takes the f of its lowered pool sequence
+            x = tuple(v - 1 for v in x[1:])
             based += 1
-        else:
-            assert seen.count(x) == 1
+        assert f == irreps._f_from_strict_count(fiber[0].family,
+                                                sc._strict_count(x))
     assert (based > 0) == (family == "C")
 
 
@@ -785,19 +846,15 @@ def test_degenerate_labels_mark_the_parts_short_of_strict_positions(family):
 @pytest.mark.parametrize("family", ["C", "D"])
 def test_verify_labels_each_distinct_split_part_once(monkeypatch, family):
     calls = []
+    inner = engine._unmerge
 
-    def counted(module):
-        inner = module._zeta_inverse
-
-        def wrapper(fam, x):
-            calls.append((fam, x))
-            return inner(fam, x)
-
-        monkeypatch.setattr(module, "_zeta_inverse", wrapper)
+    def counted(fam, rank, even, odd):
+        calls.append((fam, even, odd))
+        return inner(fam, rank, even, odd)
 
     parts, splits = _split_parts(family, 8)
-    # the pool enumeration labels every part the table records
-    counted(irreps)
+    # the pool walk labels every part the table records
+    monkeypatch.setattr(engine, "_unmerge", counted)
     assert verify(family, 8).ok()
     # one label fiber per distinct part, not one per split
     assert len(calls) == len(set(calls)) == len(parts.records)

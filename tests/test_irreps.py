@@ -21,7 +21,7 @@ from weylsymbols import (
     suites,
 )
 from weylsymbols import seqcomb as sc
-from weylsymbols.errors import DomainError, ValidationError
+from weylsymbols.errors import DomainError, ResourceError, ValidationError
 from weylsymbols.irreps import (
     FAMILY_A,
     FAMILY_BC,
@@ -336,6 +336,32 @@ def test_special_reps_domain_errors():
         special_reps("F", 2)
     with pytest.raises(DomainError):
         special_reps(FAMILY_A, -1)
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((FAMILY_BC, 3, -1), DomainError,
+     "m and n must be nonnegative, got m=-1 n=3"),
+    ((FAMILY_D, 0, -2), DomainError,
+     "m and n must be nonnegative, got m=-2 n=0"),
+    ((FAMILY_BC, 3, 7), DomainError, "BC merge needs odd length, got m=7"),
+    ((FAMILY_D, 3, 8), DomainError, "D merge needs even length, got m=8"),
+    ((FAMILY_BC, 3, True), ValidationError, "m must be an int, got True"),
+    ((FAMILY_D, 3, False), ValidationError, "m must be an int, got False"),
+    ((FAMILY_BC, 3, 65), ResourceError,
+     "enumeration capped at 64, got m=65 n=3"),
+    ((FAMILY_D, 3, 10**12), ResourceError,
+     "enumeration capped at 64, got m=1000000000000 n=3"),
+    ((FAMILY_BC, 3, 0), ValidationError,
+     "sequence must be a nonempty tuple, got ()"),
+], ids=["bc-negative", "d-negative", "bc-parity", "d-parity", "bc-bool",
+        "d-bool", "bc-past-cap", "d-past-cap", "bc-one-entry"])
+def test_special_reps_refuses_a_bad_length_index_by_type_and_message(
+        args, error, message):
+    # the size cap before the parity, as enumerate_space checked m first;
+    # a one-entry BC merge leaves its second row empty
+    with pytest.raises(error) as info:
+        special_reps(*args)
+    assert str(info.value) == message
 
 
 def test_zeta_roundtrip_and_fibers():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 
 import pytest
 from hypothesis import example, given, settings
@@ -638,6 +639,33 @@ def test_enumerate_space_tail_entries_equal_a_greedy_walk(monkeypatch, kind):
     assert entries
     for m, i, val, prev1, out in entries:
         assert out == _greedy_tail(kind, m, i, val, prev1), (m, i, val, prev1)
+
+
+def test_the_x_walk_at_one_rank_is_the_x_space_with_its_sums():
+    # every length index of a merged sequence up to rank 10 (2n + 1 for D,
+    # 2n + 2 for BC) and every rank up to 10
+    for m in range(2 * 10 + 3):
+        coefs = tuple(range(3, m + 4))
+        ones = (1,) * (m + 1)
+        for n in range(11):
+            walked = list(sc._x_walk(m, n, n, (7, coefs), (0, ones)))
+            assert [x for x, *_ in walked] == list(sc.enumerate_space("X", m,
+                                                                      n))
+            for x, rank, w, strict, first, second in walked:
+                assert (rank, w, strict) == (n, sc._weighted(x),
+                                             sc._strict_count(x))
+                assert first == 7 + sum(map(operator.mul, coefs, x))
+                assert second == sum(x)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 21, 22])
+def test_the_x_walk_over_a_window_merges_its_ranks_lexicographically(m):
+    zero = (0, (0,) * (m + 1))
+    for lo, hi in ((0, 0), (0, 10), (3, 7), (9, 10)):
+        walked = [(x, rank) for x, rank, *_ in sc._x_walk(m, lo, hi, zero,
+                                                          zero)]
+        assert walked == sorted((x, n) for n in range(lo, hi + 1)
+                                for x in sc.enumerate_space("X", m, n))
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,21 @@ def test_tau_fiber_checks_y_as_class_label_does(family, y, message):
         tau_fiber(family, y)
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_a_b_class_of_length_index_0_has_no_tau_partner(n):
+    # a valid class, whose merge would leave the BC label's second row
+    # empty: refused as outside the domain, naming the length index
+    c = ClassLabel(CLASS_B, n, (n,))
+    assert class_invariants(c).bbar == 0
+    message = r"family-B class needs length index m >= 2 .*got m=0"
+    for rank in (None, n):
+        with pytest.raises(DomainError, match=message):
+            tau_fiber(CLASS_B, (n,), rank)
+    # the shortest B classes that have one
+    assert tau_fiber(CLASS_B, (0, 0, 2 + n)) == (
+        IrrLabel(FAMILY_BC, n, (0, 1 + n), (0,)),)
+
+
 def test_tau_counts_and_distinct_labels():
     # strata are in bijection with their fibers' label sets
     for family, nmax in ((CLASS_B, 5), (CLASS_C, 5), (CLASS_D, 5)):
