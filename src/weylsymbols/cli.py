@@ -27,7 +27,9 @@ laid out from one fixed row template when the stream reaches it, with no
 dict built for it; its label, witness shapes and factors are spliced in
 from a per-render text table that builds each distinct label's and
 shape's text once per indent depth and finds each object's text by its id,
-so that a label or shape is hashed only when first met at a depth.
+so that a label or shape is hashed only when first met at a depth.  A
+label's text splices in its rows from the same table, which lays each
+distinct row out once per depth: labels share most of their rows.
 """
 
 from __future__ import annotations
@@ -126,14 +128,23 @@ def _int_list(v: Sequence[int], pad: str) -> str:
     return "[" + inner + ("," + inner).join(map(int.__repr__, v)) + pad + "]"
 
 
-def _label_text(lab: IrrLabel, pad: str) -> str:
+def _label_text(lab: IrrLabel, pad: str, rows: dict[tuple[int, ...], str]
+                ) -> str:
     """JSON text of lab.to_json() at pad: family, n and z, then zp when
-    the label has a second row and kappa for family D."""
+    the label has a second row and kappa for family D.  rows maps each row
+    already laid out at the label's key pad (pad + "  ") to its text, and
+    gains the label's rows that it lacks."""
     inner = pad + "  "
+    z = rows.get(lab.z)
+    if z is None:
+        z = rows[lab.z] = _int_list(lab.z, inner)
     text = (f'{{{inner}"family": {_str_json(lab.family)},{inner}"n": {lab.n},'
-            f'{inner}"z": {_int_list(lab.z, inner)}')
+            f'{inner}"z": {z}')
     if lab.zp is not None:
-        text += f',{inner}"zp": {_int_list(lab.zp, inner)}'
+        zp = rows.get(lab.zp)
+        if zp is None:
+            zp = rows[lab.zp] = _int_list(lab.zp, inner)
+        text += f',{inner}"zp": {zp}'
     if lab.family == FAMILY_D:
         text += f',{inner}"kappa": {lab.kappa}'
     return text + pad + "}"
@@ -141,18 +152,25 @@ def _label_text(lab: IrrLabel, pad: str) -> str:
 
 def _text(v: IrrLabel | ParahoricSpec, pad: str, texts: dict) -> str:
     """JSON text of v.to_json() at pad, built once per render for each
-    distinct value: texts maps each pad to two tables of the texts already
-    built at it, one by the id of each object met and one by value, so an
-    object is hashed only when first met at the pad, however often it
-    appears.  Every object keyed by id is held by the payload until the
-    render ends, so no id is reused in one render."""
-    by_id, by_value = texts.setdefault(pad, ({}, {}))
+    distinct value: texts maps each pad to three tables of the texts
+    already built at it, one by the id of each object met, one by value,
+    so an object is hashed only when first met at the pad, however often it
+    appears, and one by row tuple, the _int_list text of each label row
+    laid out at the pad, so a row shared by labels is laid out once.  Every
+    object keyed by id is held by the payload until the render ends, so no
+    id is reused in one render."""
+    by_id, by_value, _ = texts.setdefault(pad, ({}, {}, {}))
     text = by_id.get(id(v))
     if text is None:
         text = by_value.get(v)
         if text is None:
-            text = by_value[v] = (_label_text(v, pad) if type(v) is IrrLabel
-                                  else _json_value(v.to_json(), pad, texts))
+            if type(v) is IrrLabel:
+                # a label's rows sit at its keys' pad
+                rows = texts.setdefault(pad + "  ", ({}, {}, {}))[2]
+                text = _label_text(v, pad, rows)
+            else:
+                text = _json_value(v.to_json(), pad, texts)
+            by_value[v] = text
         by_id[id(v)] = text
     return text
 
@@ -181,8 +199,8 @@ def _row_text(row: ClassRow, pad: str, texts: dict) -> str:
      nofactors) = _row_layout(pad)
     if row.witnesses:
         # the texts already built at these pads, by object id
-        shapes = texts.setdefault(wkeys, ({}, {}))[0]
-        labels = texts.setdefault(factor, ({}, {}))[0]
+        shapes = texts.setdefault(wkeys, ({}, {}, {}))[0]
+        labels = texts.setdefault(factor, ({}, {}, {}))[0]
         # one join, so the list's text is allocated once
         parts = []
         for spec, labs in row.witnesses:
@@ -294,7 +312,9 @@ def _json_text(obj: object) -> Iterator[str]:
     the texts of its label, witness shapes and factors spliced in; each
     distinct label's (_label_text) and shape's text is built once per
     indent depth in one render, kept in a table that lives only as long
-    as the render, and spliced wherever it appears.
+    as the render, and spliced wherever it appears.  The same table holds
+    each distinct label row's text once per depth, which every label text
+    at that depth splices in.
 
     Before Python 3.13 json.dumps encodes an indented document in pure
     Python, one generator step per token; this kernel builds the same text

@@ -22,9 +22,10 @@ shapes that split y as x + x~ and carry one special label per block (two
 in degenerate family-D fibers). Shapes with a middle symmetric-group block
 arise only as symmetry witnesses, from the symmetric decompositions
 y = x + e + x of seqcomb, e being the deviation profile of the middle
-factor: seqcomb finds them with a search of its own over x, and each x is
-a first part of the row's split table. Family A scales deviation
-partitions by a divisor instead.
+factor: each is a split (x, x + e) of the row's split table whose two
+parts' frakS masks are the interval ends, so verify reads them off that
+table in order (seqcomb's own search of them stays the reference). Family
+A scales deviation partitions by a divisor instead.
 Enumeration order is lexicographic throughout, so every report is
 byte-stable across runs.
 
@@ -56,13 +57,14 @@ the family-A pools read; the BC and D pools are enumerated per call.
   0 to n, come from one walk over the XSeqs x at the target's merged
   length (seqcomb._x_walk, which streams), whose sums run along the
   entries: the statistic gives the part's rank, the weighted sum its b
-  (less base_x's, read in closed form), the count of equal neighbours its
-  count of strict positions and so its f, and two linear forms its key
-  and its rows aligned and packed (_key_form, jinduction._rows_form), so
-  no record is packed, weighed or counted on its own.  The labels come
-  from irreps._unmerge, the family-A pools from special_reps.  A
-  family-D pool of a C target is filed under its based complement (0,
-  x0 + 1, x1 + 1, ...), which its key form packs.
+  (less base_x's, read in closed form), the equal neighbours its frakS
+  mask (bit i set when i is in frakS(x)), whose bit count gives its f,
+  and two linear forms its key and its rows aligned and packed
+  (_key_form, jinduction._rows_form), so no record is packed, weighed or
+  counted on its own.  The labels come from irreps._unmerge, the family-A
+  pools from special_reps.  A family-D pool of a C target is filed under
+  its based complement (0, x0 + 1, x1 + 1, ...), which its key form packs,
+  and carries that complement's frakS mask (x's moved up one, and 0).
 * One table of the maximal shapes by block sizes, shared by every row.
 * Per class, one split table of y: the split search yields packed first
   parts x, each complement is packed(y) - x, and both records are read by
@@ -83,10 +85,14 @@ the family-A pools read; the BC and D pools are enumerated per call.
   witnesses the row prints: the f-maximal members and the symmetry
   witness, which is replayed through j_induce only when its shape is not
   maximal (on a maximal shape it is one of the class's own splits), once
-  per class, as the labels of a two-label D class share one match_key.  The C and D split witness reads the same
-  split table, the B and D symmetric witnesses look up their first parts'
-  records in the record table, and one interval set frakI(y) serves the
-  class invariants and the symmetric witness search; the two rows of a
+  per class, as the labels of a two-label D class share one match_key.
+  The C and D split witness reads the same split table, and so do the B
+  and D symmetric witnesses (_symmetric_splits): when every interval of
+  frakI(y) has size one, a split whose two parts' frakS masks both are
+  the mask of the interval ends is self-matched, and x, merged back from
+  its first label, gives e = y - 2x, kept when nonnegative and
+  nondecreasing; no second search runs per class.  One interval set
+  frakI(y) serves the class invariants and that mask; the two rows of a
   two-label D class share all of these.  The C and D witnesses need parts
   with a strict position (beyond the base one of a C complement), which
   are exactly the parts whose first label is not degenerate: a D merge at
@@ -112,6 +118,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, partial
+from operator import le
 from typing import Callable, Iterator
 
 from . import seqcomb as sc
@@ -123,6 +130,7 @@ from .irreps import (
     IrrLabel,
     SpecialSeq,
     _f_from_strict_count,
+    _merge,
     _partition_to_z,
     _special_seqs,
     _trusted,
@@ -296,9 +304,10 @@ def _pool_seqs(family: str, rank: int, n: int) -> Iterator[SpecialSeq]:
 
 # A split part's record: its rank, its member-form labels (two for a
 # degenerate family-D part), its f-invariant, its rows aligned to the
-# target and packed (None off the pools the maximal shapes name) and its
-# b-invariant.
-Record = tuple[int, tuple[IrrLabel, ...], int, int | None, int]
+# target and packed (None off the pools the maximal shapes name), its
+# b-invariant and its frakS mask, bit i set when i is in frakS of the part
+# as y holds it.
+Record = tuple[int, tuple[IrrLabel, ...], int, int | None, int, int]
 # A split x + x~: the records of the first part x and the complement x~.
 Split = tuple[Record, Record]
 
@@ -316,8 +325,8 @@ class _Parts:
     packed sequence, and the pools of special labels that fill it (see the
     module docstring).  Each part family's records and pools, every rank
     from 0 to n, come from one seqcomb._x_walk at the target's merged
-    length, whose running sums give each part's rank, b, f, key and packed
-    rows; family-A pools come from special_reps."""
+    length, whose running sums give each part's rank, b, frakS mask and f,
+    key and packed rows; family-A pools come from special_reps."""
 
     def __init__(self, family: str, n: int, shapes: Shapes) -> None:
         self.family = family
@@ -363,21 +372,23 @@ class _Parts:
         to n, from one walk, and add their labels to pools by rank.  A part
         of a rank whose aligned flag is set carries its rows aligned and
         packed; a C target files a D sequence x under its based complement
-        (0, x0 + 1, x1 + 1, ...), of the rank, labels, f, rows and b of
-        x."""
+        (0, x0 + 1, x1 + 1, ...), of the rank, labels, f, rows and b of x
+        and the complement's own frakS mask."""
         n = self.n
         m = policy_m(fam, n)
         based = self.family == CLASS_C and fam == FAMILY_D
         base = sc._weighted_x(m)
         f_of = [_f_from_strict_count(fam, count) for count in range(m + 2)]
         records = self.records
-        for x, rank, w, count, key, rows in sc._x_walk(
+        for x, rank, w, mask, key, rows in sc._x_walk(
                 m, 0, n, _key_form(self.width, m, based),
                 _rows_form(self.layout, fam, m)):
             fiber = _unmerge(fam, rank, x[0::2], x[1::2])
-            # the labels of a degenerate fiber share their rows
-            records[key] = (rank, fiber, f_of[count],
-                            rows if aligned[rank] else None, w - base)
+            # the labels of a degenerate fiber share their rows; a based
+            # complement's frakS is x's moved up one, and 0
+            records[key] = (rank, fiber, f_of[mask.bit_count()],
+                            rows if aligned[rank] else None, w - base,
+                            mask << 1 | 1 if based else mask)
             pools[rank] += fiber
 
     def splits(self, y: Seq) -> list[Split]:
@@ -599,6 +610,32 @@ def _split_witness(parts: _Parts, splits: list[Split], fa_value: int
     return 1, None
 
 
+def _symmetric_splits(y: Seq, intervals: tuple[sc.Interval, ...],
+                      splits: list[Split]) -> list[tuple[Record, Seq]]:
+    """The self-matched decompositions y = x + e + x of a B or D class
+    sequence y, as (record of x, e), read off its split table in order:
+    seqcomb._symmetric(intervals, y), intervals being frakI(y).
+
+    They exist only when every interval has size one, and then a split
+    (x, x~) is matched with frakS(x) = frakS(x~) exactly when both sets
+    are the interval ends.  So a split is kept when both parts' frakS masks
+    are the ends' mask and e = x~ - x is nonnegative and nondecreasing; x
+    is merged back from the first label of its record only for the splits
+    whose masks pass."""
+    if any(lo != hi for lo, hi in intervals):
+        return []
+    ends = sum(1 << lo for lo, _ in intervals)
+    out = []
+    for px, pxt in splits:
+        if px[5] == ends == pxt[5]:
+            lab = px[1][0]
+            x = _merge(lab.family, lab.z, lab.zp)
+            e = tuple(v - 2 * u for v, u in zip(y, x))
+            if e[0] >= 0 and all(map(le, e, e[1:])):
+                out.append((px, e))
+    return out
+
+
 def _fc_with_witness(label: IrrLabel, y: Seq,
                      intervals: tuple[sc.Interval, ...], splits: list[Split],
                      fa_value: int, parts: _Parts
@@ -606,7 +643,8 @@ def _fc_with_witness(label: IrrLabel, y: Seq,
     """Symmetry order and witness of a canonical label, given y, its
     interval set frakI(y) (read for B and D), its split table (empty for
     family A), fa and the call's record table, which gives the family and
-    rank."""
+    rank.  The B and D symmetric witnesses are read off the split table
+    (_symmetric_splits), with no search of their own."""
     family, n = parts.family, parts.n
     if family == CLASS_A:
         # at d = 1 the witness is the full group with the label itself
@@ -616,10 +654,7 @@ def _fc_with_witness(label: IrrLabel, y: Seq,
         # the node flip fixes a member exactly when the based part keeps a
         # strict position beyond its base one: its label is not degenerate
         return _split_witness(parts, splits, fa_value)
-    # every x of a self-matched decomposition is a first part of the table
-    records, fields = parts.records, parts.fields
-    sym = [(records[sc._pack(fields, x)], e)
-           for x, e in sc._symmetric(intervals, y)]
+    sym = _symmetric_splits(y, intervals, splits)
     if family == CLASS_B:
         if not sym:
             return 1, None
@@ -836,7 +871,7 @@ def _class_rows(family: str, n: int, c: ClassLabel,
     label = labels[0]
     try:
         # one interval set of y serves the invariants and the B and D
-        # symmetric witness search
+        # symmetric witnesses
         intervals = _intervals(family, c.y)
         inv = _class_invariants(c, intervals)
         b_label = b_invariant(label)
@@ -849,8 +884,8 @@ def _class_rows(family: str, n: int, c: ClassLabel,
             witnesses: tuple[Member, ...] = ((parts.shape_at[n], (label,)),)
             induced = members == 1
         else:
-            # y is split once; the maximal members and the symmetry witness
-            # search both read the one split table
+            # y is split once; the maximal members and the symmetry
+            # witnesses all read the one split table
             splits = parts.splits(c.y)
             # a maximum equal to the class component count also bounds
             # every member

@@ -21,7 +21,9 @@ IrrLabel(...) is the validating constructor and the only one for labels
 that come from outside.  The package-private _trusted(cls, *values) builds
 a frozen dataclass (IrrLabel here, springer's ClassLabel too) from every
 field's value without the checks, and is called only on values the library
-built and knows to be valid: canonical forms of validated labels
+built and knows to be valid, setting each field through its slot
+descriptor's __set__, a tuple of which (_SETTERS) is made once per class as
+the class is defined: canonical forms of validated labels
 (canonicalize, hence row alignment), the rows of a merged or class
 sequence the library holds (_unmerge, behind _zeta_inverse and
 springer._tau_fiber), the enumerated rows of
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from . import seqcomb as sc
 from .errors import DomainError, ValidationError
@@ -130,15 +132,26 @@ class IrrLabel:
         return out
 
 
+def _slot_setters(cls: type) -> tuple[Callable[[object, object], None], ...]:
+    """The __set__ of each field's slot descriptor of the slotted frozen
+    dataclass cls, in declaration order."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__dataclass_fields__)
+
+
+# each class _trusted builds -> its _slot_setters, entered once as the class
+# is defined (springer enters ClassLabel)
+_SETTERS = {IrrLabel: _slot_setters(IrrLabel)}
+
+
 def _trusted(cls: type[T], *values: object) -> T:
     """An instance of the frozen dataclass cls with every field set to its
     value, in declaration order, without __post_init__: for values valid
     by construction."""
     obj = object.__new__(cls)
-    # field by field into the class's slots, as the frozen dataclass
-    # __init__ sets them
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
+    # field by field into the class's slots, through the slot descriptors
+    # the frozen dataclass __setattr__ would refuse
+    for setter, value in zip(_SETTERS[cls], values):
+        setter(obj, value)
     return obj
 
 
@@ -243,6 +256,9 @@ def zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
 def _zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
     # x is an XSeq, so every nonempty row below is strictly increasing
     _ensure_merge_length(family, len(x) - 1)
+    if len(x) == 1:
+        # a one-entry BC merge (a D merge has even length) has no second row
+        raise ValidationError(f"a BC merged sequence needs a second row, got {x!r}")
     return _unmerge(family, sc._rho(x), x[0::2], x[1::2])
 
 
@@ -261,15 +277,12 @@ def _ensure_merge_length(family: str, m: int) -> None:
 
 def _unmerge(family: str, n: int, even: Seq, odd: Seq) -> tuple[IrrLabel, ...]:
     """The rank-n labels of family BC or D whose rows _merge puts in the
-    even and the odd slots, each row strictly increasing: one label, or two
-    for equal D rows at rank >= 2.  A BC merge of one entry leaves no odd
-    row, which raises ValidationError.  A D merge puts the heavier row
-    second, entry by entry, and makes the rows equal exactly when it has no
-    strict position."""
+    even and the odd slots, each row strictly increasing and nonempty (every
+    caller refuses a one-entry BC merge first): one label, or two for equal
+    D rows at rank >= 2.  A D merge puts the heavier row second, entry by
+    entry, and makes the rows equal exactly when it has no strict
+    position."""
     if family == FAMILY_BC:
-        if not odd:
-            # a one-entry merge leaves the second row empty
-            sc.ensure_zseq(odd)
         return (_trusted(IrrLabel, FAMILY_BC, n, even, odd, 0),)
     if even == odd and n >= 2:
         return (
@@ -361,19 +374,23 @@ def _special_seqs(family: str, n: int, m: int) -> Iterator[SpecialSeq]:
     """The merged sequences of the rank-n special stratum of family BC or
     D at length m, in enumeration order, each with its b, f and labels:
     special_reps grouped by sequence.  m and n are checked as
-    enumerate_space checks them, then m's parity for the family, before
-    the first sequence is yielded.  The sequences are the XSeqs of
+    enumerate_space checks them, then m's parity for the family and, for
+    BC, m >= 2 (a one-entry merge has no second row), before the first
+    sequence is yielded.  The sequences are the XSeqs of
     statistic n, read off seqcomb._x_walk at lo = hi = n with its running
     sums: b is the weighted sum less base_x's, read once in closed form,
-    and f comes from the count of strict positions."""
+    and f comes from the count of strict positions, the bits of the
+    walk's frakS mask."""
     sc._ensure_space_args(m, n)
     _ensure_merge_length(family, m)
+    if m == 0 and family == FAMILY_BC:
+        raise DomainError("a BC merge needs m >= 2, got m=0")
     base = sc._weighted_x(m)
     # the walk's forms go unread here
     zero = (0, (0,) * (m + 1))
-    return ((x, w - base, _f_from_strict_count(family, strict),
+    return ((x, w - base, _f_from_strict_count(family, mask.bit_count()),
              _unmerge(family, n, x[0::2], x[1::2]))
-            for x, _, w, strict, _, _ in sc._x_walk(m, n, n, zero, zero))
+            for x, _, w, mask, _, _ in sc._x_walk(m, n, n, zero, zero))
 
 
 def special_f(label: IrrLabel) -> int:

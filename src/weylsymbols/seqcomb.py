@@ -26,7 +26,11 @@ pairs S(y) and tilde-S(y) filter.  Two XSeqs always add up to a YSeq, so
 the unpacking enumerators answer () for any other y, and refuse a YSeq past
 enumerate_space's size cap before any search.  The symmetric
 decompositions have a backtracking search of their own over the first part
-x, bounded so that e = y - 2x stays nonnegative and nondecreasing.
+x, bounded so that e = y - 2x stays nonnegative and nondecreasing; it is
+the kernel of symmetric_decompositions, while verify reads the same list
+off its split table (see engine).  Each recursive search empties its
+nested function's closure cell once it returns, so a call leaves no
+reference cycle for the collector.
 Deviation statistics (rho/beta families) measure each sequence against the
 minimal member of its space and are additive under entrywise addition.
 Each space's rule is one row of the table _SPACES (its base, the least
@@ -684,6 +688,8 @@ def _split_firsts(y: Seq, whole: int, space: SplitSpace) -> list[int]:
 
     # base_x's entries below k, and its entries at k - 2 and k - 1
     rec(k, xbase & ((1 << k * width) - 1), (k - 2) // 2, (k - 1) // 2)
+    # rec's closure cell holds rec itself: emptied, it leaves no cycle
+    del rec
     return out
 
 
@@ -941,6 +947,7 @@ def enumerate_space(kind: str, m: int, n: int) -> tuple[Seq, ...]:
             val += 1
 
     rec(0, 0)
+    del rec  # as in _split_firsts
     return tuple(out)
 
 
@@ -952,16 +959,18 @@ Form = tuple[int, Seq]
 def _x_walk(m: int, lo: int, hi: int, first: Form, second: Form
             ) -> Iterator[tuple[Seq, int, int, int, int, int]]:
     """Every XSeq x of length index m with lo <= rho(x) <= hi, streamed in
-    lexicographic order, as (x, rho(x), _weighted(x), _strict_count(x),
-    first(x), second(x)): enumerate_space("X", m, n) for every n at once,
-    for 0 <= lo <= hi and m the library checked.
+    lexicographic order, as (x, rho(x), _weighted(x), mask, first(x),
+    second(x)), mask having bit i set exactly when i is in frakS(x) (so
+    mask.bit_count() is _strict_count(x)): enumerate_space("X", m, n) for
+    every n at once, for 0 <= lo <= hi and m the library checked.
 
     enumerate_space's search and tails, without recursion.  The sums run
     along the entries: the value at i adds its excess over base_x to the
     statistic, (m - i) times itself to the weighted sum and its coefficient
-    times itself to each form, and, equal to the entry before it, takes
-    two positions out of the strict count.  The last entry, of weight 0,
-    runs over the values that bring the statistic into [lo, hi]."""
+    times itself to each form, and, equal to the entry before it, clears
+    bits i - 1 and i of the mask, which starts with every position set.
+    The last entry, of weight 0, runs over the values that bring the
+    statistic into [lo, hi]."""
     base = base_x(m)
     tails: Tails = {}
     k1, k2 = first[1], second[1]
@@ -969,7 +978,7 @@ def _x_walk(m: int, lo: int, hi: int, first: Form, second: Form
     # the running sums of the entries before position i, at index i
     dev = [0] * (m + 1)
     wsum = [0] * (m + 1)
-    strict = [m + 1] * (m + 1)
+    masks = [(1 << m + 1) - 1] * (m + 1)
     f1 = [first[0]] * (m + 1)
     f2 = [second[0]] * (m + 1)
     # val is the value tried at position i, from the least the step rules
@@ -979,11 +988,12 @@ def _x_walk(m: int, lo: int, hi: int, first: Form, second: Form
         prev1 = xs[i - 1] if i else None
         if i == m:
             used = dev[m] - base[m]
-            w, s, a, b = wsum[m], strict[m], f1[m], f2[m]
+            w, s, a, b = wsum[m], masks[m], f1[m], f2[m]
             c1, c2 = k1[m], k2[m]
             for v in range(max(val, lo - used), hi - used + 1):
                 xs[m] = v
-                yield (tuple(xs), used + v, w, s - 2 if v == prev1 else s,
+                yield (tuple(xs), used + v, w,
+                       s & ~(3 << m - 1) if v == prev1 else s,
                        a + c1 * v, b + c2 * v)
         else:
             excess = dev[i] + val - base[i]
@@ -995,7 +1005,8 @@ def _x_walk(m: int, lo: int, hi: int, first: Form, second: Form
                 xs[i] = val
                 dev[i + 1] = excess
                 wsum[i + 1] = wsum[i] + (m - i) * val
-                strict[i + 1] = strict[i] - 2 if val == prev1 else strict[i]
+                masks[i + 1] = (masks[i] & ~(3 << i - 1) if val == prev1
+                                else masks[i])
                 f1[i + 1] = f1[i] + k1[i] * val
                 f2[i + 1] = f2[i] + k2[i] * val
                 i += 1
@@ -1022,7 +1033,8 @@ def _symmetric(ivs: tuple[Interval, ...], y: Seq) -> tuple[tuple[Seq, Seq], ...]
     Backtracking over x keeps e[i] = y[i] - 2 x[i] at least e[i - 1] (and
     e[-1] = 0), so x[i] <= (y[i] - e[i - 1]) // 2; x + e is then an XSeq
     too.  Equal frakS sets cover the interval ends and meet in the size-one
-    intervals only when every interval has size one.
+    intervals only when every interval has size one.  engine reads the
+    same list off a class's split table, and this search is its reference.
     """
     if _ends(ivs) != _singles(ivs):
         return ()
@@ -1048,6 +1060,7 @@ def _symmetric(ivs: tuple[Interval, ...], y: Seq) -> tuple[tuple[Seq, Seq], ...]
             xs.pop()
 
     rec(0, 0)
+    del rec  # as in _split_firsts
     return tuple(out)
 
 

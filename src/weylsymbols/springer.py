@@ -41,8 +41,10 @@ from .irreps import (
     FAMILY_BC,
     FAMILY_D,
     IrrLabel,
+    _SETTERS,
     _ensure_label,
     _merge,
+    _slot_setters,
     _trusted,
     _unmerge,
     aligned_rows,
@@ -131,6 +133,9 @@ class ClassLabel:
 
     def to_json(self) -> dict:
         return {"family": self.family, "n": self.n, "y": list(self.y)}
+
+
+_SETTERS[ClassLabel] = _slot_setters(ClassLabel)
 
 
 @dataclass(frozen=True, slots=True)

@@ -441,29 +441,19 @@ def test_labels_render_as_their_json_dicts(monkeypatch):
     value = {"label": lab, "rows": [lab, [other, {"f": [lab, other]}]],
              "t": (lab,), "deep": {"x": {"y": lab}}}
     plain = json.loads(json.dumps(value, default=IrrLabel.to_json))
-    built = []
-    label_text = cli._label_text
-
-    def counted(lab, pad):
-        built.append((lab, pad))
-        return label_text(lab, pad)
-
-    monkeypatch.setattr(cli, "_label_text", counted)
+    built, rows = _counted_label_texts(monkeypatch)
     assert "".join(cli._json_text(value)) == json.dumps(plain, indent=2)
     # lab sits twice at the depth of "rows" and "t"'s elements
     assert len(built) == len(set(built)) == 6
+    # each distinct row is laid out once per depth, however many labels
+    # there hold it
+    assert len(rows) == len(set(rows)) == len(
+        {(row, pad + "  ") for lab, pad in built for row in (lab.z, lab.zp)})
 
 
 def test_one_render_builds_each_distinct_label_text_once(monkeypatch):
     report = verify("B", 8)
-    built = []
-    label_text = cli._label_text
-
-    def counted(lab, pad):
-        built.append((lab, pad))
-        return label_text(lab, pad)
-
-    monkeypatch.setattr(cli, "_label_text", counted)
+    built, rows = _counted_label_texts(monkeypatch)
     code, out, _ = _run(["verify", "--family", "B", "--rank", "8",
                          "--format", "json"])
     assert code == 0
@@ -474,6 +464,12 @@ def test_one_render_builds_each_distinct_label_text_once(monkeypatch):
     uses = len(report.rows) + sum(len(fs) for r in report.rows
                                   for _, fs in r.witnesses)
     assert len(built) < uses / 2
+    # each distinct label row is laid out once per depth, and labels share
+    # rows: fewer row texts than label texts, which hold up to two rows each
+    assert len(rows) == len(set(rows)) == len(
+        {(row, pad + "  ") for lab, pad in built for row in (lab.z, lab.zp)
+         if row is not None})
+    assert len(rows) < len(built)
     assert out == json.dumps({"schema_version": cli.SCHEMA_VERSION,
                               "command": "verify",
                               "report": report.to_json()}, indent=2) + "\n"
@@ -485,6 +481,31 @@ def test_one_render_builds_each_distinct_label_text_once(monkeypatch):
         len({id(r.label) for r in report.rows})
         + len({id(lab) for r in report.rows for _, fs in r.witnesses
                for lab in fs})) < uses
+
+
+def _counted_label_texts(monkeypatch):
+    """Wrap cli._label_text and cli._int_list: the (label, pad) of each
+    label text built, and the (row, pad) of each row laid out while one is
+    built."""
+    built, rows, inside = [], [], []
+    label_text, int_list = cli._label_text, cli._int_list
+
+    def counted(lab, pad, table):
+        built.append((lab, pad))
+        inside.append(lab)
+        try:
+            return label_text(lab, pad, table)
+        finally:
+            inside.pop()
+
+    def counted_rows(v, pad):
+        if inside:
+            rows.append((tuple(v), pad))
+        return int_list(v, pad)
+
+    monkeypatch.setattr(cli, "_label_text", counted)
+    monkeypatch.setattr(cli, "_int_list", counted_rows)
+    return built, rows
 
 
 def test_verify_json_renders_each_row_when_the_stream_reaches_it(monkeypatch):
@@ -574,9 +595,14 @@ def test_label_and_shape_templates_follow_their_json_dicts():
               for family, lo in ((FAMILY_A, 1), (FAMILY_BC, 1), (FAMILY_D, 2))
               for n in range(lo, 9) for rep in special_reps(family, n)]
     assert {lab.kappa for lab in labels if lab.degenerate} == {0, 1}
+    # one row table per pad, shared by every label laid out at it, and a
+    # fresh one per label
+    tables: dict = {pad: {} for pad in _LABEL_PADS}
     for lab in labels:
         for pad in _LABEL_PADS:
-            assert cli._label_text(lab, pad) == _indented(lab.to_json(), pad)
+            want = _indented(lab.to_json(), pad)
+            assert cli._label_text(lab, pad, tables[pad]) == want
+            assert cli._label_text(lab, pad, {}) == want
     shapes = [spec for family in "ABCD" for n in range(engine.RANK_FLOOR[family], 9)
               for spec in engine._maximal_shapes(family, n).values()]
     assert {spec.family for spec in shapes} == set("ABCD")

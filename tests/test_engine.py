@@ -270,6 +270,26 @@ def test_symmetry_witness_shapes_are_symmetric():
                 assert factors[0] == factors[-1]
 
 
+@pytest.mark.parametrize("family", ["B", "D"])
+def test_symmetric_witnesses_read_off_the_split_table_equal_the_search(
+        family):
+    # every class of B2-12 and D4-12: the same x, in the same order, with
+    # the same e as seqcomb's own search, which verify no longer runs
+    found = 0
+    for n in range(RANK_FLOOR[family], 13):
+        parts = engine._Parts(family, n, engine._maximal_shapes(family, n))
+        for c in enumerate_classes(family, n):
+            ivs = sc._frakI(c.y)
+            got = engine._symmetric_splits(c.y, ivs, parts.splits(c.y))
+            want = sc._symmetric(ivs, c.y)
+            assert [(irreps.zeta(record[1][0]), e) for record, e in got] \
+                == list(want), c.y
+            assert all(record is parts.records[sc._pack(parts.fields, x)]
+                       for (record, _), (x, _) in zip(got, want))
+            found += bool(want)
+    assert found > 100
+
+
 def test_bar_s_matches_the_stratum_size():
     for family, ns in (("B", (2, 3, 4)), ("C", (3, 4)), ("D", (4, 5))):
         for n in ns:
@@ -363,7 +383,7 @@ def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
     # the two rows of a two-label D class share them
     classes = len(enumerate_classes(family, 6))
     calls = {"_split_firsts": 0, "split_pairs": 0, "_class_invariants": 0,
-             "_frakI": 0, "symmetric_decompositions": 0}
+             "_frakI": 0, "symmetric_decompositions": 0, "_symmetric": 0}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -377,14 +397,17 @@ def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
     counted(sc, "_split_firsts")
     counted(sc, "split_pairs")
     counted(sc, "symmetric_decompositions")
+    counted(sc, "_symmetric")
     counted(sc, "_frakI")
     counted(engine, "_class_invariants")
     assert len(verify(family, 6).rows) == rows
     assert (classes < rows) == (family == "D")
-    # the rows read the packed split search, not its unpacking wrapper
+    # the rows read the packed split search, not its unpacking wrapper,
+    # and the B and D symmetric witnesses read its table, with no search
+    # of their own
     assert calls == {"_split_firsts": classes, "split_pairs": 0,
                      "_class_invariants": classes, "_frakI": classes,
-                     "symmetric_decompositions": 0}
+                     "symmetric_decompositions": 0, "_symmetric": 0}
 
 
 def test_verify_builds_no_image_label(monkeypatch):
@@ -714,8 +737,11 @@ def test_the_record_table_equals_the_label_path(family, n):
                 key = sc._pack(parts.fields,
                                (0, *(v + 1 for v in x)) if based else x)
                 keys.add(key)
-                got_rank, got_fiber, f, rows, b = parts.records[key]
+                got_rank, got_fiber, f, rows, b, mask = parts.records[key]
                 assert (got_rank, got_fiber) == (rank, fiber)
+                # the frakS mask of the part as y holds it
+                assert mask == _mask(sc._frakS(
+                    (0, *(v + 1 for v in x)) if based else x))
                 assert f == special_f(fiber[0])
                 assert b == irreps.b_invariant(fiber[0])
                 # packed rows on the pools the maximal shapes name only
@@ -775,6 +801,11 @@ def test_a_record_table_counts_strict_positions_once_per_pool_sequence(
     assert (based > 0) == (family == "C")
 
 
+def _mask(positions) -> int:
+    """The bitmask of a set of positions."""
+    return sum(1 << i for i in positions)
+
+
 def _split_parts(family: str, n: int):
     """The record table verify(family, n) fills, and its split count."""
     parts = engine._Parts(family, n, engine._maximal_shapes(family, n))
@@ -790,9 +821,10 @@ def test_split_part_records_equal_the_kernels(family, n):
     layout = parts.layout
     # a D shape's rank-0 A middle factor packs to the base rows
     assert jinduction._packed_rows(layout, engine._D_FILLER) == layout[4]
-    for key, (rank, fiber, f, packed, b) in parts.records.items():
+    for key, (rank, fiber, f, packed, b, mask) in parts.records.items():
         x = sc._unpack(parts.fields, key)
         assert sc._pack(parts.fields, x) == key
+        assert mask == _mask(sc._frakS(x))
         if family == "C" and x[1]:
             # the based complement: rank, labels and f of its lowered D merge
             assert (rank, fiber) == (sc._tilde_rho(x),

@@ -150,7 +150,7 @@ def test_label_validation():
     (zeta_inverse, (FAMILY_BC, (0, 0, 0))),
     (zeta_inverse, (FAMILY_D, (1, 0))),
     (zeta_inverse, (FAMILY_BC, (2,))),  # an XSeq, but no second row
-    (special_reps, (FAMILY_BC, 0, 0)),
+    (special_reps, (FAMILY_BC, 0, 0.0)),  # m = 0 itself is a DomainError
     (zeta_tilde_inverse, ((0, 0, 0),)),
     (align_row, ((0, 0), 3)),
     (align_row, ((0, True), 3)),
@@ -351,8 +351,7 @@ def test_special_reps_domain_errors():
      "enumeration capped at 64, got m=65 n=3"),
     ((FAMILY_D, 3, 10**12), ResourceError,
      "enumeration capped at 64, got m=1000000000000 n=3"),
-    ((FAMILY_BC, 3, 0), ValidationError,
-     "sequence must be a nonempty tuple, got ()"),
+    ((FAMILY_BC, 3, 0), DomainError, "a BC merge needs m >= 2, got m=0"),
 ], ids=["bc-negative", "d-negative", "bc-parity", "d-parity", "bc-bool",
         "d-bool", "bc-past-cap", "d-past-cap", "bc-one-entry"])
 def test_special_reps_refuses_a_bad_length_index_by_type_and_message(
@@ -362,6 +361,18 @@ def test_special_reps_refuses_a_bad_length_index_by_type_and_message(
     with pytest.raises(error) as info:
         special_reps(*args)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_a_one_entry_bc_merge_is_refused_as_out_of_domain(n):
+    # m = 0 is an int of the right parity for BC, but its merge has no
+    # second row: a DomainError naming m, not a complaint about a value the
+    # caller never passed
+    with pytest.raises(DomainError, match=r"^a BC merge needs m >= 2, got m=0$"):
+        special_reps(FAMILY_BC, n, 0)
+    # zeta_inverse's one-entry argument is not a BC merged sequence
+    with pytest.raises(ValidationError, match="needs a second row"):
+        zeta_inverse(FAMILY_BC, (n,))
 
 
 def test_zeta_roundtrip_and_fibers():

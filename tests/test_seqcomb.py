@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import operator
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylsymbols import seqcomb as sc
-from weylsymbols.engine import RANK_FLOOR, _split_fields
+from weylsymbols.engine import RANK_FLOOR, _Parts, _maximal_shapes, _split_fields
 from weylsymbols.errors import DomainError, InvariantError, ResourceError, ValidationError
 from weylsymbols.irreps import special_reps, zeta_inverse
 from weylsymbols.springer import (
@@ -651,9 +652,11 @@ def test_the_x_walk_at_one_rank_is_the_x_space_with_its_sums():
             walked = list(sc._x_walk(m, n, n, (7, coefs), (0, ones)))
             assert [x for x, *_ in walked] == list(sc.enumerate_space("X", m,
                                                                       n))
-            for x, rank, w, strict, first, second in walked:
-                assert (rank, w, strict) == (n, sc._weighted(x),
-                                             sc._strict_count(x))
+            for x, rank, w, mask, first, second in walked:
+                assert (rank, w) == (n, sc._weighted(x))
+                # bit i of the mask set exactly when i is in frakS(x)
+                assert mask == sum(1 << i for i in sc._frakS(x))
+                assert mask.bit_count() == sc._strict_count(x)
                 assert first == 7 + sum(map(operator.mul, coefs, x))
                 assert second == sum(x)
 
@@ -914,3 +917,25 @@ def test_closed_form_base_sums_equal_the_weighted_bases():
         assert sc._weighted_z(m) == sc._weighted(sc.base_z(m))
         if m % 2 == 0:
             assert sc._weighted_z(m) == sc._weighted(sc.base_yt(m))
+
+
+def test_the_recursive_searches_leave_no_reference_cycle():
+    # each search's nested recursive function holds itself through its
+    # closure cell until the search empties it: with the collector off,
+    # enumerate_space, the split search and the symmetric search leave it
+    # nothing to find
+    parts = _Parts("C", 10, _maximal_shapes("C", 10))
+    gc.collect()
+    gc.disable()
+    try:
+        classes = enumerate_classes("C", 10)
+        assert len(classes) == 232
+        assert gc.collect() == 0
+        for c in classes:
+            parts.splits(c.y)
+        assert gc.collect() == 0
+        for c in enumerate_classes("B", 8):
+            sc.symmetric_decompositions(c.y)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
