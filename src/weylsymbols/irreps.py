@@ -248,7 +248,9 @@ def zeta(label: IrrLabel) -> Seq:
 
 def zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
     """All labels whose merged sequence is x (one, or two in the degenerate
-    family-D case with rank >= 2)."""
+    family-D case with rank >= 2).  A one-entry BC x, a valid XSeq whose
+    merge has no second row, raises DomainError as special_reps does at
+    m = 0."""
     sc.ensure_xseq(x)
     return _zeta_inverse(family, x)
 
@@ -257,8 +259,10 @@ def _zeta_inverse(family: str, x: Seq) -> tuple[IrrLabel, ...]:
     # x is an XSeq, so every nonempty row below is strictly increasing
     _ensure_merge_length(family, len(x) - 1)
     if len(x) == 1:
-        # a one-entry BC merge (a D merge has even length) has no second row
-        raise ValidationError(f"a BC merged sequence needs a second row, got {x!r}")
+        # a one-entry BC merge (a D merge has even length) has no second row:
+        # a well-formed XSeq outside the domain, refused as special_reps
+        # refuses m = 0
+        raise DomainError("a BC merge needs m >= 2, got m=0")
     return _unmerge(family, sc._rho(x), x[0::2], x[1::2])
 
 

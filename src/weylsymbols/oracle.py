@@ -18,16 +18,21 @@ classes fuses into, in product() order.  A product of factor irreducibles
 is induced in one pass over that table into one integer per target class
 (class sizes folded into the factor rows), and each multiplicity is that
 vector paired with a target row and divided by the subgroup order;
-j_oracle pairs the one vector with every irreducible at the floor degree.
-The induced vector of the last product is kept, one entry and no more: a
-cross-check calls j_oracle and then induction_multiplicity on the image it
-returned, and the second call pairs the same vector without inducing the
-product again.  Each group (family, rank) is one cached record, built
-once: its verified table, the index of each class and irreducible, and
-per irreducible its canonical label (what key_to_label returns) and its
-least symmetric-power degree with the multiplicity there, found by one
-pass of the power-sum recursion that traces each class power once.
-label_to_key is memoized per label once the label has been checked.
+j_oracle pairs the one vector with only the irreducibles at the floor
+degree, read off the target's degree index.  The induced vector of the
+last product is kept, one entry and no more: a cross-check calls j_oracle
+and then induction_multiplicity on the image it returned, and the second
+call pairs the same vector without inducing the product again.  Each
+group (family, rank) is one cached record, built once: its verified
+table, the index of each class and irreducible, per irreducible its
+canonical label (what key_to_label returns), its size-weighted row (class
+size times value, class by class: the rows the gate pairs, kept for every
+induction the group is a factor of) and its least symmetric-power degree
+with the multiplicity there, found by one pass of the power-sum recursion
+that traces each class power once, and the index of the irreducibles at
+each least degree.  Every inner product, in the gate and in each
+pairing, is one sum(map(mul, ...)) over two rows.  label_to_key is
+memoized per label once the label has been checked.
 
 Group dictionary: family A at rank n is the symmetric group on n letters,
 family BC the full signed-permutation group on n letters, and family D its
@@ -312,7 +317,7 @@ def _pair_order_key(p: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 
 def _table(family: str, n: int) -> CharacterTable:
-    """The rank-n table of the family, built and then verified."""
+    """The rank-n table of the family, as built; _group runs the gate."""
     if family == FAMILY_A:
         parts = _partitions(n)
         classes = [ClassKey(p) for p in parts]
@@ -351,7 +356,7 @@ def _table(family: str, n: int) -> CharacterTable:
                         irreps.append(IrrKey(lam, mu, -1))
         values = [tuple(_d_value(k, c) for c in classes) for k in irreps]
         order = 2 ** (n - 1) * factorial(n) if n else 1
-    table = CharacterTable(
+    return CharacterTable(
         family,
         n,
         order,
@@ -360,8 +365,6 @@ def _table(family: str, n: int) -> CharacterTable:
         tuple(irreps),
         tuple(values),
     )
-    _verify_table(table)
-    return table
 
 
 def _d_value(key: IrrKey, c: ClassKey) -> int:
@@ -378,28 +381,32 @@ def _d_value(key: IrrKey, c: ClassKey) -> int:
     return w // 2 + key.sign * (1 if c.half == 0 else -1) * delta
 
 
-def _verify_table(t: CharacterTable) -> None:
+def _verify_table(t: CharacterTable) -> tuple[tuple[int, ...], ...]:
+    """Gate a table: the class sizes and the degree squares each sum to the
+    order, rows and columns are orthogonal, and (family D) the split gauge
+    holds; a failure raises OracleError.  Each inner product is one dot
+    product: row i's size-weighted row against row j, and column c against
+    column d of the transposed table.  Returns the weighted rows."""
     if sum(t.sizes) != t.order:
         raise OracleError(f"class sizes of {t.family}{t.n} miss the group order")
     i0 = t.identity_index()
     if sum(row[i0] ** 2 for row in t.values) != t.order:
         raise OracleError(f"degree squares of {t.family}{t.n} miss the group order")
-    rows = len(t.values)
-    for i in range(rows):
-        for j in range(i, rows):
-            tot = sum(
-                sz * a * b for sz, a, b in zip(t.sizes, t.values[i], t.values[j])
-            )
-            if tot != (t.order if i == j else 0):
+    weighted = tuple(tuple(map(mul, t.sizes, row)) for row in t.values)
+    for i, wrow in enumerate(weighted):
+        for j in range(i, len(t.values)):
+            if sum(map(mul, wrow, t.values[j])) != (t.order if i == j else 0):
                 raise OracleError(f"row orthogonality fails in {t.family}{t.n}")
-    cols = len(t.classes)
-    for c in range(cols):
-        for d in range(c, cols):
-            tot = sum(row[c] * row[d] for row in t.values)
-            if tot != (t.order // t.sizes[c] if c == d else 0):
+    columns = tuple(zip(*t.values))
+    for c, col in enumerate(columns):
+        for d in range(c, len(columns)):
+            if sum(map(mul, col, columns[d])) != (
+                t.order // t.sizes[c] if c == d else 0
+            ):
                 raise OracleError(f"column orthogonality fails in {t.family}{t.n}")
     if t.family == FAMILY_D and t.n >= 2:
         _verify_split_gauge(t)
+    return weighted
 
 
 def _verify_split_gauge(t: CharacterTable) -> None:
@@ -415,7 +422,7 @@ def _verify_split_gauge(t: CharacterTable) -> None:
     for key, row in zip(t.irreps, t.values):
         if key.sign == 0:
             continue
-        tot = sum(cnt * v for cnt, v in zip(counts, row))
+        tot = sum(map(mul, counts, row))
         if tot < 0 or tot % factorial(t.n):
             raise OracleError(f"split gauge fails for {key} in D{t.n}")
 
@@ -465,14 +472,18 @@ def _sym_powers(t: CharacterTable) -> Iterator[tuple[int, ...]]:
 @dataclass(frozen=True, eq=False, slots=True)
 class _Group:
     """The rank-n group of a family: its verified table, the index of each
-    class and irreducible in it, and per irreducible its canonical label
-    and (least symmetric-power degree, multiplicity there)."""
+    class and irreducible in it, per irreducible its canonical label, its
+    size-weighted row (weighted[i][c] = sizes[c] * values[i][c]) and (least
+    symmetric-power degree, multiplicity there), and the irreducible
+    indices at each least degree, in table order."""
 
     table: CharacterTable
     class_index: dict[ClassKey, int]
     irr_index: dict[IrrKey, int]
     labels: tuple[IrrLabel, ...]
     degrees: tuple[tuple[int, int], ...]
+    weighted: tuple[tuple[int, ...], ...]
+    at_degree: dict[int, tuple[int, ...]]
 
     def row(self, key: IrrKey) -> tuple[int, ...]:
         """Character values of the irreducible named by key, class by class."""
@@ -481,12 +492,13 @@ class _Group:
 
 @cache
 def _group(family: str, n: int) -> _Group:
-    """The group record of (family, n), built once: the table is verified,
+    """The group record of (family, n), built once: the table is gated,
     and one pass of the power-sum recursion pairs each symmetric power with
-    every irreducible not yet placed until all are.  Its callers name
-    groups within the bounds; character_table checks them."""
+    the gate's weighted row of every irreducible not yet placed until all
+    are.  Its callers name groups within the bounds; character_table
+    checks them."""
     t = _table(family, n)
-    weighted = [[sz * v for sz, v in zip(t.sizes, row)] for row in t.values]
+    weighted = _verify_table(t)
     degrees: list[tuple[int, int] | None] = [None] * len(weighted)
     for i, power in zip(range(n * n + 2), _sym_powers(t)):
         for j, row in enumerate(weighted):
@@ -504,12 +516,17 @@ def _group(family: str, n: int) -> _Group:
     else:
         key = t.irreps[degrees.index(None)]
         raise OracleError(f"no symmetric power contains {key} in {family}{n}")
+    at_degree: dict[int, list[int]] = {}
+    for i, (degree, _) in enumerate(degrees):
+        at_degree.setdefault(degree, []).append(i)
     return _Group(
         t,
         {c: i for i, c in enumerate(t.classes)},
         {k: i for i, k in enumerate(t.irreps)},
         tuple(_key_label(family, n, k) for k in t.irreps),
         tuple(degrees),
+        weighted,
+        {degree: tuple(hits) for degree, hits in at_degree.items()},
     )
 
 
@@ -675,15 +692,14 @@ def _induced(
     """The product of the factor irreducibles named by keys, induced to the
     target: one integer per target class, the sum of class size times value
     over the factor-class tuples fusing into it, and the subgroup order.
-    sig is emb's factor signature.  Only the last product's result is
-    kept."""
+    sig is emb's factor signature; each factor's weighted row is read off
+    its group record.  Only the last product's result is kept."""
     weighted = []
     sub_order = 1
     for (fam, rank), key in zip(sig, keys):
         group = _group(fam, rank)
-        ft = group.table
-        weighted.append([sz * v for sz, v in zip(ft.sizes, group.row(key))])
-        sub_order *= ft.order
+        weighted.append(group.weighted[group.irr_index[key]])
+        sub_order *= group.table.order
     induced = [0] * len(_group(*emb.target()).table.classes)
     for fused, vals in zip(_fusion(emb), product(*weighted)):
         induced[fused] += prod(vals)
@@ -723,7 +739,8 @@ def j_oracle(
 ) -> IrrLabel:
     """The unique irreducible of the target group appearing in the induced
     product at the factor product's own least symmetric-power degree.  The
-    product is induced once and paired with each irreducible of that degree."""
+    product is induced once and paired with each irreducible of that
+    degree, read off the target's degree index."""
     tfam, tn, factors, sig = _check_io(emb, factors)
     keys = tuple(map(_label_key, factors))
     floor = 0
@@ -733,9 +750,9 @@ def j_oracle(
     induced, sub_order = _induced(emb, sig, keys)
     target = _group(tfam, tn)
     hits = [
-        i for i, (degree, _) in enumerate(target.degrees)
-        if degree == floor and _pair(induced, sub_order, target.table.values[i],
-                                     lambda: target.labels[i])
+        i for i in target.at_degree.get(floor, ())
+        if _pair(induced, sub_order, target.table.values[i],
+                 lambda: target.labels[i])
     ]
     if len(hits) != 1:
         raise OracleError(

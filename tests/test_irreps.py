@@ -149,7 +149,7 @@ def test_label_validation():
     (sc.frakS, ((),)),
     (zeta_inverse, (FAMILY_BC, (0, 0, 0))),
     (zeta_inverse, (FAMILY_D, (1, 0))),
-    (zeta_inverse, (FAMILY_BC, (2,))),  # an XSeq, but no second row
+    (zeta_inverse, (FAMILY_BC, (0, True, 2))),  # a bool entry
     (special_reps, (FAMILY_BC, 0, 0.0)),  # m = 0 itself is a DomainError
     (zeta_tilde_inverse, ((0, 0, 0),)),
     (align_row, ((0, 0), 3)),
@@ -370,8 +370,9 @@ def test_a_one_entry_bc_merge_is_refused_as_out_of_domain(n):
     # caller never passed
     with pytest.raises(DomainError, match=r"^a BC merge needs m >= 2, got m=0$"):
         special_reps(FAMILY_BC, n, 0)
-    # zeta_inverse's one-entry argument is not a BC merged sequence
-    with pytest.raises(ValidationError, match="needs a second row"):
+    # zeta_inverse's one-entry argument is a well-formed XSeq whose merge
+    # has the same missing second row: the same DomainError
+    with pytest.raises(DomainError, match=r"^a BC merge needs m >= 2, got m=0$"):
         zeta_inverse(FAMILY_BC, (n,))
 
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 import pytest
 
@@ -164,6 +166,61 @@ def test_table_bounds_and_validation():
         character_table("E", 2)
     with pytest.raises(DomainError):
         character_table(FAMILY_A, -1)
+
+
+def _replaced(table, **fields):
+    """The table with the given fields replaced, each list made a tuple."""
+    return dataclasses.replace(table, **{
+        name: tuple(map(tuple, v)) if name == "values" else tuple(v)
+        for name, v in fields.items()})
+
+
+def _one_value_changed(t):
+    # the column before the identity's, or the last when it comes first
+    values = [list(row) for row in t.values]
+    values[0][t.identity_index() - 1] += 1
+    return _replaced(t, values=values)
+
+
+def _one_size_changed(t):
+    return _replaced(t, sizes=t.sizes[:-1] + (t.sizes[-1] + 1,))
+
+
+def _identity_column_doubled(t):
+    i0 = t.identity_index()
+    values = [list(row) for row in t.values]
+    for row in values:
+        row[i0] *= 2
+    return _replaced(t, values=values)
+
+
+def _split_halves_swapped(t):
+    # one split class's two pieces trade values on every split irreducible:
+    # sizes, rows and columns all still check, the relative sign does not
+    c0, c1 = (t.classes.index(ClassKey((4,), (), half)) for half in (0, 1))
+    values = [list(row) for row in t.values]
+    for key, row in zip(t.irreps, values):
+        if key.sign:
+            row[c0], row[c1] = row[c1], row[c0]
+    return _replaced(t, values=values)
+
+
+@pytest.mark.parametrize("family, n, corrupt, message", [
+    (FAMILY_BC, 2, _one_value_changed, r"^row orthogonality fails in BC2$"),
+    (FAMILY_BC, 2, _one_size_changed,
+     r"^class sizes of BC2 miss the group order$"),
+    (FAMILY_BC, 2, _identity_column_doubled,
+     r"^degree squares of BC2 miss the group order$"),
+    (FAMILY_D, 4, _split_halves_swapped,
+     r"^split gauge fails for IrrKey\(.*\) in D4$"),
+], ids=["value", "size", "identity-column", "split-halves"])
+def test_the_table_gate_refuses_each_corruption(family, n, corrupt, message):
+    t = character_table(family, n)
+    oracle._verify_table(t)
+    bad = corrupt(t)
+    assert bad != t and len(bad.values) == len(t.values)
+    with pytest.raises(OracleError, match=message):
+        oracle._verify_table(bad)
 
 
 @pytest.mark.parametrize("family, n, bad", [
@@ -597,7 +654,7 @@ def test_a_cold_oracle_suite_builds_and_verifies_each_group_once(monkeypatch):
 
     def counted_verify(table):
         verified.append((table.family, table.n))
-        verify_table(table)
+        return verify_table(table)
 
     read = set()
     group = oracle._group
@@ -614,6 +671,43 @@ def test_a_cold_oracle_suite_builds_and_verifies_each_group_once(monkeypatch):
     assert len(verified) == len(set(verified)) == len(read) == 19
     assert set(verified) == read
     assert group.cache_info().misses == group.cache_info().currsize == 19
+
+
+def test_each_group_record_keeps_its_weighted_rows_and_degree_index():
+    for family, cap in RANK_BOUNDS.items():
+        for n in range(cap + 1):
+            group = oracle._group(family, n)
+            t = group.table
+            assert len(group.weighted) == len(t.values)
+            for wrow, row in zip(group.weighted, t.values):
+                assert wrow == tuple(sz * v for sz, v in zip(t.sizes, row))
+            # at_degree partitions the irreducibles by least degree, each
+            # part in table order
+            assert sorted(i for part in group.at_degree.values()
+                          for i in part) == list(range(len(t.irreps)))
+            for degree, part in group.at_degree.items():
+                assert part and list(part) == sorted(part)
+                assert all(group.degrees[i][0] == degree for i in part)
+
+
+# the image and its multiplicity for each of the 816 j-cases of oracle_suite,
+# one repr line per case in suite order, sha256 of the lines joined by "\n"
+_J_CASES_DIGEST = "18ed8cadfd551c3ee585ee1569063c12d2f73f59d5a1e9787d266dc7a207b4ef"
+
+
+def test_oracle_suite_j_cases_keep_their_pinned_images():
+    lines = []
+    for fam, cap in suites._J_SCOPE:
+        for emb in suites._j_embeddings(fam, cap):
+            pools = [[rep.label for rep in special_reps(f, rank)]
+                     for f, rank in emb.factor_signature()]
+            for combo in itertools.product(*pools):
+                got = j_oracle(emb, combo)
+                mult = induction_multiplicity(emb, combo, got)
+                lines.append(repr((emb, combo, got, mult)))
+    assert len(lines) == 816
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _J_CASES_DIGEST
 
 
 def test_interleaved_cases_keep_their_own_multiplicities():
@@ -664,9 +758,15 @@ def test_a_row_that_pairs_non_integrally_raises(monkeypatch):
     with pytest.raises(OracleError, match="non-integral induction multiplicity"):
         j_oracle(emb, factors)
     monkeypatch.undo()
-    # a group built from the shifted table fails at its least degrees
+    # a group built from the shifted table is refused by the gate, which
+    # _group runs on what _table built; past the gate, the degree pass
+    # fails at its least degrees
     monkeypatch.setattr(oracle, "_table", lambda family, n: (
         bad if (family, n) == (FAMILY_A, 3) else true_table(family, n)))
     true_group.cache_clear()
+    with pytest.raises(OracleError, match="^degree squares of A3 miss"):
+        b_oracle(target)
+    monkeypatch.setattr(oracle, "_verify_table", lambda table: tuple(
+        tuple(map(mul, table.sizes, row)) for row in table.values))
     with pytest.raises(OracleError, match="non-integral multiplicity"):
         b_oracle(target)
