@@ -487,17 +487,27 @@ def _cmd_springer(args: argparse.Namespace) -> _Output:
     )
 
 
+def _kind(value: object) -> str:
+    """Name of a decoded JSON value's type, for an error message."""
+    return "null" if value is None else type(value).__name__
+
+
 def _label_from_json(blob: dict) -> IrrLabel:
-    try:
-        return IrrLabel(
-            family=blob["family"],
-            n=blob["n"],
-            z=tuple(blob["z"]),
-            zp=tuple(blob["zp"]) if "zp" in blob else None,
-            kappa=blob.get("kappa", 0),
-        )
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed label object: {exc}")
+    for key in ("family", "n", "z"):
+        if key not in blob:
+            raise DomainError(f"malformed label object: missing key {key!r}")
+    for key in ("z", "zp"):
+        if key in blob and not isinstance(blob[key], list):
+            raise DomainError(
+                f"malformed label object: {key} must be a list, got {_kind(blob[key])}"
+            )
+    return IrrLabel(
+        family=blob["family"],
+        n=blob["n"],
+        z=tuple(blob["z"]),
+        zp=tuple(blob["zp"]) if "zp" in blob else None,
+        kappa=blob.get("kappa", 0),
+    )
 
 
 def _cmd_j(args: argparse.Namespace) -> _Output:
@@ -508,14 +518,26 @@ def _cmd_j(args: argparse.Namespace) -> _Output:
             raw = fh.read()
     try:
         blob = json.loads(raw)
-        emb_blob = blob["embedding"]
-        factor_blobs = blob["factors"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except json.JSONDecodeError as exc:
         raise DomainError(f"malformed induction spec: {exc}")
+    if not isinstance(blob, dict):
+        raise DomainError(
+            f"malformed induction spec: spec must be a JSON object, got {_kind(blob)}"
+        )
+    for key in ("embedding", "factors"):
+        if key not in blob:
+            raise DomainError(f"malformed induction spec: missing key {key!r}")
+    emb_blob, factor_blobs = blob["embedding"], blob["factors"]
     if not isinstance(emb_blob, dict):
         raise DomainError("malformed induction spec: embedding must be an object")
     if not isinstance(factor_blobs, list):
         raise DomainError("malformed induction spec: factors must be a list")
+    for i, factor in enumerate(factor_blobs, 1):
+        if not isinstance(factor, dict):
+            raise DomainError(
+                f"malformed induction spec: factor {i} must be a JSON object, "
+                f"got {_kind(factor)}"
+            )
     try:
         emb = Embedding(
             kind=emb_blob.get("kind", ""),
@@ -524,7 +546,7 @@ def _cmd_j(args: argparse.Namespace) -> _Output:
             q=emb_blob.get("q", 0),
             lam=emb_blob.get("lambda", 0),
         )
-        factors = tuple(_label_from_json(b) for b in factor_blobs)
+        factors = tuple(map(_label_from_json, factor_blobs))
     except ValidationError as exc:
         raise DomainError(f"malformed induction spec: {exc}")
     image = j_induce(emb, factors)

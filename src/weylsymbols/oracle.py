@@ -14,16 +14,23 @@ between the two routes is a meaningful check.
 
 Induction goes through one fusion table per embedding, built on first use
 and cached: the index of the target class that each tuple of factor
-classes fuses into, in product() order.  A product of factor irreducibles
-is induced in one pass over that table into one integer per target class
-(class sizes folded into the factor rows), and each multiplicity is that
-vector paired with a target row and divided by the subgroup order;
-j_oracle pairs the one vector with only the irreducibles at the floor
-degree, read off the target's degree index.  The induced vector of the
-last product is kept, one entry and no more: a cross-check calls j_oracle
-and then induction_multiplicity on the image it returned, and the second
-call pairs the same vector without inducing the product again.  Each
-group (family, rank) is one cached record, built once: its verified
+classes fuses into, in product() order.  A tuple fuses by cycle type: its
+factor classes' positive and negative cycle types, concatenated and
+sorted, name an unsplit target class; only a tuple that fuses into a split
+class of a family-D target is fused through an explicit signed
+permutation, which tells the two pieces apart.  A product of factor
+irreducibles is induced by multiplying the factors' size-weighted rows out
+one factor at a time into one flat product, in product() order, and
+scattering it through the table into one integer per target class; each
+multiplicity is that vector paired with a target row and divided by the
+subgroup order.  The same pass over the factors' records sums their least
+degrees into the floor degree, and j_oracle pairs the one vector with
+only the irreducibles at the floor, read off the target's degree index.
+The induced vector of the last product is kept, one entry and no more: a
+cross-check calls j_oracle and then induction_multiplicity on the image
+it returned, and the second call pairs the same vector without inducing
+the product again.
+Each group (family, rank) is one cached record, built once: its verified
 table, the index of each class and irreducible, per irreducible its
 canonical label (what key_to_label returns), its size-weighted row (class
 size times value, class by class: the rows the gate pairs, kept for every
@@ -54,9 +61,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import count, product
-from math import factorial, prod
+from math import factorial
 from operator import mul
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import DomainError, OracleError, ResourceError, ValidationError
 from .irreps import (
@@ -675,48 +682,72 @@ def _fused_class(
 @cache
 def _fusion(emb: Embedding) -> tuple[int, ...]:
     """Index of the target class that each tuple of factor classes fuses
-    into, one per tuple in the order product() lists them."""
+    into, one per tuple in the order product() lists them.  The tuples'
+    cycle types are concatenated factor by factor and sorted, and the index
+    is read off the target's unsplit classes by (alpha, beta); only a tuple
+    that fuses into a split class of a family-D target has its half found
+    by _fused_class, on an explicit signed permutation."""
     sig = emb.factor_signature()
     tfam, tn = emb.target()
-    index = _group(tfam, tn).class_index
-    return tuple(
-        index[_fused_class(emb, sig, keys, tfam, tn)]
-        for keys in product(*(_group(f, rank).table.classes for f, rank in sig))
-    )
+    target = _group(tfam, tn)
+    unsplit = {(c.alpha, c.beta): i for c, i in target.class_index.items()
+               if c.half is None}
+    tables = [_group(f, rank).table.classes for f, rank in sig]
+    alphas: list[tuple[int, ...]] = [()]
+    betas: list[tuple[int, ...]] = [()]
+    for classes in tables:
+        alphas = [a + c.alpha for a in alphas for c in classes]
+        betas = [b + c.beta for b in betas for c in classes]
+    out = []
+    for alpha, beta, keys in zip(alphas, betas, product(*tables)):
+        fused = unsplit.get(
+            (tuple(sorted(alpha, reverse=True)), tuple(sorted(beta, reverse=True)))
+        )
+        if fused is None:
+            fused = target.class_index[_fused_class(emb, sig, keys, tfam, tn)]
+        out.append(fused)
+    return tuple(out)
 
 
 @lru_cache(maxsize=1)
 def _induced(
     emb: Embedding, sig: tuple[tuple[str, int], ...], keys: tuple[IrrKey, ...]
-) -> tuple[tuple[int, ...], int]:
+) -> tuple[tuple[int, ...], int, int]:
     """The product of the factor irreducibles named by keys, induced to the
     target: one integer per target class, the sum of class size times value
-    over the factor-class tuples fusing into it, and the subgroup order.
-    sig is emb's factor signature; each factor's weighted row is read off
-    its group record.  Only the last product's result is kept."""
-    weighted = []
+    over the factor-class tuples fusing into it; the subgroup order; and the
+    floor degree, the sum of the factors' least symmetric-power degrees.
+    sig is emb's factor signature.  Each factor's group record is read
+    once, and the weighted rows are multiplied out one factor at a time
+    into one flat product in product() order, which the fusion table
+    scatters onto the target classes.  Only the last product's result is
+    kept."""
+    flat = [1]
     sub_order = 1
+    floor = 0
     for (fam, rank), key in zip(sig, keys):
         group = _group(fam, rank)
-        weighted.append(group.weighted[group.irr_index[key]])
+        i = group.irr_index[key]
+        row = group.weighted[i]
+        if len(row) > 1:
+            # a one-class factor is trivial: its weighted row is (1,)
+            flat = [a * b for a in flat for b in row]
         sub_order *= group.table.order
+        floor += group.degrees[i][0]
     induced = [0] * len(_group(*emb.target()).table.classes)
-    for fused, vals in zip(_fusion(emb), product(*weighted)):
-        induced[fused] += prod(vals)
-    return tuple(induced), sub_order
+    for fused, v in zip(_fusion(emb), flat):
+        induced[fused] += v
+    return tuple(induced), sub_order, floor
 
 
 def _pair(
-    induced: tuple[int, ...],
-    sub_order: int,
-    row: tuple[int, ...],
-    target: Callable[[], IrrLabel],
+    induced: tuple[int, ...], sub_order: int, row: tuple[int, ...], target: IrrLabel
 ) -> int:
-    """Multiplicity of the irreducible with character row in the induced
-    product, by exact inner product; target() names it in the error."""
+    """Multiplicity of the irreducible target, with character row, in the
+    induced product, by exact inner product."""
     mult, rem = divmod(sum(map(mul, induced, row)), sub_order)
     if rem or mult < 0:
-        raise OracleError(f"non-integral induction multiplicity for {target()}")
+        raise OracleError(f"non-integral induction multiplicity for {target}")
     return mult
 
 
@@ -729,9 +760,9 @@ def induction_multiplicity(
     _ensure_label("target", target)
     if target.family != tfam or target.n != tn:
         raise DomainError(f"target {target} does not sit in ({tfam}, {tn})")
-    induced, sub_order = _induced(emb, sig, tuple(map(_label_key, factors)))
+    induced, sub_order, _ = _induced(emb, sig, tuple(map(_label_key, factors)))
     row = _group(tfam, tn).row(_label_key(target))
-    return _pair(induced, sub_order, row, lambda: target)
+    return _pair(induced, sub_order, row, target)
 
 
 def j_oracle(
@@ -742,17 +773,11 @@ def j_oracle(
     product is induced once and paired with each irreducible of that
     degree, read off the target's degree index."""
     tfam, tn, factors, sig = _check_io(emb, factors)
-    keys = tuple(map(_label_key, factors))
-    floor = 0
-    for (fam, rank), key in zip(sig, keys):
-        group = _group(fam, rank)
-        floor += group.degrees[group.irr_index[key]][0]
-    induced, sub_order = _induced(emb, sig, keys)
+    induced, sub_order, floor = _induced(emb, sig, tuple(map(_label_key, factors)))
     target = _group(tfam, tn)
     hits = [
         i for i in target.at_degree.get(floor, ())
-        if _pair(induced, sub_order, target.table.values[i],
-                 lambda: target.labels[i])
+        if _pair(induced, sub_order, target.table.values[i], target.labels[i])
     ]
     if len(hits) != 1:
         raise OracleError(

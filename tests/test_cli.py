@@ -153,6 +153,30 @@ def test_j_rejects_a_badly_shaped_spec(spec):
     assert err.startswith("error: malformed induction spec: ")
 
 
+_A_SPLIT = {"kind": "A_split", "r": 1, "q": 0}
+_A0 = {"family": "A", "n": 0, "z": [0]}
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("[]", "malformed induction spec: spec must be a JSON object, got list"),
+    ("null", "malformed induction spec: spec must be a JSON object, got null"),
+    (json.dumps({"embedding": _A_SPLIT, "factors": [1, _A0]}),
+     "malformed induction spec: factor 1 must be a JSON object, got int"),
+    (json.dumps({"factors": []}),
+     "malformed induction spec: missing key 'embedding'"),
+    (json.dumps({"embedding": _A_SPLIT}),
+     "malformed induction spec: missing key 'factors'"),
+    (json.dumps({"embedding": _A_SPLIT,
+                 "factors": [{"family": "A", "z": [1]}, _A0]}),
+     "malformed label object: missing key 'n'"),
+    (json.dumps({"embedding": _A_SPLIT,
+                 "factors": [{"family": "A", "n": 1, "z": 5}, _A0]}),
+     "malformed label object: z must be a list, got int"),
+], ids=["list", "null", "int-factor", "no-embedding", "no-factors", "no-n", "int-z"])
+def test_j_says_what_is_wrong_with_a_malformed_spec(raw, message):
+    assert _run(["j", "--spec", raw]) == (2, "", f"error: {message}\n")
+
+
 def test_verify_reports_success_bytes_stably():
     first = _run(["verify", "--family", "B", "--rank", "6", "--format", "json"])
     second = _run(["verify", "--family", "B", "--rank", "6", "--format", "json"])

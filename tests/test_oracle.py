@@ -568,28 +568,113 @@ def test_induction_multiplicity_is_the_sum_over_factor_class_tuples():
     assert cases == 1875
 
 
-def test_a_seen_embedding_is_fused_from_its_table(monkeypatch):
-    fused = []
+def _fuses_into_a_split_class(keys) -> bool:
+    """Whether factor classes with these keys fuse into a split class of a
+    family-D target: no negative cycle, every positive one even."""
+    return any(k.alpha for k in keys) and all(
+        not k.beta and all(v % 2 == 0 for v in k.alpha) for k in keys)
+
+
+@pytest.fixture
+def fused(monkeypatch) -> list[tuple]:
+    """The arguments of each _fused_class call, in call order."""
+    calls = []
     inner = oracle._fused_class
 
     def counted(*args):
-        fused.append(args)
+        calls.append(args)
         return inner(*args)
 
     monkeypatch.setattr(oracle, "_fused_class", counted)
+    return calls
+
+
+def test_a_seen_embedding_is_fused_from_its_table(fused):
+    embs = [Embedding(EMBED_D_TRIPLE, r=0, p=2, q=2),
+            Embedding(EMBED_D_TRIPLE, r=0, p=2, q=2, lam=1),
+            Embedding(EMBED_D_SP_WDQ, p=0, q=4),
+            Embedding(EMBED_B_WR_SP_WQ, r=1, p=2, q=1)]
+    predicted = {}
+    for emb in embs:
+        classes = [character_table(f, rank).classes
+                   for f, rank in emb.factor_signature()]
+        predicted[emb] = sum(
+            emb.target()[0] == FAMILY_D and _fuses_into_a_split_class(keys)
+            for keys in itertools.product(*classes))
+    assert [predicted[emb] for emb in embs] == [2, 2, 4, 0]
+    for emb in embs:
+        oracle._fusion.cache_clear()
+        pools = [[rep.label for rep in special_reps(f, rank)]
+                 for f, rank in emb.factor_signature()]
+        combos = list(itertools.product(*pools))
+        fused.clear()
+        j_oracle(emb, combos[0])
+        # the first product builds the table once, and only the tuples
+        # fusing into a split class go through an explicit permutation
+        assert oracle._fusion.cache_info().misses == 1
+        assert len(fused) == predicted[emb]
+        assert all(_fuses_into_a_split_class(args[2]) for args in fused)
+        fused.clear()
+        for combo in combos:
+            induction_multiplicity(emb, combo, j_oracle(emb, combo))
+        assert fused == []
+        assert oracle._fusion.cache_info().misses == 1
+
+
+def _window_embeddings() -> list[Embedding]:
+    """Every embedding of the benchmark window: A <= 7, BC <= 5, D <= 5,
+    each D_triple at every admissible lam."""
+    return [emb for family, cap in ((FAMILY_A, 7), (FAMILY_BC, 5), (FAMILY_D, 5))
+            for emb in _embeddings(family, cap)]
+
+
+def test_each_fusion_table_fuses_tuple_by_tuple(fused):
+    embs = _window_embeddings()
+    assert len(embs) == 258
     oracle._fusion.cache_clear()
-    emb = Embedding(EMBED_D_TRIPLE, r=1, p=2, q=1)
-    pools = [[rep.label for rep in special_reps(f, rank)]
-             for f, rank in emb.factor_signature()]
-    combos = list(itertools.product(*pools))
-    j_oracle(emb, combos[0])
-    # one fusion per tuple of factor classes, on the first product only
-    assert len(fused) == prod(len(character_table(f, rank).classes)
-                              for f, rank in emb.factor_signature())
-    fused.clear()
-    for combo in combos:
-        induction_multiplicity(emb, combo, j_oracle(emb, combo))
-    assert fused == []
+    tables = {emb: oracle._fusion(emb) for emb in embs}
+    # only the tuples fusing into a split class take an explicit
+    # permutation, each once, in build order; the rest fuse by cycle type
+    split = [(emb, keys) for emb in embs if emb.target()[0] == FAMILY_D
+             for keys in itertools.product(*(character_table(f, rank).classes
+                                             for f, rank in emb.factor_signature()))
+             if _fuses_into_a_split_class(keys)]
+    assert [(args[0], args[2]) for args in fused] == split
+    assert len(split) == 47
+    # the reference: one ClassKey per tuple of factor classes, each fused
+    # through _fused_class and looked up in the target's class index
+    tuples = 0
+    for emb in embs:
+        sig = emb.factor_signature()
+        tfam, tn = emb.target()
+        index = oracle._group(tfam, tn).class_index
+        classes = [character_table(f, rank).classes for f, rank in sig]
+        want = tuple(index[oracle._fused_class(emb, sig, keys, tfam, tn)]
+                     for keys in itertools.product(*classes))
+        assert tables[emb] == want
+        tuples += len(want)
+    assert tuples == 2567
+
+
+def test_the_folded_product_is_the_product_over_class_tuples():
+    # the reference: each tuple of factor classes multiplied out on its own
+    # and added into the class it fuses into
+    cases = 0
+    for emb in _window_embeddings():
+        sig = emb.factor_signature()
+        pools = [[rep.label for rep in special_reps(f, rank)] for f, rank in sig]
+        for combo in itertools.product(*pools):
+            keys = tuple(map(label_to_key, combo))
+            groups = [oracle._group(f, rank) for f, rank in sig]
+            weighted = [g.weighted[g.irr_index[key]] for g, key in zip(groups, keys)]
+            induced = [0] * len(character_table(*emb.target()).classes)
+            for fused, vals in zip(oracle._fusion(emb), itertools.product(*weighted)):
+                induced[fused] += prod(vals)
+            want = (tuple(induced), prod(g.table.order for g in groups),
+                    sum(b_oracle(lab)[0] for lab in combo))
+            assert oracle._induced(emb, sig, keys) == want
+            cases += 1
+    assert cases == 1817
 
 
 def test_oracle_suite_induces_each_j_case_once():
