@@ -13,9 +13,8 @@ An IrrLabel names one irreducible representation:
 
 Special representations correspond to interleavable labels: merging the two
 rows produces an XSeq, and the b- and f-invariants read off that sequence.
-The three interleaving maps (zeta for BC, zeta / zeta_tilde for D) and the
-deviation codec xi for symmetric-group factors are implemented here, along
-with degrees, shifts, and canonical forms.
+The interleaving map zeta (for BC and D) and its inverse are implemented
+here, along with degrees, shifts, and canonical forms.
 
 IrrLabel(...) is the validating constructor and the only one for labels
 that come from outside.  The package-private _trusted(cls, *values) builds
@@ -28,11 +27,10 @@ the class is defined: canonical forms of validated labels
 sequence the library holds (_unmerge, behind _zeta_inverse and
 springer._tau_fiber), the enumerated rows of
 special_reps("A", ...) and enumerated class sequences.  Likewise
-the public zeta_inverse, zeta_tilde_inverse and align_row validate their
-argument, while the _-prefixed kernels they call (_zeta_inverse,
-_zeta_tilde_inverse, _align) are for tuples the library built.  _merge is
-the one interleaving of two rows, shared by zeta and springer.tau, and
-_unmerge its inverse.
+the public zeta_inverse and align_row validate their argument, while the
+_-prefixed kernels they call (_zeta_inverse, _align) are for tuples the
+library built.  _merge is the one interleaving of two rows, shared by zeta
+and springer.tau, and _unmerge its inverse.
 """
 
 from __future__ import annotations
@@ -296,28 +294,6 @@ def _unmerge(family: str, n: int, even: Seq, odd: Seq) -> tuple[IrrLabel, ...]:
     return (_trusted(IrrLabel, FAMILY_D, n, odd, even, 0),)
 
 
-def zeta_tilde(label: IrrLabel) -> Seq:
-    """Based merged sequence of a family-D special label: prepend 0 and use
-    the plain merge shifted up by one.  A value that is not an IrrLabel
-    raises ValidationError."""
-    _ensure_label("label", label)
-    if label.family != FAMILY_D:
-        raise DomainError("based merge applies to family D only")
-    # a valid merge shifted up behind a 0 is always a based XSeq
-    return (0,) + tuple(v + 1 for v in zeta(label))
-
-
-def zeta_tilde_inverse(xt: Seq) -> tuple[IrrLabel, ...]:
-    """All family-D labels whose based merged sequence is xt."""
-    sc.ensure_xtseq(xt)
-    return _zeta_tilde_inverse(xt)
-
-
-def _zeta_tilde_inverse(xt: Seq) -> tuple[IrrLabel, ...]:
-    # dropping the leading 0 of a based XSeq and lowering by one leaves an XSeq
-    return _zeta_inverse(FAMILY_D, tuple(v - 1 for v in xt[1:]))
-
-
 # ---------------------------------------------------------------------------
 # special enumeration
 
@@ -415,44 +391,6 @@ def is_special(label: IrrLabel) -> bool:
     except DomainError:
         return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# symmetric-group deviation codec
-
-@dataclass(frozen=True, slots=True)
-class XiBijection:
-    """Bijection between rank-p family-A labels and nondecreasing sequences
-    of length m+1 with total p (deviation profiles)."""
-
-    p: int
-    m: int
-
-    def forward(self, label: IrrLabel) -> Seq:
-        if label.family != FAMILY_A or label.n != self.p:
-            raise DomainError(f"expected a family A label of rank {self.p}")
-        z = align_row(label.z, self.m + 1)
-        e = sc.seq_sub(z, sc.base_z(self.m))
-        sc.ensure_eseq(e)
-        return e
-
-    def backward(self, e: Seq) -> IrrLabel:
-        sc.ensure_eseq(e)
-        if len(e) != self.m + 1:
-            raise DomainError(f"expected length {self.m + 1}, got {len(e)}")
-        if sum(e) != self.p:
-            raise DomainError(f"expected total {self.p}, got {sum(e)}")
-        z = sc.seq_add(e, sc.base_z(self.m))
-        return IrrLabel(FAMILY_A, self.p, z)
-
-
-def xi(p: int, m: int) -> XiBijection:
-    """Deviation-profile bijection for rank-p symmetric-group labels at
-    length index m; total of the profile equals p.  A p or m that is not
-    an int raises ValidationError, a negative one DomainError."""
-    sc._ensure_nat("p", p)
-    sc._ensure_nat("m", m)
-    return XiBijection(p, m)
 
 
 # ---------------------------------------------------------------------------

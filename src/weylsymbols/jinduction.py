@@ -20,7 +20,7 @@ The rule is one row sum.  With k = n + 1, every factor is aligned to the
 target's row lengths, (k) for A, (k+1, k) for BC and (k, k) for D: rows of
 a BC or D factor are shifted up to those lengths, and the row of an A
 factor inside a BC or D target is split into two interleaved halves by
-double_dots (the odd half lands on the first row of a D target).  The image
+_double_dots (the odd half lands on the first row of a D target).  The image
 rows are the entrywise sums of the factors' rows less (#factors - 1) base
 rows (0, 1, ..., len - 1), canonicalized.  b-additivity is asserted on
 every product.
@@ -54,9 +54,9 @@ one int sum, and _packed_rows packs the row's label it is compared with
 from that label's rows, apart from the form.
 
 Degenerate family-D outputs carry a kappa bit that the row arithmetic does
-not determine; the convention kappa' = (sum of factor kappas + lam) mod 2
-is applied and marked by DEGENERATE_CONVENTION.  match_key holds the one
-rule for comparing such labels: by their rows alone, the kappa bit being a
+not determine; the kappa-sum-mod-2 convention, kappa' = (sum of factor
+kappas + lam) mod 2, is applied.  match_key holds the one rule for
+comparing such labels: by their rows alone, the kappa bit being a
 representative choice rather than a computed value.
 """
 
@@ -103,9 +103,6 @@ _KINDS = {
 }
 
 EMBED_KINDS = tuple(_KINDS)
-
-DEGENERATE_CONVENTION = "kappa-sum-mod-2"
-
 
 def d_placements(r: int, p: int, q: int) -> tuple[int, ...]:
     """Admissible sign twists lam of the middle block of W'_r x S_p x W'_q:
@@ -177,20 +174,11 @@ class Embedding:
 # ---------------------------------------------------------------------------
 # row splitting
 
-def double_dots(u: Seq) -> tuple[Seq, Seq]:
-    """Split a strictly increasing row into its even- and odd-position
-    halves, re-indexed: first[i] = u[2i] - i, second[i] = u[2i+1] - i - 1.
-    Both halves are strictly increasing and their deviation sums add up to
-    the deviation sum of u."""
-    total = sc.rho0(u)
-    first, second = _double_dots(u)
-    if sc._rho0(first) + sc._rho0(second) != total:
-        raise InvariantError(f"split changed the deviation sum of {u!r}")
-    return first, second
-
-
 def _double_dots(u: Seq) -> tuple[Seq, Seq]:
-    """double_dots of a row the caller has checked."""
+    """Split a strictly increasing row the caller has checked into its
+    even- and odd-position halves, re-indexed: first[i] = u[2i] - i,
+    second[i] = u[2i+1] - i - 1.  Both halves are strictly increasing and
+    their deviation sums add up to the deviation sum of u."""
     first = tuple(u[2 * i] - i for i in range((len(u) + 1) // 2))
     second = tuple(u[2 * i + 1] - i - 1 for i in range(len(u) // 2))
     return first, second
@@ -227,7 +215,7 @@ def _factor_rows(
     """Rows of a factor label aligned to the target's row lengths.  Two-row
     factors are shifted up (a D factor's first row gains one leading slot in
     a BC target); the row of an A factor in a BC or D target is split by
-    double_dots, its odd half landing on the first row of a D target.
+    _double_dots, its odd half landing on the first row of a D target.
     Aligning a row gives the same result for every shift of the label, so
     it is canonicalized first only when a row is longer than the target's."""
     z, zp = label.z, label.zp
@@ -361,9 +349,9 @@ def j_induce(e: Embedding, factors: tuple[IrrLabel, ...] | list[IrrLabel]) -> Ir
 
 def match_key(label: IrrLabel) -> IrrLabel | tuple[int, Seq, Seq]:
     """Key under which labels compare: the rows (n, z, zp) of a degenerate
-    family-D label, whose kappa bit follows DEGENERATE_CONVENTION and is a
-    representative choice rather than a computed value; the label itself
-    otherwise."""
+    family-D label, whose kappa bit follows the kappa-sum-mod-2 convention
+    and is a representative choice rather than a computed value; the label
+    itself otherwise."""
     if label.degenerate:
         return (label.n, label.z, label.zp)
     return label

@@ -38,8 +38,8 @@ induction the group is a factor of) and its least symmetric-power degree
 with the multiplicity there, found by one pass of the power-sum recursion
 that traces each class power once, and the index of the irreducibles at
 each least degree.  Every inner product, in the gate and in each
-pairing, is one sum(map(mul, ...)) over two rows.  label_to_key is
-memoized per label once the label has been checked.
+pairing, is one sum(map(mul, ...)) over two rows.  _label_key, the
+oracle row of a checked label, is memoized per label.
 
 Group dictionary: family A at rank n is the symmetric group on n letters,
 family BC the full signed-permutation group on n letters, and family D its
@@ -554,19 +554,11 @@ def character_table(family: str, n: int) -> CharacterTable:
 # ---------------------------------------------------------------------------
 # label codec
 
-def label_to_key(label: IrrLabel) -> IrrKey:
-    """Oracle row named by a label: rows become partitions; family D rows
-    are ordered by (weight, parts) and kappa = 0 picks the +1 piece.  A
-    value that is not an IrrLabel raises ValidationError before the memo
-    is read."""
-    _ensure_label("label", label)
-    return _label_key(label)
-
-
 @cache
 def _label_key(label: IrrLabel) -> IrrKey:
-    """label_to_key of a checked label (an IrrLabel of family BC or D has
-    two rows)."""
+    """Oracle row named by a checked label (an IrrLabel of family BC or D
+    has two rows): rows become partitions; family D rows are ordered by
+    (weight, parts) and kappa = 0 picks the +1 piece."""
     if label.family == FAMILY_A:
         return IrrKey(_z_to_partition(label.z))
     pl, pm = _z_to_partition(label.z), _z_to_partition(label.zp)
@@ -582,7 +574,7 @@ def _label_key(label: IrrLabel) -> IrrKey:
 
 
 def key_to_label(family: str, n: int, key: IrrKey) -> IrrLabel:
-    """Inverse of label_to_key on the irreducibles of the rank-n table, in
+    """Inverse of _label_key on the irreducibles of the rank-n table, in
     canonical (shortest-rows) form.  family and n are checked as
     character_table checks them; a key that is not an IrrKey of int parts
     raises ValidationError and one the table lacks DomainError, all before

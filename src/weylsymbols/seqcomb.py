@@ -13,24 +13,23 @@ all stored as plain tuples of nonnegative ints of length m+1:
 The statistics frakS (positions that are strictly larger than the left
 neighbour and strictly smaller than the right one) and frakI (maximal
 constant runs of y[i] - i with a strict jump at both ends) drive everything:
-parities, the unique block decomposition of a YSeq, the matched-split sets
-S(y) and tilde-S(y), the symmetric decompositions y = x + e + x, and the
+parities, the blocks of a YSeq (the runs of frakI and the equal pairs
+between them, which construct_one_S splits), the matched-split sets S(y)
+and tilde-S(y), the symmetric decompositions y = x + e + x, and the
 skeleton/remainder decomposition of an XSeq.  One backtracking search,
 _split_firsts, enumerates the splits of y into two XSeqs, each as its first
 part packed into one int (one field per entry, _key_fields sizing them).
 It enters past the prefix on which y equals the base of its space, where x
 is forced to base_x, found by one compare of the packed y with the packed
-base (_split_space).  split_pairs and based_split_pairs check their
-arguments and unpack its pairs through one kernel, _split_pairs, whose
-pairs S(y) and tilde-S(y) filter.  Two XSeqs always add up to a YSeq, so
-the unpacking enumerators answer () for any other y, and refuse a YSeq past
-enumerate_space's size cap before any search.  The symmetric
-decompositions have a backtracking search of their own over the first part
-x, bounded so that e = y - 2x stays nonnegative and nondecreasing; it is
-the kernel of symmetric_decompositions, while verify reads the same list
-off its split table (see engine).  Each recursive search empties its
-nested function's closure cell once it returns, so a call leaves no
-reference cycle for the collector.
+base (_split_space).  One kernel, _split_pairs, unpacks its pairs, which
+enumerate_S and enumerate_tilde_S filter; both refuse a y that is not a
+YSeq, and a YSeq past enumerate_space's size cap before any search.  The
+symmetric decompositions have a backtracking search of their own over the
+first part x, bounded so that e = y - 2x stays nonnegative and
+nondecreasing; it is the kernel of symmetric_decompositions, while verify
+reads the same list off its split table (see engine).  Each recursive
+search empties its nested function's closure cell once it returns, so a
+call leaves no reference cycle for the collector.
 Deviation statistics (rho/beta families) measure each sequence against the
 minimal member of its space and are additive under entrywise addition.
 Each space's rule is one row of the table _SPACES (its base, the least
@@ -43,10 +42,10 @@ frozensets, and interval sets are tuples of (lo, hi) pairs sorted by lo.
 
 Validation happens at the boundary: every public statistic checks its
 argument with the matching ensure_* and then calls its private kernel
-(_rho0, _beta0, _rho, _rho_prime, _tilde_rho, _frakS, _frakI), which
-assumes a valid sequence.  An ensure_* accepts in one pass (_one_pass): a
-single loop checks that the sequence is a tuple of exact nonnegative ints
-that keeps both step rules of its space, the least steps _SPACES holds.
+(_rho0, _rho, _rho_prime, _frakS, _frakI), which assumes a valid
+sequence.  An ensure_* accepts in one pass (_one_pass): a single loop
+checks that the sequence is a tuple of exact nonnegative ints that keeps
+both step rules of its space, the least steps _SPACES holds.
 When that loop rejects, or meets a bool, an int subclass or a value that
 is not a tuple, the staged checks run (the entries, then each step rule
 in turn), which name the fault, or accept an int subclass.  No statistic
@@ -61,7 +60,6 @@ label), never on input that arrived from outside.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
 from typing import Callable, Iterable, Iterator
@@ -72,10 +70,6 @@ Seq = tuple[int, ...]
 Interval = tuple[int, int]
 
 SIZE_CAP = 64
-
-KIND_SINGLE_PAIR = "SINGLE_PAIR"
-KIND_ARITHMETIC = "ARITHMETIC"
-
 
 # ---------------------------------------------------------------------------
 # validation
@@ -299,12 +293,6 @@ def _beta0(z: Seq) -> int:
     return _weighted(z) - _weighted_z(len(z) - 1)
 
 
-def beta0(z: Seq) -> int:
-    """Deviations of a ZSeq weighted by the number of later positions."""
-    ensure_zseq(z)
-    return _beta0(z)
-
-
 def _weighted(seq: Seq) -> int:
     # sum of (m - i) * seq[i]: each entry counted once in every prefix sum
     # from its own on, less once
@@ -350,45 +338,11 @@ def rho_prime(y: Seq) -> int:
     return _rho_prime(y)
 
 
-def beta_prime(y: Seq) -> int:
-    ensure_yseq(y)
-    return _weighted(y) - 2 * _weighted_x(len(y) - 1)
-
-
-def _tilde_rho(x: Seq) -> int:
-    # summed against base_xt(m), whose entries sum to (m/2) * (m/2 + 1)
-    h = (len(x) - 1) // 2
-    return sum(x) - h * (h + 1)
-
-
-def tilde_rho(x: Seq) -> int:
-    ensure_xtseq(x)
-    return _tilde_rho(x)
-
-
-def tilde_beta(x: Seq) -> int:
-    ensure_xtseq(x)
-    # base_xt(m) is base_yt(m) less base_x(m)
-    m = len(x) - 1
-    return _weighted(x) - _weighted_z(m) + _weighted_x(m)
-
-
 def tilde_rho_prime(y: Seq) -> int:
     ensure_ytseq(y)
     # summed against base_yt(m) = (0, 1, ..., m)
     m = len(y) - 1
     return sum(y) - m * (m + 1) // 2
-
-
-def tilde_beta_prime(y: Seq) -> int:
-    ensure_ytseq(y)
-    return _weighted(y) - _weighted_z(len(y) - 1)
-
-
-def eseq_sum(e: Seq) -> int:
-    """Total of an ESeq (its deviation statistic: the base is all zero)."""
-    ensure_eseq(e)
-    return sum(e)
 
 
 # ---------------------------------------------------------------------------
@@ -473,72 +427,6 @@ def R0(y: Seq) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# block decomposition
-
-@dataclass(frozen=True, slots=True)
-class Block:
-    """One block of the unique decomposition of a YSeq.
-
-    start/stop are inclusive indices; kind SINGLE_PAIR means the two entries
-    are equal (value base), kind ARITHMETIC means entries step by one
-    starting from base.
-    """
-
-    start: int
-    stop: int
-    kind: str
-    base: int
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start + 1
-
-
-@dataclass(frozen=True, slots=True)
-class IntervalDecomp:
-    """Ordered block decomposition of a YSeq.
-
-    Consecutive blocks are separated by a jump of at least two in the
-    sequence values; ARITHMETIC blocks reproduce frakI, and the equal-value
-    SINGLE_PAIR blocks carry no interval.
-    """
-
-    blocks: tuple[Block, ...]
-
-    def arithmetic_intervals(self) -> tuple[Interval, ...]:
-        return tuple((b.start, b.stop) for b in self.blocks if b.kind == KIND_ARITHMETIC)
-
-
-def interval_decomp(y: Seq) -> IntervalDecomp:
-    """Decompose a YSeq into equal pairs and step-one runs.
-
-    A repeat y[i] = y[i+1] is always flanked by jumps >= 2 on both sides, so
-    the greedy scan below is the unique decomposition.
-    """
-    ensure_yseq(y)
-    m = len(y) - 1
-    blocks: list[Block] = []
-    i = 0
-    while i <= m:
-        if i < m and y[i + 1] == y[i]:
-            blocks.append(Block(i, i + 1, KIND_SINGLE_PAIR, y[i]))
-            i += 2
-        else:
-            j = i
-            while j < m and y[j + 1] == y[j] + 1:
-                j += 1
-            blocks.append(Block(i, j, KIND_ARITHMETIC, y[i]))
-            i = j + 1
-    for a, b in zip(blocks, blocks[1:]):
-        if not y[a.stop] <= y[b.start] - 2:
-            raise InvariantError(f"block gap violated between {a} and {b} in {y!r}")
-    decomp = IntervalDecomp(tuple(blocks))
-    if decomp.arithmetic_intervals() != _frakI(y):
-        raise InvariantError(f"block decomposition disagrees with frakI for {y!r}")
-    return decomp
-
-
-# ---------------------------------------------------------------------------
 # matched splits S(y)
 
 def member_S(y: Seq, x: Seq, xp: Seq) -> bool:
@@ -586,30 +474,10 @@ def _ensure_split_cap(y: Seq) -> None:
     _ensure_capped(len(y) - 1, _rho_prime(y))
 
 
-def _splittable(y: Seq) -> bool:
-    """For the unpacking split enumerators: False for a y that is not a
-    YSeq, which has no split, since two XSeqs always add up to a YSeq;
-    ResourceError for a YSeq past the size cap; True otherwise."""
-    try:
-        ensure_yseq(y)
-    except ValidationError:
-        return False
-    _ensure_split_cap(y)
-    return True
-
-
-def split_pairs(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
-    """All (x, xp) in XSeq x XSeq with x + xp = y, lexicographically in x:
-    none when y is not a YSeq.  A y that is not a nonempty tuple of
-    nonnegative ints raises ValidationError, a YSeq past the size cap (in
-    its length index or its statistic rho') ResourceError."""
-    _ensure_entries(y)
-    return _split_pairs(y, False) if _splittable(y) else ()
-
-
 def _split_pairs(y: Seq, based: bool) -> tuple[tuple[Seq, Seq], ...]:
-    """split_pairs of a YSeq y within the size cap, with x[0] = x[1] = 0
-    when based: the pairs of _split_firsts, unpacked."""
+    """All (x, xp) in XSeq x XSeq with x + xp = y, lexicographically in x,
+    for a YSeq y within the size cap, with x[0] = x[1] = 0 when based: the
+    pairs of _split_firsts, unpacked."""
     m = len(y) - 1
     # the fields hold every entry of y and of the space's base
     fields, width = _key_fields(m + 1, max(*y, m))
@@ -706,30 +574,36 @@ def enumerate_S(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
 
 
 def construct_one_S(y: Seq) -> tuple[Seq, Seq]:
-    """Build one matched split of y directly from its block decomposition.
+    """Build one matched split of y directly from its blocks.
 
-    Blockwise: an equal pair (a, a) splits as (u, u) + (u', u') with
-    u + u' = a; a step-one run starting at a splits as
-    (u, u+1, u+1, u+2, ...) + (u', u', u'+1, u'+1, ...). Taking u = 0 on the
-    first block and u = (previous x value) + 1 afterwards always satisfies
-    the strictness constraints at block joins.
+    Jumps of at least two cut a YSeq into blocks: the step-one runs of
+    frakI(y), and an equal pair (a, a) at every other position.  Blockwise:
+    an equal pair splits as (u, u) + (u', u') with u + u' = a; a step-one
+    run starting at a splits as (u, u+1, u+1, u+2, ...) + (u', u', u'+1,
+    u'+1, ...). Taking u = 0 on the first block and u = (previous x value)
+    + 1 afterwards always satisfies the strictness constraints at block
+    joins.
     """
     ensure_yseq(y)
-    decomp = interval_decomp(y)
+    runs = dict(_frakI(y))
     x: list[int] = []
     xp: list[int] = []
-    for s, blk in enumerate(decomp.blocks):
-        u = 0 if s == 0 else x[-1] + 1
-        up = blk.base - u
-        if s > 0 and up <= xp[-1]:
-            raise InvariantError(f"split construction stuck at block {blk} of {y!r}")
-        if blk.kind == KIND_SINGLE_PAIR:
+    i = 0
+    while i < len(y):
+        u = x[-1] + 1 if x else 0
+        up = y[i] - u
+        if x and up <= xp[-1]:
+            raise InvariantError(f"split construction stuck at position {i} of {y!r}")
+        hi = runs.get(i)
+        if hi is None:
             x.extend((u, u))
             xp.extend((up, up))
+            i += 2
         else:
-            for t in range(blk.size):
+            for t in range(hi - i + 1):
                 x.append(u + (t + 1) // 2)
                 xp.append(up + t // 2)
+            i = hi + 1
     pair = (tuple(x), tuple(xp))
     if not member_S(y, *pair):
         raise InvariantError(f"constructed split fails membership for {y!r}: {pair}")
@@ -759,20 +633,6 @@ def _ensure_tilde_domain(y: Seq) -> None:
         raise DomainError(f"based splits need y1 >= 1, got {y!r}")
     if y[0] != 0 or y[1] != 1:
         raise DomainError(f"based splits need y0 = 0 and y1 = 1, got {y!r}")
-
-
-def based_split_pairs(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
-    """The splits (x, xp) of y with x[0] = x[1] = 0, lexicographically in
-    x: for a YSeq y starting (0, 1), those whose complement xp is a based
-    XSeq; none when y is not a YSeq.  A y that is not a tuple of
-    nonnegative ints raises ValidationError, one with fewer than two
-    entries DomainError, a YSeq past the size cap ResourceError."""
-    _ensure_entries(y)
-    if len(y) < 2:
-        raise DomainError(f"based splits need at least two entries, got {y!r}")
-    # xp[0] = 0 and xp[1] >= 1 force x[0] = x[1] = 0, so with y0 = 0 and
-    # y1 = 1 every complement is a based XSeq
-    return _split_pairs(y, True) if _splittable(y) else ()
 
 
 def enumerate_tilde_S(y: Seq) -> tuple[tuple[Seq, Seq], ...]:

@@ -382,7 +382,7 @@ def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
     # per class feeds the invariants and the B and D symmetric witnesses;
     # the two rows of a two-label D class share them
     classes = len(enumerate_classes(family, 6))
-    calls = {"_split_firsts": 0, "split_pairs": 0, "_class_invariants": 0,
+    calls = {"_split_firsts": 0, "_split_pairs": 0, "_class_invariants": 0,
              "_frakI": 0, "symmetric_decompositions": 0, "_symmetric": 0}
 
     def counted(module, name):
@@ -395,17 +395,17 @@ def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
         monkeypatch.setattr(module, name, wrapper)
 
     counted(sc, "_split_firsts")
-    counted(sc, "split_pairs")
+    counted(sc, "_split_pairs")
     counted(sc, "symmetric_decompositions")
     counted(sc, "_symmetric")
     counted(sc, "_frakI")
     counted(engine, "_class_invariants")
     assert len(verify(family, 6).rows) == rows
     assert (classes < rows) == (family == "D")
-    # the rows read the packed split search, not its unpacking wrapper,
+    # the rows read the packed split search, not its unpacking kernel,
     # and the B and D symmetric witnesses read its table, with no search
     # of their own
-    assert calls == {"_split_firsts": classes, "split_pairs": 0,
+    assert calls == {"_split_firsts": classes, "_split_pairs": 0,
                      "_class_invariants": classes, "_frakI": classes,
                      "symmetric_decompositions": 0, "_symmetric": 0}
 
@@ -826,9 +826,11 @@ def test_split_part_records_equal_the_kernels(family, n):
         assert sc._pack(parts.fields, x) == key
         assert mask == _mask(sc._frakS(x))
         if family == "C" and x[1]:
-            # the based complement: rank, labels and f of its lowered D merge
-            assert (rank, fiber) == (sc._tilde_rho(x),
-                                     irreps._zeta_tilde_inverse(x))
+            # the based complement: its deviation from base_xt, and the
+            # labels of its lowered D merge
+            assert (rank, fiber) == (
+                sum(x) - sum(sc.base_xt(len(x) - 1)),
+                irreps._zeta_inverse("D", tuple(v - 1 for v in x[1:])))
         else:
             assert (rank, fiber) == (sc._rho(x),
                                      irreps._zeta_inverse(labels, x))
@@ -843,8 +845,10 @@ def test_split_part_records_equal_the_kernels(family, n):
         for px, pxt in parts.splits(c.y):
             # member-form labels merge back to the parts, at y's length
             x = irreps.zeta(px[1][0])
-            xt = (irreps.zeta_tilde if family == "C" else irreps.zeta)(
-                pxt[1][0])
+            xt = irreps.zeta(pxt[1][0])
+            if family == "C":
+                # the based merge: zeta shifted up by one behind a 0
+                xt = (0, *(v + 1 for v in xt))
             assert sc.seq_add(x, xt) == c.y
             # C's first parts start (0, 0), its complements are based
             assert family != "C" or (x[:2] == (0, 0) and xt[1] >= 1)

@@ -51,12 +51,12 @@ from weylsymbols.oracle import (
     RANK_BOUNDS,
     ClassKey,
     IrrKey,
+    _label_key,
     b_oracle,
     character_table,
     induction_multiplicity,
     j_oracle,
     key_to_label,
-    label_to_key,
 )
 from weylsymbols.suites import oracle_suite
 
@@ -242,7 +242,7 @@ def test_oracle_entry_points_reject_what_is_not_a_label():
     for call in (
         lambda: b_oracle("x"),
         lambda: b_oracle(None),
-        lambda: b_oracle(label_to_key(two)),
+        lambda: b_oracle(_label_key(two)),
         lambda: j_oracle(emb, ["x", one]),
         lambda: j_oracle(emb, (one, 7)),
         lambda: j_oracle(emb, one),
@@ -260,12 +260,9 @@ def test_label_codec_arguments_are_checked_with_the_memo_warm():
     two = IrrLabel(FAMILY_A, 2, partition_to_z((2,)))
     key = IrrKey((1,), (1,))
     # the memo holds every argument below that compares equal to a bad one
-    assert label_to_key(two) == IrrKey((2,))
-    assert label_to_key(key_to_label(FAMILY_BC, 2, key)) == key
+    assert _label_key(two) == IrrKey((2,))
+    assert _label_key(key_to_label(FAMILY_BC, 2, key)) == key
     assert key_to_label(FAMILY_BC, 1, IrrKey((1,), ())).n == 1
-    for bad in (42, None, IrrKey((2,)), [two]):
-        with pytest.raises(ValidationError):
-            label_to_key(bad)
     for args, error in [
         ((FAMILY_BC, 2, 42), ValidationError),
         ((FAMILY_BC, 2, None), ValidationError),
@@ -312,7 +309,7 @@ def test_internal_partition_codecs_skip_the_boundary_checks(monkeypatch):
             labels.append((key, key_to_label(family, n, key)))
     monkeypatch.setattr(sc, "ensure_zseq", counted_row)
     for key, lab in labels:
-        assert label_to_key(lab) == key
+        assert _label_key(lab) == key
         dimension(lab)
     assert decoded == []
     a_labels = [lab for _, lab in labels if lab.family == FAMILY_A]
@@ -337,7 +334,7 @@ def test_dimensions_match_label_formula():
         t = character_table(family, n)
         i0 = t.identity_index()
         for lab in _labels(family, n):
-            row = t.values[list(t.irreps).index(label_to_key(lab))]
+            row = t.values[list(t.irreps).index(_label_key(lab))]
             assert row[i0] == dimension(lab)
 
 
@@ -346,7 +343,7 @@ def test_label_codec_round_trip():
         for n in range(nmax + 1):
             seen = set()
             for lab in _labels(family, n):
-                key = label_to_key(lab)
+                key = _label_key(lab)
                 assert key_to_label(family, n, key) == lab
                 seen.add(key)
             assert seen == set(character_table(family, n).irreps)
@@ -539,9 +536,9 @@ def _multiplicity_by_class_tuples(emb, factors, target) -> Fraction:
     sig = emb.factor_signature()
     tfam, tn = emb.target()
     ttab = character_table(tfam, tn)
-    trow = ttab.values[ttab.irreps.index(label_to_key(target))]
+    trow = ttab.values[ttab.irreps.index(_label_key(target))]
     ftabs = [character_table(f, rank) for f, rank in sig]
-    frows = [ft.values[ft.irreps.index(label_to_key(lab))]
+    frows = [ft.values[ft.irreps.index(_label_key(lab))]
              for ft, lab in zip(ftabs, factors)]
     total = Fraction(0)
     for combo in itertools.product(*(range(len(ft.classes)) for ft in ftabs)):
@@ -664,7 +661,7 @@ def test_the_folded_product_is_the_product_over_class_tuples():
         sig = emb.factor_signature()
         pools = [[rep.label for rep in special_reps(f, rank)] for f, rank in sig]
         for combo in itertools.product(*pools):
-            keys = tuple(map(label_to_key, combo))
+            keys = tuple(map(_label_key, combo))
             groups = [oracle._group(f, rank) for f, rank in sig]
             weighted = [g.weighted[g.irr_index[key]] for g, key in zip(groups, keys)]
             induced = [0] * len(character_table(*emb.target()).classes)

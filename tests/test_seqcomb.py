@@ -49,13 +49,73 @@ def _xseqs_upto(m: int, max_stat: int):
         yield from sc.enumerate_space("X", m, n)
 
 
+def _weighted_against(seq, base) -> int:
+    """The deviations of seq from base, position i weighted by m - i."""
+    m = len(seq) - 1
+    return sum((m - i) * (v - b) for i, (v, b) in enumerate(zip(seq, base)))
+
+
+def _beta_prime(y) -> int:
+    """beta'(y): the weighted deviations of a YSeq from base_y(m)."""
+    return _weighted_against(y, sc.base_y(len(y) - 1))
+
+
+def _tilde_beta(x) -> int:
+    """tilde-beta(x): the weighted deviations of a based XSeq from
+    base_xt(m)."""
+    return _weighted_against(x, sc.base_xt(len(x) - 1))
+
+
+def _tilde_beta_prime(y) -> int:
+    """tilde-beta'(y): the weighted deviations of a based YSeq from
+    base_yt(m)."""
+    return _weighted_against(y, sc.base_yt(len(y) - 1))
+
+
+def _interval_decomp(y):
+    """The blocks of a YSeq by a greedy scan, as (start, stop, pair, base):
+    an equal pair y[i] = y[i+1] where the scan meets one, else the step-one
+    run from i.  The reference for construct_one_S, which reads its runs
+    off frakI(y)."""
+    m = len(y) - 1
+    blocks = []
+    i = 0
+    while i <= m:
+        if i < m and y[i + 1] == y[i]:
+            blocks.append((i, i + 1, True, y[i]))
+            i += 2
+        else:
+            j = i
+            while j < m and y[j + 1] == y[j] + 1:
+                j += 1
+            blocks.append((i, j, False, y[i]))
+            i = j + 1
+    return blocks
+
+
+def _construct_from_blocks(y):
+    """construct_one_S(y) blockwise over _interval_decomp(y): u = 0 on the
+    first block and one past the previous x value afterwards."""
+    x, xp = [], []
+    for start, stop, pair, base in _interval_decomp(y):
+        u = x[-1] + 1 if x else 0
+        if pair:
+            x += (u, u)
+            xp += (base - u, base - u)
+        else:
+            for t in range(stop - start + 1):
+                x.append(u + (t + 1) // 2)
+                xp.append(base - u + t // 2)
+    return tuple(x), tuple(xp)
+
+
 # ---------------------------------------------------------------------------
 # frozen examples
 
 def test_rho0_beta0_examples():
-    assert sc.rho0((0, 1, 2, 3)) == 0 and sc.beta0((0, 1, 2, 3)) == 0
-    assert sc.rho0((0, 1, 3, 4)) == 2 and sc.beta0((0, 1, 3, 4)) == 1
-    assert sc.rho0((0, 2, 3)) == 2 and sc.beta0((0, 2, 3)) == 1
+    assert sc.rho0((0, 1, 2, 3)) == 0 and sc._beta0((0, 1, 2, 3)) == 0
+    assert sc.rho0((0, 1, 3, 4)) == 2 and sc._beta0((0, 1, 3, 4)) == 1
+    assert sc.rho0((0, 2, 3)) == 2 and sc._beta0((0, 2, 3)) == 1
 
 
 def test_frakS_examples():
@@ -76,19 +136,11 @@ def test_frakI_examples():
 
 
 def test_interval_decomp_examples():
-    d = sc.interval_decomp((0, 0))
-    assert [(b.start, b.stop, b.kind, b.base) for b in d.blocks] == [
-        (0, 1, sc.KIND_SINGLE_PAIR, 0)
-    ]
-    d = sc.interval_decomp((0, 1, 2))
-    assert [(b.start, b.stop, b.kind, b.base) for b in d.blocks] == [
-        (0, 2, sc.KIND_ARITHMETIC, 0)
-    ]
-    d = sc.interval_decomp((0, 0, 2, 2))
-    assert [(b.start, b.stop, b.kind, b.base) for b in d.blocks] == [
-        (0, 1, sc.KIND_SINGLE_PAIR, 0),
-        (2, 3, sc.KIND_SINGLE_PAIR, 2),
-    ]
+    assert _interval_decomp((0, 0)) == [(0, 1, True, 0)]
+    assert _interval_decomp((0, 1, 2)) == [(0, 2, False, 0)]
+    assert _interval_decomp((0, 0, 2, 2)) == [(0, 1, True, 0), (2, 3, True, 2)]
+    assert sc.construct_one_S((0, 0, 2, 2)) == ((0, 0, 1, 1), (0, 0, 1, 1))
+    assert sc.construct_one_S((0, 1, 2)) == ((0, 1, 1), (0, 0, 1))
 
 
 def test_enumerate_S_examples():
@@ -131,7 +183,7 @@ def test_beta_prime_weights():
     y0 = sc.base_y(4)
     bumped = tuple(v + (2 if i == 4 else 0) for i, v in enumerate(y0))
     assert sc.rho_prime(bumped) == 2
-    assert sc.beta_prime(bumped) == 0
+    assert _beta_prime(bumped) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +317,11 @@ def test_statistics_equal_their_sums_against_the_bases():
             for y in sc.enumerate_space("Y", m, n):
                 base = sc.base_y(m)
                 assert sc.rho_prime(y) == sum(y) - sum(base) == n
-                assert sc.beta_prime(y) == sc._weighted(y) - sc._weighted(base)
             if m % 2 or m < 2:
                 continue
-            for x in sc.enumerate_space("XT", m, n):
-                assert sc.tilde_beta(x) == (sc._weighted(x)
-                                            - sc._weighted(sc.base_xt(m)))
             for y in sc.enumerate_space("YT", m, n):
                 base = sc.base_yt(m)
                 assert sc.tilde_rho_prime(y) == sum(y) - sum(base) == n
-                assert sc.tilde_beta_prime(y) == sc._weighted(y) - sc._weighted(base)
 
 
 def test_seq_add_length_mismatch():
@@ -331,17 +378,34 @@ def test_frakI_empty_iff_paired(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_interval_decomp_matches_direct_stats(m):
     for y in _all_yseqs(m, 6):
-        d = sc.interval_decomp(y)
-        assert d.arithmetic_intervals() == sc.frakI(y)
-        sizes = [b.size for b in d.blocks]
-        assert sum(sizes) == m + 1
-        for b in d.blocks:
-            if b.kind == sc.KIND_SINGLE_PAIR:
-                assert y[b.start] == y[b.stop] == b.base and b.size == 2
+        blocks = _interval_decomp(y)
+        assert tuple((lo, hi) for lo, hi, pair, _ in blocks
+                     if not pair) == sc.frakI(y)
+        assert sum(hi - lo + 1 for lo, hi, *_ in blocks) == m + 1
+        for lo, hi, pair, base in blocks:
+            if pair:
+                assert y[lo] == y[hi] == base and hi == lo + 1
             else:
-                assert list(y[b.start: b.stop + 1]) == list(
-                    range(b.base, b.base + b.size)
-                )
+                assert list(y[lo: hi + 1]) == list(range(base,
+                                                         base + hi - lo + 1))
+
+
+def test_construct_one_S_equals_the_block_scan_construction():
+    # every YSeq with m <= 10 and weight <= 12: the scan's runs are
+    # frakI(y), its blocks are cut by jumps of at least two (so each equal
+    # pair is flanked by them), and the construction over them is
+    # construct_one_S's, which reads its runs off frakI(y)
+    count = 0
+    for m in range(11):
+        for y in _all_yseqs(m, 12):
+            blocks = _interval_decomp(y)
+            assert tuple((lo, hi) for lo, hi, pair, _ in blocks
+                         if not pair) == sc._frakI(y), y
+            for (_, stop, *_), (start, *_) in zip(blocks, blocks[1:]):
+                assert y[stop] <= y[start] - 2, y
+            assert sc.construct_one_S(y) == _construct_from_blocks(y), y
+            count += 1
+    assert count == 5409
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -363,11 +427,11 @@ def test_enumerate_S_matches_brute_force(m):
         assert fast == slow
         assert fast, f"matched splits empty for {y}"
         assert sc.construct_one_S(y) in fast
-        plain = sc.split_pairs(y)
+        plain = sc._split_pairs(y, False)
         assert plain == tuple(_brute_splits(y))
         # the bound x[0] = x[1] = 0, which pins the complement of a y
         # starting (0, 1) to a based XSeq (type C)
-        based = sc.based_split_pairs(y)
+        based = sc._split_pairs(y, True)
         assert based == tuple((x, xp) for x, xp in plain if x[:2] == (0, 0))
         if y[:2] == (0, 1):
             assert based == tuple(
@@ -376,15 +440,15 @@ def test_enumerate_S_matches_brute_force(m):
 
 
 @pytest.mark.parametrize("call, args, error", [
-    (sc.split_pairs, ((),), ValidationError),
-    (sc.split_pairs, ((0, 1.5),), ValidationError),
-    (sc.split_pairs, ((0, -1),), ValidationError),
-    (sc.split_pairs, ([0, 0, 2, 2],), ValidationError),
-    (sc.split_pairs, ((0, True),), ValidationError),
-    (sc.based_split_pairs, ((-1, 0),), ValidationError),
-    (sc.based_split_pairs, ([0, 0, 2, 2],), ValidationError),
-    (sc.based_split_pairs, ((),), ValidationError),
-    (sc.based_split_pairs, ((0,),), DomainError),
+    (sc.enumerate_S, ((),), ValidationError),
+    (sc.enumerate_S, ((0, 1.5),), ValidationError),
+    (sc.enumerate_S, ((0, -1),), ValidationError),
+    (sc.enumerate_S, ([0, 0, 2, 2],), ValidationError),
+    (sc.enumerate_S, ((0, True),), ValidationError),
+    (sc.enumerate_tilde_S, ((-1, 0),), ValidationError),
+    (sc.enumerate_tilde_S, ([0, 0, 2, 2],), ValidationError),
+    (sc.enumerate_tilde_S, ((),), ValidationError),
+    (sc.enumerate_tilde_S, ((0,),), DomainError),
 ], ids=["empty", "float", "negative", "list", "bool", "based-negative", "based-list", "based-empty", "based-one-entry"])
 def test_split_enumerators_refuse_what_they_cannot_split(call, args, error):
     with pytest.raises(error):
@@ -392,15 +456,15 @@ def test_split_enumerators_refuse_what_they_cannot_split(call, args, error):
 
 
 def test_split_enumerators_take_every_bound_within_y():
-    # split_pairs bounds x by y, based_split_pairs by (0, 0, y2, y3, ...),
-    # on any y, not only on one starting (0, 1)
+    # the plain search bounds x by y, the based one by (0, 0, y2, y3, ...),
+    # on any YSeq, not only on one starting (0, 1)
     y = (0, 2, 4, 6, 8)
-    plain = sc.split_pairs(y)
+    plain = sc._split_pairs(y, False)
     assert all(all(map(int.__le__, x, y)) for x, _ in plain)
-    based = sc.based_split_pairs(y)
+    based = sc._split_pairs(y, True)
     assert 0 < len(based) < len(plain) and based == tuple(
         (x, xp) for x, xp in plain if x[:2] == (0, 0))
-    assert sc.based_split_pairs((0, 1)) == (((0, 0), (0, 1)),)
+    assert sc._split_pairs((0, 1), True) == (((0, 0), (0, 1)),)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -437,10 +501,10 @@ def test_membership_computes_frakI_once_per_call(monkeypatch):
         monkeypatch.setattr(sc, name, counted(name))
     cases = [(sc.member_S, y, pair)
              for y in ((0, 2, 4), (0, 1, 2, 4), (1, 1, 3, 3))
-             for pair in sc.split_pairs(y)]
+             for pair in sc._split_pairs(y, False)]
     cases += [(sc.member_tilde_S, y, pair)
               for y in ((0, 1, 3), (0, 1, 3, 4, 6))
-              for pair in sc.based_split_pairs(y)]
+              for pair in sc._split_pairs(y, True)]
     for member, y, (x, xp) in cases:
         calls.update(ensure_yseq=0, _frakI=0)
         member(y, x, xp)
@@ -518,7 +582,7 @@ def _symmetric_by_filter(y):
     frakS(xp) = frakS(x), in split order."""
     ivs = sc._frakI(y)
     out = []
-    for x, xp in sc.split_pairs(y):
+    for x, xp in sc._split_pairs(y, False):
         e = tuple(b - a for a, b in zip(x, xp))
         if e[0] < 0 or any(u > v for u, v in zip(e, e[1:])):
             continue
@@ -546,8 +610,8 @@ def test_symmetric_search_equals_the_split_filter_on_small_yseqs():
 
 _SPACE_RULES = {
     "Z": (sc.ensure_zseq, sc.rho0), "X": (sc.ensure_xseq, sc.rho),
-    "Y": (sc.ensure_yseq, sc.rho_prime), "E": (sc.ensure_eseq, sc.eseq_sum),
-    "XT": (sc.ensure_xtseq, sc.tilde_rho),
+    "Y": (sc.ensure_yseq, sc.rho_prime), "E": (sc.ensure_eseq, sum),
+    "XT": (sc.ensure_xtseq, lambda x: sum(x) - sum(sc.base_xt(len(x) - 1))),
     "YT": (sc.ensure_ytseq, sc.tilde_rho_prime),
 }
 
@@ -699,7 +763,7 @@ def test_additivity_properties(pair):
     y = sc.seq_add(x, xp)
     sc.ensure_yseq(y)
     assert sc.rho_prime(y) == sc.rho(x) + sc.rho(xp)
-    assert sc.beta_prime(y) == sc.beta(x) + sc.beta(xp)
+    assert _beta_prime(y) == sc.beta(x) + sc.beta(xp)
 
 
 @given(st.integers(min_value=0, max_value=8),
@@ -708,13 +772,14 @@ def test_additivity_properties(pair):
 def test_kernels_match_their_validating_statistics(m, n, data):
     z = data.draw(st.sampled_from(sc.enumerate_space("Z", m, n)))
     assert sc._rho0(z) == sc.rho0(z) == n
-    assert sc._beta0(z) == sc.beta0(z)
+    assert sc._beta0(z) == _weighted_against(z, sc.base_z(m))
     x = data.draw(st.sampled_from(sc.enumerate_space("X", m, n)))
     assert sc._rho(x) == sc.rho(x) == n
     assert sc._frakS(x) == sc.frakS(x)
     # based XSeqs need an even length index m >= 2
     xt = data.draw(st.sampled_from(sc.enumerate_space("XT", 2 + m - m % 2, n)))
-    assert sc._tilde_rho(xt) == sc.tilde_rho(xt) == n
+    assert sum(xt) - sum(sc.base_xt(len(xt) - 1)) == n
+    assert sc._rho(tuple(v - 1 for v in xt[1:])) == n
 
 
 @given(st.integers(min_value=0, max_value=16), st.data())
@@ -743,8 +808,8 @@ def test_tilde_additivity(m):
                 for xt in sc.enumerate_space("XT", m, b):
                     y = sc.seq_add(x, xt)
                     sc.ensure_ytseq(y)
-                    assert sc.tilde_rho_prime(y) == sc.rho(x) + sc.tilde_rho(xt)
-                    assert sc.tilde_beta_prime(y) == sc.beta(x) + sc.tilde_beta(xt)
+                    assert sc.tilde_rho_prime(y) == sc.rho(x) + b
+                    assert _tilde_beta_prime(y) == sc.beta(x) + _tilde_beta(xt)
 
 
 def test_base_identities():
@@ -811,18 +876,19 @@ def test_split_enumerators_equal_the_plain_walk_on_small_yseqs():
     prefixes = {False: set(), True: set()}
     for m in range(7):
         for y in _all_yseqs(m, 6):
-            assert sc.split_pairs(y) == _walk_pairs(y, False), y
+            assert sc._split_pairs(y, False) == _walk_pairs(y, False), y
             prefixes[False].add(_forced_prefix(y, sc.base_y(m)))
             if m >= 1:
-                assert sc.based_split_pairs(y) == _walk_pairs(y, True), y
+                assert sc._split_pairs(y, True) == _walk_pairs(y, True), y
                 prefixes[True].add(_forced_prefix(y, sc.base_z(m)))
     # the search entered at positions 0, 1 and 2, past the last entry too
     # (y = base_y), on one to three entries among others
     assert {0, 1, 2, 7} <= prefixes[False]
     assert {0, 1, 2, 7} <= prefixes[True]
-    assert sc.split_pairs((0,)) == (((0,), (0,)),)
-    assert sc.split_pairs((3,)) == tuple(((v,), (3 - v,)) for v in range(4))
-    assert sc.based_split_pairs((0, 1, 2)) == (((0, 0, 1), (0, 1, 1)),)
+    assert sc._split_pairs((0,), False) == (((0,), (0,)),)
+    assert sc._split_pairs((3,), False) == tuple(((v,), (3 - v,))
+                                                 for v in range(4))
+    assert sc._split_pairs((0, 1, 2), True) == (((0, 0, 1), (0, 1, 1)),)
 
 
 @pytest.mark.parametrize("family", ["B", "C", "D"])
@@ -843,12 +909,17 @@ def test_split_entry_equals_the_plain_walk_on_every_class(family):
 @pytest.mark.parametrize("y", [(2 ** 22, 0), (2 ** 40, 0), (1, 0, 0),
                                (0, 1, 1), (5, 5, 5)])
 def test_a_y_that_is_not_a_yseq_has_no_split_and_no_search(monkeypatch, y):
+    # two XSeqs always add up to a YSeq: every split enumerator refuses any
+    # other y before it searches
     def unused(*args):
         raise AssertionError("searched a y that has no split")
 
     monkeypatch.setattr(sc, "_split_firsts", unused)
-    assert sc.split_pairs(y) == ()
-    assert sc.based_split_pairs(y) == ()
+    monkeypatch.setattr(sc, "_symmetric", unused)
+    for enumerate_ in (sc.enumerate_S, sc.enumerate_tilde_S,
+                       sc.symmetric_decompositions):
+        with pytest.raises(ValidationError):
+            enumerate_(y)
 
 
 @pytest.mark.parametrize("y", [(0, 0, 2 ** 70, 2 ** 70), (0, 0, 2 ** 20, 2 ** 20),
@@ -859,8 +930,7 @@ def test_a_yseq_past_the_size_cap_is_refused_before_any_search(monkeypatch, y):
 
     monkeypatch.setattr(sc, "_split_firsts", unused)
     monkeypatch.setattr(sc, "_symmetric", unused)
-    for enumerate_ in (sc.split_pairs, sc.based_split_pairs, sc.enumerate_S,
-                       sc.symmetric_decompositions):
+    for enumerate_ in (sc.enumerate_S, sc.symmetric_decompositions):
         with pytest.raises(ResourceError, match="capped"):
             enumerate_(y)
     if y[:2] == (0, 1) and len(y) % 2:
@@ -869,12 +939,13 @@ def test_a_yseq_past_the_size_cap_is_refused_before_any_search(monkeypatch, y):
 
 
 def test_the_split_cap_admits_the_yseqs_at_the_cap():
-    # m = SIZE_CAP and rho' = SIZE_CAP are still searched
-    assert sc.split_pairs(sc.base_y(sc.SIZE_CAP)) == (
+    # m = SIZE_CAP and rho' = SIZE_CAP are still searched: base_y splits
+    # only as base_x + base_x
+    assert sc.enumerate_S(sc.base_y(sc.SIZE_CAP)) == (
         (sc.base_x(sc.SIZE_CAP), sc.base_x(sc.SIZE_CAP)),)
-    # x = (0, v) for every v up to y[1]
+    # x = (0, v) for every v with 0 < v < y[1]: both parts strict
     y = (0, sc.SIZE_CAP)
-    assert len(sc.split_pairs(y)) == sc.SIZE_CAP + 1
+    assert len(sc.enumerate_S(y)) == sc.SIZE_CAP - 1
 
 
 def test_the_strict_count_equals_the_size_of_frakS():

@@ -47,6 +47,23 @@ def _weighted(e: tuple[int, ...]) -> int:
     return sum((m - i) * v for i, v in enumerate(e))
 
 
+def _beta_prime(y: tuple[int, ...]) -> int:
+    """beta'(y), b-bar of a B or D class: the weighted deviations of y from
+    base_y(m)."""
+    return _weighted(sc.seq_sub(y, sc.base_y(len(y) - 1)))
+
+
+def _tilde_beta(x: tuple[int, ...]) -> int:
+    """The weighted deviations of a based XSeq from base_xt(m)."""
+    return _weighted(sc.seq_sub(x, sc.base_xt(len(x) - 1)))
+
+
+def _tilde_beta_prime(y: tuple[int, ...]) -> int:
+    """tilde-beta'(y), b-bar of a C class: the weighted deviations of y
+    from base_yt(m)."""
+    return _weighted(sc.seq_sub(y, sc.base_yt(len(y) - 1)))
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -94,7 +111,7 @@ def test_tau_base_stratum_partner_is_flat():
     fiber = tau_fiber(CLASS_B, sc.base_y(6))
     assert len(fiber) == 1
     assert b_invariant(fiber[0]) == 0
-    assert sc.beta_prime(sc.base_y(6)) == 0
+    assert _beta_prime(sc.base_y(6)) == 0
 
 
 def test_tau_family_a_is_identity():
@@ -213,14 +230,12 @@ def test_tau_rejects_labels_outside_domain():
 def test_tau_special_partner_adds_base():
     # for special labels the stratum is the merged sequence plus the base
     for n in range(0, 5):
-        for rep in special_reps(FAMILY_BC, n):
-            y = tau(CLASS_B, rep.label).y
-            assert y == sc.seq_add(rep.xseq, sc.base_x(len(rep.xseq) - 1))
-            assert sc.beta_prime(y) == rep.b
-        for rep in special_reps(FAMILY_D, n):
-            y = tau(CLASS_D, rep.label).y
-            assert y == sc.seq_add(rep.xseq, sc.base_x(len(rep.xseq) - 1))
-            assert sc.beta_prime(y) == rep.b
+        for family, cls in ((FAMILY_BC, CLASS_B), (FAMILY_D, CLASS_D)):
+            for rep in special_reps(family, n):
+                c = tau(cls, rep.label)
+                assert c.y == sc.seq_add(rep.xseq,
+                                         sc.base_x(len(rep.xseq) - 1))
+                assert _beta_prime(c.y) == rep.b == class_invariants(c).bbar
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +312,22 @@ def test_bbar_is_linear_in_decompositions():
     for x in sc.enumerate_space("X", m, 2):
         for xt in sc.enumerate_space("X", m, 2):
             y = sc.seq_add(x, xt)
-            assert sc.beta_prime(y) == sc.beta(x) + sc.beta(xt)
+            assert _beta_prime(y) == sc.beta(x) + sc.beta(xt)
     for x in sc.enumerate_space("X", m, 1):
         for e in sc.enumerate_space("E", m, 2):
             for xt in sc.enumerate_space("X", m, 1):
                 y = sc.seq_add(sc.seq_add(x, e), xt)
-                assert sc.beta_prime(y) == sc.beta(x) + _weighted(e) + sc.beta(xt)
+                assert _beta_prime(y) == sc.beta(x) + _weighted(e) + sc.beta(xt)
     for x in sc.enumerate_space("X", m, 2):
         for xt in sc.enumerate_space("XT", m, 2):
             y = sc.seq_add(x, xt)
-            assert sc.tilde_beta_prime(y) == sc.beta(x) + sc.tilde_beta(xt)
+            assert _tilde_beta_prime(y) == sc.beta(x) + _tilde_beta(xt)
+    # b-bar of a class is beta'(y) for B and D, tilde-beta'(y) for C
+    for family in (CLASS_B, CLASS_C, CLASS_D):
+        bbar = _tilde_beta_prime if family == CLASS_C else _beta_prime
+        for n in range(9):
+            for c in enumerate_classes(family, n):
+                assert class_invariants(c).bbar == bbar(c.y), c
 
 
 # ---------------------------------------------------------------------------
