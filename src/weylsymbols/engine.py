@@ -55,7 +55,7 @@ the family-A pools read; the BC and D pools are enumerated per call.
   each family a split part belongs to (BC for B, BC and D for C, D for
   D), so every split part has a record.  Each part family's pools, ranks
   0 to n, come from one walk over the XSeqs x at the target's merged
-  length (seqcomb._x_walk, which streams), whose sums run along the
+  length (seqcomb._walk, which streams), whose sums run along the
   entries: the statistic gives the part's rank, the weighted sum its b
   (less base_x's, read in closed form), the equal neighbours its frakS
   mask (bit i set when i is in frakS(x)), whose bit count gives its f,
@@ -324,9 +324,9 @@ class _Parts:
     """One call's record table: one XSeq record per split part, keyed by
     packed sequence, and the pools of special labels that fill it (see the
     module docstring).  Each part family's records and pools, every rank
-    from 0 to n, come from one seqcomb._x_walk at the target's merged
-    length, whose running sums give each part's rank, b, frakS mask and f,
-    key and packed rows; family-A pools come from special_reps."""
+    from 0 to n, come from one seqcomb._walk of the XSeqs at the target's
+    merged length, whose running sums give each part's rank, b, frakS mask
+    and f, key and packed rows; family-A pools come from special_reps."""
 
     def __init__(self, family: str, n: int, shapes: Shapes) -> None:
         self.family = family
@@ -380,8 +380,8 @@ class _Parts:
         base = sc._weighted_x(m)
         f_of = [_f_from_strict_count(fam, count) for count in range(m + 2)]
         records = self.records
-        for x, rank, w, mask, key, rows in sc._x_walk(
-                m, 0, n, _key_form(self.width, m, based),
+        for x, rank, w, mask, key, rows in sc._walk(
+                "X", m, 0, n, _key_form(self.width, m, based),
                 _rows_form(self.layout, fam, m)):
             fiber = _unmerge(fam, rank, x[0::2], x[1::2])
             # the labels of a degenerate fiber share their rows; a based
@@ -614,7 +614,7 @@ def _symmetric_splits(y: Seq, intervals: tuple[sc.Interval, ...],
                       splits: list[Split]) -> list[tuple[Record, Seq]]:
     """The self-matched decompositions y = x + e + x of a B or D class
     sequence y, as (record of x, e), read off its split table in order:
-    seqcomb._symmetric(intervals, y), intervals being frakI(y).
+    seqcomb.symmetric_decompositions(y), with intervals = frakI(y).
 
     They exist only when every interval has size one, and then a split
     (x, x~) is matched with frakS(x) = frakS(x~) exactly when both sets

@@ -356,11 +356,10 @@ def _special_seqs(family: str, n: int, m: int) -> Iterator[SpecialSeq]:
     special_reps grouped by sequence.  m and n are checked as
     enumerate_space checks them, then m's parity for the family and, for
     BC, m >= 2 (a one-entry merge has no second row), before the first
-    sequence is yielded.  The sequences are the XSeqs of
-    statistic n, read off seqcomb._x_walk at lo = hi = n with its running
-    sums: b is the weighted sum less base_x's, read once in closed form,
-    and f comes from the count of strict positions, the bits of the
-    walk's frakS mask."""
+    sequence is yielded.  The sequences are the XSeqs of statistic n,
+    read off seqcomb._walk at lo = hi = n with its running sums: b is the
+    weighted sum less base_x's, read once in closed form, and f comes from
+    the count of strict positions, the bits of the walk's frakS mask."""
     sc._ensure_space_args(m, n)
     _ensure_merge_length(family, m)
     if m == 0 and family == FAMILY_BC:
@@ -370,7 +369,7 @@ def _special_seqs(family: str, n: int, m: int) -> Iterator[SpecialSeq]:
     zero = (0, (0,) * (m + 1))
     return ((x, w - base, _f_from_strict_count(family, mask.bit_count()),
              _unmerge(family, n, x[0::2], x[1::2]))
-            for x, _, w, mask, _, _ in sc._x_walk(m, n, n, zero, zero))
+            for x, _, w, mask, _, _ in sc._walk("X", m, n, n, zero, zero))
 
 
 def special_f(label: IrrLabel) -> int:

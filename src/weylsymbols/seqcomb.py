@@ -16,26 +16,25 @@ constant runs of y[i] - i with a strict jump at both ends) drive everything:
 parities, the blocks of a YSeq (the runs of frakI and the equal pairs
 between them, which construct_one_S splits), the matched-split sets S(y)
 and tilde-S(y), the symmetric decompositions y = x + e + x, and the
-skeleton/remainder decomposition of an XSeq.  One backtracking search,
-_split_firsts, enumerates the splits of y into two XSeqs, each as its first
-part packed into one int (one field per entry, _key_fields sizing them).
-It enters past the prefix on which y equals the base of its space, where x
-is forced to base_x, found by one compare of the packed y with the packed
-base (_split_space).  One kernel, _split_pairs, unpacks its pairs, which
-enumerate_S and enumerate_tilde_S filter; both refuse a y that is not a
-YSeq, and a YSeq past enumerate_space's size cap before any search.  The
-symmetric decompositions have a backtracking search of their own over the
-first part x, bounded so that e = y - 2x stays nonnegative and
-nondecreasing; it is the kernel of symmetric_decompositions, while verify
-reads the same list off its split table (see engine).  Each recursive
-search empties its nested function's closure cell once it returns, so a
-call leaves no reference cycle for the collector.
+skeleton/remainder decomposition of an XSeq.  Each space's rule is one
+row of the table _SPACES (its base, the least steps over the previous two
+entries, the least value at position 1), and one iterative walk, _walk,
+enumerates every space from it over a window of statistics, streamed in
+lexicographic order with running sums (the weighted sum, the frakS mask
+and two linear forms): enumerate_space reads its sequences at one
+statistic, and the special pools and verify's record table read the XSeqs
+with their sums.  One backtracking search, _split_firsts, enumerates the
+splits of y into two XSeqs, each as its first part packed into one int
+(one field per entry, _key_fields sizing them).  It enters past the prefix
+on which y equals the base of its space, where x is forced to base_x,
+found by one compare of the packed y with the packed base (_split_space).
+One kernel, _split_pairs, unpacks its pairs, which enumerate_S,
+enumerate_tilde_S and symmetric_decompositions filter; all three refuse a
+y that is not a YSeq, and a YSeq past enumerate_space's size cap before
+any search.  The split search empties its nested function's closure cell
+once it returns, so a call leaves no reference cycle for the collector.
 Deviation statistics (rho/beta families) measure each sequence against the
 minimal member of its space and are additive under entrywise addition.
-Each space's rule is one row of the table _SPACES (its base, the least
-steps over the previous two entries, the least value at position 1), which
-enumerate_space reads.  The special pools read their XSeqs off _x_walk,
-its search over a window of statistics, streamed with running sums.
 
 All functions are pure; sequences in and out are tuples, sets of indices are
 frozensets, and interval sets are tuples of (lo, hi) pairs sorted by lo.
@@ -61,7 +60,7 @@ from __future__ import annotations
 
 import struct
 from itertools import accumulate
-from operator import add, sub
+from operator import add, le, sub
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, InvariantError, ResourceError, ValidationError
@@ -629,8 +628,6 @@ def _ensure_tilde_domain(y: Seq) -> None:
     m = len(y) - 1
     if m % 2 != 0 or m < 2:
         raise DomainError(f"based splits need m even >= 2, got m={m}")
-    if y[1] < 1:
-        raise DomainError(f"based splits need y1 >= 1, got {y!r}")
     if y[0] != 0 or y[1] != 1:
         raise DomainError(f"based splits need y0 = 0 and y1 = 1, got {y!r}")
 
@@ -695,14 +692,6 @@ def hat_decompose(x: Seq) -> tuple[Seq, Seq]:
 # ---------------------------------------------------------------------------
 # strata enumeration
 
-_KIND_ALIASES = {
-    "Z": "Z", "X": "X", "Y": "Y", "E": "E",
-    "XT": "XT", "YT": "YT",
-    "X̃": "XT", "Ỹ": "YT", "X~": "XT", "Y~": "YT",
-    "ℰ": "E",
-}
-
-
 # kind -> (its base sequence of length index m, the least step over the
 # previous entry, the least step over the entry before that, the least
 # value at position 1)
@@ -759,56 +748,19 @@ def enumerate_space(kind: str, m: int, n: int) -> tuple[Seq, ...]:
 
     The statistic is the deviation sum against the space's base sequence
     (plain entry sum for kind E). Output is lexicographically sorted and
-    duplicate-free. m or n not an int (a bool included) raises
-    ValidationError, negative DomainError, above the size cap ResourceError.
-    The special pools read their XSeqs off _x_walk, the same search
-    streamed over a window of statistics with the sums they need.
+    duplicate-free.  A kind other than Z, X, Y, E, XT and YT raises
+    DomainError; m or n not an int (a bool included) ValidationError,
+    negative DomainError, above the size cap ResourceError.  The sequences
+    are those of _walk at lo = hi = n.
     """
     # a kind that is not a str is unknown too, an unhashable one included
-    space = _KIND_ALIASES.get(kind) if isinstance(kind, str) else None
-    if space is None:
+    if not isinstance(kind, str) or kind not in _SPACES:
         raise DomainError(f"unknown sequence kind {kind!r}")
-    kind = space
     _ensure_space_args(m, n)
     if kind in ("XT", "YT") and (m % 2 != 0 or m < 2):
         raise DomainError(f"kind {kind} needs m even >= 2, got {m}")
-    base = _SPACES[kind][0](m)
-    out: list[Seq] = []
-    seq: list[int] = []
-    # (i, value at i, value before it) -> _tail_dev, filled on first use;
-    # each entry reads the entry one position on
-    tails: Tails = {}
-
-    def rec(i: int, used: int) -> None:
-        prev1 = seq[i - 1] if i >= 1 else None
-        prev2 = seq[i - 2] if i >= 2 else None
-        val = _space_lower(kind, i, prev1, prev2)
-        if i == m:
-            # the last entry is the one that brings the statistic to n
-            last = base[m] + n - used
-            if last >= val:
-                out.append((*seq, last))
-            return
-        # the deviation and the tail both grow with val, so the first val
-        # past n ends the loop
-        while not (kind == "XT" and i == 0 and val > 0):
-            dev = used + val - base[i]
-            if dev > n:
-                break
-            tail = tails.get((i, val, prev1))
-            if tail is None:
-                tail = tails[i, val, prev1] = _tail_dev(kind, base, tails, i,
-                                                        val, prev1)
-            if dev + tail > n:
-                break
-            seq.append(val)
-            rec(i + 1, dev)
-            seq.pop()
-            val += 1
-
-    rec(0, 0)
-    del rec  # as in _split_firsts
-    return tuple(out)
+    zero = (0, (0,) * (m + 1))
+    return tuple(s for s, *_ in _walk(kind, m, n, n, zero, zero))
 
 
 # a linear form on the entries of a sequence: its constant and the
@@ -816,22 +768,31 @@ def enumerate_space(kind: str, m: int, n: int) -> tuple[Seq, ...]:
 Form = tuple[int, Seq]
 
 
-def _x_walk(m: int, lo: int, hi: int, first: Form, second: Form
-            ) -> Iterator[tuple[Seq, int, int, int, int, int]]:
-    """Every XSeq x of length index m with lo <= rho(x) <= hi, streamed in
-    lexicographic order, as (x, rho(x), _weighted(x), mask, first(x),
-    second(x)), mask having bit i set exactly when i is in frakS(x) (so
-    mask.bit_count() is _strict_count(x)): enumerate_space("X", m, n) for
-    every n at once, for 0 <= lo <= hi and m the library checked.
+def _walk(kind: str, m: int, lo: int, hi: int, first: Form, second: Form
+          ) -> Iterator[tuple[Seq, int, int, int, int, int]]:
+    """Every sequence x of the kind and length index m with statistic in
+    [lo, hi], streamed in lexicographic order, as (x, statistic,
+    _weighted(x), mask, first(x), second(x)), mask having bit i set exactly
+    when i is in frakS(x) (so mask.bit_count() is _strict_count(x) for an
+    XSeq), for 0 <= lo <= hi and arguments the library checked.
 
-    enumerate_space's search and tails, without recursion.  The sums run
-    along the entries: the value at i adds its excess over base_x to the
+    Backtracking without recursion.  The value at each position runs up
+    from the least the step rules of _SPACES allow over the two entries
+    before it (from 0 at position 0, where XT takes 0 only), and the first
+    value whose deviation so far plus the least deviation of the positions
+    after it (_tail_dev) passes hi ends the position: both grow with the
+    value, and the entry before it moves on.  The sums run along the
+    entries: the value at i adds its excess over the base to the
     statistic, (m - i) times itself to the weighted sum and its coefficient
     times itself to each form, and, equal to the entry before it, clears
     bits i - 1 and i of the mask, which starts with every position set.
     The last entry, of weight 0, runs over the values that bring the
     statistic into [lo, hi]."""
-    base = base_x(m)
+    make_base, step1, step2, low1 = _SPACES[kind]
+    base = make_base(m)
+    # XT's x[0] is 0, so its walk ends when x[1] runs out
+    stop = 1 if kind == "XT" else 0
+    # (i, value at i, value before it) -> _tail_dev, filled on first use
     tails: Tails = {}
     k1, k2 = first[1], second[1]
     xs = [0] * (m + 1)
@@ -841,8 +802,7 @@ def _x_walk(m: int, lo: int, hi: int, first: Form, second: Form
     masks = [(1 << m + 1) - 1] * (m + 1)
     f1 = [first[0]] * (m + 1)
     f2 = [second[0]] * (m + 1)
-    # val is the value tried at position i, from the least the step rules
-    # allow
+    # val is the value tried at position i
     i = val = 0
     while True:
         prev1 = xs[i - 1] if i else None
@@ -859,7 +819,7 @@ def _x_walk(m: int, lo: int, hi: int, first: Form, second: Form
             excess = dev[i] + val - base[i]
             tail = tails.get((i, val, prev1))
             if tail is None:
-                tail = tails[i, val, prev1] = _tail_dev("X", base, tails, i,
+                tail = tails[i, val, prev1] = _tail_dev(kind, base, tails, i,
                                                         val, prev1)
             if excess + tail <= hi:
                 xs[i] = val
@@ -870,13 +830,13 @@ def _x_walk(m: int, lo: int, hi: int, first: Form, second: Form
                 f1[i + 1] = f1[i] + k1[i] * val
                 f2[i + 1] = f2[i] + k2[i] * val
                 i += 1
-                val = xs[i - 1]
-                if i > 1 and xs[i - 2] >= val:
-                    val = xs[i - 2] + 1
+                val = xs[i - 1] + step1
+                if i == 1:
+                    val = max(val, low1)
+                elif val < xs[i - 2] + step2:
+                    val = xs[i - 2] + step2
                 continue
-        # the deviation and the tail both grow with the value, so the first
-        # value past hi ends position i: the entry before it moves on
-        if i == 0:
+        if i <= stop:
             return
         i -= 1
         val = xs[i] + 1
@@ -885,51 +845,27 @@ def _x_walk(m: int, lo: int, hi: int, first: Form, second: Form
 # ---------------------------------------------------------------------------
 # symmetric decompositions
 
-def _symmetric(ivs: tuple[Interval, ...], y: Seq) -> tuple[tuple[Seq, Seq], ...]:
-    """The (x, e) with y = x + e + x, x an XSeq and e nonnegative and
-    nondecreasing, whose split (x, x + e) of y is matched (ivs = _frakI(y))
-    and whose parts have equal frakS; lexicographically in x.
-
-    Backtracking over x keeps e[i] = y[i] - 2 x[i] at least e[i - 1] (and
-    e[-1] = 0), so x[i] <= (y[i] - e[i - 1]) // 2; x + e is then an XSeq
-    too.  Equal frakS sets cover the interval ends and meet in the size-one
-    intervals only when every interval has size one.  engine reads the
-    same list off a class's split table, and this search is its reference.
-    """
-    if _ends(ivs) != _singles(ivs):
-        return ()
-    m = len(y) - 1
-    out: list[tuple[Seq, Seq]] = []
-    xs: list[int] = []
-
-    def rec(i: int, prev_e: int) -> None:
-        if i > m:
-            x = tuple(xs)
-            xp = tuple(map(sub, y, x))
-            if _matched(ivs, x, xp, False) and _frakS(xp) == _frakS(x):
-                out.append((x, tuple(map(sub, xp, x))))
-            return
-        lo = 0
-        if i >= 1:
-            lo = xs[i - 1]
-        if i >= 2:
-            lo = max(lo, xs[i - 2] + 1)
-        for v in range(lo, (y[i] - prev_e) // 2 + 1):
-            xs.append(v)
-            rec(i + 1, y[i] - 2 * v)
-            xs.pop()
-
-    rec(0, 0)
-    del rec  # as in _split_firsts
-    return tuple(out)
-
-
 def symmetric_decompositions(y: Seq) -> tuple[tuple[Seq, Seq], ...]:
     """All (x, e) with y = x + e + x, (x, e+x) a matched split of y, and
     frakS(e + x) = frakS(x), lexicographically in x. Nonempty exactly when
     every frakI(y) interval has size one.  A y that is not a YSeq raises
     ValidationError, one past the size cap ResourceError.
+
+    A filter of the splits (x, xp) of _split_pairs: e = xp - x nonnegative
+    and nondecreasing, the split matched and the parts' frakS equal.  Equal
+    frakS sets cover the interval ends and meet in the size-one intervals
+    only when every interval has size one, so otherwise no split is tried.
+    engine reads the same list off a class's split table.
     """
     ensure_yseq(y)
     _ensure_split_cap(y)
-    return _symmetric(_frakI(y), y)
+    ivs = _frakI(y)
+    if _ends(ivs) != _singles(ivs):
+        return ()
+    out = []
+    for x, xp in _split_pairs(y, False):
+        e = tuple(map(sub, xp, x))
+        if (e[0] >= 0 and all(map(le, e, e[1:]))
+                and _matched(ivs, x, xp, False) and _frakS(xp) == _frakS(x)):
+            out.append((x, e))
+    return tuple(out)

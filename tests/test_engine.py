@@ -274,14 +274,16 @@ def test_symmetry_witness_shapes_are_symmetric():
 def test_symmetric_witnesses_read_off_the_split_table_equal_the_search(
         family):
     # every class of B2-12 and D4-12: the same x, in the same order, with
-    # the same e as seqcomb's own search, which verify no longer runs
+    # the same e as symmetric_decompositions, which filters the unpacked
+    # split pairs (tests/test_seqcomb.py checks both against the symmetric
+    # decompositions' own search), and each x's record is the table's own
     found = 0
     for n in range(RANK_FLOOR[family], 13):
         parts = engine._Parts(family, n, engine._maximal_shapes(family, n))
         for c in enumerate_classes(family, n):
             ivs = sc._frakI(c.y)
             got = engine._symmetric_splits(c.y, ivs, parts.splits(c.y))
-            want = sc._symmetric(ivs, c.y)
+            want = sc.symmetric_decompositions(c.y)
             assert [(irreps.zeta(record[1][0]), e) for record, e in got] \
                 == list(want), c.y
             assert all(record is parts.records[sc._pack(parts.fields, x)]
@@ -383,7 +385,7 @@ def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
     # the two rows of a two-label D class share them
     classes = len(enumerate_classes(family, 6))
     calls = {"_split_firsts": 0, "_split_pairs": 0, "_class_invariants": 0,
-             "_frakI": 0, "symmetric_decompositions": 0, "_symmetric": 0}
+             "_frakI": 0, "symmetric_decompositions": 0}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -397,7 +399,6 @@ def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
     counted(sc, "_split_firsts")
     counted(sc, "_split_pairs")
     counted(sc, "symmetric_decompositions")
-    counted(sc, "_symmetric")
     counted(sc, "_frakI")
     counted(engine, "_class_invariants")
     assert len(verify(family, 6).rows) == rows
@@ -407,7 +408,7 @@ def test_each_row_enumerates_members_and_invariants_once(monkeypatch, family,
     # of their own
     assert calls == {"_split_firsts": classes, "_split_pairs": 0,
                      "_class_invariants": classes, "_frakI": classes,
-                     "symmetric_decompositions": 0, "_symmetric": 0}
+                     "symmetric_decompositions": 0}
 
 
 def test_verify_builds_no_image_label(monkeypatch):
@@ -514,15 +515,15 @@ def test_enumerated_classes_and_rows_are_checked_only_where_they_enter(
 
 
 def _counted_walks(monkeypatch):
-    """Record the (m, lo, hi) of every seqcomb._x_walk call."""
+    """Record the (kind, m, lo, hi) of every seqcomb._walk call."""
     walks = []
-    inner = sc._x_walk
+    inner = sc._walk
 
-    def counted(m, lo, hi, *forms):
-        walks.append((m, lo, hi))
-        return inner(m, lo, hi, *forms)
+    def counted(kind, m, lo, hi, *forms):
+        walks.append((kind, m, lo, hi))
+        return inner(kind, m, lo, hi, *forms)
 
-    monkeypatch.setattr(sc, "_x_walk", counted)
+    monkeypatch.setattr(sc, "_walk", counted)
     return walks
 
 
@@ -550,9 +551,13 @@ def test_verify_builds_each_special_pool_once(monkeypatch, family):
     assert set(pools.values()) <= {1}
     assert bool(pools) == (family == "D")
     # BC and D pools, every rank from 0 to 6, come from one walk per part
-    # family at the target's merged length: BC and D for C, D for D
-    assert walks == [(policy_m(fam, 6), 0, 6)
-                     for fam in engine._PART_FAMILIES[family]]
+    # family at the target's merged length: BC and D for C, D for D; the
+    # same walk enumerates the classes once (and family-A pools through
+    # special_reps, whose memo may hold them already)
+    assert [walk for walk in walks if walk[0] == "X"] == [
+        ("X", policy_m(fam, 6), 0, 6) for fam in engine._PART_FAMILIES[family]]
+    assert walks.count((springer._SPACE_KIND[family],
+                        springer.class_policy_m(family, 6), 6, 6)) == 1
     # every factor f-product is read from the split-part table, none from
     # special_f
     assert from_scratch == []
@@ -784,10 +789,12 @@ def test_a_record_table_counts_strict_positions_once_per_pool_sequence(
     parts = engine._Parts(family, 8, engine._maximal_shapes(family, 8))
     monkeypatch.undo()
     # one walk per part family, and one record per sequence it yields
-    assert walks == [(policy_m(fam, 8), 0, 8)
+    # (family-A pools come through special_reps, whose memo may hold them)
+    walks = [walk for walk in walks if walk[0] == "X"]
+    assert walks == [("X", policy_m(fam, 8), 0, 8)
                      for fam in engine._PART_FAMILIES[family]]
     assert len(parts.records) == sum(
-        len(sc.enumerate_space("X", m, rank)) for m, _, _ in walks
+        len(sc.enumerate_space("X", m, rank)) for _, m, _, _ in walks
         for rank in range(9))
     based = 0
     for key, (rank, fiber, f, *_) in parts.records.items():

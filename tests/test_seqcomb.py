@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import operator
@@ -11,9 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylsymbols import seqcomb as sc
-from weylsymbols.engine import RANK_FLOOR, _Parts, _maximal_shapes, _split_fields
+from weylsymbols.engine import (
+    RANK_FLOOR,
+    _Parts,
+    _maximal_shapes,
+    _split_fields,
+    _symmetric_splits,
+)
 from weylsymbols.errors import DomainError, InvariantError, ResourceError, ValidationError
-from weylsymbols.irreps import special_reps, zeta_inverse
+from weylsymbols.irreps import special_reps, zeta, zeta_inverse
 from weylsymbols.springer import (
     LABEL_FAMILY,
     class_policy_m,
@@ -337,12 +344,13 @@ def test_resource_guard():
 
 
 def test_space_kind_aliases():
-    assert sc.enumerate_space("X̃", 2, 1) == sc.enumerate_space("XT", 2, 1)
-    assert sc.enumerate_space("ℰ", 3, 2) == sc.enumerate_space("E", 3, 2)
+    # only the six canonical kinds are spaces: the old spellings X̃, Ỹ, X~,
+    # Y~ and ℰ are refused like any other unknown kind
+    for kind in ("X̃", "Ỹ", "X~", "Y~", "ℰ", "Q"):
+        with pytest.raises(DomainError, match="unknown sequence kind"):
+            sc.enumerate_space(kind, 2, 1)
     with pytest.raises(DomainError):
         sc.enumerate_space("XT", 3, 1)
-    with pytest.raises(DomainError):
-        sc.enumerate_space("Q", 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +461,16 @@ def test_enumerate_S_matches_brute_force(m):
 def test_split_enumerators_refuse_what_they_cannot_split(call, args, error):
     with pytest.raises(error):
         call(*args)
+
+
+def test_based_splits_refuse_a_y_that_does_not_start_0_1():
+    # y = (0, 0, 2) is a YSeq of even length index whose y1 is 0: one check
+    # of y0 = 0 and y1 = 1 refuses it, as it refuses y1 > 1
+    for y in ((0, 0, 2), (0, 2, 2)):
+        with pytest.raises(DomainError, match="y0 = 0 and y1 = 1"):
+            sc.enumerate_tilde_S(y)
+        with pytest.raises(DomainError, match="y0 = 0 and y1 = 1"):
+            sc.member_tilde_S(y, (0, 0, 1), (0, y[1], 1))
 
 
 def test_split_enumerators_take_every_bound_within_y():
@@ -576,36 +594,61 @@ def test_symmetric_decompositions_match_their_definition(m):
         assert sc.symmetric_decompositions(y) == tuple(sorted(want)), y
 
 
-def _symmetric_by_filter(y):
-    """The symmetric decompositions of y as a filter of its split pairs
-    (x, xp): e = xp - x nonnegative and nondecreasing, (x, xp) matched and
-    frakS(xp) = frakS(x), in split order."""
+def _symmetric_search(y):
+    """The symmetric decompositions of a YSeq y by their own backtracking
+    search over x, lexicographically in x: e[i] = y[i] - 2 x[i] at least
+    e[i - 1] (and e[-1] = 0) bounds x[i] by (y[i] - e[i - 1]) // 2, and a
+    complete x is kept when (x, x + e) is matched with equal frakS."""
     ivs = sc._frakI(y)
+    m = len(y) - 1
     out = []
-    for x, xp in sc._split_pairs(y, False):
-        e = tuple(b - a for a, b in zip(x, xp))
-        if e[0] < 0 or any(u > v for u, v in zip(e, e[1:])):
-            continue
-        if sc._matched(ivs, x, xp, False) and sc._frakS(xp) == sc._frakS(x):
-            out.append((x, e))
+    xs = []
+
+    def rec(i, prev_e):
+        if i > m:
+            x = tuple(xs)
+            xp = tuple(map(operator.sub, y, x))
+            if sc._matched(ivs, x, xp, False) and sc._frakS(xp) == sc._frakS(x):
+                out.append((x, tuple(map(operator.sub, xp, x))))
+            return
+        lo = 0
+        if i >= 1:
+            lo = xs[i - 1]
+        if i >= 2:
+            lo = max(lo, xs[i - 2] + 1)
+        for v in range(lo, (y[i] - prev_e) // 2 + 1):
+            xs.append(v)
+            rec(i + 1, y[i] - 2 * v)
+            xs.pop()
+
+    rec(0, 0)
     return tuple(out)
 
 
 @pytest.mark.parametrize("family", ["B", "D"])
 def test_symmetric_search_equals_the_split_filter_on_class_sequences(family):
+    # every class of B2-12 and D2-12: symmetric_decompositions filters the
+    # split pairs and verify the class's split table (from the rank floor
+    # on), and both equal the search, x by x in the same order
     found = 0
     for n in range(2, 13):
+        parts = (_Parts(family, n, _maximal_shapes(family, n))
+                 if n >= RANK_FLOOR[family] else None)
         for c in enumerate_classes(family, n):
-            got = sc._symmetric(sc._frakI(c.y), c.y)
-            assert got == _symmetric_by_filter(c.y), c.y
-            found += len(got)
+            want = _symmetric_search(c.y)
+            assert sc.symmetric_decompositions(c.y) == want, c.y
+            if parts is not None:
+                got = _symmetric_splits(c.y, sc._frakI(c.y), parts.splits(c.y))
+                assert [(zeta(record[1][0]), e) for record, e in got] \
+                    == list(want), c.y
+            found += len(want)
     assert found
 
 
 def test_symmetric_search_equals_the_split_filter_on_small_yseqs():
     for m in range(9):
         for y in _all_yseqs(m, 8):
-            assert sc._symmetric(sc._frakI(y), y) == _symmetric_by_filter(y), y
+            assert sc.symmetric_decompositions(y) == _symmetric_search(y), y
 
 
 _SPACE_RULES = {
@@ -616,24 +659,38 @@ _SPACE_RULES = {
 }
 
 
-def test_enumerate_space_lexicographic_and_complete():
-    # every kind, m <= 6 and n <= 4 (XT and YT at even m >= 2) against one
-    # brute-force sweep per (kind, m), bucketed by the statistic: every
-    # space is nondecreasing, and an entry of a sequence with statistic n is
-    # at most its base's last entry + n, so below m + 5
-    for kind, (ensure, stat) in _SPACE_RULES.items():
+@functools.cache
+def _brute_space(kind, m):
+    """The sequences of the kind and length index m with statistic at most
+    4, bucketed by the statistic, from one brute-force sweep: every space
+    is nondecreasing, and an entry of a sequence with statistic n is at
+    most its base's last entry + n, so below m + 5."""
+    ensure, stat = _SPACE_RULES[kind]
+    slow: dict[int, list] = {n: [] for n in range(5)}
+    for cand in itertools.combinations_with_replacement(range(m + 5), m + 1):
+        try:
+            ensure(cand)
+        except ValidationError:
+            continue
+        slow.setdefault(stat(cand), []).append(cand)
+    return slow
+
+
+def _small_spaces():
+    """Every kind with every length index up to 6 (even from 2 for XT and
+    YT)."""
+    for kind in _SPACE_RULES:
         for m in (2, 4, 6) if kind in ("XT", "YT") else range(7):
-            slow: dict[int, list] = {n: [] for n in range(5)}
-            for cand in itertools.combinations_with_replacement(range(m + 5),
-                                                                m + 1):
-                try:
-                    ensure(cand)
-                except ValidationError:
-                    continue
-                slow.setdefault(stat(cand), []).append(cand)
-            for n in range(5):
-                out = sc.enumerate_space(kind, m, n)
-                assert list(out) == sorted(set(out)) == slow[n], (kind, m, n)
+            yield kind, m
+
+
+def test_enumerate_space_lexicographic_and_complete():
+    # every kind, m <= 6 and n <= 4 against the brute-force sweep
+    for kind, m in _small_spaces():
+        slow = _brute_space(kind, m)
+        for n in range(5):
+            out = sc.enumerate_space(kind, m, n)
+            assert list(out) == sorted(set(out)) == slow[n], (kind, m, n)
 
 
 @pytest.mark.parametrize("kind", [["X"], ("X",), None, 1, "W"],
@@ -706,18 +763,42 @@ def test_enumerate_space_tail_entries_equal_a_greedy_walk(monkeypatch, kind):
         assert out == _greedy_tail(kind, m, i, val, prev1), (m, i, val, prev1)
 
 
+def test_the_walk_over_a_window_equals_the_brute_force_sweep():
+    # every kind at m <= 6, over windows of statistics with lo < hi: the
+    # sequences of the sweep in lexicographic order, each with its
+    # statistic, its entries weighted by m - i, the mask of the positions
+    # with no equal neighbour (frakS, for an XSeq) and both forms
+    for kind, m in _small_spaces():
+        slow = _brute_space(kind, m)
+        coefs = tuple(range(3, m + 4))
+        ones = (1,) * (m + 1)
+        for lo, hi in ((0, 4), (1, 3), (2, 4), (3, 4)):
+            walked = list(sc._walk(kind, m, lo, hi, (7, coefs), (0, ones)))
+            assert [(x, n) for x, n, *_ in walked] == sorted(
+                (x, n) for n in range(lo, hi + 1) for x in slow[n]), (kind, m)
+            for x, _, w, mask, first, second in walked:
+                assert w == sum((m - i) * v for i, v in enumerate(x))
+                assert mask == sum(1 << i for i in range(m + 1)
+                                   if (i == 0 or x[i - 1] < x[i])
+                                   and (i == m or x[i] < x[i + 1]))
+                assert first == 7 + sum(map(operator.mul, coefs, x))
+                assert second == sum(x)
+
+
 def test_the_x_walk_at_one_rank_is_the_x_space_with_its_sums():
     # every length index of a merged sequence up to rank 10 (2n + 1 for D,
-    # 2n + 2 for BC) and every rank up to 10
+    # 2n + 2 for BC) and every rank up to 10: XSeqs of the rank, strictly
+    # increasing, with the kernels' sums
     for m in range(2 * 10 + 3):
         coefs = tuple(range(3, m + 4))
         ones = (1,) * (m + 1)
         for n in range(11):
-            walked = list(sc._x_walk(m, n, n, (7, coefs), (0, ones)))
-            assert [x for x, *_ in walked] == list(sc.enumerate_space("X", m,
-                                                                      n))
+            walked = list(sc._walk("X", m, n, n, (7, coefs), (0, ones)))
+            xs = [x for x, *_ in walked]
+            assert xs == sorted(set(xs)) and xs
             for x, rank, w, mask, first, second in walked:
-                assert (rank, w) == (n, sc._weighted(x))
+                assert rank == sc.rho(x) == n
+                assert w == sc._weighted(x)
                 # bit i of the mask set exactly when i is in frakS(x)
                 assert mask == sum(1 << i for i in sc._frakS(x))
                 assert mask.bit_count() == sc._strict_count(x)
@@ -727,12 +808,15 @@ def test_the_x_walk_at_one_rank_is_the_x_space_with_its_sums():
 
 @pytest.mark.parametrize("m", [0, 1, 2, 7, 21, 22])
 def test_the_x_walk_over_a_window_merges_its_ranks_lexicographically(m):
+    # the window's walk is its one-rank walks merged, where a sequence's
+    # statistic decides alone which ranks it lies in
     zero = (0, (0,) * (m + 1))
     for lo, hi in ((0, 0), (0, 10), (3, 7), (9, 10)):
-        walked = [(x, rank) for x, rank, *_ in sc._x_walk(m, lo, hi, zero,
-                                                          zero)]
+        walked = [(x, rank) for x, rank, *_ in sc._walk("X", m, lo, hi, zero,
+                                                        zero)]
         assert walked == sorted((x, n) for n in range(lo, hi + 1)
-                                for x in sc.enumerate_space("X", m, n))
+                                for x, *_ in sc._walk("X", m, n, n, zero,
+                                                      zero))
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +999,6 @@ def test_a_y_that_is_not_a_yseq_has_no_split_and_no_search(monkeypatch, y):
         raise AssertionError("searched a y that has no split")
 
     monkeypatch.setattr(sc, "_split_firsts", unused)
-    monkeypatch.setattr(sc, "_symmetric", unused)
     for enumerate_ in (sc.enumerate_S, sc.enumerate_tilde_S,
                        sc.symmetric_decompositions):
         with pytest.raises(ValidationError):
@@ -929,7 +1012,6 @@ def test_a_yseq_past_the_size_cap_is_refused_before_any_search(monkeypatch, y):
         raise AssertionError("searched a y past the size cap")
 
     monkeypatch.setattr(sc, "_split_firsts", unused)
-    monkeypatch.setattr(sc, "_symmetric", unused)
     for enumerate_ in (sc.enumerate_S, sc.symmetric_decompositions):
         with pytest.raises(ResourceError, match="capped"):
             enumerate_(y)
@@ -991,10 +1073,10 @@ def test_closed_form_base_sums_equal_the_weighted_bases():
 
 
 def test_the_recursive_searches_leave_no_reference_cycle():
-    # each search's nested recursive function holds itself through its
+    # the split search's nested recursive function holds itself through its
     # closure cell until the search empties it: with the collector off,
-    # enumerate_space, the split search and the symmetric search leave it
-    # nothing to find
+    # enumerate_space's walk, the split search and the symmetric filter of
+    # the split pairs leave it nothing to find
     parts = _Parts("C", 10, _maximal_shapes("C", 10))
     gc.collect()
     gc.disable()
