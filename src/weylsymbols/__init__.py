@@ -6,11 +6,20 @@ stratification of unipotent classes with component-group data, and the
 truncated-induction maps relating the two; it verifies the resulting
 bijection exhaustively at desk scale and ships validated tables for the
 exceptional types. Everything is exact integer arithmetic on tuples.
+
+``import weylsymbols`` loads ``errors``, ``seqcomb``, ``irreps``,
+``jinduction``, ``oracle``, ``springer`` and ``exceptional``.  The
+verification engine, ``engine``, loads on first use of one of its names
+(``RANK_FLOOR``, ``VerificationReport``, ``bar_S``, ``fa``, ``fc``,
+``verify``) or of ``weylsymbols.engine`` itself; the command line,
+``weylsymbols.cli``, loads it for every run, and the suites behind
+``lemmas`` and ``oracle-check`` load only when one of those runs.
 """
 
 from __future__ import annotations
 
-from .engine import RANK_FLOOR, VerificationReport, bar_S, fa, fc, verify
+import importlib
+
 from .errors import (
     DomainError,
     InvariantError,
@@ -46,6 +55,10 @@ from .springer import (
 )
 
 __version__ = "0.1.0"
+
+# the names of engine that the package exports, bound on first use
+_ENGINE_NAMES = frozenset(
+    ("RANK_FLOOR", "VerificationReport", "bar_S", "fa", "fc", "verify"))
 
 __all__ = [
     "ClassInvariants",
@@ -91,3 +104,18 @@ __all__ = [
     "validate_tables",
     "verify",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """Import engine on first use of one of its exported names, or of the
+    submodule itself, and bind the value here so later reads skip this."""
+    if name != "engine" and name not in _ENGINE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    engine = importlib.import_module(".engine", __name__)
+    value = engine if name == "engine" else getattr(engine, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return list(__all__)

@@ -8,7 +8,8 @@ from a JSON spec; ``verify`` runs the full per-class comparison for one
 family and rank; ``oracle-check`` replays the character-theoretic
 cross-checks; ``exceptional`` queries or validates the embedded tables for
 the exceptional types; ``lemmas`` runs the exhaustive sequence-combinatorics
-property suite.
+property suite.  The parser is built once per process, and the suites
+module loads only when ``lemmas`` or ``oracle-check`` runs.
 
 Each subcommand handler only computes its data; one renderer turns that
 data into the requested format.  Every machine format carries a
@@ -46,7 +47,7 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import cache
 from json.encoder import encode_basestring_ascii as _str_json
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from .engine import ClassRow, ParahoricSpec, ensure_floor, verify
 from .errors import DomainError, InvariantError, ValidationError, WeylSymbolsError
@@ -77,7 +78,9 @@ from .springer import (
     class_invariants,
     enumerate_classes,
 )
-from .suites import LemmaSuiteReport, OracleSuiteReport, lemma_suite, oracle_suite
+
+if TYPE_CHECKING:
+    from .suites import LemmaSuiteReport, OracleSuiteReport
 
 SCHEMA_VERSION = 2
 
@@ -633,11 +636,15 @@ def _suite_output(report: LemmaSuiteReport | OracleSuiteReport, items: Sequence,
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> _Output:
+    from .suites import oracle_suite
+
     report = oracle_suite(family=args.family, max_rank=args.max_rank)
     return _suite_output(report, report.blocks, "block")
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> _Output:
+    from .suites import lemma_suite
+
     report = lemma_suite(max_m=args.max_m, max_weight=args.max_weight)
     return _suite_output(report, report.checks, "check")
 
@@ -721,7 +728,10 @@ def _cmd_exceptional(args: argparse.Namespace) -> _Output:
 # parser and entry point
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls."""
     parser = argparse.ArgumentParser(
         prog="weylsymbols",
         description="Symbol combinatorics for Weyl-group representations "

@@ -203,6 +203,27 @@ def b_invariant(label: IrrLabel) -> int:
     return 2 * sc._beta0(label.z) + 2 * sc._beta0(label.zp) + sc._rho0(label.zp)
 
 
+def _pair_min_sum(entries: list[int]) -> int:
+    """Sum of min(u, v) over the unordered pairs of the entries, a
+    multiset: sorted ascending, the entry at i is the lesser of its pairs
+    with the len - 1 - i entries after it."""
+    entries.sort()
+    last = len(entries) - 1
+    return sum(v * (last - i) for i, v in enumerate(entries))
+
+
+def _a_value(label: IrrLabel) -> int:
+    """Lusztig's a-function of the irreducible, read off its symbol: the
+    pair-min sum of its entries, both rows as one multiset, less that of
+    the rank-0 symbol of the same row lengths.  A shift raises each entry
+    by one and adds a 0 to each row, and the two sums move alike, so the
+    value is the same for every shift of the label."""
+    rows = (label.z,) if label.zp is None else (label.z, label.zp)
+    entries = [v for row in rows for v in row]
+    base = [v for row in rows for v in range(len(row))]
+    return _pair_min_sum(entries) - _pair_min_sum(base)
+
+
 def _f_from_strict_count(family: str, count: int) -> int:
     if family == FAMILY_A:
         return 1

@@ -20,6 +20,7 @@ from .irreps import (
     FAMILY_BC,
     FAMILY_D,
     IrrLabel,
+    _a_value,
     b_invariant,
     is_special,
     label_str,
@@ -95,6 +96,26 @@ def _spaces(kind: str, max_m: int, max_weight: int) -> dict[int, list[sc.Seq]]:
     return out
 
 
+def _a_labels(n: int) -> list[IrrLabel]:
+    """Every BC label and every D label of kappa 0 of rank n, the BC rows
+    at lengths (n + 2, n + 1) and the D rows at n + 1, long enough for
+    any pair of partitions of total n."""
+    k = n + 1
+    out = []
+    for w in range(n + 1):
+        for z in sc.enumerate_space("Z", k, w):
+            out += [IrrLabel(FAMILY_BC, n, z, zp)
+                    for zp in sc.enumerate_space("Z", k - 1, n - w)]
+        if 2 * w < n:
+            continue
+        # D rows: the heavier first, equal weights sorted
+        for z in sc.enumerate_space("Z", k - 1, w):
+            out += [IrrLabel(FAMILY_D, n, z, zp)
+                    for zp in sc.enumerate_space("Z", k - 1, n - w)
+                    if 2 * w > n or z <= zp]
+    return out
+
+
 def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
     """Exhaustively recheck the sequence-statistics identities.
 
@@ -103,7 +124,12 @@ def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
     of the plain and based split enumerations, the hat-decomposition round
     trip, and the symmetric-witness criterion (nonempty exactly when every
     interval has size one), over all sequences with length index at most
-    max_m and deviation weight at most max_weight.
+    max_m and deviation weight at most max_weight.  Last, specialness by
+    Lusztig's a-function: over every BC label and every D label of kappa 0
+    of ranks 2 to the lesser bound, a <= b, with equality exactly when the
+    label is special.  Bounding the rank by both bounds keeps the label
+    count, like every other check's case count, from growing with one
+    bound alone.
     """
     sc._ensure_int("max_m", max_m)
     sc._ensure_int("max_weight", max_weight)
@@ -250,6 +276,17 @@ def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
                 if sc.seq_add(x, mid) != y or sc.frakS(mid) != sc.frakS(x):
                     fails.append(f"y={y} x={x}: malformed witness")
     checks.append(SuiteCheck("symmetric_witness_equivalence", cases, tuple(fails)))
+
+    cases = 0
+    fails = []
+    for n in range(2, min(max_m, max_weight) + 1):
+        for label in _a_labels(n):
+            cases += 1
+            a, b = _a_value(label), b_invariant(label)
+            if a > b or (a == b) != is_special(label):
+                fails.append(f"{label_str(label)}: a {a}, b {b}, "
+                             f"special {is_special(label)}")
+    checks.append(SuiteCheck("a_function", cases, tuple(fails)))
 
     return LemmaSuiteReport(max_m=max_m, max_weight=max_weight, checks=tuple(checks))
 

@@ -155,6 +155,7 @@ def test_sequence_property_suite_is_exhaustive():
         "based_split_enumeration": 400,
         "hat_roundtrip": 747,
         "symmetric_witness_equivalence": 926,
+        "a_function": 652,
     }
     assert time.monotonic() - t0 < 120
 

@@ -339,6 +339,7 @@ def test_lemma_suite_is_green_at_small_bounds():
         "based_split_enumeration",
         "hat_roundtrip",
         "symmetric_witness_equivalence",
+        "a_function",
     ]
     assert all(c.cases > 0 for c in report.checks)
 

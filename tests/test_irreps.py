@@ -550,11 +550,49 @@ def test_shift_canonicalize_properties():
         assert b_invariant(moved) == b_invariant(lab)
         assert dimension(moved) == dimension(lab)
         assert is_special(moved) == is_special(lab)
+        assert irreps._a_value(moved) == irreps._a_value(lab)
         if is_special(lab) and lab.family != FAMILY_A:
             assert special_f(moved) == special_f(lab)
         assert shift(lab, 0).z == lab.z
     with pytest.raises(DomainError):
         shift(labels[0], -1)
+
+
+def test_a_value_spans_trivial_to_sign_and_meets_b_exactly_on_specials():
+    # a runs from 0 at the trivial representation to the number of
+    # reflections at the sign: n^2 for BC_n, n(n - 1) for D_n
+    for n in range(2, 7):
+        labels = suites._a_labels(n)
+        for family, top in ((FAMILY_BC, n * n), (FAMILY_D, n * (n - 1))):
+            values = [irreps._a_value(lab) for lab in labels
+                      if lab.family == family]
+            assert (min(values), max(values)) == (0, top)
+        for lab in labels:
+            a, b = irreps._a_value(lab), b_invariant(lab)
+            assert a <= b and (a == b) == is_special(lab)
+    # every irreducible of a symmetric group is special: a = b throughout
+    for n in range(0, 7):
+        for rep in special_reps(FAMILY_A, n):
+            assert irreps._a_value(rep.label) == rep.b
+
+
+def test_a_function_check_fails_when_a_meets_b_off_the_specials(monkeypatch):
+    monkeypatch.setattr(suites, "_a_value", b_invariant)
+    check = suites.lemma_suite(max_m=4, max_weight=4).checks[-1]
+    assert check.name == "a_function"
+    assert check.cases == 54
+    # every label that is not special now fails the equality clause
+    assert len(check.failures) == sum(
+        not is_special(lab) for n in (2, 3, 4) for lab in suites._a_labels(n))
+    assert check.failures
+
+
+def test_a_function_ranks_stay_inside_both_suite_bounds():
+    # the rank runs to the lesser bound: a wide weight bound alone adds no
+    # label, and (3, 6) meets ranks 2 and 3 only
+    assert suites.lemma_suite(max_m=1, max_weight=40).checks[-1].cases == 0
+    assert suites.lemma_suite(max_m=3, max_weight=6).checks[-1].cases == sum(
+        len(suites._a_labels(n)) for n in (2, 3))
 
 
 def test_aligned_rows_refuses_a_family_a_label():
