@@ -8,12 +8,14 @@ bijection exhaustively at desk scale and ships validated tables for the
 exceptional types. Everything is exact integer arithmetic on tuples.
 
 ``import weylsymbols`` loads ``errors``, ``seqcomb``, ``irreps``,
-``jinduction``, ``oracle``, ``springer`` and ``exceptional``.  The
-verification engine, ``engine``, loads on first use of one of its names
-(``RANK_FLOOR``, ``VerificationReport``, ``bar_S``, ``fa``, ``fc``,
-``verify``) or of ``weylsymbols.engine`` itself; the command line,
-``weylsymbols.cli``, loads it for every run, and the suites behind
-``lemmas`` and ``oracle-check`` load only when one of those runs.
+``jinduction``, ``springer`` and ``exceptional``.  The verification
+engine, ``engine``, and the character-theory oracle, ``oracle``, load on
+first use of one of their exported names (``RANK_FLOOR``,
+``VerificationReport``, ``bar_S``, ``fa``, ``fc``, ``verify``; ``b_oracle``,
+``character_table``, ``induction_multiplicity``, ``j_oracle``) or of the
+submodule itself; the command line, ``weylsymbols.cli``, loads the engine
+for every run, and the suites behind ``lemmas`` and ``oracle-check``, with
+the oracle, load only when one of those runs.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .irreps import (
     special_reps,
 )
 from .jinduction import EMBED_KINDS, Embedding, f_product, j_induce
-from .oracle import b_oracle, character_table, induction_multiplicity, j_oracle
 from .springer import (
     ClassInvariants,
     ClassLabel,
@@ -56,9 +57,13 @@ from .springer import (
 
 __version__ = "0.1.0"
 
-# the names of engine that the package exports, bound on first use
-_ENGINE_NAMES = frozenset(
-    ("RANK_FLOOR", "VerificationReport", "bar_S", "fa", "fc", "verify"))
+# each name bound on first use -> the submodule it comes from
+_LAZY = {
+    **dict.fromkeys(("engine", "RANK_FLOOR", "VerificationReport", "bar_S",
+                     "fa", "fc", "verify"), "engine"),
+    **dict.fromkeys(("oracle", "b_oracle", "character_table",
+                     "induction_multiplicity", "j_oracle"), "oracle"),
+}
 
 __all__ = [
     "ClassInvariants",
@@ -107,12 +112,14 @@ __all__ = [
 
 
 def __getattr__(name: str) -> object:
-    """Import engine on first use of one of its exported names, or of the
-    submodule itself, and bind the value here so later reads skip this."""
-    if name != "engine" and name not in _ENGINE_NAMES:
+    """Import a lazy submodule on first use of one of its exported names,
+    or of the submodule itself, and bind the value here so later reads
+    skip this."""
+    home = _LAZY.get(name)
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    engine = importlib.import_module(".engine", __name__)
-    value = engine if name == "engine" else getattr(engine, name)
+    module = importlib.import_module(f".{home}", __name__)
+    value = module if name == home else getattr(module, name)
     globals()[name] = value
     return value
 

@@ -8,8 +8,9 @@ from a JSON spec; ``verify`` runs the full per-class comparison for one
 family and rank; ``oracle-check`` replays the character-theoretic
 cross-checks; ``exceptional`` queries or validates the embedded tables for
 the exceptional types; ``lemmas`` runs the exhaustive sequence-combinatorics
-property suite.  The parser is built once per process, and the suites
-module loads only when ``lemmas`` or ``oracle-check`` runs.
+property suite.  The parser is built once per process; the suites module,
+and with it the oracle, loads only when ``lemmas`` or ``oracle-check``
+runs, and the csv module only when a run writes CSV.
 
 Each subcommand handler only computes its data; one renderer turns that
 data into the requested format.  Every machine format carries a
@@ -36,7 +37,6 @@ distinct row out once per depth: labels share most of their rows.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import io
 import itertools
@@ -353,6 +353,8 @@ def _render(args: argparse.Namespace, out: _Output) -> None:
                    **out.payload()}
         pieces: Iterable[str] = itertools.chain(_json_text(payload), ["\n"])
     elif args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         headers = out.headers if out.csv_headers is None else out.csv_headers

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import product
+from math import comb
 
 from . import seqcomb as sc
-from .errors import DomainError, OracleError, ValidationError
+from .errors import DomainError, OracleError, ResourceError, ValidationError
 from .irreps import (
     FAMILIES,
     FAMILY_A,
@@ -116,6 +117,62 @@ def _a_labels(n: int) -> list[IrrLabel]:
     return out
 
 
+def _partition_counts(n: int) -> list[int]:
+    """p(0), ..., p(n): the partition counts, one part size at a time."""
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            p[k] += p[k - part]
+    return p
+
+
+def _irr_count(family: str, n: int) -> int:
+    """|Irr W| of rank n for family BC or D: the bipartitions of n, and for
+    D their unordered pairs, where a degenerate pair (two equal
+    partitions of n / 2) names two irreducibles."""
+    p = _partition_counts(n)
+    bip = sum(p[k] * p[n - k] for k in range(n + 1))
+    if family == FAMILY_BC:
+        return bip
+    half = p[n // 2] if n % 2 == 0 else 0
+    return (bip - half) // 2 + 2 * half
+
+
+def _family_count_failure(family: str, n: int) -> str | None:
+    """Lusztig's family sizes, read off the f of each rank-n special of
+    family BC or D, summed against |Irr W|.  A BC special with f = 2^d
+    heads C(2d + 1, d) irreducibles, and a D special with f = 2^d heads
+    C(2d + 2, d + 1) / 2, the same number; so f = 1 heads only itself, as
+    a degenerate D special (equal rows) does."""
+    total = 0
+    for rep in special_reps(family, n):
+        d = rep.f.bit_length() - 1
+        if rep.f != 1 << d:
+            return f"{family}{n}: {label_str(rep.label)} has f {rep.f}"
+        total += comb(2 * d + 1, d)
+    want = _irr_count(family, n)
+    if total != want:
+        return f"{family}{n}: families hold {total}, |Irr| is {want}"
+    return None
+
+
+def _ensure_suite_cap(max_m: int, max_weight: int) -> None:
+    """Refuse (ResourceError), before any enumeration, bounds that would
+    take one of the suite's enumerations past seqcomb.SIZE_CAP: the spaces
+    run to length index max_m and statistic max_weight, a based split of
+    length index m and statistic n has rho' = n + m / 2, and the label
+    checks read special_reps("BC", r), merged at length index 2r + 2, up
+    to rank r = min(max_m, max_weight)."""
+    rank = min(max_m, max_weight)
+    reach = max(max_m, max_weight,
+                max_weight + max_m // 2 if max_m >= 2 else 0,
+                2 * rank + 2 if rank >= 2 else 0)
+    if reach > sc.SIZE_CAP:
+        raise ResourceError(
+            f"lemma suite bounds max_m={max_m} max_weight={max_weight} "
+            f"reach past the enumeration size cap {sc.SIZE_CAP}")
+
+
 def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
     """Exhaustively recheck the sequence-statistics identities.
 
@@ -129,12 +186,16 @@ def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
     of ranks 2 to the lesser bound, a <= b, with equality exactly when the
     label is special.  Bounding the rank by both bounds keeps the label
     count, like every other check's case count, from growing with one
-    bound alone.
+    bound alone.  Over the same ranks, the family sizes read off each BC
+    and D special's f sum to |Irr W|, one case per family and rank.
+    Bounds that would take an enumeration past the size cap raise
+    ResourceError before any runs.
     """
     sc._ensure_int("max_m", max_m)
     sc._ensure_int("max_weight", max_weight)
     if max_m < 0 or max_weight < 0:
         raise DomainError("suite bounds must be nonnegative")
+    _ensure_suite_cap(max_m, max_weight)
     checks: list[SuiteCheck] = []
     xs = _spaces("X", max_m, max_weight)
     ys = _spaces("Y", max_m, max_weight)
@@ -279,7 +340,8 @@ def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
 
     cases = 0
     fails = []
-    for n in range(2, min(max_m, max_weight) + 1):
+    ranks = range(2, min(max_m, max_weight) + 1)
+    for n in ranks:
         for label in _a_labels(n):
             cases += 1
             a, b = _a_value(label), b_invariant(label)
@@ -287,6 +349,11 @@ def lemma_suite(max_m: int = 8, max_weight: int = 8) -> LemmaSuiteReport:
                 fails.append(f"{label_str(label)}: a {a}, b {b}, "
                              f"special {is_special(label)}")
     checks.append(SuiteCheck("a_function", cases, tuple(fails)))
+
+    results = [_family_count_failure(family, n)
+               for n in ranks for family in (FAMILY_BC, FAMILY_D)]
+    checks.append(SuiteCheck("family_count", len(results),
+                             tuple(f for f in results if f is not None)))
 
     return LemmaSuiteReport(max_m=max_m, max_weight=max_weight, checks=tuple(checks))
 

@@ -156,6 +156,7 @@ def test_sequence_property_suite_is_exhaustive():
         "hat_roundtrip": 747,
         "symmetric_witness_equivalence": 926,
         "a_function": 652,
+        "family_count": 14,
     }
     assert time.monotonic() - t0 < 120
 

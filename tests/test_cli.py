@@ -18,7 +18,12 @@ from hypothesis import example, given, settings, strategies as st
 from weylsymbols import cli, engine, seqcomb as sc
 from weylsymbols.cli import main
 from weylsymbols.engine import verify
-from weylsymbols.errors import DomainError, InvariantError, ValidationError
+from weylsymbols.errors import (
+    DomainError,
+    InvariantError,
+    ResourceError,
+    ValidationError,
+)
 from weylsymbols.irreps import (
     FAMILY_A,
     FAMILY_BC,
@@ -340,6 +345,7 @@ def test_lemma_suite_is_green_at_small_bounds():
         "hat_roundtrip",
         "symmetric_witness_equivalence",
         "a_function",
+        "family_count",
     ]
     assert all(c.cases > 0 for c in report.checks)
 
@@ -371,6 +377,36 @@ def test_suites_check_their_arguments(call, kwargs, error, message):
     with pytest.raises(error) as info:
         call(**kwargs)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("max_m, max_weight", [
+    (65, 20), (99, 99), (2, 64), (32, 32)])
+def test_lemma_bounds_past_the_size_cap_are_refused_before_any_enumeration(
+        monkeypatch, max_m, max_weight):
+    # the spaces reach length index max_m and statistic max_weight, a based
+    # split rho' = n + m / 2 (65 at (2, 64)) and the label checks a BC
+    # merge at length index 2r + 2 (66 at (32, 32)): each of these windows
+    # would reach past the cap only after seconds to hours of work
+    calls = []
+    monkeypatch.setattr(sc, "enumerate_space", lambda *args: calls.append(args))
+    with pytest.raises(ResourceError) as info:
+        lemma_suite(max_m=max_m, max_weight=max_weight)
+    assert str(info.value) == (
+        f"lemma suite bounds max_m={max_m} max_weight={max_weight} "
+        "reach past the enumeration size cap 64")
+    assert calls == []
+
+
+def test_lemma_bounds_that_reach_the_size_cap_exactly_run():
+    assert lemma_suite(max_m=0, max_weight=64).ok()
+    assert lemma_suite(max_m=64, max_weight=0).ok()
+
+
+def test_lemmas_past_the_size_cap_exit_2_naming_the_bounds():
+    code, out, err = _run(["lemmas", "--max-m", "65", "--max-weight", "20"])
+    assert (code, out) == (2, "")
+    assert err == ("error: lemma suite bounds max_m=65 max_weight=20 "
+                   "reach past the enumeration size cap 64\n")
 
 
 def test_oracle_check_rejects_a_negative_rank_bound():

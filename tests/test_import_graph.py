@@ -1,9 +1,9 @@
 """What importing the package loads, checked in fresh interpreters.
 
-``import weylsymbols`` leaves out ``engine``, the command line and the
-suites: the engine's exported names load it on first use.  ``import
-weylsymbols.cli`` leaves out the suites, which only ``lemmas`` and
-``oracle-check`` run.
+``import weylsymbols`` leaves out ``engine``, ``oracle``, the command line
+and the suites: the exported names of engine and oracle load their module
+on first use.  ``import weylsymbols.cli`` leaves out the suites and the
+oracle, which only ``lemmas`` and ``oracle-check`` run.
 """
 
 from __future__ import annotations
@@ -42,15 +42,15 @@ def _loaded(statement: str) -> set[str]:
 
 def test_the_package_import_leaves_out_engine_cli_and_suites():
     loaded = _loaded("import weylsymbols")
-    assert "weylsymbols.oracle" in loaded
-    assert not {"weylsymbols.engine", "weylsymbols.cli",
+    assert "weylsymbols.exceptional" in loaded
+    assert not {"weylsymbols.engine", "weylsymbols.oracle", "weylsymbols.cli",
                 "weylsymbols.suites"} & loaded
 
 
 def test_the_cli_import_leaves_out_the_suites():
     loaded = _loaded("import weylsymbols.cli")
     assert "weylsymbols.engine" in loaded
-    assert "weylsymbols.suites" not in loaded
+    assert not {"weylsymbols.oracle", "weylsymbols.suites"} & loaded
 
 
 def test_every_exported_name_resolves_and_engine_names_are_engines_own():
@@ -70,6 +70,24 @@ def test_every_exported_name_resolves_and_engine_names_are_engines_own():
         print(len(values))
     """)
     assert int(out) == len(weylsymbols.__all__)
+
+
+def test_the_oracle_names_are_oracles_own_and_stay_bound():
+    out = _run("""
+        import sys
+        import weylsymbols as ws
+        names = ("b_oracle", "character_table", "induction_multiplicity",
+                 "j_oracle")
+        values = {name: getattr(ws, name) for name in names}
+        assert "weylsymbols.engine" not in sys.modules
+        from weylsymbols import oracle
+        for name in names:
+            assert values[name] is getattr(oracle, name), name
+            assert vars(ws)[name] is values[name], name
+        assert ws.oracle is oracle is sys.modules["weylsymbols.oracle"]
+        print(values["b_oracle"].__module__)
+    """)
+    assert out.strip() == "weylsymbols.oracle"
 
 
 def test_star_import_binds_all_of_all():
@@ -94,6 +112,28 @@ def test_the_engine_submodule_works_after_a_bare_package_import():
     assert ok == "True" and int(rows) > 0
 
 
+def test_the_oracle_submodule_works_after_a_bare_package_import():
+    out = _run("""
+        import weylsymbols
+        print(len(weylsymbols.oracle.character_table("BC", 3).irreps))
+        from weylsymbols import oracle
+        print(oracle is weylsymbols.oracle)
+    """)
+    assert out.split() == ["10", "True"]
+
+
+def test_oracle_check_loads_the_oracle_and_runs():
+    out = _run("""
+        import sys
+        from weylsymbols import cli
+        assert "weylsymbols.oracle" not in sys.modules
+        code = cli.main(["oracle-check", "--max-rank", "2"])
+        assert "weylsymbols.oracle" in sys.modules
+        sys.exit(code)
+    """)
+    assert out.endswith("result: ok\n")
+
+
 def test_an_unknown_attribute_raises_attribute_error_naming_it():
     out = _run("""
         import sys
@@ -102,6 +142,6 @@ def test_an_unknown_attribute_raises_attribute_error_naming_it():
             weylsymbols.no_such_name
         except AttributeError as exc:
             print(exc)
-        assert "weylsymbols.engine" not in sys.modules
+        assert not {"weylsymbols.engine", "weylsymbols.oracle"} & set(sys.modules)
     """)
     assert "no_such_name" in out and "'weylsymbols'" in out

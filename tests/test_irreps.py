@@ -576,10 +576,14 @@ def test_a_value_spans_trivial_to_sign_and_meets_b_exactly_on_specials():
             assert irreps._a_value(rep.label) == rep.b
 
 
+def _check(report: suites.LemmaSuiteReport, name: str) -> suites.SuiteCheck:
+    (check,) = [c for c in report.checks if c.name == name]
+    return check
+
+
 def test_a_function_check_fails_when_a_meets_b_off_the_specials(monkeypatch):
     monkeypatch.setattr(suites, "_a_value", b_invariant)
-    check = suites.lemma_suite(max_m=4, max_weight=4).checks[-1]
-    assert check.name == "a_function"
+    check = _check(suites.lemma_suite(max_m=4, max_weight=4), "a_function")
     assert check.cases == 54
     # every label that is not special now fails the equality clause
     assert len(check.failures) == sum(
@@ -590,9 +594,39 @@ def test_a_function_check_fails_when_a_meets_b_off_the_specials(monkeypatch):
 def test_a_function_ranks_stay_inside_both_suite_bounds():
     # the rank runs to the lesser bound: a wide weight bound alone adds no
     # label, and (3, 6) meets ranks 2 and 3 only
-    assert suites.lemma_suite(max_m=1, max_weight=40).checks[-1].cases == 0
-    assert suites.lemma_suite(max_m=3, max_weight=6).checks[-1].cases == sum(
+    assert _check(suites.lemma_suite(max_m=1, max_weight=40),
+                  "a_function").cases == 0
+    assert _check(suites.lemma_suite(max_m=3, max_weight=6),
+                  "a_function").cases == sum(
         len(suites._a_labels(n)) for n in (2, 3))
+
+
+def test_irr_count_is_the_oracle_character_table_size():
+    # the partition formula for |Irr W| against the classes the oracle
+    # builds its character tables on, at every rank it holds
+    for family in (FAMILY_BC, FAMILY_D):
+        for n in range(1, 6):
+            assert suites._irr_count(family, n) == len(
+                oracle.character_table(family, n).irreps), (family, n)
+
+
+def test_family_count_check_holds_and_fails_when_f_is_off(monkeypatch):
+    # one case per family and rank, ranks running as the a-function's do
+    check = _check(suites.lemma_suite(max_m=4, max_weight=3), "family_count")
+    assert (check.cases, check.failures) == (4, ())
+    for n in range(2, 15):
+        for family in (FAMILY_BC, FAMILY_D):
+            assert suites._family_count_failure(family, n) is None
+    # a doubled f moves every family's size, and an f that is not a power
+    # of two heads no family: every case fails
+    for scale in (2, 3):
+        monkeypatch.setattr(suites, "special_reps", lambda family, n: tuple(
+            dataclasses.replace(rep, f=scale * rep.f)
+            for rep in special_reps(family, n)))
+        check = _check(suites.lemma_suite(max_m=4, max_weight=4),
+                       "family_count")
+        assert check.cases == len(check.failures) == 6
+    assert "has f 3" in check.failures[0]
 
 
 def test_aligned_rows_refuses_a_family_a_label():
