@@ -660,6 +660,10 @@ def _exceptional_axap(group: str, a: int, a_prime: int) -> str:
 
 def _cmd_exceptional(args: argparse.Namespace) -> _Output:
     if args.validate:
+        # the report covers every row of every table: no flag narrows it
+        for flag in ("group", "rho", "bbar"):
+            if getattr(args, flag) is not None:
+                raise DomainError(f"--validate checks every table and takes no --{flag}")
         report = validate_tables()
         counts = report.status_counts()
         notes = [f"FINDING: {finding}" for finding in report.schema_findings]
@@ -782,7 +786,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--group", choices=GROUPS, default=None)
     ep.add_argument("--rho", default=None, help="row name for a single lookup")
     ep.add_argument("--bbar", type=int, default=None, help="row b-value for a single lookup")
-    ep.add_argument("--validate", action="store_true", help="run the table validation report")
+    ep.add_argument("--validate", action="store_true",
+                    help="run the validation report over every table "
+                         "(takes no --group, --rho or --bbar)")
     lp = sub.add_parser(
         "lemmas", parents=[common],
         help="run the exhaustive sequence-combinatorics property suite",

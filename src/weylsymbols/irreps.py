@@ -20,9 +20,11 @@ IrrLabel(...) is the validating constructor and the only one for labels
 that come from outside.  The package-private _trusted(cls, *values) builds
 a frozen dataclass (IrrLabel here, springer's ClassLabel too) from every
 field's value without the checks, and is called only on values the library
-built and knows to be valid, setting each field through its slot
-descriptor's __set__, a tuple of which (_SETTERS) is made once per class as
-the class is defined: canonical forms of validated labels
+built and knows to be valid.  It calls the class's entry in _SETTERS, a
+constructor made once per class as the class is defined
+(_slot_constructor), which sets each field through its slot descriptor's
+__set__ in straight-line code, one line per field: canonical forms of
+validated labels
 (canonicalize, hence row alignment), the rows of a merged or class
 sequence the library holds (_unmerge, behind _zeta_inverse and
 springer._tau_fiber), the enumerated rows of
@@ -38,6 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
+from operator import sub
 from typing import Callable, Iterator, TypeVar
 
 from . import seqcomb as sc
@@ -130,27 +134,30 @@ class IrrLabel:
         return out
 
 
-def _slot_setters(cls: type) -> tuple[Callable[[object, object], None], ...]:
-    """The __set__ of each field's slot descriptor of the slotted frozen
-    dataclass cls, in declaration order."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__dataclass_fields__)
+def _slot_constructor(cls: type[T]) -> Callable[..., T]:
+    """A function of every field's value, in declaration order, that builds
+    an instance of the slotted frozen dataclass cls without __post_init__:
+    one line per field calls that slot descriptor's __set__, which the
+    frozen dataclass __setattr__ would refuse."""
+    names = tuple(cls.__dataclass_fields__)
+    scope: dict = {"new": object.__new__, "cls": cls}
+    scope.update((f"set_{name}", cls.__dict__[name].__set__) for name in names)
+    body = "".join(f"    set_{name}(obj, {name})\n" for name in names)
+    exec(f"def build({', '.join(names)}):\n"
+         f"    obj = new(cls)\n{body}    return obj\n", scope)
+    return scope["build"]
 
 
-# each class _trusted builds -> its _slot_setters, entered once as the class
-# is defined (springer enters ClassLabel)
-_SETTERS = {IrrLabel: _slot_setters(IrrLabel)}
+# each class _trusted builds -> its _slot_constructor, made once as the
+# class is defined (springer enters ClassLabel)
+_SETTERS = {IrrLabel: _slot_constructor(IrrLabel)}
 
 
 def _trusted(cls: type[T], *values: object) -> T:
     """An instance of the frozen dataclass cls with every field set to its
     value, in declaration order, without __post_init__: for values valid
     by construction."""
-    obj = object.__new__(cls)
-    # field by field into the class's slots, through the slot descriptors
-    # the frozen dataclass __setattr__ would refuse
-    for setter, value in zip(_SETTERS[cls], values):
-        setter(obj, value)
-    return obj
+    return _SETTERS[cls](*values)
 
 
 def _ensure_label(name: str, label: object) -> None:
@@ -548,11 +555,17 @@ def canonicalize(label: IrrLabel) -> IrrLabel:
 def _canonical_rows(z: Seq, zp: Seq | None) -> tuple[Seq, Seq | None]:
     """The rows canonicalize keeps (zp None for a one-row label): the rows
     themselves when they share no prefix to drop."""
-    last = len(z if zp is None else zp) - 1
-    t = 0
-    while t < last and z[t] == t and (zp is None or zp[t] == t):
-        t += 1
+    # a row strictly increasing from >= 0 has row[i] - i nondecreasing and
+    # >= 0, so row[i] == i holds exactly on a prefix: bisect for its end
+    lo, hi = 0, len(z if zp is None else zp) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if z[mid] == mid and (zp is None or zp[mid] == mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    t = lo
     if t == 0:
         return z, zp
-    z = tuple(v - t for v in z[t:])
-    return z, None if zp is None else tuple(v - t for v in zp[t:])
+    z = tuple(map(sub, z[t:], repeat(t)))
+    return z, None if zp is None else tuple(map(sub, zp[t:], repeat(t)))

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import struct
 from itertools import accumulate
-from operator import add, le, sub
+from operator import add, itemgetter, le, sub
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, InvariantError, ResourceError, ValidationError
@@ -760,7 +760,7 @@ def enumerate_space(kind: str, m: int, n: int) -> tuple[Seq, ...]:
     if kind in ("XT", "YT") and (m % 2 != 0 or m < 2):
         raise DomainError(f"kind {kind} needs m even >= 2, got {m}")
     zero = (0, (0,) * (m + 1))
-    return tuple(s for s, *_ in _walk(kind, m, n, n, zero, zero))
+    return tuple(map(itemgetter(0), _walk(kind, m, n, n, zero, zero)))
 
 
 # a linear form on the entries of a sequence: its constant and the

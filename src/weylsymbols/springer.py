@@ -44,7 +44,7 @@ from .irreps import (
     _SETTERS,
     _ensure_label,
     _merge,
-    _slot_setters,
+    _slot_constructor,
     _trusted,
     _unmerge,
     aligned_rows,
@@ -135,7 +135,7 @@ class ClassLabel:
         return {"family": self.family, "n": self.n, "y": list(self.y)}
 
 
-_SETTERS[ClassLabel] = _slot_setters(ClassLabel)
+_SETTERS[ClassLabel] = _slot_constructor(ClassLabel)
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,10 +217,6 @@ def _tau_fiber(family: str, y: Seq, n: int) -> tuple[IrrLabel, ...]:
 # ---------------------------------------------------------------------------
 # invariants
 
-def _interval_sizes(intervals: tuple[tuple[int, int], ...]) -> list[int]:
-    return [hi - lo + 1 for lo, hi in intervals]
-
-
 def class_invariants(c: ClassLabel) -> ClassInvariants:
     """Component-group data of a class, from the interval set of y (which
     the ClassLabel checked when it was built, so the kernels read it)."""
@@ -242,9 +238,7 @@ def _class_invariants(c: ClassLabel, intervals: tuple[sc.Interval, ...]
         ztilde = math.gcd(c.n, *map(sub, c.y, base))
         if c.n == 0:
             ztilde = 1
-        return ClassInvariants(bbar=sc._beta0(c.y), z=1, ztilde_over_z=ztilde)
-    odd = sc._odd(intervals)
-    sizes = _interval_sizes(intervals)
+        return ClassInvariants(sc._beta0(c.y), 1, ztilde)
     # weighed against base_yt(m) for C, base_y(m) otherwise
     bbar = sc._weighted(c.y) - (sc._weighted_z(m) if c.family == CLASS_C
                                 else 2 * sc._weighted_x(m))
@@ -252,25 +246,24 @@ def _class_invariants(c: ClassLabel, intervals: tuple[sc.Interval, ...]
         if not intervals:
             raise InvariantError(f"even-length stratum without intervals: {c.y!r}")
         return ClassInvariants(
-            bbar=bbar,
-            z=2 ** (len(intervals) - 1),
-            ztilde_over_z=2 if all(s == 1 for s in sizes) else 1,
+            bbar,
+            2 ** (len(intervals) - 1),
+            2 if all(lo == hi for lo, hi in intervals) else 1,
         )
     if c.family == CLASS_C:
-        delta = 1 if any(lo > 0 for lo, hi in odd) else 0
+        # the intervals ascend, so an odd-size one starts above 0 exactly
+        # when the last of them does
+        odd = sc._odd(intervals)
+        delta = 1 if odd and odd[-1][0] > 0 else 0
         exponent = len(intervals) - 1 - delta
         if exponent < 0:
             raise InvariantError(f"negative component exponent for {c.y!r}")
-        return ClassInvariants(
-            bbar=bbar,
-            z=2**exponent,
-            ztilde_over_z=2**delta,
-        )
+        return ClassInvariants(bbar, 2**exponent, 2**delta)
     # family D
-    delta = 1 if odd else 0
+    delta = 1 if sc._odd(intervals) else 0
     z = 2 ** max(len(intervals) - 1 - delta, 0)
     uz = 2 ** max(len(intervals) - 1, 0)
-    all_singletons = all(s == 1 for s in sizes)
+    all_singletons = all(lo == hi for lo, hi in intervals)
     if delta == 1:
         ratio = 4 if all_singletons else 2
     elif not intervals:
@@ -282,12 +275,7 @@ def _class_invariants(c: ClassLabel, intervals: tuple[sc.Interval, ...]
         raise InvariantError(f"unreachable component case for {c.y!r}")
     if ratio != (2 if all_singletons else 1) * (uz // z):
         raise InvariantError(f"component recombination failed for {c.y!r}")
-    return ClassInvariants(
-        bbar=bbar,
-        z=z,
-        ztilde_over_z=ratio,
-        uz_over_z=uz // z,
-    )
+    return ClassInvariants(bbar, z, ratio, uz // z)
 
 
 # ---------------------------------------------------------------------------

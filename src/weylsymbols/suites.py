@@ -40,13 +40,6 @@ from .jinduction import (
     j_induce,
     labels_match,
 )
-from .oracle import (
-    b_oracle,
-    character_table,
-    induction_multiplicity,
-    j_oracle,
-    key_to_label,
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -380,6 +373,8 @@ _J_SCOPE = ((FAMILY_A, 6), (FAMILY_BC, 4), (FAMILY_D, 4))
 
 
 def _all_labels(family: str, n: int) -> tuple[IrrLabel, ...]:
+    from .oracle import character_table, key_to_label
+
     table = character_table(family, n)
     return tuple(key_to_label(family, n, key) for key in table.irreps)
 
@@ -420,6 +415,9 @@ def oracle_suite(family: str | None = None, max_rank: int | None = None) -> Orac
     FAMILIES raises DomainError, as does a negative max_rank; a max_rank
     that is not an int raises ValidationError.
     """
+    # the oracle is loaded here, so the lemma suite never compiles it
+    from .oracle import b_oracle, induction_multiplicity, j_oracle
+
     if family is not None and family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
     if max_rank is not None:

@@ -332,6 +332,21 @@ def test_exceptional_validate_is_green():
     assert json.loads(out)["report"]["ok"] is True
 
 
+@pytest.mark.parametrize("extra, flag", [
+    (["--group", "G2"], "--group"),
+    (["--group", "G2", "--rho", "x", "--bbar", "1"], "--group"),
+    (["--rho", "x"], "--rho"),
+    (["--bbar", "1"], "--bbar"),
+])
+def test_exceptional_validate_refuses_a_narrowing_flag(extra, flag):
+    # the report covers every table, so a flag that names a group or a row
+    # is refused rather than ignored
+    code, out, err = _run(["exceptional", "--validate", *extra])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --validate checks every table and takes no {flag}\n"
+
+
 def test_lemma_suite_is_green_at_small_bounds():
     report = lemma_suite(max_m=4, max_weight=4)
     assert report.ok()

@@ -3,7 +3,9 @@
 ``import weylsymbols`` leaves out ``engine``, ``oracle``, the command line
 and the suites: the exported names of engine and oracle load their module
 on first use.  ``import weylsymbols.cli`` leaves out the suites and the
-oracle, which only ``lemmas`` and ``oracle-check`` run.
+oracle, which only ``lemmas`` and ``oracle-check`` run, and
+``import weylsymbols.suites`` leaves out the oracle, which only
+``oracle_suite`` calls.
 """
 
 from __future__ import annotations
@@ -132,6 +134,36 @@ def test_oracle_check_loads_the_oracle_and_runs():
         sys.exit(code)
     """)
     assert out.endswith("result: ok\n")
+
+
+def test_the_suites_import_leaves_out_the_oracle():
+    # only oracle_suite calls the oracle, so lemmas never compiles it
+    loaded = _loaded("import weylsymbols.suites")
+    assert "weylsymbols.oracle" not in loaded
+
+
+def test_lemmas_runs_without_the_oracle():
+    _run("""
+        import sys
+        from weylsymbols import cli
+        code = cli.main(["lemmas", "--max-m", "4", "--max-weight", "4"])
+        assert "weylsymbols.suites" in sys.modules
+        assert "weylsymbols.oracle" not in sys.modules
+        sys.exit(code)
+    """)
+
+
+def test_oracle_suite_runs_after_a_bare_suites_import():
+    out = _run("""
+        import sys
+        import weylsymbols.suites as suites
+        assert "weylsymbols.oracle" not in sys.modules
+        report = suites.oracle_suite(max_rank=2)
+        assert "weylsymbols.oracle" in sys.modules
+        print(report.ok(), sum(block.cases for block in report.blocks))
+    """)
+    ok, cases = out.split()
+    assert ok == "True" and int(cases) > 0
 
 
 def test_an_unknown_attribute_raises_attribute_error_naming_it():

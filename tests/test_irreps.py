@@ -643,6 +643,52 @@ def test_canonicalize_is_idempotent_and_minimal():
             assert not (len(lab.zp) > 1 and lab.z[0] == 0 and lab.zp[0] == 0)
 
 
+def _linear_canonical_rows(z, zp):
+    """The scan _canonical_rows replaced, kept as its reference: the common
+    prefix 0, 1, ..., t-1 of the rows, one entry at a time."""
+    last = len(z if zp is None else zp) - 1
+    t = 0
+    while t < last and z[t] == t and (zp is None or zp[t] == t):
+        t += 1
+    if t == 0:
+        return z, zp
+    z = tuple(v - t for v in z[t:])
+    return z, None if zp is None else tuple(v - t for v in zp[t:])
+
+
+def _assert_canonical_rows_match(z, zp):
+    got, want = irreps._canonical_rows(z, zp), _linear_canonical_rows(z, zp)
+    assert got == want, (z, zp)
+    # canonicalize keeps the label itself when nothing is dropped
+    assert (got[0] is z) == (want[0] is z), (z, zp)
+
+
+def test_canonical_rows_bisection_matches_the_linear_scan():
+    # every label, aligned to the tau length n + 1 and canonical: all of
+    # Irr for BC and D at ranks 0-12, and for A at ranks 0-10
+    labels: list[IrrLabel] = []
+    for n in range(13):
+        labels += _all_bc_labels(n, n + 1) + _all_d_labels(n, n + 1)
+    for n in range(11):
+        labels += [_a_label(lam, n + 1) for lam in _partitions(n)]
+    assert len(labels) == 4882
+    for lab in labels:
+        _assert_canonical_rows_match(lab.z, lab.zp)
+        lab = canonicalize(lab)
+        _assert_canonical_rows_match(lab.z, lab.zp)
+
+
+@pytest.mark.parametrize("z, zp", [
+    ((0,), None), ((3,), None), ((0,), ()), ((4,), ()),
+    ((0, 1, 2), None), ((0, 1, 2, 3), (0, 1, 2)), ((0, 1, 2), (0, 1, 2)),
+    ((0, 1, 5), None), ((0, 1, 2, 9), (0, 1, 2)), ((0, 1, 2), (0, 1, 4)),
+    ((0, 1, 2, 3), (0, 1, 5)), ((1, 2, 3), (0, 1, 2)), ((0, 2), (0, 2)),
+])
+def test_canonical_rows_bisection_matches_the_linear_scan_on_edge_rows(z, zp):
+    # one-entry rows, rows that are all prefix, and one-row labels
+    _assert_canonical_rows_match(z, zp)
+
+
 def test_policy_m_values():
     assert policy_m(FAMILY_A, 5) == 5
     assert policy_m(FAMILY_BC, 5) == 12

@@ -160,6 +160,21 @@ def test_tau_fiber_listings_are_pinned():
     assert digest == "79fd545e0732e93c91282e5e4a464b53f186556762fb98265ecc22a0eb3c9ac9"
 
 
+def test_class_invariants_and_canonical_partners_are_pinned():
+    # each class's component data and canonical tau-partners at B/C/D
+    # ranks 2-12, at the policy length: the springer listing's rows
+    rows = [
+        (c.y, class_invariants(c).to_json(),
+         [canonicalize(lab).to_json() for lab in tau_fiber(family, c.y, n)])
+        for family in (CLASS_B, CLASS_C, CLASS_D)
+        for n in range(2, 13)
+        for c in enumerate_classes(family, n)
+    ]
+    assert len(rows) == 3769
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "bdd37a40e6734e066a10ed41e323849ba6d7697004cf930759f9d0487d2096d9"
+
+
 @pytest.mark.parametrize("family, y", [
     (CLASS_A, (0, 2)),
     (CLASS_B, (0, 0, 2, 2, 5)),
@@ -254,6 +269,50 @@ def test_class_invariants_frozen_examples():
     y = tuple(2 * v for v in sc.base_x(9))
     inv = class_invariants(ClassLabel(CLASS_D, 0, y))
     assert inv.z == 1 and inv.ztilde_over_z == 2 and inv.uz_over_z == 1
+
+
+def _reference_invariants(c: ClassLabel) -> ClassInvariants:
+    """class_invariants of a B, C or D class by the formulas as first
+    written: the odd-size intervals as a tuple and the interval sizes as a
+    list, kept to check the kernel that reads them off the intervals."""
+    intervals = sc.frakI(c.y)
+    odd = sc.frakI_odd(c.y)
+    sizes = [hi - lo + 1 for lo, hi in intervals]
+    if c.family == CLASS_C:
+        bbar = _tilde_beta_prime(c.y)
+    else:
+        bbar = _beta_prime(c.y)
+    if c.family == CLASS_B:
+        return ClassInvariants(
+            bbar=bbar,
+            z=2 ** (len(intervals) - 1),
+            ztilde_over_z=2 if all(s == 1 for s in sizes) else 1,
+        )
+    if c.family == CLASS_C:
+        delta = 1 if any(lo > 0 for lo, hi in odd) else 0
+        return ClassInvariants(bbar=bbar, z=2 ** (len(intervals) - 1 - delta),
+                               ztilde_over_z=2**delta)
+    delta = 1 if odd else 0
+    z = 2 ** max(len(intervals) - 1 - delta, 0)
+    uz = 2 ** max(len(intervals) - 1, 0)
+    all_singletons = all(s == 1 for s in sizes)
+    if delta == 1:
+        ratio = 4 if all_singletons else 2
+    else:
+        ratio = 2 if not intervals else 1
+    return ClassInvariants(bbar=bbar, z=z, ztilde_over_z=ratio, uz_over_z=uz // z)
+
+
+@pytest.mark.parametrize("family", [CLASS_B, CLASS_C, CLASS_D])
+def test_class_invariants_match_the_first_written_formulas(family):
+    # every class of ranks 2-14, at the policy length and two slots longer
+    count = 0
+    for n in range(2, 15):
+        for m in (None, class_policy_m(family, n) + 2):
+            for c in enumerate_classes(family, n, m):
+                assert class_invariants(c) == _reference_invariants(c), c
+                count += 1
+    assert count == {CLASS_B: 5428, CLASS_C: 6512, CLASS_D: 4500}[family]
 
 
 def test_invariants_are_powers_of_two():
